@@ -27,9 +27,6 @@ class Backend:
 
 
 class _FloatBackend(Backend):
-    scalar_type = float
-    coeff_type = complex
-
     def scalar(self, x) -> float:
         if isinstance(x, bool):
             raise TypeError("bool is not a scalar")
@@ -52,9 +49,6 @@ class _FloatBackend(Backend):
     def one(self) -> complex:
         return 1 + 0j
 
-    def is_coeff(self, value) -> bool:
-        return isinstance(value, complex)
-
     def to_complex(self, value) -> complex:
         return complex(value)
 
@@ -70,9 +64,6 @@ class _FloatBackend(Backend):
 
 
 class _RationalBackend(Backend):
-    scalar_type = Fraction
-    coeff_type = RationalComplex
-
     def scalar(self, x) -> Fraction:
         if isinstance(x, bool):
             raise TypeError("bool is not a scalar")
@@ -94,9 +85,6 @@ class _RationalBackend(Backend):
     @property
     def one(self) -> RationalComplex:
         return RationalComplex(1, 0)
-
-    def is_coeff(self, value) -> bool:
-        return isinstance(value, RationalComplex)
 
     def to_complex(self, value) -> complex:
         return complex(value)

@@ -300,17 +300,17 @@ def min_real_part(p: TruncatedSeries, radius: float, samples: int) -> float:
     return best
 
 
-def random_herglotz(seed: int, max_atoms: int = 4) -> HerglotzAtoms:
-    """Deterministic random atom system on the float backend.
+def draw_atoms(rng: random.Random, max_atoms: int = 4):
+    """Draw one random atom system from ``rng`` as (weights, points) lists.
 
-    Draws from ``random.Random(seed)`` only via ``random()`` calls: the atom
-    count is uniform on 1..max_atoms, angles are uniform on the circle, and
-    the weights are uniform on the probability simplex (normalized
-    exponentials). The same seed always yields the same atoms.
+    This is the only place the draw order is defined; `random_herglotz` and
+    the sweeps' array sampler both call it. Only ``rng.random()`` is used:
+    first the atom count, uniform on 1..max_atoms, then one angle per atom,
+    uniform on the circle, then one exponential per atom. The weights are
+    the normalized exponentials, i.e. uniform on the probability simplex.
     """
     if not isinstance(max_atoms, int) or max_atoms < 1:
         raise ValueError(f"max_atoms must be a positive integer, got {max_atoms!r}")
-    rng = random.Random(seed)
     count = min(1 + int(rng.random() * max_atoms), max_atoms)
     angles = [2.0 * math.pi * rng.random() for _ in range(count)]
     raw = [-math.log(1.0 - rng.random()) for _ in range(count)]
@@ -318,4 +318,14 @@ def random_herglotz(seed: int, max_atoms: int = 4) -> HerglotzAtoms:
     weights = [w / total for w in raw]
     # renormalize the last weight so the sum is exactly 1.0 in floating point
     weights[-1] = 1.0 - sum(weights[:-1])
-    return HerglotzAtoms.from_angles(weights, angles)
+    return weights, [cmath.exp(1j * a) for a in angles]
+
+
+def random_herglotz(seed: int, max_atoms: int = 4) -> HerglotzAtoms:
+    """Deterministic random atom system on the float backend.
+
+    The atoms are `draw_atoms` applied to ``random.Random(seed)``, so the
+    same seed always yields the same atoms.
+    """
+    weights, points = draw_atoms(random.Random(seed), max_atoms)
+    return HerglotzAtoms(weights, points)

@@ -240,9 +240,6 @@ def run_extremal_suite(grid: GridSpec, backend: Backend = FLOAT, *, rel_tol: flo
 
 # -- randomized suites ------------------------------------------------------
 
-_MAX_LISTED_VIOLATIONS = 5
-
-
 def _sweep_reports(grid, backend, suite, sweep, witness_of, slack):
     reports = []
     for n, alpha, beta in grid.points():
@@ -258,10 +255,10 @@ def _sweep_reports(grid, backend, suite, sweep, witness_of, slack):
                 observed=fmt_float(outcome.worst_margin),
                 reference=fmt_float(-slack),
                 margin=fmt_float(outcome.worst_margin),
-                status="pass" if not outcome.violations else "fail",
+                status="pass" if not outcome.violation_count else "fail",
             )
         ]
-        for trial, k, margin in outcome.violations[:_MAX_LISTED_VIOLATIONS]:
+        for trial, k, margin in outcome.violations:
             entries.append(
                 SuiteEntry(
                     suite=suite,
@@ -274,7 +271,7 @@ def _sweep_reports(grid, backend, suite, sweep, witness_of, slack):
                     status="fail",
                 )
             )
-        hidden = len(outcome.violations) - _MAX_LISTED_VIOLATIONS
+        hidden = outcome.violation_count - len(outcome.violations)
         if hidden > 0:
             entries.append(
                 SuiteEntry(
@@ -282,7 +279,7 @@ def _sweep_reports(grid, backend, suite, sweep, witness_of, slack):
                     **point,
                     k="",
                     case=f"{hidden} further violations not listed",
-                    observed=str(len(outcome.violations)),
+                    observed=str(outcome.violation_count),
                     reference="0",
                     margin="",
                     status="info",
@@ -296,7 +293,7 @@ def _sweep_reports(grid, backend, suite, sweep, witness_of, slack):
             SuiteReport(
                 suite=suite,
                 point=point,
-                passed=not outcome.violations,
+                passed=not outcome.violation_count,
                 worst_margin=outcome.worst_margin,
                 witness=witness,
                 entries=tuple(entries),

@@ -1,19 +1,28 @@
 """Vectorized random-trial sweeps for the verification suites.
 
 The randomized suites run thousands of generator trials per parameter
-point. Sampling stays on the scalar path (`random_herglotz`, one seed per
-trial) so every trial is individually reproducible, while the series
+point. `sample_atoms` draws the trials straight into zero-padded
+``(trials, max_atoms)`` weight and point arrays (padding: weight 0, point
+1), through the same `draw_atoms` routine `random_herglotz` uses, and checks
+them with the `HerglotzAtoms` rules vectorized over the rows. The series
 arithmetic — atom powers, the transform, the real-power recurrence, batch
-Cauchy products — runs across all trials at once in numpy. The scalar
-helpers at the bottom recompute a single trial through the exact same
-formulas via the series classes; tests pin the two paths together.
+Cauchy products — then runs across the trials in numpy.
+
+Trials are processed in chunks of `CHUNK_TRIALS`, so memory stays flat in
+the trial count. Each sweep keeps the worst margin (the first occurrence,
+as ``np.argmin`` over all trials would give), the total number of
+violations and only the first five of them in (trial, k) order.
+`HerglotzAtoms` are built only to rebuild a witness. The scalar helpers
+at the bottom recompute a single trial through the series classes; tests
+pin the two paths together.
 
 Seed splitting is deterministic and documented: trial j of a suite at a
-parameter point draws its atoms from
+parameter point draws its atoms from ``random.Random(s)`` with
 
-    blake2b("{suite}|{seed}|{n}|{alpha}|{beta}|{trial}", digest_size=8)
+    s = blake2b("{suite}|{seed}|{n}|{alpha}|{beta}|{trial}", digest_size=8)
 
-interpreted big-endian, so parallel and serial runs agree and a failure
+interpreted big-endian (one reused ``Random`` reseeded with ``seed(s)``
+gives the same stream), so chunked and unchunked runs agree and a failure
 report's (suite, seed, parameters, trial) tuple is enough to rebuild the
 offending generators anywhere.
 """
@@ -22,13 +31,21 @@ from __future__ import annotations
 
 import hashlib
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .bounds import ClassParams, f_from_p, sharp_bound
-from .caratheodory import HerglotzAtoms, half_hadamard, random_herglotz
+from .caratheodory import (
+    _UNIMODULAR_TOL,
+    _WEIGHT_SUM_TOL,
+    HerglotzAtoms,
+    draw_atoms,
+    half_hadamard,
+    random_herglotz,
+)
 from .schemes import nehari_series
 from .series import constant_one
 
@@ -39,23 +56,61 @@ def _scalar_token(x) -> str:
     return repr(x)
 
 
-def trial_seed(seed: int, suite: str, n: int, alpha, beta, trial: int) -> int:
-    """Per-trial RNG seed derived from the suite position (stable everywhere)."""
-    key = f"{suite}|{seed}|{n}|{_scalar_token(alpha)}|{_scalar_token(beta)}|{trial}"
-    digest = hashlib.blake2b(key.encode("ascii"), digest_size=8).digest()
+def _point_key(seed: int, suite: str, n: int, alpha, beta) -> str:
+    """The part of a trial's seed key that is shared by every trial of a point."""
+    return f"{suite}|{seed}|{n}|{_scalar_token(alpha)}|{_scalar_token(beta)}|"
+
+
+def _keyed_seed(point_key: str, trial: int) -> int:
+    digest = hashlib.blake2b(f"{point_key}{trial}".encode("ascii"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
 
 
-def _pack_atoms(atom_systems):
-    """Zero-padded (weights, points) arrays from a list of HerglotzAtoms."""
-    count = max(len(a.weights) for a in atom_systems)
-    trials = len(atom_systems)
-    weights = np.zeros((trials, count))
-    points = np.ones((trials, count), dtype=np.complex128)
-    for t, a in enumerate(atom_systems):
-        weights[t, : len(a.weights)] = a.weights
-        points[t, : len(a.points)] = a.points
+def trial_seed(seed: int, suite: str, n: int, alpha, beta, trial: int) -> int:
+    """Per-trial RNG seed derived from the suite position (stable everywhere)."""
+    return _keyed_seed(_point_key(seed, suite, n, alpha, beta), trial)
+
+
+CHUNK_TRIALS = 4096
+_MAX_LISTED_VIOLATIONS = 5
+
+
+def sample_atoms(seed: int, suite: str, n: int, alpha, beta, start: int, stop: int, max_atoms: int = 4):
+    """Atoms of trials start..stop-1 as zero-padded (weights, points) rows.
+
+    Row j holds the atoms of ``random_herglotz(trial_seed(seed, suite, n,
+    alpha, beta, start + j), max_atoms)`` bit for bit, padded to max_atoms
+    columns with weight 0 and point 1.
+    """
+    rows = stop - start
+    weights = np.zeros((rows, max_atoms))
+    points = np.ones((rows, max_atoms), dtype=np.complex128)
+    counts = np.empty(rows, dtype=np.intp)
+    point_key = _point_key(seed, suite, n, alpha, beta)
+    rng = random.Random()
+    for j in range(rows):
+        rng.seed(_keyed_seed(point_key, start + j))
+        w, x = draw_atoms(rng, max_atoms)
+        counts[j] = len(w)
+        weights[j, : len(w)] = w
+        points[j, : len(x)] = x
+    check_atom_rows(weights, points, counts)
     return weights, points
+
+
+def check_atom_rows(weights: np.ndarray, points: np.ndarray, counts: np.ndarray) -> None:
+    """The float `HerglotzAtoms` checks, over rows whose first counts[t] slots are used."""
+    used = np.arange(weights.shape[1]) < counts[:, None]
+    if not (weights[used] > 0).all():
+        raise ValueError("weights must be positive")
+    totals = weights.sum(axis=1)
+    off = ~(np.abs(totals - 1.0) <= _WEIGHT_SUM_TOL)
+    if off.any():
+        raise ValueError(f"weights must sum to 1, got {float(totals[off][0])!r}")
+    used_points = points[used]
+    off = ~(np.abs(np.abs(used_points) - 1.0) <= _UNIMODULAR_TOL)
+    if off.any():
+        raise ValueError(f"point {complex(used_points[off][0])!r} is not unimodular")
 
 
 def batch_series(weights: np.ndarray, points: np.ndarray, order: int) -> np.ndarray:
@@ -121,23 +176,37 @@ class SweepOutcome:
     worst_trial: int
     worst_k: int
     worst_margin: float
-    violations: tuple  # (trial, k, margin) rows with margin < -slack
+    violations: tuple  # first _MAX_LISTED_VIOLATIONS (trial, k, margin) rows with margin < -slack
+    violation_count: int  # all such rows
 
 
-def _summarize(margins: np.ndarray, k_values, slack: float) -> SweepOutcome:
-    flat = int(np.argmin(margins))
-    t, i = divmod(flat, margins.shape[1])
-    bad = np.argwhere(margins < -slack)
-    violations = tuple(
-        (int(bt), int(k_values[bi]), float(margins[bt, bi])) for bt, bi in bad
-    )
+def _chunked_sweep(trials: int, k_values: np.ndarray, slack: float, margins_of) -> SweepOutcome:
+    """Summarize ``margins_of(start, stop)`` over the trials, one chunk at a time."""
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials!r}")
+    worst = worst_trial = worst_i = None
+    violations = []
+    count = 0
+    for start in range(0, trials, CHUNK_TRIALS):
+        margins = margins_of(start, min(start + CHUNK_TRIALS, trials))
+        t, i = divmod(int(np.argmin(margins)), margins.shape[1])
+        m = margins[t, i]
+        # first occurrence wins, and so does the first NaN, as in np.argmin
+        if worst is None or (not np.isnan(worst) and (np.isnan(m) or m < worst)):
+            worst, worst_trial, worst_i = m, start + t, i
+        bad = margins < -slack
+        count += int(np.count_nonzero(bad))
+        for flat in np.flatnonzero(bad)[: _MAX_LISTED_VIOLATIONS - len(violations)]:
+            bt, bi = divmod(int(flat), margins.shape[1])
+            violations.append((start + bt, int(k_values[bi]), float(margins[bt, bi])))
     return SweepOutcome(
-        trials=margins.shape[0],
+        trials=trials,
         k_values=tuple(int(k) for k in k_values),
-        worst_trial=t,
-        worst_k=int(k_values[i]),
-        worst_margin=float(margins[t, i]),
-        violations=violations,
+        worst_trial=worst_trial,
+        worst_k=int(k_values[worst_i]),
+        worst_margin=float(worst),
+        violations=tuple(violations),
+        violation_count=count,
     )
 
 
@@ -158,17 +227,22 @@ def dominance_sweep(
     k_max - 1, and truncation is exact on leading coefficients, so the sweep
     runs at that reduced order.
     """
-    systems = [
-        random_herglotz(trial_seed(seed, "random", n, alpha, beta, t), max_atoms)
-        for t in range(trials)
-    ]
-    weights, points = _pack_atoms(systems)
+    def margins_of(start, stop):
+        atoms = sample_atoms(seed, "random", n, alpha, beta, start, stop, max_atoms)
+        return dominance_margins(*atoms, n, alpha, beta, k_max)
+
+    return _chunked_sweep(trials, np.arange(2, k_max + 1), slack, margins_of)
+
+
+def dominance_margins(
+    weights: np.ndarray, points: np.ndarray, n: int, alpha: float, beta: float, k_max: int
+) -> np.ndarray:
+    """Margins bound - |a_k| for k = 2..k_max, one row per row of atoms."""
     b = batch_series(weights, points, k_max - 1)
     u = batch_power_quotient(b, n, alpha, beta)
     k = np.arange(2, k_max + 1)
     bound = 2.0 * (1.0 - beta) * alpha ** (n - 1) / (alpha + k - 1.0) ** n
-    margins = bound - np.abs(u[:, 1:k_max])
-    return _summarize(margins, k, slack)
+    return bound - np.abs(u[:, 1:k_max])
 
 
 def dominance_witness(seed: int, n: int, alpha, beta, trial: int, *, max_atoms: int = 4) -> HerglotzAtoms:
@@ -205,17 +279,23 @@ def nehari_sweep(
     negative rows are genuine counterexamples to the claimed bound (expected
     for n >= 1 — see the audit notes in the verification harness).
     """
-    h_sys, p_sys, q_sys = (
-        [
-            random_herglotz(trial_seed(seed, role, n, alpha, beta, t), max_atoms)
-            for t in range(trials)
-        ]
-        for role in ("nehari:h", "nehari:p", "nehari:q")
-    )
-    d = batch_series(*_pack_atoms(h_sys), k_max - 1)
-    bp = batch_series(*_pack_atoms(p_sys), k_max)
-    cq = batch_series(*_pack_atoms(q_sys), k_max)
-    G = 0.5 * bp * cq
+    def margins_of(start, stop):
+        h, p, q = (
+            sample_atoms(seed, role, n, alpha, beta, start, stop, max_atoms)
+            for role in ("nehari:h", "nehari:p", "nehari:q")
+        )
+        return nehari_margins(h, p, q, n, alpha, beta, k_max)
+
+    return _chunked_sweep(trials, np.arange(1, k_max + 1), slack, margins_of)
+
+
+def nehari_margins(h, p, q, n: int, alpha: float, beta: float, k_max: int) -> np.ndarray:
+    """Margins 2 (1-beta) alpha^n / (alpha+k)^n - |A_k| for k = 1..k_max.
+
+    h, p and q are (weights, points) atom arrays with one row per trial.
+    """
+    d = batch_series(*h, k_max - 1)
+    G = 0.5 * batch_series(*p, k_max) * batch_series(*q, k_max)
     G[:, 0] = 0.0
     gammas = batch_gammas(d[:, 1:], k_max - 1)
     A = np.zeros_like(G)
@@ -229,8 +309,7 @@ def nehari_sweep(
             power = batch_cauchy(power, G)
     k = np.arange(1, k_max + 1)
     bound = 2.0 * (1.0 - beta) * alpha**n / (alpha + k.astype(np.float64)) ** n
-    margins = bound - np.abs(A[:, 1:])
-    return _summarize(margins, k, slack)
+    return bound - np.abs(A[:, 1:])
 
 
 def nehari_witness(seed: int, n: int, alpha, beta, trial: int, *, max_atoms: int = 4):

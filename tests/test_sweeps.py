@@ -1,22 +1,53 @@
-"""Vectorized sweeps: seed derivation, scalar-path equivalence, witnesses."""
+"""Vectorized sweeps: seed derivation, array sampler, chunking, scalar-path equivalence, witnesses."""
 
 import numpy as np
 import pytest
 
 from coeffbounds import random_herglotz
 from coeffbounds.sweeps import (
+    CHUNK_TRIALS,
+    _chunked_sweep,
     batch_cauchy,
     batch_gammas,
     batch_real_power,
     batch_series,
+    check_atom_rows,
+    dominance_margins,
     dominance_margins_scalar,
     dominance_sweep,
     dominance_witness,
+    nehari_margins,
     nehari_margins_scalar,
     nehari_sweep,
     nehari_witness,
+    sample_atoms,
     trial_seed,
 )
+
+NEHARI_ROLES = ("nehari:h", "nehari:p", "nehari:q")
+
+
+def reference_atoms(seed, suite, n, alpha, beta, trials, max_atoms=4):
+    """All trials at once, packed from per-trial random_herglotz atoms."""
+    weights = np.zeros((trials, max_atoms))
+    points = np.ones((trials, max_atoms), dtype=complex)
+    for t in range(trials):
+        atoms = random_herglotz(trial_seed(seed, suite, n, alpha, beta, t), max_atoms)
+        weights[t, : len(atoms)] = atoms.weights
+        points[t, : len(atoms)] = atoms.points
+    return weights, points
+
+
+def reference_summary(margins, k_values, slack=1e-9):
+    """Unchunked summary: np.argmin for the worst row, np.argwhere for violations."""
+    t, i = divmod(int(np.argmin(margins)), margins.shape[1])
+    bad = np.argwhere(margins < -slack)
+    violations = [(int(bt), int(k_values[bi]), float(margins[bt, bi])) for bt, bi in bad]
+    return t, int(k_values[i]), float(margins[t, i]), tuple(violations[:5]), len(violations)
+
+
+def summary(out):
+    return out.worst_trial, out.worst_k, out.worst_margin, out.violations, out.violation_count
 
 
 class TestTrialSeed:
@@ -44,6 +75,82 @@ class TestTrialSeed:
         assert trial_seed(1, "random", 1, Fraction(2), 0.0, 0) != trial_seed(
             1, "random", 1, 2.0, 0.0, 0
         )
+
+
+class TestSampler:
+    @pytest.mark.parametrize("suite", ["random", *NEHARI_ROLES])
+    @pytest.mark.parametrize("max_atoms", [1, 2, 3, 4])
+    def test_rows_equal_random_herglotz(self, suite, max_atoms):
+        cases = [(0, 0, 2.0, 0.0, 0), (1729, 2, 1.5, 0.25, 37), (2**40 + 3, 3, 5.0, 0.5, 9)]
+        for seed, n, alpha, beta, start in cases:
+            weights, points = sample_atoms(seed, suite, n, alpha, beta, start, start + 40, max_atoms)
+            assert weights.shape == points.shape == (40, max_atoms)
+            for j in range(40):
+                atoms = random_herglotz(trial_seed(seed, suite, n, alpha, beta, start + j), max_atoms)
+                c = len(atoms)
+                assert tuple(weights[j, :c]) == atoms.weights
+                assert tuple(points[j, :c]) == atoms.points
+                assert (weights[j, c:] == 0.0).all() and (points[j, c:] == 1.0).all()
+
+    def test_checks_accept_padded_rows(self):
+        weights = np.array([[0.25, 0.75, 0.0], [1.0, 0.0, 0.0]])
+        points = np.array([[1j, -1.0, 1.0], [-1j, 1.0, 1.0]])
+        check_atom_rows(weights, points, np.array([2, 1]))
+
+    @pytest.mark.parametrize(
+        "weights, points, count, match",
+        [
+            ([0.5, 0.0, 0.5], [1.0, 1j, -1.0], 3, "positive"),
+            ([0.5, 0.5 + 1e-9, 0.0], [1.0, 1j, 1.0], 2, "sum to 1"),
+            ([0.5, 0.5, 0.0], [1.0, 1j * (1 + 1e-9), 1.0], 2, "unimodular"),
+        ],
+    )
+    def test_checks_reject_bad_rows(self, weights, points, count, match):
+        # the rules HerglotzAtoms enforces per trial; the bad row follows a good one
+        weights = np.array([[1.0, 0.0, 0.0], weights])
+        points = np.array([[1.0, 1.0, 1.0], points], dtype=complex)
+        with pytest.raises(ValueError, match=match):
+            check_atom_rows(weights, points, np.array([1, count]))
+
+
+class TestChunking:
+    trials = 2 * CHUNK_TRIALS + 7
+
+    def test_dominance_matches_unchunked_reference(self):
+        seed, n, alpha, beta, k_max = 31, 1, 2.0, 0.25, 12
+        out = dominance_sweep(seed, n, alpha, beta, self.trials, k_max)
+        atoms = reference_atoms(seed, "random", n, alpha, beta, self.trials)
+        margins = dominance_margins(*atoms, n, alpha, beta, k_max)
+        assert summary(out) == reference_summary(margins, range(2, k_max + 1))
+
+    def test_nehari_matches_unchunked_reference(self):
+        seed, n, alpha, beta, k_max = 31, 1, 2.0, 0.0, 12
+        out = nehari_sweep(seed, n, alpha, beta, self.trials, k_max)
+        atoms = [reference_atoms(seed, role, n, alpha, beta, self.trials) for role in NEHARI_ROLES]
+        margins = nehari_margins(*atoms, n, alpha, beta, k_max)
+        assert summary(out) == reference_summary(margins, range(1, k_max + 1))
+        assert out.violation_count > CHUNK_TRIALS  # violations span several chunks
+        assert len(out.violations) <= 5
+
+    def test_merge_across_chunks(self):
+        margins = np.random.default_rng(5).uniform(0.0, 1.0, size=(self.trials, 3))
+        k_values = np.arange(2, 5)
+
+        def run():
+            return _chunked_sweep(self.trials, k_values, 1e-9, lambda a, b: margins[a:b])
+
+        # two violations in the first chunk, then the listed ones cross into later chunks
+        c = CHUNK_TRIALS
+        for t, i in [(5, 2), (40, 0), (c + 1, 1), (c + 1, 2), (2 * c, 0), (2 * c + 3, 1)]:
+            margins[t, i] = -0.5
+        margins[c + 1, 1] = margins[2 * c + 3, 1] = -9.0  # tie across chunks
+        out = run()
+        assert summary(out) == reference_summary(margins, k_values)
+        assert out.violations[-1] == (2 * c, 2, -0.5) and out.violation_count == 6
+        margins[2 * c, 2] = margins[c + 9, 0] = np.nan
+        out = run()
+        assert (out.worst_trial, out.worst_k) == (c + 9, 2) == reference_summary(margins, k_values)[:2]
+        assert np.isnan(out.worst_margin)
 
 
 class TestBatchKernels:
@@ -137,11 +244,10 @@ class TestNehari:
     def test_worst_witness_margin_matches_report(self):
         out = nehari_sweep(1729, 2, 5.0, 0.25, 100, 12)
         assert out.violations
-        trial, k, margin = min(out.violations, key=lambda v: v[2])
         scal = nehari_margins_scalar(
-            *nehari_witness(1729, 2, 5.0, 0.25, trial), 2, 5.0, 0.25, 12
+            *nehari_witness(1729, 2, 5.0, 0.25, out.worst_trial), 2, 5.0, 0.25, 12
         )
-        assert scal[k - 1] == pytest.approx(margin, abs=1e-12)
+        assert scal[out.worst_k - 1] == pytest.approx(out.worst_margin, abs=1e-12)
 
     def test_roles_use_independent_seeds(self):
         h_at, p_at, q_at = nehari_witness(9, 1, 2.0, 0.0, 4)
