@@ -34,7 +34,7 @@ from .caratheodory import (
     min_real_part,
     shift_to_beta,
 )
-from .series import TruncatedSeries
+from .series import TruncatedSeries, cauchy_coefficients
 
 
 @dataclass(frozen=True)
@@ -112,16 +112,6 @@ class SmallAlphaBound:
     region: Region
 
 
-def _poly_mul(a, b, order, zero):
-    out = []
-    for k in range(order + 1):
-        acc = zero
-        for j in range(k + 1):
-            acc = acc + a[j] * b[k - j]
-        out.append(acc)
-    return out
-
-
 def small_alpha_bound(params: ClassParams, k: int) -> SmallAlphaBound:
     """Small-alpha piecewise bound on |a_k|.
 
@@ -143,7 +133,7 @@ def small_alpha_bound(params: ClassParams, k: int) -> SmallAlphaBound:
     factorial = 1
     for m in range(1, m_top + 1):
         if m > 1:
-            power = _poly_mul(power, base, k - 1, zero)
+            power = cauchy_coefficients(power, base, zero)
             sign_prod = sign_prod * (1 - (m - 1) * alpha)
             factorial *= m
         b_m = (2**m) * (1 - beta) ** m * alpha ** (m * (n - 1)) * sign_prod / factorial

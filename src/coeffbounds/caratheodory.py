@@ -24,11 +24,52 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._rational import RationalComplex, t_from_unimodular, unimodular_from_t
-from .backends import FLOAT, RATIONAL, Backend
+from .backends import FLOAT, RATIONAL, Backend, get_backend
 from .series import TruncatedSeries
 
 _WEIGHT_SUM_TOL = 1e-12
 _UNIMODULAR_TOL = 1e-12
+
+
+# -- coefficient kernels ------------------------------------------------------
+#
+# Plain functions over coefficient sequences whose entries are backend
+# scalars or 1-D numpy columns (one value per trial); see `series`.
+
+
+def atom_coefficients(weights, points, order: int, one, zero) -> list:
+    """1, b_1, ..., b_order with b_k = 2 sum_j w_j x_j^k."""
+    coeffs = [one]
+    powers = list(points)
+    for _ in range(order):
+        acc = zero
+        for w, p in zip(weights, powers):
+            acc = acc + w * p
+        coeffs.append(acc + acc)
+        powers = [p * x for p, x in zip(powers, points)]
+    return coeffs
+
+
+def half_hadamard_coefficients(p, q, one, half) -> list:
+    """1, half p_1 q_1, half p_2 q_2, ...: the Nehari-Netanyahu composition."""
+    return [one, *(half * (pk * qk) for pk, qk in zip(p[1:], q[1:]))]
+
+
+def transform_coefficients(coeffs, alpha, n: int) -> list:
+    """Multiply the k-th coefficient by (alpha / (alpha + k))^n, k >= 1."""
+    if n == 0:
+        return list(coeffs)
+    out = [coeffs[0]]
+    for k in range(1, len(coeffs)):
+        w = alpha / (alpha + k)
+        out.append((w**n) * coeffs[k])
+    return out
+
+
+def shift_coefficients(coeffs, beta, one) -> list:
+    """beta + (1 - beta) p for p_0 = 1: every coefficient past the first times 1 - beta."""
+    one_minus = 1 - beta
+    return [one, *(one_minus * c for c in coeffs[1:])]
 
 
 class HerglotzAtoms:
@@ -97,14 +138,7 @@ class HerglotzAtoms:
     def series(self, order: int) -> TruncatedSeries:
         """1 + sum_k b_k z^k with b_k = 2 sum_j lambda_j x_j^k."""
         backend = self.backend
-        coeffs = [backend.one]
-        powers = list(self.points)
-        for _ in range(order):
-            acc = backend.zero
-            for w, p in zip(self.weights, powers):
-                acc = acc + w * p
-            coeffs.append(acc + acc)
-            powers = [p * x for p, x in zip(powers, self.points)]
+        coeffs = atom_coefficients(self.weights, self.points, order, backend.one, backend.zero)
         return TruncatedSeries(coeffs, order, backend=backend)
 
     # -- serialization ------------------------------------------------------
@@ -184,17 +218,13 @@ def get_doc_backend(doc: dict) -> Backend:
         raise ValueError(f"atom document must be an object, got {type(doc).__name__}")
     name = doc.get("backend")
     if name is not None:
-        return {"float": FLOAT, "rational": RATIONAL}.get(name) or _bad_backend(name)
+        return get_backend(name)
     # infer from the first atom's fields
     atoms = doc.get("atoms") or [{}]
     first = atoms[0] if isinstance(atoms[0], dict) else {}
     if "angle_radians" in first:
         return FLOAT
     return RATIONAL
-
-
-def _bad_backend(name):
-    raise ValueError(f"unknown backend {name!r} in atom document")
 
 
 def kernel_series(x, order: int, *, backend: Backend = FLOAT) -> TruncatedSeries:
@@ -225,9 +255,7 @@ def half_hadamard(p: TruncatedSeries, q: TruncatedSeries) -> TruncatedSeries:
     if p.coeffs[0] != backend.one or q.coeffs[0] != backend.one:
         raise ValueError("half_hadamard expects constant terms equal to 1")
     half = backend.scalar(Fraction(1, 2))
-    coeffs = [backend.one]
-    for k in range(1, p.order + 1):
-        coeffs.append(half * (p.coeffs[k] * q.coeffs[k]))
+    coeffs = half_hadamard_coefficients(p.coeffs, q.coeffs, backend.one, half)
     return TruncatedSeries(coeffs, p.order, backend=backend)
 
 
@@ -255,14 +283,9 @@ def iterated_transform(p: TruncatedSeries, params: TransformParams) -> Truncated
     """
     backend = p.backend
     alpha = backend.scalar(params.alpha)
-    n = params.n
-    if n == 0:
+    if params.n == 0:
         return p
-    out = [p.coeffs[0]]
-    for k in range(1, p.order + 1):
-        w = alpha / (alpha + k)
-        out.append((w**n) * p.coeffs[k])
-    return TruncatedSeries(out, p.order, backend=backend)
+    return TruncatedSeries(transform_coefficients(p.coeffs, alpha, params.n), p.order, backend=backend)
 
 
 def shift_to_beta(p: TruncatedSeries, beta) -> TruncatedSeries:
@@ -273,10 +296,7 @@ def shift_to_beta(p: TruncatedSeries, beta) -> TruncatedSeries:
         raise ValueError(f"beta must lie in [0, 1), got {beta!r}")
     if p.coeffs[0] != backend.one:
         raise ValueError("shift_to_beta expects constant term 1")
-    one_minus = 1 - beta
-    coeffs = [backend.one]
-    coeffs.extend(one_minus * c for c in p.coeffs[1:])
-    return TruncatedSeries(coeffs, p.order, backend=backend)
+    return TruncatedSeries(shift_coefficients(p.coeffs, beta, backend.one), p.order, backend=backend)
 
 
 def min_real_part(p: TruncatedSeries, radius: float, samples: int) -> float:

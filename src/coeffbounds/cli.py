@@ -1,10 +1,18 @@
 """Command-line front end.
 
-Subcommands::
+Subcommands and the flags each one reads (any other flag exits 2)::
 
-    coeffbounds bounds   [grid flags]            tabulate bound values
-    coeffbounds verify   {extremal,random,hk,nehari} [grid flags]
-    coeffbounds expand   --pspec FILE --n N --alpha A --beta B [flags]
+    coeffbounds bounds            --n --alpha --beta --kmax
+    coeffbounds verify extremal   --n --alpha --beta --kmax
+    coeffbounds verify random     --n --alpha --beta --kmax --trials --seed
+    coeffbounds verify nehari     --n --alpha --beta --kmax --trials --seed
+    coeffbounds verify hk         --alpha --kmax --order --radius --samples
+    coeffbounds expand            --pspec --n --alpha --beta --order --kmax
+                                  --radius --samples
+
+and every subcommand also takes --backend, --format and --out. ``bounds``
+and ``verify`` walk a grid: --n, --alpha and --beta repeat, and each
+defaults to the stock grid. ``expand`` takes exactly one of each.
 
 Reports (CSV or JSON) go to stdout or ``--out`` and are byte-identical
 across reruns with the same flags; the human-readable summary and timings
@@ -39,7 +47,7 @@ from .harness import (
     run_nehari_suite,
     run_random_suite,
 )
-from .reports import csv_text, json_text, suite_csv, suite_json, table_csv, table_json
+from .reports import csv_text, json_text, suite_csv, suite_json
 
 _SUITE_RUNNERS = {
     "extremal": run_extremal_suite,
@@ -48,45 +56,56 @@ _SUITE_RUNNERS = {
 }
 
 
-def _add_common_flags(sub: argparse.ArgumentParser, *, grid: bool):
-    if grid:
-        sub.add_argument(
-            "--n",
-            action="append",
-            type=int,
-            metavar="N",
-            help=f"transform iteration count; repeatable (default {list(DEFAULT_N)})",
-        )
-    else:
-        sub.add_argument("--n", action="append", type=int, metavar="N", help="transform iteration count")
-    sub.add_argument(
-        "--alpha",
-        action="append",
-        metavar="A",
-        help="power parameter token, e.g. 2 or 11/10; repeatable"
-        + (f" (default {list(DEFAULT_ALPHA_TOKENS)})" if grid else ""),
-    )
-    sub.add_argument(
-        "--beta",
-        action="append",
-        metavar="B",
-        help="order parameter token in [0,1); repeatable"
-        + (f" (default {list(DEFAULT_BETA_TOKENS)})" if grid else ""),
-    )
-    sub.add_argument("--kmax", type=int, default=DEFAULT_K_MAX, help="highest coefficient index checked")
-    sub.add_argument("--order", type=int, default=DEFAULT_ORDER, help="series truncation order")
-    sub.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help="random trials per grid point")
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed for the randomized suites")
-    sub.add_argument(
-        "--backend",
-        choices=("float", "rational"),
-        default=None,
-        help="arithmetic backend (default float; expand defaults to the document's backend)",
-    )
-    sub.add_argument("--format", choices=("csv", "json"), default="csv", help="report format")
-    sub.add_argument("--radius", type=float, default=DEFAULT_RADIUS, help="sampling radius in (0,1)")
-    sub.add_argument("--samples", type=int, default=DEFAULT_SAMPLES, help="boundary sample count")
-    sub.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
+def _flag_specs(grid: bool) -> dict:
+    """argparse settings per flag name; grid commands repeat --n/--alpha/--beta."""
+
+    def repeatable(values):
+        return f"; repeatable (default {list(values)})" if grid else ""
+
+    return {
+        "pspec": dict(metavar="PATH", help="generator document (JSON file, or - for stdin)"),
+        "n": dict(
+            action="append", type=int, metavar="N",
+            help="transform iteration count" + repeatable(DEFAULT_N),
+        ),
+        "alpha": dict(
+            action="append", metavar="A",
+            help="power parameter token, e.g. 2 or 11/10" + repeatable(DEFAULT_ALPHA_TOKENS),
+        ),
+        "beta": dict(
+            action="append", metavar="B",
+            help="order parameter token in [0,1)" + repeatable(DEFAULT_BETA_TOKENS),
+        ),
+        "kmax": dict(type=int, default=DEFAULT_K_MAX, help="highest coefficient index checked"),
+        "trials": dict(type=int, default=DEFAULT_TRIALS, help="random trials per grid point"),
+        "seed": dict(type=int, default=DEFAULT_SEED, help="master seed for the randomized suites"),
+        "order": dict(type=int, default=DEFAULT_ORDER, help="series truncation order"),
+        "radius": dict(type=float, default=DEFAULT_RADIUS, help="sampling radius in (0,1)"),
+        "samples": dict(type=int, default=DEFAULT_SAMPLES, help="boundary sample count"),
+        "backend": dict(
+            choices=("float", "rational"), default=None,
+            help="arithmetic backend (default float; expand defaults to the document's backend)",
+        ),
+        "format": dict(choices=("csv", "json"), default="csv", help="report format"),
+        "out": dict(metavar="PATH", help="write the report here instead of stdout"),
+    }
+
+
+#: The flags each subcommand reads; any other flag is a usage error.
+_COMMAND_FLAGS = {
+    "bounds": "n alpha beta kmax backend format out",
+    "extremal": "n alpha beta kmax backend format out",
+    "random": "n alpha beta kmax trials seed backend format out",
+    "nehari": "n alpha beta kmax trials seed backend format out",
+    "hk": "alpha kmax order radius samples backend format out",
+    "expand": "pspec n alpha beta order kmax radius samples backend format out",
+}
+
+
+def _add_flags(sub: argparse.ArgumentParser, command: str):
+    specs = _flag_specs(grid=command != "expand")
+    for name in _COMMAND_FLAGS[command].split():
+        sub.add_argument(f"--{name}", **specs[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     bounds = commands.add_parser("bounds", help="tabulate sharp/piecewise bound values over a grid")
-    _add_common_flags(bounds, grid=True)
+    _add_flags(bounds, "bounds")
 
     verify = commands.add_parser("verify", help="run a verification suite")
     suites = verify.add_subparsers(dest="suite", required=True)
@@ -107,12 +126,10 @@ def build_parser() -> argparse.ArgumentParser:
         ("hk", "audit the per-index generator constructions"),
         ("nehari", "sampled alternating series against the claimed bound"),
     ):
-        sub = suites.add_parser(name, help=blurb)
-        _add_common_flags(sub, grid=True)
+        _add_flags(suites.add_parser(name, help=blurb), name)
 
     expand = commands.add_parser("expand", help="expand one generator document and report its bounds")
-    _add_common_flags(expand, grid=False)
-    expand.add_argument("--pspec", metavar="PATH", help="generator document (JSON file, or - for stdin)")
+    _add_flags(expand, "expand")
 
     return parser
 
@@ -134,9 +151,8 @@ def _grid_from_args(args, backend) -> GridSpec:
         alpha_values=_parse_tokens(backend, args.alpha, DEFAULT_ALPHA_TOKENS, "alpha"),
         beta_values=_parse_tokens(backend, args.beta, DEFAULT_BETA_TOKENS, "beta"),
         k_max=args.kmax,
-        order=args.order,
-        trials=args.trials,
-        seed=args.seed,
+        trials=getattr(args, "trials", DEFAULT_TRIALS),
+        seed=getattr(args, "seed", DEFAULT_SEED),
     )
 
 
@@ -270,7 +286,7 @@ def main(argv=None) -> int:
         if args.command == "bounds":
             grid = _grid_from_args(args, backend)
             columns, rows = run_bounds_table(grid, backend)
-            text = table_json(rows) if args.format == "json" else table_csv(columns, rows)
+            text = json_text({"rows": rows}) if args.format == "json" else csv_text(columns, rows)
             _emit(text, args.out)
             print(
                 f"{len(rows)} rows over {len(grid.n_values)}x{len(grid.alpha_values)}"

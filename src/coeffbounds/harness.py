@@ -65,7 +65,6 @@ class GridSpec:
     alpha_values: tuple
     beta_values: tuple
     k_max: int = DEFAULT_K_MAX
-    order: int = DEFAULT_ORDER
     trials: int = DEFAULT_TRIALS
     seed: int = DEFAULT_SEED
 
@@ -87,8 +86,6 @@ class GridSpec:
                 raise UsageError(f"beta must lie in [0, 1), got {b!r}")
         if not isinstance(self.k_max, int) or self.k_max < 2:
             raise UsageError(f"k_max must be an integer >= 2, got {self.k_max!r}")
-        if not isinstance(self.order, int) or self.order < self.k_max:
-            raise UsageError(f"order must be an integer >= k_max, got {self.order!r}")
         if not isinstance(self.trials, int) or self.trials < 1:
             raise UsageError(f"trials must be a positive integer, got {self.trials!r}")
         if not isinstance(self.seed, int):

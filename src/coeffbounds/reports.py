@@ -99,11 +99,3 @@ def suite_json(reports) -> str:
         }
         suites.setdefault(report.suite, []).append(item)
     return json_text({"suites": suites})
-
-
-def table_csv(columns, rows) -> str:
-    return csv_text(columns, rows)
-
-
-def table_json(rows) -> str:
-    return json_text({"rows": list(rows)})

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .backends import FLOAT, RATIONAL, Backend
 from .bounds import ClassParams
-from .series import TruncatedSeries
+from .series import TruncatedSeries, cauchy_coefficients
 
 _HALF = Fraction(1, 2)
 
@@ -48,6 +48,42 @@ def gamma_target(m: int, alpha):
     return prod / (math.factorial(m) * alpha ** (m - 1))
 
 
+def gamma_ladder(ds, m_max: int, half) -> list:
+    """gamma_m = half^m [1 + half sum_{mu=1}^{m} C(m, mu) d_mu] for m = 0..m_max.
+
+    The coefficient kernel behind `gammas_from_coefficients`: the entries of
+    ds are backend scalars or numpy columns (see `series`), and ``half`` is
+    1/2 typed to match them.
+    """
+    out = []
+    for m in range(m_max + 1):
+        acc = 0
+        for mu in range(1, m + 1):
+            acc = acc + math.comb(m, mu) * ds[mu - 1]
+        out.append((1 + half * acc) * half**m)
+    return out
+
+
+def nehari_coefficients(gammas, G, n: int, alpha, beta, zero) -> list:
+    """A_0..A_K of sum_{m=1}^{K} (-1)^(m+1) eta_{m-1} G^m with K = len(G) - 1.
+
+    eta_{m-1} = (1-beta) alpha^n gamma_{m-1} / (alpha + m - 1)^n; G^m is built
+    by repeated Cauchy products, so G_0 must vanish for the truncation to be
+    the full sum. The coefficient kernel behind `nehari_series`.
+    """
+    order = len(G) - 1
+    power = list(G)
+    total = [zero] * len(G)
+    for m in range(1, order + 1):
+        weight = (1 - beta) * alpha**n * gammas[m - 1] / (alpha + m - 1) ** n
+        if m % 2 == 0:
+            weight = -weight
+        total = [t + weight * c for t, c in zip(total, power)]
+        if m < order:
+            power = cauchy_coefficients(power, G, zero)
+    return total
+
+
 def gammas_from_coefficients(ds, m_max: int):
     """Ladder values gamma_0..gamma_{m_max} from the coefficients d_1, d_2, ...
 
@@ -59,13 +95,7 @@ def gammas_from_coefficients(ds, m_max: int):
         raise ValueError(f"m_max must be a non-negative integer, got {m_max!r}")
     if len(ds) < m_max:
         raise ValueError(f"need {m_max} coefficients for gamma_{m_max}, got {len(ds)}")
-    out = []
-    for m in range(m_max + 1):
-        acc = 0
-        for mu in range(1, m + 1):
-            acc = acc + math.comb(m, mu) * ds[mu - 1]
-        out.append((1 + _HALF * acc) * Fraction(1, 2**m))
-    return out
+    return gamma_ladder(ds, m_max, _HALF)
 
 
 @dataclass(frozen=True)
@@ -312,16 +342,5 @@ def nehari_series(
     gammas = gammas_from_coefficients(h.coeffs[1:], order - 1)
     alpha = backend.scalar(params.alpha)
     beta = backend.scalar(params.beta)
-    n = params.n
-    base = G.truncate(order)
-    power = base
-    total = TruncatedSeries([backend.zero], order, backend=backend)
-    for m in range(1, order + 1):
-        # eta_{m-1} = (1-beta) alpha^n gamma_{m-1} / (alpha + m - 1)^n
-        weight = (1 - beta) * alpha**n * gammas[m - 1] / (alpha + m - 1) ** n
-        if m % 2 == 0:
-            weight = -weight
-        total = total + power.scale(weight)
-        if m < order:
-            power = power * base
-    return total
+    total = nehari_coefficients(gammas, G.coeffs[: order + 1], params.n, alpha, beta, backend.zero)
+    return TruncatedSeries(total, order, backend=backend)

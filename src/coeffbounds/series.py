@@ -8,6 +8,14 @@ that to compare values computed at different working orders.
 
 Two backends are supported (see :mod:`coeffbounds.backends`): exact rational
 complex coefficients, and double-precision complex coefficients.
+
+The recurrences themselves are the plain functions ``cauchy_coefficients``
+and ``real_power_coefficients``, written over a sequence of coefficients.
+An entry is either a backend scalar (what `TruncatedSeries` passes) or a
+1-D numpy column holding one value per random trial (what the sweeps
+pass); the same additions and multiplications run in the same order
+either way. The constants they need (zero, one, the exponent) come from
+the caller, typed for the backend, so a column never meets a `Fraction`.
 """
 
 from __future__ import annotations
@@ -15,6 +23,36 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .backends import FLOAT, RATIONAL, Backend
+
+
+def cauchy_coefficients(a, b, zero) -> list:
+    """Truncated Cauchy product c_k = sum_{j=0}^{k} a_j b_{k-j}, k < len(a)."""
+    out = []
+    for k in range(len(a)):
+        acc = zero
+        for j in range(k + 1):
+            acc = acc + a[j] * b[k - j]
+        out.append(acc)
+    return out
+
+
+def real_power_coefficients(g, c, one, zero) -> list:
+    """Coefficients of g^c for g_0 = 1, from the logarithmic-derivative recurrence
+
+        u_0 = 1,   k u_k = sum_{j=1}^{k} (j c - (k - j)) g_j u_{k-j}.
+
+    1/k is typed like the exponent: a Fraction for a Fraction c, a float otherwise.
+    """
+    u = [one]
+    for k in range(1, len(g)):
+        acc = zero
+        for j in range(1, k + 1):
+            acc = acc + (c * j - (k - j)) * g[j] * u[k - j]
+        if isinstance(c, Fraction):
+            u.append(acc * Fraction(1, k))
+        else:
+            u.append(acc * (1.0 / k))
+    return u
 
 
 class TruncatedSeries:
@@ -108,14 +146,7 @@ class TruncatedSeries:
         c_k = sum_{j=0}^{k} a_j b_{k-j}.
         """
         self._check_compatible(other)
-        a, b = self.coeffs, other.coeffs
-        out = []
-        for k in range(self.order + 1):
-            acc = self.backend.zero
-            for j in range(k + 1):
-                acc = acc + a[j] * b[k - j]
-            out.append(acc)
-        return self._wrap(out)
+        return self._wrap(cauchy_coefficients(self.coeffs, other.coeffs, self.backend.zero))
 
     def integer_power(self, m: int) -> "TruncatedSeries":
         """m-th power by the first-order product recursion.
@@ -144,19 +175,11 @@ class TruncatedSeries:
         :meth:`integer_power` coefficient by coefficient.
         """
         c = self.backend.scalar(c)
-        g = self.coeffs
-        if g[0] != self.backend.one:
+        if self.coeffs[0] != self.backend.one:
             raise ValueError("real_power needs constant term exactly 1")
-        u = [self.backend.one]
-        for k in range(1, self.order + 1):
-            acc = self.backend.zero
-            for j in range(1, k + 1):
-                acc = acc + (c * j - (k - j)) * g[j] * u[k - j]
-            if isinstance(c, Fraction):
-                u.append(acc * Fraction(1, k))
-            else:
-                u.append(acc * (1.0 / k))
-        return self._wrap(u)
+        return self._wrap(
+            real_power_coefficients(self.coeffs, c, self.backend.one, self.backend.zero)
+        )
 
     def salagean(self, n: int) -> "TruncatedSeries":
         """Apply the Salagean operator n times: the k-th coefficient gains k^n.
@@ -176,9 +199,6 @@ class TruncatedSeries:
         for c in reversed(self.coeffs):
             acc = acc * z + c
         return acc
-
-    def __call__(self, z):
-        return self.evaluate(z)
 
     def shift_up(self) -> "TruncatedSeries":
         """Multiply by z (drops the top coefficient, keeps the order)."""

@@ -4,17 +4,20 @@ The randomized suites run thousands of generator trials per parameter
 point. `sample_atoms` draws the trials straight into zero-padded
 ``(trials, max_atoms)`` weight and point arrays (padding: weight 0, point
 1), through the same `draw_atoms` routine `random_herglotz` uses, and checks
-them with the `HerglotzAtoms` rules vectorized over the rows. The series
-arithmetic — atom powers, the transform, the real-power recurrence, batch
-Cauchy products — then runs across the trials in numpy.
+them with the `HerglotzAtoms` rules vectorized over the rows. The margins
+then split those arrays into per-atom numpy columns and feed them to the
+library's own coefficient kernels (the atom series, the transform, the beta
+shift, the real power, the gamma ladder and the Nehari sum): the scalar
+series classes and the sweeps run one implementation of every recurrence,
+on backend scalars or on columns holding one value per trial. Besides
+sampling, this module adds only the bounds, the stacking of the margins
+into ``(trials, k)`` arrays and the summary.
 
 Trials are processed in chunks of `CHUNK_TRIALS`, so memory stays flat in
 the trial count. Each sweep keeps the worst margin (the first occurrence,
 as ``np.argmin`` over all trials would give), the total number of
 violations and only the first five of them in (trial, k) order.
-`HerglotzAtoms` are built only to rebuild a witness. The scalar helpers
-at the bottom recompute a single trial through the series classes; tests
-pin the two paths together.
+`HerglotzAtoms` are built only to rebuild a witness.
 
 Seed splitting is deterministic and documented: trial j of a suite at a
 parameter point draws its atoms from ``random.Random(s)`` with
@@ -30,24 +33,26 @@ offending generators anywhere.
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .bounds import ClassParams, f_from_p, sharp_bound
+from .backends import FLOAT
 from .caratheodory import (
     _UNIMODULAR_TOL,
     _WEIGHT_SUM_TOL,
     HerglotzAtoms,
+    atom_coefficients,
     draw_atoms,
-    half_hadamard,
+    half_hadamard_coefficients,
     random_herglotz,
+    shift_coefficients,
+    transform_coefficients,
 )
-from .schemes import nehari_series
-from .series import constant_one
+from .schemes import gamma_ladder, nehari_coefficients
+from .series import real_power_coefficients
 
 
 def _scalar_token(x) -> str:
@@ -113,58 +118,14 @@ def check_atom_rows(weights: np.ndarray, points: np.ndarray, counts: np.ndarray)
         raise ValueError(f"point {complex(used_points[off][0])!r} is not unimodular")
 
 
-def batch_series(weights: np.ndarray, points: np.ndarray, order: int) -> np.ndarray:
-    """Coefficient rows 1 + sum_k (2 sum_j w_j x_j^k) z^k, one per trial."""
-    trials = weights.shape[0]
-    coeffs = np.empty((trials, order + 1), dtype=np.complex128)
-    coeffs[:, 0] = 1.0
-    cur = np.ones_like(points)
-    for k in range(1, order + 1):
-        cur = cur * points
-        coeffs[:, k] = 2.0 * np.einsum("ta,ta->t", weights, cur)
-    return coeffs
+def _columns(atoms) -> tuple:
+    """Split (trials, max_atoms) weight and point arrays into per-atom columns."""
+    return tuple(list(np.ascontiguousarray(a.T)) for a in atoms)
 
 
-def batch_real_power(g: np.ndarray, c: float) -> np.ndarray:
-    """Row-wise g^c for rows with g[:, 0] = 1 (same recurrence as the scalar path)."""
-    trials, width = g.shape
-    u = np.zeros_like(g)
-    u[:, 0] = 1.0
-    for k in range(1, width):
-        j = np.arange(1, k + 1)
-        w = c * j - (k - j)
-        u[:, k] = (w * g[:, 1 : k + 1] * u[:, k - 1 :: -1]).sum(axis=1) * (1.0 / k)
-    return u
-
-
-def batch_power_quotient(b: np.ndarray, n: int, alpha: float, beta: float) -> np.ndarray:
-    """Rows of (f/z): transform the generator rows, shift by beta, take the 1/alpha power."""
-    width = b.shape[1]
-    l = np.arange(1, width, dtype=np.float64)
-    factor = (1.0 - beta) * (alpha / (alpha + l)) ** n
-    g = np.empty_like(b)
-    g[:, 0] = 1.0
-    g[:, 1:] = factor * b[:, 1:]
-    return batch_real_power(g, 1.0 / alpha)
-
-
-def batch_cauchy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise truncated Cauchy product of two equal-shape coefficient arrays."""
-    width = a.shape[1]
-    out = np.zeros_like(a)
-    for k in range(width):
-        out[:, k] = np.einsum("tj,tj->t", a[:, : k + 1], b[:, k :: -1])
-    return out
-
-
-def batch_gammas(d: np.ndarray, m_max: int) -> np.ndarray:
-    """Row-wise ladder gamma_0..gamma_{m_max} from coefficient rows d_1, d_2, ...."""
-    comb = np.zeros((m_max + 1, m_max))
-    for m in range(m_max + 1):
-        for mu in range(1, m + 1):
-            comb[m, mu - 1] = math.comb(m, mu)
-    halves = 0.5 ** np.arange(m_max + 1)
-    return (1.0 + 0.5 * (d[:, :m_max] @ comb.T)) * halves
+def _generator_coefficients(atoms, order: int) -> list:
+    """Columns 1, b_1, ..., b_order of the generator series of each trial's atoms."""
+    return atom_coefficients(*_columns(atoms), order, FLOAT.one, FLOAT.zero)
 
 
 @dataclass(frozen=True)
@@ -238,25 +199,18 @@ def dominance_margins(
     weights: np.ndarray, points: np.ndarray, n: int, alpha: float, beta: float, k_max: int
 ) -> np.ndarray:
     """Margins bound - |a_k| for k = 2..k_max, one row per row of atoms."""
-    b = batch_series(weights, points, k_max - 1)
-    u = batch_power_quotient(b, n, alpha, beta)
+    alpha, beta = FLOAT.scalar(alpha), FLOAT.scalar(beta)
+    b = _generator_coefficients((weights, points), k_max - 1)
+    g = shift_coefficients(transform_coefficients(b, alpha, n), beta, FLOAT.one)
+    u = real_power_coefficients(g, 1 / alpha, FLOAT.one, FLOAT.zero)
     k = np.arange(2, k_max + 1)
     bound = 2.0 * (1.0 - beta) * alpha ** (n - 1) / (alpha + k - 1.0) ** n
-    return bound - np.abs(u[:, 1:k_max])
+    return bound - np.abs(np.stack(u[1:], axis=1))
 
 
 def dominance_witness(seed: int, n: int, alpha, beta, trial: int, *, max_atoms: int = 4) -> HerglotzAtoms:
     """Rebuild the generator a dominance-sweep trial used."""
     return random_herglotz(trial_seed(seed, "random", n, alpha, beta, trial), max_atoms)
-
-
-def dominance_margins_scalar(atoms: HerglotzAtoms, n: int, alpha, beta, k_max: int):
-    """One trial of the dominance sweep through the scalar series pipeline."""
-    params = ClassParams(n, alpha, beta)
-    f = f_from_p(atoms, params, k_max)
-    return [
-        float(sharp_bound(params, k)) - abs(f.coefficient(k)) for k in range(2, k_max + 1)
-    ]
 
 
 def nehari_sweep(
@@ -294,22 +248,17 @@ def nehari_margins(h, p, q, n: int, alpha: float, beta: float, k_max: int) -> np
 
     h, p and q are (weights, points) atom arrays with one row per trial.
     """
-    d = batch_series(*h, k_max - 1)
-    G = 0.5 * batch_series(*p, k_max) * batch_series(*q, k_max)
-    G[:, 0] = 0.0
-    gammas = batch_gammas(d[:, 1:], k_max - 1)
-    A = np.zeros_like(G)
-    power = G.copy()
-    for m in range(1, k_max + 1):
-        eta = (1.0 - beta) * alpha**n * gammas[:, m - 1] / (alpha + m - 1.0) ** n
-        if m % 2 == 0:
-            eta = -eta
-        A += eta[:, None] * power
-        if m < k_max:
-            power = batch_cauchy(power, G)
+    alpha, beta = FLOAT.scalar(alpha), FLOAT.scalar(beta)
+    half = FLOAT.scalar(Fraction(1, 2))
+    d = _generator_coefficients(h, k_max - 1)
+    r = half_hadamard_coefficients(
+        _generator_coefficients(p, k_max), _generator_coefficients(q, k_max), FLOAT.one, half
+    )
+    gammas = gamma_ladder(d[1:], k_max - 1, half)
+    A = nehari_coefficients(gammas, [FLOAT.zero, *r[1:]], n, alpha, beta, FLOAT.zero)
     k = np.arange(1, k_max + 1)
     bound = 2.0 * (1.0 - beta) * alpha**n / (alpha + k.astype(np.float64)) ** n
-    return bound - np.abs(A[:, 1:])
+    return bound - np.abs(np.stack(A[1:], axis=1))
 
 
 def nehari_witness(seed: int, n: int, alpha, beta, trial: int, *, max_atoms: int = 4):
@@ -318,17 +267,3 @@ def nehari_witness(seed: int, n: int, alpha, beta, trial: int, *, max_atoms: int
         random_herglotz(trial_seed(seed, role, n, alpha, beta, trial), max_atoms)
         for role in ("nehari:h", "nehari:p", "nehari:q")
     )
-
-
-def nehari_margins_scalar(h_atoms, p_atoms, q_atoms, n: int, alpha, beta, k_max: int):
-    """One trial of the nehari sweep through the scalar series pipeline."""
-    h = h_atoms.series(k_max - 1)
-    r = half_hadamard(p_atoms.series(k_max), q_atoms.series(k_max))
-    G = r - constant_one(k_max)
-    A = nehari_series(h, G, ClassParams(n, alpha, beta), k_max)
-    af = float(alpha)
-    bf = float(beta)
-    return [
-        2.0 * (1.0 - bf) * af**n / (af + k) ** n - abs(A.coefficient(k))
-        for k in range(1, k_max + 1)
-    ]

@@ -1,0 +1,102 @@
+"""Independent routes the tests check the library against.
+
+- ``transform_coefficients_by_quadrature`` recomputes the iterated integral
+  transform without its closed form. The closed form multiplies the k-th
+  coefficient by (alpha/(alpha+k))^n; this evaluates
+
+      (T g)(z) = alpha * integral_0^1 s^(alpha-1) g(s z) ds
+
+  by Gauss-Legendre quadrature (after s = u^2, which removes the endpoint
+  singularity for alpha = 1/2 and keeps the integrand polynomial for the
+  half-integer and integer alphas used in tests), nests the quadrature n
+  times, and then reads coefficients off a circle by discrete Fourier
+  transform.
+- ``dominance_margins_scalar`` and ``nehari_margins_scalar`` recompute one
+  sweep trial through the scalar series classes (`f_from_p`,
+  `half_hadamard`, `nehari_series`), one `HerglotzAtoms` system at a time.
+  They share the coefficient kernels with the sweeps, so they check the
+  column split, the padding and the bounds; the closed-form oracle
+  ``a_k_direct`` checks the kernels themselves.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from coeffbounds import ClassParams, TruncatedSeries, constant_one, f_from_p, half_hadamard, sharp_bound
+from coeffbounds.schemes import nehari_series
+
+
+def _gauss_nodes(n: int):
+    x, w = np.polynomial.legendre.leggauss(n)
+    return (x + 1.0) / 2.0, w / 2.0
+
+
+def _horner(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
+    acc = np.zeros_like(z)
+    for c in coeffs[::-1]:
+        acc = acc * z + c
+    return acc
+
+
+def _eval_iterated(coeffs, alpha, n, z, u, w):
+    if n == 0:
+        return _horner(coeffs, z)
+    inner = _eval_iterated(coeffs, alpha, n - 1, np.outer(z, u * u).ravel(), u, w)
+    inner = inner.reshape(len(z), len(u))
+    kernel = 2.0 * alpha * w * u ** (2.0 * alpha - 1.0)
+    return inner @ kernel
+
+
+def transform_coefficients_by_quadrature(
+    p: TruncatedSeries,
+    alpha: float,
+    n: int,
+    k_max: int,
+    *,
+    nodes: int = 32,
+    circle_points: int = 64,
+    radius: float = 0.5,
+) -> np.ndarray:
+    """Coefficients 0..k_max of the n-fold transform of p, by quadrature.
+
+    ``circle_points`` must comfortably exceed k_max so DFT aliasing (folded
+    coefficients at k + j*circle_points, damped by radius^(j*circle_points))
+    stays far below the comparison tolerance.
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if not 0 < radius < 1:
+        raise ValueError("radius must lie in (0, 1)")
+    if circle_points <= k_max:
+        raise ValueError("need more circle points than coefficients")
+    coeffs = np.array([complex(c) for c in p.to_float().coeffs])
+    u, w = _gauss_nodes(nodes)
+    angles = 2.0 * np.pi * np.arange(circle_points) / circle_points
+    z = radius * np.exp(1j * angles)
+    values = _eval_iterated(coeffs, float(alpha), n, z, u, w)
+    spectrum = np.fft.fft(values) / circle_points
+    return spectrum[: k_max + 1] / radius ** np.arange(k_max + 1)
+
+
+def dominance_margins_scalar(atoms, n: int, alpha, beta, k_max: int):
+    """One trial of the dominance sweep through the scalar series pipeline."""
+    params = ClassParams(n, alpha, beta)
+    f = f_from_p(atoms, params, k_max)
+    return [
+        float(sharp_bound(params, k)) - abs(f.coefficient(k)) for k in range(2, k_max + 1)
+    ]
+
+
+def nehari_margins_scalar(h_atoms, p_atoms, q_atoms, n: int, alpha, beta, k_max: int):
+    """One trial of the nehari sweep through the scalar series pipeline."""
+    h = h_atoms.series(k_max - 1)
+    r = half_hadamard(p_atoms.series(k_max), q_atoms.series(k_max))
+    G = r - constant_one(k_max)
+    A = nehari_series(h, G, ClassParams(n, alpha, beta), k_max)
+    af = float(alpha)
+    bf = float(beta)
+    return [
+        2.0 * (1.0 - bf) * af**n / (af + k) ** n - abs(A.coefficient(k))
+        for k in range(1, k_max + 1)
+    ]

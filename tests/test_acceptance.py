@@ -34,7 +34,7 @@ from coeffbounds import (
     shift_to_beta,
     small_alpha_bound,
 )
-from coeffbounds.quadrature import transform_coefficients_by_quadrature
+from oracles import transform_coefficients_by_quadrature
 
 
 def test_criterion_01_extremal_sharpness(criterion):

@@ -9,7 +9,7 @@ from coeffbounds import cli, extremal_p
 from coeffbounds.harness import BOUNDS_COLUMNS
 from coeffbounds.reports import SUITE_COLUMNS
 
-SMALL = ["--n", "1", "--alpha", "2", "--beta", "0", "--kmax", "6", "--order", "16"]
+SMALL = ["--n", "1", "--alpha", "2", "--beta", "0", "--kmax", "6"]
 
 
 def run(argv, capsys):
@@ -56,6 +56,55 @@ class TestExitCodes:
     def test_beta_out_of_range(self, capsys):
         code, _, err = run(["bounds", "--n", "1", "--alpha", "2", "--beta", "1.5"], capsys)
         assert code == 2
+
+
+_POINT_FLAGS = {"--n", "--alpha", "--beta", "--kmax", "--backend", "--format", "--out"}
+_SERIES_FLAGS = {"--order", "--radius", "--samples"}
+_FLAGS_BY_COMMAND = {
+    ("bounds",): _POINT_FLAGS,
+    ("verify", "extremal"): _POINT_FLAGS,
+    ("verify", "random"): _POINT_FLAGS | {"--trials", "--seed"},
+    ("verify", "nehari"): _POINT_FLAGS | {"--trials", "--seed"},
+    ("verify", "hk"): {"--alpha", "--kmax", "--backend", "--format", "--out"} | _SERIES_FLAGS,
+    ("expand",): _POINT_FLAGS | _SERIES_FLAGS | {"--pspec"},
+}
+_FLAG_VALUES = {
+    "--n": "1", "--alpha": "2", "--beta": "0", "--kmax": "4", "--trials": "3", "--seed": "9",
+    "--order": "8", "--radius": "0.5", "--samples": "16", "--backend": "float", "--format": "csv",
+    "--out": "report.csv", "--pspec": "p.json",
+}
+
+
+class TestFlagsPerSubcommand:
+    @pytest.mark.parametrize("command", list(_FLAGS_BY_COMMAND), ids=" ".join)
+    def test_accepts_exactly_the_flags_it_reads(self, command, capsys):
+        parser = cli.build_parser()
+        for flag, value in _FLAG_VALUES.items():
+            argv = [*command, flag, value]
+            if flag in _FLAGS_BY_COMMAND[command]:
+                parser.parse_args(argv)
+            else:
+                with pytest.raises(SystemExit) as exc:
+                    parser.parse_args(argv)
+                assert exc.value.code == 2, argv
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "hk", "--n", "7", "--beta", "0.5", "--trials", "3", "--seed", "9"],
+            ["verify", "random", "--order", "5000", "--radius", "0.1"],
+        ],
+    )
+    def test_ignored_flags_are_usage_errors(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+    def test_kmax_is_not_capped_by_a_series_order(self, capsys):
+        code, _, err = run(["verify", "random", "--kmax", "70", "--trials", "5"], capsys)
+        assert code == 0
+        assert "96/96 points passed" in err
 
 
 class TestBoundsCommand:

@@ -21,7 +21,7 @@ from coeffbounds import (
     suite_json,
 )
 from coeffbounds.harness import tail_bound
-from coeffbounds.sweeps import dominance_margins_scalar, nehari_margins_scalar
+from oracles import nehari_margins_scalar
 from coeffbounds.caratheodory import HerglotzAtoms
 
 
@@ -31,7 +31,6 @@ def small_grid(**overrides):
         alpha_values=(2.0,),
         beta_values=(0.0,),
         k_max=8,
-        order=16,
         trials=40,
         seed=1729,
     )
@@ -45,7 +44,7 @@ class TestGridSpec:
         assert grid.alpha_values[0] == Fraction(11, 10)
         assert grid.beta_values == (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(9, 10))
         assert grid.n_values == (0, 1, 2, 3)
-        assert (grid.k_max, grid.order, grid.trials, grid.seed) == (12, 64, 1000, 1729)
+        assert (grid.k_max, grid.trials, grid.seed) == (12, 1000, 1729)
 
     def test_default_grid_float(self):
         grid = default_grid(FLOAT)
@@ -60,7 +59,7 @@ class TestGridSpec:
             dict(alpha_values=(0.0,)),
             dict(beta_values=(1.0,)),
             dict(k_max=1),
-            dict(order=4),
+            dict(alpha_values=()),
             dict(trials=0),
             dict(seed="nope"),
         ],

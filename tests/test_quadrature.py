@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from coeffbounds import TransformParams, iterated_transform, random_herglotz
-from coeffbounds.quadrature import transform_coefficients_by_quadrature
+from oracles import transform_coefficients_by_quadrature
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 5.0])

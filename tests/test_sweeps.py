@@ -1,28 +1,44 @@
-"""Vectorized sweeps: seed derivation, array sampler, chunking, scalar-path equivalence, witnesses."""
+"""Vectorized sweeps: seed derivation, array sampler, chunking, column kernels, witnesses."""
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from coeffbounds import random_herglotz
+from coeffbounds import (
+    FLOAT,
+    ClassParams,
+    a_k_direct,
+    constant_one,
+    f_from_p,
+    gammas_from_coefficients,
+    half_hadamard,
+    nehari_series,
+    random_herglotz,
+    sharp_bound,
+)
+from coeffbounds.caratheodory import (
+    atom_coefficients,
+    half_hadamard_coefficients,
+    shift_coefficients,
+    transform_coefficients,
+)
+from coeffbounds.schemes import gamma_ladder, nehari_coefficients
+from coeffbounds.series import cauchy_coefficients, real_power_coefficients
 from coeffbounds.sweeps import (
     CHUNK_TRIALS,
     _chunked_sweep,
-    batch_cauchy,
-    batch_gammas,
-    batch_real_power,
-    batch_series,
     check_atom_rows,
     dominance_margins,
-    dominance_margins_scalar,
     dominance_sweep,
     dominance_witness,
     nehari_margins,
-    nehari_margins_scalar,
     nehari_sweep,
     nehari_witness,
     sample_atoms,
     trial_seed,
 )
+from oracles import dominance_margins_scalar, nehari_margins_scalar
 
 NEHARI_ROLES = ("nehari:h", "nehari:p", "nehari:q")
 
@@ -153,39 +169,91 @@ class TestChunking:
         assert np.isnan(out.worst_margin)
 
 
+def columns(rows):
+    """Per-trial coefficient rows as a list of numpy columns, one entry per index."""
+    return list(np.array(rows).T)
+
+
+def assert_columns_match(got, rows, dtype=np.complex128, tol=1e-13):
+    """got (kernel output on columns) against per-trial scalar rows, past the constant term."""
+    stacked = np.stack(got[1:], axis=1)
+    assert stacked.dtype == dtype
+    want = np.array([[complex(c) for c in row[1:]] for row in rows])
+    assert stacked.shape == want.shape
+    assert np.abs(stacked - want).max() <= tol
+
+
 class TestBatchKernels:
-    def test_batch_series_matches_atom_series(self):
-        systems = [random_herglotz(s) for s in (3, 4, 5)]
-        weights = np.zeros((3, 4))
-        points = np.ones((3, 4), dtype=complex)
+    """The library's coefficient kernels fed 3-trial columns, against the scalar calls."""
+
+    half = FLOAT.scalar(Fraction(1, 2))
+
+    def generator_columns(self, seeds, order):
+        systems = [random_herglotz(s) for s in seeds]
+        weights = np.zeros((len(systems), 4))
+        points = np.ones((len(systems), 4), dtype=complex)
         for t, atoms in enumerate(systems):
             weights[t, : len(atoms)] = atoms.weights
-            points[t, : len(atoms)] = [complex(x) for x in atoms.points]
-        got = batch_series(weights, points, 10)
-        for t, atoms in enumerate(systems):
-            want = atoms.series(10)
-            assert np.allclose(got[t], [complex(c) for c in want.coeffs], atol=1e-14)
+            points[t, : len(atoms)] = atoms.points
+        cols = atom_coefficients(list(weights.T), list(points.T), order, FLOAT.one, FLOAT.zero)
+        return systems, cols
+
+    def test_batch_series_matches_atom_series(self):
+        systems, got = self.generator_columns((3, 4, 5), 10)
+        assert_columns_match(got, [atoms.series(10).coeffs for atoms in systems])
 
     def test_batch_real_power_matches_scalar(self):
-        from coeffbounds import make_series
+        series = [random_herglotz(s).series(12) for s in (8, 9, 10)]
+        got = real_power_coefficients(
+            columns([g.coeffs for g in series]), 1 / 3.0, FLOAT.one, FLOAT.zero
+        )
+        assert_columns_match(got, [g.real_power(1 / 3.0).coeffs for g in series])
 
-        g = random_herglotz(8).series(12)
-        garr = np.array([[complex(c) for c in g.coeffs]])
-        got = batch_real_power(garr, 1 / 3.0)
-        want = g.real_power(1 / 3.0)
-        assert np.allclose(got[0], [complex(c) for c in want.coeffs], atol=1e-13)
+    @pytest.mark.parametrize("n, alpha, beta", [(0, 2.0, 0.0), (1, 1.5, 0.25), (3, 5.0, 0.9)])
+    def test_batch_power_quotient_matches_f_from_p(self, n, alpha, beta):
+        # transform, then beta shift, then the 1/alpha power: (f/z) of each trial
+        systems, b = self.generator_columns((6, 7, 8), 11)
+        g = shift_coefficients(transform_coefficients(b, alpha, n), beta, FLOAT.one)
+        got = real_power_coefficients(g, 1 / alpha, FLOAT.one, FLOAT.zero)
+        params = ClassParams(n, alpha, beta)
+        assert_columns_match(got, [f_from_p(atoms, params, 12).coeffs[1:] for atoms in systems])
 
     def test_batch_cauchy_matches_series_product(self):
-        a = random_herglotz(1).series(9)
-        b = random_herglotz(2).series(9)
-        arr = lambda s: np.array([[complex(c) for c in s.coeffs]])
-        got = batch_cauchy(arr(a), arr(b))
-        want = a * b
-        assert np.allclose(got[0], [complex(c) for c in want.coeffs], atol=1e-13)
+        a = [random_herglotz(s).series(9) for s in (1, 2, 3)]
+        b = [random_herglotz(s).series(9) for s in (4, 5, 6)]
+        got = cauchy_coefficients(columns([x.coeffs for x in a]), columns([y.coeffs for y in b]), FLOAT.zero)
+        assert_columns_match(got, [(x * y).coeffs for x, y in zip(a, b)])
 
     def test_batch_gammas_dyadic_for_zero_d(self):
-        got = batch_gammas(np.zeros((2, 6)), 6)
-        assert np.allclose(got, [[0.5**m for m in range(7)]] * 2)
+        got = gamma_ladder([np.zeros(2)] * 6, 6, self.half)
+        assert got[0] == 1 and np.stack(got[1:]).dtype == np.float64
+        assert np.allclose(np.stack(got[1:], axis=1), [[0.5**m for m in range(1, 7)]] * 2)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_batch_gammas_match_scalar(self, dtype):
+        rng = np.random.default_rng(3)
+        ds = rng.uniform(-2, 2, size=(3, 8)).astype(dtype)
+        if dtype is np.complex128:
+            ds += 1j * rng.uniform(-2, 2, size=(3, 8))
+        got = gamma_ladder(list(ds.T), 8, self.half)
+        want = [gammas_from_coefficients([c.item() for c in row], 8) for row in ds]
+        assert_columns_match(got, want, dtype=dtype)
+        assert got[0] == 1
+
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_batch_nehari_matches_nehari_series(self, n):
+        k_max, params = 9, ClassParams(n, 2.0, 0.25)
+        h_sys, d = self.generator_columns((11, 12, 13), k_max - 1)
+        p_sys, p = self.generator_columns((14, 15, 16), k_max)
+        q_sys, q = self.generator_columns((17, 18, 19), k_max)
+        r = half_hadamard_coefficients(p, q, FLOAT.one, self.half)
+        gammas = gamma_ladder(d[1:], k_max - 1, self.half)
+        got = nehari_coefficients(gammas, [FLOAT.zero, *r[1:]], n, 2.0, 0.25, FLOAT.zero)
+        want = []
+        for h_at, p_at, q_at in zip(h_sys, p_sys, q_sys):
+            G = half_hadamard(p_at.series(k_max), q_at.series(k_max)) - constant_one(k_max)
+            want.append(nehari_series(h_at.series(k_max - 1), G, params, k_max).coeffs)
+        assert_columns_match(got, want)
 
 
 class TestDominance:
@@ -197,14 +265,21 @@ class TestDominance:
 
     def test_vectorized_equals_scalar_pipeline(self):
         seed, n, alpha, beta, k_max = 42, 2, 1.5, 0.25, 12
+        margins = dominance_margins(*sample_atoms(seed, "random", n, alpha, beta, 0, 8), n, alpha, beta, k_max)
+        params = ClassParams(n, alpha, beta)
+        for t in range(8):
+            atoms = dominance_witness(seed, n, alpha, beta, t)
+            # the independent route: the nested binomial expansion, no root-taking
+            p = atoms.series(k_max - 1)
+            direct = [
+                float(sharp_bound(params, k)) - abs(a_k_direct(p, params, k)) for k in range(2, k_max + 1)
+            ]
+            assert margins[t] == pytest.approx(direct, abs=1e-12)
+            # the scalar series classes, one trial at a time: column split and padding
+            scalar = dominance_margins_scalar(atoms, n, alpha, beta, k_max)
+            assert margins[t] == pytest.approx(scalar, abs=1e-13)
         out = dominance_sweep(seed, n, alpha, beta, 8, k_max)
-        assert out.worst_margin == pytest.approx(
-            min(
-                min(dominance_margins_scalar(dominance_witness(seed, n, alpha, beta, t), n, alpha, beta, k_max))
-                for t in range(8)
-            ),
-            abs=1e-12,
-        )
+        assert out.worst_margin == margins.min()
 
     def test_witness_reconstruction(self):
         atoms = dominance_witness(1729, 1, 2.0, 0.0, 123)
