@@ -23,7 +23,6 @@ from .bounds import (
     ClassParams,
     Region,
     SmallAlphaBound,
-    a_k_direct,
     bound_report,
     classify_region,
     extremal_p,
@@ -35,11 +34,9 @@ from .bounds import (
 )
 from .caratheodory import (
     HerglotzAtoms,
-    TransformParams,
     get_doc_backend,
     half_hadamard,
     iterated_transform,
-    kernel_series,
     min_real_part,
     random_herglotz,
     shift_to_beta,
@@ -68,7 +65,7 @@ from .schemes import (
     nehari_series,
     recipe_even_constant,
 )
-from .series import TruncatedSeries, constant_one, geometric, make_series
+from .series import TruncatedSeries, constant_one, geometric
 
 __version__ = "0.1.0"
 
@@ -85,10 +82,8 @@ __all__ = [
     "SmallAlphaBound",
     "SuiteEntry",
     "SuiteReport",
-    "TransformParams",
     "TruncatedSeries",
     "UsageError",
-    "a_k_direct",
     "bound_report",
     "build_hk",
     "check_gamma_identity",
@@ -107,8 +102,6 @@ __all__ = [
     "growth_estimate",
     "half_hadamard",
     "iterated_transform",
-    "kernel_series",
-    "make_series",
     "min_real_part",
     "nehari_series",
     "random_herglotz",

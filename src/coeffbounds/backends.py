@@ -49,16 +49,6 @@ class _FloatBackend(Backend):
     def one(self) -> complex:
         return 1 + 0j
 
-    def to_complex(self, value) -> complex:
-        return complex(value)
-
-    def abs2(self, value) -> float:
-        v = complex(value)
-        return v.real * v.real + v.imag * v.imag
-
-    def parse_scalar(self, text: str) -> float:
-        return float(Fraction(text))
-
     def format_scalar(self, x) -> str:
         return format(float(x), ".17g")
 
@@ -86,18 +76,8 @@ class _RationalBackend(Backend):
     def one(self) -> RationalComplex:
         return RationalComplex(1, 0)
 
-    def to_complex(self, value) -> complex:
-        return complex(value)
-
-    def abs2(self, value) -> Fraction:
-        return value.abs2()
-
-    def parse_scalar(self, text: str) -> Fraction:
-        return Fraction(text)
-
     def format_scalar(self, x) -> str:
-        f = Fraction(x)
-        return str(f)
+        return str(Fraction(x))
 
 
 FLOAT = _FloatBackend("float")

@@ -27,14 +27,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .backends import FLOAT, RATIONAL, Backend
-from .caratheodory import (
-    HerglotzAtoms,
-    TransformParams,
-    iterated_transform,
-    min_real_part,
-    shift_to_beta,
-)
+from .caratheodory import HerglotzAtoms, iterated_transform, min_real_part, shift_to_beta
 from .series import TruncatedSeries, cauchy_coefficients
+
+#: A margin below -SLACK is a violation: in the sweeps, in the suites'
+#: reference column and in the per-k bound rows of ``expand``.
+SLACK = 1e-9
+#: ``BoundReport.sharp_hit`` when |bound - |a_k|| is at most this (float comparison).
+SHARP_HIT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -52,9 +52,6 @@ class ClassParams:
             raise ValueError(f"alpha must be positive, got {self.alpha!r}")
         if not (0 <= self.beta < 1):
             raise ValueError(f"beta must lie in [0, 1), got {self.beta!r}")
-
-    def transform(self) -> TransformParams:
-        return TransformParams(self.n, self.alpha)
 
 
 class Region(enum.Enum):
@@ -182,47 +179,10 @@ def f_from_p(p, params: ClassParams, order: int) -> TruncatedSeries:
     q = _generator_series(p, order - 1)
     backend = q.backend
     alpha = backend.scalar(params.alpha)
-    q_n = iterated_transform(q, TransformParams(params.n, alpha))
+    q_n = iterated_transform(q, params.n, alpha)
     shifted = shift_to_beta(q_n, params.beta)
     u = shifted.real_power(1 / alpha)
     return TruncatedSeries([backend.zero, *u.coeffs], order, backend=backend)
-
-
-def a_k_direct(p: TruncatedSeries, params: ClassParams, k: int):
-    """k-th coefficient of f straight from the expansion, no root-taking.
-
-    a_k = sum_{m=1}^{k-1} Btilde_m C_{k-1}^(m), where C^(m) are coefficients
-    of powers of w(z) = sum_l b_l z^l / (alpha + l)^n and
-
-        Btilde_m = (1-beta)^m alpha^(m(n-1)) prod_{j=0}^{m-1}(1 - j alpha) / m!.
-
-    Independent route used to cross-check the f_from_p pipeline.
-    """
-    if not isinstance(k, int) or k < 2:
-        raise ValueError(f"coefficient index must be an integer >= 2, got {k!r}")
-    if not isinstance(p, TruncatedSeries):
-        raise TypeError("a_k_direct expects the generator as a TruncatedSeries")
-    if p.order < k - 1:
-        raise ValueError(f"generator order {p.order} is below k-1 = {k - 1}")
-    backend = p.backend
-    alpha, beta, n = (backend.scalar(params.alpha), backend.scalar(params.beta), params.n)
-    w = TruncatedSeries(
-        [backend.zero] + [p.coeffs[l] * (1 / (alpha + l) ** n) for l in range(1, k)],
-        k - 1,
-        backend=backend,
-    )
-    total = backend.zero
-    power = w
-    sign_prod = alpha * 0 + 1
-    factorial = 1
-    for m in range(1, k):
-        if m > 1:
-            power = power * w
-            sign_prod = sign_prod * (1 - (m - 1) * alpha)
-            factorial *= m
-        b_m = (1 - beta) ** m * alpha ** (m * (n - 1)) * sign_prod / factorial
-        total = total + b_m * power.coeffs[k - 1]
-    return total
 
 
 def verify_membership(f: TruncatedSeries, params: ClassParams, radius: float, samples: int) -> float:
@@ -292,7 +252,7 @@ class BoundReport:
     applicable: bool
 
 
-def bound_report(params: ClassParams, k: int, a_k, *, backend: Backend, tol: float = 1e-9) -> BoundReport:
+def bound_report(params: ClassParams, k: int, a_k, *, backend: Backend) -> BoundReport:
     """Pick the applicable bound for (params, k) and compare |a_k| to it.
 
     alpha > 1 uses the sharp formula; otherwise the omega-region bound if
@@ -300,19 +260,20 @@ def bound_report(params: ClassParams, k: int, a_k, *, backend: Backend, tol: flo
     open window) and carries no fabricated value.
     """
     region = classify_region(params.alpha, k)
-    a_abs = abs(backend.to_complex(a_k))
+    a_abs = abs(complex(a_k))
     if params.alpha > 1:
         bound_exact = sharp_bound(params, k)
         bound = float(bound_exact)
         if backend is RATIONAL:
-            hit = backend.abs2(a_k) == bound_exact * bound_exact
+            hit = a_k.abs2() == bound_exact * bound_exact
         else:
-            hit = abs(bound - a_abs) <= tol
+            hit = abs(bound - a_abs) <= SHARP_HIT_TOL
         return BoundReport(k, a_abs, bound, "sharp", region, bound - a_abs, hit, True)
     t1 = small_alpha_bound(params, k)
     if t1.value is not None:
         bound = float(t1.value)
+        margin = bound - a_abs
         return BoundReport(
-            k, a_abs, bound, "small_alpha", region, bound - a_abs, abs(bound - a_abs) <= tol, True
+            k, a_abs, bound, "small_alpha", region, margin, abs(margin) <= SHARP_HIT_TOL, True
         )
     return BoundReport(k, a_abs, math.nan, None, region, math.nan, False, False)

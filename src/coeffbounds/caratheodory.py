@@ -20,7 +20,6 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ._rational import RationalComplex, t_from_unimodular, unimodular_from_t
@@ -29,6 +28,8 @@ from .series import TruncatedSeries
 
 _WEIGHT_SUM_TOL = 1e-12
 _UNIMODULAR_TOL = 1e-12
+#: Largest atom count of a random generator (the count is uniform on 1..MAX_ATOMS).
+MAX_ATOMS = 4
 
 
 # -- coefficient kernels ------------------------------------------------------
@@ -227,22 +228,6 @@ def get_doc_backend(doc: dict) -> Backend:
     return RATIONAL
 
 
-def kernel_series(x, order: int, *, backend: Backend = FLOAT) -> TruncatedSeries:
-    """Rotated Moebius kernel (1 + x z) / (1 - x z) = 1 + 2 sum x^k z^k."""
-    x = backend.coeff(x)
-    if backend is RATIONAL:
-        if x.abs2() != 1:
-            raise ValueError(f"kernel point {x} is not exactly unimodular")
-    elif abs(abs(x) - 1.0) > _UNIMODULAR_TOL:
-        raise ValueError(f"kernel point {x!r} is not unimodular")
-    coeffs = [backend.one]
-    p = backend.one
-    for _ in range(order):
-        p = p * x
-        coeffs.append(p + p)
-    return TruncatedSeries(coeffs, order, backend=backend)
-
-
 def half_hadamard(p: TruncatedSeries, q: TruncatedSeries) -> TruncatedSeries:
     """r = 1 + (1/2) sum_k p_k q_k z^k for two class-P series.
 
@@ -259,33 +244,23 @@ def half_hadamard(p: TruncatedSeries, q: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(coeffs, p.order, backend=backend)
 
 
-@dataclass(frozen=True)
-class TransformParams:
-    """Iteration count n >= 0 and exponent alpha > 0 for the transform."""
-
-    n: int
-    alpha: object
-
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0:
-            raise ValueError(f"n must be a non-negative integer, got {self.n!r}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha!r}")
-
-
-def iterated_transform(p: TruncatedSeries, params: TransformParams) -> TruncatedSeries:
-    """Apply the averaging transform n times.
+def iterated_transform(p: TruncatedSeries, n: int, alpha) -> TruncatedSeries:
+    """Apply the averaging transform n >= 0 times with exponent alpha > 0.
 
     One application maps p to (alpha / z^alpha) * integral_0^z t^(alpha-1) p(t) dt,
     i.e. multiplies the k-th coefficient by alpha / (alpha + k); n applications
     multiply by (alpha / (alpha + k))^n. The constant term stays 1 by the
     normalization. Exact on the rational backend for rational alpha.
     """
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"n must be a non-negative integer, got {n!r}")
     backend = p.backend
-    alpha = backend.scalar(params.alpha)
-    if params.n == 0:
+    alpha = backend.scalar(alpha)
+    if not alpha > 0:
+        raise ValueError(f"alpha must be positive, got {alpha!r}")
+    if n == 0:
         return p
-    return TruncatedSeries(transform_coefficients(p.coeffs, alpha, params.n), p.order, backend=backend)
+    return TruncatedSeries(transform_coefficients(p.coeffs, alpha, n), p.order, backend=backend)
 
 
 def shift_to_beta(p: TruncatedSeries, beta) -> TruncatedSeries:
@@ -320,7 +295,7 @@ def min_real_part(p: TruncatedSeries, radius: float, samples: int) -> float:
     return best
 
 
-def draw_atoms(rng: random.Random, max_atoms: int = 4):
+def draw_atoms(rng: random.Random, max_atoms: int = MAX_ATOMS):
     """Draw one random atom system from ``rng`` as (weights, points) lists.
 
     This is the only place the draw order is defined; `random_herglotz` and
@@ -341,7 +316,7 @@ def draw_atoms(rng: random.Random, max_atoms: int = 4):
     return weights, [cmath.exp(1j * a) for a in angles]
 
 
-def random_herglotz(seed: int, max_atoms: int = 4) -> HerglotzAtoms:
+def random_herglotz(seed: int, max_atoms: int = MAX_ATOMS) -> HerglotzAtoms:
     """Deterministic random atom system on the float backend.
 
     The atoms are `draw_atoms` applied to ``random.Random(seed)``, so the

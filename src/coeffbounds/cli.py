@@ -12,7 +12,10 @@ Subcommands and the flags each one reads (any other flag exits 2)::
 
 and every subcommand also takes --backend, --format and --out. ``bounds``
 and ``verify`` walk a grid: --n, --alpha and --beta repeat, and each
-defaults to the stock grid. ``expand`` takes exactly one of each.
+defaults to the stock grid. ``expand`` takes exactly one of each. A
+numeric flag that is left out takes the library's default from
+:mod:`~coeffbounds.harness`, so a command and the library call it makes
+agree.
 
 Reports (CSV or JSON) go to stdout or ``--out`` and are byte-identical
 across reruns with the same flags; the human-readable summary and timings
@@ -26,20 +29,16 @@ import argparse
 import json
 import sys
 import time
+from argparse import SUPPRESS
 
 from .backends import FLOAT, get_backend
 from .harness import (
     DEFAULT_ALPHA_TOKENS,
     DEFAULT_BETA_TOKENS,
-    DEFAULT_K_MAX,
     DEFAULT_N,
-    DEFAULT_ORDER,
-    DEFAULT_RADIUS,
-    DEFAULT_SAMPLES,
-    DEFAULT_SEED,
-    DEFAULT_TRIALS,
     GridSpec,
     UsageError,
+    default_grid,
     run_bounds_table,
     run_expand,
     run_extremal_suite,
@@ -76,12 +75,12 @@ def _flag_specs(grid: bool) -> dict:
             action="append", metavar="B",
             help="order parameter token in [0,1)" + repeatable(DEFAULT_BETA_TOKENS),
         ),
-        "kmax": dict(type=int, default=DEFAULT_K_MAX, help="highest coefficient index checked"),
-        "trials": dict(type=int, default=DEFAULT_TRIALS, help="random trials per grid point"),
-        "seed": dict(type=int, default=DEFAULT_SEED, help="master seed for the randomized suites"),
-        "order": dict(type=int, default=DEFAULT_ORDER, help="series truncation order"),
-        "radius": dict(type=float, default=DEFAULT_RADIUS, help="sampling radius in (0,1)"),
-        "samples": dict(type=int, default=DEFAULT_SAMPLES, help="boundary sample count"),
+        "kmax": dict(type=int, default=SUPPRESS, help="highest coefficient index checked"),
+        "trials": dict(type=int, default=SUPPRESS, help="random trials per grid point"),
+        "seed": dict(type=int, default=SUPPRESS, help="master seed for the randomized suites"),
+        "order": dict(type=int, default=SUPPRESS, help="series truncation order"),
+        "radius": dict(type=float, default=SUPPRESS, help="sampling radius in (0,1)"),
+        "samples": dict(type=int, default=SUPPRESS, help="boundary sample count"),
         "backend": dict(
             choices=("float", "rational"), default=None,
             help="arithmetic backend (default float; expand defaults to the document's backend)",
@@ -134,26 +133,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_tokens(backend, tokens, fallback, what: str):
-    raw = tokens if tokens else list(fallback)
+def _parse_tokens(backend, tokens, what: str) -> tuple:
     out = []
-    for tok in raw:
+    for tok in tokens:
         try:
-            out.append(backend.parse_scalar(tok) if isinstance(tok, str) else backend.scalar(tok))
+            out.append(backend.scalar(tok))
         except (ValueError, ZeroDivisionError, TypeError) as exc:
             raise UsageError(f"bad {what} token {tok!r}: {exc}") from exc
     return tuple(out)
 
 
+#: The library keyword each numeric flag sets; a flag left out keeps the library default.
+_KEYWORDS = {"kmax": "k_max", "trials": "trials", "seed": "seed", "order": "order",
+             "radius": "radius", "samples": "samples"}
+
+
+def _given(args) -> dict:
+    return {key: getattr(args, flag) for flag, key in _KEYWORDS.items() if flag in args}
+
+
 def _grid_from_args(args, backend) -> GridSpec:
-    return GridSpec(
-        n_values=tuple(args.n) if args.n else DEFAULT_N,
-        alpha_values=_parse_tokens(backend, args.alpha, DEFAULT_ALPHA_TOKENS, "alpha"),
-        beta_values=_parse_tokens(backend, args.beta, DEFAULT_BETA_TOKENS, "beta"),
-        k_max=args.kmax,
-        trials=getattr(args, "trials", DEFAULT_TRIALS),
-        seed=getattr(args, "seed", DEFAULT_SEED),
-    )
+    """The stock grid with the flags that were given laid over it."""
+    given = _given(args)
+    if args.n:
+        given["n_values"] = tuple(args.n)
+    if args.alpha:
+        given["alpha_values"] = _parse_tokens(backend, args.alpha, "alpha")
+    if args.beta:
+        given["beta_values"] = _parse_tokens(backend, args.beta, "beta")
+    return default_grid(backend, **given)
 
 
 def _emit(text: str, out: str | None):
@@ -248,17 +256,7 @@ def _run_expand_command(args) -> int:
     n = _single(args.n, "n")
     alpha = _single(args.alpha, "alpha")
     beta = _single(args.beta, "beta")
-    result = run_expand(
-        doc,
-        n,
-        alpha,
-        beta,
-        args.order,
-        args.kmax,
-        radius=args.radius,
-        samples=args.samples,
-        backend=backend,
-    )
+    result = run_expand(doc, n, alpha, beta, backend=backend, **_given(args))
     text = json_text(result) if args.format == "json" else _expand_csv(result)
     _emit(text, args.out)
     failed = result["membership_status"] == "fail" or any(
@@ -296,15 +294,12 @@ def main(argv=None) -> int:
             return 0
         # verify
         if args.suite == "hk":
-            alphas = _parse_tokens(backend, args.alpha, DEFAULT_ALPHA_TOKENS, "alpha")
-            reports = run_hk_audit(
-                alphas,
-                args.kmax,
-                args.order,
-                backend,
-                radius=args.radius,
-                samples=args.samples,
+            alphas = (
+                _parse_tokens(backend, args.alpha, "alpha")
+                if args.alpha
+                else default_grid(backend).alpha_values
             )
+            reports = run_hk_audit(alphas, backend=backend, **_given(args))
         else:
             grid = _grid_from_args(args, backend)
             reports = _SUITE_RUNNERS[args.suite](grid, backend)

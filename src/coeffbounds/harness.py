@@ -18,6 +18,7 @@ from fractions import Fraction
 from . import sweeps
 from .backends import FLOAT, RATIONAL, Backend
 from .bounds import (
+    SLACK,
     ClassParams,
     bound_report,
     extremal_p,
@@ -46,6 +47,8 @@ DEFAULT_TRIALS = 1000
 DEFAULT_SEED = 1729
 DEFAULT_RADIUS = 0.99
 DEFAULT_SAMPLES = 720
+#: Largest relative gap |bound - |a_k|| / bound of a float extremal generator.
+EXTREMAL_REL_TOL = 1e-10
 
 
 def tail_bound(radius: float, order: int) -> float:
@@ -99,8 +102,8 @@ def default_grid(backend: Backend = FLOAT, **overrides) -> GridSpec:
     """The stock grid: n 0..3, alpha 1.1..10, beta 0..0.9, k_max 12."""
     values = dict(
         n_values=DEFAULT_N,
-        alpha_values=tuple(backend.parse_scalar(t) for t in DEFAULT_ALPHA_TOKENS),
-        beta_values=tuple(backend.parse_scalar(t) for t in DEFAULT_BETA_TOKENS),
+        alpha_values=tuple(backend.scalar(t) for t in DEFAULT_ALPHA_TOKENS),
+        beta_values=tuple(backend.scalar(t) for t in DEFAULT_BETA_TOKENS),
     )
     values.update(overrides)
     return GridSpec(**values)
@@ -174,10 +177,10 @@ def run_bounds_table(grid: GridSpec, backend: Backend = FLOAT):
 # -- extremal suite ---------------------------------------------------------
 
 
-def run_extremal_suite(grid: GridSpec, backend: Backend = FLOAT, *, rel_tol: float = 1e-10):
+def run_extremal_suite(grid: GridSpec, backend: Backend = FLOAT):
     """Extremal generators must hit the sharp bound at every grid point.
 
-    Float backend: relative deviation below ``rel_tol`` for k = 2..k_max.
+    Float backend: relative deviation at most `EXTREMAL_REL_TOL` for k = 2..k_max.
     Rational backend: exact equality, where the extremal atoms exist
     exactly (k = 2 and 3); higher k would need irrational atoms.
     """
@@ -197,12 +200,12 @@ def run_extremal_suite(grid: GridSpec, backend: Backend = FLOAT, *, rel_tol: flo
             a_k = f.coefficient(k)
             bound = sharp_bound(params, k)
             if backend is RATIONAL:
-                ok = backend.abs2(a_k) == bound * bound
+                ok = a_k.abs2() == bound * bound
                 rel = 0.0 if ok else abs(float(bound) - abs(complex(a_k))) / float(bound)
                 observed = backend.format_scalar(a_k.re)
             else:
                 rel = abs(bound - abs(a_k)) / bound
-                ok = rel <= rel_tol
+                ok = rel <= EXTREMAL_REL_TOL
                 observed = fmt_float(abs(a_k))
             worst = max(worst, rel)
             if not ok:
@@ -237,11 +240,11 @@ def run_extremal_suite(grid: GridSpec, backend: Backend = FLOAT, *, rel_tol: flo
 
 # -- randomized suites ------------------------------------------------------
 
-def _sweep_reports(grid, backend, suite, sweep, witness_of, slack):
+def _sweep_reports(grid, backend, suite, sweep, witness_of):
     reports = []
     for n, alpha, beta in grid.points():
         start = time.perf_counter()
-        outcome = sweep(grid.seed, n, alpha, beta, grid.trials, grid.k_max, slack=slack)
+        outcome = sweep(grid.seed, n, alpha, beta, grid.trials, grid.k_max)
         point = _point(backend, n, alpha, beta)
         entries = [
             SuiteEntry(
@@ -250,7 +253,7 @@ def _sweep_reports(grid, backend, suite, sweep, witness_of, slack):
                 k=str(outcome.worst_k),
                 case=f"worst margin over {grid.trials} trials",
                 observed=fmt_float(outcome.worst_margin),
-                reference=fmt_float(-slack),
+                reference=fmt_float(-SLACK),
                 margin=fmt_float(outcome.worst_margin),
                 status="pass" if not outcome.violation_count else "fail",
             )
@@ -263,7 +266,7 @@ def _sweep_reports(grid, backend, suite, sweep, witness_of, slack):
                     k=str(k),
                     case=f"violation in trial {trial}",
                     observed=fmt_float(margin),
-                    reference=fmt_float(-slack),
+                    reference=fmt_float(-SLACK),
                     margin=fmt_float(margin),
                     status="fail",
                 )
@@ -300,7 +303,7 @@ def _sweep_reports(grid, backend, suite, sweep, witness_of, slack):
     return reports
 
 
-def run_random_suite(grid: GridSpec, backend: Backend = FLOAT, *, slack: float = 1e-9):
+def run_random_suite(grid: GridSpec, backend: Backend = FLOAT):
     """Random generators never exceed the sharp bound (dominance check)."""
     _require_float(backend, "random")
     _require_alpha_gt1(grid.alpha_values, "random")
@@ -315,10 +318,10 @@ def run_random_suite(grid: GridSpec, backend: Backend = FLOAT, *, slack: float =
             "atoms": atoms.to_document(),
         }
 
-    return _sweep_reports(grid, backend, "random", sweeps.dominance_sweep, witness_of, slack)
+    return _sweep_reports(grid, backend, "random", sweeps.dominance_sweep, witness_of)
 
 
-def run_nehari_suite(grid: GridSpec, backend: Backend = FLOAT, *, slack: float = 1e-9):
+def run_nehari_suite(grid: GridSpec, backend: Backend = FLOAT):
     """Sampled alternating series against the claimed transform-weighted bound.
 
     The n = 0 rows reduce to the classical coefficient bound (scaled by
@@ -347,7 +350,7 @@ def run_nehari_suite(grid: GridSpec, backend: Backend = FLOAT, *, slack: float =
             },
         }
 
-    return _sweep_reports(grid, backend, "nehari", sweeps.nehari_sweep, witness_of, slack)
+    return _sweep_reports(grid, backend, "nehari", sweeps.nehari_sweep, witness_of)
 
 
 # -- h_k audit ---------------------------------------------------------------
@@ -361,7 +364,6 @@ def run_hk_audit(
     *,
     radius: float = DEFAULT_RADIUS,
     samples: int = DEFAULT_SAMPLES,
-    identity_tol: float = 1e-12,
 ):
     """Audit the per-index generator constructions.
 
@@ -393,7 +395,7 @@ def run_hk_audit(
             h, scheme = build_hk(k, alpha, order, backend=backend)
             rows = gamma_identity_residuals(scheme)
             m, value, target, residual = rows[-1]
-            identity_ok = check_gamma_identity(scheme, tol=identity_tol)
+            identity_ok = check_gamma_identity(scheme)
             worst = max(worst, residual)
             entries.append(
                 SuiteEntry(
@@ -535,17 +537,18 @@ def run_expand(
     n: int,
     alpha,
     beta,
-    order: int,
-    k_max: int,
+    order: int = DEFAULT_ORDER,
+    k_max: int = DEFAULT_K_MAX,
     *,
-    radius: float = 0.9,
+    radius: float = DEFAULT_RADIUS,
     samples: int = DEFAULT_SAMPLES,
     backend: Backend | None = None,
 ) -> dict:
     """Expand one generator document into f, per-k bound reports, membership.
 
     The document's own backend wins unless ``backend`` is passed explicitly,
-    in which case a mismatch is a usage error.
+    in which case a mismatch is a usage error. The defaults are the ones
+    ``coeffbounds expand`` uses.
     """
     try:
         doc_backend = get_doc_backend(doc)
@@ -572,7 +575,7 @@ def run_expand(
         if not rep.applicable:
             status = "info"
         else:
-            status = "fail" if rep.margin < -1e-9 else "pass"
+            status = "fail" if rep.margin < -SLACK else "pass"
         bound_rows.append(
             {
                 "k": k,

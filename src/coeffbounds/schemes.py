@@ -30,6 +30,8 @@ from .bounds import ClassParams
 from .series import TruncatedSeries, cauchy_coefficients
 
 _HALF = Fraction(1, 2)
+#: Largest |ladder - target| that `check_gamma_identity` accepts on float data.
+IDENTITY_TOL = 1e-12
 
 
 def gamma_target(m: int, alpha):
@@ -116,10 +118,6 @@ class GammaScheme:
     xi: int
     omega: int
     gammas: tuple
-
-    @property
-    def m_max(self) -> int:
-        return self.k - 1
 
     def etas(self, n: int, beta):
         """Transformed weights eta_m = (1-beta) alpha^n gamma_m / (alpha+m)^n.
@@ -222,24 +220,22 @@ def build_hk(k: int, alpha, order: int, *, backend: Backend = FLOAT):
     return series, scheme
 
 
-def gamma_identity_residuals(scheme: GammaScheme, alpha=None):
+def gamma_identity_residuals(scheme: GammaScheme):
     """All ladder-vs-target rows (m, ladder value, target, |residual|).
 
     Covers m = 1..k-1. Only m = 1 and m = k-1 are pinned by the
     construction; intermediate rows show how far the shared d-choices drift
     from the targets of the orders they were not built for.
     """
-    if alpha is None:
-        alpha = scheme.alpha
     rows = []
     for m in range(1, scheme.k):
         value = scheme.gammas[m - 1]
-        target = gamma_target(m, alpha)
+        target = gamma_target(m, scheme.alpha)
         rows.append((m, value, target, abs(complex(value - target))))
     return rows
 
 
-def check_gamma_identity(scheme: GammaScheme, alpha=None, *, tol: float = 1e-12) -> bool:
+def check_gamma_identity(scheme: GammaScheme) -> bool:
     """True when the ladder meets its target at the pinned orders.
 
     The d-choices for index k are solved from the identity at the defining
@@ -247,19 +243,17 @@ def check_gamma_identity(scheme: GammaScheme, alpha=None, *, tol: float = 1e-12)
     only orders the identity can hold at: the same d's feed every lower
     order, and e.g. k = 4 gives gamma_1 = 1/2 against an m = 2 target of
     (alpha-1)/(2 alpha), unequal for every alpha. So this checks m = 1 and
-    m = k-1 — exactly on Fraction data, within ``tol`` otherwise — and
+    m = k-1 — exactly on Fraction data, within `IDENTITY_TOL` otherwise — and
     leaves the full per-order picture to ``gamma_identity_residuals``.
     """
-    if alpha is None:
-        alpha = scheme.alpha
-    exact = isinstance(alpha, Fraction)
+    exact = isinstance(scheme.alpha, Fraction)
     for m in (1, scheme.k - 1) if scheme.k > 2 else (1,):
         value = scheme.gammas[m - 1]
-        target = gamma_target(m, alpha)
+        target = gamma_target(m, scheme.alpha)
         if exact:
             if value != target:
                 return False
-        elif abs(complex(value - target)) > tol:
+        elif abs(complex(value - target)) > IDENTITY_TOL:
             return False
     return True
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .backends import FLOAT, RATIONAL, Backend
+from .backends import FLOAT, Backend
 
 
 def cauchy_coefficients(a, b, zero) -> list:
@@ -56,7 +56,11 @@ def real_power_coefficients(g, c, one, zero) -> list:
 
 
 class TruncatedSeries:
-    """Coefficient vector (c_0 .. c_N) with ring operations modulo z^{N+1}."""
+    """Coefficient vector (c_0 .. c_N) with ring operations modulo z^{N+1}.
+
+    The leading coefficients given are zero-padded up to ``order``, and any
+    beyond it are dropped (truncation semantics).
+    """
 
     __slots__ = ("backend", "coeffs")
 
@@ -208,25 +212,13 @@ class TruncatedSeries:
         """Copy of the series on the float backend."""
         if self.backend is FLOAT:
             return self
-        return TruncatedSeries(
-            [self.backend.to_complex(c) for c in self.coeffs],
-            self.order,
-            backend=FLOAT,
-        )
+        return TruncatedSeries([complex(c) for c in self.coeffs], self.order, backend=FLOAT)
 
     def truncate(self, order: int) -> "TruncatedSeries":
         """The same series at a lower (or equal) truncation order."""
         if order > self.order:
             raise ValueError("cannot extend a truncated series")
         return TruncatedSeries(self.coeffs[: order + 1], order, backend=self.backend)
-
-
-def make_series(coeffs, order: int | None = None, *, backend: Backend = FLOAT) -> TruncatedSeries:
-    """Build a series from leading coefficients, zero-padded up to order.
-
-    Extra coefficients beyond the order are dropped (truncation semantics).
-    """
-    return TruncatedSeries(coeffs, order, backend=backend)
 
 
 def constant_one(order: int, *, backend: Backend = FLOAT) -> TruncatedSeries:

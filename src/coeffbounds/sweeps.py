@@ -16,7 +16,8 @@ into ``(trials, k)`` arrays and the summary.
 Trials are processed in chunks of `CHUNK_TRIALS`, so memory stays flat in
 the trial count. Each sweep keeps the worst margin (the first occurrence,
 as ``np.argmin`` over all trials would give), the total number of
-violations and only the first five of them in (trial, k) order.
+violations (margins below ``-bounds.SLACK``) and only the first five of
+them in (trial, k) order.
 `HerglotzAtoms` are built only to rebuild a witness.
 
 Seed splitting is deterministic and documented: trial j of a suite at a
@@ -40,9 +41,11 @@ from fractions import Fraction
 import numpy as np
 
 from .backends import FLOAT
+from .bounds import SLACK
 from .caratheodory import (
     _UNIMODULAR_TOL,
     _WEIGHT_SUM_TOL,
+    MAX_ATOMS,
     HerglotzAtoms,
     atom_coefficients,
     draw_atoms,
@@ -80,7 +83,9 @@ CHUNK_TRIALS = 4096
 _MAX_LISTED_VIOLATIONS = 5
 
 
-def sample_atoms(seed: int, suite: str, n: int, alpha, beta, start: int, stop: int, max_atoms: int = 4):
+def sample_atoms(
+    seed: int, suite: str, n: int, alpha, beta, start: int, stop: int, max_atoms: int = MAX_ATOMS
+):
     """Atoms of trials start..stop-1 as zero-padded (weights, points) rows.
 
     Row j holds the atoms of ``random_herglotz(trial_seed(seed, suite, n,
@@ -137,11 +142,11 @@ class SweepOutcome:
     worst_trial: int
     worst_k: int
     worst_margin: float
-    violations: tuple  # first _MAX_LISTED_VIOLATIONS (trial, k, margin) rows with margin < -slack
+    violations: tuple  # first _MAX_LISTED_VIOLATIONS (trial, k, margin) rows with margin < -SLACK
     violation_count: int  # all such rows
 
 
-def _chunked_sweep(trials: int, k_values: np.ndarray, slack: float, margins_of) -> SweepOutcome:
+def _chunked_sweep(trials: int, k_values: np.ndarray, margins_of) -> SweepOutcome:
     """Summarize ``margins_of(start, stop)`` over the trials, one chunk at a time."""
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials!r}")
@@ -155,7 +160,7 @@ def _chunked_sweep(trials: int, k_values: np.ndarray, slack: float, margins_of) 
         # first occurrence wins, and so does the first NaN, as in np.argmin
         if worst is None or (not np.isnan(worst) and (np.isnan(m) or m < worst)):
             worst, worst_trial, worst_i = m, start + t, i
-        bad = margins < -slack
+        bad = margins < -SLACK
         count += int(np.count_nonzero(bad))
         for flat in np.flatnonzero(bad)[: _MAX_LISTED_VIOLATIONS - len(violations)]:
             bt, bi = divmod(int(flat), margins.shape[1])
@@ -171,17 +176,7 @@ def _chunked_sweep(trials: int, k_values: np.ndarray, slack: float, margins_of) 
     )
 
 
-def dominance_sweep(
-    seed: int,
-    n: int,
-    alpha: float,
-    beta: float,
-    trials: int,
-    k_max: int,
-    *,
-    max_atoms: int = 4,
-    slack: float = 1e-9,
-) -> SweepOutcome:
+def dominance_sweep(seed: int, n: int, alpha: float, beta: float, trials: int, k_max: int) -> SweepOutcome:
     """Random generators against the sharp bound: margin = bound - |a_k|.
 
     Coefficients a_2..a_{k_max} only need the quotient series through order
@@ -189,10 +184,10 @@ def dominance_sweep(
     runs at that reduced order.
     """
     def margins_of(start, stop):
-        atoms = sample_atoms(seed, "random", n, alpha, beta, start, stop, max_atoms)
+        atoms = sample_atoms(seed, "random", n, alpha, beta, start, stop)
         return dominance_margins(*atoms, n, alpha, beta, k_max)
 
-    return _chunked_sweep(trials, np.arange(2, k_max + 1), slack, margins_of)
+    return _chunked_sweep(trials, np.arange(2, k_max + 1), margins_of)
 
 
 def dominance_margins(
@@ -208,22 +203,12 @@ def dominance_margins(
     return bound - np.abs(np.stack(u[1:], axis=1))
 
 
-def dominance_witness(seed: int, n: int, alpha, beta, trial: int, *, max_atoms: int = 4) -> HerglotzAtoms:
+def dominance_witness(seed: int, n: int, alpha, beta, trial: int) -> HerglotzAtoms:
     """Rebuild the generator a dominance-sweep trial used."""
-    return random_herglotz(trial_seed(seed, "random", n, alpha, beta, trial), max_atoms)
+    return random_herglotz(trial_seed(seed, "random", n, alpha, beta, trial))
 
 
-def nehari_sweep(
-    seed: int,
-    n: int,
-    alpha: float,
-    beta: float,
-    trials: int,
-    k_max: int,
-    *,
-    max_atoms: int = 4,
-    slack: float = 1e-9,
-) -> SweepOutcome:
+def nehari_sweep(seed: int, n: int, alpha: float, beta: float, trials: int, k_max: int) -> SweepOutcome:
     """Sampled alternating series against the claimed transform-weighted bound.
 
     Each trial draws three independent atom systems: h (whose coefficients
@@ -235,12 +220,12 @@ def nehari_sweep(
     """
     def margins_of(start, stop):
         h, p, q = (
-            sample_atoms(seed, role, n, alpha, beta, start, stop, max_atoms)
+            sample_atoms(seed, role, n, alpha, beta, start, stop)
             for role in ("nehari:h", "nehari:p", "nehari:q")
         )
         return nehari_margins(h, p, q, n, alpha, beta, k_max)
 
-    return _chunked_sweep(trials, np.arange(1, k_max + 1), slack, margins_of)
+    return _chunked_sweep(trials, np.arange(1, k_max + 1), margins_of)
 
 
 def nehari_margins(h, p, q, n: int, alpha: float, beta: float, k_max: int) -> np.ndarray:
@@ -261,9 +246,9 @@ def nehari_margins(h, p, q, n: int, alpha: float, beta: float, k_max: int) -> np
     return bound - np.abs(np.stack(A[1:], axis=1))
 
 
-def nehari_witness(seed: int, n: int, alpha, beta, trial: int, *, max_atoms: int = 4):
+def nehari_witness(seed: int, n: int, alpha, beta, trial: int):
     """Rebuild the (h, p, q) atom systems a nehari-sweep trial used."""
     return tuple(
-        random_herglotz(trial_seed(seed, role, n, alpha, beta, trial), max_atoms)
+        random_herglotz(trial_seed(seed, role, n, alpha, beta, trial))
         for role in ("nehari:h", "nehari:p", "nehari:q")
     )

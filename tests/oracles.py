@@ -17,6 +17,8 @@
   They share the coefficient kernels with the sweeps, so they check the
   column split, the padding and the bounds; the closed-form oracle
   ``a_k_direct`` checks the kernels themselves.
+- ``a_k_direct`` expands a_k as a sum over powers of the transformed
+  generator, without the real-power recurrence.
 """
 
 from __future__ import annotations
@@ -77,6 +79,43 @@ def transform_coefficients_by_quadrature(
     values = _eval_iterated(coeffs, float(alpha), n, z, u, w)
     spectrum = np.fft.fft(values) / circle_points
     return spectrum[: k_max + 1] / radius ** np.arange(k_max + 1)
+
+
+def a_k_direct(p: TruncatedSeries, params: ClassParams, k: int):
+    """k-th coefficient of f straight from the expansion, no root-taking.
+
+    a_k = sum_{m=1}^{k-1} Btilde_m C_{k-1}^(m), where C^(m) are coefficients
+    of powers of w(z) = sum_l b_l z^l / (alpha + l)^n and
+
+        Btilde_m = (1-beta)^m alpha^(m(n-1)) prod_{j=0}^{m-1}(1 - j alpha) / m!.
+
+    Independent route used to cross-check the f_from_p pipeline.
+    """
+    if not isinstance(k, int) or k < 2:
+        raise ValueError(f"coefficient index must be an integer >= 2, got {k!r}")
+    if not isinstance(p, TruncatedSeries):
+        raise TypeError("a_k_direct expects the generator as a TruncatedSeries")
+    if p.order < k - 1:
+        raise ValueError(f"generator order {p.order} is below k-1 = {k - 1}")
+    backend = p.backend
+    alpha, beta, n = (backend.scalar(params.alpha), backend.scalar(params.beta), params.n)
+    w = TruncatedSeries(
+        [backend.zero] + [p.coeffs[l] * (1 / (alpha + l) ** n) for l in range(1, k)],
+        k - 1,
+        backend=backend,
+    )
+    total = backend.zero
+    power = w
+    sign_prod = alpha * 0 + 1
+    factorial = 1
+    for m in range(1, k):
+        if m > 1:
+            power = power * w
+            sign_prod = sign_prod * (1 - (m - 1) * alpha)
+            factorial *= m
+        b_m = (1 - beta) ** m * alpha ** (m * (n - 1)) * sign_prod / factorial
+        total = total + b_m * power.coeffs[k - 1]
+    return total
 
 
 def dominance_margins_scalar(atoms, n: int, alpha, beta, k_max: int):

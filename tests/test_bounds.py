@@ -11,19 +11,19 @@ from coeffbounds import (
     ClassParams,
     HerglotzAtoms,
     Region,
-    a_k_direct,
+    TruncatedSeries,
     bound_report,
     classify_region,
     constant_one,
     extremal_p,
     f_from_p,
     growth_estimate,
-    make_series,
     random_herglotz,
     sharp_bound,
     small_alpha_bound,
     verify_membership,
 )
+from oracles import a_k_direct
 
 
 class TestClassParams:
@@ -131,7 +131,7 @@ class TestSmallAlphaBound:
         piece = small_alpha_bound(params, k)
         assert piece.region is Region.OMEGA1
 
-        base = make_series(
+        base = TruncatedSeries(
             [RATIONAL.zero] + [RATIONAL.coeff(1 / (alpha + j) ** n) for j in range(1, k)],
             k - 1,
             backend=RATIONAL,
@@ -153,7 +153,7 @@ class TestSmallAlphaBound:
         params = ClassParams(1, Fraction(2, 5), Fraction(0))
         piece = small_alpha_bound(params, 5)
         assert piece.region is Region.OMEGA3
-        base = make_series(
+        base = TruncatedSeries(
             [RATIONAL.zero] + [RATIONAL.coeff(1 / (Fraction(2, 5) + j)) for j in range(1, 5)],
             4,
             backend=RATIONAL,
@@ -252,13 +252,13 @@ class TestMembership:
 
     def test_requires_normalization(self):
         params = ClassParams(1, 2.0, 0.0)
-        bad = make_series([0, 2, 0, 0], 3)
+        bad = TruncatedSeries([0, 2, 0, 0], 3)
         with pytest.raises(ValueError):
             verify_membership(bad, params, 0.5, 64)
 
     def test_rational_guard_is_exact(self):
         params = ClassParams(1, Fraction(2), Fraction(0))
-        bad = make_series(
+        bad = TruncatedSeries(
             [RATIONAL.zero, RATIONAL.coeff(Fraction(999, 1000))], 3, backend=RATIONAL
         )
         with pytest.raises(ValueError):
@@ -293,7 +293,7 @@ class TestExtremal:
             params = ClassParams(3, Fraction(3, 2), Fraction(1, 4))
             f = f_from_p(atoms, params, k)
             bound = sharp_bound(params, k)
-            assert RATIONAL.abs2(f.coefficient(k)) == bound * bound
+            assert f.coefficient(k).abs2() == bound * bound
 
     def test_rational_backend_limited_to_exact_atoms(self):
         with pytest.raises(ValueError):

@@ -10,13 +10,11 @@ from coeffbounds import (
     FLOAT,
     RATIONAL,
     HerglotzAtoms,
-    TransformParams,
+    TruncatedSeries,
     constant_one,
     get_doc_backend,
     half_hadamard,
     iterated_transform,
-    kernel_series,
-    make_series,
     min_real_part,
     random_herglotz,
     shift_to_beta,
@@ -27,7 +25,7 @@ from coeffbounds._rational import RationalComplex
 class TestSeries:
     def test_kernel_at_one(self):
         # (1+z)/(1-z) = 1 + 2z + 2z^2 + ...
-        s = kernel_series(1.0, 6)
+        s = HerglotzAtoms([1.0], [1.0]).series(6)
         assert abs(s.coefficient(0) - 1) < 1e-15
         for k in range(1, 7):
             assert abs(s.coefficient(k) - 2) < 1e-15
@@ -58,7 +56,7 @@ class TestSeries:
         )
         s = atoms.series(12)
         for k in range(1, 13):
-            assert RATIONAL.abs2(s.coefficient(k)) <= 4
+            assert s.coefficient(k).abs2() <= 4
 
     def test_constant_term_is_exactly_one(self):
         atoms = random_herglotz(99)
@@ -67,8 +65,8 @@ class TestSeries:
 
 class TestHalfHadamard:
     def test_coefficientwise_rule(self):
-        p = make_series([1, 2, -1, 3], 3)
-        q = make_series([1, 4, 5, -6], 3)
+        p = TruncatedSeries([1, 2, -1, 3], 3)
+        q = TruncatedSeries([1, 4, 5, -6], 3)
         r = half_hadamard(p, q)
         assert r.coefficient(0) == 1 + 0j
         assert r.coefficient(1) == 4 + 0j
@@ -84,13 +82,13 @@ class TestHalfHadamard:
 
     def test_requires_unit_constant(self):
         with pytest.raises(ValueError):
-            half_hadamard(make_series([2, 1], 1), make_series([1, 1], 1))
+            half_hadamard(TruncatedSeries([2, 1], 1), TruncatedSeries([1, 1], 1))
 
 
 class TestTransform:
     def test_coefficient_factors(self):
         p = HerglotzAtoms.from_rational([Fraction(1)], [Fraction(0)]).series(4)
-        out = iterated_transform(p, TransformParams(2, Fraction(3)))
+        out = iterated_transform(p, 2, Fraction(3))
         # b_k = 2 -> 2 * (3/(3+k))^2
         for k in range(1, 5):
             assert out.coefficient(k) == RATIONAL.coeff(2 * Fraction(3, 3 + k) ** 2)
@@ -98,13 +96,19 @@ class TestTransform:
 
     def test_composes_additively_in_n(self):
         p = random_herglotz(7).series(10)
-        once = iterated_transform(iterated_transform(p, TransformParams(1, 2.0)), TransformParams(2, 2.0))
-        both = iterated_transform(p, TransformParams(3, 2.0))
+        once = iterated_transform(iterated_transform(p, 1, 2.0), 2, 2.0)
+        both = iterated_transform(p, 3, 2.0)
         assert all(abs(a - b) < 1e-14 for a, b in zip(once.coeffs, both.coeffs))
 
     def test_n_zero_is_identity(self):
         p = random_herglotz(3).series(8)
-        assert iterated_transform(p, TransformParams(0, 5.0)) == p
+        assert iterated_transform(p, 0, 5.0) == p
+
+    @pytest.mark.parametrize("n, alpha", [(-1, 2.0), (1.5, 2.0), (1, 0)])
+    def test_rejects_bad_n_and_alpha(self, n, alpha):
+        p = random_herglotz(3).series(8)
+        with pytest.raises(ValueError):
+            iterated_transform(p, n, alpha)
 
     def test_shift_to_beta_keeps_unit_constant(self):
         p = random_herglotz(21).series(16)
@@ -123,7 +127,7 @@ class TestTransform:
 class TestMinRealPart:
     def test_moebius_closed_form(self):
         # min over |z|=r of Re (1+z)/(1-z) is (1-r)/(1+r), at z = -r
-        s = kernel_series(1.0, 96)
+        s = HerglotzAtoms([1.0], [1.0]).series(96)
         r = 0.5
         got = min_real_part(s, r, 720)
         tail = 2 * r**97 / (1 - r)

@@ -20,7 +20,9 @@ from coeffbounds import (
     suite_csv,
     suite_json,
 )
+from coeffbounds.bounds import SLACK
 from coeffbounds.harness import tail_bound
+from coeffbounds.reports import fmt_float
 from oracles import nehari_margins_scalar
 from coeffbounds.caratheodory import HerglotzAtoms
 
@@ -117,6 +119,7 @@ class TestRandomSuite:
         reports = run_random_suite(small_grid())
         assert all(r.passed for r in reports)
         assert all(r.witness is None for r in reports)
+        assert all(e.reference == fmt_float(-SLACK) for r in reports for e in r.entries)
 
     def test_rejects_rational_backend(self):
         with pytest.raises(UsageError):

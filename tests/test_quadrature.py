@@ -10,7 +10,7 @@ circle to read coefficients back off — and compares.
 import numpy as np
 import pytest
 
-from coeffbounds import TransformParams, iterated_transform, random_herglotz
+from coeffbounds import iterated_transform, random_herglotz
 from oracles import transform_coefficients_by_quadrature
 
 
@@ -19,7 +19,7 @@ from oracles import transform_coefficients_by_quadrature
 def test_quadrature_matches_closed_form(alpha, n):
     atoms = random_herglotz(314)
     p = atoms.series(24)
-    closed = iterated_transform(p, TransformParams(n, alpha))
+    closed = iterated_transform(p, n, alpha)
     quad = transform_coefficients_by_quadrature(p, alpha, n, 16)
     for k in range(17):
         assert abs(quad[k] - closed.coefficient(k)) < 1e-8
@@ -35,7 +35,7 @@ def test_quadrature_identity_at_n_zero():
 
 def test_more_nodes_tighten_agreement():
     p = random_herglotz(55).series(24)
-    closed = iterated_transform(p, TransformParams(2, 0.5))
+    closed = iterated_transform(p, 2, 0.5)
     coarse = transform_coefficients_by_quadrature(p, 0.5, 2, 10, nodes=8)
     fine = transform_coefficients_by_quadrature(p, 0.5, 2, 10, nodes=48)
     err_coarse = max(abs(coarse[k] - closed.coefficient(k)) for k in range(11))

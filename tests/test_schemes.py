@@ -9,6 +9,7 @@ from coeffbounds import (
     RATIONAL,
     ClassParams,
     GammaScheme,
+    TruncatedSeries,
     build_hk,
     check_gamma_identity,
     compare_even_constants,
@@ -16,7 +17,6 @@ from coeffbounds import (
     gamma_identity_residuals,
     gamma_target,
     gammas_from_coefficients,
-    make_series,
     min_real_part,
     nehari_series,
     recipe_even_constant,
@@ -201,7 +201,7 @@ class TestEvenConstants:
 class TestNehariSeries:
     def test_zero_input_gives_zero(self):
         h = constant_one(5, backend=RATIONAL)
-        G = make_series([RATIONAL.zero], 6, backend=RATIONAL)
+        G = TruncatedSeries([RATIONAL.zero], 6, backend=RATIONAL)
         params = ClassParams(1, Fraction(2), Fraction(0))
         out = nehari_series(h, G, params, 6)
         assert all(c == RATIONAL.zero for c in out.coeffs)
@@ -210,7 +210,7 @@ class TestNehariSeries:
         # h = 1 (dyadic ladder), G = 2z, n = 0, beta = 0:
         # the m-th term contributes (-1)^(m+1) 2^(1-m) (2z)^m, so A_k = +-2
         h = constant_one(5, backend=RATIONAL)
-        G = make_series([RATIONAL.zero, RATIONAL.coeff(2)], 6, backend=RATIONAL)
+        G = TruncatedSeries([RATIONAL.zero, RATIONAL.coeff(2)], 6, backend=RATIONAL)
         params = ClassParams(0, Fraction(2), Fraction(0))
         out = nehari_series(h, G, params, 6)
         for k in range(1, 7):
@@ -222,7 +222,7 @@ class TestNehariSeries:
         # A_k = (-1)^(k+1) 4/(k+1); in particular |A_1| = 2 while the
         # transform-weighted bound at k = 1 is only 4/3
         h = constant_one(5, backend=RATIONAL)
-        G = make_series([RATIONAL.zero, RATIONAL.coeff(2)], 6, backend=RATIONAL)
+        G = TruncatedSeries([RATIONAL.zero, RATIONAL.coeff(2)], 6, backend=RATIONAL)
         params = ClassParams(1, Fraction(2), Fraction(0))
         out = nehari_series(h, G, params, 6)
         for k in range(1, 7):
@@ -242,7 +242,7 @@ class TestNehariSeries:
             for alpha in (Fraction(3, 2), Fraction(2), Fraction(10)):
                 for beta in (Fraction(0), Fraction(1, 2)):
                     h = constant_one(7, backend=RATIONAL)
-                    G = make_series(
+                    G = TruncatedSeries(
                         [RATIONAL.zero] + [RATIONAL.coeff(2)] * 7, 8, backend=RATIONAL
                     )
                     params = ClassParams(n, alpha, beta)
@@ -269,13 +269,13 @@ class TestNehariSeries:
 
     def test_validation(self):
         h = constant_one(4, backend=RATIONAL)
-        G = make_series([RATIONAL.zero, RATIONAL.one], 5, backend=RATIONAL)
+        G = TruncatedSeries([RATIONAL.zero, RATIONAL.one], 5, backend=RATIONAL)
         params = ClassParams(1, Fraction(2), Fraction(0))
         with pytest.raises(ValueError):
             nehari_series(h, G, params, 0)
         with pytest.raises(ValueError):
             nehari_series(h, G, params, 7)  # h too short
-        bad_h = make_series([RATIONAL.coeff(2)], 4, backend=RATIONAL)
+        bad_h = TruncatedSeries([RATIONAL.coeff(2)], 4, backend=RATIONAL)
         with pytest.raises(ValueError):
             nehari_series(bad_h, G, params, 5)
         bad_g = constant_one(5, backend=RATIONAL)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coeffbounds import FLOAT, RATIONAL, TruncatedSeries, constant_one, geometric, make_series
+from coeffbounds import FLOAT, RATIONAL, TruncatedSeries, constant_one, geometric
 
 
 def random_rational_series(rng: random.Random, order: int, *, unit=False) -> TruncatedSeries:
@@ -17,7 +17,7 @@ def random_rational_series(rng: random.Random, order: int, *, unit=False) -> Tru
     ]
     if unit:
         coeffs[0] = Fraction(1)
-    return make_series(
+    return TruncatedSeries(
         [RATIONAL.coeff(c) for c in coeffs], order, backend=RATIONAL
     )
 
@@ -30,25 +30,25 @@ def mul_oracle(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
         for j, bj in enumerate(b.coeffs):
             if i + j <= a.order:
                 out[i + j] = out[i + j] + ai * bj
-    return make_series(out, a.order, backend=a.backend)
+    return TruncatedSeries(out, a.order, backend=a.backend)
 
 
 class TestConstruction:
     def test_pads_and_truncates(self):
-        s = make_series([1, 2], 4)
+        s = TruncatedSeries([1, 2], 4)
         assert s.coeffs == (1 + 0j, 2 + 0j, 0j, 0j, 0j)
-        t = make_series([1, 2, 3, 4], 2)
+        t = TruncatedSeries([1, 2, 3, 4], 2)
         assert t.order == 2 and t.coefficient(2) == 3 + 0j
 
     def test_coefficient_out_of_range(self):
-        s = make_series([1, 2], 3)
+        s = TruncatedSeries([1, 2], 3)
         with pytest.raises(IndexError):
             s.coefficient(4)
         with pytest.raises(IndexError):
             s.coefficient(-1)
 
     def test_immutable(self):
-        s = make_series([1], 1)
+        s = TruncatedSeries([1], 1)
         with pytest.raises(AttributeError):
             s.coeffs = ()
 
@@ -63,7 +63,7 @@ class TestConstruction:
             constant_one(3) * constant_one(4)
 
     def test_truncate_cannot_extend(self):
-        s = make_series([1, 2, 3], 2)
+        s = TruncatedSeries([1, 2, 3], 2)
         assert s.truncate(1).coeffs == (1 + 0j, 2 + 0j)
         with pytest.raises(ValueError):
             s.truncate(5)
@@ -74,11 +74,11 @@ class TestProduct:
         rng = random.Random(11)
         for _ in range(20):
             order = rng.randrange(0, 12)
-            a = make_series(
+            a = TruncatedSeries(
                 [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(order + 1)],
                 order,
             )
-            b = make_series(
+            b = TruncatedSeries(
                 [complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(order + 1)],
                 order,
             )
@@ -131,7 +131,7 @@ class TestPowers:
 
     def test_real_power_binomial_coefficients(self):
         # (1 + z)^(1/2) has coefficients C(1/2, k), exactly
-        s = make_series([RATIONAL.one, RATIONAL.one], 8, backend=RATIONAL)
+        s = TruncatedSeries([RATIONAL.one, RATIONAL.one], 8, backend=RATIONAL)
         half = s.real_power(Fraction(1, 2))
         c = Fraction(1)
         for k, got in enumerate(half.coeffs):
@@ -170,7 +170,7 @@ class TestPowers:
             assert g.real_power(c) == total
 
     def test_real_power_requires_unit_constant_term(self):
-        s = make_series([2, 1], 3)
+        s = TruncatedSeries([2, 1], 3)
         with pytest.raises(ValueError):
             s.real_power(0.5)
 
@@ -198,12 +198,12 @@ class TestOperators:
         assert abs(g.evaluate(z) - 1 / (1 - z)) < 1e-12
 
     def test_shift_up(self):
-        s = make_series([5, 7], 3)
+        s = TruncatedSeries([5, 7], 3)
         up = s.shift_up()
         assert up.coeffs == (0j, 5 + 0j, 7 + 0j, 0j)
 
     def test_to_float(self):
-        s = make_series([RATIONAL.coeff(Fraction(1, 4))], 2, backend=RATIONAL)
+        s = TruncatedSeries([RATIONAL.coeff(Fraction(1, 4))], 2, backend=RATIONAL)
         f = s.to_float()
         assert f.backend is FLOAT and f.coefficient(0) == 0.25
 
@@ -212,7 +212,7 @@ small_fractions = st.fractions(
     min_value=Fraction(-4), max_value=Fraction(4), max_denominator=12
 )
 series_strategy = st.lists(small_fractions, min_size=1, max_size=7).map(
-    lambda cs: make_series([RATIONAL.coeff(c) for c in cs], 6, backend=RATIONAL)
+    lambda cs: TruncatedSeries([RATIONAL.coeff(c) for c in cs], 6, backend=RATIONAL)
 )
 
 

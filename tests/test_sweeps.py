@@ -8,7 +8,6 @@ import pytest
 from coeffbounds import (
     FLOAT,
     ClassParams,
-    a_k_direct,
     constant_one,
     f_from_p,
     gammas_from_coefficients,
@@ -38,7 +37,7 @@ from coeffbounds.sweeps import (
     sample_atoms,
     trial_seed,
 )
-from oracles import dominance_margins_scalar, nehari_margins_scalar
+from oracles import a_k_direct, dominance_margins_scalar, nehari_margins_scalar
 
 NEHARI_ROLES = ("nehari:h", "nehari:p", "nehari:q")
 
@@ -153,7 +152,7 @@ class TestChunking:
         k_values = np.arange(2, 5)
 
         def run():
-            return _chunked_sweep(self.trials, k_values, 1e-9, lambda a, b: margins[a:b])
+            return _chunked_sweep(self.trials, k_values, lambda a, b: margins[a:b])
 
         # two violations in the first chunk, then the listed ones cross into later chunks
         c = CHUNK_TRIALS
