@@ -11,8 +11,8 @@ The mathematical objects, by module:
   piecewise small-parameter bound with its region map, and membership checks.
 - :mod:`~coeffbounds.schemes` — the weight ladder, the per-index generator
   constructions, and the alternating Nehari-type series.
-- :mod:`~coeffbounds.sweeps` — vectorized randomized sweeps with reproducible
-  per-trial seeds.
+- :mod:`~coeffbounds.sweeps` — vectorized randomized sweeps over reproducible
+  counter-based atom streams.
 - :mod:`~coeffbounds.harness` / :mod:`~coeffbounds.reports` /
   :mod:`~coeffbounds.cli` — suites, deterministic reports, command line.
 """

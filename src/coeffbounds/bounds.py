@@ -35,6 +35,8 @@ from .series import TruncatedSeries, cauchy_coefficients
 SLACK = 1e-9
 #: ``BoundReport.sharp_hit`` when |bound - |a_k|| is at most this (float comparison).
 SHARP_HIT_TOL = 1e-9
+#: Largest float deviation from f = z + ... that `verify_membership` accepts in a_0 and a_1.
+NORMALIZATION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -200,7 +202,7 @@ def verify_membership(f: TruncatedSeries, params: ClassParams, radius: float, sa
         if f.coeffs[0] != backend.zero or f.coeffs[1] != backend.one:
             raise ValueError("f must start as z + a_2 z^2 + ...")
     else:
-        if abs(f.coeffs[0]) > 1e-12 or abs(f.coeffs[1] - 1) > 1e-12:
+        if abs(f.coeffs[0]) > NORMALIZATION_TOL or abs(f.coeffs[1] - 1) > NORMALIZATION_TOL:
             raise ValueError("f must start as z + a_2 z^2 + ...")
     alpha = backend.scalar(params.alpha)
     u = TruncatedSeries(f.coeffs[1:], f.order - 1, backend=backend)

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import cmath
 import math
-import random
 from fractions import Fraction
+
+import numpy as np
 
 from ._rational import RationalComplex, t_from_unimodular, unimodular_from_t
 from .backends import FLOAT, RATIONAL, Backend, get_backend
@@ -295,32 +296,79 @@ def min_real_part(p: TruncatedSeries, radius: float, samples: int) -> float:
     return best
 
 
-def draw_atoms(rng: random.Random, max_atoms: int = MAX_ATOMS):
-    """Draw one random atom system from ``rng`` as (weights, points) lists.
+# -- the atom stream -----------------------------------------------------------
+#
+# SplitMix64 (Steele, Lea & Flood, OOPSLA'14) read as a counter-based
+# generator (Salmon et al., SC'11): output m >= 1 of the stream with 64-bit
+# key K is the finalizer applied to K + m * GOLDEN (mod 2^64), so any block
+# of outputs is a handful of uint64 array operations and needs no state.
+# Array arithmetic wraps silently; uint64 *scalar* arithmetic would warn.
 
-    This is the only place the draw order is defined; `random_herglotz` and
-    the sweeps' array sampler both call it. Only ``rng.random()`` is used:
-    first the atom count, uniform on 1..max_atoms, then one angle per atom,
-    uniform on the circle, then one exponential per atom. The weights are
-    the normalized exponentials, i.e. uniform on the probability simplex.
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+
+
+def _uniforms(key: int, first: int, stop: int) -> np.ndarray:
+    """Uniforms first..stop-1 of stream ``key``, as doubles (x >> 11) 2^-53 in [0, 1)."""
+    z = np.arange(first + 1, stop + 1, dtype=np.uint64) * _GOLDEN + np.uint64(key)
+    z = (z ^ (z >> 30)) * _MIX1
+    z = (z ^ (z >> 27)) * _MIX2
+    z ^= z >> 31
+    return (z >> 11).astype(np.float64) * 2.0**-53
+
+
+def draw_atoms(key: int, start: int, stop: int, max_atoms: int = MAX_ATOMS):
+    """Atom systems of trials start..stop-1 of stream ``key`` as padded rows.
+
+    This is the only random draw in the package. Trial j reads the B = 1 +
+    2 max_atoms uniforms jB .. jB + B - 1 of the stream: the atom count,
+    uniform on 1..max_atoms, then max_atoms angles, uniform on the circle,
+    then max_atoms exponentials; the first count angles and exponentials
+    are used. The weights are the normalized
+    exponentials, i.e. uniform on the probability simplex. Every step is
+    elementwise per row, so trial j drawn alone (start=j, stop=j+1) is the
+    same row as in any block that contains it. The uniforms are integer
+    arithmetic and so the same on every platform; the atoms go through
+    numpy's cos, sin and log1p.
+
+    Returns ``(weights, points, counts)``: (trials, max_atoms) arrays whose
+    first counts[t] slots of row t are used, padded with weight 0 and point 1.
     """
     if not isinstance(max_atoms, int) or max_atoms < 1:
         raise ValueError(f"max_atoms must be a positive integer, got {max_atoms!r}")
-    count = min(1 + int(rng.random() * max_atoms), max_atoms)
-    angles = [2.0 * math.pi * rng.random() for _ in range(count)]
-    raw = [-math.log(1.0 - rng.random()) for _ in range(count)]
-    total = sum(raw)
-    weights = [w / total for w in raw]
-    # renormalize the last weight so the sum is exactly 1.0 in floating point
-    weights[-1] = 1.0 - sum(weights[:-1])
-    return weights, [cmath.exp(1j * a) for a in angles]
+    if not 0 <= key < 2**64:
+        raise ValueError(f"stream key must be a 64-bit unsigned integer, got {key!r}")
+    if not 0 <= start <= stop:
+        raise ValueError(f"need 0 <= start <= stop, got {start!r}, {stop!r}")
+    rows, width = stop - start, 1 + 2 * max_atoms
+    u = _uniforms(key, start * width, stop * width).reshape(rows, width)
+    counts = np.minimum(1 + (u[:, 0] * max_atoms).astype(np.intp), max_atoms)
+    slots = np.arange(max_atoms)
+    used = slots < counts[:, None]
+    angles = 2.0 * math.pi * u[:, 1 : 1 + max_atoms]
+    points = np.where(used, np.cos(angles) + 1j * np.sin(angles), 1.0)
+    raw = np.where(used, -np.log1p(-u[:, 1 + max_atoms :]), 0.0)
+    # cumsum adds left to right, so a row sums alike alone or in a block
+    weights = raw / np.cumsum(raw, axis=1)[:, -1:]
+    # renormalize the last used weight so the sum is exactly 1.0 in floating point
+    row, last = np.arange(rows), counts - 1
+    rest = np.cumsum(weights, axis=1)[row, last - 1]
+    weights[row, last] = 1.0 - np.where(last > 0, rest, 0.0)
+    return weights, points, counts
+
+
+def trial_atoms(key: int, trial: int, max_atoms: int = MAX_ATOMS) -> HerglotzAtoms:
+    """The atoms of one trial of stream ``key``: the one-row draw trial..trial+1."""
+    weights, points, counts = draw_atoms(key, trial, trial + 1, max_atoms)
+    used = counts[0]
+    return HerglotzAtoms(weights[0, :used].tolist(), points[0, :used].tolist())
 
 
 def random_herglotz(seed: int, max_atoms: int = MAX_ATOMS) -> HerglotzAtoms:
     """Deterministic random atom system on the float backend.
 
-    The atoms are `draw_atoms` applied to ``random.Random(seed)``, so the
-    same seed always yields the same atoms.
+    The atoms are trial 0 of the stream keyed by ``seed`` (0 <= seed <
+    2^64), so the same seed always yields the same atoms.
     """
-    weights, points = draw_atoms(random.Random(seed), max_atoms)
-    return HerglotzAtoms(weights, points)
+    return trial_atoms(seed, 0, max_atoms)

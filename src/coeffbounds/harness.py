@@ -49,6 +49,8 @@ DEFAULT_RADIUS = 0.99
 DEFAULT_SAMPLES = 720
 #: Largest relative gap |bound - |a_k|| / bound of a float extremal generator.
 EXTREMAL_REL_TOL = 1e-10
+#: Largest |a_k| gap at which the alpha = 1 audit matches a closed form 2/k^n or 2/(k+1)^n.
+ALPHA_ONE_MATCH_TOL = 1e-12
 
 
 def tail_bound(radius: float, order: int) -> float:
@@ -314,7 +316,7 @@ def run_random_suite(grid: GridSpec, backend: Backend = FLOAT):
             "trial": trial,
             "k": k,
             "margin": fmt_float(margin),
-            "seed": sweeps.trial_seed(grid.seed, "random", n, alpha, beta, trial),
+            "stream_key": sweeps.stream_key(grid.seed, "random", n, alpha, beta),
             "atoms": atoms.to_document(),
         }
 
@@ -339,8 +341,8 @@ def run_nehari_suite(grid: GridSpec, backend: Backend = FLOAT):
             "trial": trial,
             "k": k,
             "margin": fmt_float(margin),
-            "seeds": {
-                role: sweeps.trial_seed(grid.seed, f"nehari:{role}", n, alpha, beta, trial)
+            "stream_keys": {
+                role: sweeps.stream_key(grid.seed, f"nehari:{role}", n, alpha, beta)
                 for role in ("h", "p", "q")
             },
             "atoms": {
@@ -502,8 +504,8 @@ def _alpha_one_report(backend: Backend) -> SuiteReport:
             a_abs = abs(complex(f.coefficient(k)))
             k_form = 2.0 / k**n
             k1_form = 2.0 / (k + 1) ** n
-            matches = "k" if abs(a_abs - k_form) <= 1e-12 else (
-                "k+1" if abs(a_abs - k1_form) <= 1e-12 else "neither"
+            matches = "k" if abs(a_abs - k_form) <= ALPHA_ONE_MATCH_TOL else (
+                "k+1" if abs(a_abs - k1_form) <= ALPHA_ONE_MATCH_TOL else "neither"
             )
             entries.append(
                 SuiteEntry(

@@ -3,15 +3,15 @@
 The randomized suites run thousands of generator trials per parameter
 point. `sample_atoms` draws the trials straight into zero-padded
 ``(trials, max_atoms)`` weight and point arrays (padding: weight 0, point
-1), through the same `draw_atoms` routine `random_herglotz` uses, and checks
-them with the `HerglotzAtoms` rules vectorized over the rows. The margins
-then split those arrays into per-atom numpy columns and feed them to the
-library's own coefficient kernels (the atom series, the transform, the beta
-shift, the real power, the gamma ladder and the Nehari sum): the scalar
-series classes and the sweeps run one implementation of every recurrence,
-on backend scalars or on columns holding one value per trial. Besides
-sampling, this module adds only the bounds, the stacking of the margins
-into ``(trials, k)`` arrays and the summary.
+1) with `caratheodory.draw_atoms`, the package's one random draw, and
+checks them with the `HerglotzAtoms` rules vectorized over the rows. The
+margins then split those arrays into per-atom numpy columns and feed them
+to the library's own coefficient kernels (the atom series, the transform,
+the beta shift, the real power, the gamma ladder and the Nehari sum): the
+scalar series classes and the sweeps run one implementation of every
+recurrence, on backend scalars or on columns holding one value per trial.
+Besides sampling, this module adds only the bounds, the stacking of the
+margins into ``(trials, k)`` arrays and the summary.
 
 Trials are processed in chunks of `CHUNK_TRIALS`, so memory stays flat in
 the trial count. Each sweep keeps the worst margin (the first occurrence,
@@ -20,21 +20,24 @@ violations (margins below ``-bounds.SLACK``) and only the first five of
 them in (trial, k) order.
 `HerglotzAtoms` are built only to rebuild a witness.
 
-Seed splitting is deterministic and documented: trial j of a suite at a
-parameter point draws its atoms from ``random.Random(s)`` with
+Seed contract: the trials of a suite at a parameter point read one
+counter-based atom stream whose 64-bit key is
 
-    s = blake2b("{suite}|{seed}|{n}|{alpha}|{beta}|{trial}", digest_size=8)
+    key = blake2b("{suite}|{seed}|{n}|{alpha}|{beta}|", digest_size=8)
 
-interpreted big-endian (one reused ``Random`` reseeded with ``seed(s)``
-gives the same stream), so chunked and unchunked runs agree and a failure
-report's (suite, seed, parameters, trial) tuple is enough to rebuild the
-offending generators anywhere.
+interpreted big-endian (`stream_key`; nehari draws three streams, with
+the suites "nehari:h", "nehari:p" and "nehari:q"). Uniform i of trial j is
+the SplitMix64 finalizer of ``key + (j B + i + 1) * 0x9E3779B97F4A7C15``
+(mod 2^64) with ``B = 1 + 2 max_atoms`` uniforms per trial; see
+`caratheodory.draw_atoms` for how they become atoms. A block of trials is
+one pass of numpy array operations, chunked and unchunked runs agree bit
+for bit, and a failure report's (stream key, trial) pair is enough to
+rebuild the offending generators with `caratheodory.trial_atoms`.
 """
 
 from __future__ import annotations
 
 import hashlib
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,9 +53,9 @@ from .caratheodory import (
     atom_coefficients,
     draw_atoms,
     half_hadamard_coefficients,
-    random_herglotz,
     shift_coefficients,
     transform_coefficients,
+    trial_atoms,
 )
 from .schemes import gamma_ladder, nehari_coefficients
 from .series import real_power_coefficients
@@ -64,19 +67,10 @@ def _scalar_token(x) -> str:
     return repr(x)
 
 
-def _point_key(seed: int, suite: str, n: int, alpha, beta) -> str:
-    """The part of a trial's seed key that is shared by every trial of a point."""
-    return f"{suite}|{seed}|{n}|{_scalar_token(alpha)}|{_scalar_token(beta)}|"
-
-
-def _keyed_seed(point_key: str, trial: int) -> int:
-    digest = hashlib.blake2b(f"{point_key}{trial}".encode("ascii"), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
-
-
-def trial_seed(seed: int, suite: str, n: int, alpha, beta, trial: int) -> int:
-    """Per-trial RNG seed derived from the suite position (stable everywhere)."""
-    return _keyed_seed(_point_key(seed, suite, n, alpha, beta), trial)
+def stream_key(seed: int, suite: str, n: int, alpha, beta) -> int:
+    """64-bit key of the atom stream of one suite at one parameter point."""
+    label = f"{suite}|{seed}|{n}|{_scalar_token(alpha)}|{_scalar_token(beta)}|"
+    return int.from_bytes(hashlib.blake2b(label.encode("ascii"), digest_size=8).digest(), "big")
 
 
 CHUNK_TRIALS = 4096
@@ -86,24 +80,9 @@ _MAX_LISTED_VIOLATIONS = 5
 def sample_atoms(
     seed: int, suite: str, n: int, alpha, beta, start: int, stop: int, max_atoms: int = MAX_ATOMS
 ):
-    """Atoms of trials start..stop-1 as zero-padded (weights, points) rows.
-
-    Row j holds the atoms of ``random_herglotz(trial_seed(seed, suite, n,
-    alpha, beta, start + j), max_atoms)`` bit for bit, padded to max_atoms
-    columns with weight 0 and point 1.
-    """
-    rows = stop - start
-    weights = np.zeros((rows, max_atoms))
-    points = np.ones((rows, max_atoms), dtype=np.complex128)
-    counts = np.empty(rows, dtype=np.intp)
-    point_key = _point_key(seed, suite, n, alpha, beta)
-    rng = random.Random()
-    for j in range(rows):
-        rng.seed(_keyed_seed(point_key, start + j))
-        w, x = draw_atoms(rng, max_atoms)
-        counts[j] = len(w)
-        weights[j, : len(w)] = w
-        points[j, : len(x)] = x
+    """Checked atoms of trials start..stop-1 as zero-padded (weights, points) rows."""
+    key = stream_key(seed, suite, n, alpha, beta)
+    weights, points, counts = draw_atoms(key, start, stop, max_atoms)
     check_atom_rows(weights, points, counts)
     return weights, points
 
@@ -205,7 +184,7 @@ def dominance_margins(
 
 def dominance_witness(seed: int, n: int, alpha, beta, trial: int) -> HerglotzAtoms:
     """Rebuild the generator a dominance-sweep trial used."""
-    return random_herglotz(trial_seed(seed, "random", n, alpha, beta, trial))
+    return trial_atoms(stream_key(seed, "random", n, alpha, beta), trial)
 
 
 def nehari_sweep(seed: int, n: int, alpha: float, beta: float, trials: int, k_max: int) -> SweepOutcome:
@@ -249,6 +228,6 @@ def nehari_margins(h, p, q, n: int, alpha: float, beta: float, k_max: int) -> np
 def nehari_witness(seed: int, n: int, alpha, beta, trial: int):
     """Rebuild the (h, p, q) atom systems a nehari-sweep trial used."""
     return tuple(
-        random_herglotz(trial_seed(seed, role, n, alpha, beta, trial))
+        trial_atoms(stream_key(seed, role, n, alpha, beta), trial)
         for role in ("nehari:h", "nehari:p", "nehari:q")
     )

@@ -1,6 +1,11 @@
 """The public surface: what `coeffbounds` exports, and names that must stay gone."""
 
+import ast
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +42,8 @@ def test_removed_name_is_not_exported(name):
         (ClassParams, "transform"),
         (GammaScheme, "m_max"),
         (bounds, "a_k_direct"),
+        (sweeps, "trial_seed"),
+        (sweeps, "_keyed_seed"),
     ],
 )
 def test_removed_attribute_is_gone(owner, name):
@@ -66,3 +73,34 @@ def test_removed_attribute_is_gone(owner, name):
 def test_single_valued_knob_is_not_a_parameter(function, parameter):
     # each of these values has one definition, read where it is used
     assert parameter not in inspect.signature(function).parameters
+
+
+PACKAGE_DIR = Path(coeffbounds.__file__).parent
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
+def test_module_does_not_import_random(path):
+    # every random draw goes through caratheodory.draw_atoms
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            imported.add(node.module.split(".")[0])
+    assert "random" not in imported
+
+
+def test_sweeps_leave_numpy_random_unimported():
+    # numpy.random costs about 2 MB of resident memory once imported
+    code = (
+        "import contextlib, io, sys\n"
+        "from coeffbounds.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['verify', 'random', '--n', '1', '--alpha', '2', '--beta', '0', '--trials', '50'])\n"
+        "    main(['verify', 'nehari', '--n', '1', '--alpha', '2', '--beta', '0', '--trials', '50'])\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

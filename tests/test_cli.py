@@ -230,8 +230,8 @@ class TestExpandCommand:
     strict=True,
     raises=AssertionError,
     reason="known defect: the float alternating Nehari sum loses digits to cancellation "
-    "at n = 0 for k_max >= 16; the worst trial (3965, k = 16) reads -1.44e-9 in float "
-    "and +1.4e-15 in exact arithmetic",
+    "at n = 0 for k_max >= 16; the worst trial (2921, k = 16) reads -1.60e-9 in float "
+    "and +1.3e-15 in exact arithmetic",
 )
 def test_nehari_n0_deep_kmax_has_no_false_counterexample(capsys):
     argv = ["verify", "nehari", "--n", "0", "--alpha", "2", "--beta", "0", "--kmax", "16",

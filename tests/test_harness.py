@@ -19,12 +19,13 @@ from coeffbounds import (
     run_random_suite,
     suite_csv,
     suite_json,
+    sweeps,
 )
 from coeffbounds.bounds import SLACK
 from coeffbounds.harness import tail_bound
 from coeffbounds.reports import fmt_float
-from oracles import nehari_margins_scalar
-from coeffbounds.caratheodory import HerglotzAtoms
+from oracles import dominance_margins_scalar, nehari_margins_scalar
+from coeffbounds.caratheodory import HerglotzAtoms, trial_atoms
 
 
 def small_grid(**overrides):
@@ -133,6 +134,16 @@ class TestRandomSuite:
         jb = suite_json(run_random_suite(small_grid()))
         assert ja == jb
 
+    def test_witness_rebuilds_from_document_alone(self, monkeypatch):
+        # the bound holds here, so count every margin below 10 as a violation
+        monkeypatch.setattr(sweeps, "SLACK", -10.0)
+        w = run_random_suite(small_grid(n_values=(1,)))[0].witness
+        assert set(w) == {"trial", "k", "margin", "stream_key", "atoms"}
+        atoms = trial_atoms(w["stream_key"], w["trial"])
+        assert atoms.to_document() == w["atoms"]
+        margins = dominance_margins_scalar(atoms, 1, 2.0, 0.0, 8)
+        assert margins[w["k"] - 2] == pytest.approx(float(w["margin"]), abs=1e-12)
+
 
 class TestNehariSuite:
     def test_n0_passes_n1_fails(self):
@@ -145,12 +156,19 @@ class TestNehariSuite:
         reports = run_nehari_suite(small_grid(n_values=(1,), trials=150))
         report = reports[0]
         w = report.witness
-        assert set(w) == {"trial", "k", "margin", "seeds", "atoms"}
+        assert set(w) == {"trial", "k", "margin", "stream_keys", "atoms"}
         h_at = HerglotzAtoms.from_document(w["atoms"]["h"])
         p_at = HerglotzAtoms.from_document(w["atoms"]["p"])
         q_at = HerglotzAtoms.from_document(w["atoms"]["q"])
         margins = nehari_margins_scalar(h_at, p_at, q_at, 1, 2.0, 0.0, 8)
         assert margins[w["k"] - 1] == pytest.approx(float(w["margin"]), abs=1e-9)
+
+    def test_witness_rebuilds_from_document_alone(self):
+        w = run_nehari_suite(small_grid(n_values=(1,), trials=150))[0].witness
+        rebuilt = [trial_atoms(w["stream_keys"][role], w["trial"]) for role in ("h", "p", "q")]
+        assert [atoms.to_document() for atoms in rebuilt] == [w["atoms"][role] for role in ("h", "p", "q")]
+        margins = nehari_margins_scalar(*rebuilt, 1, 2.0, 0.0, 8)
+        assert margins[w["k"] - 1] == pytest.approx(float(w["margin"]), abs=1e-12)
 
     def test_violation_rows_capped(self):
         reports = run_nehari_suite(small_grid(n_values=(3,), trials=300))

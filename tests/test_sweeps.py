@@ -1,5 +1,6 @@
-"""Vectorized sweeps: seed derivation, array sampler, chunking, column kernels, witnesses."""
+"""Vectorized sweeps: stream keys, the atom stream, chunking, column kernels, witnesses."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,9 @@ import pytest
 
 from coeffbounds import (
     FLOAT,
+    RATIONAL,
     ClassParams,
+    TruncatedSeries,
     constant_one,
     f_from_p,
     gammas_from_coefficients,
@@ -16,11 +19,17 @@ from coeffbounds import (
     random_herglotz,
     sharp_bound,
 )
+from coeffbounds._rational import RationalComplex
+from coeffbounds.bounds import SLACK
 from coeffbounds.caratheodory import (
+    MAX_ATOMS,
+    _uniforms,
     atom_coefficients,
+    draw_atoms,
     half_hadamard_coefficients,
     shift_coefficients,
     transform_coefficients,
+    trial_atoms,
 )
 from coeffbounds.schemes import gamma_ladder, nehari_coefficients
 from coeffbounds.series import cauchy_coefficients, real_power_coefficients
@@ -35,7 +44,7 @@ from coeffbounds.sweeps import (
     nehari_sweep,
     nehari_witness,
     sample_atoms,
-    trial_seed,
+    stream_key,
 )
 from oracles import a_k_direct, dominance_margins_scalar, nehari_margins_scalar
 
@@ -43,11 +52,12 @@ NEHARI_ROLES = ("nehari:h", "nehari:p", "nehari:q")
 
 
 def reference_atoms(seed, suite, n, alpha, beta, trials, max_atoms=4):
-    """All trials at once, packed from per-trial random_herglotz atoms."""
+    """All trials at once, packed from the one-row rebuild of each trial."""
+    key = stream_key(seed, suite, n, alpha, beta)
     weights = np.zeros((trials, max_atoms))
     points = np.ones((trials, max_atoms), dtype=complex)
     for t in range(trials):
-        atoms = random_herglotz(trial_seed(seed, suite, n, alpha, beta, t), max_atoms)
+        atoms = trial_atoms(key, t, max_atoms)
         weights[t, : len(atoms)] = atoms.weights
         points[t, : len(atoms)] = atoms.points
     return weights, points
@@ -65,47 +75,113 @@ def summary(out):
     return out.worst_trial, out.worst_k, out.worst_margin, out.violations, out.violation_count
 
 
+def splitmix64(state: int, count: int) -> list:
+    """The first outputs of sequential SplitMix64 from ``state``, in Python integers."""
+    mask, out = 2**64 - 1, []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
 class TestTrialSeed:
     def test_deterministic_and_distinct(self):
-        base = trial_seed(1729, "random", 1, 2.0, 0.25, 0)
-        assert base == trial_seed(1729, "random", 1, 2.0, 0.25, 0)
+        base = stream_key(1729, "random", 1, 2.0, 0.25)
+        assert base == stream_key(1729, "random", 1, 2.0, 0.25)
         others = {
-            trial_seed(1729, "random", 1, 2.0, 0.25, 1),
-            trial_seed(1729, "random", 2, 2.0, 0.25, 0),
-            trial_seed(1729, "random", 1, 2.5, 0.25, 0),
-            trial_seed(1729, "nehari:h", 1, 2.0, 0.25, 0),
-            trial_seed(1730, "random", 1, 2.0, 0.25, 0),
+            stream_key(1729, "random", 2, 2.0, 0.25),
+            stream_key(1729, "random", 1, 2.5, 0.25),
+            stream_key(1729, "nehari:h", 1, 2.0, 0.25),
+            stream_key(1730, "random", 1, 2.0, 0.25),
         }
-        assert base not in others and len(others) == 5
+        assert base not in others and len(others) == 4
+        # the trials of one stream read disjoint counters
+        _, points, _ = draw_atoms(base, 0, 2)
+        assert not np.array_equal(points[0], points[1])
 
     def test_frozen_values(self):
         # regression pins: changing the derivation would silently re-run
         # every randomized suite on different draws
-        assert trial_seed(1729, "random", 0, 2.0, 0.0, 0) == 9320949916879916933
-        assert trial_seed(1729, "nehari:p", 3, 1.5, 0.25, 17) == 16837317129233720362
+        assert stream_key(1729, "random", 0, 2.0, 0.0) == 3622054255342247477
+        key = stream_key(1729, "nehari:p", 3, 1.5, 0.25)
+        assert key == 6013373881491230973
+        # key 0 gives the published SplitMix64 sequence (its first three outputs)
+        assert splitmix64(0, 3) == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+        assert _uniforms(0, 0, 3).tolist() == [(x >> 11) * 2.0**-53 for x in splitmix64(0, 3)]
+        # uniform i of trial j is output j B + i + 1, B = 1 + 2 MAX_ATOMS
+        width = 1 + 2 * MAX_ATOMS
+        first = 17 * width
+        want = [(x >> 11) * 2.0**-53 for x in splitmix64(key, first + width)[first:]]
+        assert _uniforms(key, first, first + width).tolist() == want
+        assert [int(u * 2**53) for u in want[:3]] == [4099456855454215, 5514377678972238, 8725279373621565]
+        weights, points, counts = draw_atoms(key, 17, 18)
+        assert counts.tolist() == [2]
+        assert weights[0] == pytest.approx([0.2180258761966428, 0.7819741238033572, 0, 0], abs=1e-15)
+        want_points = [-0.7615518095714923 - 0.6481040358911411j, 0.9807246861833233 - 0.19539470287247318j]
+        assert np.abs(points[0] - [*want_points, 1, 1]).max() <= 1e-15
 
     def test_exact_scalars_feed_the_label(self):
-        from fractions import Fraction
-
-        assert trial_seed(1, "random", 1, Fraction(2), 0.0, 0) != trial_seed(
-            1, "random", 1, 2.0, 0.0, 0
-        )
+        assert stream_key(1, "random", 1, Fraction(2), 0.0) != stream_key(1, "random", 1, 2.0, 0.0)
 
 
 class TestSampler:
     @pytest.mark.parametrize("suite", ["random", *NEHARI_ROLES])
     @pytest.mark.parametrize("max_atoms", [1, 2, 3, 4])
     def test_rows_equal_random_herglotz(self, suite, max_atoms):
-        cases = [(0, 0, 2.0, 0.0, 0), (1729, 2, 1.5, 0.25, 37), (2**40 + 3, 3, 5.0, 0.5, 9)]
-        for seed, n, alpha, beta, start in cases:
-            weights, points = sample_atoms(seed, suite, n, alpha, beta, start, start + 40, max_atoms)
-            assert weights.shape == points.shape == (40, max_atoms)
-            for j in range(40):
-                atoms = random_herglotz(trial_seed(seed, suite, n, alpha, beta, start + j), max_atoms)
+        # chunked rows equal the one-row rebuild of every trial, across chunk boundaries
+        seed, n, alpha, beta = 2**40 + 3, 2, 1.5, 0.25
+        key = stream_key(seed, suite, n, alpha, beta)
+        trials = 2 * CHUNK_TRIALS + 7
+        for start in range(0, trials, CHUNK_TRIALS):
+            stop = min(start + CHUNK_TRIALS, trials)
+            weights, points = sample_atoms(seed, suite, n, alpha, beta, start, stop, max_atoms)
+            assert weights.shape == points.shape == (stop - start, max_atoms)
+            for j in range(stop - start):
+                w, x, c = draw_atoms(key, start + j, start + j + 1, max_atoms)
+                assert np.array_equal(weights[j], w[0]) and np.array_equal(points[j], x[0])
+                assert (w[0, c[0] :] == 0.0).all() and (x[0, c[0] :] == 1.0).all()
+            if start == 0:
+                # trial 0 of a stream is random_herglotz of its key
+                atoms = random_herglotz(key, max_atoms)
                 c = len(atoms)
-                assert tuple(weights[j, :c]) == atoms.weights
-                assert tuple(points[j, :c]) == atoms.points
-                assert (weights[j, c:] == 0.0).all() and (points[j, c:] == 1.0).all()
+                assert tuple(weights[0, :c]) == atoms.weights
+                assert tuple(points[0, :c]) == atoms.points
+
+    def test_random_access_far_into_the_stream(self):
+        key = stream_key(7, "random", 1, 2.0, 0.0)
+        far = draw_atoms(key, 10**12, 10**12 + 3)
+        around = draw_atoms(key, 10**12 - 2, 10**12 + 5)
+        for got, want in zip(far, around):
+            assert np.array_equal(got, want[2:5])
+
+    def test_no_overflow_warning(self):
+        # uint64 arithmetic must stay on arrays, which wrap silently
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draw_atoms(2**64 - 1, 10**12, 10**12 + 3)
+            draw_atoms(0, 0, 1, 1)
+            sample_atoms(2**40 + 3, "nehari:q", 3, 5.0, 0.5, 0, 100)
+
+    def test_distribution(self):
+        weights, points, counts = draw_atoms(stream_key(11, "random", 1, 2.0, 0.0), 0, 40_000)
+        share = np.bincount(counts, minlength=MAX_ATOMS + 1)[1:] / len(counts)
+        assert np.abs(share * MAX_ATOMS - 1).max() < 0.05
+        used = np.arange(MAX_ATOMS) < counts[:, None]
+        assert abs(points[used].mean()) < 0.02
+
+    def test_roles_draw_different_rows(self):
+        rows = [sample_atoms(9, role, 1, 2.0, 0.0, 4, 5)[1][0] for role in NEHARI_ROLES]
+        assert not any(np.array_equal(a, b) for i, a in enumerate(rows) for b in rows[i + 1 :])
+
+    @pytest.mark.parametrize(
+        "key, start, stop, max_atoms", [(-1, 0, 1, 4), (2**64, 0, 1, 4), (5, 3, 2, 4), (5, -1, 1, 4), (5, 0, 1, 0)]
+    )
+    def test_draw_rejects_bad_arguments(self, key, start, stop, max_atoms):
+        with pytest.raises(ValueError):
+            draw_atoms(key, start, stop, max_atoms)
 
     def test_checks_accept_padded_rows(self):
         weights = np.array([[0.25, 0.75, 0.0], [1.0, 0.0, 0.0]])
@@ -282,8 +358,10 @@ class TestDominance:
 
     def test_witness_reconstruction(self):
         atoms = dominance_witness(1729, 1, 2.0, 0.0, 123)
-        again = random_herglotz(trial_seed(1729, "random", 1, 2.0, 0.0, 123))
-        assert atoms == again
+        weights, points = sample_atoms(1729, "random", 1, 2.0, 0.0, 100, 200)
+        c = len(atoms)
+        assert atoms.weights == tuple(weights[23, :c]) and atoms.points == tuple(points[23, :c])
+        assert (weights[23, c:] == 0.0).all()
 
     def test_deterministic(self):
         a = dominance_sweep(7, 1, 3.0, 0.5, 50, 8)
@@ -322,6 +400,25 @@ class TestNehari:
             *nehari_witness(1729, 2, 5.0, 0.25, out.worst_trial), 2, 5.0, 0.25, 12
         )
         assert scal[out.worst_k - 1] == pytest.approx(out.worst_margin, abs=1e-12)
+
+    def test_n0_deep_kmax_flag_is_float_cancellation(self):
+        # the worst trial that `verify nehari --n 0 --alpha 2 --beta 0 --kmax 16
+        # --trials 4000 --seed 2288874184` flags (README, "Known limits"): the
+        # float margin is below -SLACK, the same atoms in exact rationals are in bound
+        seed, trial, k = 2288874184, 2921, 16
+        rows = [sample_atoms(seed, role, 0, 2.0, 0.0, trial, trial + 1) for role in NEHARI_ROLES]
+        assert nehari_margins(*rows, 0, 2.0, 0.0, k)[0, k - 1] < -SLACK
+
+        def exact(atoms, order):
+            weights = [Fraction(w) for w in atoms.weights]
+            points = [RationalComplex(Fraction(x.real), Fraction(x.imag)) for x in atoms.points]
+            coeffs = atom_coefficients(weights, points, order, RATIONAL.one, RATIONAL.zero)
+            return TruncatedSeries(coeffs, order, backend=RATIONAL)
+
+        h, p, q = nehari_witness(seed, 0, 2.0, 0.0, trial)
+        G = half_hadamard(exact(p, k), exact(q, k)) - constant_one(k, backend=RATIONAL)
+        A = nehari_series(exact(h, k - 1), G, ClassParams(0, Fraction(2), Fraction(0)), k)
+        assert A.coefficient(k).abs2() <= 4
 
     def test_roles_use_independent_seeds(self):
         h_at, p_at, q_at = nehari_witness(9, 1, 2.0, 0.0, 4)
