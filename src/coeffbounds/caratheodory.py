@@ -31,6 +31,8 @@ _WEIGHT_SUM_TOL = 1e-12
 _UNIMODULAR_TOL = 1e-12
 #: Largest atom count of a random generator (the count is uniform on 1..MAX_ATOMS).
 MAX_ATOMS = 4
+#: Most circle points `min_real_part` evaluates in one numpy pass.
+CIRCLE_BLOCK = 4096
 
 
 # -- coefficient kernels ------------------------------------------------------
@@ -280,17 +282,32 @@ def min_real_part(p: TruncatedSeries, radius: float, samples: int) -> float:
 
     A numerical witness: evaluation always happens in floating point (the
     sample points are not rational), so rational series are converted first.
+    The points z_j = radius * exp(2 pi i j / samples) go through a Horner
+    pass over numpy arrays, at most `CIRCLE_BLOCK` of them at a time, on
+    split real and imaginary parts: each step rounds the same products and
+    sums as Python's complex arithmetic, so the value at every point is
+    bit-identical to ``p.to_float().evaluate(z_j)``. NaN values are skipped,
+    the first of equal minima wins (so 0.0 before -0.0 stays 0.0), and a
+    series that is NaN everywhere gives inf.
     """
     radius = float(radius)
     if not (0 < radius < 1):
         raise ValueError(f"radius must lie in (0, 1), got {radius!r}")
     if not isinstance(samples, int) or samples < 8:
         raise ValueError(f"need at least 8 samples, got {samples!r}")
-    q = p.to_float()
+    top_first = p.to_float().coeffs[::-1]
     best = math.inf
-    for j in range(samples):
-        z = radius * cmath.exp(2j * math.pi * j / samples)
-        value = q.evaluate(z).real
+    for start in range(0, samples, CIRCLE_BLOCK):
+        stop = min(start + CIRCLE_BLOCK, samples)
+        z = np.array([radius * cmath.exp(2j * math.pi * j / samples) for j in range(start, stop)])
+        zr, zi = z.real, z.imag
+        re, im = np.zeros_like(zr), np.zeros_like(zr)
+        # like Python's complex arithmetic, overflow to inf and inf - inf = NaN pass silently
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c in top_first:
+                re, im = (re * zr - im * zi) + c.real, (re * zi + im * zr) + c.imag
+        re[np.isnan(re)] = math.inf
+        value = float(re[np.argmin(re)])
         if value < best:
             best = value
     return best

@@ -188,6 +188,11 @@ def run_extremal_suite(grid: GridSpec, backend: Backend = FLOAT):
     """
     _require_alpha_gt1(grid.alpha_values, "extremal")
     k_top = grid.k_max if backend is FLOAT else min(grid.k_max, 3)
+    # the generators depend on k alone: build each once, keep the atoms for witnesses
+    generators = {}
+    for k in range(2, k_top + 1):
+        atoms = extremal_p(k, backend=backend)
+        generators[k] = (atoms, atoms.series(k - 1))
     reports = []
     for n, alpha, beta in grid.points():
         start = time.perf_counter()
@@ -197,8 +202,8 @@ def run_extremal_suite(grid: GridSpec, backend: Backend = FLOAT):
         worst = 0.0
         witness = None
         for k in range(2, k_top + 1):
-            atoms = extremal_p(k, backend=backend)
-            f = f_from_p(atoms, params, k)
+            atoms, series = generators[k]
+            f = f_from_p(series, params, k)
             a_k = f.coefficient(k)
             bound = sharp_bound(params, k)
             if backend is RATIONAL:

@@ -19,9 +19,15 @@
   ``a_k_direct`` checks the kernels themselves.
 - ``a_k_direct`` expands a_k as a sum over powers of the transformed
   generator, without the real-power recurrence.
+- ``min_real_part_scalar`` is `min_real_part` as one Python loop over the
+  circle points, one ``TruncatedSeries.evaluate`` call each; the library's
+  blocked numpy Horner must match it bit for bit.
 """
 
 from __future__ import annotations
+
+import cmath
+import math
 
 import numpy as np
 
@@ -139,3 +145,15 @@ def nehari_margins_scalar(h_atoms, p_atoms, q_atoms, n: int, alpha, beta, k_max:
         2.0 * (1.0 - bf) * af**n / (af + k) ** n - abs(A.coefficient(k))
         for k in range(1, k_max + 1)
     ]
+
+
+def min_real_part_scalar(p: TruncatedSeries, radius: float, samples: int) -> float:
+    """Minimum of Re p on |z| = radius, one point at a time (first strict minimum, NaN skipped)."""
+    q = p.to_float()
+    best = math.inf
+    for j in range(samples):
+        z = radius * cmath.exp(2j * math.pi * j / samples)
+        value = q.evaluate(z).real
+        if value < best:
+            best = value
+    return best

@@ -5,6 +5,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coeffbounds import (
     FLOAT,
@@ -20,6 +22,8 @@ from coeffbounds import (
     shift_to_beta,
 )
 from coeffbounds._rational import RationalComplex
+from coeffbounds.caratheodory import CIRCLE_BLOCK
+from oracles import min_real_part_scalar
 
 
 class TestSeries:
@@ -142,6 +146,75 @@ class TestMinRealPart:
             min_real_part(s, 1.0, 64)
         with pytest.raises(ValueError):
             min_real_part(s, 0.5, 4)
+
+
+def _bitwise_equal(a: float, b: float) -> bool:
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+_coefficient = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
+_float_coeffs = st.integers(0, 70).flatmap(
+    lambda order: st.lists(_coefficient, min_size=order + 1, max_size=order + 1)
+)
+
+
+class TestMinRealPartMatchesScalarLoop:
+    """The blocked numpy Horner against the one-point-at-a-time oracle, bit for bit."""
+
+    @settings(max_examples=100)
+    @given(
+        coeffs=_float_coeffs,
+        radius=st.sampled_from([0.01, 0.3, 0.5, 0.9, 0.99, 0.999]),
+        samples=st.sampled_from([8, 9, 64, 257, 720, 1001]),
+    )
+    def test_random_float_series(self, coeffs, radius, samples):
+        s = TruncatedSeries(coeffs, len(coeffs) - 1)
+        assert _bitwise_equal(min_real_part(s, radius, samples), min_real_part_scalar(s, radius, samples))
+
+    @pytest.mark.parametrize("radius", [0.5, 0.99])
+    def test_rational_series(self, radius):
+        p = HerglotzAtoms.from_rational([Fraction(1, 3), Fraction(2, 3)], [Fraction(1, 2), Fraction(-3, 4)])
+        s = iterated_transform(p.series(40), 2, Fraction(3, 2))
+        assert s.backend is RATIONAL
+        assert _bitwise_equal(min_real_part(s, radius, 720), min_real_part_scalar(s, radius, 720))
+
+    def test_block_merge(self):
+        samples = 3 * CIRCLE_BLOCK + 5
+        s = random_herglotz(77).series(12)
+        assert _bitwise_equal(min_real_part(s, 0.9, samples), min_real_part_scalar(s, 0.9, samples))
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            [1, 0.5, complex(math.nan, 0), 0.25],  # one NaN coefficient: NaN everywhere
+            [complex(2, math.nan), 0.5j],  # NaN only in Im c_0: Re stays finite
+            [1, complex(math.inf, math.inf)],  # NaN in two quadrants, +-inf in the others
+        ],
+    )
+    def test_nan_values_are_skipped(self, coeffs):
+        s = TruncatedSeries(coeffs, len(coeffs) - 1)
+        assert _bitwise_equal(min_real_part(s, 0.5, 64), min_real_part_scalar(s, 0.5, 64))
+
+    def test_all_nan_gives_inf(self):
+        s = TruncatedSeries([complex(math.nan, math.nan)] * 3, 2)
+        assert min_real_part(s, 0.5, 64) == math.inf
+
+    def test_first_of_signed_zeros_wins(self):
+        # Re of the constant -0.0 reads +0.0 at z = radius, and -0.0 wherever Re z < 0 < Im z
+        s = TruncatedSeries([complex(-0.0, 0.0)], 0)
+        got = min_real_part(s, 0.5, 64)
+        assert _bitwise_equal(got, 0.0)
+        assert _bitwise_equal(got, min_real_part_scalar(s, 0.5, 64))
+
+    def test_no_per_point_evaluate(self, monkeypatch):
+        s = iterated_transform(random_herglotz(5).series(64), 1, 2.0)
+        expected = min_real_part_scalar(s, 0.99, 720)
+
+        def refuse(self, z):
+            raise AssertionError("min_real_part must not evaluate point by point")
+
+        monkeypatch.setattr(TruncatedSeries, "evaluate", refuse)
+        assert _bitwise_equal(min_real_part(s, 0.99, 720), expected)
 
 
 class TestRandomHerglotz:

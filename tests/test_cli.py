@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: exit codes, formats, streams."""
 
+import hashlib
 import io
 import json
 
@@ -243,3 +244,48 @@ def test_repeat_runs_byte_identical(capsys):
     _, first, _ = run(["verify", "random", *SMALL, "--trials", "60"], capsys)
     _, second, _ = run(["verify", "random", *SMALL, "--trials", "60"], capsys)
     assert first == second
+
+
+# sha256 of stdout for the scalar path (extremal generators, the h_k audit's
+# circle minima, expand's membership check). A deliberate report change
+# re-pins these and says so in CHANGES.md. The float reports go through
+# libm (cmath.exp, pow), so they are pinned for x86-64 Linux with glibc.
+_GOLDEN_FLOAT_DOC = {
+    "backend": "float",
+    "atoms": [
+        {"weight": 0.5, "angle_radians": 0.7},
+        {"weight": 0.25, "angle_radians": 2.0},
+        {"weight": 0.25, "angle_radians": -1.3},
+    ],
+}
+_GOLDEN_RATIONAL_DOC = {
+    "backend": "rational",
+    "atoms": [{"weight": "1/3", "t": "1/2"}, {"weight": "2/3", "t": "-3/4"}],
+}
+_GOLDEN_EXPAND = ["--n", "2", "--alpha", "3/2", "--beta", "1/4", "--order", "24", "--kmax", "8"]
+
+
+@pytest.mark.parametrize(
+    "argv, doc, digest",
+    [
+        (["verify", "hk"], None, "a293b4d2be60677ffa6887be45e0934b6667195f896c4498b7a498b5c810da77"),
+        (["verify", "hk", "--backend", "rational"], None,
+         "ecf134ee765eefcf643348a757de1ae2971ad133b5d7dbb164f28c16c5b4c5d4"),
+        (["verify", "extremal"], None, "2ed47a800b39c0e08497303da4371519a511a8ac38011c62712c0701686a6d67"),
+        (["verify", "extremal", "--backend", "rational"], None,
+         "f0fe53ec7ef477d980602c22f297a8d22000ad9b6ebd0b50dbf36b1e3388604d"),
+        (["expand", *_GOLDEN_EXPAND], _GOLDEN_FLOAT_DOC,
+         "8f80a74eb9b55100da0d8f89da91a52cfac7c5defb95eb3c99210432c974694e"),
+        (["expand", *_GOLDEN_EXPAND], _GOLDEN_RATIONAL_DOC,
+         "609842b420d2936893c9b9d30aebe614b5f6c0219526659256a1d3379da0f263"),
+    ],
+    ids=["hk-float", "hk-rational", "extremal-float", "extremal-rational", "expand-float", "expand-rational"],
+)
+def test_scalar_path_stdout_is_pinned(argv, doc, digest, tmp_path, capsys):
+    if doc is not None:
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        argv = [*argv, "--pspec", str(path)]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
