@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._rational import RationalComplex
+from .reports import fmt_float
 
 
 class Backend:
@@ -50,7 +51,7 @@ class _FloatBackend(Backend):
         return 1 + 0j
 
     def format_scalar(self, x) -> str:
-        return format(float(x), ".17g")
+        return fmt_float(x)
 
 
 class _RationalBackend(Backend):

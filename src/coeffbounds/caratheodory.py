@@ -29,6 +29,8 @@ from .series import TruncatedSeries
 
 _WEIGHT_SUM_TOL = 1e-12
 _UNIMODULAR_TOL = 1e-12
+#: The fields an atom of each backend's documents may carry.
+_ATOM_FIELDS = {"float": {"weight", "angle_radians"}, "rational": {"weight", "t", "x_re", "x_im"}}
 #: Largest atom count of a random generator (the count is uniform on 1..MAX_ATOMS).
 MAX_ATOMS = 4
 #: Most circle points `min_real_part` evaluates in one numpy pass.
@@ -76,8 +78,32 @@ def shift_coefficients(coeffs, beta, one) -> list:
     return [one, *(one_minus * c for c in coeffs[1:])]
 
 
+def check_atom_rows(weights: np.ndarray, points: np.ndarray, counts: np.ndarray) -> None:
+    """The float atom rules over rows whose first counts[t] slots are used.
+
+    Used weights are positive, each row's weights sum to 1 within
+    `_WEIGHT_SUM_TOL` and used points lie within `_UNIMODULAR_TOL` of the
+    unit circle. Each comparison is written so that NaN fails it.
+    """
+    used = np.arange(weights.shape[1]) < counts[:, None]
+    if not (weights[used] > 0).all():
+        raise ValueError("weights must be positive")
+    totals = weights.sum(axis=1)
+    off = ~(np.abs(totals - 1.0) <= _WEIGHT_SUM_TOL)
+    if off.any():
+        raise ValueError(f"weights must sum to 1, got {float(totals[off][0])!r}")
+    used_points = points[used]
+    off = ~(np.abs(np.abs(used_points) - 1.0) <= _UNIMODULAR_TOL)
+    if off.any():
+        raise ValueError(f"point {complex(used_points[off][0])!r} is not unimodular")
+
+
 class HerglotzAtoms:
-    """Finite atomic Herglotz data: positive weights on unimodular points."""
+    """Finite atomic Herglotz data: positive weights on unimodular points.
+
+    Float atoms obey `check_atom_rows`; rational atoms obey the same rules
+    exactly.
+    """
 
     __slots__ = ("backend", "weights", "points")
 
@@ -86,21 +112,17 @@ class HerglotzAtoms:
         points = tuple(backend.coeff(x) for x in points)
         if not weights or len(weights) != len(points):
             raise ValueError("need one weight per point, at least one atom")
-        if any(w <= 0 for w in weights):
-            raise ValueError("weights must be positive")
-        total = sum(weights)
         if backend is RATIONAL:
+            if any(w <= 0 for w in weights):
+                raise ValueError("weights must be positive")
+            total = sum(weights)
             if total != 1:
                 raise ValueError(f"weights must sum to 1 exactly, got {total}")
             for x in points:
                 if x.abs2() != 1:
                     raise ValueError(f"point {x} is not exactly unimodular")
         else:
-            if abs(total - 1.0) > _WEIGHT_SUM_TOL:
-                raise ValueError(f"weights must sum to 1, got {total!r}")
-            for x in points:
-                if abs(abs(x) - 1.0) > _UNIMODULAR_TOL:
-                    raise ValueError(f"point {x!r} is not unimodular")
+            check_atom_rows(np.array([weights]), np.array([points]), np.array([len(weights)]))
         object.__setattr__(self, "backend", backend)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "points", points)
@@ -176,8 +198,8 @@ class HerglotzAtoms:
     def from_document(cls, doc: dict) -> "HerglotzAtoms":
         """Parse an atom document (the inverse of :meth:`to_document`).
 
-        Accepts fraction strings or split numerator/denominator fields for
-        rational weights and t parameters.
+        Rational weights, t parameters and explicit points are fraction
+        strings. An atom field the backend does not read is an error.
         """
         if not isinstance(doc, dict) or "atoms" not in doc:
             raise ValueError("atom document must be an object with an 'atoms' list")
@@ -186,9 +208,15 @@ class HerglotzAtoms:
         if not isinstance(raw, list) or not raw:
             raise ValueError("'atoms' must be a non-empty list")
         weights, points = [], []
+        fields = _ATOM_FIELDS[backend.name]
         for entry in raw:
             if not isinstance(entry, dict):
                 raise ValueError("each atom must be an object")
+            unknown = sorted(set(entry) - fields)
+            if unknown:
+                raise ValueError(f"unknown {backend.name} atom fields {unknown}")
+            if "weight" not in entry:
+                raise ValueError("atom entry missing 'weight'")
             if backend is FLOAT:
                 weights.append(float(entry["weight"]))
                 if "angle_radians" in entry:
@@ -196,9 +224,9 @@ class HerglotzAtoms:
                 else:
                     raise ValueError("float atom needs 'angle_radians'")
             else:
-                weights.append(_read_fraction(entry, "weight"))
-                if "t" in entry or "t_num" in entry:
-                    points.append(unimodular_from_t(_read_fraction(entry, "t")))
+                weights.append(Fraction(str(entry["weight"])))
+                if "t" in entry:
+                    points.append(unimodular_from_t(Fraction(str(entry["t"]))))
                 elif "x_re" in entry and "x_im" in entry:
                     points.append(
                         RationalComplex(Fraction(str(entry["x_re"])), Fraction(str(entry["x_im"])))
@@ -206,15 +234,6 @@ class HerglotzAtoms:
                 else:
                     raise ValueError("rational atom needs 't' or 'x_re'/'x_im'")
         return cls(weights, points, backend=backend)
-
-
-def _read_fraction(entry: dict, key: str) -> Fraction:
-    if key in entry:
-        return Fraction(str(entry[key]))
-    num, den = f"{key}_num", f"{key}_den"
-    if num in entry and den in entry:
-        return Fraction(int(entry[num]), int(entry[den]))
-    raise ValueError(f"atom entry missing {key!r}")
 
 
 def get_doc_backend(doc: dict) -> Backend:
@@ -335,13 +354,13 @@ def _uniforms(key: int, first: int, stop: int) -> np.ndarray:
     return (z >> 11).astype(np.float64) * 2.0**-53
 
 
-def draw_atoms(key: int, start: int, stop: int, max_atoms: int = MAX_ATOMS):
+def draw_atoms(key: int, start: int, stop: int):
     """Atom systems of trials start..stop-1 of stream ``key`` as padded rows.
 
     This is the only random draw in the package. Trial j reads the B = 1 +
-    2 max_atoms uniforms jB .. jB + B - 1 of the stream: the atom count,
-    uniform on 1..max_atoms, then max_atoms angles, uniform on the circle,
-    then max_atoms exponentials; the first count angles and exponentials
+    2 MAX_ATOMS uniforms jB .. jB + B - 1 of the stream: the atom count,
+    uniform on 1..MAX_ATOMS, then MAX_ATOMS angles, uniform on the circle,
+    then MAX_ATOMS exponentials; the first count angles and exponentials
     are used. The weights are the normalized
     exponentials, i.e. uniform on the probability simplex. Every step is
     elementwise per row, so trial j drawn alone (start=j, stop=j+1) is the
@@ -349,43 +368,43 @@ def draw_atoms(key: int, start: int, stop: int, max_atoms: int = MAX_ATOMS):
     arithmetic and so the same on every platform; the atoms go through
     numpy's cos, sin and log1p.
 
-    Returns ``(weights, points, counts)``: (trials, max_atoms) arrays whose
+    Returns ``(weights, points, counts)``: (trials, MAX_ATOMS) arrays whose
     first counts[t] slots of row t are used, padded with weight 0 and point 1.
+    Every row passes `check_atom_rows`.
     """
-    if not isinstance(max_atoms, int) or max_atoms < 1:
-        raise ValueError(f"max_atoms must be a positive integer, got {max_atoms!r}")
     if not 0 <= key < 2**64:
         raise ValueError(f"stream key must be a 64-bit unsigned integer, got {key!r}")
     if not 0 <= start <= stop:
         raise ValueError(f"need 0 <= start <= stop, got {start!r}, {stop!r}")
-    rows, width = stop - start, 1 + 2 * max_atoms
+    rows, width = stop - start, 1 + 2 * MAX_ATOMS
     u = _uniforms(key, start * width, stop * width).reshape(rows, width)
-    counts = np.minimum(1 + (u[:, 0] * max_atoms).astype(np.intp), max_atoms)
-    slots = np.arange(max_atoms)
+    counts = np.minimum(1 + (u[:, 0] * MAX_ATOMS).astype(np.intp), MAX_ATOMS)
+    slots = np.arange(MAX_ATOMS)
     used = slots < counts[:, None]
-    angles = 2.0 * math.pi * u[:, 1 : 1 + max_atoms]
+    angles = 2.0 * math.pi * u[:, 1 : 1 + MAX_ATOMS]
     points = np.where(used, np.cos(angles) + 1j * np.sin(angles), 1.0)
-    raw = np.where(used, -np.log1p(-u[:, 1 + max_atoms :]), 0.0)
+    raw = np.where(used, -np.log1p(-u[:, 1 + MAX_ATOMS :]), 0.0)
     # cumsum adds left to right, so a row sums alike alone or in a block
     weights = raw / np.cumsum(raw, axis=1)[:, -1:]
     # renormalize the last used weight so the sum is exactly 1.0 in floating point
     row, last = np.arange(rows), counts - 1
     rest = np.cumsum(weights, axis=1)[row, last - 1]
     weights[row, last] = 1.0 - np.where(last > 0, rest, 0.0)
+    check_atom_rows(weights, points, counts)
     return weights, points, counts
 
 
-def trial_atoms(key: int, trial: int, max_atoms: int = MAX_ATOMS) -> HerglotzAtoms:
+def trial_atoms(key: int, trial: int) -> HerglotzAtoms:
     """The atoms of one trial of stream ``key``: the one-row draw trial..trial+1."""
-    weights, points, counts = draw_atoms(key, trial, trial + 1, max_atoms)
+    weights, points, counts = draw_atoms(key, trial, trial + 1)
     used = counts[0]
     return HerglotzAtoms(weights[0, :used].tolist(), points[0, :used].tolist())
 
 
-def random_herglotz(seed: int, max_atoms: int = MAX_ATOMS) -> HerglotzAtoms:
+def random_herglotz(seed: int) -> HerglotzAtoms:
     """Deterministic random atom system on the float backend.
 
     The atoms are trial 0 of the stream keyed by ``seed`` (0 <= seed <
     2^64), so the same seed always yields the same atoms.
     """
-    return trial_atoms(seed, 0, max_atoms)
+    return trial_atoms(seed, 0)

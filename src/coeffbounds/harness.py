@@ -28,7 +28,7 @@ from .bounds import (
     small_alpha_bound,
     verify_membership,
 )
-from .caratheodory import HerglotzAtoms, get_doc_backend
+from .caratheodory import HerglotzAtoms, get_doc_backend, trial_atoms
 from .caratheodory import min_real_part as series_min_real_part
 from .reports import SuiteEntry, SuiteReport, fmt_float
 from .schemes import build_hk, check_gamma_identity, compare_even_constants, gamma_identity_residuals
@@ -60,6 +60,18 @@ def tail_bound(radius: float, order: int) -> float:
     2 r^(order+1) / (1 - r).
     """
     return 2.0 * radius ** (order + 1) / (1.0 - radius)
+
+
+def _check_series_settings(k_max, order, radius, samples):
+    """The truncation and circle-sampling settings of `run_hk_audit` and `run_expand`."""
+    if not isinstance(k_max, int) or k_max < 2:
+        raise UsageError(f"k_max must be an integer >= 2, got {k_max!r}")
+    if not isinstance(order, int) or order < k_max:
+        raise UsageError(f"order must be an integer >= k_max, got {order!r}")
+    if not 0 < radius < 1:
+        raise UsageError(f"radius must lie in (0, 1), got {radius!r}")
+    if not isinstance(samples, int) or samples < 8:
+        raise UsageError(f"need at least 8 samples, got {samples!r}")
 
 
 @dataclass(frozen=True)
@@ -247,7 +259,8 @@ def run_extremal_suite(grid: GridSpec, backend: Backend = FLOAT):
 
 # -- randomized suites ------------------------------------------------------
 
-def _sweep_reports(grid, backend, suite, sweep, witness_of):
+def _sweep_reports(grid, backend, suite, sweep):
+    """One report per grid point; a failing point's witness is its first violation."""
     reports = []
     for n, alpha, beta in grid.points():
         start = time.perf_counter()
@@ -295,7 +308,16 @@ def _sweep_reports(grid, backend, suite, sweep, witness_of):
         witness = None
         if outcome.violations:
             trial, k, margin = outcome.violations[0]
-            witness = witness_of(grid, n, alpha, beta, trial, k, margin)
+            witness = {
+                "trial": trial,
+                "k": k,
+                "margin": fmt_float(margin),
+                "stream_keys": outcome.stream_keys,
+                "atoms": {
+                    role: trial_atoms(key, trial).to_document()
+                    for role, key in outcome.stream_keys.items()
+                },
+            }
         reports.append(
             SuiteReport(
                 suite=suite,
@@ -314,18 +336,7 @@ def run_random_suite(grid: GridSpec, backend: Backend = FLOAT):
     """Random generators never exceed the sharp bound (dominance check)."""
     _require_float(backend, "random")
     _require_alpha_gt1(grid.alpha_values, "random")
-
-    def witness_of(grid, n, alpha, beta, trial, k, margin):
-        atoms = sweeps.dominance_witness(grid.seed, n, alpha, beta, trial)
-        return {
-            "trial": trial,
-            "k": k,
-            "margin": fmt_float(margin),
-            "stream_key": sweeps.stream_key(grid.seed, "random", n, alpha, beta),
-            "atoms": atoms.to_document(),
-        }
-
-    return _sweep_reports(grid, backend, "random", sweeps.dominance_sweep, witness_of)
+    return _sweep_reports(grid, backend, "random", sweeps.dominance_sweep)
 
 
 def run_nehari_suite(grid: GridSpec, backend: Backend = FLOAT):
@@ -339,25 +350,7 @@ def run_nehari_suite(grid: GridSpec, backend: Backend = FLOAT):
     the suite reports it honestly rather than weakening the check.
     """
     _require_float(backend, "nehari")
-
-    def witness_of(grid, n, alpha, beta, trial, k, margin):
-        h_atoms, p_atoms, q_atoms = sweeps.nehari_witness(grid.seed, n, alpha, beta, trial)
-        return {
-            "trial": trial,
-            "k": k,
-            "margin": fmt_float(margin),
-            "stream_keys": {
-                role: sweeps.stream_key(grid.seed, f"nehari:{role}", n, alpha, beta)
-                for role in ("h", "p", "q")
-            },
-            "atoms": {
-                "h": h_atoms.to_document(),
-                "p": p_atoms.to_document(),
-                "q": q_atoms.to_document(),
-            },
-        }
-
-    return _sweep_reports(grid, backend, "nehari", sweeps.nehari_sweep, witness_of)
+    return _sweep_reports(grid, backend, "nehari", sweeps.nehari_sweep)
 
 
 # -- h_k audit ---------------------------------------------------------------
@@ -386,10 +379,7 @@ def run_hk_audit(
     if not alpha_values:
         raise UsageError("empty alpha list")
     _require_alpha_gt1(alpha_values, "hk")
-    if not isinstance(k_max, int) or k_max < 2:
-        raise UsageError(f"k_max must be an integer >= 2, got {k_max!r}")
-    if not isinstance(order, int) or order < k_max:
-        raise UsageError(f"order must be an integer >= k_max, got {order!r}")
+    _check_series_settings(k_max, order, radius, samples)
     tail = tail_bound(radius, order)
     reports = []
     for alpha in alpha_values:
@@ -557,6 +547,7 @@ def run_expand(
     in which case a mismatch is a usage error. The defaults are the ones
     ``coeffbounds expand`` uses.
     """
+    _check_series_settings(k_max, order, radius, samples)
     try:
         doc_backend = get_doc_backend(doc)
         atoms = HerglotzAtoms.from_document(doc)
@@ -567,10 +558,6 @@ def run_expand(
             f"document is on the {doc_backend.name} backend but --backend {backend.name} was given"
         )
     backend = doc_backend
-    if not isinstance(k_max, int) or k_max < 2:
-        raise UsageError(f"k_max must be an integer >= 2, got {k_max!r}")
-    if not isinstance(order, int) or order < k_max:
-        raise UsageError(f"order must be an integer >= k_max, got {order!r}")
     try:
         params = ClassParams(n, backend.scalar(alpha), backend.scalar(beta))
     except (ValueError, TypeError) as exc:

@@ -1,38 +1,40 @@
 """Vectorized random-trial sweeps for the verification suites.
 
 The randomized suites run thousands of generator trials per parameter
-point. `sample_atoms` draws the trials straight into zero-padded
-``(trials, max_atoms)`` weight and point arrays (padding: weight 0, point
-1) with `caratheodory.draw_atoms`, the package's one random draw, and
-checks them with the `HerglotzAtoms` rules vectorized over the rows. The
-margins then split those arrays into per-atom numpy columns and feed them
-to the library's own coefficient kernels (the atom series, the transform,
-the beta shift, the real power, the gamma ladder and the Nehari sum): the
-scalar series classes and the sweeps run one implementation of every
-recurrence, on backend scalars or on columns holding one value per trial.
-Besides sampling, this module adds only the bounds, the stacking of the
-margins into ``(trials, k)`` arrays and the summary.
+point. Each sweep draws its trials with `caratheodory.draw_atoms`, the
+package's one random draw, which returns zero-padded ``(trials,
+MAX_ATOMS)`` weight and point arrays (padding: weight 0, point 1) that
+already pass the float `HerglotzAtoms` rules. The margins split those
+arrays into per-atom numpy columns and feed them to the library's own
+coefficient kernels (the atom series, the transform, the beta shift, the
+real power, the gamma ladder and the Nehari sum): the scalar series
+classes and the sweeps run one implementation of every recurrence, on
+backend scalars or on columns holding one value per trial. Besides the
+stream keys, this module adds only the claimed Nehari bound, the stacking
+of the margins into ``(trials, k)`` arrays and the summary.
 
 Trials are processed in chunks of `CHUNK_TRIALS`, so memory stays flat in
 the trial count. Each sweep keeps the worst margin (the first occurrence,
 as ``np.argmin`` over all trials would give), the total number of
 violations (margins below ``-bounds.SLACK``) and only the first five of
 them in (trial, k) order.
-`HerglotzAtoms` are built only to rebuild a witness.
 
-Seed contract: the trials of a suite at a parameter point read one
+Seed contract: each role of a suite at a parameter point reads one
 counter-based atom stream whose 64-bit key is
 
-    key = blake2b("{suite}|{seed}|{n}|{alpha}|{beta}|", digest_size=8)
+    key = blake2b("{label}|{seed}|{n}|{alpha}|{beta}|", digest_size=8)
 
-interpreted big-endian (`stream_key`; nehari draws three streams, with
-the suites "nehari:h", "nehari:p" and "nehari:q"). Uniform i of trial j is
-the SplitMix64 finalizer of ``key + (j B + i + 1) * 0x9E3779B97F4A7C15``
-(mod 2^64) with ``B = 1 + 2 max_atoms`` uniforms per trial; see
-`caratheodory.draw_atoms` for how they become atoms. A block of trials is
-one pass of numpy array operations, chunked and unchunked runs agree bit
-for bit, and a failure report's (stream key, trial) pair is enough to
-rebuild the offending generators with `caratheodory.trial_atoms`.
+interpreted big-endian (`stream_key`), where `STREAM_LABELS` maps the
+role to its label: the dominance sweep's one role "random" reads
+"random", and the nehari sweep's roles h, p and q read "nehari:h",
+"nehari:p" and "nehari:q". Uniform i of trial j is the SplitMix64
+finalizer of ``key + (j B + i + 1) * 0x9E3779B97F4A7C15`` (mod 2^64) with
+``B = 1 + 2 MAX_ATOMS`` uniforms per trial; see `caratheodory.draw_atoms`
+for how they become atoms. A block of trials is one pass of numpy array
+operations, and chunked and unchunked runs agree bit for bit. A sweep's
+`SweepOutcome` carries its role -> key map, and a (stream key, trial)
+pair is enough to rebuild the trial's atoms with
+`caratheodory.trial_atoms`.
 """
 
 from __future__ import annotations
@@ -44,18 +46,13 @@ from fractions import Fraction
 import numpy as np
 
 from .backends import FLOAT
-from .bounds import SLACK
+from .bounds import SLACK, ClassParams, sharp_bound
 from .caratheodory import (
-    _UNIMODULAR_TOL,
-    _WEIGHT_SUM_TOL,
-    MAX_ATOMS,
-    HerglotzAtoms,
     atom_coefficients,
     draw_atoms,
     half_hadamard_coefficients,
     shift_coefficients,
     transform_coefficients,
-    trial_atoms,
 )
 from .schemes import gamma_ladder, nehari_coefficients
 from .series import real_power_coefficients
@@ -73,37 +70,20 @@ def stream_key(seed: int, suite: str, n: int, alpha, beta) -> int:
     return int.from_bytes(hashlib.blake2b(label.encode("ascii"), digest_size=8).digest(), "big")
 
 
+#: The stream label each sampling role reads; see the seed contract above.
+STREAM_LABELS = {"random": "random", "h": "nehari:h", "p": "nehari:p", "q": "nehari:q"}
+
+
+def _stream_keys(seed: int, roles, n: int, alpha, beta) -> dict:
+    return {role: stream_key(seed, STREAM_LABELS[role], n, alpha, beta) for role in roles}
+
+
 CHUNK_TRIALS = 4096
 _MAX_LISTED_VIOLATIONS = 5
 
 
-def sample_atoms(
-    seed: int, suite: str, n: int, alpha, beta, start: int, stop: int, max_atoms: int = MAX_ATOMS
-):
-    """Checked atoms of trials start..stop-1 as zero-padded (weights, points) rows."""
-    key = stream_key(seed, suite, n, alpha, beta)
-    weights, points, counts = draw_atoms(key, start, stop, max_atoms)
-    check_atom_rows(weights, points, counts)
-    return weights, points
-
-
-def check_atom_rows(weights: np.ndarray, points: np.ndarray, counts: np.ndarray) -> None:
-    """The float `HerglotzAtoms` checks, over rows whose first counts[t] slots are used."""
-    used = np.arange(weights.shape[1]) < counts[:, None]
-    if not (weights[used] > 0).all():
-        raise ValueError("weights must be positive")
-    totals = weights.sum(axis=1)
-    off = ~(np.abs(totals - 1.0) <= _WEIGHT_SUM_TOL)
-    if off.any():
-        raise ValueError(f"weights must sum to 1, got {float(totals[off][0])!r}")
-    used_points = points[used]
-    off = ~(np.abs(np.abs(used_points) - 1.0) <= _UNIMODULAR_TOL)
-    if off.any():
-        raise ValueError(f"point {complex(used_points[off][0])!r} is not unimodular")
-
-
 def _columns(atoms) -> tuple:
-    """Split (trials, max_atoms) weight and point arrays into per-atom columns."""
+    """Split (trials, MAX_ATOMS) weight and point arrays into per-atom columns."""
     return tuple(list(np.ascontiguousarray(a.T)) for a in atoms)
 
 
@@ -118,6 +98,7 @@ class SweepOutcome:
 
     trials: int
     k_values: tuple
+    stream_keys: dict  # role -> key of the atom stream the role's trials read
     worst_trial: int
     worst_k: int
     worst_margin: float
@@ -125,7 +106,7 @@ class SweepOutcome:
     violation_count: int  # all such rows
 
 
-def _chunked_sweep(trials: int, k_values: np.ndarray, margins_of) -> SweepOutcome:
+def _chunked_sweep(trials: int, k_values: np.ndarray, stream_keys: dict, margins_of) -> SweepOutcome:
     """Summarize ``margins_of(start, stop)`` over the trials, one chunk at a time."""
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials!r}")
@@ -147,6 +128,7 @@ def _chunked_sweep(trials: int, k_values: np.ndarray, margins_of) -> SweepOutcom
     return SweepOutcome(
         trials=trials,
         k_values=tuple(int(k) for k in k_values),
+        stream_keys=stream_keys,
         worst_trial=worst_trial,
         worst_k=int(k_values[worst_i]),
         worst_margin=float(worst),
@@ -162,11 +144,12 @@ def dominance_sweep(seed: int, n: int, alpha: float, beta: float, trials: int, k
     k_max - 1, and truncation is exact on leading coefficients, so the sweep
     runs at that reduced order.
     """
-    def margins_of(start, stop):
-        atoms = sample_atoms(seed, "random", n, alpha, beta, start, stop)
-        return dominance_margins(*atoms, n, alpha, beta, k_max)
+    keys = _stream_keys(seed, ("random",), n, alpha, beta)
 
-    return _chunked_sweep(trials, np.arange(2, k_max + 1), margins_of)
+    def margins_of(start, stop):
+        return dominance_margins(*draw_atoms(keys["random"], start, stop)[:2], n, alpha, beta, k_max)
+
+    return _chunked_sweep(trials, np.arange(2, k_max + 1), keys, margins_of)
 
 
 def dominance_margins(
@@ -177,14 +160,9 @@ def dominance_margins(
     b = _generator_coefficients((weights, points), k_max - 1)
     g = shift_coefficients(transform_coefficients(b, alpha, n), beta, FLOAT.one)
     u = real_power_coefficients(g, 1 / alpha, FLOAT.one, FLOAT.zero)
-    k = np.arange(2, k_max + 1)
-    bound = 2.0 * (1.0 - beta) * alpha ** (n - 1) / (alpha + k - 1.0) ** n
+    params = ClassParams(n, alpha, beta)
+    bound = np.array([sharp_bound(params, k) for k in range(2, k_max + 1)])
     return bound - np.abs(np.stack(u[1:], axis=1))
-
-
-def dominance_witness(seed: int, n: int, alpha, beta, trial: int) -> HerglotzAtoms:
-    """Rebuild the generator a dominance-sweep trial used."""
-    return trial_atoms(stream_key(seed, "random", n, alpha, beta), trial)
 
 
 def nehari_sweep(seed: int, n: int, alpha: float, beta: float, trials: int, k_max: int) -> SweepOutcome:
@@ -197,14 +175,13 @@ def nehari_sweep(seed: int, n: int, alpha: float, beta: float, trials: int, k_ma
     negative rows are genuine counterexamples to the claimed bound (expected
     for n >= 1 — see the audit notes in the verification harness).
     """
+    keys = _stream_keys(seed, ("h", "p", "q"), n, alpha, beta)
+
     def margins_of(start, stop):
-        h, p, q = (
-            sample_atoms(seed, role, n, alpha, beta, start, stop)
-            for role in ("nehari:h", "nehari:p", "nehari:q")
-        )
+        h, p, q = (draw_atoms(key, start, stop)[:2] for key in keys.values())
         return nehari_margins(h, p, q, n, alpha, beta, k_max)
 
-    return _chunked_sweep(trials, np.arange(1, k_max + 1), margins_of)
+    return _chunked_sweep(trials, np.arange(1, k_max + 1), keys, margins_of)
 
 
 def nehari_margins(h, p, q, n: int, alpha: float, beta: float, k_max: int) -> np.ndarray:
@@ -224,10 +201,3 @@ def nehari_margins(h, p, q, n: int, alpha: float, beta: float, k_max: int) -> np
     bound = 2.0 * (1.0 - beta) * alpha**n / (alpha + k.astype(np.float64)) ** n
     return bound - np.abs(np.stack(A[1:], axis=1))
 
-
-def nehari_witness(seed: int, n: int, alpha, beta, trial: int):
-    """Rebuild the (h, p, q) atom systems a nehari-sweep trial used."""
-    return tuple(
-        trial_atoms(stream_key(seed, role, n, alpha, beta), trial)
-        for role in ("nehari:h", "nehari:p", "nehari:q")
-    )

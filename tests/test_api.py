@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import coeffbounds
-from coeffbounds import FLOAT, RATIONAL, ClassParams, GammaScheme, bounds, harness, schemes, sweeps
+from coeffbounds import FLOAT, RATIONAL, ClassParams, GammaScheme, bounds, caratheodory, harness, schemes, sweeps
 
 REMOVED_EXPORTS = ("make_series", "kernel_series", "TransformParams", "a_k_direct")
 
@@ -44,6 +44,11 @@ def test_removed_name_is_not_exported(name):
         (bounds, "a_k_direct"),
         (sweeps, "trial_seed"),
         (sweeps, "_keyed_seed"),
+        (sweeps, "sample_atoms"),
+        (sweeps, "check_atom_rows"),
+        (sweeps, "dominance_witness"),
+        (sweeps, "nehari_witness"),
+        (caratheodory, "_read_fraction"),
     ],
 )
 def test_removed_attribute_is_gone(owner, name):
@@ -62,8 +67,10 @@ def test_removed_attribute_is_gone(owner, name):
         (sweeps._chunked_sweep, "slack"),
         (sweeps.dominance_sweep, "max_atoms"),
         (sweeps.nehari_sweep, "max_atoms"),
-        (sweeps.dominance_witness, "max_atoms"),
-        (sweeps.nehari_witness, "max_atoms"),
+        (caratheodory.draw_atoms, "max_atoms"),
+        (caratheodory.trial_atoms, "max_atoms"),
+        (caratheodory.random_herglotz, "max_atoms"),
+        (harness._sweep_reports, "witness_of"),
         (schemes.check_gamma_identity, "alpha"),
         (schemes.check_gamma_identity, "tol"),
         (schemes.gamma_identity_residuals, "alpha"),
@@ -88,6 +95,14 @@ def test_module_does_not_import_random(path):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             imported.add(node.module.split(".")[0])
     assert "random" not in imported
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
+def test_atom_tolerances_live_in_caratheodory(path):
+    # the float atom rules read them in one place, `caratheodory.check_atom_rows`
+    text = path.read_text()
+    named = any(name in text for name in ("_WEIGHT_SUM_TOL", "_UNIMODULAR_TOL"))
+    assert named == (path.name == "caratheodory.py")
 
 
 def test_sweeps_leave_numpy_random_unimported():

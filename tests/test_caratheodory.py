@@ -291,3 +291,15 @@ class TestDocuments:
             HerglotzAtoms([1.5], [1.0])  # weight sum
         with pytest.raises(ValueError):
             HerglotzAtoms([-0.5, 1.5], [1.0, -1.0])  # negative weight
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_atoms_rejected(self, bad):
+        # NaN and infinite values fail the float rules, as in the sweeps' row checks
+        with pytest.raises(ValueError, match="positive|sum to 1"):
+            HerglotzAtoms([bad], [1.0])
+        with pytest.raises(ValueError, match="positive|sum to 1"):
+            HerglotzAtoms([0.5, bad], [1.0, -1.0])
+        with pytest.raises(ValueError, match="unimodular"):
+            HerglotzAtoms.from_angles([0.5, 0.5], [0.0, bad])
+        with pytest.raises(ValueError, match="unimodular"):
+            HerglotzAtoms([1.0], [complex(bad, 0.0)])

@@ -150,6 +150,16 @@ class TestVerifyOutput:
         assert "section=even-constants" in err
         assert "digit slip" in out
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--radius", "2"], ["--radius", "nan"], ["--samples", "3"]],
+        ids=["radius-2", "radius-nan", "samples-3"],
+    )
+    def test_hk_out_of_range_circle_settings(self, flags, capsys):
+        code, out, err = run(["verify", "hk", "--alpha", "2", "--kmax", "4", *flags], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error:")
+
     def test_out_file_byte_identical(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -215,6 +225,41 @@ class TestExpandCommand:
         code, _, err = run(args, capsys)
         assert code == 2
         assert "usage error" in err
+
+    @pytest.mark.parametrize(
+        "atom",
+        [
+            {"weight": float("nan"), "angle_radians": 0.1},
+            {"weight": float("inf"), "angle_radians": 0.1},
+            {"weight": 1.0, "angle_radians": float("nan")},
+            {"weight": 1.0, "angle_radians": float("inf")},
+        ],
+        ids=["nan-weight", "inf-weight", "nan-angle", "inf-angle"],
+    )
+    def test_non_finite_float_atom_is_usage_error(self, atom, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"backend": "float", "atoms": [atom]}))
+        code, out, err = run(self.expand_args(str(path)), capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: invalid generator document")
+
+    def test_split_fraction_fields_are_usage_errors(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        atom = {"weight_num": 1, "weight_den": 1, "t_num": 1, "t_den": 2}
+        path.write_text(json.dumps({"backend": "rational", "atoms": [atom]}))
+        code, out, err = run(self.expand_args(str(path)), capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: invalid generator document")
+        path.write_text(json.dumps({"backend": "rational", "atoms": [{"weight": "1", "t": "1/2", "t_den": 2}]}))
+        assert run(self.expand_args(str(path)), capsys)[0] == 2
+
+    @pytest.mark.parametrize(
+        "flags", [["--radius", "1.5"], ["--samples", "2"]], ids=["radius-1.5", "samples-2"]
+    )
+    def test_out_of_range_circle_settings(self, flags, tmp_path, capsys):
+        code, out, err = run([*self.expand_args(str(self.doc_path(tmp_path))), *flags], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error:")
 
     def test_library_call_matches_command(self, tmp_path, capsys):
         # the library and the command share every default, the membership radius included
@@ -288,4 +333,22 @@ def test_scalar_path_stdout_is_pinned(argv, doc, digest, tmp_path, capsys):
         argv = [*argv, "--pspec", str(path)]
     code, out, _ = run(argv, capsys)
     assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of stdout for the sweep path: the sampled margins, the violation
+# rows and the nehari witness document with its stream keys and atoms.
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    [
+        (["verify", "nehari", *SMALL, "--trials", "150", "--format", "json"], 1,
+         "9e9fcdf234921fdb203f6951ca5468813d97a0cc2cc0f4cb403baadedc0073c1"),
+        (["verify", "random", *SMALL, "--trials", "60"], 0,
+         "bd7ebc88d149b3722a44e6dedb3e245d95b61d449f13ffb2919d1065cbffdba3"),
+    ],
+    ids=["nehari-json-witness", "random-csv"],
+)
+def test_sweep_path_stdout_is_pinned(argv, code, digest, capsys):
+    got, out, _ = run(argv, capsys)
+    assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest

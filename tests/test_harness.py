@@ -138,9 +138,10 @@ class TestRandomSuite:
         # the bound holds here, so count every margin below 10 as a violation
         monkeypatch.setattr(sweeps, "SLACK", -10.0)
         w = run_random_suite(small_grid(n_values=(1,)))[0].witness
-        assert set(w) == {"trial", "k", "margin", "stream_key", "atoms"}
-        atoms = trial_atoms(w["stream_key"], w["trial"])
-        assert atoms.to_document() == w["atoms"]
+        assert set(w) == {"trial", "k", "margin", "stream_keys", "atoms"}
+        assert set(w["stream_keys"]) == set(w["atoms"]) == {"random"}
+        atoms = trial_atoms(w["stream_keys"]["random"], w["trial"])
+        assert atoms.to_document() == w["atoms"]["random"]
         margins = dominance_margins_scalar(atoms, 1, 2.0, 0.0, 8)
         assert margins[w["k"] - 2] == pytest.approx(float(w["margin"]), abs=1e-12)
 

@@ -11,6 +11,7 @@ from coeffbounds import (
     RATIONAL,
     ClassParams,
     TruncatedSeries,
+    caratheodory,
     constant_one,
     f_from_p,
     gammas_from_coefficients,
@@ -25,6 +26,7 @@ from coeffbounds.caratheodory import (
     MAX_ATOMS,
     _uniforms,
     atom_coefficients,
+    check_atom_rows,
     draw_atoms,
     half_hadamard_coefficients,
     shift_coefficients,
@@ -35,15 +37,12 @@ from coeffbounds.schemes import gamma_ladder, nehari_coefficients
 from coeffbounds.series import cauchy_coefficients, real_power_coefficients
 from coeffbounds.sweeps import (
     CHUNK_TRIALS,
+    STREAM_LABELS,
     _chunked_sweep,
-    check_atom_rows,
     dominance_margins,
     dominance_sweep,
-    dominance_witness,
     nehari_margins,
     nehari_sweep,
-    nehari_witness,
-    sample_atoms,
     stream_key,
 )
 from oracles import a_k_direct, dominance_margins_scalar, nehari_margins_scalar
@@ -51,13 +50,23 @@ from oracles import a_k_direct, dominance_margins_scalar, nehari_margins_scalar
 NEHARI_ROLES = ("nehari:h", "nehari:p", "nehari:q")
 
 
-def reference_atoms(seed, suite, n, alpha, beta, trials, max_atoms=4):
+def rows(seed, suite, n, alpha, beta, start, stop):
+    """Zero-padded (weights, points) rows of trials start..stop-1 of one suite's stream."""
+    return draw_atoms(stream_key(seed, suite, n, alpha, beta), start, stop)[:2]
+
+
+def witness(seed, roles, n, alpha, beta, trial):
+    """The atoms trial ``trial`` of each role's stream rebuilds to."""
+    return [trial_atoms(stream_key(seed, role, n, alpha, beta), trial) for role in roles]
+
+
+def reference_atoms(seed, suite, n, alpha, beta, trials):
     """All trials at once, packed from the one-row rebuild of each trial."""
     key = stream_key(seed, suite, n, alpha, beta)
-    weights = np.zeros((trials, max_atoms))
-    points = np.ones((trials, max_atoms), dtype=complex)
+    weights = np.zeros((trials, MAX_ATOMS))
+    points = np.ones((trials, MAX_ATOMS), dtype=complex)
     for t in range(trials):
-        atoms = trial_atoms(key, t, max_atoms)
+        atoms = trial_atoms(key, t)
         weights[t, : len(atoms)] = atoms.weights
         points[t, : len(atoms)] = atoms.points
     return weights, points
@@ -129,23 +138,22 @@ class TestTrialSeed:
 
 class TestSampler:
     @pytest.mark.parametrize("suite", ["random", *NEHARI_ROLES])
-    @pytest.mark.parametrize("max_atoms", [1, 2, 3, 4])
-    def test_rows_equal_random_herglotz(self, suite, max_atoms):
+    def test_rows_equal_random_herglotz(self, suite):
         # chunked rows equal the one-row rebuild of every trial, across chunk boundaries
         seed, n, alpha, beta = 2**40 + 3, 2, 1.5, 0.25
         key = stream_key(seed, suite, n, alpha, beta)
         trials = 2 * CHUNK_TRIALS + 7
         for start in range(0, trials, CHUNK_TRIALS):
             stop = min(start + CHUNK_TRIALS, trials)
-            weights, points = sample_atoms(seed, suite, n, alpha, beta, start, stop, max_atoms)
-            assert weights.shape == points.shape == (stop - start, max_atoms)
+            weights, points = rows(seed, suite, n, alpha, beta, start, stop)
+            assert weights.shape == points.shape == (stop - start, MAX_ATOMS)
             for j in range(stop - start):
-                w, x, c = draw_atoms(key, start + j, start + j + 1, max_atoms)
+                w, x, c = draw_atoms(key, start + j, start + j + 1)
                 assert np.array_equal(weights[j], w[0]) and np.array_equal(points[j], x[0])
                 assert (w[0, c[0] :] == 0.0).all() and (x[0, c[0] :] == 1.0).all()
             if start == 0:
                 # trial 0 of a stream is random_herglotz of its key
-                atoms = random_herglotz(key, max_atoms)
+                atoms = random_herglotz(key)
                 c = len(atoms)
                 assert tuple(weights[0, :c]) == atoms.weights
                 assert tuple(points[0, :c]) == atoms.points
@@ -162,8 +170,8 @@ class TestSampler:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             draw_atoms(2**64 - 1, 10**12, 10**12 + 3)
-            draw_atoms(0, 0, 1, 1)
-            sample_atoms(2**40 + 3, "nehari:q", 3, 5.0, 0.5, 0, 100)
+            draw_atoms(0, 0, 1)
+            draw_atoms(stream_key(2**40 + 3, "nehari:q", 3, 5.0, 0.5), 0, 100)
 
     def test_distribution(self):
         weights, points, counts = draw_atoms(stream_key(11, "random", 1, 2.0, 0.0), 0, 40_000)
@@ -173,15 +181,31 @@ class TestSampler:
         assert abs(points[used].mean()) < 0.02
 
     def test_roles_draw_different_rows(self):
-        rows = [sample_atoms(9, role, 1, 2.0, 0.0, 4, 5)[1][0] for role in NEHARI_ROLES]
-        assert not any(np.array_equal(a, b) for i, a in enumerate(rows) for b in rows[i + 1 :])
+        drawn = [rows(9, role, 1, 2.0, 0.0, 4, 5)[1][0] for role in NEHARI_ROLES]
+        assert not any(np.array_equal(a, b) for i, a in enumerate(drawn) for b in drawn[i + 1 :])
 
-    @pytest.mark.parametrize(
-        "key, start, stop, max_atoms", [(-1, 0, 1, 4), (2**64, 0, 1, 4), (5, 3, 2, 4), (5, -1, 1, 4), (5, 0, 1, 0)]
-    )
-    def test_draw_rejects_bad_arguments(self, key, start, stop, max_atoms):
+    def test_stream_labels_name_the_roles(self):
+        assert STREAM_LABELS == {"random": "random", "h": "nehari:h", "p": "nehari:p", "q": "nehari:q"}
+        seed, n, alpha, beta = 9, 1, 2.0, 0.0
+        assert dominance_sweep(seed, n, alpha, beta, 5, 6).stream_keys == {
+            "random": stream_key(seed, "random", n, alpha, beta)
+        }
+        assert nehari_sweep(seed, n, alpha, beta, 5, 6).stream_keys == {
+            role: stream_key(seed, f"nehari:{role}", n, alpha, beta) for role in "hpq"
+        }
+
+    @pytest.mark.parametrize("key, start, stop", [(-1, 0, 1), (2**64, 0, 1), (5, 3, 2), (5, -1, 1)])
+    def test_draw_rejects_bad_arguments(self, key, start, stop):
         with pytest.raises(ValueError):
-            draw_atoms(key, start, stop, max_atoms)
+            draw_atoms(key, start, stop)
+
+    def test_draw_checks_its_rows(self, monkeypatch):
+        def refuse(weights, points, counts):
+            raise ValueError("rows checked")
+
+        monkeypatch.setattr(caratheodory, "check_atom_rows", refuse)
+        with pytest.raises(ValueError, match="rows checked"):
+            draw_atoms(5, 0, 3)
 
     def test_checks_accept_padded_rows(self):
         weights = np.array([[0.25, 0.75, 0.0], [1.0, 0.0, 0.0]])
@@ -228,7 +252,7 @@ class TestChunking:
         k_values = np.arange(2, 5)
 
         def run():
-            return _chunked_sweep(self.trials, k_values, lambda a, b: margins[a:b])
+            return _chunked_sweep(self.trials, k_values, {}, lambda a, b: margins[a:b])
 
         # two violations in the first chunk, then the listed ones cross into later chunks
         c = CHUNK_TRIALS
@@ -340,10 +364,10 @@ class TestDominance:
 
     def test_vectorized_equals_scalar_pipeline(self):
         seed, n, alpha, beta, k_max = 42, 2, 1.5, 0.25, 12
-        margins = dominance_margins(*sample_atoms(seed, "random", n, alpha, beta, 0, 8), n, alpha, beta, k_max)
+        margins = dominance_margins(*rows(seed, "random", n, alpha, beta, 0, 8), n, alpha, beta, k_max)
         params = ClassParams(n, alpha, beta)
         for t in range(8):
-            atoms = dominance_witness(seed, n, alpha, beta, t)
+            (atoms,) = witness(seed, ["random"], n, alpha, beta, t)
             # the independent route: the nested binomial expansion, no root-taking
             p = atoms.series(k_max - 1)
             direct = [
@@ -357,8 +381,8 @@ class TestDominance:
         assert out.worst_margin == margins.min()
 
     def test_witness_reconstruction(self):
-        atoms = dominance_witness(1729, 1, 2.0, 0.0, 123)
-        weights, points = sample_atoms(1729, "random", 1, 2.0, 0.0, 100, 200)
+        (atoms,) = witness(1729, ["random"], 1, 2.0, 0.0, 123)
+        weights, points = rows(1729, "random", 1, 2.0, 0.0, 100, 200)
         c = len(atoms)
         assert atoms.weights == tuple(weights[23, :c]) and atoms.points == tuple(points[23, :c])
         assert (weights[23, c:] == 0.0).all()
@@ -383,12 +407,12 @@ class TestNehari:
     def test_vectorized_equals_scalar_pipeline(self):
         seed, n, alpha, beta, k_max = 11, 1, 2.0, 0.25, 10
         for t in range(5):
-            h_at, p_at, q_at = nehari_witness(seed, n, alpha, beta, t)
+            h_at, p_at, q_at = witness(seed, NEHARI_ROLES, n, alpha, beta, t)
             scal = nehari_margins_scalar(h_at, p_at, q_at, n, alpha, beta, k_max)
             assert len(scal) == k_max
         out = nehari_sweep(seed, n, alpha, beta, 5, k_max)
         worst_scalar = min(
-            min(nehari_margins_scalar(*nehari_witness(seed, n, alpha, beta, t), n, alpha, beta, k_max))
+            min(nehari_margins_scalar(*witness(seed, NEHARI_ROLES, n, alpha, beta, t), n, alpha, beta, k_max))
             for t in range(5)
         )
         assert out.worst_margin == pytest.approx(worst_scalar, abs=1e-12)
@@ -397,7 +421,7 @@ class TestNehari:
         out = nehari_sweep(1729, 2, 5.0, 0.25, 100, 12)
         assert out.violations
         scal = nehari_margins_scalar(
-            *nehari_witness(1729, 2, 5.0, 0.25, out.worst_trial), 2, 5.0, 0.25, 12
+            *witness(1729, NEHARI_ROLES, 2, 5.0, 0.25, out.worst_trial), 2, 5.0, 0.25, 12
         )
         assert scal[out.worst_k - 1] == pytest.approx(out.worst_margin, abs=1e-12)
 
@@ -406,8 +430,8 @@ class TestNehari:
         # --trials 4000 --seed 2288874184` flags (README, "Known limits"): the
         # float margin is below -SLACK, the same atoms in exact rationals are in bound
         seed, trial, k = 2288874184, 2921, 16
-        rows = [sample_atoms(seed, role, 0, 2.0, 0.0, trial, trial + 1) for role in NEHARI_ROLES]
-        assert nehari_margins(*rows, 0, 2.0, 0.0, k)[0, k - 1] < -SLACK
+        drawn = [rows(seed, role, 0, 2.0, 0.0, trial, trial + 1) for role in NEHARI_ROLES]
+        assert nehari_margins(*drawn, 0, 2.0, 0.0, k)[0, k - 1] < -SLACK
 
         def exact(atoms, order):
             weights = [Fraction(w) for w in atoms.weights]
@@ -415,11 +439,11 @@ class TestNehari:
             coeffs = atom_coefficients(weights, points, order, RATIONAL.one, RATIONAL.zero)
             return TruncatedSeries(coeffs, order, backend=RATIONAL)
 
-        h, p, q = nehari_witness(seed, 0, 2.0, 0.0, trial)
+        h, p, q = witness(seed, NEHARI_ROLES, 0, 2.0, 0.0, trial)
         G = half_hadamard(exact(p, k), exact(q, k)) - constant_one(k, backend=RATIONAL)
         A = nehari_series(exact(h, k - 1), G, ClassParams(0, Fraction(2), Fraction(0)), k)
         assert A.coefficient(k).abs2() <= 4
 
     def test_roles_use_independent_seeds(self):
-        h_at, p_at, q_at = nehari_witness(9, 1, 2.0, 0.0, 4)
+        h_at, p_at, q_at = witness(9, NEHARI_ROLES, 1, 2.0, 0.0, 4)
         assert h_at != p_at and p_at != q_at and h_at != q_at
