@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .backends import FLOAT, RATIONAL, Backend
 from .caratheodory import HerglotzAtoms, iterated_transform, min_real_part, shift_to_beta
-from .series import TruncatedSeries, cauchy_coefficients
+from .series import TruncatedSeries, power_tails
 
 #: A margin below -SLACK is a violation: in the sweeps, in the suites'
 #: reference column and in the per-k bound rows of ``expand``.
@@ -125,18 +125,17 @@ def small_alpha_bound(params: ClassParams, k: int) -> SmallAlphaBound:
     m_top = k - 1 if region in (Region.OMEGA1, Region.OMEGA2) else k - 2
     alpha, beta, n = params.alpha, params.beta, params.n
     zero = alpha * 0
-    base = [zero] + [1 / (alpha + j) ** n for j in range(1, k)]
-    power = list(base)
+    # the base series is z times these; Q_{k-1}^(m) is entry k-1-m of the m-th tail
+    tail_base = [1 / (alpha + j) ** n for j in range(1, k)]
     total = zero
     sign_prod = 1 - 0 * alpha  # prod_{j=0}^{m-1} (1 - j alpha), starts at 1
     factorial = 1
-    for m in range(1, m_top + 1):
+    for m, tail in enumerate(power_tails(tail_base, m_top, zero), start=1):
         if m > 1:
-            power = cauchy_coefficients(power, base, zero)
             sign_prod = sign_prod * (1 - (m - 1) * alpha)
             factorial *= m
         b_m = (2**m) * (1 - beta) ** m * alpha ** (m * (n - 1)) * sign_prod / factorial
-        total = total + b_m * power[k - 1]
+        total = total + b_m * tail[k - 1 - m]
     return SmallAlphaBound(total, region)
 
 

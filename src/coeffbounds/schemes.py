@@ -7,6 +7,10 @@ Caratheodory class with coefficients d_mu, the ladder
 
 feeds the weights eta_m = (1-beta) alpha^n gamma_m / (alpha+m)^n of the
 Nehari-type series sum_m (-1)^(m+1) eta_{m-1} G^m (``nehari_series``).
+Since G(0) = 0, G = z H and G^m = z^m T_m: at truncation order K the
+series is summed from the tails T_m, each through order K - m, so the
+leading zeros of the powers are never multiplied.
+
 Hitting the sharp coefficient bound at index k requires the ladder value at
 order m = k-1 to equal the target product
 
@@ -27,7 +31,7 @@ from fractions import Fraction
 
 from .backends import FLOAT, RATIONAL, Backend
 from .bounds import ClassParams
-from .series import TruncatedSeries, cauchy_coefficients
+from .series import TruncatedSeries, power_tails
 
 _HALF = Fraction(1, 2)
 #: Largest |ladder - target| that `check_gamma_identity` accepts on float data.
@@ -69,20 +73,20 @@ def gamma_ladder(ds, m_max: int, half) -> list:
 def nehari_coefficients(gammas, G, n: int, alpha, beta, zero) -> list:
     """A_0..A_K of sum_{m=1}^{K} (-1)^(m+1) eta_{m-1} G^m with K = len(G) - 1.
 
-    eta_{m-1} = (1-beta) alpha^n gamma_{m-1} / (alpha + m - 1)^n; G^m is built
-    by repeated Cauchy products, so G_0 must vanish for the truncation to be
-    the full sum. The coefficient kernel behind `nehari_series`.
+    eta_{m-1} = (1-beta) alpha^n gamma_{m-1} / (alpha + m - 1)^n. G_0 is taken
+    to vanish (it is never read), so G = z H and G^m = z^m T_m, where the
+    tail T_m runs through order K - m (`series.power_tails`). Each weighted
+    tail is added into A_m..A_K only: the products with the leading zeros
+    of G^m, which added exact zeros, are never formed. The coefficient
+    kernel behind `nehari_series`.
     """
     order = len(G) - 1
-    power = list(G)
     total = [zero] * len(G)
-    for m in range(1, order + 1):
+    for m, tail in enumerate(power_tails(G[1:], order, zero), start=1):
         weight = (1 - beta) * alpha**n * gammas[m - 1] / (alpha + m - 1) ** n
         if m % 2 == 0:
             weight = -weight
-        total = [t + weight * c for t, c in zip(total, power)]
-        if m < order:
-            power = cauchy_coefficients(power, G, zero)
+        total[m:] = [t + weight * c for t, c in zip(total[m:], tail)]
     return total
 
 

@@ -9,11 +9,11 @@ that to compare values computed at different working orders.
 Two backends are supported (see :mod:`coeffbounds.backends`): exact rational
 complex coefficients, and double-precision complex coefficients.
 
-The recurrences themselves are the plain functions ``cauchy_coefficients``
-and ``real_power_coefficients``, written over a sequence of coefficients.
-An entry is either a backend scalar (what `TruncatedSeries` passes) or a
-1-D numpy column holding one value per random trial (what the sweeps
-pass); the same additions and multiplications run in the same order
+The recurrences themselves are the plain functions ``cauchy_coefficients``,
+``power_tails`` and ``real_power_coefficients``, written over a sequence of
+coefficients. An entry is either a backend scalar (what `TruncatedSeries`
+passes) or a 1-D numpy column holding one value per random trial (what the
+sweeps pass); the same additions and multiplications run in the same order
 either way. The constants they need (zero, one, the exponent) come from
 the caller, typed for the backend, so a column never meets a `Fraction`.
 """
@@ -34,6 +34,21 @@ def cauchy_coefficients(a, b, zero) -> list:
             acc = acc + a[j] * b[k - j]
         out.append(acc)
     return out
+
+
+def power_tails(h, count: int, zero):
+    """Yield T_1..T_count, the tails (z h)^m = z^m T_m, T_m through order len(h) - m.
+
+    T_1 = h and T_{m+1} is the Cauchy product of T_m (its top entry dropped)
+    with h. The powers of a series G with G_0 = 0 are read off G = z h this
+    way: G^m vanishes below z^m, so T_m holds coefficients m..len(h) of G^m
+    and no product with those leading zeros is formed.
+    """
+    tail = list(h)
+    for m in range(1, count + 1):
+        yield tail
+        if m < count:
+            tail = cauchy_coefficients(tail[:-1], h, zero)
 
 
 def real_power_coefficients(g, c, one, zero) -> list:

@@ -16,8 +16,8 @@ of the margins into ``(trials, k)`` arrays and the summary.
 Trials are processed in chunks of `CHUNK_TRIALS`, so memory stays flat in
 the trial count. Each sweep keeps the worst margin (the first occurrence,
 as ``np.argmin`` over all trials would give), the total number of
-violations (margins below ``-bounds.SLACK``) and only the first five of
-them in (trial, k) order.
+violations (margins below ``-bounds.SLACK``, and NaN margins, which never
+pass) and only the first five of them in (trial, k) order.
 
 Seed contract: each role of a suite at a parameter point reads one
 counter-based atom stream whose 64-bit key is
@@ -102,7 +102,7 @@ class SweepOutcome:
     worst_trial: int
     worst_k: int
     worst_margin: float
-    violations: tuple  # first _MAX_LISTED_VIOLATIONS (trial, k, margin) rows with margin < -SLACK
+    violations: tuple  # first _MAX_LISTED_VIOLATIONS (trial, k, margin) rows, margin < -SLACK or NaN
     violation_count: int  # all such rows
 
 
@@ -120,7 +120,7 @@ def _chunked_sweep(trials: int, k_values: np.ndarray, stream_keys: dict, margins
         # first occurrence wins, and so does the first NaN, as in np.argmin
         if worst is None or (not np.isnan(worst) and (np.isnan(m) or m < worst)):
             worst, worst_trial, worst_i = m, start + t, i
-        bad = margins < -SLACK
+        bad = ~(margins >= -SLACK)  # a NaN margin is a violation too
         count += int(np.count_nonzero(bad))
         for flat in np.flatnonzero(bad)[: _MAX_LISTED_VIOLATIONS - len(violations)]:
             bt, bi = divmod(int(flat), margins.shape[1])

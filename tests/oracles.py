@@ -22,6 +22,12 @@
 - ``min_real_part_scalar`` is `min_real_part` as one Python loop over the
   circle points, one ``TruncatedSeries.evaluate`` call each; the library's
   blocked numpy Horner must match it bit for bit.
+- ``nehari_coefficients_full`` and ``small_alpha_bound_full`` build every
+  power of a series that vanishes at 0 as a full-length Cauchy product,
+  leading zeros included. The library sums the same non-zero products in
+  the same order from the shifted tails (`series.power_tails`), so it must
+  match them exactly: bit for bit on floats, as fractions on the rational
+  backend.
 """
 
 from __future__ import annotations
@@ -32,7 +38,9 @@ import math
 import numpy as np
 
 from coeffbounds import ClassParams, TruncatedSeries, constant_one, f_from_p, half_hadamard, sharp_bound
+from coeffbounds.bounds import Region, classify_region
 from coeffbounds.schemes import nehari_series
+from coeffbounds.series import cauchy_coefficients
 
 
 def _gauss_nodes(n: int):
@@ -157,3 +165,41 @@ def min_real_part_scalar(p: TruncatedSeries, radius: float, samples: int) -> flo
         if value < best:
             best = value
     return best
+
+
+def nehari_coefficients_full(gammas, G, n: int, alpha, beta, zero) -> list:
+    """`schemes.nehari_coefficients` with every power G^m at full length K + 1."""
+    order = len(G) - 1
+    power = list(G)
+    total = [zero] * len(G)
+    for m in range(1, order + 1):
+        weight = (1 - beta) * alpha**n * gammas[m - 1] / (alpha + m - 1) ** n
+        if m % 2 == 0:
+            weight = -weight
+        total = [t + weight * c for t, c in zip(total, power)]
+        if m < order:
+            power = cauchy_coefficients(power, G, zero)
+    return total
+
+
+def small_alpha_bound_full(params: ClassParams, k: int):
+    """`bounds.small_alpha_bound`'s value with every power of the base at full length k."""
+    region = classify_region(params.alpha, k)
+    if region is Region.OUT_OF_RANGE:
+        return None
+    m_top = k - 1 if region in (Region.OMEGA1, Region.OMEGA2) else k - 2
+    alpha, beta, n = params.alpha, params.beta, params.n
+    zero = alpha * 0
+    base = [zero] + [1 / (alpha + j) ** n for j in range(1, k)]
+    power = list(base)
+    total = zero
+    sign_prod = 1 - 0 * alpha
+    factorial = 1
+    for m in range(1, m_top + 1):
+        if m > 1:
+            power = cauchy_coefficients(power, base, zero)
+            sign_prod = sign_prod * (1 - (m - 1) * alpha)
+            factorial *= m
+        b_m = (2**m) * (1 - beta) ** m * alpha ** (m * (n - 1)) * sign_prod / factorial
+        total = total + b_m * power[k - 1]
+    return total

@@ -23,7 +23,7 @@ from coeffbounds import (
     small_alpha_bound,
     verify_membership,
 )
-from oracles import a_k_direct
+from oracles import a_k_direct, small_alpha_bound_full
 
 
 class TestClassParams:
@@ -167,6 +167,18 @@ class TestSmallAlphaBound:
             )
             total += b_m * base.integer_power(m).coefficient(4).re
         assert piece.value == total
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["rational", "float"])
+    def test_equals_full_power_oracle(self, exact):
+        # the shifted tails form the same non-zero products in the same order
+        scalar = (lambda x: x) if exact else float
+        for alpha in (Fraction(1, 10), Fraction(1, 4), Fraction(1, 3), Fraction(2, 5), Fraction(3, 2)):
+            for n in (0, 1, 2, 3):
+                for beta in (Fraction(0), Fraction(1, 4)):
+                    params = ClassParams(n, scalar(alpha), scalar(beta))
+                    for k in range(2, 13):
+                        want = small_alpha_bound_full(params, k)
+                        assert small_alpha_bound(params, k).value == want, (alpha, n, beta, k)
 
     def test_out_of_range_has_no_value(self):
         piece = small_alpha_bound(ClassParams(1, Fraction(3, 4), Fraction(0)), 5)

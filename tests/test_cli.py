@@ -292,9 +292,9 @@ def test_repeat_runs_byte_identical(capsys):
 
 
 # sha256 of stdout for the scalar path (extremal generators, the h_k audit's
-# circle minima, expand's membership check). A deliberate report change
-# re-pins these and says so in CHANGES.md. The float reports go through
-# libm (cmath.exp, pow), so they are pinned for x86-64 Linux with glibc.
+# circle minima, expand's membership check, the bound tables). A deliberate
+# report change re-pins these and says so in CHANGES.md. The float reports go
+# through libm (cmath.exp, pow), so they are pinned for x86-64 Linux with glibc.
 _GOLDEN_FLOAT_DOC = {
     "backend": "float",
     "atoms": [
@@ -308,6 +308,8 @@ _GOLDEN_RATIONAL_DOC = {
     "atoms": [{"weight": "1/3", "t": "1/2"}, {"weight": "2/3", "t": "-3/4"}],
 }
 _GOLDEN_EXPAND = ["--n", "2", "--alpha", "3/2", "--beta", "1/4", "--order", "24", "--kmax", "8"]
+# omega-region alphas, where the small-alpha bound sums powers up to m = k - 1
+_SMALL_ALPHA = ["--alpha", "1/10", "--alpha", "1/4", "--alpha", "1/3", "--alpha", "1/2", "--kmax", "12"]
 
 
 @pytest.mark.parametrize(
@@ -323,8 +325,17 @@ _GOLDEN_EXPAND = ["--n", "2", "--alpha", "3/2", "--beta", "1/4", "--order", "24"
          "8f80a74eb9b55100da0d8f89da91a52cfac7c5defb95eb3c99210432c974694e"),
         (["expand", *_GOLDEN_EXPAND], _GOLDEN_RATIONAL_DOC,
          "609842b420d2936893c9b9d30aebe614b5f6c0219526659256a1d3379da0f263"),
+        (["bounds"], None, "a33e37630faec425430b81a5617472adf5138894485637ec03479a905d3a7628"),
+        (["bounds", "--backend", "rational"], None,
+         "822b40bd5eee27134b23e4769af592ad6dd63008455876a51eab0b235dc579ff"),
+        (["bounds", *_SMALL_ALPHA], None, "01d188ef40d3523acd20b1855bdf9995400100a629556c22636a7af8d7b8a65e"),
+        (["bounds", *_SMALL_ALPHA, "--backend", "rational"], None,
+         "3dd5ceb08318c90902d66b9b1b245841c375e64f9acb62b86b6fbfb4ffead661"),
     ],
-    ids=["hk-float", "hk-rational", "extremal-float", "extremal-rational", "expand-float", "expand-rational"],
+    ids=[
+        "hk-float", "hk-rational", "extremal-float", "extremal-rational", "expand-float", "expand-rational",
+        "bounds-float", "bounds-rational", "bounds-small-alpha-float", "bounds-small-alpha-rational",
+    ],
 )
 def test_scalar_path_stdout_is_pinned(argv, doc, digest, tmp_path, capsys):
     if doc is not None:

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from coeffbounds import (
@@ -133,6 +134,22 @@ class TestRandomSuite:
         ja = suite_json(run_random_suite(small_grid()))
         jb = suite_json(run_random_suite(small_grid()))
         assert ja == jb
+
+    def test_nan_margin_fails_the_point(self, monkeypatch):
+        margins_of = sweeps.dominance_margins
+
+        def one_nan(*args):
+            margins = margins_of(*args)
+            margins[7, 2] = np.nan
+            return margins
+
+        monkeypatch.setattr(sweeps, "dominance_margins", one_nan)
+        report = run_random_suite(small_grid(n_values=(1,)))[0]
+        assert not report.passed
+        assert report.entries[0].status == "fail" and report.entries[0].margin == "nan"
+        row = report.entries[1]
+        assert (row.case, row.k, row.margin, row.status) == ("violation in trial 7", "4", "nan", "fail")
+        assert report.witness["trial"] == 7 and report.witness["margin"] == "nan"
 
     def test_witness_rebuilds_from_document_alone(self, monkeypatch):
         # the bound holds here, so count every margin below 10 as a violation

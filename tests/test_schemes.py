@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from coeffbounds import (
@@ -17,10 +18,19 @@ from coeffbounds import (
     gamma_identity_residuals,
     gamma_target,
     gammas_from_coefficients,
+    half_hadamard,
     min_real_part,
     nehari_series,
     recipe_even_constant,
 )
+from coeffbounds.caratheodory import (
+    HerglotzAtoms,
+    atom_coefficients,
+    draw_atoms,
+    half_hadamard_coefficients,
+)
+from coeffbounds.schemes import gamma_ladder, nehari_coefficients
+from oracles import nehari_coefficients_full
 
 
 class TestGammaLadder:
@@ -281,3 +291,99 @@ class TestNehariSeries:
         bad_g = constant_one(5, backend=RATIONAL)
         with pytest.raises(ValueError):
             nehari_series(h, bad_g, params, 5)
+
+
+class Counted:
+    """A real scalar that tallies every multiplication it takes part in."""
+
+    def __init__(self, value, tally):
+        self.value, self.tally = value, tally
+
+    def _new(self, value):
+        return Counted(value, self.tally)
+
+    @staticmethod
+    def _raw(x):
+        return x.value if isinstance(x, Counted) else x
+
+    def __add__(self, other):
+        return self._new(self.value + self._raw(other))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._new(self.value - self._raw(other))
+
+    def __rsub__(self, other):
+        return self._new(self._raw(other) - self.value)
+
+    def __mul__(self, other):
+        self.tally["mul"] += 1
+        return self._new(self.value * self._raw(other))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return self._new(self.value / self._raw(other))
+
+    def __neg__(self):
+        return self._new(-self.value)
+
+
+class TestNehariKernel:
+    """The shifted-tail kernel against the full-power oracle, and its cost."""
+
+    half = FLOAT.scalar(Fraction(1, 2))
+
+    @staticmethod
+    def columns(key, order):
+        weights, points = draw_atoms(key, 0, 64)[:2]
+        return atom_coefficients(list(weights.T), list(points.T), order, FLOAT.one, FLOAT.zero)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @pytest.mark.parametrize("k_max", [1, 2, 3, 12, 16, 24])
+    def test_float_columns_equal_full_power_oracle(self, k_max, n):
+        d = self.columns(0x1234 + k_max, k_max - 1)
+        r = half_hadamard_coefficients(
+            self.columns(0x5678 + n, k_max), self.columns(0x9ABC, k_max), FLOAT.one, self.half
+        )
+        gammas = gamma_ladder(d[1:], k_max - 1, self.half)
+        G = [FLOAT.zero, *r[1:]]
+        got = nehari_coefficients(gammas, G, n, 2.5, 0.25, FLOAT.zero)
+        want = nehari_coefficients_full(gammas, G, n, 2.5, 0.25, FLOAT.zero)
+        assert len(got) == len(want) == k_max + 1
+        for a, b in zip(got, want):
+            assert np.all(a == b)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @pytest.mark.parametrize("order", [1, 2, 5, 8])
+    def test_rational_series_equals_full_power_oracle(self, order, n):
+        def atoms(*pairs):
+            doc = [{"weight": w, "t": t} for w, t in pairs]
+            return HerglotzAtoms.from_document({"backend": "rational", "atoms": doc})
+
+        h = build_hk(6, Fraction(5, 2), 8, backend=RATIONAL)[0]
+        p = atoms(("1/3", "1/2"), ("2/3", "-3/4")).series(order)
+        q = atoms(("1/4", "2"), ("3/4", "-1/5")).series(order)
+        G = half_hadamard(p, q) - constant_one(order, backend=RATIONAL)
+        alpha, beta = Fraction(5, 2), Fraction(1, 3)
+        got = nehari_series(h, G, ClassParams(n, alpha, beta), order)
+        gammas = gammas_from_coefficients(h.coeffs[1:], order - 1)
+        want = nehari_coefficients_full(gammas, G.coeffs, n, alpha, beta, RATIONAL.zero)
+        assert list(got.coeffs) == want
+
+    @pytest.mark.parametrize("order, full, most", [(12, 1169, 376), (24, 8099, 2624)])
+    def test_multiplication_count(self, order, full, most):
+        # the full-length powers cost `full` multiplications; the tails at most `most`
+        def run(kernel):
+            tally = {"mul": 0}
+            gammas = [Counted(1.0 / (m + 1), tally) for m in range(order)]
+            G = [Counted(0.0, tally)] + [Counted(0.1 * j, tally) for j in range(1, order + 1)]
+            out = kernel(gammas, G, 1, 2.0, 0.25, Counted(0.0, tally))
+            return tally["mul"], [c.value for c in out]
+
+        full_count, want = run(nehari_coefficients_full)
+        count, got = run(nehari_coefficients)
+        assert full_count == full
+        assert count <= most
+        assert got == want

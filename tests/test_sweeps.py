@@ -267,6 +267,19 @@ class TestChunking:
         assert (out.worst_trial, out.worst_k) == (c + 9, 2) == reference_summary(margins, k_values)[:2]
         assert np.isnan(out.worst_margin)
 
+    def test_nan_margins_are_violations(self):
+        margins = np.random.default_rng(6).uniform(0.0, 1.0, size=(self.trials, 3))
+        k_values = np.arange(2, 5)
+        c = CHUNK_TRIALS
+        margins[3, 1] = margins[c + 2, 0] = np.nan
+        margins[2 * c + 5, 2] = -0.5
+        out = _chunked_sweep(self.trials, k_values, {}, lambda a, b: margins[a:b])
+        assert out.violation_count == 3
+        assert [(t, k) for t, k, _ in out.violations] == [(3, 3), (c + 2, 2), (2 * c + 5, 4)]
+        assert np.isnan(out.violations[0][2]) and np.isnan(out.violations[1][2])
+        assert out.violations[2][2] == -0.5
+        assert (out.worst_trial, out.worst_k) == (3, 3) and np.isnan(out.worst_margin)
+
 
 def columns(rows):
     """Per-trial coefficient rows as a list of numpy columns, one entry per index."""
@@ -339,7 +352,7 @@ class TestBatchKernels:
         assert_columns_match(got, want, dtype=dtype)
         assert got[0] == 1
 
-    @pytest.mark.parametrize("n", [0, 2])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_batch_nehari_matches_nehari_series(self, n):
         k_max, params = 9, ClassParams(n, 2.0, 0.25)
         h_sys, d = self.generator_columns((11, 12, 13), k_max - 1)
