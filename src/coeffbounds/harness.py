@@ -28,8 +28,7 @@ from .bounds import (
     small_alpha_bound,
     verify_membership,
 )
-from .caratheodory import HerglotzAtoms, get_doc_backend, trial_atoms
-from .caratheodory import min_real_part as series_min_real_part
+from .caratheodory import HerglotzAtoms, get_doc_backend, min_real_parts, trial_atoms
 from .reports import SuiteEntry, SuiteReport, fmt_float
 from .schemes import build_hk, check_gamma_identity, compare_even_constants, gamma_identity_residuals
 
@@ -388,8 +387,10 @@ def run_hk_audit(
         entries = []
         passed = True
         worst = 0.0
-        for k in range(2, k_max + 1):
-            h, scheme = build_hk(k, alpha, order, backend=backend)
+        ks = range(2, k_max + 1)
+        built = [build_hk(k, alpha, order, backend=backend) for k in ks]
+        minima = min_real_parts([h for h, _ in built], radius, samples)
+        for k, (_, scheme), min_re in zip(ks, built, minima):
             rows = gamma_identity_residuals(scheme)
             m, value, target, residual = rows[-1]
             identity_ok = check_gamma_identity(scheme)
@@ -424,7 +425,6 @@ def run_hk_audit(
                     status="pass" if d_ok else "fail",
                 )
             )
-            min_re = series_min_real_part(h, radius, samples)
             re_ok = min_re >= -tail
             entries.append(
                 SuiteEntry(

@@ -308,6 +308,8 @@ _GOLDEN_RATIONAL_DOC = {
     "atoms": [{"weight": "1/3", "t": "1/2"}, {"weight": "2/3", "t": "-3/4"}],
 }
 _GOLDEN_EXPAND = ["--n", "2", "--alpha", "3/2", "--beta", "1/4", "--order", "24", "--kmax", "8"]
+# more circle points than CIRCLE_BLOCK, so each series takes three point blocks
+_HK_WIDE = ["--kmax", "20", "--order", "40", "--samples", "9000", "--radius", "0.9"]
 # omega-region alphas, where the small-alpha bound sums powers up to m = k - 1
 _SMALL_ALPHA = ["--alpha", "1/10", "--alpha", "1/4", "--alpha", "1/3", "--alpha", "1/2", "--kmax", "12"]
 
@@ -318,6 +320,9 @@ _SMALL_ALPHA = ["--alpha", "1/10", "--alpha", "1/4", "--alpha", "1/3", "--alpha"
         (["verify", "hk"], None, "a293b4d2be60677ffa6887be45e0934b6667195f896c4498b7a498b5c810da77"),
         (["verify", "hk", "--backend", "rational"], None,
          "ecf134ee765eefcf643348a757de1ae2971ad133b5d7dbb164f28c16c5b4c5d4"),
+        (["verify", "hk", *_HK_WIDE], None, "d39764d7db4d73bf80d150fcd3da864847b33a329b8b3ee68d255c20b00285f2"),
+        (["verify", "hk", *_HK_WIDE, "--backend", "rational"], None,
+         "b93608f7b23a8ce678b25e64a277cd3172d8addb6ebdfab03894764843bd3b81"),
         (["verify", "extremal"], None, "2ed47a800b39c0e08497303da4371519a511a8ac38011c62712c0701686a6d67"),
         (["verify", "extremal", "--backend", "rational"], None,
          "f0fe53ec7ef477d980602c22f297a8d22000ad9b6ebd0b50dbf36b1e3388604d"),
@@ -333,7 +338,7 @@ _SMALL_ALPHA = ["--alpha", "1/10", "--alpha", "1/4", "--alpha", "1/3", "--alpha"
          "3dd5ceb08318c90902d66b9b1b245841c375e64f9acb62b86b6fbfb4ffead661"),
     ],
     ids=[
-        "hk-float", "hk-rational", "extremal-float", "extremal-rational", "expand-float", "expand-rational",
+        "hk-float", "hk-rational", "hk-wide-float", "hk-wide-rational", "extremal-float", "extremal-rational", "expand-float", "expand-rational",
         "bounds-float", "bounds-rational", "bounds-small-alpha-float", "bounds-small-alpha-rational",
     ],
 )

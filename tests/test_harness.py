@@ -12,6 +12,7 @@ from coeffbounds import (
     UsageError,
     default_grid,
     extremal_p,
+    harness,
     run_bounds_table,
     run_expand,
     run_extremal_suite,
@@ -225,6 +226,19 @@ class TestHkAudit:
     def test_needs_alpha_above_one(self):
         with pytest.raises(UsageError):
             run_hk_audit((1.0,), k_max=8, order=32)
+
+    def test_one_circle_pass_per_alpha(self, monkeypatch):
+        calls = []
+        original = harness.min_real_parts
+
+        def counting(series, radius, samples):
+            calls.append(len(series))
+            return original(series, radius, samples)
+
+        monkeypatch.setattr(harness, "min_real_parts", counting)
+        run_hk_audit(default_grid(FLOAT).alpha_values)
+        # stock grid: one call per alpha, holding the series of k = 2..12
+        assert calls == [11] * 6
 
 
 class TestExpand:
