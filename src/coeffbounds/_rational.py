@@ -23,7 +23,14 @@ def _as_fraction(x) -> Fraction:
 
 
 class RationalComplex:
-    """Complex number with exact rational real and imaginary parts."""
+    """Complex number with exact rational real and imaginary parts.
+
+    The arithmetic forms only the products and sums whose operands are not
+    zero: a real operand (an ``int``, a ``Fraction``, or a value with zero
+    imaginary part) skips the terms with its zero imaginary part. Every term
+    it skips is an exact zero, and ``Fraction`` is canonical, so each result
+    equals the one the full complex formula gives.
+    """
 
     __slots__ = ("re", "im")
 
@@ -34,74 +41,73 @@ class RationalComplex:
     def __setattr__(self, name, value):
         raise AttributeError("RationalComplex is immutable")
 
-    # -- coercion -------------------------------------------------------
-
-    @classmethod
-    def _coerce(cls, other):
-        if isinstance(other, RationalComplex):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return cls(other, 0)
-        return None
-
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RationalComplex(self.re + o.re, self.im + o.im)
+        if isinstance(other, RationalComplex):
+            b, d = self.im, other.im
+            return _exact(self.re + other.re, b + d if d else b)
+        if isinstance(other, (int, Fraction)):
+            return _exact(self.re + other, self.im)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RationalComplex(self.re - o.re, self.im - o.im)
+        if isinstance(other, RationalComplex):
+            b, d = self.im, other.im
+            return _exact(self.re - other.re, b - d if d else b)
+        if isinstance(other, (int, Fraction)):
+            return _exact(self.re - other, self.im)
+        return NotImplemented
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RationalComplex(o.re - self.re, o.im - self.im)
+        if isinstance(other, (int, Fraction)):
+            return _exact(other - self.re, -self.im)
+        return NotImplemented
 
     def __neg__(self):
-        return RationalComplex(-self.re, -self.im)
+        return _exact(-self.re, -self.im)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return RationalComplex(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+        a, b = self.re, self.im
+        if isinstance(other, RationalComplex):
+            c, d = other.re, other.im
+            if not d:
+                return _exact(a * c, b * c if b else d)
+            if not b:
+                return _exact(a * c, a * d)
+            return _exact(a * c - b * d, a * d + b * c)
+        if isinstance(other, (int, Fraction)):
+            return _exact(a * other, b * other if b else b)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        a, b = self.re, self.im
+        if isinstance(other, RationalComplex):
+            c, d = other.re, other.im
+            if d:
+                den = c * c + d * d
+                return _exact((a * c + b * d) / den, (b * c - a * d) / den)
+        elif isinstance(other, (int, Fraction)):
+            c = other
+        else:
             return NotImplemented
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
+        if not c:
             raise ZeroDivisionError("division by zero RationalComplex")
-        return RationalComplex(
-            (self.re * o.re + self.im * o.im) / d,
-            (self.im * o.re - self.re * o.im) / d,
-        )
+        return _exact(a / c, b / c if b else b)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o.__truediv__(self)
+        if isinstance(other, (int, Fraction)):
+            return _exact(Fraction(other), _ZERO) / self
+        return NotImplemented
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             return NotImplemented
-        out = RationalComplex(1, 0)
+        out = _exact(_ONE, _ZERO)
         base = self
         m = n
         while m:
@@ -114,7 +120,7 @@ class RationalComplex:
     # -- structure ------------------------------------------------------
 
     def conjugate(self) -> "RationalComplex":
-        return RationalComplex(self.re, -self.im)
+        return _exact(self.re, -self.im)
 
     def abs2(self) -> Fraction:
         """|z|^2 as an exact Fraction."""
@@ -124,10 +130,11 @@ class RationalComplex:
         return complex(float(self.re), float(self.im))
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+        if isinstance(other, RationalComplex):
+            return self.re == other.re and self.im == other.im
+        if isinstance(other, (int, Fraction)):
+            return self.re == other and not self.im
+        return NotImplemented
 
     def __hash__(self):
         return hash((self.re, self.im))
@@ -140,6 +147,21 @@ class RationalComplex:
             return str(self.re)
         sign = "+" if self.im >= 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"
+
+
+_new = object.__new__
+_set_re = RationalComplex.re.__set__
+_set_im = RationalComplex.im.__set__
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _exact(re: Fraction, im: Fraction) -> RationalComplex:
+    """A RationalComplex from two ``Fraction`` parts, set without re-checking them."""
+    z = _new(RationalComplex)
+    _set_re(z, re)
+    _set_im(z, im)
+    return z
 
 
 def unimodular_from_t(t) -> RationalComplex:

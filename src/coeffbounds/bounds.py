@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .backends import FLOAT, RATIONAL, Backend
-from .caratheodory import HerglotzAtoms, iterated_transform, min_real_part, shift_to_beta
-from .series import TruncatedSeries, power_tails
+from .caratheodory import HerglotzAtoms, min_real_part, shift_coefficients, transform_coefficients
+from .series import TruncatedSeries, power_tails, real_power_coefficients
 
 #: A margin below -SLACK is a violation: in the sweeps, in the suites'
 #: reference column and in the per-k bound rows of ``expand``.
@@ -159,13 +159,14 @@ def growth_estimate(alpha, k: int) -> float:
         return math.inf
 
 
-def _generator_series(p, order: int) -> TruncatedSeries:
+def _generator_coefficients(p, order: int):
+    """The generator's coefficients 0..order and its backend."""
     if isinstance(p, HerglotzAtoms):
-        return p.series(order)
+        return p.series(order).coeffs, p.backend
     if isinstance(p, TruncatedSeries):
         if p.order < order:
             raise ValueError(f"generator series order {p.order} is below the needed {order}")
-        return p.truncate(order)
+        return p.coeffs[: order + 1], p.backend
     raise TypeError("generator must be HerglotzAtoms or TruncatedSeries")
 
 
@@ -174,16 +175,19 @@ def f_from_p(p, params: ClassParams, order: int) -> TruncatedSeries:
 
     f(z) = z * (beta + (1 - beta) p_n(z))^(1/alpha) where p_n is the n-fold
     transform of p. The result has f_0 = 0, f_1 = 1 and the requested order.
+    The transform, the beta shift and the real power run as one pass over
+    the coefficient list.
     """
     if not isinstance(order, int) or order < 1:
         raise ValueError(f"order must be a positive integer, got {order!r}")
-    q = _generator_series(p, order - 1)
-    backend = q.backend
+    coeffs, backend = _generator_coefficients(p, order - 1)
+    if coeffs[0] != backend.one:
+        raise ValueError("f_from_p needs a generator with constant term 1")
     alpha = backend.scalar(params.alpha)
-    q_n = iterated_transform(q, params.n, alpha)
-    shifted = shift_to_beta(q_n, params.beta)
-    u = shifted.real_power(1 / alpha)
-    return TruncatedSeries([backend.zero, *u.coeffs], order, backend=backend)
+    q_n = transform_coefficients(coeffs, alpha, params.n)
+    shifted = shift_coefficients(q_n, backend.scalar(params.beta), backend.one)
+    u = real_power_coefficients(shifted, 1 / alpha, backend.one, backend.zero)
+    return TruncatedSeries([backend.zero, *u], order, backend=backend)
 
 
 def verify_membership(f: TruncatedSeries, params: ClassParams, radius: float, samples: int) -> float:

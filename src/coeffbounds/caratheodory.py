@@ -123,9 +123,7 @@ class HerglotzAtoms:
                     raise ValueError(f"point {x} is not exactly unimodular")
         else:
             check_atom_rows(np.array([weights]), np.array([points]), np.array([len(weights)]))
-        object.__setattr__(self, "backend", backend)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "points", points)
+        _fill_atoms(self, backend, weights, points)
 
     def __setattr__(self, name, value):
         raise AttributeError("HerglotzAtoms is immutable")
@@ -146,6 +144,13 @@ class HerglotzAtoms:
         return f"HerglotzAtoms({len(self)} atoms, backend={self.backend.name})"
 
     # -- constructors -----------------------------------------------------
+
+    @classmethod
+    def _from_checked(cls, weights: tuple, points: tuple) -> "HerglotzAtoms":
+        """Float atoms from a row that already passed `check_atom_rows`; it is not checked again."""
+        atoms = object.__new__(cls)
+        _fill_atoms(atoms, FLOAT, weights, points)
+        return atoms
 
     @classmethod
     def from_angles(cls, weights, angles) -> "HerglotzAtoms":
@@ -236,6 +241,12 @@ class HerglotzAtoms:
         return cls(weights, points, backend=backend)
 
 
+def _fill_atoms(atoms: HerglotzAtoms, backend: Backend, weights: tuple, points: tuple) -> None:
+    object.__setattr__(atoms, "backend", backend)
+    object.__setattr__(atoms, "weights", weights)
+    object.__setattr__(atoms, "points", points)
+
+
 def get_doc_backend(doc: dict) -> Backend:
     if not isinstance(doc, dict):
         raise ValueError(f"atom document must be an object, got {type(doc).__name__}")
@@ -317,7 +328,7 @@ def min_real_parts(series, radius: float, samples: int) -> list:
         raise ValueError(f"radius must lie in (0, 1), got {radius!r}")
     if not isinstance(samples, int) or samples < 8:
         raise ValueError(f"need at least 8 samples, got {samples!r}")
-    rows = [p.to_float().coeffs for p in series]
+    rows = [[complex(c) for c in p.coeffs] for p in series]
     if not rows:
         return []
     # top_first[s, r]: the coefficient of z^(length - 1 - s) of row r, zero-padded in front
@@ -431,10 +442,13 @@ def draw_atoms(key: int, start: int, stop: int):
 
 
 def trial_atoms(key: int, trial: int) -> HerglotzAtoms:
-    """The atoms of one trial of stream ``key``: the one-row draw trial..trial+1."""
+    """The atoms of one trial of stream ``key``: the one-row draw trial..trial+1.
+
+    `draw_atoms` has checked the row, so the atoms are built without a second check.
+    """
     weights, points, counts = draw_atoms(key, trial, trial + 1)
     used = counts[0]
-    return HerglotzAtoms(weights[0, :used].tolist(), points[0, :used].tolist())
+    return HerglotzAtoms._from_checked(tuple(weights[0, :used].tolist()), tuple(points[0, :used].tolist()))
 
 
 def random_herglotz(seed: int) -> HerglotzAtoms:

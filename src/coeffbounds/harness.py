@@ -30,7 +30,7 @@ from .bounds import (
 )
 from .caratheodory import HerglotzAtoms, get_doc_backend, min_real_parts, trial_atoms
 from .reports import SuiteEntry, SuiteReport, fmt_float
-from .schemes import build_hk, check_gamma_identity, compare_even_constants, gamma_identity_residuals
+from .schemes import build_hk, check_gamma_identity, compare_even_constants, gamma_identity_row
 
 
 class UsageError(ValueError):
@@ -167,21 +167,24 @@ BOUNDS_COLUMNS = (
 
 def run_bounds_table(grid: GridSpec, backend: Backend = FLOAT):
     """Tabulated bound values over the grid: one row per (n, alpha, beta, k)."""
+    ks = range(2, grid.k_max + 1)
+    growth = {alpha: [fmt_float(growth_estimate(alpha, k)) for k in ks] for alpha in grid.alpha_values}
     rows = []
     for n, alpha, beta in grid.points():
         params = ClassParams(n, alpha, beta)
-        for k in range(2, grid.k_max + 1):
+        point = _point(backend, n, alpha, beta)
+        for k, growth_cell in zip(ks, growth[alpha]):
             piece = small_alpha_bound(params, k)
             rows.append(
                 {
-                    **_point(backend, n, alpha, beta),
+                    **point,
                     "k": str(k),
                     "sharp_bound": backend.format_scalar(sharp_bound(params, k)),
                     "small_alpha_bound": ""
                     if piece.value is None
                     else backend.format_scalar(piece.value),
                     "region": piece.region.value,
-                    "growth_estimate": fmt_float(growth_estimate(alpha, k)),
+                    "growth_estimate": growth_cell,
                 }
             )
     return BOUNDS_COLUMNS, rows
@@ -208,6 +211,7 @@ def run_extremal_suite(grid: GridSpec, backend: Backend = FLOAT):
     for n, alpha, beta in grid.points():
         start = time.perf_counter()
         params = ClassParams(n, alpha, beta)
+        point = _point(backend, n, alpha, beta)
         entries = []
         passed = True
         worst = 0.0
@@ -233,7 +237,7 @@ def run_extremal_suite(grid: GridSpec, backend: Backend = FLOAT):
             entries.append(
                 SuiteEntry(
                     suite="extremal",
-                    **_point(backend, n, alpha, beta),
+                    **point,
                     k=str(k),
                     case="sharp equality",
                     observed=observed,
@@ -245,7 +249,7 @@ def run_extremal_suite(grid: GridSpec, backend: Backend = FLOAT):
         reports.append(
             SuiteReport(
                 suite="extremal",
-                point=_point(backend, n, alpha, beta),
+                point=point,
                 passed=passed,
                 worst_margin=worst,
                 witness=witness,
@@ -391,8 +395,7 @@ def run_hk_audit(
         built = [build_hk(k, alpha, order, backend=backend) for k in ks]
         minima = min_real_parts([h for h, _ in built], radius, samples)
         for k, (_, scheme), min_re in zip(ks, built, minima):
-            rows = gamma_identity_residuals(scheme)
-            m, value, target, residual = rows[-1]
+            m, value, target, residual = gamma_identity_row(scheme, k - 1)
             identity_ok = check_gamma_identity(scheme)
             worst = max(worst, residual)
             entries.append(

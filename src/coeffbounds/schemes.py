@@ -184,8 +184,9 @@ def build_hk(k: int, alpha, order: int, *, backend: Backend = FLOAT):
         d = ()
     elif k == 3:
         lam = 1 / alpha
+        even, odd = backend.coeff(2 * lam), backend.coeff(-2 * lam)
         for j in range(1, order + 1):
-            coeffs[j] = backend.coeff(2 * lam if j % 2 == 0 else -2 * lam)
+            coeffs[j] = even if j % 2 == 0 else odd
         d = (-2 / alpha,)
     elif k in (4, 5):
         step = k - 2
@@ -193,12 +194,11 @@ def build_hk(k: int, alpha, order: int, *, backend: Backend = FLOAT):
             dval = 2 * (alpha * alpha - 6 * alpha + 2) / (3 * alpha * alpha)
         else:
             dval = 2 * (3 * alpha**3 - 11 * alpha**2 + 6 * alpha - 1) / (3 * alpha**3)
-        lam = abs(dval) / 2
         sgn = 1 if dval >= 0 else -1
-        val = dval
-        for j in range(step, order + 1, step):
-            coeffs[j] = backend.coeff(val)
-            val = val * sgn
+        # the kernel's powers alternate in sign when sgn is -1: dval, -dval, dval, ...
+        pair = (backend.coeff(dval), backend.coeff(dval * sgn))
+        for i, j in enumerate(range(step, order + 1, step)):
+            coeffs[j] = pair[i % 2]
         d = (zero_s,) * (step - 1) + (dval,)
     else:
         lam1 = (2 * one_s) / (k - 2)
@@ -211,8 +211,9 @@ def build_hk(k: int, alpha, order: int, *, backend: Backend = FLOAT):
         if lam0 < 0:
             raise ValueError("combination weights left the simplex; alpha out of range")
         coeffs[1] = backend.coeff(-lam1)
+        even = backend.coeff(sigma)
         for j in range(2, order + 1, 2):
-            coeffs[j] = backend.coeff(sigma)
+            coeffs[j] = even
         d = tuple(
             -lam1 if mu == 1 else (sigma if mu % 2 == 0 else zero_s) for mu in range(1, k - 1)
         )
@@ -224,6 +225,13 @@ def build_hk(k: int, alpha, order: int, *, backend: Backend = FLOAT):
     return series, scheme
 
 
+def gamma_identity_row(scheme: GammaScheme, m: int):
+    """The ladder-vs-target row (m, ladder value, target, |residual|) at order m."""
+    value = scheme.gammas[m - 1]
+    target = gamma_target(m, scheme.alpha)
+    return m, value, target, abs(complex(value - target))
+
+
 def gamma_identity_residuals(scheme: GammaScheme):
     """All ladder-vs-target rows (m, ladder value, target, |residual|).
 
@@ -231,12 +239,7 @@ def gamma_identity_residuals(scheme: GammaScheme):
     construction; intermediate rows show how far the shared d-choices drift
     from the targets of the orders they were not built for.
     """
-    rows = []
-    for m in range(1, scheme.k):
-        value = scheme.gammas[m - 1]
-        target = gamma_target(m, scheme.alpha)
-        rows.append((m, value, target, abs(complex(value - target))))
-    return rows
+    return [gamma_identity_row(scheme, m) for m in range(1, scheme.k)]
 
 
 def check_gamma_identity(scheme: GammaScheme) -> bool:

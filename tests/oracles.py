@@ -19,6 +19,11 @@
   ``a_k_direct`` checks the kernels themselves.
 - ``a_k_direct`` expands a_k as a sum over powers of the transformed
   generator, without the real-power recurrence.
+- ``f_from_p_by_wrappers`` is `f_from_p` as a composition of the series
+  wrappers, one `TruncatedSeries` per step: transform, beta shift, real
+  power. The library runs the same kernels in one pass over the coefficient
+  list, so it must match exactly: ``==`` on floats, as fractions on the
+  rational backend.
 - ``min_real_part_scalar`` is `min_real_part` as one Python loop over the
   circle points, one ``TruncatedSeries.evaluate`` call each; the library's
   blocked numpy Horner must match it bit for bit.
@@ -37,7 +42,17 @@ import math
 
 import numpy as np
 
-from coeffbounds import ClassParams, TruncatedSeries, constant_one, f_from_p, half_hadamard, sharp_bound
+from coeffbounds import (
+    ClassParams,
+    HerglotzAtoms,
+    TruncatedSeries,
+    constant_one,
+    f_from_p,
+    half_hadamard,
+    iterated_transform,
+    sharp_bound,
+    shift_to_beta,
+)
 from coeffbounds.bounds import Region, classify_region
 from coeffbounds.schemes import nehari_series
 from coeffbounds.series import cauchy_coefficients
@@ -130,6 +145,15 @@ def a_k_direct(p: TruncatedSeries, params: ClassParams, k: int):
         b_m = (1 - beta) ** m * alpha ** (m * (n - 1)) * sign_prod / factorial
         total = total + b_m * power.coeffs[k - 1]
     return total
+
+
+def f_from_p_by_wrappers(p, params: ClassParams, order: int) -> TruncatedSeries:
+    """`f_from_p` as shift_to_beta(iterated_transform(q, n, alpha), beta).real_power(1/alpha)."""
+    q = p.series(order - 1) if isinstance(p, HerglotzAtoms) else p.truncate(order - 1)
+    backend = q.backend
+    alpha = backend.scalar(params.alpha)
+    u = shift_to_beta(iterated_transform(q, params.n, alpha), params.beta).real_power(1 / alpha)
+    return TruncatedSeries([backend.zero, *u.coeffs], order, backend=backend)
 
 
 def dominance_margins_scalar(atoms, n: int, alpha, beta, k_max: int):

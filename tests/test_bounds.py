@@ -23,7 +23,7 @@ from coeffbounds import (
     small_alpha_bound,
     verify_membership,
 )
-from oracles import a_k_direct, small_alpha_bound_full
+from oracles import a_k_direct, f_from_p_by_wrappers, small_alpha_bound_full
 
 
 class TestClassParams:
@@ -243,6 +243,72 @@ class TestReconstruction:
         p = atoms.series(8)
         for k in range(2, 9):
             assert abs(a_k_direct(p, params, k) - f.coefficient(k)) < 1e-12
+
+
+def _generators(backend):
+    """Atom systems and one non-Caratheodory series with constant term 1, per backend."""
+    if backend is FLOAT:
+        atoms = [random_herglotz(seed) for seed in (3, 77, 2**40 + 5)] + [extremal_p(4)]
+        series = TruncatedSeries([1, 0.3 - 0.2j, -1.7 + 0.1j, 2.5j, -0.4, 0.9 + 0.9j], 12)
+    else:
+        atoms = [
+            HerglotzAtoms.from_rational([Fraction(1, 2), Fraction(1, 2)], [Fraction(0), Fraction(1, 5)]),
+            HerglotzAtoms.from_rational([Fraction(1, 3), Fraction(2, 3)], [Fraction(-3), Fraction(7, 2)]),
+            extremal_p(3, backend=RATIONAL),
+        ]
+        series = TruncatedSeries(
+            [RATIONAL.coeff(1), RATIONAL.coeff(Fraction(3, 7), -2), RATIONAL.coeff(Fraction(-5, 3))],
+            12,
+            backend=RATIONAL,
+        )
+    return atoms, series
+
+
+@pytest.mark.parametrize("backend", [FLOAT, RATIONAL], ids=lambda b: b.name)
+class TestOnePassPipeline:
+    """`f_from_p` runs transform, beta shift and real power as one pass over the coefficients."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_equals_wrapper_composition(self, backend, n):
+        order = 9
+        atom_systems, series = _generators(backend)
+        generators = [series.truncate(order - 1), series]
+        for atoms in atom_systems:
+            generators += [atoms, atoms.series(order - 1), atoms.series(order + 4)]
+        for alpha, beta in (("2", "0"), ("3/2", "1/4"), ("1/2", "9/10")):
+            params = ClassParams(n, backend.scalar(alpha), backend.scalar(beta))
+            for p in generators:
+                assert f_from_p(p, params, order) == f_from_p_by_wrappers(p, params, order)
+
+    @pytest.mark.parametrize("p0", [2, 0])
+    def test_constant_term_must_be_one(self, backend, p0):
+        p = TruncatedSeries([p0, 1, 1, 1], backend=backend)
+        for n in (0, 2):
+            with pytest.raises(ValueError, match="constant term 1"):
+                f_from_p(p, ClassParams(n, backend.scalar(2), backend.scalar(0)), 4)
+
+    def test_series_below_the_needed_order_is_refused(self, backend):
+        p = TruncatedSeries([1, 1], backend=backend)
+        with pytest.raises(ValueError, match="below the needed"):
+            f_from_p(p, ClassParams(1, backend.scalar(2), backend.scalar(0)), 3)
+
+    def test_series_built_per_call(self, backend, monkeypatch):
+        atom_systems, series = _generators(backend)
+        generators = [atom_systems[0], atom_systems[0].series(20), series]
+        built = []
+        init = TruncatedSeries.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(TruncatedSeries, "__init__", counting)
+        for p in generators:
+            for n in (0, 3):
+                built.clear()
+                f_from_p(p, ClassParams(n, backend.scalar(2), backend.scalar("1/4")), 12)
+                # at most two: the atoms' own series and the result; a series generator is only sliced
+                assert len(built) == (2 if isinstance(p, HerglotzAtoms) else 1)
 
 
 class TestMembership:

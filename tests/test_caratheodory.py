@@ -179,6 +179,17 @@ class TestMinRealPartMatchesScalarLoop:
         assert s.backend is RATIONAL
         assert _bitwise_equal(min_real_part(s, radius, 720), min_real_part_scalar(s, radius, 720))
 
+    def test_rational_rows_need_no_float_series(self, monkeypatch):
+        p = HerglotzAtoms.from_rational([Fraction(1, 3), Fraction(2, 3)], [Fraction(1, 2), Fraction(-3, 4)])
+        series = [iterated_transform(p.series(order), 1, Fraction(5, 2)) for order in (3, 17, 40)]
+        expected = [min_real_part_scalar(s, 0.9, 720) for s in series]
+
+        def refuse(self):
+            raise AssertionError("rows are read from the coefficients")
+
+        monkeypatch.setattr(TruncatedSeries, "to_float", refuse)
+        assert all(map(_bitwise_equal, min_real_parts(series, 0.9, 720), expected))
+
     def test_block_merge(self):
         samples = 3 * CIRCLE_BLOCK + 5
         s = random_herglotz(77).series(12)

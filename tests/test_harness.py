@@ -10,8 +10,11 @@ from coeffbounds import (
     RATIONAL,
     GridSpec,
     UsageError,
+    build_hk,
     default_grid,
     extremal_p,
+    gamma_identity_residuals,
+    growth_estimate,
     harness,
     run_bounds_table,
     run_expand,
@@ -19,12 +22,13 @@ from coeffbounds import (
     run_hk_audit,
     run_nehari_suite,
     run_random_suite,
+    schemes,
     suite_csv,
     suite_json,
     sweeps,
 )
 from coeffbounds.bounds import SLACK
-from coeffbounds.harness import tail_bound
+from coeffbounds.harness import DEFAULT_K_MAX, DEFAULT_ORDER, tail_bound
 from coeffbounds.reports import fmt_float
 from oracles import dominance_margins_scalar, nehari_margins_scalar
 from coeffbounds.caratheodory import HerglotzAtoms, trial_atoms
@@ -95,6 +99,22 @@ class TestBoundsTable:
         )
         n1_k2 = [r for r in rows if r["n"] == "1" and r["k"] == "2"][0]
         assert n1_k2["sharp_bound"] == "2/3"
+
+    def test_growth_estimate_once_per_alpha_and_k(self, monkeypatch):
+        calls = []
+
+        def counting(alpha, k):
+            calls.append((alpha, k))
+            return growth_estimate(alpha, k)
+
+        monkeypatch.setattr(harness, "growth_estimate", counting)
+        grid = default_grid(FLOAT)
+        _, rows = run_bounds_table(grid, FLOAT)
+        ks = range(2, grid.k_max + 1)
+        assert sorted(calls) == sorted((alpha, k) for alpha in grid.alpha_values for k in ks)
+        # the cell repeats over n and beta
+        for row in rows:
+            assert row["growth_estimate"] == fmt_float(growth_estimate(float(row["alpha"]), int(row["k"])))
 
 
 class TestExtremalSuite:
@@ -239,6 +259,34 @@ class TestHkAudit:
         run_hk_audit(default_grid(FLOAT).alpha_values)
         # stock grid: one call per alpha, holding the series of k = 2..12
         assert calls == [11] * 6
+
+    @pytest.mark.parametrize("backend", [FLOAT, RATIONAL], ids=lambda b: b.name)
+    def test_identity_row_is_the_last_residual_row(self, backend):
+        alphas = default_grid(backend).alpha_values
+        reports = run_hk_audit(alphas, backend=backend)
+        for alpha, report in zip(alphas, reports):
+            entries = [e for e in report.entries if e.case.startswith("gamma identity")]
+            assert [e.k for e in entries] == [str(k) for k in range(2, DEFAULT_K_MAX + 1)]
+            for k, entry in zip(range(2, DEFAULT_K_MAX + 1), entries):
+                _, scheme = build_hk(k, alpha, DEFAULT_ORDER, backend=backend)
+                m, value, target, residual = gamma_identity_residuals(scheme)[-1]
+                assert entry.case == f"gamma identity at defining order m={m}"
+                assert (entry.observed, entry.reference, entry.margin) == (
+                    backend.format_scalar(value),
+                    backend.format_scalar(target),
+                    fmt_float(residual),
+                )
+
+    @pytest.mark.parametrize("backend", [FLOAT, RATIONAL], ids=lambda b: b.name)
+    def test_reads_only_the_defining_order_row(self, backend, monkeypatch):
+        def refuse(scheme):
+            raise AssertionError("the audit computes only the row at m = k - 1")
+
+        monkeypatch.setattr(harness, "gamma_identity_residuals", refuse, raising=False)
+        monkeypatch.setattr(schemes, "gamma_identity_residuals", refuse)
+        reports = run_hk_audit(default_grid(backend).alpha_values, backend=backend)
+        assert len(reports) == 6 + 2
+        assert all(r.passed for r in reports)
 
 
 class TestExpand:

@@ -1,9 +1,11 @@
 """Exact complex-rational arithmetic and the unimodular parametrization."""
 
+import itertools
+import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coeffbounds._rational import RationalComplex, t_from_unimodular, unimodular_from_t
@@ -15,6 +17,54 @@ fractions = st.fractions(
 
 def rc(a, b=0):
     return RationalComplex(Fraction(a), Fraction(b))
+
+
+parts = st.one_of(st.just(Fraction(0)), fractions)
+nonzero = fractions.filter(bool)
+OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
+
+
+def zero_patterns(count):
+    """Every choice of which of ``count`` operand parts are zero, so each path runs."""
+    return pytest.mark.parametrize(
+        "zeros",
+        list(itertools.product((False, True), repeat=count)),
+        ids=lambda zeros: "".join("0" if z else "x" for z in zeros),
+    )
+
+
+def zeroed(values, zeros):
+    return [type(v)(0) if z else v for v, z in zip(values, zeros)]
+
+
+def generic(op, x, y):
+    """The full complex formula on (re, im) pairs, with every product formed."""
+    (a, b), (c, d) = x, y
+    if op == "add":
+        return a + c, b + d
+    if op == "sub":
+        return a - c, b - d
+    if op == "mul":
+        return a * c - b * d, a * d + b * c
+    den = c * c + d * d
+    return (a * c + b * d) / den, (b * c - a * d) / den
+
+
+def assert_exact(z, expected):
+    assert (z.re, z.im) == expected
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    for name in ("re", "im"):
+        with pytest.raises(AttributeError):
+            setattr(z, name, Fraction(0))
+
+
+def check_op(op, x, y, left, right):
+    """``left op right`` against the generic formula on the pairs x and y."""
+    if op == "div" and not any(y):
+        with pytest.raises(ZeroDivisionError):
+            OPS[op](left, right)
+    else:
+        assert_exact(OPS[op](left, right), generic(op, x, y))
 
 
 class TestArithmetic:
@@ -57,6 +107,49 @@ class TestArithmetic:
     def test_additive_inverse(self, a, b):
         x = rc(a, b)
         assert x + (-x) == rc(0)
+
+
+class TestRealOperandPaths:
+    """Zero imaginary parts and int/Fraction operands give the generic formula's values."""
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    @zero_patterns(4)
+    @settings(max_examples=5)
+    @given(values=st.tuples(nonzero, nonzero, nonzero, nonzero))
+    def test_two_complex_operands(self, op, zeros, values):
+        a, b, c, d = zeroed(values, zeros)
+        check_op(op, (a, b), (c, d), rc(a, b), rc(c, d))
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    @zero_patterns(3)
+    @settings(max_examples=5)
+    @given(values=st.tuples(nonzero, nonzero, st.one_of(st.integers(-50, 50).filter(bool), nonzero)))
+    def test_real_operand_on_either_side(self, op, zeros, values):
+        a, b, r = zeroed(values, zeros)
+        x, real = (a, b), (Fraction(r), Fraction(0))
+        check_op(op, x, real, rc(a, b), r)
+        check_op(op, real, x, r, rc(a, b))
+
+    @given(parts, parts, st.integers(0, 5))
+    def test_negation_conjugate_and_power(self, a, b, n):
+        assert_exact(-rc(a, b), (-a, -b))
+        assert_exact(rc(a, b).conjugate(), (a, -b))
+        expected = (Fraction(1), Fraction(0))
+        for _ in range(n):
+            expected = generic("mul", expected, (a, b))
+        assert_exact(rc(a, b) ** n, expected)
+
+    @given(parts, parts, st.one_of(st.integers(-50, 50), parts))
+    def test_equality_with_a_real(self, a, b, r):
+        assert (rc(a, b) == r) == (a == r and b == 0)
+        assert (rc(a, b) != r) == (a != r or b != 0)
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_float_operands_are_refused(self, op):
+        with pytest.raises(TypeError):
+            OPS[op](rc(1, 1), 0.5)
+        with pytest.raises(TypeError):
+            OPS[op](0.5, rc(1, 1))
 
 
 class TestUnimodular:

@@ -117,6 +117,15 @@ class TestBuildHk:
         m, value, target, residual = gamma_identity_residuals(scheme)[-1]
         assert m == k - 1 and value == target and residual == 0
 
+    @pytest.mark.parametrize("backend", [FLOAT, RATIONAL], ids=lambda b: b.name)
+    @pytest.mark.parametrize("alpha", ["11/10", "2", "3", "10"])
+    def test_repeated_coefficients_are_built_once(self, backend, alpha):
+        # k = 3 alternates two values, k = 4, 5 one or two (the sign pattern),
+        # k >= 6 has d_1 and one shared even value
+        for k in range(3, 13):
+            h, _ = build_hk(k, backend.scalar(alpha), 40, backend=backend)
+            assert len({id(c) for c in h.coeffs[1:] if c != backend.zero}) <= 2
+
     @pytest.mark.parametrize("k", range(2, 13))
     def test_coefficients_bounded_by_two(self, k):
         for alpha in (Fraction(11, 10), Fraction(2), Fraction(100)):

@@ -24,6 +24,7 @@ from coeffbounds._rational import RationalComplex
 from coeffbounds.bounds import SLACK
 from coeffbounds.caratheodory import (
     MAX_ATOMS,
+    HerglotzAtoms,
     _uniforms,
     atom_coefficients,
     check_atom_rows,
@@ -206,6 +207,27 @@ class TestSampler:
         monkeypatch.setattr(caratheodory, "check_atom_rows", refuse)
         with pytest.raises(ValueError, match="rows checked"):
             draw_atoms(5, 0, 3)
+
+    def test_trial_atoms_checks_its_row_once(self, monkeypatch):
+        cases = ((12345, 17), (5, 0), (2**64 - 1, 10**6))
+        expected = []
+        for key, trial in cases:
+            weights, points, counts = draw_atoms(key, trial, trial + 1)
+            # the checked construction from the drawn row
+            expected.append(HerglotzAtoms(weights[0, : counts[0]].tolist(), points[0, : counts[0]].tolist()))
+        calls = []
+
+        def counting(weights, points, counts):
+            calls.append(len(counts))
+            check_atom_rows(weights, points, counts)
+
+        monkeypatch.setattr(caratheodory, "check_atom_rows", counting)
+        for (key, trial), atoms in zip(cases, expected):
+            calls.clear()
+            rebuilt = trial_atoms(key, trial)
+            assert calls == [1]
+            assert rebuilt == atoms
+            assert rebuilt.to_document() == atoms.to_document()
 
     def test_checks_accept_padded_rows(self):
         weights = np.array([[0.25, 0.75, 0.0], [1.0, 0.0, 0.0]])
