@@ -36,10 +36,8 @@ from .caratheodory import (
     HerglotzAtoms,
     get_doc_backend,
     half_hadamard,
-    iterated_transform,
     min_real_part,
     random_herglotz,
-    shift_to_beta,
 )
 from .harness import (
     GridSpec,
@@ -65,7 +63,7 @@ from .schemes import (
     nehari_series,
     recipe_even_constant,
 )
-from .series import TruncatedSeries, constant_one, geometric
+from .series import TruncatedSeries
 
 __version__ = "0.1.0"
 
@@ -89,19 +87,16 @@ __all__ = [
     "check_gamma_identity",
     "classify_region",
     "compare_even_constants",
-    "constant_one",
     "default_grid",
     "extremal_p",
     "f_from_p",
     "gamma_identity_residuals",
     "gamma_target",
     "gammas_from_coefficients",
-    "geometric",
     "get_backend",
     "get_doc_backend",
     "growth_estimate",
     "half_hadamard",
-    "iterated_transform",
     "min_real_part",
     "nehari_series",
     "random_herglotz",
@@ -113,7 +108,6 @@ __all__ = [
     "run_nehari_suite",
     "run_random_suite",
     "sharp_bound",
-    "shift_to_beta",
     "small_alpha_bound",
     "suite_csv",
     "suite_json",

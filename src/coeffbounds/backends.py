@@ -42,13 +42,8 @@ class _FloatBackend(Backend):
             return re
         return complex(self.scalar(re), self.scalar(im))
 
-    @property
-    def zero(self) -> complex:
-        return 0j
-
-    @property
-    def one(self) -> complex:
-        return 1 + 0j
+    zero = 0j
+    one = 1 + 0j
 
     def format_scalar(self, x) -> str:
         return fmt_float(x)
@@ -69,13 +64,8 @@ class _RationalBackend(Backend):
             return re
         return RationalComplex(self.scalar(re), self.scalar(im))
 
-    @property
-    def zero(self) -> RationalComplex:
-        return RationalComplex(0, 0)
-
-    @property
-    def one(self) -> RationalComplex:
-        return RationalComplex(1, 0)
+    zero = RationalComplex(0, 0)
+    one = RationalComplex(1, 0)
 
     def format_scalar(self, x) -> str:
         return str(Fraction(x))

@@ -35,7 +35,7 @@ from .series import TruncatedSeries, power_tails, real_power_coefficients
 SLACK = 1e-9
 #: ``BoundReport.sharp_hit`` when |bound - |a_k|| is at most this (float comparison).
 SHARP_HIT_TOL = 1e-9
-#: Largest float deviation from f = z + ... that `verify_membership` accepts in a_0 and a_1.
+#: Largest float |a_0| that `verify_membership` accepts; a_1 must be exactly 1.
 NORMALIZATION_TOL = 1e-12
 
 
@@ -202,17 +202,17 @@ def verify_membership(f: TruncatedSeries, params: ClassParams, radius: float, sa
     if f.order < 1:
         raise ValueError("f must carry at least the z term")
     if backend is RATIONAL:
-        if f.coeffs[0] != backend.zero or f.coeffs[1] != backend.one:
-            raise ValueError("f must start as z + a_2 z^2 + ...")
+        a0_off = f.coeffs[0] != backend.zero
     else:
-        if abs(f.coeffs[0]) > NORMALIZATION_TOL or abs(f.coeffs[1] - 1) > NORMALIZATION_TOL:
-            raise ValueError("f must start as z + a_2 z^2 + ...")
+        a0_off = abs(f.coeffs[0]) > NORMALIZATION_TOL
+    # the real-power recurrence assumes a_1 = 1 exactly, on both backends
+    if a0_off or f.coeffs[1] != backend.one:
+        raise ValueError("f must start as z + a_2 z^2 + ...")
     alpha = backend.scalar(params.alpha)
-    u = TruncatedSeries(f.coeffs[1:], f.order - 1, backend=backend)
-    e = u.real_power(alpha)
+    e = real_power_coefficients(f.coeffs[1:], alpha, backend.one, backend.zero)
     normalized = TruncatedSeries(
-        [(((alpha + k) / alpha) ** params.n) * c for k, c in enumerate(e.coeffs)],
-        e.order,
+        [(((alpha + k) / alpha) ** params.n) * c for k, c in enumerate(e)],
+        f.order - 1,
         backend=backend,
     )
     return min_real_part(normalized, radius, samples) - float(params.beta)

@@ -62,7 +62,10 @@ def half_hadamard_coefficients(p, q, one, half) -> list:
 
 
 def transform_coefficients(coeffs, alpha, n: int) -> list:
-    """Multiply the k-th coefficient by (alpha / (alpha + k))^n, k >= 1."""
+    """Multiply the k-th coefficient by (alpha / (alpha + k))^n, k >= 1.
+
+    That is n applications of p -> (alpha / z^alpha) integral_0^z t^(alpha-1) p(t) dt.
+    """
     if n == 0:
         return list(coeffs)
     out = [coeffs[0]]
@@ -277,36 +280,6 @@ def half_hadamard(p: TruncatedSeries, q: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(coeffs, p.order, backend=backend)
 
 
-def iterated_transform(p: TruncatedSeries, n: int, alpha) -> TruncatedSeries:
-    """Apply the averaging transform n >= 0 times with exponent alpha > 0.
-
-    One application maps p to (alpha / z^alpha) * integral_0^z t^(alpha-1) p(t) dt,
-    i.e. multiplies the k-th coefficient by alpha / (alpha + k); n applications
-    multiply by (alpha / (alpha + k))^n. The constant term stays 1 by the
-    normalization. Exact on the rational backend for rational alpha.
-    """
-    if not isinstance(n, int) or n < 0:
-        raise ValueError(f"n must be a non-negative integer, got {n!r}")
-    backend = p.backend
-    alpha = backend.scalar(alpha)
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha!r}")
-    if n == 0:
-        return p
-    return TruncatedSeries(transform_coefficients(p.coeffs, alpha, n), p.order, backend=backend)
-
-
-def shift_to_beta(p: TruncatedSeries, beta) -> TruncatedSeries:
-    """beta + (1 - beta) p for a series with constant term 1."""
-    backend = p.backend
-    beta = backend.scalar(beta)
-    if not (0 <= beta < 1):
-        raise ValueError(f"beta must lie in [0, 1), got {beta!r}")
-    if p.coeffs[0] != backend.one:
-        raise ValueError("shift_to_beta expects constant term 1")
-    return TruncatedSeries(shift_coefficients(p.coeffs, beta, backend.one), p.order, backend=backend)
-
-
 def min_real_parts(series, radius: float, samples: int) -> list:
     """Minimum of Re p over equally spaced points on |z| = radius, for each p in ``series``.
 
@@ -317,7 +290,8 @@ def min_real_parts(series, radius: float, samples: int) -> list:
     over a (series x points) numpy block of at most `CIRCLE_BLOCK` cells, on
     split real and imaginary parts: each step rounds the same products and
     sums as Python's complex arithmetic, so the value at every point is
-    bit-identical to ``p.to_float().evaluate(z_j)``. Shorter series are
+    bit-identical to a Python Horner loop over ``complex`` coefficients at
+    z_j (``tests/oracles.py::min_real_part_scalar``). Shorter series are
     padded with leading +0.0 coefficients, which keep both parts at exactly
     +0.0 until their own top coefficient. Per series, NaN values are
     skipped, the first of equal minima wins (so 0.0 before -0.0 stays 0.0),

@@ -1,5 +1,11 @@
 """Independent routes the tests check the library against.
 
+The library's `TruncatedSeries` only holds coefficients, so every oracle
+here works on plain coefficient lists (``series.coeffs``), and the few list
+operations the tests need live here too: ``mul_oracle`` (a schoolbook
+product), ``add_coefficients``/``scale_coefficients`` and ``evaluate`` (a
+Horner loop).
+
 - ``transform_coefficients_by_quadrature`` recomputes the iterated integral
   transform without its closed form. The closed form multiplies the k-th
   coefficient by (alpha/(alpha+k))^n; this evaluates
@@ -12,21 +18,23 @@
   times, and then reads coefficients off a circle by discrete Fourier
   transform.
 - ``dominance_margins_scalar`` and ``nehari_margins_scalar`` recompute one
-  sweep trial through the scalar series classes (`f_from_p`,
+  sweep trial through the scalar functions (`f_from_p`,
   `half_hadamard`, `nehari_series`), one `HerglotzAtoms` system at a time.
   They share the coefficient kernels with the sweeps, so they check the
   column split, the padding and the bounds; the closed-form oracle
   ``a_k_direct`` checks the kernels themselves.
 - ``a_k_direct`` expands a_k as a sum over powers of the transformed
   generator, without the real-power recurrence.
-- ``f_from_p_by_wrappers`` is `f_from_p` as a composition of the series
-  wrappers, one `TruncatedSeries` per step: transform, beta shift, real
-  power. The library runs the same kernels in one pass over the coefficient
-  list, so it must match exactly: ``==`` on floats, as fractions on the
-  rational backend.
+- ``f_from_p_by_wrappers`` is `f_from_p` as a composition of steps, one
+  list per step: the generator cut to its order, the transform
+  (``transform_list``), the beta shift (``shift_list``), the real-power
+  kernel. The library runs the same arithmetic in one pass over the
+  coefficient list, so it must match exactly: ``==`` on floats, as
+  fractions on the rational backend.
 - ``min_real_part_scalar`` is `min_real_part` as one Python loop over the
-  circle points, one ``TruncatedSeries.evaluate`` call each; the library's
-  blocked numpy Horner must match it bit for bit.
+  circle points, one ``evaluate`` call each on the ``complex``
+  coefficients; the library's blocked numpy Horner must match it bit for
+  bit.
 - ``nehari_coefficients_full`` and ``small_alpha_bound_full`` build every
   power of a series that vanishes at 0 as a full-length Cauchy product,
   leading zeros included. The library sums the same non-zero products in
@@ -43,19 +51,55 @@ import math
 import numpy as np
 
 from coeffbounds import (
+    FLOAT,
     ClassParams,
     HerglotzAtoms,
     TruncatedSeries,
-    constant_one,
     f_from_p,
     half_hadamard,
-    iterated_transform,
     sharp_bound,
-    shift_to_beta,
 )
 from coeffbounds.bounds import Region, classify_region
 from coeffbounds.schemes import nehari_series
-from coeffbounds.series import cauchy_coefficients
+from coeffbounds.series import cauchy_coefficients, real_power_coefficients
+
+
+def mul_oracle(a, b, zero) -> list:
+    """Truncated product of two coefficient lists as a schoolbook double loop."""
+    out = [zero] * len(a)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            if i + j < len(a):
+                out[i + j] = out[i + j] + ai * bj
+    return out
+
+
+def add_coefficients(a, b) -> list:
+    return [x + y for x, y in zip(a, b)]
+
+
+def scale_coefficients(lam, a) -> list:
+    return [lam * x for x in a]
+
+
+def evaluate(coeffs, z, zero):
+    """Horner evaluation of the polynomial with these coefficients at z."""
+    acc = zero
+    for c in reversed(coeffs):
+        acc = acc * z + c
+    return acc
+
+
+def transform_list(coeffs, alpha, n: int) -> list:
+    """The n-fold transform: the k-th coefficient times (alpha / (alpha + k))^n, k >= 1."""
+    if n == 0:
+        return list(coeffs)
+    return [coeffs[0], *((alpha / (alpha + k)) ** n * c for k, c in enumerate(coeffs[1:], start=1))]
+
+
+def shift_list(coeffs, beta) -> list:
+    """beta + (1 - beta) p for p_0 = 1."""
+    return [coeffs[0], *((1 - beta) * c for c in coeffs[1:])]
 
 
 def _gauss_nodes(n: int):
@@ -101,7 +145,7 @@ def transform_coefficients_by_quadrature(
         raise ValueError("radius must lie in (0, 1)")
     if circle_points <= k_max:
         raise ValueError("need more circle points than coefficients")
-    coeffs = np.array([complex(c) for c in p.to_float().coeffs])
+    coeffs = np.array([complex(c) for c in p.coeffs])
     u, w = _gauss_nodes(nodes)
     angles = 2.0 * np.pi * np.arange(circle_points) / circle_points
     z = radius * np.exp(1j * angles)
@@ -128,32 +172,29 @@ def a_k_direct(p: TruncatedSeries, params: ClassParams, k: int):
         raise ValueError(f"generator order {p.order} is below k-1 = {k - 1}")
     backend = p.backend
     alpha, beta, n = (backend.scalar(params.alpha), backend.scalar(params.beta), params.n)
-    w = TruncatedSeries(
-        [backend.zero] + [p.coeffs[l] * (1 / (alpha + l) ** n) for l in range(1, k)],
-        k - 1,
-        backend=backend,
-    )
+    w = [backend.zero] + [p.coeffs[l] * (1 / (alpha + l) ** n) for l in range(1, k)]
     total = backend.zero
     power = w
     sign_prod = alpha * 0 + 1
     factorial = 1
     for m in range(1, k):
         if m > 1:
-            power = power * w
+            power = cauchy_coefficients(power, w, backend.zero)
             sign_prod = sign_prod * (1 - (m - 1) * alpha)
             factorial *= m
         b_m = (1 - beta) ** m * alpha ** (m * (n - 1)) * sign_prod / factorial
-        total = total + b_m * power.coeffs[k - 1]
+        total = total + b_m * power[k - 1]
     return total
 
 
 def f_from_p_by_wrappers(p, params: ClassParams, order: int) -> TruncatedSeries:
-    """`f_from_p` as shift_to_beta(iterated_transform(q, n, alpha), beta).real_power(1/alpha)."""
-    q = p.series(order - 1) if isinstance(p, HerglotzAtoms) else p.truncate(order - 1)
+    """`f_from_p` as the real power 1/alpha of shift_list(transform_list(q, n, alpha), beta)."""
+    q = p.series(order - 1) if isinstance(p, HerglotzAtoms) else p
     backend = q.backend
     alpha = backend.scalar(params.alpha)
-    u = shift_to_beta(iterated_transform(q, params.n, alpha), params.beta).real_power(1 / alpha)
-    return TruncatedSeries([backend.zero, *u.coeffs], order, backend=backend)
+    g = shift_list(transform_list(q.coeffs[:order], alpha, params.n), backend.scalar(params.beta))
+    u = real_power_coefficients(g, 1 / alpha, backend.one, backend.zero)
+    return TruncatedSeries([backend.zero, *u], order, backend=backend)
 
 
 def dominance_margins_scalar(atoms, n: int, alpha, beta, k_max: int):
@@ -169,7 +210,7 @@ def nehari_margins_scalar(h_atoms, p_atoms, q_atoms, n: int, alpha, beta, k_max:
     """One trial of the nehari sweep through the scalar series pipeline."""
     h = h_atoms.series(k_max - 1)
     r = half_hadamard(p_atoms.series(k_max), q_atoms.series(k_max))
-    G = r - constant_one(k_max)
+    G = TruncatedSeries([FLOAT.zero, *r.coeffs[1:]], k_max)
     A = nehari_series(h, G, ClassParams(n, alpha, beta), k_max)
     af = float(alpha)
     bf = float(beta)
@@ -181,11 +222,11 @@ def nehari_margins_scalar(h_atoms, p_atoms, q_atoms, n: int, alpha, beta, k_max:
 
 def min_real_part_scalar(p: TruncatedSeries, radius: float, samples: int) -> float:
     """Minimum of Re p on |z| = radius, one point at a time (first strict minimum, NaN skipped)."""
-    q = p.to_float()
+    coeffs = [complex(c) for c in p.coeffs]
     best = math.inf
     for j in range(samples):
         z = radius * cmath.exp(2j * math.pi * j / samples)
-        value = q.evaluate(z).real
+        value = evaluate(coeffs, z, 0j).real
         if value < best:
             best = value
     return best

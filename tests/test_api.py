@@ -10,9 +10,30 @@ from pathlib import Path
 import pytest
 
 import coeffbounds
-from coeffbounds import FLOAT, RATIONAL, ClassParams, GammaScheme, bounds, caratheodory, harness, schemes, sweeps
+from coeffbounds import (
+    FLOAT,
+    RATIONAL,
+    ClassParams,
+    GammaScheme,
+    TruncatedSeries,
+    bounds,
+    caratheodory,
+    harness,
+    schemes,
+    series,
+    sweeps,
+)
 
-REMOVED_EXPORTS = ("make_series", "kernel_series", "TransformParams", "a_k_direct")
+REMOVED_EXPORTS = (
+    "make_series",
+    "kernel_series",
+    "TransformParams",
+    "a_k_direct",
+    "constant_one",
+    "geometric",
+    "iterated_transform",
+    "shift_to_beta",
+)
 
 
 def test_every_export_resolves():
@@ -49,10 +70,29 @@ def test_removed_name_is_not_exported(name):
         (sweeps, "dominance_witness"),
         (sweeps, "nehari_witness"),
         (caratheodory, "_read_fraction"),
+        (caratheodory, "iterated_transform"),
+        (caratheodory, "shift_to_beta"),
+        (series, "constant_one"),
+        (series, "geometric"),
+        *(
+            (TruncatedSeries, method)
+            for method in (
+                "__add__", "__sub__", "__neg__", "scale", "__mul__", "integer_power", "real_power",
+                "salagean", "evaluate", "shift_up", "to_float", "truncate", "__getitem__", "__len__",
+            )
+        ),
     ],
 )
 def test_removed_attribute_is_gone(owner, name):
     assert not hasattr(owner, name)
+
+
+def test_backend_constants_are_shared():
+    # zero and one are plain class constants, not rebuilt on every read
+    assert RATIONAL.zero is RATIONAL.zero
+    assert RATIONAL.one is RATIONAL.one
+    assert FLOAT.zero is FLOAT.zero
+    assert FLOAT.one is FLOAT.one
 
 
 @pytest.mark.parametrize(

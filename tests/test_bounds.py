@@ -14,7 +14,6 @@ from coeffbounds import (
     TruncatedSeries,
     bound_report,
     classify_region,
-    constant_one,
     extremal_p,
     f_from_p,
     growth_estimate,
@@ -23,7 +22,8 @@ from coeffbounds import (
     small_alpha_bound,
     verify_membership,
 )
-from oracles import a_k_direct, f_from_p_by_wrappers, small_alpha_bound_full
+from coeffbounds.bounds import NORMALIZATION_TOL
+from oracles import a_k_direct, f_from_p_by_wrappers, mul_oracle, small_alpha_bound_full
 
 
 class TestClassParams:
@@ -113,6 +113,14 @@ class TestRegions:
             classify_region(0.0, 4)
 
 
+def _power(coeffs, m: int) -> list:
+    """coeffs^m as m schoolbook products, starting from 1."""
+    out = [RATIONAL.one] + [RATIONAL.zero] * (len(coeffs) - 1)
+    for _ in range(m):
+        out = mul_oracle(out, coeffs, RATIONAL.zero)
+    return out
+
+
 class TestSmallAlphaBound:
     def test_matches_sharp_for_low_indices(self):
         # for k = 2 and 3 the piecewise formula simplifies to the sharp bound
@@ -124,18 +132,14 @@ class TestSmallAlphaBound:
                     assert piece.value == sharp_bound(p, k), (alpha, n, k)
 
     def test_brute_force_expansion_k4(self):
-        # omega1 point: expand (sum_j z^j/(alpha+j)^n)^m with the series
-        # ring and assemble sum_m B_m Q_3^(m) directly
+        # omega1 point: expand (sum_j z^j/(alpha+j)^n)^m by schoolbook
+        # products and assemble sum_m B_m Q_3^(m) directly
         alpha, n, beta, k = Fraction(3, 10), 1, Fraction(0), 4
         params = ClassParams(n, alpha, beta)
         piece = small_alpha_bound(params, k)
         assert piece.region is Region.OMEGA1
 
-        base = TruncatedSeries(
-            [RATIONAL.zero] + [RATIONAL.coeff(1 / (alpha + j) ** n) for j in range(1, k)],
-            k - 1,
-            backend=RATIONAL,
-        )
+        base = [RATIONAL.zero] + [RATIONAL.coeff(1 / (alpha + j) ** n) for j in range(1, k)]
         total = Fraction(0)
         for m in range(1, k):
             b_m = (
@@ -145,7 +149,7 @@ class TestSmallAlphaBound:
                 * math.prod(1 - j * alpha for j in range(m))
                 / math.factorial(m)
             )
-            total += b_m * base.integer_power(m).coefficient(k - 1).re
+            total += b_m * _power(base, m)[k - 1].re
         assert piece.value == total
 
     def test_omega3_uses_shorter_sum(self):
@@ -153,11 +157,7 @@ class TestSmallAlphaBound:
         params = ClassParams(1, Fraction(2, 5), Fraction(0))
         piece = small_alpha_bound(params, 5)
         assert piece.region is Region.OMEGA3
-        base = TruncatedSeries(
-            [RATIONAL.zero] + [RATIONAL.coeff(1 / (Fraction(2, 5) + j)) for j in range(1, 5)],
-            4,
-            backend=RATIONAL,
-        )
+        base = [RATIONAL.zero] + [RATIONAL.coeff(1 / (Fraction(2, 5) + j)) for j in range(1, 5)]
         total = Fraction(0)
         for m in range(1, 4):
             b_m = (
@@ -165,7 +165,7 @@ class TestSmallAlphaBound:
                 * math.prod(1 - j * Fraction(2, 5) for j in range(m))
                 / math.factorial(m)
             )
-            total += b_m * base.integer_power(m).coefficient(4).re
+            total += b_m * _power(base, m)[4].re
         assert piece.value == total
 
     @pytest.mark.parametrize("exact", [True, False], ids=["rational", "float"])
@@ -207,7 +207,7 @@ class TestGrowthEstimate:
 class TestReconstruction:
     def test_constant_generator_gives_identity(self):
         params = ClassParams(2, 1.5, 0.25)
-        f = f_from_p(constant_one(7), params, 7)
+        f = f_from_p(TruncatedSeries([1], 7), params, 7)
         assert abs(f.coefficient(1) - 1) < 1e-15
         assert all(abs(c) < 1e-15 for c in f.coeffs[2:])
         assert abs(f.coefficient(0)) == 0
@@ -272,7 +272,7 @@ class TestOnePassPipeline:
     def test_equals_wrapper_composition(self, backend, n):
         order = 9
         atom_systems, series = _generators(backend)
-        generators = [series.truncate(order - 1), series]
+        generators = [TruncatedSeries(series.coeffs, order - 1, backend=backend), series]
         for atoms in atom_systems:
             generators += [atoms, atoms.series(order - 1), atoms.series(order + 4)]
         for alpha, beta in (("2", "0"), ("3/2", "1/4"), ("1/2", "9/10")):
@@ -314,7 +314,7 @@ class TestOnePassPipeline:
 class TestMembership:
     def test_identity_map(self):
         params = ClassParams(1, 2.0, 0.25)
-        f = f_from_p(constant_one(16), params, 16)
+        f = f_from_p(TruncatedSeries([1], 16), params, 16)
         value = verify_membership(f, params, 0.5, 64)
         assert abs(value - (1 - 0.25)) < 1e-12
 
@@ -333,6 +333,18 @@ class TestMembership:
         bad = TruncatedSeries([0, 2, 0, 0], 3)
         with pytest.raises(ValueError):
             verify_membership(bad, params, 0.5, 64)
+
+    def test_first_coefficient_must_be_exactly_one(self):
+        # a_1 within NORMALIZATION_TOL of 1 is refused up front, not inside the real-power kernel
+        params = ClassParams(1, 2.0, 0.0)
+        near = TruncatedSeries([0, 1 + NORMALIZATION_TOL / 10, 0.1, 0.01], 3)
+        with pytest.raises(ValueError) as raised:
+            verify_membership(near, params, 0.9, 64)
+        assert str(raised.value) == "f must start as z + a_2 z^2 + ..."
+        # a_0 keeps its float tolerance
+        shifted = TruncatedSeries([NORMALIZATION_TOL / 10, 1, 0.1, 0.01], 3)
+        exact = TruncatedSeries([0, 1, 0.1, 0.01], 3)
+        assert verify_membership(shifted, params, 0.9, 64) == verify_membership(exact, params, 0.9, 64)
 
     def test_rational_guard_is_exact(self):
         params = ClassParams(1, Fraction(2), Fraction(0))

@@ -10,7 +10,8 @@ circle to read coefficients back off — and compares.
 import numpy as np
 import pytest
 
-from coeffbounds import iterated_transform, random_herglotz
+from coeffbounds import random_herglotz
+from coeffbounds.caratheodory import transform_coefficients
 from oracles import transform_coefficients_by_quadrature
 
 
@@ -19,10 +20,10 @@ from oracles import transform_coefficients_by_quadrature
 def test_quadrature_matches_closed_form(alpha, n):
     atoms = random_herglotz(314)
     p = atoms.series(24)
-    closed = iterated_transform(p, n, alpha)
+    closed = transform_coefficients(p.coeffs, alpha, n)
     quad = transform_coefficients_by_quadrature(p, alpha, n, 16)
     for k in range(17):
-        assert abs(quad[k] - closed.coefficient(k)) < 1e-8
+        assert abs(quad[k] - closed[k]) < 1e-8
 
 
 def test_quadrature_identity_at_n_zero():
@@ -35,10 +36,10 @@ def test_quadrature_identity_at_n_zero():
 
 def test_more_nodes_tighten_agreement():
     p = random_herglotz(55).series(24)
-    closed = iterated_transform(p, 2, 0.5)
+    closed = transform_coefficients(p.coeffs, 0.5, 2)
     coarse = transform_coefficients_by_quadrature(p, 0.5, 2, 10, nodes=8)
     fine = transform_coefficients_by_quadrature(p, 0.5, 2, 10, nodes=48)
-    err_coarse = max(abs(coarse[k] - closed.coefficient(k)) for k in range(11))
-    err_fine = max(abs(fine[k] - closed.coefficient(k)) for k in range(11))
+    err_coarse = max(abs(coarse[k] - closed[k]) for k in range(11))
+    err_fine = max(abs(fine[k] - closed[k]) for k in range(11))
     assert err_fine <= err_coarse
     assert err_fine < 1e-10

@@ -14,7 +14,6 @@ from coeffbounds import (
     build_hk,
     check_gamma_identity,
     compare_even_constants,
-    constant_one,
     gamma_identity_residuals,
     gamma_target,
     gammas_from_coefficients,
@@ -68,7 +67,7 @@ class TestGammaLadder:
 class TestBuildHk:
     def test_k2_is_constant_one(self):
         h, scheme = build_hk(2, Fraction(3, 2), 6, backend=RATIONAL)
-        assert h == constant_one(6, backend=RATIONAL)
+        assert h == TruncatedSeries([RATIONAL.one], 6, backend=RATIONAL)
         assert scheme.d == ()
         assert scheme.gammas == (Fraction(1),)
         assert check_gamma_identity(scheme)
@@ -219,7 +218,7 @@ class TestEvenConstants:
 
 class TestNehariSeries:
     def test_zero_input_gives_zero(self):
-        h = constant_one(5, backend=RATIONAL)
+        h = TruncatedSeries([RATIONAL.one], 5, backend=RATIONAL)
         G = TruncatedSeries([RATIONAL.zero], 6, backend=RATIONAL)
         params = ClassParams(1, Fraction(2), Fraction(0))
         out = nehari_series(h, G, params, 6)
@@ -228,7 +227,7 @@ class TestNehariSeries:
     def test_hand_oracle_n0(self):
         # h = 1 (dyadic ladder), G = 2z, n = 0, beta = 0:
         # the m-th term contributes (-1)^(m+1) 2^(1-m) (2z)^m, so A_k = +-2
-        h = constant_one(5, backend=RATIONAL)
+        h = TruncatedSeries([RATIONAL.one], 5, backend=RATIONAL)
         G = TruncatedSeries([RATIONAL.zero, RATIONAL.coeff(2)], 6, backend=RATIONAL)
         params = ClassParams(0, Fraction(2), Fraction(0))
         out = nehari_series(h, G, params, 6)
@@ -240,7 +239,7 @@ class TestNehariSeries:
         # same inputs at n = 1, alpha = 2: eta_{m-1} = 2^(2-m)/(m+1), so
         # A_k = (-1)^(k+1) 4/(k+1); in particular |A_1| = 2 while the
         # transform-weighted bound at k = 1 is only 4/3
-        h = constant_one(5, backend=RATIONAL)
+        h = TruncatedSeries([RATIONAL.one], 5, backend=RATIONAL)
         G = TruncatedSeries([RATIONAL.zero, RATIONAL.coeff(2)], 6, backend=RATIONAL)
         params = ClassParams(1, Fraction(2), Fraction(0))
         out = nehari_series(h, G, params, 6)
@@ -260,7 +259,7 @@ class TestNehariSeries:
         for n in (1, 2, 3):
             for alpha in (Fraction(3, 2), Fraction(2), Fraction(10)):
                 for beta in (Fraction(0), Fraction(1, 2)):
-                    h = constant_one(7, backend=RATIONAL)
+                    h = TruncatedSeries([RATIONAL.one], 7, backend=RATIONAL)
                     G = TruncatedSeries(
                         [RATIONAL.zero] + [RATIONAL.coeff(2)] * 7, 8, backend=RATIONAL
                     )
@@ -280,14 +279,14 @@ class TestNehariSeries:
             p = random_herglotz(seed).series(10)
             q = random_herglotz(seed + 100).series(10)
             h = random_herglotz(seed + 200).series(9)
-            G = half_hadamard(p, q) - constant_one(10)
+            G = TruncatedSeries([0, *half_hadamard(p, q).coeffs[1:]], 10)
             params = ClassParams(0, 2.0, 0.25)
             out = nehari_series(h, G, params, 10)
             for k in range(1, 11):
                 assert abs(out.coefficient(k)) <= 2 * 0.75 + 1e-9
 
     def test_validation(self):
-        h = constant_one(4, backend=RATIONAL)
+        h = TruncatedSeries([RATIONAL.one], 4, backend=RATIONAL)
         G = TruncatedSeries([RATIONAL.zero, RATIONAL.one], 5, backend=RATIONAL)
         params = ClassParams(1, Fraction(2), Fraction(0))
         with pytest.raises(ValueError):
@@ -297,7 +296,7 @@ class TestNehariSeries:
         bad_h = TruncatedSeries([RATIONAL.coeff(2)], 4, backend=RATIONAL)
         with pytest.raises(ValueError):
             nehari_series(bad_h, G, params, 5)
-        bad_g = constant_one(5, backend=RATIONAL)
+        bad_g = TruncatedSeries([RATIONAL.one], 5, backend=RATIONAL)
         with pytest.raises(ValueError):
             nehari_series(h, bad_g, params, 5)
 
@@ -374,7 +373,8 @@ class TestNehariKernel:
         h = build_hk(6, Fraction(5, 2), 8, backend=RATIONAL)[0]
         p = atoms(("1/3", "1/2"), ("2/3", "-3/4")).series(order)
         q = atoms(("1/4", "2"), ("3/4", "-1/5")).series(order)
-        G = half_hadamard(p, q) - constant_one(order, backend=RATIONAL)
+        r = half_hadamard(p, q)
+        G = TruncatedSeries([RATIONAL.zero, *r.coeffs[1:]], order, backend=RATIONAL)
         alpha, beta = Fraction(5, 2), Fraction(1, 3)
         got = nehari_series(h, G, ClassParams(n, alpha, beta), order)
         gammas = gammas_from_coefficients(h.coeffs[1:], order - 1)
