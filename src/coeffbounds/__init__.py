@@ -57,7 +57,6 @@ from .schemes import (
     build_hk,
     check_gamma_identity,
     compare_even_constants,
-    gamma_identity_residuals,
     gamma_target,
     gammas_from_coefficients,
     nehari_series,
@@ -90,7 +89,6 @@ __all__ = [
     "default_grid",
     "extremal_p",
     "f_from_p",
-    "gamma_identity_residuals",
     "gamma_target",
     "gammas_from_coefficients",
     "get_backend",

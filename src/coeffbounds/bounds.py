@@ -21,6 +21,7 @@ the power-quotient coefficients (``growth_estimate``).
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -196,7 +197,9 @@ def verify_membership(f: TruncatedSeries, params: ClassParams, radius: float, sa
     Positive means the sampled circle is consistent with membership. The
     diagonal map ((alpha + k)/alpha)^n on the coefficients of (f/z)^alpha
     realizes the Salagean normalization without evaluating multivalued
-    powers.
+    powers. An f that does not start as z + a_2 z^2 + ..., a float f with
+    a NaN or infinite coefficient, and a minimum that overflowed are
+    ValueErrors.
     """
     backend = f.backend
     if f.order < 1:
@@ -204,7 +207,9 @@ def verify_membership(f: TruncatedSeries, params: ClassParams, radius: float, sa
     if backend is RATIONAL:
         a0_off = f.coeffs[0] != backend.zero
     else:
-        a0_off = abs(f.coeffs[0]) > NORMALIZATION_TOL
+        if not all(cmath.isfinite(c) for c in f.coeffs):
+            raise ValueError("f has a non-finite coefficient")
+        a0_off = not abs(f.coeffs[0]) <= NORMALIZATION_TOL
     # the real-power recurrence assumes a_1 = 1 exactly, on both backends
     if a0_off or f.coeffs[1] != backend.one:
         raise ValueError("f must start as z + a_2 z^2 + ...")
@@ -215,7 +220,10 @@ def verify_membership(f: TruncatedSeries, params: ClassParams, radius: float, sa
         f.order - 1,
         backend=backend,
     )
-    return min_real_part(normalized, radius, samples) - float(params.beta)
+    minimum = min_real_part(normalized, radius, samples)
+    if not math.isfinite(minimum):  # inf: every sampled value was NaN
+        raise ValueError("the sampled real part is not finite")
+    return minimum - float(params.beta)
 
 
 def extremal_p(k: int, *, backend: Backend = FLOAT) -> HerglotzAtoms:

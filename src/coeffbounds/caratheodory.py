@@ -33,7 +33,7 @@ _UNIMODULAR_TOL = 1e-12
 _ATOM_FIELDS = {"float": {"weight", "angle_radians"}, "rational": {"weight", "t", "x_re", "x_im"}}
 #: Largest atom count of a random generator (the count is uniform on 1..MAX_ATOMS).
 MAX_ATOMS = 4
-#: Most (series, circle point) cells `min_real_parts` evaluates in one numpy pass.
+#: Most circle points `min_real_part` evaluates in one numpy pass.
 CIRCLE_BLOCK = 4096
 
 
@@ -280,77 +280,56 @@ def half_hadamard(p: TruncatedSeries, q: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(coeffs, p.order, backend=backend)
 
 
-def min_real_parts(series, radius: float, samples: int) -> list:
-    """Minimum of Re p over equally spaced points on |z| = radius, for each p in ``series``.
+def min_real_part(p: TruncatedSeries, radius: float, samples: int) -> float:
+    """Minimum of Re p over equally spaced points on |z| = radius.
 
     A numerical witness: evaluation always happens in floating point (the
-    sample points are not rational), so rational series are converted first.
-    The points z_j = radius * exp(2 pi i j / samples) are built once per
-    call, a block at a time, and every series goes through one Horner pass
-    over a (series x points) numpy block of at most `CIRCLE_BLOCK` cells, on
-    split real and imaginary parts: each step rounds the same products and
-    sums as Python's complex arithmetic, so the value at every point is
-    bit-identical to a Python Horner loop over ``complex`` coefficients at
-    z_j (``tests/oracles.py::min_real_part_scalar``). Shorter series are
-    padded with leading +0.0 coefficients, which keep both parts at exactly
-    +0.0 until their own top coefficient. Per series, NaN values are
-    skipped, the first of equal minima wins (so 0.0 before -0.0 stays 0.0),
-    and a series that is NaN everywhere gives inf.
+    sample points are not rational), so a rational series is converted
+    first. The points z_j = radius * exp(2 pi i j / samples) are built a
+    block of at most `CIRCLE_BLOCK` at a time, and each block goes through
+    one numpy Horner pass on split real and imaginary parts: each step
+    rounds the same products and sums as Python's complex arithmetic, so
+    the value at every point is bit-identical to a Python Horner loop over
+    ``complex`` coefficients at z_j (``tests/oracles.py::min_real_part_scalar``).
+    NaN values are skipped, the first of equal minima wins (so 0.0 before
+    -0.0 stays 0.0), and a series that is NaN everywhere gives inf.
     """
     radius = float(radius)
     if not (0 < radius < 1):
         raise ValueError(f"radius must lie in (0, 1), got {radius!r}")
     if not isinstance(samples, int) or samples < 8:
         raise ValueError(f"need at least 8 samples, got {samples!r}")
-    rows = [[complex(c) for c in p.coeffs] for p in series]
-    if not rows:
-        return []
-    # top_first[s, r]: the coefficient of z^(length - 1 - s) of row r, zero-padded in front
-    length = max(len(c) for c in rows)
-    top_first = np.zeros((length, len(rows)), dtype=complex)
-    for r, coeffs in enumerate(rows):
-        top_first[length - len(coeffs) :, r] = coeffs[::-1]
-    c_re, c_im = top_first.real[:, :, None], top_first.imag[:, :, None]
-    width = min(samples, CIRCLE_BLOCK)
-    group = max(1, CIRCLE_BLOCK // width)
-    # flat buffers for z.real and z.imag tiled over a group's rows, re, im and two temporaries
-    cells = np.empty((6, CIRCLE_BLOCK))
-    best = np.full(len(rows), math.inf)
-    for start in range(0, samples, width):
-        stop = min(start + width, samples)
+    top_first = [complex(c) for c in reversed(p.coeffs)]
+    # z.real, z.imag, re, im and two temporaries, one block long
+    cells = np.empty((6, min(samples, CIRCLE_BLOCK)))
+    best = math.inf
+    for start in range(0, samples, CIRCLE_BLOCK):
+        stop = min(start + CIRCLE_BLOCK, samples)
         points = (radius * cmath.exp(2j * math.pi * j / samples) for j in range(start, stop))
         z = np.fromiter(points, dtype=complex, count=stop - start)
-        tiled = [buffer[: group * z.size].reshape(group, z.size) for buffer in cells]
-        tiled[0][:] = z.real
-        tiled[1][:] = z.imag
-        for first in range(0, len(rows), group):
-            last = min(first + group, len(rows))
-            zr, zi, re, im, t, u = (buffer[: last - first] for buffer in tiled)
-            re.fill(0.0)
-            im.fill(0.0)
-            # like Python's complex arithmetic, overflow to inf and inf - inf = NaN pass silently
-            with np.errstate(over="ignore", invalid="ignore"):
-                for cr, ci in zip(c_re[:, first:last], c_im[:, first:last]):
-                    # re, im = (re zr - im zi) + cr, (re zi + im zr) + ci
-                    np.multiply(re, zr, out=t)
-                    np.multiply(im, zi, out=u)
-                    np.subtract(t, u, out=t)
-                    np.add(t, cr, out=t)
-                    np.multiply(re, zi, out=u)
-                    np.multiply(im, zr, out=im)
-                    np.add(u, im, out=im)
-                    np.add(im, ci, out=im)
-                    re, t = t, re
-            re[np.isnan(re)] = math.inf
-            value = re[np.arange(last - first), np.argmin(re, axis=1)]
-            kept = best[first:last]
-            np.copyto(kept, value, where=value < kept)
-    return best.tolist()
-
-
-def min_real_part(p: TruncatedSeries, radius: float, samples: int) -> float:
-    """Minimum of Re p over equally spaced points on |z| = radius: `min_real_parts` of one series."""
-    return min_real_parts([p], radius, samples)[0]
+        zr, zi, re, im, t, u = cells[:, : z.size]
+        zr[:] = z.real
+        zi[:] = z.imag
+        re.fill(0.0)
+        im.fill(0.0)
+        # like Python's complex arithmetic, overflow to inf and inf - inf = NaN pass silently
+        with np.errstate(over="ignore", invalid="ignore"):
+            for c in top_first:
+                # re, im = (re zr - im zi) + c.real, (re zi + im zr) + c.imag
+                np.multiply(re, zr, out=t)
+                np.multiply(im, zi, out=u)
+                np.subtract(t, u, out=t)
+                np.add(t, c.real, out=t)
+                np.multiply(re, zi, out=u)
+                np.multiply(im, zr, out=im)
+                np.add(u, im, out=im)
+                np.add(im, c.imag, out=im)
+                re, t = t, re
+        re[np.isnan(re)] = math.inf
+        value = float(re[np.argmin(re)])
+        if value < best:
+            best = value
+    return best
 
 
 # -- the atom stream -----------------------------------------------------------

@@ -6,16 +6,18 @@ Subcommands and the flags each one reads (any other flag exits 2)::
     coeffbounds verify extremal   --n --alpha --beta --kmax
     coeffbounds verify random     --n --alpha --beta --kmax --trials --seed
     coeffbounds verify nehari     --n --alpha --beta --kmax --trials --seed
-    coeffbounds verify hk         --alpha --kmax --order --radius --samples
+    coeffbounds verify hk         --alpha --kmax
     coeffbounds expand            --pspec --n --alpha --beta --order --kmax
                                   --radius --samples
 
 and every subcommand also takes --backend, --format and --out. ``bounds``
 and ``verify`` walk a grid: --n, --alpha and --beta repeat, and each
-defaults to the stock grid. ``expand`` takes exactly one of each. A
-numeric flag that is left out takes the library's default from
-:mod:`~coeffbounds.harness`, so a command and the library call it makes
-agree.
+defaults to the stock grid. ``expand`` takes exactly one of each. Only
+``expand`` truncates a series and samples a circle, so only it reads
+--order, --radius and --samples; ``verify hk`` certifies its constructions
+exactly, by their convex weights. A numeric flag that is left out takes
+the library's default from :mod:`~coeffbounds.harness`, so a command and
+the library call it makes agree.
 
 Reports (CSV or JSON) go to stdout or ``--out`` and are byte-identical
 across reruns with the same flags; the human-readable summary and timings
@@ -96,7 +98,7 @@ _COMMAND_FLAGS = {
     "extremal": "n alpha beta kmax backend format out",
     "random": "n alpha beta kmax trials seed backend format out",
     "nehari": "n alpha beta kmax trials seed backend format out",
-    "hk": "alpha kmax order radius samples backend format out",
+    "hk": "alpha kmax backend format out",
     "expand": "pspec n alpha beta order kmax radius samples backend format out",
 }
 

@@ -19,8 +19,8 @@ order m = k-1 to equal the target product
 and ``build_hk`` constructs, for each k, a genuine Caratheodory function
 (an explicit convex combination of Moebius-type kernels) whose coefficients
 d_mu satisfy exactly that. ``check_gamma_identity`` verifies the identity at
-the orders the construction pins down; ``gamma_identity_residuals`` exposes
-every order for auditing.
+the orders the construction pins down; ``gamma_identity_row`` gives the
+ladder-vs-target row at any order for auditing.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .backends import FLOAT, RATIONAL, Backend
+from .backends import FLOAT, Backend
 from .bounds import ClassParams
 from .series import TruncatedSeries, power_tails
 
@@ -113,6 +113,8 @@ class GammaScheme:
     even-index coefficient of the k >= 6 recipe (zero for smaller k, where
     the defining coefficient lives in ``d`` directly); ``xi`` and ``omega``
     are that recipe's last even and odd indices (zero when unused).
+    ``weights`` are the convex-combination weights of h(z)_k, the constant
+    kernel's first (see `build_hk`).
     """
 
     k: int
@@ -122,6 +124,7 @@ class GammaScheme:
     xi: int
     omega: int
     gammas: tuple
+    weights: tuple
 
     def etas(self, n: int, beta):
         """Transformed weights eta_m = (1-beta) alpha^n gamma_m / (alpha+m)^n.
@@ -138,22 +141,28 @@ class GammaScheme:
         )
 
 
+def _moebius(step: int, sign: int, order: int) -> list:
+    """(j, c_j), j = 1..order, of (1 + s z^step)/(1 - s z^step) = 1 + 2 sum_i s^i z^(i step)."""
+    return [(j, 2 * sign**i) for i, j in enumerate(range(step, order + 1, step), start=1)]
+
+
 def build_hk(k: int, alpha, order: int, *, backend: Backend = FLOAT):
     """Construct the Caratheodory function h(z)_k and its GammaScheme.
 
     Each h is an explicit convex combination of kernels, chosen so that the
     ladder built from its coefficients hits gamma_target at the defining
-    order m = k-1:
+    order m = k-1; ``scheme.weights`` lists the weights, the constant
+    kernel's first:
 
-      k = 2: h = 1 (all d vanish; the target is gamma_0 = 1).
+      k = 2: h = 1, weights (1) (all d vanish; the target is gamma_0 = 1).
       k = 3: (1 - 1/alpha) + (1/alpha)(1-z)/(1+z), so d_1 = -2/alpha.
       k = 4: (1 - l) + l (1 + s z^2)/(1 - s z^2) with
              d_2 = 2(alpha^2 - 6 alpha + 2)/(3 alpha^2), l = |d_2|/2,
              s = sign(d_2); d_1 = 0.
       k = 5: same shape one step up: d_3 = 2(3 alpha^3 - 11 alpha^2 +
              6 alpha - 1)/(3 alpha^3) on z^3, d_1 = d_2 = 0.
-      k >= 6: l0 + l1 (1 - z) + l2 (1 + z^2)/(1 - z^2) with l1 = 2/(k-2)
-             and l2 = sigma/2, where
+      k >= 6: l0 + l1 (1 - z) + l2 (1 + z^2)/(1 - z^2) with l1 = 2/(k-2),
+             l2 = sigma/2 and l0 = 1 - l1 - l2, where
 
                sigma = 2^(k-1) prod_{j=1}^{k-2} ((j alpha - 1)/(j alpha))
                        / [(k-1) (C(k-2,2) + C(k-2,4) + ... + C(k-2,xi))],
@@ -161,12 +170,17 @@ def build_hk(k: int, alpha, order: int, *, backend: Backend = FLOAT):
              giving d_1 = -2/(k-2), every even coefficient equal to sigma,
              and every odd coefficient above 1 equal to zero.
 
+    The series and d are formed from the weights and kernels. The kernels
+    past the constant have disjoint supports, so each coefficient is one
+    weight times 2, -2 or -1 (exact in floating point too); the constant
+    term is exactly 1. P is convex, so h is in P exactly when the weights
+    lie in the simplex, which ``harness.run_hk_audit`` certifies exactly.
+
     The sign-dependent kernel for k in {4, 5} covers both sides of the
     alpha where the defining coefficient changes sign with one formula (the
     two convex combinations it specializes to differ beyond the defining
     coefficient only in the sign pattern of the higher kernel powers).
-    Requires alpha > 1 so all combination weights are nonnegative; exact on
-    the rational backend.
+    Requires alpha > 1; exact on the rational backend.
     """
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"coefficient index must be an integer >= 2, got {k!r}")
@@ -177,29 +191,21 @@ def build_hk(k: int, alpha, order: int, *, backend: Backend = FLOAT):
         raise ValueError(f"the generator construction needs alpha > 1, got {alpha!r}")
     one_s = alpha**0
     zero_s = alpha * 0
-    coeffs = [backend.one] + [backend.zero] * order
     sigma = zero_s
     xi = omega = 0
     if k == 2:
-        d = ()
+        weights, kernels = (one_s,), ()
     elif k == 3:
         lam = 1 / alpha
-        even, odd = backend.coeff(2 * lam), backend.coeff(-2 * lam)
-        for j in range(1, order + 1):
-            coeffs[j] = even if j % 2 == 0 else odd
-        d = (-2 / alpha,)
+        weights, kernels = (one_s - lam, lam), (_moebius(1, -1, order),)
     elif k in (4, 5):
-        step = k - 2
         if k == 4:
             dval = 2 * (alpha * alpha - 6 * alpha + 2) / (3 * alpha * alpha)
         else:
             dval = 2 * (3 * alpha**3 - 11 * alpha**2 + 6 * alpha - 1) / (3 * alpha**3)
-        sgn = 1 if dval >= 0 else -1
-        # the kernel's powers alternate in sign when sgn is -1: dval, -dval, dval, ...
-        pair = (backend.coeff(dval), backend.coeff(dval * sgn))
-        for i, j in enumerate(range(step, order + 1, step)):
-            coeffs[j] = pair[i % 2]
-        d = (zero_s,) * (step - 1) + (dval,)
+        lam = abs(dval) / 2
+        # the kernel's powers alternate in sign when s is -1: dval, -dval, dval, ...
+        weights, kernels = (one_s - lam, lam), (_moebius(k - 2, 1 if dval >= 0 else -1, order),)
     else:
         lam1 = (2 * one_s) / (k - 2)
         even_binom_sum = 2 ** (k - 3) - 1  # C(k-2,2) + C(k-2,4) + ... + C(k-2,xi)
@@ -207,21 +213,27 @@ def build_hk(k: int, alpha, order: int, *, backend: Backend = FLOAT):
         for j in range(1, k - 1):
             prod = prod * ((j * alpha - 1) / (j * alpha))
         sigma = 2 ** (k - 1) * prod / ((k - 1) * even_binom_sum)
-        lam0 = one_s - lam1 - sigma / 2
-        if lam0 < 0:
-            raise ValueError("combination weights left the simplex; alpha out of range")
-        coeffs[1] = backend.coeff(-lam1)
-        even = backend.coeff(sigma)
-        for j in range(2, order + 1, 2):
-            coeffs[j] = even
-        d = tuple(
-            -lam1 if mu == 1 else (sigma if mu % 2 == 0 else zero_s) for mu in range(1, k - 1)
-        )
+        weights = (one_s - lam1 - sigma / 2, lam1, sigma / 2)
+        kernels = ([(1, -1)], _moebius(2, 1, order))  # 1 - z and (1 + z^2)/(1 - z^2)
         xi = k - 2 if (k - 2) % 2 == 0 else k - 3
         omega = k - 2 if (k - 2) % 2 == 1 else k - 3
+    coeffs = [backend.one] + [backend.zero] * order
+    d = [zero_s] * (k - 2)
+    for w, kernel in zip(weights[1:], kernels):  # weights[0] is the constant kernel's
+        # each distinct coefficient is multiplied and converted once, then shared
+        made = {}
+        for j, c in kernel:
+            if c not in made:
+                value = w * c
+                made[c] = (value, backend.coeff(value))
+            value, coeffs[j] = made[c]
+            if j < k - 1:
+                d[j - 1] = value
     series = TruncatedSeries(coeffs, order, backend=backend)
+    d = tuple(d)
     gammas = tuple(gammas_from_coefficients(d, k - 2))
-    scheme = GammaScheme(k=k, alpha=alpha, d=d, sigma=sigma, xi=xi, omega=omega, gammas=gammas)
+    scheme = GammaScheme(k=k, alpha=alpha, d=d, sigma=sigma, xi=xi, omega=omega, gammas=gammas,
+                         weights=weights)
     return series, scheme
 
 
@@ -230,16 +242,6 @@ def gamma_identity_row(scheme: GammaScheme, m: int):
     value = scheme.gammas[m - 1]
     target = gamma_target(m, scheme.alpha)
     return m, value, target, abs(complex(value - target))
-
-
-def gamma_identity_residuals(scheme: GammaScheme):
-    """All ladder-vs-target rows (m, ladder value, target, |residual|).
-
-    Covers m = 1..k-1. Only m = 1 and m = k-1 are pinned by the
-    construction; intermediate rows show how far the shared d-choices drift
-    from the targets of the orders they were not built for.
-    """
-    return [gamma_identity_row(scheme, m) for m in range(1, scheme.k)]
 
 
 def check_gamma_identity(scheme: GammaScheme) -> bool:
@@ -251,7 +253,7 @@ def check_gamma_identity(scheme: GammaScheme) -> bool:
     order, and e.g. k = 4 gives gamma_1 = 1/2 against an m = 2 target of
     (alpha-1)/(2 alpha), unequal for every alpha. So this checks m = 1 and
     m = k-1 — exactly on Fraction data, within `IDENTITY_TOL` otherwise — and
-    leaves the full per-order picture to ``gamma_identity_residuals``.
+    leaves the full per-order picture to ``gamma_identity_row``.
     """
     exact = isinstance(scheme.alpha, Fraction)
     for m in (1, scheme.k - 1) if scheme.k > 2 else (1,):

@@ -33,6 +33,8 @@ REMOVED_EXPORTS = (
     "geometric",
     "iterated_transform",
     "shift_to_beta",
+    "gamma_identity_residuals",
+    "min_real_parts",
 )
 
 
@@ -72,6 +74,8 @@ def test_removed_name_is_not_exported(name):
         (caratheodory, "_read_fraction"),
         (caratheodory, "iterated_transform"),
         (caratheodory, "shift_to_beta"),
+        (caratheodory, "min_real_parts"),
+        (schemes, "gamma_identity_residuals"),
         (series, "constant_one"),
         (series, "geometric"),
         *(
@@ -113,13 +117,18 @@ def test_backend_constants_are_shared():
         (harness._sweep_reports, "witness_of"),
         (schemes.check_gamma_identity, "alpha"),
         (schemes.check_gamma_identity, "tol"),
-        (schemes.gamma_identity_residuals, "alpha"),
         (bounds.bound_report, "tol"),
     ],
 )
 def test_single_valued_knob_is_not_a_parameter(function, parameter):
     # each of these values has one definition, read where it is used
     assert parameter not in inspect.signature(function).parameters
+
+
+@pytest.mark.parametrize("parameter", ["order", "radius", "samples"])
+def test_hk_audit_takes_no_series_settings(parameter):
+    # the audit certifies each h_k by its convex weights: no truncation order, no circle
+    assert parameter not in inspect.signature(harness.run_hk_audit).parameters
 
 
 PACKAGE_DIR = Path(coeffbounds.__file__).parent
@@ -159,3 +168,35 @@ def test_sweeps_leave_numpy_random_unimported():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def _unused_imports(tree: ast.Module) -> list:
+    """Names bound by an import statement that the module never reads.
+
+    A name listed in ``__all__`` counts as read (a re-export), and
+    ``from __future__`` imports bind nothing.
+    """
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read.update(ast.literal_eval(node.value))
+    return sorted(name for name in imported if name not in read)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
+def test_module_reads_every_name_it_imports(path):
+    assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+def test_unused_import_scan_sees_an_unused_name():
+    tree = ast.parse("from __future__ import annotations\nimport cmath, math\nfrom x import y\n"
+                     "__all__ = ['y']\nmath.pi\n")
+    assert _unused_imports(tree) == ["cmath"]

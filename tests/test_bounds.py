@@ -346,6 +346,22 @@ class TestMembership:
         exact = TruncatedSeries([0, 1, 0.1, 0.01], 3)
         assert verify_membership(shifted, params, 0.9, 64) == verify_membership(exact, params, 0.9, 64)
 
+    @pytest.mark.parametrize(
+        "coeffs",
+        [[0, 1, math.nan], [math.nan, 1, 0.1], [0, 1, complex(0, math.inf)]],
+        ids=["nan-a2", "nan-a0", "inf-a2"],
+    )
+    def test_non_finite_coefficients_are_refused(self, coeffs):
+        # unchecked, a NaN a_2 read inf (every sampled value NaN) and a NaN a_0 slipped
+        # past the normalization tolerance and read 0.73
+        with pytest.raises(ValueError):
+            verify_membership(TruncatedSeries(coeffs, 2), ClassParams(1, 2.0, 0.0), 0.9, 64)
+
+    def test_overflowed_minimum_is_refused(self):
+        # f is finite, but (f/z)^2 = 1 + 2e308 z + ... overflows and every sampled value is NaN
+        with pytest.raises(ValueError):
+            verify_membership(TruncatedSeries([0, 1, 1e308], 2), ClassParams(0, 2.0, 0.0), 0.9, 64)
+
     def test_rational_guard_is_exact(self):
         params = ClassParams(1, Fraction(2), Fraction(0))
         bad = TruncatedSeries(

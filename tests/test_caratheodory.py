@@ -1,6 +1,5 @@
 """Atom systems, their series, transforms, and serialization."""
 
-import cmath
 import math
 import tracemalloc
 from fractions import Fraction
@@ -20,12 +19,7 @@ from coeffbounds import (
     random_herglotz,
 )
 from coeffbounds._rational import RationalComplex
-from coeffbounds.caratheodory import (
-    CIRCLE_BLOCK,
-    min_real_parts,
-    shift_coefficients,
-    transform_coefficients,
-)
+from coeffbounds.caratheodory import CIRCLE_BLOCK, shift_coefficients, transform_coefficients
 from oracles import min_real_part_scalar
 
 
@@ -209,15 +203,16 @@ class TestMinRealPartMatchesScalarLoop:
         assert _bitwise_equal(got, min_real_part_scalar(s, 0.5, 64))
 
 
-def _rows_match_scalar_loop(series, radius, samples):
-    got = min_real_parts(series, radius, samples)
-    assert len(got) == len(series)
+def _each_matches_scalar_loop(series, radius, samples):
+    got = [min_real_part(s, radius, samples) for s in series]
     for s, value in zip(series, got):
         assert _bitwise_equal(value, min_real_part_scalar(s, radius, samples))
+    return got
 
 
 class TestMinRealPartsMatchesScalarLoop:
-    """Every row of the stacked Horner against the point-by-point oracle on that series alone."""
+    """Series after series, of mixed orders and backends: every call matches the
+    point-by-point oracle on that series alone, whatever was evaluated before it."""
 
     @settings(max_examples=40)
     @given(
@@ -227,20 +222,19 @@ class TestMinRealPartsMatchesScalarLoop:
     )
     def test_ragged_float_series(self, rows, radius, samples):
         series = [TruncatedSeries(coeffs, len(coeffs) - 1) for coeffs in rows]
-        _rows_match_scalar_loop(series, radius, samples)
+        _each_matches_scalar_loop(series, radius, samples)
 
     def test_rational_series(self):
         p = HerglotzAtoms.from_rational([Fraction(1, 3), Fraction(2, 3)], [Fraction(1, 2), Fraction(-3, 4)])
         series = [transformed(p.series(order), n, Fraction(3, 2)) for order, n in ((40, 2), (7, 0), (25, 1))]
         assert all(s.backend is RATIONAL for s in series)
-        _rows_match_scalar_loop(series, 0.99, 720)
+        _each_matches_scalar_loop(series, 0.99, 720)
 
     @pytest.mark.parametrize("samples", [1001, CIRCLE_BLOCK + 7])
     def test_groups_and_blocks_merge_across_rows(self, samples):
-        # 9 rows at 1001 points need three passes; above CIRCLE_BLOCK points every row takes two blocks
+        # above CIRCLE_BLOCK points every series takes two blocks, the second of 7 points
         series = [transformed(random_herglotz(seed).series(8 + 3 * seed), 1, 2.0) for seed in range(9)]
-        assert len(series) * samples > CIRCLE_BLOCK
-        _rows_match_scalar_loop(series, 0.9, samples)
+        _each_matches_scalar_loop(series, 0.9, samples)
 
     def test_nan_and_inf_rows_leave_finite_rows_alone(self):
         series = [
@@ -249,11 +243,11 @@ class TestMinRealPartsMatchesScalarLoop:
             TruncatedSeries([1, complex(math.inf, math.inf)], 1),
             random_herglotz(4).series(12),
         ]
-        _rows_match_scalar_loop(series, 0.5, 64)
+        _each_matches_scalar_loop(series, 0.5, 64)
 
     def test_all_nan_row_gives_inf(self):
         series = [TruncatedSeries([1], 4), TruncatedSeries([complex(math.nan, math.nan)] * 3, 2)]
-        assert min_real_parts(series, 0.5, 64) == [1.0, math.inf]
+        assert _each_matches_scalar_loop(series, 0.5, 64) == [1.0, math.inf]
 
     @pytest.mark.parametrize(
         "coeffs, samples",
@@ -265,24 +259,16 @@ class TestMinRealPartsMatchesScalarLoop:
     )
     def test_signed_zero_tie_in_one_row(self, coeffs, samples):
         series = [random_herglotz(9).series(20), TruncatedSeries(coeffs, len(coeffs) - 1)]
-        got = min_real_parts(series, 0.5, samples)
+        got = _each_matches_scalar_loop(series, 0.5, samples)
         assert _bitwise_equal(got[1], 0.0)
-        _rows_match_scalar_loop(series, 0.5, samples)
-
-    def test_empty_list(self):
-        assert min_real_parts([], 0.5, 64) == []
-        with pytest.raises(ValueError):
-            min_real_parts([], 1.0, 64)
-        with pytest.raises(ValueError):
-            min_real_parts([], 0.5, 4)
 
     def test_pass_memory_is_capped_in_cells(self):
-        # a batch not capped in cells would hold 59 x CIRCLE_BLOCK doubles (about 1.9 MB) per
-        # work array; the capped call peaks near 0.4 MB, one series at a time near 0.35 MB
-        series = [transformed(random_herglotz(seed).series(64), 1, 2.0) for seed in range(59)]
+        # uncapped, 20000 points would take six work arrays of 20000 doubles (about 0.96 MB);
+        # blocks of CIRCLE_BLOCK points peak near 0.35 MB
+        s = transformed(random_herglotz(5).series(64), 1, 2.0)
         tracemalloc.start()
         try:
-            min_real_parts(series, 0.99, 20000)
+            min_real_part(s, 0.99, 20000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

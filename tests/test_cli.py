@@ -66,7 +66,7 @@ _FLAGS_BY_COMMAND = {
     ("verify", "extremal"): _POINT_FLAGS,
     ("verify", "random"): _POINT_FLAGS | {"--trials", "--seed"},
     ("verify", "nehari"): _POINT_FLAGS | {"--trials", "--seed"},
-    ("verify", "hk"): {"--alpha", "--kmax", "--backend", "--format", "--out"} | _SERIES_FLAGS,
+    ("verify", "hk"): {"--alpha", "--kmax", "--backend", "--format", "--out"},
     ("expand",): _POINT_FLAGS | _SERIES_FLAGS | {"--pspec"},
 }
 _FLAG_VALUES = {
@@ -144,7 +144,7 @@ class TestVerifyOutput:
 
     def test_hk_audit_runs(self, capsys):
         code, out, err = run(
-            ["verify", "hk", "--alpha", "2", "--kmax", "8", "--order", "32"], capsys
+            ["verify", "hk", "--alpha", "2", "--kmax", "8"], capsys
         )
         assert code == 0
         assert "section=even-constants" in err
@@ -156,9 +156,10 @@ class TestVerifyOutput:
         ids=["radius-2", "radius-nan", "samples-3"],
     )
     def test_hk_out_of_range_circle_settings(self, flags, capsys):
+        # verify hk samples no circle, so it refuses every circle setting, in range or out
         code, out, err = run(["verify", "hk", "--alpha", "2", "--kmax", "4", *flags], capsys)
         assert (code, out) == (2, "")
-        assert err.startswith("usage error:")
+        assert f"unrecognized arguments: {' '.join(flags)}" in err
 
     def test_out_file_byte_identical(self, tmp_path, capsys):
         a = tmp_path / "a.csv"
@@ -200,6 +201,23 @@ class TestExpandCommand:
         assert payload["backend"] == "float"
         assert payload["membership_status"] == "pass"
         assert [row["k"] for row in payload["bounds"]] == [2, 3, 4, 5]
+
+    @pytest.mark.parametrize(
+        "alpha, order, message",
+        [("1/10000", "200", "f has a non-finite coefficient"),
+         ("1/100", "400", "the sampled real part is not finite")],
+        ids=["f-overflows", "minimum-overflows"],
+    )
+    def test_float_overflow_is_a_usage_error(self, alpha, order, message, tmp_path, capsys):
+        # from the generator (1+z)/(1-z) at a small alpha, the float expansion overflows to NaN;
+        # the membership row used to read inf and pass
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(extremal_p(2).to_document()))
+        argv = ["expand", "--pspec", str(path), "--n", "0", "--alpha", alpha, "--beta", "0",
+                "--order", order, "--kmax", "4"]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage error: {message}")
 
     def test_missing_pspec(self, capsys):
         code, _, err = run(["expand", "--n", "1", "--alpha", "2", "--beta", "0"], capsys)
@@ -292,7 +310,7 @@ def test_repeat_runs_byte_identical(capsys):
 
 
 # sha256 of stdout for the scalar path (extremal generators, the h_k audit's
-# circle minima, expand's membership check, the bound tables). A deliberate
+# exact rows, expand's membership check, the bound tables). A deliberate
 # report change re-pins these and says so in CHANGES.md. The float reports go
 # through libm (cmath.exp, pow), so they are pinned for x86-64 Linux with glibc.
 _GOLDEN_FLOAT_DOC = {
@@ -308,8 +326,9 @@ _GOLDEN_RATIONAL_DOC = {
     "atoms": [{"weight": "1/3", "t": "1/2"}, {"weight": "2/3", "t": "-3/4"}],
 }
 _GOLDEN_EXPAND = ["--n", "2", "--alpha", "3/2", "--beta", "1/4", "--order", "24", "--kmax", "8"]
-# more circle points than CIRCLE_BLOCK, so each series takes three point blocks
-_HK_WIDE = ["--kmax", "20", "--order", "40", "--samples", "9000", "--radius", "0.9"]
+_HK_WIDE = ["--kmax", "20"]
+# more circle points than CIRCLE_BLOCK, so the membership minimum takes three point blocks
+_EXPAND_WIDE = [*_GOLDEN_EXPAND, "--samples", "9000", "--radius", "0.9"]
 # omega-region alphas, where the small-alpha bound sums powers up to m = k - 1
 _SMALL_ALPHA = ["--alpha", "1/10", "--alpha", "1/4", "--alpha", "1/3", "--alpha", "1/2", "--kmax", "12"]
 
@@ -317,12 +336,12 @@ _SMALL_ALPHA = ["--alpha", "1/10", "--alpha", "1/4", "--alpha", "1/3", "--alpha"
 @pytest.mark.parametrize(
     "argv, doc, digest",
     [
-        (["verify", "hk"], None, "a293b4d2be60677ffa6887be45e0934b6667195f896c4498b7a498b5c810da77"),
+        (["verify", "hk"], None, "2fbcf8a717ea767fecae9a4d66f8622e57a17047461635ea3cafaa41b82fb5da"),
         (["verify", "hk", "--backend", "rational"], None,
-         "ecf134ee765eefcf643348a757de1ae2971ad133b5d7dbb164f28c16c5b4c5d4"),
-        (["verify", "hk", *_HK_WIDE], None, "d39764d7db4d73bf80d150fcd3da864847b33a329b8b3ee68d255c20b00285f2"),
+         "b4bdd854862121c4fbf767c9bc73a814630ca71257f2d16f7458928a3c8dd81d"),
+        (["verify", "hk", *_HK_WIDE], None, "8315f20fd3d9bec3959b782fcc49b3c6dc3e4036d5d5afad9a82a2125074c09a"),
         (["verify", "hk", *_HK_WIDE, "--backend", "rational"], None,
-         "b93608f7b23a8ce678b25e64a277cd3172d8addb6ebdfab03894764843bd3b81"),
+         "671d23d78252ecbfcffd9318ccc436b6a9b657252e27cdc4bdad1c683468952c"),
         (["verify", "extremal"], None, "2ed47a800b39c0e08497303da4371519a511a8ac38011c62712c0701686a6d67"),
         (["verify", "extremal", "--backend", "rational"], None,
          "f0fe53ec7ef477d980602c22f297a8d22000ad9b6ebd0b50dbf36b1e3388604d"),
@@ -330,6 +349,10 @@ _SMALL_ALPHA = ["--alpha", "1/10", "--alpha", "1/4", "--alpha", "1/3", "--alpha"
          "8f80a74eb9b55100da0d8f89da91a52cfac7c5defb95eb3c99210432c974694e"),
         (["expand", *_GOLDEN_EXPAND], _GOLDEN_RATIONAL_DOC,
          "609842b420d2936893c9b9d30aebe614b5f6c0219526659256a1d3379da0f263"),
+        (["expand", *_EXPAND_WIDE], _GOLDEN_FLOAT_DOC,
+         "b68c160e253da51595f2ca0857fa1f401cb420e593639389eb0cd91cce410da2"),
+        (["expand", *_EXPAND_WIDE], _GOLDEN_RATIONAL_DOC,
+         "03fc3eaa48c4823d83109d7d724aeb0e9f8be98d7046df12f46a6abff6e0e36c"),
         (["bounds"], None, "a33e37630faec425430b81a5617472adf5138894485637ec03479a905d3a7628"),
         (["bounds", "--backend", "rational"], None,
          "822b40bd5eee27134b23e4769af592ad6dd63008455876a51eab0b235dc579ff"),
@@ -339,6 +362,7 @@ _SMALL_ALPHA = ["--alpha", "1/10", "--alpha", "1/4", "--alpha", "1/3", "--alpha"
     ],
     ids=[
         "hk-float", "hk-rational", "hk-wide-float", "hk-wide-rational", "extremal-float", "extremal-rational", "expand-float", "expand-rational",
+        "expand-wide-float", "expand-wide-rational",
         "bounds-float", "bounds-rational", "bounds-small-alpha-float", "bounds-small-alpha-rational",
     ],
 )

@@ -1,5 +1,6 @@
 """Grid handling, suite reports, and the expand pipeline."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -10,10 +11,12 @@ from coeffbounds import (
     RATIONAL,
     GridSpec,
     UsageError,
+    bounds,
     build_hk,
+    caratheodory,
+    cli,
     default_grid,
     extremal_p,
-    gamma_identity_residuals,
     growth_estimate,
     harness,
     run_bounds_table,
@@ -22,13 +25,13 @@ from coeffbounds import (
     run_hk_audit,
     run_nehari_suite,
     run_random_suite,
-    schemes,
     suite_csv,
     suite_json,
     sweeps,
 )
 from coeffbounds.bounds import SLACK
 from coeffbounds.harness import DEFAULT_K_MAX, DEFAULT_ORDER, tail_bound
+from coeffbounds.schemes import gamma_identity_row
 from coeffbounds.reports import fmt_float
 from oracles import dominance_margins_scalar, nehari_margins_scalar
 from coeffbounds.caratheodory import HerglotzAtoms, trial_atoms
@@ -220,7 +223,7 @@ class TestNehariSuite:
 
 class TestHkAudit:
     def test_shape(self):
-        reports = run_hk_audit((1.5, 2.0), k_max=8, order=32)
+        reports = run_hk_audit((1.5, 2.0), k_max=8)
         sections = {r.point.get("section") for r in reports}
         assert sections == {"construction", "even-constants", "alpha-1-exponent"}
         construction = [r for r in reports if r.point.get("section") == "construction"]
@@ -230,7 +233,7 @@ class TestHkAudit:
         assert all(len(r.entries) == 3 * 7 for r in construction)
 
     def test_even_constant_rows_report_the_known_slip(self):
-        reports = run_hk_audit((2.0,), k_max=12, order=32)
+        reports = run_hk_audit((2.0,), k_max=12)
         table = [r for r in reports if r.point.get("section") == "even-constants"][0]
         assert table.passed  # info rows never fail the audit
         k8 = [e for e in table.entries if e.k == "8"][0]
@@ -238,27 +241,61 @@ class TestHkAudit:
         assert "digit slip" in k8.case
 
     def test_alpha_one_rows(self):
-        reports = run_hk_audit((Fraction(2),), k_max=4, order=16, backend=RATIONAL)
+        reports = run_hk_audit((Fraction(2),), k_max=4, backend=RATIONAL)
         alpha1 = [r for r in reports if r.point.get("section") == "alpha-1-exponent"][0]
         assert alpha1.passed
         assert all("matches k^n" in e.case for e in alpha1.entries)
 
     def test_needs_alpha_above_one(self):
         with pytest.raises(UsageError):
-            run_hk_audit((1.0,), k_max=8, order=32)
+            run_hk_audit((1.0,), k_max=8)
 
-    def test_one_circle_pass_per_alpha(self, monkeypatch):
-        calls = []
-        original = harness.min_real_parts
+    @pytest.mark.parametrize("backend", ["float", "rational"])
+    def test_makes_no_circle_call(self, backend, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("verify hk certifies by the convex weights; it samples no circle")
 
-        def counting(series, radius, samples):
-            calls.append(len(series))
-            return original(series, radius, samples)
+        monkeypatch.setattr(caratheodory, "min_real_part", refuse)
+        monkeypatch.setattr(bounds, "min_real_part", refuse)
+        monkeypatch.setattr(harness, "min_real_part", refuse, raising=False)
+        assert cli.main(["verify", "hk", "--backend", backend]) == 0
 
-        monkeypatch.setattr(harness, "min_real_parts", counting)
-        run_hk_audit(default_grid(FLOAT).alpha_values)
-        # stock grid: one call per alpha, holding the series of k = 2..12
-        assert calls == [11] * 6
+    @pytest.mark.parametrize("backend", [FLOAT, RATIONAL], ids=lambda b: b.name)
+    def test_convex_weight_rows_are_exact(self, backend):
+        alphas = default_grid(backend).alpha_values
+        reports = run_hk_audit(alphas, backend=backend)
+        for alpha, report in zip(alphas, reports):
+            rows = [e for e in report.entries if e.case == "convex weights of the construction"]
+            assert [e.k for e in rows] == [str(k) for k in range(2, DEFAULT_K_MAX + 1)]
+            for k, row in zip(range(2, DEFAULT_K_MAX + 1), rows):
+                # the weights of the construction at the exact value of alpha, never rounded
+                _, exact = build_hk(k, Fraction(alpha), k, backend=RATIONAL)
+                assert sum(exact.weights) == 1
+                smallest = min(exact.weights)
+                assert smallest > 0
+                assert (row.observed, row.reference, row.margin, row.status) == (
+                    backend.format_scalar(smallest), "0", fmt_float(smallest), "pass"
+                )
+
+    def test_weights_outside_the_simplex_fail(self, monkeypatch, capsys):
+        # a negative control: scale the non-constant part of h_3 by 6/5, giving weights (6/5, -1/5)
+        original = harness.build_hk
+
+        def leaving_the_simplex(k, alpha, order, *, backend):
+            h, scheme = original(k, alpha, order, backend=backend)
+            if k == 3:
+                scheme = dataclasses.replace(scheme, weights=(Fraction(6, 5), Fraction(-1, 5)))
+            return h, scheme
+
+        monkeypatch.setattr(harness, "build_hk", leaving_the_simplex)
+        for backend in (FLOAT, RATIONAL):
+            reports = run_hk_audit((backend.scalar(2),), k_max=4, backend=backend)
+            rows = [e for e in reports[0].entries if e.case == "convex weights of the construction"]
+            assert [(e.k, e.status) for e in rows] == [("2", "pass"), ("3", "fail"), ("4", "pass")]
+            assert rows[1].observed == backend.format_scalar(Fraction(-1, 5))
+            assert not reports[0].passed
+        assert cli.main(["verify", "hk", "--alpha", "2", "--kmax", "4"]) == 1
+        assert cli.main(["verify", "hk", "--alpha", "2", "--kmax", "4", "--backend", "rational"]) == 1
 
     @pytest.mark.parametrize("backend", [FLOAT, RATIONAL], ids=lambda b: b.name)
     def test_identity_row_is_the_last_residual_row(self, backend):
@@ -269,7 +306,7 @@ class TestHkAudit:
             assert [e.k for e in entries] == [str(k) for k in range(2, DEFAULT_K_MAX + 1)]
             for k, entry in zip(range(2, DEFAULT_K_MAX + 1), entries):
                 _, scheme = build_hk(k, alpha, DEFAULT_ORDER, backend=backend)
-                m, value, target, residual = gamma_identity_residuals(scheme)[-1]
+                m, value, target, residual = [gamma_identity_row(scheme, m) for m in range(1, k)][-1]
                 assert entry.case == f"gamma identity at defining order m={m}"
                 assert (entry.observed, entry.reference, entry.margin) == (
                     backend.format_scalar(value),
@@ -279,14 +316,17 @@ class TestHkAudit:
 
     @pytest.mark.parametrize("backend", [FLOAT, RATIONAL], ids=lambda b: b.name)
     def test_reads_only_the_defining_order_row(self, backend, monkeypatch):
-        def refuse(scheme):
-            raise AssertionError("the audit computes only the row at m = k - 1")
+        orders = []
 
-        monkeypatch.setattr(harness, "gamma_identity_residuals", refuse, raising=False)
-        monkeypatch.setattr(schemes, "gamma_identity_residuals", refuse)
+        def recording(scheme, m):
+            orders.append((scheme.k, m))
+            return gamma_identity_row(scheme, m)
+
+        monkeypatch.setattr(harness, "gamma_identity_row", recording)
         reports = run_hk_audit(default_grid(backend).alpha_values, backend=backend)
         assert len(reports) == 6 + 2
         assert all(r.passed for r in reports)
+        assert orders == [(k, k - 1) for k in range(2, DEFAULT_K_MAX + 1)] * 6
 
 
 class TestExpand:

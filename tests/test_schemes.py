@@ -1,5 +1,6 @@
 """Weight ladder, per-index constructions, and the alternating series."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -9,12 +10,10 @@ from coeffbounds import (
     FLOAT,
     RATIONAL,
     ClassParams,
-    GammaScheme,
     TruncatedSeries,
     build_hk,
     check_gamma_identity,
     compare_even_constants,
-    gamma_identity_residuals,
     gamma_target,
     gammas_from_coefficients,
     half_hadamard,
@@ -28,7 +27,7 @@ from coeffbounds.caratheodory import (
     draw_atoms,
     half_hadamard_coefficients,
 )
-from coeffbounds.schemes import gamma_ladder, nehari_coefficients
+from coeffbounds.schemes import gamma_identity_row, gamma_ladder, nehari_coefficients
 from oracles import nehari_coefficients_full
 
 
@@ -113,7 +112,7 @@ class TestBuildHk:
     def test_identity_exact_across_grid(self, k, alpha):
         _, scheme = build_hk(k, alpha, k, backend=RATIONAL)
         assert check_gamma_identity(scheme)
-        m, value, target, residual = gamma_identity_residuals(scheme)[-1]
+        m, value, target, residual = gamma_identity_row(scheme, k - 1)
         assert m == k - 1 and value == target and residual == 0
 
     @pytest.mark.parametrize("backend", [FLOAT, RATIONAL], ids=lambda b: b.name)
@@ -131,6 +130,41 @@ class TestBuildHk:
             _, scheme = build_hk(k, alpha, k, backend=RATIONAL)
             assert all(abs(d) <= 2 for d in scheme.d)
 
+    @pytest.mark.parametrize("k", range(2, 13))
+    @pytest.mark.parametrize("alpha", [Fraction(11, 10), Fraction(3, 2), Fraction(6), Fraction(100)])
+    def test_series_is_the_weighted_kernel_sum(self, k, alpha):
+        # the kernels written out coefficient by coefficient, constant term first
+        order = 16
+
+        def moebius(step, sign):
+            return [1] + [2 * sign ** (j // step) if j % step == 0 else 0 for j in range(1, order + 1)]
+
+        constant = [1] + [0] * order
+        h, scheme = build_hk(k, alpha, order, backend=RATIONAL)
+        if k == 2:
+            kernels, weights = [constant], [1]
+        elif k == 3:
+            kernels, weights = [constant, moebius(1, -1)], [1 - 1 / alpha, 1 / alpha]
+        elif k in (4, 5):
+            d = scheme.d[-1]
+            kernels = [constant, moebius(k - 2, 1 if d >= 0 else -1)]
+            weights = [1 - abs(d) / 2, abs(d) / 2]
+        else:
+            kernels = [constant, [1, -1] + [0] * (order - 1), moebius(2, 1)]
+            weights = [1 - Fraction(2, k - 2) - scheme.sigma / 2, Fraction(2, k - 2), scheme.sigma / 2]
+        assert scheme.weights == tuple(weights)
+        assert sum(scheme.weights) == 1 and min(scheme.weights) >= 0
+        for j in range(order + 1):
+            assert h.coefficient(j) == RATIONAL.coeff(sum(w * kernel[j] for w, kernel in zip(weights, kernels)))
+
+    @pytest.mark.parametrize("alpha", ["11/10", "2", "3", "10"])
+    def test_float_weights_track_exact_weights(self, alpha):
+        for k in range(2, 13):
+            _, sf = build_hk(k, FLOAT.scalar(alpha), k)
+            _, sr = build_hk(k, RATIONAL.scalar(alpha), k, backend=RATIONAL)
+            assert len(sf.weights) == len(sr.weights)
+            assert all(abs(f - float(r)) < 1e-14 for f, r in zip(sf.weights, sr.weights))
+
     @pytest.mark.parametrize("k", range(3, 13))
     def test_stays_positive_real_part(self, k):
         h, _ = build_hk(k, 1.7, 64)
@@ -142,7 +176,10 @@ class TestBuildHk:
         # reads 1/2 against a target of (alpha-1)/(2 alpha), unequal for
         # every alpha, which is why the identity check pins its orders
         _, scheme = build_hk(4, Fraction(2), 4, backend=RATIONAL)
-        rows = {m: (value, target) for m, value, target, _ in gamma_identity_residuals(scheme)}
+        rows = {}
+        for m in range(1, scheme.k):
+            _, value, target, _ = gamma_identity_row(scheme, m)
+            rows[m] = (value, target)
         assert rows[2][0] == Fraction(1, 2)
         assert rows[2][1] == Fraction(1, 4)
         assert rows[3][0] == rows[3][1]
@@ -150,14 +187,8 @@ class TestBuildHk:
     def test_identity_detects_perturbation(self):
         _, scheme = build_hk(5, Fraction(2), 5, backend=RATIONAL)
         bad_d = (scheme.d[0], scheme.d[1] + Fraction(1, 1000), scheme.d[2])
-        bad = GammaScheme(
-            k=scheme.k,
-            alpha=scheme.alpha,
-            d=bad_d,
-            sigma=scheme.sigma,
-            xi=scheme.xi,
-            omega=scheme.omega,
-            gammas=tuple(gammas_from_coefficients(bad_d, scheme.k - 2)),
+        bad = dataclasses.replace(
+            scheme, d=bad_d, gammas=tuple(gammas_from_coefficients(bad_d, scheme.k - 2))
         )
         assert not check_gamma_identity(bad)
 
