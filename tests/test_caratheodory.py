@@ -262,6 +262,16 @@ class TestMinRealPartsMatchesScalarLoop:
         got = _each_matches_scalar_loop(series, 0.5, samples)
         assert _bitwise_equal(got[1], 0.0)
 
+    def test_empty_list(self):
+        # no series gives no values; the circle settings are checked on every call, even for an
+        # order-0 series that needs no Horner step, and the least accepted count is exact
+        assert _each_matches_scalar_loop([], 0.5, 64) == []
+        s = TruncatedSeries([complex(0.25, -1.0)], 0)
+        for radius, samples in ((0.0, 64), (1.0, 64), (0.5, 7), (0.5, 8.0)):
+            with pytest.raises(ValueError):
+                min_real_part(s, radius, samples)
+        assert _each_matches_scalar_loop([s], 0.5, 8) == [0.25]
+
     def test_pass_memory_is_capped_in_cells(self):
         # uncapped, 20000 points would take six work arrays of 20000 doubles (about 0.96 MB);
         # blocks of CIRCLE_BLOCK points peak near 0.35 MB
