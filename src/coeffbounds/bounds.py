@@ -31,10 +31,12 @@ from .backends import FLOAT, RATIONAL, Backend
 from .caratheodory import HerglotzAtoms, min_real_part, shift_coefficients, transform_coefficients
 from .series import TruncatedSeries, power_tails, real_power_coefficients
 
-#: A margin below -SLACK is a violation: in the sweeps, in the suites'
-#: reference column and in the per-k bound rows of ``expand``.
+#: A margin below -SLACK is a violation: in the sweeps and in the suites'
+#: reference column. The per-k bound rows of ``expand`` scale it by
+#: max(1, bound), so float rounding of a large bound is no violation.
 SLACK = 1e-9
-#: ``BoundReport.sharp_hit`` when |bound - |a_k|| is at most this (float comparison).
+#: ``BoundReport.sharp_hit`` when |bound - |a_k|| is at most this times
+#: max(1, bound) (float comparison).
 SHARP_HIT_TOL = 1e-9
 #: Largest float |a_0| that `verify_membership` accepts; a_1 must be exactly 1.
 NORMALIZATION_TOL = 1e-12
@@ -280,13 +282,12 @@ def bound_report(params: ClassParams, k: int, a_k, *, backend: Backend) -> Bound
         if backend is RATIONAL:
             hit = a_k.abs2() == bound_exact * bound_exact
         else:
-            hit = abs(bound - a_abs) <= SHARP_HIT_TOL
+            hit = abs(bound - a_abs) <= SHARP_HIT_TOL * max(1.0, bound)
         return BoundReport(k, a_abs, bound, "sharp", region, bound - a_abs, hit, True)
     t1 = small_alpha_bound(params, k)
     if t1.value is not None:
         bound = float(t1.value)
         margin = bound - a_abs
-        return BoundReport(
-            k, a_abs, bound, "small_alpha", region, margin, abs(margin) <= SHARP_HIT_TOL, True
-        )
+        hit = abs(margin) <= SHARP_HIT_TOL * max(1.0, bound)
+        return BoundReport(k, a_abs, bound, "small_alpha", region, margin, hit, True)
     return BoundReport(k, a_abs, math.nan, None, region, math.nan, False, False)

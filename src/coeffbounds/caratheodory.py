@@ -13,6 +13,10 @@ points for the few angles the parametrization cannot reach (x = -1).
 The iterated integral transform acts diagonally on coefficients: one
 application multiplies the k-th coefficient by alpha / (alpha + k), and n
 applications by (alpha / (alpha + k))^n, with the constant term fixed at 1.
+
+numpy is imported inside the functions that build arrays (`check_atom_rows`,
+`min_real_part` and the atom stream), so the exact and scalar paths never
+load it.
 """
 
 from __future__ import annotations
@@ -20,8 +24,6 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-
-import numpy as np
 
 from ._rational import RationalComplex, t_from_unimodular, unimodular_from_t
 from .backends import FLOAT, RATIONAL, Backend, get_backend
@@ -81,13 +83,15 @@ def shift_coefficients(coeffs, beta, one) -> list:
     return [one, *(one_minus * c for c in coeffs[1:])]
 
 
-def check_atom_rows(weights: np.ndarray, points: np.ndarray, counts: np.ndarray) -> None:
-    """The float atom rules over rows whose first counts[t] slots are used.
+def check_atom_rows(weights, points, counts) -> None:
+    """The float atom rules over numpy rows whose first counts[t] slots are used.
 
     Used weights are positive, each row's weights sum to 1 within
     `_WEIGHT_SUM_TOL` and used points lie within `_UNIMODULAR_TOL` of the
     unit circle. Each comparison is written so that NaN fails it.
     """
+    import numpy as np
+
     used = np.arange(weights.shape[1]) < counts[:, None]
     if not (weights[used] > 0).all():
         raise ValueError("weights must be positive")
@@ -101,11 +105,30 @@ def check_atom_rows(weights: np.ndarray, points: np.ndarray, counts: np.ndarray)
         raise ValueError(f"point {complex(used_points[off][0])!r} is not unimodular")
 
 
+def _check_atom_row(weights: tuple, points: tuple) -> None:
+    """`check_atom_rows` on one row of Python floats and complexes.
+
+    The rules, their order and the messages are the same. The sum runs left
+    to right, as numpy sums a row of up to 7 weights; the moduli come from
+    `math.hypot`, which may round the last bit unlike numpy's `abs`.
+    """
+    if not all(w > 0 for w in weights):
+        raise ValueError("weights must be positive")
+    total = 0.0
+    for w in weights:
+        total += w
+    if not abs(total - 1.0) <= _WEIGHT_SUM_TOL:
+        raise ValueError(f"weights must sum to 1, got {total!r}")
+    for x in points:
+        if not abs(math.hypot(x.real, x.imag) - 1.0) <= _UNIMODULAR_TOL:
+            raise ValueError(f"point {x!r} is not unimodular")
+
+
 class HerglotzAtoms:
     """Finite atomic Herglotz data: positive weights on unimodular points.
 
-    Float atoms obey `check_atom_rows`; rational atoms obey the same rules
-    exactly.
+    Float atoms obey the rules of `check_atom_rows`; rational atoms obey
+    the same rules exactly.
     """
 
     __slots__ = ("backend", "weights", "points")
@@ -125,7 +148,7 @@ class HerglotzAtoms:
                 if x.abs2() != 1:
                     raise ValueError(f"point {x} is not exactly unimodular")
         else:
-            check_atom_rows(np.array([weights]), np.array([points]), np.array([len(weights)]))
+            _check_atom_row(weights, points)
         _fill_atoms(self, backend, weights, points)
 
     def __setattr__(self, name, value):
@@ -299,6 +322,8 @@ def min_real_part(p: TruncatedSeries, radius: float, samples: int) -> float:
         raise ValueError(f"radius must lie in (0, 1), got {radius!r}")
     if not isinstance(samples, int) or samples < 8:
         raise ValueError(f"need at least 8 samples, got {samples!r}")
+    import numpy as np
+
     top_first = [complex(c) for c in reversed(p.coeffs)]
     # z.real, z.imag, re, im and two temporaries, one block long
     cells = np.empty((6, min(samples, CIRCLE_BLOCK)))
@@ -340,16 +365,18 @@ def min_real_part(p: TruncatedSeries, radius: float, samples: int) -> float:
 # of outputs is a handful of uint64 array operations and needs no state.
 # Array arithmetic wraps silently; uint64 *scalar* arithmetic would warn.
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
-def _uniforms(key: int, first: int, stop: int) -> np.ndarray:
+def _uniforms(key: int, first: int, stop: int):
     """Uniforms first..stop-1 of stream ``key``, as doubles (x >> 11) 2^-53 in [0, 1)."""
-    z = np.arange(first + 1, stop + 1, dtype=np.uint64) * _GOLDEN + np.uint64(key)
-    z = (z ^ (z >> 30)) * _MIX1
-    z = (z ^ (z >> 27)) * _MIX2
+    import numpy as np
+
+    z = np.arange(first + 1, stop + 1, dtype=np.uint64) * np.uint64(_GOLDEN) + np.uint64(key)
+    z = (z ^ (z >> 30)) * np.uint64(_MIX1)
+    z = (z ^ (z >> 27)) * np.uint64(_MIX2)
     z ^= z >> 31
     return (z >> 11).astype(np.float64) * 2.0**-53
 
@@ -376,6 +403,8 @@ def draw_atoms(key: int, start: int, stop: int):
         raise ValueError(f"stream key must be a 64-bit unsigned integer, got {key!r}")
     if not 0 <= start <= stop:
         raise ValueError(f"need 0 <= start <= stop, got {start!r}, {stop!r}")
+    import numpy as np
+
     rows, width = stop - start, 1 + 2 * MAX_ATOMS
     u = _uniforms(key, start * width, stop * width).reshape(rows, width)
     counts = np.minimum(1 + (u[:, 0] * MAX_ATOMS).astype(np.intp), MAX_ATOMS)

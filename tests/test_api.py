@@ -146,6 +146,42 @@ def test_module_does_not_import_random(path):
     assert "random" not in imported
 
 
+def _import_time_modules(tree: ast.Module) -> set:
+    """Top-level names of the modules an import statement outside any function names.
+
+    A package-relative import counts as the submodules it names:
+    ``from . import sweeps`` and ``from .sweeps import x`` both give ``sweeps``.
+    """
+    names = set()
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module is None:  # from . import a, b
+                names.update(alias.name for alias in node.names)
+            else:
+                names.add(node.module.split(".")[0])
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
+def test_only_sweeps_loads_numpy_on_import(path):
+    # numpy is about half of the CLI's start-up; the array code imports it in its functions
+    loaded = _import_time_modules(ast.parse(path.read_text())) & {"numpy", "sweeps"}
+    assert loaded == ({"numpy"} if path.name == "sweeps.py" else set())
+
+
+def test_import_time_scan_skips_function_bodies():
+    tree = ast.parse("import math\nfrom . import sweeps, bounds\nclass A:\n    import numpy as np\n"
+                     "def f():\n    import random\n    from .series import x\n")
+    assert _import_time_modules(tree) == {"math", "sweeps", "bounds", "numpy"}
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
 def test_atom_tolerances_live_in_caratheodory(path):
     # the float atom rules read them in one place, `caratheodory.check_atom_rows`
@@ -168,6 +204,32 @@ def test_sweeps_leave_numpy_random_unimported():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_scalar_commands_leave_numpy_unimported():
+    # the closed-form and exact commands build no array, so they never pay for numpy's import
+    code = (
+        "import contextlib, io, sys\n"
+        "import coeffbounds\n"
+        "seen = ['numpy' in sys.modules]\n"
+        "import coeffbounds.cli\n"
+        "coeffbounds.cli.build_parser()\n"
+        "seen.append('numpy' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    for backend in ('float', 'rational'):\n"
+        "        for argv in (['bounds'], ['verify', 'extremal'], ['verify', 'hk']):\n"
+        "            assert coeffbounds.cli.main([*argv, '--kmax', '6', '--backend', backend]) == 0\n"
+        "            seen.append('numpy' in sys.modules)\n"
+        "    coeffbounds.cli.main(['verify', 'random', '--n', '1', '--alpha', '2', '--beta', '0',\n"
+        "                          '--trials', '20'])\n"
+        "seen.append('numpy' in sys.modules)\n"
+        "print(seen)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    # import, parser and six scalar commands without numpy, then the sweep loads it
+    assert out.stdout.strip() == str([False] * 8 + [True])
 
 
 def _unused_imports(tree: ast.Module) -> list:

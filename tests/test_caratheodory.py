@@ -1,9 +1,12 @@
 """Atom systems, their series, transforms, and serialization."""
 
+import cmath
+import itertools
 import math
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,7 +22,12 @@ from coeffbounds import (
     random_herglotz,
 )
 from coeffbounds._rational import RationalComplex
-from coeffbounds.caratheodory import CIRCLE_BLOCK, shift_coefficients, transform_coefficients
+from coeffbounds.caratheodory import (
+    CIRCLE_BLOCK,
+    check_atom_rows,
+    shift_coefficients,
+    transform_coefficients,
+)
 from oracles import min_real_part_scalar
 
 
@@ -371,3 +379,45 @@ class TestDocuments:
             HerglotzAtoms.from_angles([0.5, 0.5], [0.0, bad])
         with pytest.raises(ValueError, match="unimodular"):
             HerglotzAtoms([1.0], [complex(bad, 0.0)])
+
+    def test_float_rules_match_the_row_check(self):
+        # a float HerglotzAtoms checks its row without numpy; it accepts and rejects
+        # what `check_atom_rows` does, with the same message
+        def outcome(check):
+            try:
+                check()
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        def near(x):
+            return (math.nextafter(x, 0.0), x, math.nextafter(x, 2.0))
+
+        sums = (*near(1.0), *near(1.0 + 1e-12), *near(1.0 - 1e-12))
+        bad_weights = (0.0, -0.25, math.nan, math.inf, -math.inf)
+        # off-axis points only well off the circle: the two moduli may differ in the last bit
+        bad_points = (1.5, 0.5j, complex(0.6, 0.8) * 1.001, *near(1.0 + 1e-12), *near(1.0 - 1e-12),
+                      -1.0 - 2e-12, complex(math.nan, 0.0), complex(0.0, -math.inf),
+                      complex(math.inf, math.nan), complex(1.5e308, 1.5e308))
+        seen = set()
+        for count in range(1, 8):
+            circle = [cmath.exp(2j * math.pi * j / count) for j in range(count)]
+            head = [(j + 1) / (count * (count + 1) / 2) for j in range(count - 1)]
+            for total, (w_slot, w_bad), (p_slot, p_bad) in itertools.product(
+                sums,
+                [(None, None), *itertools.product((0, count - 1), bad_weights)],
+                [(None, None), *itertools.product((0, count - 1), bad_points)],
+            ):
+                weights = [*head, total - sum(head)]
+                points = list(circle)
+                if w_slot is not None:
+                    weights[w_slot] = w_bad
+                if p_slot is not None:
+                    points[p_slot] = complex(p_bad)
+                row = (np.array([weights]), np.array([points], dtype=complex), np.array([count]))
+                expected = outcome(lambda: check_atom_rows(*row))
+                assert outcome(lambda: HerglotzAtoms(weights, points)) == expected, (weights, points)
+                rules = ("positive", "sum to 1", "unimodular")
+                seen.add(expected and next(rule for rule in rules if rule in expected))
+        # the grid passes, and fails each rule
+        assert seen == {None, "positive", "sum to 1", "unimodular"}

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from coeffbounds import cli, extremal_p, run_expand
+from coeffbounds import SmallAlphaBound, bounds, cli, extremal_p, run_expand
 from coeffbounds.harness import BOUNDS_COLUMNS
 from coeffbounds.reports import SUITE_COLUMNS, json_text
 
@@ -218,6 +218,35 @@ class TestExpandCommand:
         code, out, err = run(argv, capsys)
         assert (code, out) == (2, "")
         assert err.startswith(f"usage error: {message}")
+
+    # the one-atom generator (1+z)/(1-z) at a tiny alpha: bounds up to 2.5e26, where float
+    # rounding alone leaves |a_k| a few ulps above the bound
+    LARGE = ["--n", "0", "--alpha", "1/10000", "--beta", "0", "--order", "64", "--kmax", "8"]
+
+    def large_bound_rows(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(extremal_p(2).to_document()))
+        _, out, _ = run(["expand", "--pspec", str(path), *self.LARGE, "--format", "json"], capsys)
+        rows = json.loads(out)["bounds"]
+        assert [row["k"] for row in rows] == list(range(2, 9))
+        return rows
+
+    def test_slack_scales_with_a_large_bound(self, tmp_path, capsys):
+        rows = self.large_bound_rows(tmp_path, capsys)
+        assert float(rows[-1]["margin"]) < -1e9  # k = 8: an absolute gap, a relative 3e-16
+        assert all(row["status"] == "pass" and row["sharp_hit"] for row in rows)
+
+    def test_large_bound_still_catches_a_relative_excess(self, tmp_path, capsys, monkeypatch):
+        # the same |a_k| against bounds shrunk by a relative 1e-6
+        exact = bounds.small_alpha_bound
+
+        def shrunk(params, k):
+            piece = exact(params, k)
+            return SmallAlphaBound(piece.value / (1 + 1e-6), piece.region)
+
+        monkeypatch.setattr(bounds, "small_alpha_bound", shrunk)
+        rows = self.large_bound_rows(tmp_path, capsys)
+        assert all(row["status"] == "fail" and not row["sharp_hit"] for row in rows)
 
     def test_missing_pspec(self, capsys):
         code, _, err = run(["expand", "--n", "1", "--alpha", "2", "--beta", "0"], capsys)
