@@ -29,7 +29,9 @@ from .bounds import (
     f_from_p,
     growth_estimate,
     sharp_bound,
+    sharp_bounds,
     small_alpha_bound,
+    small_alpha_bounds,
     verify_membership,
 )
 from .caratheodory import (
@@ -59,6 +61,7 @@ from .schemes import (
     compare_even_constants,
     gamma_target,
     gammas_from_coefficients,
+    hk_weights,
     nehari_series,
     recipe_even_constant,
 )
@@ -95,6 +98,7 @@ __all__ = [
     "get_doc_backend",
     "growth_estimate",
     "half_hadamard",
+    "hk_weights",
     "min_real_part",
     "nehari_series",
     "random_herglotz",
@@ -106,7 +110,9 @@ __all__ = [
     "run_nehari_suite",
     "run_random_suite",
     "sharp_bound",
+    "sharp_bounds",
     "small_alpha_bound",
+    "small_alpha_bounds",
     "suite_csv",
     "suite_json",
     "tail_bound",

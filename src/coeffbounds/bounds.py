@@ -16,7 +16,9 @@ undo the transform and then samples the real part).
 Three bound formulas are provided: the sharp one for alpha > 1
 (``sharp_bound``, attained by ``extremal_p``), the piecewise small-alpha one
 with its omega regions (``small_alpha_bound``), and the exponential estimate on
-the power-quotient coefficients (``growth_estimate``).
+the power-quotient coefficients (``growth_estimate``). The first two also come
+as the k = 2..k_max row of one parameter point (``sharp_bounds``,
+``small_alpha_bounds``), which forms what the indices share once.
 """
 
 from __future__ import annotations
@@ -73,24 +75,50 @@ def classify_region(alpha, k: int) -> Region:
 
     Boundaries follow the conventions 1/(k-2) = +inf at k = 2 and
     1/(k-3) = +inf at k = 3, so k = 2 is all of (0, inf) and k = 3 splits
-    into (0, 1) and [1, inf). Fraction boundaries keep the comparisons exact
+    into (0, 1) and [1, inf). With alpha = num/den in lowest terms, alpha <
+    1/(k-2) is num (k-2) < den, so the comparisons are exact integer ones
     for both backends.
     """
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"coefficient index must be an integer >= 2, got {k!r}")
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
-    lower = Fraction(1, k - 2) if k > 2 else None  # None means +inf
-    upper = Fraction(1, k - 3) if k > 3 else None
-    if lower is None or alpha < lower:
+    if k == 2:
+        return Region.OMEGA1
+    try:
+        num, den = alpha.as_integer_ratio()
+    except OverflowError:
+        raise ValueError(f"alpha must be finite, got {alpha!r}") from None
+    if num * (k - 2) < den:
         return Region.OMEGA1
     if k % 2 == 0:
-        if upper is None or alpha <= upper:
+        if num * (k - 3) <= den:
             return Region.OMEGA2
     else:
-        if upper is None or alpha < upper:
+        if k == 3 or num * (k - 3) < den:
             return Region.OMEGA3
     return Region.OUT_OF_RANGE
+
+
+def _check_index(k):
+    if not isinstance(k, int) or k < 2:
+        raise ValueError(f"coefficient index must be an integer >= 2, got {k!r}")
+
+
+def _sharp_row(params: ClassParams, ks) -> list:
+    alpha, beta, n = params.alpha, params.beta, params.n
+    head = 2 * (1 - beta) * alpha ** (n - 1)
+    return [head / (alpha + k - 1) ** n for k in ks]
+
+
+def sharp_bounds(params: ClassParams, k_max: int) -> list:
+    """`sharp_bound` for k = 2..k_max: 2 (1 - beta) alpha^(n-1) formed once.
+
+    Each entry is that head divided by (alpha + k - 1)^n, the same
+    operations in the same order as `sharp_bound`.
+    """
+    _check_index(k_max)
+    return _sharp_row(params, range(2, k_max + 1))
 
 
 def sharp_bound(params: ClassParams, k: int):
@@ -98,12 +126,10 @@ def sharp_bound(params: ClassParams, k: int):
 
     The formula evaluates for every alpha > 0; it is the sharp bound for
     alpha > 1 (reports mark it inapplicable otherwise). Exact in rational
-    inputs.
+    inputs. The one-index row of `sharp_bounds`.
     """
-    if not isinstance(k, int) or k < 2:
-        raise ValueError(f"coefficient index must be an integer >= 2, got {k!r}")
-    alpha, beta, n = params.alpha, params.beta, params.n
-    return 2 * (1 - beta) * alpha ** (n - 1) / (alpha + k - 1) ** n
+    _check_index(k)
+    return _sharp_row(params, (k,))[0]
 
 
 @dataclass(frozen=True)
@@ -114,32 +140,61 @@ class SmallAlphaBound:
     region: Region
 
 
-def small_alpha_bound(params: ClassParams, k: int) -> SmallAlphaBound:
-    """Small-alpha piecewise bound on |a_k|.
+def small_alpha_bounds(params: ClassParams, k_max: int) -> list:
+    """`small_alpha_bound` for k = 2..k_max, one ladder for the whole row.
 
     With B_m = 2^m (1-beta)^m alpha^(m(n-1)) prod_{j=0}^{m-1} (1 - j alpha) / m!
     and Q the coefficients of powers of sum_{j>=1} z^j / (alpha + j)^n, the
     bound is sum_{m=1}^{k-1} B_m Q_{k-1}^(m) on omega1 and omega2, and the
     shorter sum to k-2 on omega3. Outside the regions no value is fabricated.
+
+    Each k is classified once, and B_m and the tails T_m of the powers are
+    formed once, sized to the largest k in a region. Entry i of T_m depends
+    only on entries <= i of the base, so every value is the one a ladder cut
+    to k alone gives, bit for bit on floats.
     """
-    region = classify_region(params.alpha, k)
-    if region is Region.OUT_OF_RANGE:
-        return SmallAlphaBound(None, region)
-    m_top = k - 1 if region in (Region.OMEGA1, Region.OMEGA2) else k - 2
+    _check_index(k_max)
+    return _small_alpha_row(params, range(2, k_max + 1))
+
+
+def small_alpha_bound(params: ClassParams, k: int) -> SmallAlphaBound:
+    """Small-alpha piecewise bound on |a_k|: the one-index row of `small_alpha_bounds`."""
+    _check_index(k)
+    return _small_alpha_row(params, (k,))[0]
+
+
+def _small_alpha_row(params: ClassParams, ks) -> list:
     alpha, beta, n = params.alpha, params.beta, params.n
+    regions = [classify_region(alpha, k) for k in ks]
+    # the number of powers summed at each k; none outside the regions
+    m_tops = [
+        0 if region is Region.OUT_OF_RANGE else k - 2 if region is Region.OMEGA3 else k - 1
+        for k, region in zip(ks, regions)
+    ]
+    k_top = max((k for k, m_top in zip(ks, m_tops) if m_top), default=1)
     zero = alpha * 0
     # the base series is z times these; Q_{k-1}^(m) is entry k-1-m of the m-th tail
-    tail_base = [1 / (alpha + j) ** n for j in range(1, k)]
-    total = zero
+    tail_base = [1 / (alpha + j) ** n for j in range(1, k_top)]
+    b = []
+    tails = []
     sign_prod = 1 - 0 * alpha  # prod_{j=0}^{m-1} (1 - j alpha), starts at 1
     factorial = 1
-    for m, tail in enumerate(power_tails(tail_base, m_top, zero), start=1):
+    for m, tail in enumerate(power_tails(tail_base, max(m_tops), zero), start=1):
         if m > 1:
             sign_prod = sign_prod * (1 - (m - 1) * alpha)
             factorial *= m
-        b_m = (2**m) * (1 - beta) ** m * alpha ** (m * (n - 1)) * sign_prod / factorial
-        total = total + b_m * tail[k - 1 - m]
-    return SmallAlphaBound(total, region)
+        b.append((2**m) * (1 - beta) ** m * alpha ** (m * (n - 1)) * sign_prod / factorial)
+        tails.append(tail)
+    row = []
+    for k, region, m_top in zip(ks, regions, m_tops):
+        if not m_top:
+            row.append(SmallAlphaBound(None, region))
+            continue
+        total = zero
+        for m in range(1, m_top + 1):
+            total = total + b[m - 1] * tails[m - 1][k - 1 - m]
+        row.append(SmallAlphaBound(total, region))
+    return row
 
 
 def growth_estimate(alpha, k: int) -> float:

@@ -23,13 +23,19 @@ from .bounds import (
     extremal_p,
     f_from_p,
     growth_estimate,
-    sharp_bound,
-    small_alpha_bound,
+    sharp_bounds,
+    small_alpha_bounds,
     verify_membership,
 )
 from .caratheodory import HerglotzAtoms, get_doc_backend, trial_atoms
 from .reports import SuiteEntry, SuiteReport, fmt_float
-from .schemes import build_hk, check_gamma_identity, compare_even_constants, gamma_identity_row
+from .schemes import (
+    build_hk,
+    check_gamma_identity,
+    compare_even_constants,
+    gamma_identity_row,
+    hk_weights,
+)
 
 
 class UsageError(ValueError):
@@ -168,20 +174,25 @@ BOUNDS_COLUMNS = (
 
 
 def run_bounds_table(grid: GridSpec, backend: Backend = FLOAT):
-    """Tabulated bound values over the grid: one row per (n, alpha, beta, k)."""
+    """Tabulated bound values over the grid: one row per (n, alpha, beta, k).
+
+    The bounds of a grid point come from one `sharp_bounds` and one
+    `small_alpha_bounds` call for all its k.
+    """
     ks = range(2, grid.k_max + 1)
     growth = {alpha: [fmt_float(growth_estimate(alpha, k)) for k in ks] for alpha in grid.alpha_values}
     rows = []
     for n, alpha, beta in grid.points():
         params = ClassParams(n, alpha, beta)
         point = _point(backend, n, alpha, beta)
-        for k, growth_cell in zip(ks, growth[alpha]):
-            piece = small_alpha_bound(params, k)
+        sharp_row = sharp_bounds(params, grid.k_max)
+        piece_row = small_alpha_bounds(params, grid.k_max)
+        for k, sharp, piece, growth_cell in zip(ks, sharp_row, piece_row, growth[alpha]):
             rows.append(
                 {
                     **point,
                     "k": str(k),
-                    "sharp_bound": backend.format_scalar(sharp_bound(params, k)),
+                    "sharp_bound": backend.format_scalar(sharp),
                     "small_alpha_bound": ""
                     if piece.value is None
                     else backend.format_scalar(piece.value),
@@ -218,11 +229,10 @@ def run_extremal_suite(grid: GridSpec, backend: Backend = FLOAT):
         passed = True
         worst = 0.0
         witness = None
-        for k in range(2, k_top + 1):
+        for k, bound in zip(range(2, k_top + 1), sharp_bounds(params, k_top)):
             atoms, series = generators[k]
             f = f_from_p(series, params, k)
             a_k = f.coefficient(k)
-            bound = sharp_bound(params, k)
             if backend is RATIONAL:
                 ok = a_k.abs2() == bound * bound
                 rel = 0.0 if ok else abs(float(bound) - abs(complex(a_k))) / float(bound)
@@ -395,20 +405,18 @@ def run_hk_audit(alpha_values, k_max: int = DEFAULT_K_MAX, backend: Backend = FL
         for k in range(2, k_max + 1):
             _, scheme = build_hk(k, alpha, k, backend=backend)
             # the membership verdict reads the weights at the exact value of alpha
-            exact = scheme
-            if backend is not RATIONAL:
-                _, exact = build_hk(k, Fraction(alpha), k, backend=RATIONAL)
+            weights = scheme.weights if backend is RATIONAL else hk_weights(k, Fraction(alpha))[0]
             m, value, target, residual = gamma_identity_row(scheme, k - 1)
             worst = max(worst, residual)
             d_max = max((abs(d) for d in scheme.d), default=0)
-            w_min = min(exact.weights)
+            w_min = min(weights)
             checks = (  # (case, observed, reference, margin, verdict)
                 (f"gamma identity at defining order m={m}", backend.format_scalar(value),
                  backend.format_scalar(target), fmt_float(residual), check_gamma_identity(scheme)),
                 ("coefficient magnitude max|d|", backend.format_scalar(d_max), "2",
                  fmt_float(2 - float(d_max)), d_max <= 2),
                 ("convex weights of the construction", backend.format_scalar(w_min), "0",
-                 fmt_float(w_min), w_min >= 0 and sum(exact.weights) == 1),
+                 fmt_float(w_min), w_min >= 0 and sum(weights) == 1),
             )
             for case, observed, reference, margin, ok in checks:
                 entries.append(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 from dataclasses import dataclass
 
 SUITE_COLUMNS = (
@@ -69,13 +70,19 @@ class SuiteReport:
     elapsed: float = 0.0
 
 
-def csv_text(columns, rows) -> str:
+def _rows_csv(columns, rows) -> str:
+    """The header, then each row: a sequence of cells in column order."""
     out = io.StringIO()
-    writer = csv.DictWriter(out, fieldnames=list(columns), lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
     return out.getvalue()
+
+
+def csv_text(columns, rows) -> str:
+    """CSV of dict rows, each holding every column."""
+    cells = operator.itemgetter(*columns)  # a tuple per row: every table has several columns
+    return _rows_csv(columns, map(cells, rows))
 
 
 def json_text(payload) -> str:
@@ -83,8 +90,8 @@ def json_text(payload) -> str:
 
 
 def suite_csv(reports) -> str:
-    rows = [entry.as_dict() for report in reports for entry in report.entries]
-    return csv_text(SUITE_COLUMNS, rows)
+    cells = operator.attrgetter(*SUITE_COLUMNS)
+    return _rows_csv(SUITE_COLUMNS, (cells(entry) for report in reports for entry in report.entries))
 
 
 def suite_json(reports) -> str:

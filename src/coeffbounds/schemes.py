@@ -17,10 +17,11 @@ order m = k-1 to equal the target product
     gamma_{m-1} = prod_{j=1}^{m-1} (j alpha - 1) / (m! alpha^(m-1)),
 
 and ``build_hk`` constructs, for each k, a genuine Caratheodory function
-(an explicit convex combination of Moebius-type kernels) whose coefficients
-d_mu satisfy exactly that. ``check_gamma_identity`` verifies the identity at
-the orders the construction pins down; ``gamma_identity_row`` gives the
-ladder-vs-target row at any order for auditing.
+(an explicit convex combination of Moebius-type kernels, with the weights
+of ``hk_weights``) whose coefficients d_mu satisfy exactly that.
+``check_gamma_identity`` verifies the identity at the orders the
+construction pins down; ``gamma_identity_row`` gives the ladder-vs-target
+row at any order for auditing.
 """
 
 from __future__ import annotations
@@ -146,13 +147,50 @@ def _moebius(step: int, sign: int, order: int) -> list:
     return [(j, 2 * sign**i) for i, j in enumerate(range(step, order + 1, step), start=1)]
 
 
+def hk_weights(k: int, alpha):
+    """The convex weights of h(z)_k, the constant kernel's first, with sigma and s.
+
+    Returns (weights, sigma, s): ``sigma`` is the shared even coefficient of
+    the k >= 6 recipe (zero below k = 6), and ``s`` the sign of the defining
+    coefficient d_(k-2) for k in {3, 4, 5} (1 for other k). `build_hk`
+    gives the formulas. The weights are exact for a Fraction alpha, so
+    ``harness.run_hk_audit`` certifies h in P from them alone. Requires
+    alpha > 1.
+    """
+    if not isinstance(k, int) or k < 2:
+        raise ValueError(f"coefficient index must be an integer >= 2, got {k!r}")
+    if not alpha > 1:
+        raise ValueError(f"the generator construction needs alpha > 1, got {alpha!r}")
+    one_s = alpha**0
+    zero_s = alpha * 0
+    if k == 2:
+        return (one_s,), zero_s, 1
+    if k == 3:
+        lam = 1 / alpha
+        return (one_s - lam, lam), zero_s, -1
+    if k in (4, 5):
+        if k == 4:
+            dval = 2 * (alpha * alpha - 6 * alpha + 2) / (3 * alpha * alpha)
+        else:
+            dval = 2 * (3 * alpha**3 - 11 * alpha**2 + 6 * alpha - 1) / (3 * alpha**3)
+        lam = abs(dval) / 2
+        return (one_s - lam, lam), zero_s, 1 if dval >= 0 else -1
+    lam1 = (2 * one_s) / (k - 2)
+    even_binom_sum = 2 ** (k - 3) - 1  # C(k-2,2) + C(k-2,4) + ... + C(k-2,xi)
+    prod = one_s
+    for j in range(1, k - 1):
+        prod = prod * ((j * alpha - 1) / (j * alpha))
+    sigma = 2 ** (k - 1) * prod / ((k - 1) * even_binom_sum)
+    return (one_s - lam1 - sigma / 2, lam1, sigma / 2), sigma, 1
+
+
 def build_hk(k: int, alpha, order: int, *, backend: Backend = FLOAT):
     """Construct the Caratheodory function h(z)_k and its GammaScheme.
 
     Each h is an explicit convex combination of kernels, chosen so that the
     ladder built from its coefficients hits gamma_target at the defining
-    order m = k-1; ``scheme.weights`` lists the weights, the constant
-    kernel's first:
+    order m = k-1; ``scheme.weights`` lists the weights (`hk_weights`), the
+    constant kernel's first:
 
       k = 2: h = 1, weights (1) (all d vanish; the target is gamma_0 = 1).
       k = 3: (1 - 1/alpha) + (1/alpha)(1-z)/(1+z), so d_1 = -2/alpha.
@@ -187,38 +225,19 @@ def build_hk(k: int, alpha, order: int, *, backend: Backend = FLOAT):
     if not isinstance(order, int) or order < k:
         raise ValueError(f"order must be an integer >= k = {k}, got {order!r}")
     alpha = backend.scalar(alpha)
-    if not alpha > 1:
-        raise ValueError(f"the generator construction needs alpha > 1, got {alpha!r}")
-    one_s = alpha**0
-    zero_s = alpha * 0
-    sigma = zero_s
+    weights, sigma, sign = hk_weights(k, alpha)
     xi = omega = 0
     if k == 2:
-        weights, kernels = (one_s,), ()
-    elif k == 3:
-        lam = 1 / alpha
-        weights, kernels = (one_s - lam, lam), (_moebius(1, -1, order),)
-    elif k in (4, 5):
-        if k == 4:
-            dval = 2 * (alpha * alpha - 6 * alpha + 2) / (3 * alpha * alpha)
-        else:
-            dval = 2 * (3 * alpha**3 - 11 * alpha**2 + 6 * alpha - 1) / (3 * alpha**3)
-        lam = abs(dval) / 2
-        # the kernel's powers alternate in sign when s is -1: dval, -dval, dval, ...
-        weights, kernels = (one_s - lam, lam), (_moebius(k - 2, 1 if dval >= 0 else -1, order),)
+        kernels = ()
+    elif k <= 5:
+        # the kernel's powers alternate in sign when s is -1: d, -d, d, ...
+        kernels = (_moebius(k - 2, sign, order),)
     else:
-        lam1 = (2 * one_s) / (k - 2)
-        even_binom_sum = 2 ** (k - 3) - 1  # C(k-2,2) + C(k-2,4) + ... + C(k-2,xi)
-        prod = one_s
-        for j in range(1, k - 1):
-            prod = prod * ((j * alpha - 1) / (j * alpha))
-        sigma = 2 ** (k - 1) * prod / ((k - 1) * even_binom_sum)
-        weights = (one_s - lam1 - sigma / 2, lam1, sigma / 2)
         kernels = ([(1, -1)], _moebius(2, 1, order))  # 1 - z and (1 + z^2)/(1 - z^2)
         xi = k - 2 if (k - 2) % 2 == 0 else k - 3
         omega = k - 2 if (k - 2) % 2 == 1 else k - 3
     coeffs = [backend.one] + [backend.zero] * order
-    d = [zero_s] * (k - 2)
+    d = [alpha * 0] * (k - 2)
     for w, kernel in zip(weights[1:], kernels):  # weights[0] is the constant kernel's
         # each distinct coefficient is multiplied and converted once, then shared
         made = {}

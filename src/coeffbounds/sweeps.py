@@ -46,7 +46,7 @@ from fractions import Fraction
 import numpy as np
 
 from .backends import FLOAT
-from .bounds import SLACK, ClassParams, sharp_bound
+from .bounds import SLACK, ClassParams, sharp_bounds
 from .caratheodory import (
     atom_coefficients,
     draw_atoms,
@@ -161,7 +161,7 @@ def dominance_margins(
     g = shift_coefficients(transform_coefficients(b, alpha, n), beta, FLOAT.one)
     u = real_power_coefficients(g, 1 / alpha, FLOAT.one, FLOAT.zero)
     params = ClassParams(n, alpha, beta)
-    bound = np.array([sharp_bound(params, k) for k in range(2, k_max + 1)])
+    bound = np.array(sharp_bounds(params, k_max))
     return bound - np.abs(np.stack(u[1:], axis=1))
 
 

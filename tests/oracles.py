@@ -35,6 +35,11 @@ Horner loop).
   circle points, one ``evaluate`` call each on the ``complex``
   coefficients; the library's blocked numpy Horner must match it bit for
   bit.
+- ``classify_region_by_fractions`` is the omega-region test with the
+  boundaries 1/(k-2) and 1/(k-3) built as ``Fraction``s and compared
+  against alpha; the library compares the integer ratio of alpha instead.
+- ``sharp_bound_formula`` is the sharp bound at one index, formed whole;
+  the library's row forms the head 2 (1-beta) alpha^(n-1) once per point.
 - ``nehari_coefficients_full`` and ``small_alpha_bound_full`` build every
   power of a series that vanishes at 0 as a full-length Cauchy product,
   leading zeros included. The library sums the same non-zero products in
@@ -47,6 +52,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -59,7 +65,7 @@ from coeffbounds import (
     half_hadamard,
     sharp_bound,
 )
-from coeffbounds.bounds import Region, classify_region
+from coeffbounds.bounds import Region
 from coeffbounds.schemes import nehari_series
 from coeffbounds.series import cauchy_coefficients, real_power_coefficients
 
@@ -247,9 +253,30 @@ def nehari_coefficients_full(gammas, G, n: int, alpha, beta, zero) -> list:
     return total
 
 
+def classify_region_by_fractions(alpha, k: int) -> Region:
+    """`bounds.classify_region` with Fraction boundaries (None means +inf)."""
+    lower = Fraction(1, k - 2) if k > 2 else None
+    upper = Fraction(1, k - 3) if k > 3 else None
+    if lower is None or alpha < lower:
+        return Region.OMEGA1
+    if k % 2 == 0:
+        if upper is None or alpha <= upper:
+            return Region.OMEGA2
+    else:
+        if upper is None or alpha < upper:
+            return Region.OMEGA3
+    return Region.OUT_OF_RANGE
+
+
+def sharp_bound_formula(params: ClassParams, k: int):
+    """2 (1 - beta) alpha^(n-1) / (alpha + k - 1)^n as one expression."""
+    alpha, beta, n = params.alpha, params.beta, params.n
+    return 2 * (1 - beta) * alpha ** (n - 1) / (alpha + k - 1) ** n
+
+
 def small_alpha_bound_full(params: ClassParams, k: int):
     """`bounds.small_alpha_bound`'s value with every power of the base at full length k."""
-    region = classify_region(params.alpha, k)
+    region = classify_region_by_fractions(params.alpha, k)
     if region is Region.OUT_OF_RANGE:
         return None
     m_top = k - 1 if region in (Region.OMEGA1, Region.OMEGA2) else k - 2

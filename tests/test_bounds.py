@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coeffbounds import (
     FLOAT,
@@ -19,11 +21,20 @@ from coeffbounds import (
     growth_estimate,
     random_herglotz,
     sharp_bound,
+    sharp_bounds,
     small_alpha_bound,
+    small_alpha_bounds,
     verify_membership,
 )
 from coeffbounds.bounds import NORMALIZATION_TOL
-from oracles import a_k_direct, f_from_p_by_wrappers, mul_oracle, small_alpha_bound_full
+from oracles import (
+    a_k_direct,
+    classify_region_by_fractions,
+    f_from_p_by_wrappers,
+    mul_oracle,
+    sharp_bound_formula,
+    small_alpha_bound_full,
+)
 
 
 class TestClassParams:
@@ -111,6 +122,33 @@ class TestRegions:
             classify_region(0.5, 1)
         with pytest.raises(ValueError):
             classify_region(0.0, 4)
+        with pytest.raises(ValueError):
+            classify_region(math.inf, 4)
+
+    @staticmethod
+    def edge_alphas(j: int) -> list:
+        """1/j and j, each as a float and a Fraction, with the neighbours of 1/j on both sides."""
+        edge, tiny = Fraction(1, j), Fraction(1, 10**30)
+        return [1 / j, math.nextafter(1 / j, 0.0), math.nextafter(1 / j, math.inf), float(j),
+                edge, edge - tiny, edge + tiny, Fraction(j)]
+
+    def test_integer_test_matches_fraction_boundaries_at_the_edges(self):
+        # alpha on, just below and just above every boundary 1/(k-2), 1/(k-3) up to k = 40
+        cases = 0
+        for j in range(1, 39):
+            for alpha in self.edge_alphas(j):
+                for k in range(2, 41):
+                    assert classify_region(alpha, k) is classify_region_by_fractions(alpha, k), (alpha, k)
+                    cases += 1
+        assert cases == 11856
+
+    @given(
+        alpha=st.floats(min_value=0.0, max_value=1e6, exclude_min=True, allow_nan=False)
+        | st.fractions(min_value=Fraction(1, 10**9), max_value=100),
+        k=st.integers(min_value=2, max_value=40),
+    )
+    def test_integer_test_matches_fraction_boundaries(self, alpha, k):
+        assert classify_region(alpha, k) is classify_region_by_fractions(alpha, k)
 
 
 def _power(coeffs, m: int) -> list:
@@ -184,6 +222,44 @@ class TestSmallAlphaBound:
         piece = small_alpha_bound(ClassParams(1, Fraction(3, 4), Fraction(0)), 5)
         assert piece.value is None
         assert piece.region is Region.OUT_OF_RANGE
+
+
+class TestBoundRows:
+    """One row per grid point, equal to the per-index formulas: bit for bit on floats."""
+
+    ALPHAS = tuple(Fraction(a) for a in ("1/10", "1/4", "1/3", "1/2", "2/3", "1", "11/10", "2", "10"))
+    BETAS = (Fraction(0), Fraction(1, 4), Fraction(9, 10))
+
+    @pytest.mark.parametrize("k_max", [2, 3, 4, 12, 16])
+    @pytest.mark.parametrize("exact", [True, False], ids=["rational", "float"])
+    def test_rows_equal_the_per_index_oracles(self, exact, k_max):
+        scalar = (lambda x: x) if exact else float
+        ks = range(2, k_max + 1)
+        for alpha in self.ALPHAS:
+            for n in range(4):
+                for beta in self.BETAS:
+                    params = ClassParams(n, scalar(alpha), scalar(beta))
+                    sharp = sharp_bounds(params, k_max)
+                    pieces = small_alpha_bounds(params, k_max)
+                    # repr tells every float apart (-0.0 from 0.0 too) and shows a Fraction exactly
+                    assert list(map(repr, sharp)) == [repr(sharp_bound_formula(params, k)) for k in ks]
+                    assert [repr(p.value) for p in pieces] == [
+                        repr(small_alpha_bound_full(params, k)) for k in ks
+                    ], (alpha, n, beta)
+                    assert [p.region for p in pieces] == [
+                        classify_region_by_fractions(params.alpha, k) for k in ks
+                    ]
+                    # the one-index functions are the one-index rows
+                    assert [repr(sharp_bound(params, k)) for k in ks] == list(map(repr, sharp))
+                    assert [repr(small_alpha_bound(params, k)) for k in ks] == list(map(repr, pieces))
+
+    @pytest.mark.parametrize("row", [sharp_bounds, small_alpha_bounds])
+    def test_rows_need_an_index_of_two(self, row):
+        params = ClassParams(1, 0.5, 0.0)
+        assert len(row(params, 2)) == 1
+        for k_max in (1, 0, 2.0):
+            with pytest.raises(ValueError):
+                row(params, k_max)
 
 
 class TestGrowthEstimate:

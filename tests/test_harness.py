@@ -1,6 +1,5 @@
 """Grid handling, suite reports, and the expand pipeline."""
 
-import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -25,6 +24,7 @@ from coeffbounds import (
     run_hk_audit,
     run_nehari_suite,
     run_random_suite,
+    schemes,
     suite_csv,
     suite_json,
     sweeps,
@@ -118,6 +118,25 @@ class TestBoundsTable:
         # the cell repeats over n and beta
         for row in rows:
             assert row["growth_estimate"] == fmt_float(growth_estimate(float(row["alpha"]), int(row["k"])))
+
+    def test_one_row_call_per_grid_point(self, monkeypatch, capsys):
+        calls = []
+
+        def counting(row):
+            def wrapper(params, k_max):
+                calls.append((row.__name__, params, k_max))
+                return row(params, k_max)
+            return wrapper
+
+        for name in ("sharp_bounds", "small_alpha_bounds"):
+            monkeypatch.setattr(harness, name, counting(getattr(harness, name)))
+        assert cli.main(["bounds"]) == 0
+        capsys.readouterr()
+        grid = default_grid(FLOAT)
+        for name in ("sharp_bounds", "small_alpha_bounds"):
+            made = [(params, k_max) for row, params, k_max in calls if row == name]
+            assert len(made) == len({params for params, _ in made}) == 96
+            assert {k_max for _, k_max in made} == {grid.k_max}
 
 
 class TestExtremalSuite:
@@ -260,6 +279,19 @@ class TestHkAudit:
         monkeypatch.setattr(harness, "min_real_part", refuse, raising=False)
         assert cli.main(["verify", "hk", "--backend", backend]) == 0
 
+    def test_float_audit_builds_nothing_exactly(self, monkeypatch, capsys):
+        # the exact verdict comes from hk_weights at Fraction(alpha), not from a rational build
+        backends = []
+        original = harness.build_hk
+
+        def recording(k, alpha, order, *, backend=FLOAT):
+            backends.append(backend)
+            return original(k, alpha, order, backend=backend)
+
+        monkeypatch.setattr(harness, "build_hk", recording)
+        assert cli.main(["verify", "hk"]) == 0
+        assert backends == [FLOAT] * (6 * (DEFAULT_K_MAX - 1))
+
     @pytest.mark.parametrize("backend", [FLOAT, RATIONAL], ids=lambda b: b.name)
     def test_convex_weight_rows_are_exact(self, backend):
         alphas = default_grid(backend).alpha_values
@@ -278,16 +310,19 @@ class TestHkAudit:
                 )
 
     def test_weights_outside_the_simplex_fail(self, monkeypatch, capsys):
-        # a negative control: scale the non-constant part of h_3 by 6/5, giving weights (6/5, -1/5)
-        original = harness.build_hk
+        # a negative control: scale the non-constant part of h_3 by 6/5, giving weights (6/5, -1/5),
+        # where the weights are formed: in build_hk (read on the rational backend) and in the
+        # float audit's exact recomputation
+        original = schemes.hk_weights
 
-        def leaving_the_simplex(k, alpha, order, *, backend):
-            h, scheme = original(k, alpha, order, backend=backend)
+        def leaving_the_simplex(k, alpha):
+            weights, sigma, sign = original(k, alpha)
             if k == 3:
-                scheme = dataclasses.replace(scheme, weights=(Fraction(6, 5), Fraction(-1, 5)))
-            return h, scheme
+                weights = (Fraction(6, 5), Fraction(-1, 5))
+            return weights, sigma, sign
 
-        monkeypatch.setattr(harness, "build_hk", leaving_the_simplex)
+        monkeypatch.setattr(schemes, "hk_weights", leaving_the_simplex)
+        monkeypatch.setattr(harness, "hk_weights", leaving_the_simplex)
         for backend in (FLOAT, RATIONAL):
             reports = run_hk_audit((backend.scalar(2),), k_max=4, backend=backend)
             rows = [e for e in reports[0].entries if e.case == "convex weights of the construction"]

@@ -17,6 +17,7 @@ from coeffbounds import (
     gamma_target,
     gammas_from_coefficients,
     half_hadamard,
+    hk_weights,
     min_real_part,
     nehari_series,
     recipe_even_constant,
@@ -191,6 +192,32 @@ class TestBuildHk:
             scheme, d=bad_d, gammas=tuple(gammas_from_coefficients(bad_d, scheme.k - 2))
         )
         assert not check_gamma_identity(bad)
+
+    # both sides of the sign changes of d_2 (alpha = 3 + sqrt 7) and of d_3 (alpha near 3.046)
+    WEIGHT_ALPHAS = ("1000001/1000000", "11/10", "3/2", "2", "3", "31/10", "4", "5", "56/10", "57/10",
+                     "7", "10", "1000")
+
+    @pytest.mark.parametrize("backend", [FLOAT, RATIONAL], ids=lambda b: b.name)
+    @pytest.mark.parametrize("alpha", WEIGHT_ALPHAS)
+    def test_weights_are_the_constructions(self, backend, alpha):
+        a = backend.scalar(alpha)
+        for k in range(2, 21):
+            weights, sigma, sign = hk_weights(k, a)
+            _, scheme = build_hk(k, a, k, backend=backend)
+            assert list(map(repr, weights)) == list(map(repr, scheme.weights)), k
+            assert repr(sigma) == repr(scheme.sigma)
+            if 3 <= k <= 5:  # the sign of the defining coefficient d_(k-2)
+                assert sign == (1 if scheme.d[k - 3] >= 0 else -1)
+            else:
+                assert sign == 1
+
+    def test_weights_validation(self):
+        with pytest.raises(ValueError):
+            hk_weights(1, 2.0)
+        with pytest.raises(ValueError):
+            hk_weights(4, 1.0)
+        with pytest.raises(ValueError):
+            hk_weights(7, Fraction(1))
 
     def test_validation(self):
         with pytest.raises(ValueError):
