@@ -52,8 +52,9 @@ def atom_coefficients(weights, points, order: int, one, zero) -> list:
     for _ in range(order):
         acc = zero
         for w, p in zip(weights, powers):
-            acc = acc + w * p
-        coeffs.append(acc + acc)
+            acc += w * p
+        acc += acc
+        coeffs.append(acc)
         powers = [p * x for p, x in zip(powers, points)]
     return coeffs
 
@@ -374,11 +375,19 @@ def _uniforms(key: int, first: int, stop: int):
     """Uniforms first..stop-1 of stream ``key``, as doubles (x >> 11) 2^-53 in [0, 1)."""
     import numpy as np
 
-    z = np.arange(first + 1, stop + 1, dtype=np.uint64) * np.uint64(_GOLDEN) + np.uint64(key)
-    z = (z ^ (z >> 30)) * np.uint64(_MIX1)
-    z = (z ^ (z >> 27)) * np.uint64(_MIX2)
-    z ^= z >> 31
-    return (z >> 11).astype(np.float64) * 2.0**-53
+    z = np.arange(first + 1, stop + 1, dtype=np.uint64)
+    z *= np.uint64(_GOLDEN)
+    z += np.uint64(key)
+    shifted = np.empty_like(z)  # the finalizer runs in place, with this one scratch array
+    z ^= np.right_shift(z, 30, out=shifted)
+    z *= np.uint64(_MIX1)
+    z ^= np.right_shift(z, 27, out=shifted)
+    z *= np.uint64(_MIX2)
+    z ^= np.right_shift(z, 31, out=shifted)
+    z >>= 11
+    u = z.astype(np.float64)
+    u *= 2.0**-53
+    return u
 
 
 def draw_atoms(key: int, start: int, stop: int):
@@ -408,13 +417,19 @@ def draw_atoms(key: int, start: int, stop: int):
     rows, width = stop - start, 1 + 2 * MAX_ATOMS
     u = _uniforms(key, start * width, stop * width).reshape(rows, width)
     counts = np.minimum(1 + (u[:, 0] * MAX_ATOMS).astype(np.intp), MAX_ATOMS)
-    slots = np.arange(MAX_ATOMS)
-    used = slots < counts[:, None]
+    unused = np.arange(MAX_ATOMS) >= counts[:, None]
     angles = 2.0 * math.pi * u[:, 1 : 1 + MAX_ATOMS]
-    points = np.where(used, np.cos(angles) + 1j * np.sin(angles), 1.0)
-    raw = np.where(used, -np.log1p(-u[:, 1 + MAX_ATOMS :]), 0.0)
+    points = np.empty((rows, MAX_ATOMS), dtype=np.complex128)
+    np.cos(angles, out=points.real)
+    np.sin(angles, out=points.imag)
+    points[unused] = 1.0
+    # the exponentials -log1p(-u), made in place, then normalized in place
+    weights = np.negative(u[:, 1 + MAX_ATOMS :])
+    np.log1p(weights, out=weights)
+    np.negative(weights, out=weights)
+    weights[unused] = 0.0
     # cumsum adds left to right, so a row sums alike alone or in a block
-    weights = raw / np.cumsum(raw, axis=1)[:, -1:]
+    weights /= np.cumsum(weights, axis=1)[:, -1:]
     # renormalize the last used weight so the sum is exactly 1.0 in floating point
     row, last = np.arange(rows), counts - 1
     rest = np.cumsum(weights, axis=1)[row, last - 1]

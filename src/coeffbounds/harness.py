@@ -82,6 +82,15 @@ def _check_series_settings(k_max, order, radius, samples):
         raise UsageError(f"need at least 8 samples, got {samples!r}")
 
 
+def _reject_repeats(values, what: str):
+    """A value given twice, compared after parsing (so 1/2 and 0.5 are one), is a usage error."""
+    seen = set()
+    for value in values:
+        if value in seen:
+            raise UsageError(f"{what} value {value} is given more than once")
+        seen.add(value)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Parameter grid plus sampling configuration for the suites."""
@@ -109,6 +118,9 @@ class GridSpec:
         for b in self.beta_values:
             if not (0 <= b < 1):
                 raise UsageError(f"beta must lie in [0, 1), got {b!r}")
+        _reject_repeats(self.n_values, "n")
+        _reject_repeats(self.alpha_values, "alpha")
+        _reject_repeats(self.beta_values, "beta")
         _check_k_max(self.k_max)
         if not isinstance(self.trials, int) or self.trials < 1:
             raise UsageError(f"trials must be a positive integer, got {self.trials!r}")
@@ -394,6 +406,7 @@ def run_hk_audit(alpha_values, k_max: int = DEFAULT_K_MAX, backend: Backend = FL
     if not alpha_values:
         raise UsageError("empty alpha list")
     _require_alpha_gt1(alpha_values, "hk")
+    _reject_repeats(alpha_values, "alpha")
     _check_k_max(k_max)
     reports = []
     for alpha in alpha_values:

@@ -66,8 +66,11 @@ def gamma_ladder(ds, m_max: int, half) -> list:
     for m in range(m_max + 1):
         acc = 0
         for mu in range(1, m + 1):
-            acc = acc + math.comb(m, mu) * ds[mu - 1]
-        out.append((1 + half * acc) * half**m)
+            acc += math.comb(m, mu) * ds[mu - 1]
+        acc *= half
+        acc += 1
+        acc *= half**m
+        out.append(acc)
     return out
 
 
@@ -87,7 +90,8 @@ def nehari_coefficients(gammas, G, n: int, alpha, beta, zero) -> list:
         weight = (1 - beta) * alpha**n * gammas[m - 1] / (alpha + m - 1) ** n
         if m % 2 == 0:
             weight = -weight
-        total[m:] = [t + weight * c for t, c in zip(total[m:], tail)]
+        for i, c in enumerate(tail, start=m):
+            total[i] += weight * c
     return total
 
 
@@ -126,20 +130,6 @@ class GammaScheme:
     omega: int
     gammas: tuple
     weights: tuple
-
-    def etas(self, n: int, beta):
-        """Transformed weights eta_m = (1-beta) alpha^n gamma_m / (alpha+m)^n.
-
-        Returned for m = 0..k-2; eta_0 reduces to 1-beta.
-        """
-        if not isinstance(n, int) or n < 0:
-            raise ValueError(f"n must be a non-negative integer, got {n!r}")
-        if not (0 <= beta < 1):
-            raise ValueError(f"beta must lie in [0, 1), got {beta!r}")
-        alpha = self.alpha
-        return tuple(
-            (1 - beta) * alpha**n * g / (alpha + m) ** n for m, g in enumerate(self.gammas)
-        )
 
 
 def _moebius(step: int, sign: int, order: int) -> list:

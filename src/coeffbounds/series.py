@@ -16,6 +16,15 @@ pass) or a 1-D numpy column holding one value per random trial (what the
 sweeps pass); the same additions and multiplications run in the same order
 either way. The constants they need (zero, one, the exponent) come from
 the caller, typed for the backend, so a column never meets a `Fraction`.
+
+A kernel updates in place only objects it created, and never an input. Its
+accumulators start at the caller's scalar ``zero``, so the first term x
+makes a fresh column ``zero + x`` and ``acc += y`` then adds each further
+term into it without a temporary; that column keeps the dtype of
+``zero + x`` (the sweeps pass complex128 columns and a complex zero). On
+Python ``complex``, ``Fraction`` and ``RationalComplex`` there is no
+in-place operator, ``+=`` falls back to ``+``, and scalars and columns run
+the same code.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ def cauchy_coefficients(a, b, zero) -> list:
     for k in range(len(a)):
         acc = zero
         for j in range(k + 1):
-            acc = acc + a[j] * b[k - j]
+            acc += a[j] * b[k - j]
         out.append(acc)
     return out
 
@@ -62,11 +71,12 @@ def real_power_coefficients(g, c, one, zero) -> list:
     for k in range(1, len(g)):
         acc = zero
         for j in range(1, k + 1):
-            acc = acc + (c * j - (k - j)) * g[j] * u[k - j]
+            acc += (c * j - (k - j)) * g[j] * u[k - j]
         if isinstance(c, Fraction):
             u.append(acc * Fraction(1, k))
         else:
-            u.append(acc * (1.0 / k))
+            acc *= 1.0 / k
+            u.append(acc)
     return u
 
 

@@ -83,8 +83,14 @@ _MAX_LISTED_VIOLATIONS = 5
 
 
 def _columns(atoms) -> tuple:
-    """Split (trials, MAX_ATOMS) weight and point arrays into per-atom columns."""
-    return tuple(list(np.ascontiguousarray(a.T)) for a in atoms)
+    """Split (trials, MAX_ATOMS) weight and point arrays into per-atom complex columns.
+
+    The weights are cast to complex128 once here, so each product w x^k in
+    the atom series is one complex multiply with no per-product cast; numpy
+    would cast a float weight to complex for that same multiply anyway.
+    """
+    weights, points = atoms
+    return list(weights.T.astype(np.complex128, order="C")), list(np.ascontiguousarray(points.T))
 
 
 def _generator_coefficients(atoms, order: int) -> list:

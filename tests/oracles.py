@@ -40,6 +40,13 @@ Horner loop).
   against alpha; the library compares the integer ratio of alpha instead.
 - ``sharp_bound_formula`` is the sharp bound at one index, formed whole;
   the library's row forms the head 2 (1-beta) alpha^(n-1) once per point.
+- ``scheme_etas`` forms the transformed ladder weights
+  eta_m = (1-beta) alpha^n gamma_m / (alpha+m)^n of one `GammaScheme`.
+- The ``*_parent`` functions are the coefficient kernels and the atom draw
+  as they were before the kernels accumulated in place: ``acc = acc + x``
+  with a fresh temporary per term, float weight columns, and the atom
+  stream built by whole-array expressions. The library must match them bit
+  for bit (``tobytes``) on columns and with ``==`` on scalars.
 - ``nehari_coefficients_full`` and ``small_alpha_bound_full`` build every
   power of a series that vanishes at 0 as a full-length Cauchy product,
   leading zeros included. The library sums the same non-zero products in
@@ -66,6 +73,7 @@ from coeffbounds import (
     sharp_bound,
 )
 from coeffbounds.bounds import Region
+from coeffbounds.caratheodory import MAX_ATOMS, check_atom_rows
 from coeffbounds.schemes import nehari_series
 from coeffbounds.series import cauchy_coefficients, real_power_coefficients
 
@@ -295,3 +303,128 @@ def small_alpha_bound_full(params: ClassParams, k: int):
         b_m = (2**m) * (1 - beta) ** m * alpha ** (m * (n - 1)) * sign_prod / factorial
         total = total + b_m * power[k - 1]
     return total
+
+
+def scheme_etas(scheme, n: int, beta) -> tuple:
+    """eta_m = (1-beta) alpha^n gamma_m / (alpha+m)^n for m = 0..k-2; eta_0 is 1-beta."""
+    alpha = scheme.alpha
+    return tuple((1 - beta) * alpha**n * g / (alpha + m) ** n for m, g in enumerate(scheme.gammas))
+
+
+# -- the kernels before in-place accumulation -----------------------------------
+#
+# Copied from the library as they stood, renamed with a ``_parent`` suffix;
+# each calls the other ``_parent`` functions, never the library's kernels.
+
+
+def cauchy_coefficients_parent(a, b, zero) -> list:
+    """Truncated Cauchy product c_k = sum_{j=0}^{k} a_j b_{k-j}, k < len(a)."""
+    out = []
+    for k in range(len(a)):
+        acc = zero
+        for j in range(k + 1):
+            acc = acc + a[j] * b[k - j]
+        out.append(acc)
+    return out
+
+
+def power_tails_parent(h, count: int, zero):
+    """Yield T_1..T_count, the tails (z h)^m = z^m T_m, T_m through order len(h) - m."""
+    tail = list(h)
+    for m in range(1, count + 1):
+        yield tail
+        if m < count:
+            tail = cauchy_coefficients_parent(tail[:-1], h, zero)
+
+
+def real_power_coefficients_parent(g, c, one, zero) -> list:
+    """Coefficients of g^c for g_0 = 1, from the logarithmic-derivative recurrence."""
+    u = [one]
+    for k in range(1, len(g)):
+        acc = zero
+        for j in range(1, k + 1):
+            acc = acc + (c * j - (k - j)) * g[j] * u[k - j]
+        if isinstance(c, Fraction):
+            u.append(acc * Fraction(1, k))
+        else:
+            u.append(acc * (1.0 / k))
+    return u
+
+
+def atom_coefficients_parent(weights, points, order: int, one, zero) -> list:
+    """1, b_1, ..., b_order with b_k = 2 sum_j w_j x_j^k."""
+    coeffs = [one]
+    powers = list(points)
+    for _ in range(order):
+        acc = zero
+        for w, p in zip(weights, powers):
+            acc = acc + w * p
+        coeffs.append(acc + acc)
+        powers = [p * x for p, x in zip(powers, points)]
+    return coeffs
+
+
+def columns_parent(atoms) -> tuple:
+    """Split (trials, MAX_ATOMS) weight and point arrays into per-atom columns."""
+    return tuple(list(np.ascontiguousarray(a.T)) for a in atoms)
+
+
+def gamma_ladder_parent(ds, m_max: int, half) -> list:
+    """gamma_m = half^m [1 + half sum_{mu=1}^{m} C(m, mu) d_mu] for m = 0..m_max."""
+    out = []
+    for m in range(m_max + 1):
+        acc = 0
+        for mu in range(1, m + 1):
+            acc = acc + math.comb(m, mu) * ds[mu - 1]
+        out.append((1 + half * acc) * half**m)
+    return out
+
+
+def nehari_coefficients_parent(gammas, G, n: int, alpha, beta, zero) -> list:
+    """A_0..A_K of sum_{m=1}^{K} (-1)^(m+1) eta_{m-1} G^m with K = len(G) - 1."""
+    order = len(G) - 1
+    total = [zero] * len(G)
+    for m, tail in enumerate(power_tails_parent(G[1:], order, zero), start=1):
+        weight = (1 - beta) * alpha**n * gammas[m - 1] / (alpha + m - 1) ** n
+        if m % 2 == 0:
+            weight = -weight
+        total[m:] = [t + weight * c for t, c in zip(total[m:], tail)]
+    return total
+
+
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+
+
+def _uniforms_parent(key: int, first: int, stop: int):
+    """Uniforms first..stop-1 of stream ``key``, as doubles (x >> 11) 2^-53 in [0, 1)."""
+    z = np.arange(first + 1, stop + 1, dtype=np.uint64) * np.uint64(_GOLDEN) + np.uint64(key)
+    z = (z ^ (z >> 30)) * np.uint64(_MIX1)
+    z = (z ^ (z >> 27)) * np.uint64(_MIX2)
+    z ^= z >> 31
+    return (z >> 11).astype(np.float64) * 2.0**-53
+
+
+def draw_atoms_parent(key: int, start: int, stop: int):
+    """Atom systems of trials start..stop-1 of stream ``key`` as padded rows."""
+    if not 0 <= key < 2**64:
+        raise ValueError(f"stream key must be a 64-bit unsigned integer, got {key!r}")
+    if not 0 <= start <= stop:
+        raise ValueError(f"need 0 <= start <= stop, got {start!r}, {stop!r}")
+    rows, width = stop - start, 1 + 2 * MAX_ATOMS
+    u = _uniforms_parent(key, start * width, stop * width).reshape(rows, width)
+    counts = np.minimum(1 + (u[:, 0] * MAX_ATOMS).astype(np.intp), MAX_ATOMS)
+    slots = np.arange(MAX_ATOMS)
+    used = slots < counts[:, None]
+    angles = 2.0 * math.pi * u[:, 1 : 1 + MAX_ATOMS]
+    points = np.where(used, np.cos(angles) + 1j * np.sin(angles), 1.0)
+    raw = np.where(used, -np.log1p(-u[:, 1 + MAX_ATOMS :]), 0.0)
+    # cumsum adds left to right, so a row sums alike alone or in a block
+    weights = raw / np.cumsum(raw, axis=1)[:, -1:]
+    # renormalize the last used weight so the sum is exactly 1.0 in floating point
+    row, last = np.arange(rows), counts - 1
+    rest = np.cumsum(weights, axis=1)[row, last - 1]
+    weights[row, last] = 1.0 - np.where(last > 0, rest, 0.0)
+    check_atom_rows(weights, points, counts)
+    return weights, points, counts

@@ -64,6 +64,7 @@ def test_removed_name_is_not_exported(name):
         (RATIONAL, "abs2"),
         (ClassParams, "transform"),
         (GammaScheme, "m_max"),
+        (GammaScheme, "etas"),
         (bounds, "a_k_direct"),
         (sweeps, "trial_seed"),
         (sweeps, "_keyed_seed"),

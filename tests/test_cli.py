@@ -54,6 +54,27 @@ class TestExitCodes:
         assert code == 2
         assert "bad alpha token" in err
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["verify", "random", "--trials", "5", "--n", "0", "--beta", "0", "--alpha", "2", "--alpha", "2"],
+             "alpha value 2.0"),
+            (["bounds", "--backend", "rational", "--alpha", "1/2", "--alpha", "0.5"], "alpha value 1/2"),
+            (["verify", "hk", "--alpha", "2", "--alpha", "2"], "alpha value 2.0"),
+            (["verify", "hk", "--backend", "rational", "--alpha", "3", "--alpha", "6/2"], "alpha value 3"),
+            (["bounds", "--alpha", "2", "--alpha", "2.0"], "alpha value 2.0"),
+            (["verify", "nehari", "--n", "1", "--n", "1", "--trials", "5"], "n value 1"),
+            (["verify", "extremal", "--beta", "0.25", "--beta", "1/4"], "beta value 0.25"),
+        ],
+    )
+    def test_repeated_grid_value(self, argv, named, capsys):
+        # values are compared after parsing, so 1/2 and 0.5 are the same alpha
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error:")
+        assert f"{named} is given more than once" in err
+
     def test_beta_out_of_range(self, capsys):
         code, _, err = run(["bounds", "--n", "1", "--alpha", "2", "--beta", "1.5"], capsys)
         assert code == 2

@@ -74,6 +74,10 @@ class TestGridSpec:
             dict(alpha_values=()),
             dict(trials=0),
             dict(seed="nope"),
+            dict(n_values=(1, 0, 1)),
+            dict(alpha_values=(2.0, 3.0, 2.0)),
+            dict(alpha_values=(Fraction(1, 2), Fraction(2, 4))),
+            dict(beta_values=(0.0, -0.0)),
         ],
     )
     def test_rejects_bad_values(self, overrides):
@@ -268,6 +272,10 @@ class TestHkAudit:
     def test_needs_alpha_above_one(self):
         with pytest.raises(UsageError):
             run_hk_audit((1.0,), k_max=8)
+
+    def test_rejects_a_repeated_alpha(self):
+        with pytest.raises(UsageError, match="alpha value 3/2 is given more than once"):
+            run_hk_audit((Fraction(3, 2), Fraction(2), Fraction(6, 4)), k_max=4, backend=RATIONAL)
 
     @pytest.mark.parametrize("backend", ["float", "rational"])
     def test_makes_no_circle_call(self, backend, monkeypatch, capsys):

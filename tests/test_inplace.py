@@ -1,0 +1,217 @@
+"""The in-place kernels: bit for bit the kernels they replaced, and no aliasing.
+
+The coefficient kernels accumulate into columns they created (``acc += x``)
+and the atom draw builds its arrays in place. The ``*_parent`` oracles are
+the same functions as they stood before, each term a fresh temporary; the
+library must match them exactly, on stream columns, on columns with
+planted signed zeros, infinities and NaN, and on every scalar type.
+"""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from coeffbounds import FLOAT, RATIONAL, HerglotzAtoms
+from coeffbounds.caratheodory import (
+    MAX_ATOMS,
+    _uniforms,
+    atom_coefficients,
+    draw_atoms,
+    shift_coefficients,
+    transform_coefficients,
+)
+from coeffbounds.schemes import gamma_ladder, nehari_coefficients
+from coeffbounds.series import cauchy_coefficients, real_power_coefficients
+from coeffbounds.sweeps import _columns
+from oracles import (
+    _uniforms_parent,
+    atom_coefficients_parent,
+    cauchy_coefficients_parent,
+    columns_parent,
+    draw_atoms_parent,
+    gamma_ladder_parent,
+    nehari_coefficients_parent,
+    real_power_coefficients_parent,
+)
+
+ORDER = 8
+ALPHA, BETA, N = 1.5, 0.25, 2
+
+
+def same_bits(got, want):
+    """Entry by entry: equal bytes, dtype and shape for columns, == for scalars."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, np.ndarray):
+            assert isinstance(g, np.ndarray)
+            assert (g.dtype, g.shape) == (w.dtype, w.shape)
+            assert g.tobytes() == w.tobytes()
+        else:
+            assert type(g) is type(w)
+            assert g == w
+
+
+def stream_columns(key: int, rows: int):
+    """Per-atom float weight and complex point columns of rows trials of one stream."""
+    return columns_parent(draw_atoms(key, 0, rows)[:2])
+
+
+def plant(columns, seed: int):
+    """Copies of the columns with +-0.0, +-inf and NaN written into a few rows of each."""
+    rng = np.random.default_rng(seed)
+    specials = (0.0, -0.0, np.inf, -np.inf, np.nan)
+    out = []
+    for col in columns:
+        col = col.copy()
+        rows = rng.choice(col.size, size=min(col.size, 2 * len(specials)), replace=False)
+        for i, row in enumerate(rows):
+            value = specials[i % len(specials)]
+            if np.iscomplexobj(col):
+                other = specials[(i + 2) % len(specials)] if i % 2 else col[row].imag
+                col[row] = complex(value, other)
+            else:
+                col[row] = value
+        out.append(col)
+    return out
+
+
+def column_cases():
+    """(label, weights, points, zero, one) over stream, one-row, float-only and planted columns."""
+    cases = []
+    for rows in (4096, 1):
+        weights, points = stream_columns(0x243F6A8885A308D3 + rows, rows)
+        cases.append((f"complex-{rows}", weights, points, FLOAT.zero, FLOAT.one))
+        real = [np.ascontiguousarray(p.real) for p in points]
+        cases.append((f"float64-{rows}", weights, real, 0.0, 1.0))
+    weights, points = stream_columns(0x13198A2E03707344, 4096)
+    cases.append(("planted-complex", plant(weights, 1), plant(points, 2), FLOAT.zero, FLOAT.one))
+    real = [np.ascontiguousarray(p.real) for p in points]
+    cases.append(("planted-float64", plant(weights, 3), plant(real, 4), 0.0, 1.0))
+    return cases
+
+
+CASES = column_cases()
+IDS = [case[0] for case in CASES]
+
+
+#: atom series, Cauchy product, real power, gamma ladder, Nehari sum
+LIBRARY_KERNELS = (atom_coefficients, cauchy_coefficients, real_power_coefficients, gamma_ladder,
+                   nehari_coefficients)
+PARENT_KERNELS = (atom_coefficients_parent, cauchy_coefficients_parent, real_power_coefficients_parent,
+                  gamma_ladder_parent, nehari_coefficients_parent)
+
+
+def kernel_runs(kernels, weights, points, zero, one, half=0.5, alpha=ALPHA, beta=BETA, c=1 / ALPHA):
+    """Every kernel once, each on inputs the parent kernels built, so a difference shows where it is made."""
+    atom_k, cauchy_k, power_k, ladder_k, nehari_k = kernels
+    atoms = atom_coefficients_parent(weights, points, ORDER, one, zero)
+    other = atom_coefficients_parent(weights[::-1], points[::-1], ORDER, one, zero)
+    g = shift_coefficients(transform_coefficients(atoms, alpha, N), beta, one)
+    gammas = gamma_ladder_parent(atoms[1:], ORDER - 1, half)
+    G = [zero, *cauchy_coefficients_parent(atoms, other, zero)[1:]]
+    return {
+        "atom_coefficients": atom_k(weights, points, ORDER, one, zero),
+        "cauchy_coefficients": cauchy_k(atoms, other, zero),
+        "real_power_coefficients": power_k(g, c, one, zero),
+        "gamma_ladder": ladder_k(atoms[1:], ORDER - 1, half),
+        "nehari_coefficients": nehari_k(gammas, G, N, alpha, beta, zero),
+    }
+
+
+@pytest.mark.parametrize("label, weights, points, zero, one", CASES, ids=IDS)
+def test_column_kernels_match_parent_bits(label, weights, points, zero, one):
+    with np.errstate(all="ignore"):
+        got = kernel_runs(LIBRARY_KERNELS, weights, points, zero, one)
+        want = kernel_runs(PARENT_KERNELS, weights, points, zero, one)
+    for name in want:
+        same_bits(got[name], want[name])
+
+
+def scalar_cases():
+    """(label, weights, points, zero, one, half, alpha, beta, c) on each scalar type."""
+    atoms = draw_atoms(0x0123456789ABCDEF, 7, 8)
+    used = atoms[2][0]
+    float_w = [float(w) for w in atoms[0][0, :used]]
+    float_x = [complex(x) for x in atoms[1][0, :used]]
+    exact = HerglotzAtoms.from_rational([Fraction(1, 3), Fraction(1, 2), Fraction(1, 6)],
+                                        [Fraction(1, 2), Fraction(-3, 4), Fraction(2)])
+    return [
+        ("complex", float_w, float_x, FLOAT.zero, FLOAT.one, 0.5, ALPHA, BETA, 1 / ALPHA),
+        ("rational-complex", list(exact.weights), list(exact.points), RATIONAL.zero, RATIONAL.one,
+         Fraction(1, 2), Fraction(3, 2), Fraction(1, 4), Fraction(2, 3)),
+        ("fraction", [Fraction(1, 4), Fraction(3, 4)], [Fraction(1), Fraction(-1)], Fraction(0),
+         Fraction(1), Fraction(1, 2), Fraction(3, 2), Fraction(1, 4), Fraction(2, 3)),
+    ]
+
+
+SCALAR_CASES = scalar_cases()
+
+
+@pytest.mark.parametrize("label, weights, points, zero, one, half, alpha, beta, c",
+                         SCALAR_CASES, ids=[case[0] for case in SCALAR_CASES])
+def test_scalar_kernels_match_parent(label, weights, points, zero, one, half, alpha, beta, c):
+    got = kernel_runs(LIBRARY_KERNELS, weights, points, zero, one, half, alpha, beta, c)
+    want = kernel_runs(PARENT_KERNELS, weights, points, zero, one, half, alpha, beta, c)
+    for name in want:
+        same_bits(got[name], want[name])
+
+
+def draw_cases():
+    """200 (key, start, stop): 1-row draws, blocks, an empty draw and starts near 10^12."""
+    rng = np.random.default_rng(2024)
+    cases = [(0, 0, 0), (2**64 - 1, 0, 1), (0, 10**12, 10**12 + 1)]
+    for i in range(197):
+        key = int(rng.integers(0, 2**63)) * 2 + int(rng.integers(0, 2))
+        start = int(rng.integers(10**12 - 10**6, 10**12 + 10**6)) if i % 3 == 0 else int(rng.integers(0, 10**5))
+        rows = 1 if i % 2 == 0 else int(rng.integers(2, 300))
+        cases.append((key, start, start + rows))
+    return cases
+
+
+def test_draw_atoms_matches_parent_bits():
+    cases = draw_cases()
+    assert len(cases) >= 200
+    for key, start, stop in cases:
+        width = 1 + 2 * MAX_ATOMS
+        assert _uniforms(key, start * width, stop * width).tobytes() == (
+            _uniforms_parent(key, start * width, stop * width).tobytes())
+        for got, want in zip(draw_atoms(key, start, stop), draw_atoms_parent(key, start, stop)):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes(), (key, start, stop)
+
+
+@pytest.mark.parametrize("rows", [4096, 1])
+def test_complex_weight_columns_give_the_parent_series(rows):
+    atoms = draw_atoms(0x452821E638D01377, 3, 3 + rows)[:2]
+    weights, points = _columns(atoms)
+    assert all(w.dtype == np.complex128 and w.flags.c_contiguous for w in weights)
+    got = atom_coefficients(weights, points, 12, FLOAT.one, FLOAT.zero)
+    want = atom_coefficients_parent(*columns_parent(atoms), 12, FLOAT.one, FLOAT.zero)
+    same_bits(got, want)
+
+
+@pytest.mark.parametrize("label, weights, points, zero, one", CASES, ids=IDS)
+def test_kernels_leave_inputs_and_share_no_memory(label, weights, points, zero, one):
+    with np.errstate(all="ignore"):
+        atoms = atom_coefficients_parent(weights, points, ORDER, one, zero)
+        other = atom_coefficients_parent(weights[::-1], points[::-1], ORDER, one, zero)
+        g = shift_coefficients(transform_coefficients(atoms, ALPHA, N), BETA, one)
+        gammas = gamma_ladder_parent(atoms[1:], ORDER - 1, 0.5)
+    G = [zero, *other[1:]]
+    runs = (
+        (atom_coefficients, (weights, points, ORDER, one, zero)),
+        (cauchy_coefficients, (atoms, other, zero)),
+        (real_power_coefficients, (g, 1 / ALPHA, one, zero)),
+        (gamma_ladder, (atoms[1:], ORDER - 1, 0.5)),
+        (nehari_coefficients, (gammas, G, N, ALPHA, BETA, zero)),
+    )
+    for kernel, args in runs:
+        inputs = [x for arg in args if isinstance(arg, list) for x in arg if isinstance(x, np.ndarray)]
+        before = [x.tobytes() for x in inputs]
+        with np.errstate(all="ignore"):
+            out = [x for x in kernel(*args) if isinstance(x, np.ndarray)]
+        assert [x.tobytes() for x in inputs] == before, kernel.__name__
+        for i, x in enumerate(out):
+            assert not any(np.shares_memory(x, y) for y in inputs), kernel.__name__
+            assert not any(np.shares_memory(x, y) for y in out[i + 1 :]), kernel.__name__

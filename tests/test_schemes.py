@@ -29,7 +29,7 @@ from coeffbounds.caratheodory import (
     half_hadamard_coefficients,
 )
 from coeffbounds.schemes import gamma_identity_row, gamma_ladder, nehari_coefficients
-from oracles import nehari_coefficients_full
+from oracles import nehari_coefficients_full, scheme_etas
 
 
 class TestGammaLadder:
@@ -229,7 +229,7 @@ class TestBuildHk:
 
     def test_etas(self):
         _, scheme = build_hk(3, Fraction(2), 3, backend=RATIONAL)
-        etas = scheme.etas(1, Fraction(0))
+        etas = scheme_etas(scheme, 1, Fraction(0))
         assert etas[0] == 1
         assert etas[1] == 2 * scheme.gammas[1] / 3
 

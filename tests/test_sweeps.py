@@ -1,5 +1,6 @@
 """Vectorized sweeps: stream keys, the atom stream, chunking, column kernels, witnesses."""
 
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -300,6 +301,20 @@ class TestChunking:
         assert np.isnan(out.violations[0][2]) and np.isnan(out.violations[1][2])
         assert out.violations[2][2] == -0.5
         assert (out.worst_trial, out.worst_k) == (3, 3) and np.isnan(out.worst_margin)
+
+    @pytest.mark.parametrize("sweep", [nehari_sweep, dominance_sweep])
+    def test_memory_is_flat_in_trials(self, sweep):
+        # n = 1 puts violations in every nehari chunk; only five are ever held
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                sweep(1729, 1, 2.0, 0.0, trials, 12)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        sweep(1729, 1, 2.0, 0.0, 16, 12)  # imports and first-call caches stay out of the peaks
+        assert peak(10 * CHUNK_TRIALS) <= 1.1 * peak(2 * CHUNK_TRIALS)
 
 
 def columns(rows):
