@@ -8,7 +8,8 @@ The mathematical objects, by module:
 - :mod:`~coeffbounds.caratheodory` — positive-real-part generators as finite
   atom systems, their transforms, and serialization.
 - :mod:`~coeffbounds.bounds` — the class parameters, the sharp bound, the
-  piecewise small-parameter bound with its region map, and membership checks.
+  piecewise small-parameter bound with its region map, and the generator
+  of a class member (the inverse of the generator-to-function map).
 - :mod:`~coeffbounds.schemes` — the weight ladder, the per-index generator
   constructions, and the alternating Nehari-type series.
 - :mod:`~coeffbounds.sweeps` — vectorized randomized sweeps over reproducible
@@ -28,18 +29,16 @@ from .bounds import (
     extremal_p,
     f_from_p,
     growth_estimate,
+    p_from_f,
     sharp_bound,
     sharp_bounds,
     small_alpha_bound,
     small_alpha_bounds,
-    verify_membership,
 )
 from .caratheodory import (
     HerglotzAtoms,
     get_doc_backend,
     half_hadamard,
-    min_real_part,
-    random_herglotz,
 )
 from .harness import (
     GridSpec,
@@ -51,7 +50,6 @@ from .harness import (
     run_hk_audit,
     run_nehari_suite,
     run_random_suite,
-    tail_bound,
 )
 from .reports import SuiteEntry, SuiteReport, suite_csv, suite_json
 from .schemes import (
@@ -99,9 +97,8 @@ __all__ = [
     "growth_estimate",
     "half_hadamard",
     "hk_weights",
-    "min_real_part",
     "nehari_series",
-    "random_herglotz",
+    "p_from_f",
     "recipe_even_constant",
     "run_bounds_table",
     "run_expand",
@@ -115,6 +112,4 @@ __all__ = [
     "small_alpha_bounds",
     "suite_csv",
     "suite_json",
-    "tail_bound",
-    "verify_membership",
 ]

@@ -9,9 +9,10 @@ f belongs to the class exactly when
 
 for some Caratheodory generator p, where p_n is the n-fold iterated integral
 transform of p. That gives both directions implemented here: rebuilding f
-from a generator (``f_from_p``) and checking membership of a given f
-(``verify_membership``, which applies the diagonal map ((alpha+k)/alpha)^n to
-undo the transform and then samples the real part).
+from a generator (``f_from_p``) and recovering the generator of a given f
+(``p_from_f``, which applies the diagonal map ((alpha+k)/alpha)^n to
+(f/z)^alpha to undo the transform, then undoes the beta shift).
+``round_trip_tolerances`` bounds the float rounding of that round trip.
 
 Three bound formulas are provided: the sharp one for alpha > 1
 (``sharp_bound``, attained by ``extremal_p``), the piecewise small-alpha one
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .backends import FLOAT, RATIONAL, Backend
-from .caratheodory import HerglotzAtoms, min_real_part, shift_coefficients, transform_coefficients
+from .caratheodory import HerglotzAtoms, shift_coefficients, transform_coefficients
 from .series import TruncatedSeries, power_tails, real_power_coefficients
 
 #: A margin below -SLACK is a violation: in the sweeps and in the suites'
@@ -40,8 +41,10 @@ SLACK = 1e-9
 #: ``BoundReport.sharp_hit`` when |bound - |a_k|| is at most this times
 #: max(1, bound) (float comparison).
 SHARP_HIT_TOL = 1e-9
-#: Largest float |a_0| that `verify_membership` accepts; a_1 must be exactly 1.
+#: Largest float |a_0| that `p_from_f` accepts; a_1 must be exactly 1.
 NORMALIZATION_TOL = 1e-12
+#: The constant C of `round_trip_tolerances`.
+ROUND_TRIP_C = 16
 
 
 @dataclass(frozen=True)
@@ -248,15 +251,23 @@ def f_from_p(p, params: ClassParams, order: int) -> TruncatedSeries:
     return TruncatedSeries([backend.zero, *u], order, backend=backend)
 
 
-def verify_membership(f: TruncatedSeries, params: ClassParams, radius: float, samples: int) -> float:
-    """Minimum over |z| = radius of Re D^n(f^alpha)/(alpha^n z^alpha) - beta.
+def _transform_inverse(alpha, n: int, k: int):
+    """((alpha + k) / alpha)^n, the factor that undoes the transform at index k."""
+    try:
+        return ((alpha + k) / alpha) ** n
+    except OverflowError:
+        raise ValueError(f"((alpha + {k}) / alpha)^{n} overflows") from None
 
-    Positive means the sampled circle is consistent with membership. The
-    diagonal map ((alpha + k)/alpha)^n on the coefficients of (f/z)^alpha
-    realizes the Salagean normalization without evaluating multivalued
-    powers. An f that does not start as z + a_2 z^2 + ..., a float f with
-    a NaN or infinite coefficient, and a minimum that overflowed are
-    ValueErrors.
+
+def p_from_f(f: TruncatedSeries, params: ClassParams) -> TruncatedSeries:
+    """The generator of a class member: the inverse of `f_from_p`.
+
+    (f/z)^alpha = beta + (1 - beta) p_n, so the k-th coefficient of
+    (f/z)^alpha times ((alpha + k)/alpha)^n, divided by 1 - beta, is p_k
+    for k >= 1; the diagonal map undoes the transform without evaluating
+    multivalued powers. The result has order f.order - 1. An f that does
+    not start as z + a_2 z^2 + ..., a float f with a NaN or infinite
+    coefficient, and a float generator that overflowed are ValueErrors.
     """
     backend = f.backend
     if f.order < 1:
@@ -271,16 +282,42 @@ def verify_membership(f: TruncatedSeries, params: ClassParams, radius: float, sa
     if a0_off or f.coeffs[1] != backend.one:
         raise ValueError("f must start as z + a_2 z^2 + ...")
     alpha = backend.scalar(params.alpha)
+    one_minus = 1 - backend.scalar(params.beta)
     e = real_power_coefficients(f.coeffs[1:], alpha, backend.one, backend.zero)
-    normalized = TruncatedSeries(
-        [(((alpha + k) / alpha) ** params.n) * c for k, c in enumerate(e)],
-        f.order - 1,
-        backend=backend,
-    )
-    minimum = min_real_part(normalized, radius, samples)
-    if not math.isfinite(minimum):  # inf: every sampled value was NaN
-        raise ValueError("the sampled real part is not finite")
-    return minimum - float(params.beta)
+    p = [backend.one]
+    for k in range(1, len(e)):
+        p.append(_transform_inverse(alpha, params.n, k) * e[k] / one_minus)
+    if backend is FLOAT and not all(cmath.isfinite(c) for c in p):
+        raise ValueError("the generator rebuilt from f is not finite")
+    return TruncatedSeries(p, f.order - 1, backend=backend)
+
+
+def round_trip_tolerances(f: TruncatedSeries, params: ClassParams) -> list:
+    """Float tolerances on |p_from_f(f)_k - p_k| for k = 0..f.order - 1.
+
+    tol_k = C k eps ((alpha + k)/alpha)^n U_k / (1 - beta) with C =
+    `ROUND_TRIP_C` = 16 and eps = 2^-53. U is the real-power recurrence of
+    (f/z)^alpha run on absolute values, U_0 = 1 and
+
+        k U_k = sum_{j=1}^{k} |alpha j - (k - j)| |g_j| U_{k-j},   g = f/z,
+
+    so k eps U_k bounds the rounding of the k-th coefficient of (f/z)^alpha
+    up to a small multiple; the other two factors are the scalings
+    `p_from_f` applies after it. A term with a zero factor is skipped, so an
+    overflowed U reads inf, never NaN. f must pass the checks of `p_from_f`.
+    """
+    alpha = float(params.alpha)
+    g = [abs(c) for c in f.coeffs[1:]]
+    u = [1.0]
+    for k in range(1, len(g)):
+        acc = 0.0
+        for j in range(1, k + 1):
+            weight = abs(alpha * j - (k - j)) * g[j]
+            if weight and u[k - j]:
+                acc += weight * u[k - j]
+        u.append(acc / k)
+    scale = ROUND_TRIP_C * 2.0**-53 / (1 - float(params.beta))
+    return [scale * k * _transform_inverse(alpha, params.n, k) * u[k] for k in range(len(u))]
 
 
 def extremal_p(k: int, *, backend: Backend = FLOAT) -> HerglotzAtoms:

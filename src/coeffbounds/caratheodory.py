@@ -14,9 +14,9 @@ The iterated integral transform acts diagonally on coefficients: one
 application multiplies the k-th coefficient by alpha / (alpha + k), and n
 applications by (alpha / (alpha + k))^n, with the constant term fixed at 1.
 
-numpy is imported inside the functions that build arrays (`check_atom_rows`,
-`min_real_part` and the atom stream), so the exact and scalar paths never
-load it.
+numpy is imported inside the functions that build arrays (`check_atom_rows`
+and the atom stream), which only the sweeps call, so the exact and scalar
+paths never load it.
 """
 
 from __future__ import annotations
@@ -35,8 +35,6 @@ _UNIMODULAR_TOL = 1e-12
 _ATOM_FIELDS = {"float": {"weight", "angle_radians"}, "rational": {"weight", "t", "x_re", "x_im"}}
 #: Largest atom count of a random generator (the count is uniform on 1..MAX_ATOMS).
 MAX_ATOMS = 4
-#: Most circle points `min_real_part` evaluates in one numpy pass.
-CIRCLE_BLOCK = 4096
 
 
 # -- coefficient kernels ------------------------------------------------------
@@ -250,9 +248,10 @@ class HerglotzAtoms:
             if "weight" not in entry:
                 raise ValueError("atom entry missing 'weight'")
             if backend is FLOAT:
-                weights.append(float(entry["weight"]))
+                # FLOAT.scalar refuses a JSON boolean, which float() would read as 0 or 1
+                weights.append(FLOAT.scalar(entry["weight"]))
                 if "angle_radians" in entry:
-                    points.append(cmath.exp(1j * float(entry["angle_radians"])))
+                    points.append(cmath.exp(1j * FLOAT.scalar(entry["angle_radians"])))
                 else:
                     raise ValueError("float atom needs 'angle_radians'")
             else:
@@ -302,60 +301,6 @@ def half_hadamard(p: TruncatedSeries, q: TruncatedSeries) -> TruncatedSeries:
     half = backend.scalar(Fraction(1, 2))
     coeffs = half_hadamard_coefficients(p.coeffs, q.coeffs, backend.one, half)
     return TruncatedSeries(coeffs, p.order, backend=backend)
-
-
-def min_real_part(p: TruncatedSeries, radius: float, samples: int) -> float:
-    """Minimum of Re p over equally spaced points on |z| = radius.
-
-    A numerical witness: evaluation always happens in floating point (the
-    sample points are not rational), so a rational series is converted
-    first. The points z_j = radius * exp(2 pi i j / samples) are built a
-    block of at most `CIRCLE_BLOCK` at a time, and each block goes through
-    one numpy Horner pass on split real and imaginary parts: each step
-    rounds the same products and sums as Python's complex arithmetic, so
-    the value at every point is bit-identical to a Python Horner loop over
-    ``complex`` coefficients at z_j (``tests/oracles.py::min_real_part_scalar``).
-    NaN values are skipped, the first of equal minima wins (so 0.0 before
-    -0.0 stays 0.0), and a series that is NaN everywhere gives inf.
-    """
-    radius = float(radius)
-    if not (0 < radius < 1):
-        raise ValueError(f"radius must lie in (0, 1), got {radius!r}")
-    if not isinstance(samples, int) or samples < 8:
-        raise ValueError(f"need at least 8 samples, got {samples!r}")
-    import numpy as np
-
-    top_first = [complex(c) for c in reversed(p.coeffs)]
-    # z.real, z.imag, re, im and two temporaries, one block long
-    cells = np.empty((6, min(samples, CIRCLE_BLOCK)))
-    best = math.inf
-    for start in range(0, samples, CIRCLE_BLOCK):
-        stop = min(start + CIRCLE_BLOCK, samples)
-        points = (radius * cmath.exp(2j * math.pi * j / samples) for j in range(start, stop))
-        z = np.fromiter(points, dtype=complex, count=stop - start)
-        zr, zi, re, im, t, u = cells[:, : z.size]
-        zr[:] = z.real
-        zi[:] = z.imag
-        re.fill(0.0)
-        im.fill(0.0)
-        # like Python's complex arithmetic, overflow to inf and inf - inf = NaN pass silently
-        with np.errstate(over="ignore", invalid="ignore"):
-            for c in top_first:
-                # re, im = (re zr - im zi) + c.real, (re zi + im zr) + c.imag
-                np.multiply(re, zr, out=t)
-                np.multiply(im, zi, out=u)
-                np.subtract(t, u, out=t)
-                np.add(t, c.real, out=t)
-                np.multiply(re, zi, out=u)
-                np.multiply(im, zr, out=im)
-                np.add(u, im, out=im)
-                np.add(im, c.imag, out=im)
-                re, t = t, re
-        re[np.isnan(re)] = math.inf
-        value = float(re[np.argmin(re)])
-        if value < best:
-            best = value
-    return best
 
 
 # -- the atom stream -----------------------------------------------------------
@@ -447,11 +392,3 @@ def trial_atoms(key: int, trial: int) -> HerglotzAtoms:
     used = counts[0]
     return HerglotzAtoms._from_checked(tuple(weights[0, :used].tolist()), tuple(points[0, :used].tolist()))
 
-
-def random_herglotz(seed: int) -> HerglotzAtoms:
-    """Deterministic random atom system on the float backend.
-
-    The atoms are trial 0 of the stream keyed by ``seed`` (0 <= seed <
-    2^64), so the same seed always yields the same atoms.
-    """
-    return trial_atoms(seed, 0)

@@ -8,16 +8,16 @@ Subcommands and the flags each one reads (any other flag exits 2)::
     coeffbounds verify nehari     --n --alpha --beta --kmax --trials --seed
     coeffbounds verify hk         --alpha --kmax
     coeffbounds expand            --pspec --n --alpha --beta --order --kmax
-                                  --radius --samples
 
 and every subcommand also takes --backend, --format and --out. ``bounds``
 and ``verify`` walk a grid: --n, --alpha and --beta repeat, and each
 defaults to the stock grid. ``expand`` takes exactly one of each. Only
-``expand`` truncates a series and samples a circle, so only it reads
---order, --radius and --samples; ``verify hk`` certifies its constructions
-exactly, by their convex weights. A numeric flag that is left out takes
-the library's default from :mod:`~coeffbounds.harness`, so a command and
-the library call it makes agree.
+``expand`` truncates a series, so only it reads --order; its membership
+rows hold by construction and by an exact (rational) or toleranced (float)
+round trip, and ``verify hk`` certifies its constructions exactly, by their
+convex weights. A numeric flag that is left out takes the library's default
+from :mod:`~coeffbounds.harness`, so a command and the library call it
+makes agree.
 
 Reports (CSV or JSON) go to stdout or ``--out`` and are byte-identical
 across reruns with the same flags; the human-readable summary and timings
@@ -32,6 +32,7 @@ import json
 import sys
 import time
 from argparse import SUPPRESS
+from pathlib import Path
 
 from .backends import FLOAT, get_backend
 from .harness import (
@@ -81,8 +82,6 @@ def _flag_specs(grid: bool) -> dict:
         "trials": dict(type=int, default=SUPPRESS, help="random trials per grid point"),
         "seed": dict(type=int, default=SUPPRESS, help="master seed for the randomized suites"),
         "order": dict(type=int, default=SUPPRESS, help="series truncation order"),
-        "radius": dict(type=float, default=SUPPRESS, help="sampling radius in (0,1)"),
-        "samples": dict(type=int, default=SUPPRESS, help="boundary sample count"),
         "backend": dict(
             choices=("float", "rational"), default=None,
             help="arithmetic backend (default float; expand defaults to the document's backend)",
@@ -99,7 +98,7 @@ _COMMAND_FLAGS = {
     "random": "n alpha beta kmax trials seed backend format out",
     "nehari": "n alpha beta kmax trials seed backend format out",
     "hk": "alpha kmax backend format out",
-    "expand": "pspec n alpha beta order kmax radius samples backend format out",
+    "expand": "pspec n alpha beta order kmax backend format out",
 }
 
 
@@ -146,8 +145,7 @@ def _parse_tokens(backend, tokens, what: str) -> tuple:
 
 
 #: The library keyword each numeric flag sets; a flag left out keeps the library default.
-_KEYWORDS = {"kmax": "k_max", "trials": "trials", "seed": "seed", "order": "order",
-             "radius": "radius", "samples": "samples"}
+_KEYWORDS = {"kmax": "k_max", "trials": "trials", "seed": "seed", "order": "order"}
 
 
 def _given(args) -> dict:
@@ -194,7 +192,7 @@ def _read_pspec(path: str | None) -> dict:
     if not path:
         raise UsageError("expand needs --pspec (a JSON document, or - for stdin)")
     try:
-        text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
+        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read pspec: {exc}") from exc
     try:
@@ -239,16 +237,12 @@ def _expand_csv(result: dict) -> str:
                 "status": row["status"],
             }
         )
-    rows.append(
-        {
-            "k": "",
-            "case": "membership minimum",
-            "observed": result["membership_min"],
-            "reference": "-" + result["membership_tail_allowance"],
-            "margin": "",
-            "status": result["membership_status"],
-        }
-    )
+    # the atom rules were checked on parse, so the first row holds by construction
+    rows.append({"k": "", "case": "membership by construction (smallest atom weight)",
+                 "observed": result["membership_min_weight"], "reference": "0", "margin": "", "status": "pass"})
+    rows.append({"k": str(result["round_trip_k"]), "case": "round trip p_from_f(f) against the generator",
+                 "observed": result["round_trip_residual"], "reference": result["round_trip_tolerance"],
+                 "margin": "", "status": result["membership_status"]})
     return csv_text(_EXPAND_COLUMNS, rows)
 
 
@@ -266,7 +260,7 @@ def _run_expand_command(args) -> int:
     )
     print(
         f"expanded order-{result['order']} series on the {result['backend']} backend; "
-        f"membership minimum {result['membership_min']}",
+        f"round trip residual {result['round_trip_residual']} ({result['membership_status']})",
         file=sys.stderr,
     )
     return 1 if failed else 0

@@ -11,6 +11,7 @@ assertion failures (exit 1).
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,9 +24,10 @@ from .bounds import (
     extremal_p,
     f_from_p,
     growth_estimate,
+    p_from_f,
+    round_trip_tolerances,
     sharp_bounds,
     small_alpha_bounds,
-    verify_membership,
 )
 from .caratheodory import HerglotzAtoms, get_doc_backend, trial_atoms
 from .reports import SuiteEntry, SuiteReport, fmt_float
@@ -49,37 +51,15 @@ DEFAULT_K_MAX = 12
 DEFAULT_ORDER = 64
 DEFAULT_TRIALS = 1000
 DEFAULT_SEED = 1729
-DEFAULT_RADIUS = 0.99
-DEFAULT_SAMPLES = 720
 #: Largest relative gap |bound - |a_k|| / bound of a float extremal generator.
 EXTREMAL_REL_TOL = 1e-10
 #: Largest |a_k| gap at which the alpha = 1 audit matches a closed form 2/k^n or 2/(k+1)^n.
 ALPHA_ONE_MATCH_TOL = 1e-12
 
 
-def tail_bound(radius: float, order: int) -> float:
-    """Worst truncation tail of a Caratheodory series at |z| = radius.
-
-    Coefficients are bounded by 2, so the discarded tail is at most
-    2 r^(order+1) / (1 - r).
-    """
-    return 2.0 * radius ** (order + 1) / (1.0 - radius)
-
-
 def _check_k_max(k_max):
     if not isinstance(k_max, int) or k_max < 2:
         raise UsageError(f"k_max must be an integer >= 2, got {k_max!r}")
-
-
-def _check_series_settings(k_max, order, radius, samples):
-    """The truncation and circle-sampling settings of `run_expand`."""
-    _check_k_max(k_max)
-    if not isinstance(order, int) or order < k_max:
-        raise UsageError(f"order must be an integer >= k_max, got {order!r}")
-    if not 0 < radius < 1:
-        raise UsageError(f"radius must lie in (0, 1), got {radius!r}")
-    if not isinstance(samples, int) or samples < 8:
-        raise UsageError(f"need at least 8 samples, got {samples!r}")
 
 
 def _reject_repeats(values, what: str):
@@ -526,6 +506,40 @@ def _alpha_one_report(backend: Backend) -> SuiteReport:
 # -- expand ------------------------------------------------------------------
 
 
+def _round_trip(backend: Backend, p, back, f, params) -> tuple:
+    """Verdict, index, residual and tolerance of the round trip p -> f -> p_from_f(f).
+
+    Rational: "pass" only when every coefficient is equal, tolerance 0.
+    Float: "fail" when some |p_k - back_k| exceeds its tolerance from
+    `round_trip_tolerances`, "info" when some tolerance is 2 or more (the
+    coefficient bound of P, so it judges nothing), "pass" otherwise. The
+    index reported is the first tolerance that judges nothing on "info",
+    otherwise the largest residual relative to its tolerance.
+    """
+    residuals = [abs(complex(b - c)) for b, c in zip(back.coeffs, p.coeffs)]
+    if backend is RATIONAL:
+        tolerances = [0.0] * len(residuals)
+        status = "pass" if back.coeffs == p.coeffs else "fail"
+    else:
+        tolerances = round_trip_tolerances(f, params)
+        if any(r > t for r, t in zip(residuals, tolerances)):
+            status = "fail"
+        else:
+            status = "pass" if all(t < 2 for t in tolerances) else "info"
+    ks = range(1, len(residuals))
+    if status == "info":
+        k = next(k for k in ks if not tolerances[k] < 2)
+    else:
+        k = max(ks, key=lambda k: _ratio(residuals[k], tolerances[k]))
+    return status, k, residuals[k], tolerances[k]
+
+
+def _ratio(residual: float, tolerance: float) -> float:
+    if tolerance:
+        return residual / tolerance
+    return math.inf if residual else 0.0
+
+
 def run_expand(
     doc: dict,
     n: int,
@@ -534,17 +548,20 @@ def run_expand(
     order: int = DEFAULT_ORDER,
     k_max: int = DEFAULT_K_MAX,
     *,
-    radius: float = DEFAULT_RADIUS,
-    samples: int = DEFAULT_SAMPLES,
     backend: Backend | None = None,
 ) -> dict:
     """Expand one generator document into f, per-k bound reports, membership.
 
-    The document's own backend wins unless ``backend`` is passed explicitly,
-    in which case a mismatch is a usage error. The defaults are the ones
-    ``coeffbounds expand`` uses.
+    A document that passes the atom rules is in P, so f is in the class by
+    construction; the membership rows report the smallest weight and check
+    that `p_from_f` gives back the generator's coefficients (see
+    `_round_trip`). The document's own backend wins unless ``backend`` is
+    passed explicitly, in which case a mismatch is a usage error. The
+    defaults are the ones ``coeffbounds expand`` uses.
     """
-    _check_series_settings(k_max, order, radius, samples)
+    _check_k_max(k_max)
+    if not isinstance(order, int) or order < k_max:
+        raise UsageError(f"order must be an integer >= k_max, got {order!r}")
     try:
         doc_backend = get_doc_backend(doc)
         atoms = HerglotzAtoms.from_document(doc)
@@ -559,7 +576,8 @@ def run_expand(
         params = ClassParams(n, backend.scalar(alpha), backend.scalar(beta))
     except (ValueError, TypeError) as exc:
         raise UsageError(str(exc)) from exc
-    f = f_from_p(atoms, params, order)
+    p = atoms.series(order - 1)
+    f = f_from_p(p, params, order)
     bound_rows = []
     for k in range(2, k_max + 1):
         rep = bound_report(params, k, f.coefficient(k), backend=backend)
@@ -581,11 +599,11 @@ def run_expand(
             }
         )
     try:
-        membership = verify_membership(f, params, radius, samples)
+        back = p_from_f(f, params)
     except ValueError as exc:
         # f_from_p starts f as z exactly, so only a float overflow lands here
         raise UsageError(f"{exc}: the float expansion overflowed; lower --order or expand exactly") from exc
-    allowance = tail_bound(radius, order)
+    status, k, residual, tolerance = _round_trip(backend, p, back, f, params)
     return {
         "backend": backend.name,
         "params": {
@@ -596,8 +614,9 @@ def run_expand(
         "order": order,
         "f_coefficients": [_fmt_coeff(backend, c) for c in f.coeffs],
         "bounds": bound_rows,
-        "membership_min": fmt_float(membership),
-        "membership_status": "pass" if membership >= -allowance else "fail",
-        "membership_radius": fmt_float(radius),
-        "membership_tail_allowance": fmt_float(allowance),
+        "membership_min_weight": backend.format_scalar(min(atoms.weights)),
+        "membership_status": status,
+        "round_trip_k": k,
+        "round_trip_residual": fmt_float(residual),
+        "round_trip_tolerance": fmt_float(tolerance),
     }

@@ -31,10 +31,12 @@ Horner loop).
   kernel. The library runs the same arithmetic in one pass over the
   coefficient list, so it must match exactly: ``==`` on floats, as
   fractions on the rational backend.
-- ``min_real_part_scalar`` is `min_real_part` as one Python loop over the
-  circle points, one ``evaluate`` call each on the ``complex``
-  coefficients; the library's blocked numpy Horner must match it bit for
-  bit.
+- ``min_real_part_scalar`` is the minimum of Re over equally spaced points
+  of a circle, one ``evaluate`` call per point on the ``complex``
+  coefficients; the positivity probes of `half_hadamard` and `build_hk`
+  read it. The library samples no circle.
+- ``random_herglotz`` is the atom system of trial 0 of the stream keyed by
+  a seed, a fixed random generator for tests.
 - ``classify_region_by_fractions`` is the omega-region test with the
   boundaries 1/(k-2) and 1/(k-3) built as ``Fraction``s and compared
   against alpha; the library compares the integer ratio of alpha instead.
@@ -73,7 +75,7 @@ from coeffbounds import (
     sharp_bound,
 )
 from coeffbounds.bounds import Region
-from coeffbounds.caratheodory import MAX_ATOMS, check_atom_rows
+from coeffbounds.caratheodory import MAX_ATOMS, check_atom_rows, trial_atoms
 from coeffbounds.schemes import nehari_series
 from coeffbounds.series import cauchy_coefficients, real_power_coefficients
 
@@ -232,6 +234,15 @@ def nehari_margins_scalar(h_atoms, p_atoms, q_atoms, n: int, alpha, beta, k_max:
         2.0 * (1.0 - bf) * af**n / (af + k) ** n - abs(A.coefficient(k))
         for k in range(1, k_max + 1)
     ]
+
+
+def random_herglotz(seed: int) -> HerglotzAtoms:
+    """Deterministic random atom system on the float backend.
+
+    The atoms are trial 0 of the stream keyed by ``seed`` (0 <= seed <
+    2^64), so the same seed always yields the same atoms.
+    """
+    return trial_atoms(seed, 0)
 
 
 def min_real_part_scalar(p: TruncatedSeries, radius: float, samples: int) -> float:

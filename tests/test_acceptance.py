@@ -21,7 +21,6 @@ from coeffbounds import (
     cli,
     default_grid,
     growth_estimate,
-    random_herglotz,
     run_extremal_suite,
     run_hk_audit,
     run_nehari_suite,
@@ -31,7 +30,13 @@ from coeffbounds import (
 )
 from coeffbounds.caratheodory import shift_coefficients, transform_coefficients
 from coeffbounds.series import power_tails, real_power_coefficients
-from oracles import add_coefficients, mul_oracle, scale_coefficients, transform_coefficients_by_quadrature
+from oracles import (
+    add_coefficients,
+    mul_oracle,
+    random_herglotz,
+    scale_coefficients,
+    transform_coefficients_by_quadrature,
+)
 
 
 def test_criterion_01_extremal_sharpness(criterion):

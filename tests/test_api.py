@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from coeffbounds import (
     series,
     sweeps,
 )
+import oracles
 
 REMOVED_EXPORTS = (
     "make_series",
@@ -35,6 +37,10 @@ REMOVED_EXPORTS = (
     "shift_to_beta",
     "gamma_identity_residuals",
     "min_real_parts",
+    "min_real_part",
+    "tail_bound",
+    "verify_membership",
+    "random_herglotz",
 )
 
 
@@ -76,6 +82,13 @@ def test_removed_name_is_not_exported(name):
         (caratheodory, "iterated_transform"),
         (caratheodory, "shift_to_beta"),
         (caratheodory, "min_real_parts"),
+        (caratheodory, "min_real_part"),
+        (caratheodory, "CIRCLE_BLOCK"),
+        (caratheodory, "random_herglotz"),
+        (bounds, "verify_membership"),
+        (harness, "tail_bound"),
+        (harness, "DEFAULT_RADIUS"),
+        (harness, "DEFAULT_SAMPLES"),
         (schemes, "gamma_identity_residuals"),
         (series, "constant_one"),
         (series, "geometric"),
@@ -114,7 +127,7 @@ def test_backend_constants_are_shared():
         (sweeps.nehari_sweep, "max_atoms"),
         (caratheodory.draw_atoms, "max_atoms"),
         (caratheodory.trial_atoms, "max_atoms"),
-        (caratheodory.random_herglotz, "max_atoms"),
+        (oracles.random_herglotz, "max_atoms"),
         (harness._sweep_reports, "witness_of"),
         (schemes.check_gamma_identity, "alpha"),
         (schemes.check_gamma_identity, "tol"),
@@ -130,6 +143,12 @@ def test_single_valued_knob_is_not_a_parameter(function, parameter):
 def test_hk_audit_takes_no_series_settings(parameter):
     # the audit certifies each h_k by its convex weights: no truncation order, no circle
     assert parameter not in inspect.signature(harness.run_hk_audit).parameters
+
+
+@pytest.mark.parametrize("parameter", ["radius", "samples"])
+def test_expand_takes_no_circle_settings(parameter):
+    # membership holds by construction and is checked by the round trip: no circle is sampled
+    assert parameter not in inspect.signature(harness.run_expand).parameters
 
 
 PACKAGE_DIR = Path(coeffbounds.__file__).parent
@@ -207,9 +226,19 @@ def test_sweeps_leave_numpy_random_unimported():
     assert out.stdout.strip() == "False"
 
 
-def test_scalar_commands_leave_numpy_unimported():
+def test_scalar_commands_leave_numpy_unimported(tmp_path):
     # the closed-form and exact commands build no array, so they never pay for numpy's import
+    docs = {
+        "float": {"backend": "float", "atoms": [{"weight": 1.0, "angle_radians": 0.5}]},
+        "rational": {"backend": "rational", "atoms": [{"weight": "1", "t": "1/2"}]},
+    }
+    paths = []
+    for name, doc in docs.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        paths.append(str(path))
     code = (
+        f"paths = {paths!r}\n"
         "import contextlib, io, sys\n"
         "import coeffbounds\n"
         "seen = ['numpy' in sys.modules]\n"
@@ -221,6 +250,10 @@ def test_scalar_commands_leave_numpy_unimported():
         "        for argv in (['bounds'], ['verify', 'extremal'], ['verify', 'hk']):\n"
         "            assert coeffbounds.cli.main([*argv, '--kmax', '6', '--backend', backend]) == 0\n"
         "            seen.append('numpy' in sys.modules)\n"
+        "    for path in paths:\n"
+        "        assert coeffbounds.cli.main(['expand', '--pspec', path, '--n', '1', '--alpha', '2',\n"
+        "                                     '--beta', '0', '--order', '16', '--kmax', '6']) == 0\n"
+        "        seen.append('numpy' in sys.modules)\n"
         "    coeffbounds.cli.main(['verify', 'random', '--n', '1', '--alpha', '2', '--beta', '0',\n"
         "                          '--trials', '20'])\n"
         "seen.append('numpy' in sys.modules)\n"
@@ -229,8 +262,8 @@ def test_scalar_commands_leave_numpy_unimported():
     env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    # import, parser and six scalar commands without numpy, then the sweep loads it
-    assert out.stdout.strip() == str([False] * 8 + [True])
+    # import, parser, six scalar commands and two expands without numpy, then the sweep loads it
+    assert out.stdout.strip() == str([False] * 10 + [True])
 
 
 def _unused_imports(tree: ast.Module) -> list:

@@ -19,19 +19,19 @@ from coeffbounds import (
     extremal_p,
     f_from_p,
     growth_estimate,
-    random_herglotz,
+    p_from_f,
     sharp_bound,
     sharp_bounds,
     small_alpha_bound,
     small_alpha_bounds,
-    verify_membership,
 )
-from coeffbounds.bounds import NORMALIZATION_TOL
+from coeffbounds.bounds import NORMALIZATION_TOL, round_trip_tolerances
 from oracles import (
     a_k_direct,
     classify_region_by_fractions,
     f_from_p_by_wrappers,
     mul_oracle,
+    random_herglotz,
     sharp_bound_formula,
     small_alpha_bound_full,
 )
@@ -388,39 +388,43 @@ class TestOnePassPipeline:
 
 
 class TestMembership:
+    """`p_from_f` recovers the generator of a class member: the inverse of `f_from_p`."""
+
     def test_identity_map(self):
         params = ClassParams(1, 2.0, 0.25)
         f = f_from_p(TruncatedSeries([1], 16), params, 16)
-        value = verify_membership(f, params, 0.5, 64)
-        assert abs(value - (1 - 0.25)) < 1e-12
+        assert p_from_f(f, params) == TruncatedSeries([1], 15)
 
     def test_extremal_touches_zero(self):
-        # the k=2 extremal generator has min Re = (1-r)/(1+r) - beta + tail noise
+        # the k=2 extremal generator (1+z)/(1-z) sits on the edge of P, Re p -> 0 at z = -1;
+        # it comes back within the float tolerances and exactly on the rational backend
         params = ClassParams(1, 2.0, 0.0)
-        order = 128
-        f = f_from_p(extremal_p(2), params, order)
-        r = 0.9
-        value = verify_membership(f, params, r, 720)
-        tail = 2 * r ** (order + 1) / (1 - r)
-        assert abs(value - (1 - r) / (1 + r)) <= tail + 1e-9
+        f = f_from_p(extremal_p(2), params, 128)
+        back = p_from_f(f, params)
+        tolerances = round_trip_tolerances(f, params)
+        assert back.order == 127
+        assert all(abs(c - (2 if k else 1)) <= t for k, (c, t) in enumerate(zip(back.coeffs, tolerances)))
+        exact = ClassParams(1, Fraction(2), Fraction(0))
+        p = extremal_p(2, backend=RATIONAL).series(39)
+        assert p_from_f(f_from_p(p, exact, 40), exact) == p
 
     def test_requires_normalization(self):
         params = ClassParams(1, 2.0, 0.0)
         bad = TruncatedSeries([0, 2, 0, 0], 3)
         with pytest.raises(ValueError):
-            verify_membership(bad, params, 0.5, 64)
+            p_from_f(bad, params)
 
     def test_first_coefficient_must_be_exactly_one(self):
         # a_1 within NORMALIZATION_TOL of 1 is refused up front, not inside the real-power kernel
         params = ClassParams(1, 2.0, 0.0)
         near = TruncatedSeries([0, 1 + NORMALIZATION_TOL / 10, 0.1, 0.01], 3)
         with pytest.raises(ValueError) as raised:
-            verify_membership(near, params, 0.9, 64)
+            p_from_f(near, params)
         assert str(raised.value) == "f must start as z + a_2 z^2 + ..."
         # a_0 keeps its float tolerance
         shifted = TruncatedSeries([NORMALIZATION_TOL / 10, 1, 0.1, 0.01], 3)
         exact = TruncatedSeries([0, 1, 0.1, 0.01], 3)
-        assert verify_membership(shifted, params, 0.9, 64) == verify_membership(exact, params, 0.9, 64)
+        assert p_from_f(shifted, params) == p_from_f(exact, params)
 
     @pytest.mark.parametrize(
         "coeffs",
@@ -428,15 +432,14 @@ class TestMembership:
         ids=["nan-a2", "nan-a0", "inf-a2"],
     )
     def test_non_finite_coefficients_are_refused(self, coeffs):
-        # unchecked, a NaN a_2 read inf (every sampled value NaN) and a NaN a_0 slipped
-        # past the normalization tolerance and read 0.73
-        with pytest.raises(ValueError):
-            verify_membership(TruncatedSeries(coeffs, 2), ClassParams(1, 2.0, 0.0), 0.9, 64)
+        # unchecked, a NaN a_0 would slip past the normalization tolerance
+        with pytest.raises(ValueError, match="non-finite"):
+            p_from_f(TruncatedSeries(coeffs, 2), ClassParams(1, 2.0, 0.0))
 
     def test_overflowed_minimum_is_refused(self):
-        # f is finite, but (f/z)^2 = 1 + 2e308 z + ... overflows and every sampled value is NaN
-        with pytest.raises(ValueError):
-            verify_membership(TruncatedSeries([0, 1, 1e308], 2), ClassParams(0, 2.0, 0.0), 0.9, 64)
+        # f is finite, but (f/z)^2 = 1 + 2e308 z + ... overflows
+        with pytest.raises(ValueError, match="not finite"):
+            p_from_f(TruncatedSeries([0, 1, 1e308], 2), ClassParams(0, 2.0, 0.0))
 
     def test_rational_guard_is_exact(self):
         params = ClassParams(1, Fraction(2), Fraction(0))
@@ -444,7 +447,32 @@ class TestMembership:
             [RATIONAL.zero, RATIONAL.coeff(Fraction(999, 1000))], 3, backend=RATIONAL
         )
         with pytest.raises(ValueError):
-            verify_membership(bad, params, 0.5, 64)
+            p_from_f(bad, params)
+
+    def test_inverts_f_from_p_exactly(self):
+        atoms = HerglotzAtoms.from_rational([Fraction(1, 3), Fraction(2, 3)], [Fraction(1, 2), Fraction(-3, 4)])
+        p = atoms.series(15)
+        for n, alpha, beta in ((0, "2", "0"), (3, "11/10", "1/4"), (2, "1/3", "9/10"), (1, "1/10000", "0")):
+            params = ClassParams(n, Fraction(alpha), Fraction(beta))
+            assert p_from_f(f_from_p(atoms, params, 16), params) == p
+
+    def test_tolerance_formula(self):
+        # f = z (1 + z)^(1/2) at alpha = 2: g = f/z has |g_1| = 1/2, so U_1 = |2 - 0| * 1/2 = 1 and
+        # U_2 = (|2 - 1| * 1/2 * U_1 + |4 - 0| * |g_2| * U_0) / 2
+        params = ClassParams(1, 2.0, 0.5)
+        f = TruncatedSeries([0, 1, 0.5, -0.125], 3)
+        u2 = (0.5 + 4 * 0.125) / 2
+        eps = 2.0**-53
+        want = [0.0, 16 * eps * 1.5 * 1.0 / 0.5, 16 * 2 * eps * 2.0 * u2 / 0.5]
+        assert round_trip_tolerances(f, params) == pytest.approx(want, rel=1e-15)
+
+    def test_overflowed_tolerance_reads_inf(self):
+        # a term whose factor is zero is skipped, so an overflowed U never turns into NaN
+        params = ClassParams(0, 1.0, 0.0)
+        f = TruncatedSeries([0, 1, 1e300, 1e300, 0, 1e300], 5)
+        tolerances = round_trip_tolerances(f, params)
+        assert tolerances[-1] == math.inf
+        assert not any(math.isnan(t) for t in tolerances)
 
 
 class TestExtremal:

@@ -3,13 +3,10 @@
 import cmath
 import itertools
 import math
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from coeffbounds import (
     FLOAT,
@@ -18,22 +15,14 @@ from coeffbounds import (
     TruncatedSeries,
     get_doc_backend,
     half_hadamard,
-    min_real_part,
-    random_herglotz,
 )
 from coeffbounds._rational import RationalComplex
 from coeffbounds.caratheodory import (
-    CIRCLE_BLOCK,
     check_atom_rows,
     shift_coefficients,
     transform_coefficients,
 )
-from oracles import min_real_part_scalar
-
-
-def transformed(p: TruncatedSeries, n: int, alpha) -> TruncatedSeries:
-    """The n-fold transform of p, as a series on p's backend."""
-    return TruncatedSeries(transform_coefficients(p.coeffs, alpha, n), p.order, backend=p.backend)
+from oracles import min_real_part_scalar, random_herglotz
 
 
 class TestSeries:
@@ -92,7 +81,7 @@ class TestHalfHadamard:
         p = random_herglotz(1).series(32)
         q = random_herglotz(2).series(32)
         r = half_hadamard(p, q)
-        assert min_real_part(r, 0.8, 256) > -2 * 0.8**33 / 0.2
+        assert min_real_part_scalar(r, 0.8, 256) > -2 * 0.8**33 / 0.2
 
     def test_requires_unit_constant(self):
         with pytest.raises(ValueError):
@@ -133,164 +122,18 @@ class TestTransform:
 
 
 class TestMinRealPart:
+    """The circle minimum the positivity probes read, `oracles.min_real_part_scalar`."""
+
     def test_moebius_closed_form(self):
         # min over |z|=r of Re (1+z)/(1-z) is (1-r)/(1+r), at z = -r
         s = HerglotzAtoms([1.0], [1.0]).series(96)
         r = 0.5
-        got = min_real_part(s, r, 720)
+        got = min_real_part_scalar(s, r, 720)
         tail = 2 * r**97 / (1 - r)
         assert abs(got - (1 - r) / (1 + r)) <= tail + 1e-9
 
     def test_constant(self):
-        assert abs(min_real_part(TruncatedSeries([1], 8), 0.9, 64) - 1.0) < 1e-15
-
-    def test_validates_inputs(self):
-        s = TruncatedSeries([1], 4)
-        with pytest.raises(ValueError):
-            min_real_part(s, 1.0, 64)
-        with pytest.raises(ValueError):
-            min_real_part(s, 0.5, 4)
-
-
-def _bitwise_equal(a: float, b: float) -> bool:
-    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
-
-
-_coefficient = st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False)
-_float_coeffs = st.integers(0, 70).flatmap(
-    lambda order: st.lists(_coefficient, min_size=order + 1, max_size=order + 1)
-)
-
-
-class TestMinRealPartMatchesScalarLoop:
-    """The blocked numpy Horner against the one-point-at-a-time oracle, bit for bit."""
-
-    @settings(max_examples=100)
-    @given(
-        coeffs=_float_coeffs,
-        radius=st.sampled_from([0.01, 0.3, 0.5, 0.9, 0.99, 0.999]),
-        samples=st.sampled_from([8, 9, 64, 257, 720, 1001]),
-    )
-    def test_random_float_series(self, coeffs, radius, samples):
-        s = TruncatedSeries(coeffs, len(coeffs) - 1)
-        assert _bitwise_equal(min_real_part(s, radius, samples), min_real_part_scalar(s, radius, samples))
-
-    @pytest.mark.parametrize("radius", [0.5, 0.99])
-    def test_rational_series(self, radius):
-        p = HerglotzAtoms.from_rational([Fraction(1, 3), Fraction(2, 3)], [Fraction(1, 2), Fraction(-3, 4)])
-        s = transformed(p.series(40), 2, Fraction(3, 2))
-        assert s.backend is RATIONAL
-        assert _bitwise_equal(min_real_part(s, radius, 720), min_real_part_scalar(s, radius, 720))
-
-    def test_block_merge(self):
-        samples = 3 * CIRCLE_BLOCK + 5
-        s = random_herglotz(77).series(12)
-        assert _bitwise_equal(min_real_part(s, 0.9, samples), min_real_part_scalar(s, 0.9, samples))
-
-    @pytest.mark.parametrize(
-        "coeffs",
-        [
-            [1, 0.5, complex(math.nan, 0), 0.25],  # one NaN coefficient: NaN everywhere
-            [complex(2, math.nan), 0.5j],  # NaN only in Im c_0: Re stays finite
-            [1, complex(math.inf, math.inf)],  # NaN in two quadrants, +-inf in the others
-        ],
-    )
-    def test_nan_values_are_skipped(self, coeffs):
-        s = TruncatedSeries(coeffs, len(coeffs) - 1)
-        assert _bitwise_equal(min_real_part(s, 0.5, 64), min_real_part_scalar(s, 0.5, 64))
-
-    def test_all_nan_gives_inf(self):
-        s = TruncatedSeries([complex(math.nan, math.nan)] * 3, 2)
-        assert min_real_part(s, 0.5, 64) == math.inf
-
-    def test_first_of_signed_zeros_wins(self):
-        # Re of the constant -0.0 reads +0.0 at z = radius, and -0.0 wherever Re z < 0 < Im z
-        s = TruncatedSeries([complex(-0.0, 0.0)], 0)
-        got = min_real_part(s, 0.5, 64)
-        assert _bitwise_equal(got, 0.0)
-        assert _bitwise_equal(got, min_real_part_scalar(s, 0.5, 64))
-
-
-def _each_matches_scalar_loop(series, radius, samples):
-    got = [min_real_part(s, radius, samples) for s in series]
-    for s, value in zip(series, got):
-        assert _bitwise_equal(value, min_real_part_scalar(s, radius, samples))
-    return got
-
-
-class TestMinRealPartsMatchesScalarLoop:
-    """Series after series, of mixed orders and backends: every call matches the
-    point-by-point oracle on that series alone, whatever was evaluated before it."""
-
-    @settings(max_examples=40)
-    @given(
-        rows=st.lists(_float_coeffs, min_size=1, max_size=12),
-        radius=st.sampled_from([0.01, 0.3, 0.5, 0.9, 0.99, 0.999]),
-        samples=st.sampled_from([8, 9, 64, 257, 720, 1001]),
-    )
-    def test_ragged_float_series(self, rows, radius, samples):
-        series = [TruncatedSeries(coeffs, len(coeffs) - 1) for coeffs in rows]
-        _each_matches_scalar_loop(series, radius, samples)
-
-    def test_rational_series(self):
-        p = HerglotzAtoms.from_rational([Fraction(1, 3), Fraction(2, 3)], [Fraction(1, 2), Fraction(-3, 4)])
-        series = [transformed(p.series(order), n, Fraction(3, 2)) for order, n in ((40, 2), (7, 0), (25, 1))]
-        assert all(s.backend is RATIONAL for s in series)
-        _each_matches_scalar_loop(series, 0.99, 720)
-
-    @pytest.mark.parametrize("samples", [1001, CIRCLE_BLOCK + 7])
-    def test_groups_and_blocks_merge_across_rows(self, samples):
-        # above CIRCLE_BLOCK points every series takes two blocks, the second of 7 points
-        series = [transformed(random_herglotz(seed).series(8 + 3 * seed), 1, 2.0) for seed in range(9)]
-        _each_matches_scalar_loop(series, 0.9, samples)
-
-    def test_nan_and_inf_rows_leave_finite_rows_alone(self):
-        series = [
-            random_herglotz(3).series(12),
-            TruncatedSeries([1, 0.5, complex(math.nan, 0), 0.25], 3),
-            TruncatedSeries([1, complex(math.inf, math.inf)], 1),
-            random_herglotz(4).series(12),
-        ]
-        _each_matches_scalar_loop(series, 0.5, 64)
-
-    def test_all_nan_row_gives_inf(self):
-        series = [TruncatedSeries([1], 4), TruncatedSeries([complex(math.nan, math.nan)] * 3, 2)]
-        assert _each_matches_scalar_loop(series, 0.5, 64) == [1.0, math.inf]
-
-    @pytest.mark.parametrize(
-        "coeffs, samples",
-        [
-            ([complex(-0.0, 0.0)], 64),
-            # Re is +-0.0 everywhere, +0.0 at z = radius; the last of three blocks opens on -0.0
-            ([complex(-0.0, 0.0), complex(0.0, -0.0)], 12000),
-        ],
-    )
-    def test_signed_zero_tie_in_one_row(self, coeffs, samples):
-        series = [random_herglotz(9).series(20), TruncatedSeries(coeffs, len(coeffs) - 1)]
-        got = _each_matches_scalar_loop(series, 0.5, samples)
-        assert _bitwise_equal(got[1], 0.0)
-
-    def test_empty_list(self):
-        # no series gives no values; the circle settings are checked on every call, even for an
-        # order-0 series that needs no Horner step, and the least accepted count is exact
-        assert _each_matches_scalar_loop([], 0.5, 64) == []
-        s = TruncatedSeries([complex(0.25, -1.0)], 0)
-        for radius, samples in ((0.0, 64), (1.0, 64), (0.5, 7), (0.5, 8.0)):
-            with pytest.raises(ValueError):
-                min_real_part(s, radius, samples)
-        assert _each_matches_scalar_loop([s], 0.5, 8) == [0.25]
-
-    def test_pass_memory_is_capped_in_cells(self):
-        # uncapped, 20000 points would take six work arrays of 20000 doubles (about 0.96 MB);
-        # blocks of CIRCLE_BLOCK points peak near 0.35 MB
-        s = transformed(random_herglotz(5).series(64), 1, 2.0)
-        tracemalloc.start()
-        try:
-            min_real_part(s, 0.99, 20000)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 512 * 1024
+        assert abs(min_real_part_scalar(TruncatedSeries([1], 8), 0.9, 64) - 1.0) < 1e-15
 
 
 class TestRandomHerglotz:

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from coeffbounds import SmallAlphaBound, bounds, cli, extremal_p, run_expand
+from coeffbounds import SmallAlphaBound, TruncatedSeries, bounds, cli, extremal_p, harness, run_expand
 from coeffbounds.harness import BOUNDS_COLUMNS
 from coeffbounds.reports import SUITE_COLUMNS, json_text
 
@@ -81,14 +81,13 @@ class TestExitCodes:
 
 
 _POINT_FLAGS = {"--n", "--alpha", "--beta", "--kmax", "--backend", "--format", "--out"}
-_SERIES_FLAGS = {"--order", "--radius", "--samples"}
 _FLAGS_BY_COMMAND = {
     ("bounds",): _POINT_FLAGS,
     ("verify", "extremal"): _POINT_FLAGS,
     ("verify", "random"): _POINT_FLAGS | {"--trials", "--seed"},
     ("verify", "nehari"): _POINT_FLAGS | {"--trials", "--seed"},
     ("verify", "hk"): {"--alpha", "--kmax", "--backend", "--format", "--out"},
-    ("expand",): _POINT_FLAGS | _SERIES_FLAGS | {"--pspec"},
+    ("expand",): _POINT_FLAGS | {"--order", "--pspec"},
 }
 _FLAG_VALUES = {
     "--n": "1", "--alpha": "2", "--beta": "0", "--kmax": "4", "--trials": "3", "--seed": "9",
@@ -115,6 +114,7 @@ class TestFlagsPerSubcommand:
         [
             ["verify", "hk", "--n", "7", "--beta", "0.5", "--trials", "3", "--seed", "9"],
             ["verify", "random", "--order", "5000", "--radius", "0.1"],
+            ["expand", "--radius", "0.5"],
         ],
     )
     def test_ignored_flags_are_usage_errors(self, argv, capsys):
@@ -205,7 +205,8 @@ class TestExpandCommand:
     def test_from_file(self, tmp_path, capsys):
         code, out, err = run(self.expand_args(str(self.doc_path(tmp_path))), capsys)
         assert code == 0
-        assert "membership minimum" in out
+        assert "membership by construction" in out
+        assert "round trip" in out
         assert "bound (sharp hit)" in out
         assert "expanded order-12 series on the float backend" in err
 
@@ -224,17 +225,19 @@ class TestExpandCommand:
         assert [row["k"] for row in payload["bounds"]] == [2, 3, 4, 5]
 
     @pytest.mark.parametrize(
-        "alpha, order, message",
-        [("1/10000", "200", "f has a non-finite coefficient"),
-         ("1/100", "400", "the sampled real part is not finite")],
-        ids=["f-overflows", "minimum-overflows"],
+        "n, alpha, order, message",
+        [("0", "1/10000", "200", "f has a non-finite coefficient"),
+         ("0", "1/100", "400", "the generator rebuilt from f is not finite"),
+         ("4", "1e-80", "8", "((alpha + 1) / alpha)^4 overflows")],
+        ids=["f-overflows", "minimum-overflows", "transform-overflows"],
     )
-    def test_float_overflow_is_a_usage_error(self, alpha, order, message, tmp_path, capsys):
-        # from the generator (1+z)/(1-z) at a small alpha, the float expansion overflows to NaN;
-        # the membership row used to read inf and pass
+    def test_float_overflow_is_a_usage_error(self, n, alpha, order, message, tmp_path, capsys):
+        # from the generator (1+z)/(1-z) at a small alpha, the float expansion overflows to NaN,
+        # in f itself or, at 1/100, in the (f/z)^alpha of the round trip; at 1e-80 the factor
+        # that undoes the transform overflows
         path = tmp_path / "p.json"
         path.write_text(json.dumps(extremal_p(2).to_document()))
-        argv = ["expand", "--pspec", str(path), "--n", "0", "--alpha", alpha, "--beta", "0",
+        argv = ["expand", "--pspec", str(path), "--n", n, "--alpha", alpha, "--beta", "0",
                 "--order", order, "--kmax", "4"]
         code, out, err = run(argv, capsys)
         assert (code, out) == (2, "")
@@ -269,18 +272,44 @@ class TestExpandCommand:
         rows = self.large_bound_rows(tmp_path, capsys)
         assert all(row["status"] == "fail" and not row["sharp_hit"] for row in rows)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="known limit: float expand rebuilds (f/z)^alpha from coefficients of f up to 4.7e183, "
-        "and cancellation leaves membership_min -7.67e182 for this true member; the same generator "
-        "as a rational document reads -9.99 and passes",
-    )
     def test_float_membership_at_a_tiny_alpha(self, tmp_path, capsys):
+        # the coefficients of f reach 4.7e183, so the float round trip has tolerances far above 2,
+        # the coefficient bound of P: the row reports that it cannot judge, and does not fail
         path = tmp_path / "p.json"
         path.write_text(json.dumps(extremal_p(2).to_document()))
-        _, out, _ = run(["expand", "--pspec", str(path), *self.LARGE, "--format", "json"], capsys)
-        assert json.loads(out)["membership_status"] == "pass"
+        code, out, _ = run(["expand", "--pspec", str(path), *self.LARGE, "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out)["membership_status"] == "info"
+
+    def test_rational_membership_at_a_tiny_alpha(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"backend": "rational", "atoms": [{"weight": "1", "t": "0"}]}))
+        code, out, _ = run(["expand", "--pspec", str(path), *self.LARGE, "--format", "json"], capsys)
+        assert code == 0
+        result = json.loads(out)
+        assert (result["membership_status"], result["round_trip_residual"]) == ("pass", "0")
+
+    @pytest.mark.parametrize("k", [2, 5, 16])
+    def test_perturbed_float_expansion_fails_the_round_trip(self, k, tmp_path, capsys, monkeypatch):
+        # a relative 1e-9 on one coefficient of f is far above the round-trip tolerances
+        original = harness.f_from_p
+
+        def perturbed(p, params, order):
+            coeffs = list(original(p, params, order).coeffs)
+            coeffs[k] *= 1 + 1e-9
+            return TruncatedSeries(coeffs, order)
+
+        monkeypatch.setattr(harness, "f_from_p", perturbed)
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(_GOLDEN_FLOAT_DOC))
+        argv = ["expand", "--pspec", str(path), "--n", "2", "--alpha", "2", "--beta", "1/4",
+                "--order", "16", "--kmax", "8"]
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        row = out.splitlines()[-1].split(",")
+        assert (row[0], row[1], row[-1]) == (str(k - 1), "round trip p_from_f(f) against the generator", "fail")
+        assert float(row[2]) > 1000 * float(row[3])
+        assert "(fail)" in err
 
     def test_missing_pspec(self, capsys):
         code, _, err = run(["expand", "--n", "1", "--alpha", "2", "--beta", "0"], capsys)
@@ -314,8 +343,10 @@ class TestExpandCommand:
             {"weight": float("inf"), "angle_radians": 0.1},
             {"weight": 1.0, "angle_radians": float("nan")},
             {"weight": 1.0, "angle_radians": float("inf")},
+            {"weight": True, "angle_radians": False},
+            {"weight": 1.0, "angle_radians": True},
         ],
-        ids=["nan-weight", "inf-weight", "nan-angle", "inf-angle"],
+        ids=["nan-weight", "inf-weight", "nan-angle", "inf-angle", "bool-weight", "bool-angle"],
     )
     def test_non_finite_float_atom_is_usage_error(self, atom, tmp_path, capsys):
         path = tmp_path / "p.json"
@@ -338,12 +369,13 @@ class TestExpandCommand:
         "flags", [["--radius", "1.5"], ["--samples", "2"]], ids=["radius-1.5", "samples-2"]
     )
     def test_out_of_range_circle_settings(self, flags, tmp_path, capsys):
+        # expand samples no circle, so it refuses every circle setting, in range or out
         code, out, err = run([*self.expand_args(str(self.doc_path(tmp_path))), *flags], capsys)
         assert (code, out) == (2, "")
-        assert err.startswith("usage error:")
+        assert f"unrecognized arguments: {' '.join(flags)}" in err
 
     def test_library_call_matches_command(self, tmp_path, capsys):
-        # the library and the command share every default, the membership radius included
+        # the library and the command share every default
         path = self.doc_path(tmp_path)
         argv = ["expand", "--pspec", str(path), "--n", "1", "--alpha", "2", "--beta", "0",
                 "--order", "16", "--kmax", "8", "--format", "json"]
@@ -373,7 +405,7 @@ def test_repeat_runs_byte_identical(capsys):
 
 
 # sha256 of stdout for the scalar path (extremal generators, the h_k audit's
-# exact rows, expand's membership check, the bound tables). A deliberate
+# exact rows, expand's membership rows, the bound tables). A deliberate
 # report change re-pins these and says so in CHANGES.md. The float reports go
 # through libm (cmath.exp, pow), so they are pinned for x86-64 Linux with glibc.
 _GOLDEN_FLOAT_DOC = {
@@ -390,8 +422,8 @@ _GOLDEN_RATIONAL_DOC = {
 }
 _GOLDEN_EXPAND = ["--n", "2", "--alpha", "3/2", "--beta", "1/4", "--order", "24", "--kmax", "8"]
 _HK_WIDE = ["--kmax", "20"]
-# more circle points than CIRCLE_BLOCK, so the membership minimum takes three point blocks
-_EXPAND_WIDE = [*_GOLDEN_EXPAND, "--samples", "9000", "--radius", "0.9"]
+# the default order 64, where the rational round trip carries long denominators
+_EXPAND_WIDE = ["--n", "2", "--alpha", "3/2", "--beta", "1/4", "--kmax", "8"]
 # omega-region alphas, where the small-alpha bound sums powers up to m = k - 1
 _SMALL_ALPHA = ["--alpha", "1/10", "--alpha", "1/4", "--alpha", "1/3", "--alpha", "1/2", "--kmax", "12"]
 # alphas on the region edges 1/(k-2) and 1/(k-3), and on either side of 1, up to k = 16
@@ -412,13 +444,13 @@ _REGION_EDGES = ["--alpha", "1/10", "--alpha", "1/3", "--alpha", "2/3", "--alpha
         (["verify", "extremal", "--backend", "rational"], None,
          "f0fe53ec7ef477d980602c22f297a8d22000ad9b6ebd0b50dbf36b1e3388604d"),
         (["expand", *_GOLDEN_EXPAND], _GOLDEN_FLOAT_DOC,
-         "8f80a74eb9b55100da0d8f89da91a52cfac7c5defb95eb3c99210432c974694e"),
+         "0e1401607c2c7a10b2e59d6ae247adb3556bc71f784e365405763ec3b01d5ce9"),
         (["expand", *_GOLDEN_EXPAND], _GOLDEN_RATIONAL_DOC,
-         "609842b420d2936893c9b9d30aebe614b5f6c0219526659256a1d3379da0f263"),
+         "c2250a1fbc1ae7137b3aa0f212b66af24481e77a8504005f695aed09959623e0"),
         (["expand", *_EXPAND_WIDE], _GOLDEN_FLOAT_DOC,
-         "b68c160e253da51595f2ca0857fa1f401cb420e593639389eb0cd91cce410da2"),
+         "8d52e06170dbba8a0849af0088c3cb9de52f797723a6f1952b6689c500c51833"),
         (["expand", *_EXPAND_WIDE], _GOLDEN_RATIONAL_DOC,
-         "03fc3eaa48c4823d83109d7d724aeb0e9f8be98d7046df12f46a6abff6e0e36c"),
+         "074c3880df5a5a9c45d36b5efdd7eef1cb7f5aa8dd06fc08a6bc14a44314a5b9"),
         (["bounds"], None, "a33e37630faec425430b81a5617472adf5138894485637ec03479a905d3a7628"),
         (["bounds", "--backend", "rational"], None,
          "822b40bd5eee27134b23e4769af592ad6dd63008455876a51eab0b235dc579ff"),

@@ -1,6 +1,10 @@
 """Grid handling, suite reports, and the expand pipeline."""
 
+import importlib.util
+import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +13,9 @@ from coeffbounds import (
     FLOAT,
     RATIONAL,
     GridSpec,
+    TruncatedSeries,
     UsageError,
-    bounds,
     build_hk,
-    caratheodory,
     cli,
     default_grid,
     extremal_p,
@@ -30,7 +33,7 @@ from coeffbounds import (
     sweeps,
 )
 from coeffbounds.bounds import SLACK
-from coeffbounds.harness import DEFAULT_K_MAX, DEFAULT_ORDER, tail_bound
+from coeffbounds.harness import DEFAULT_K_MAX, DEFAULT_ORDER
 from coeffbounds.schemes import gamma_identity_row
 from coeffbounds.reports import fmt_float
 from oracles import dominance_margins_scalar, nehari_margins_scalar
@@ -277,16 +280,6 @@ class TestHkAudit:
         with pytest.raises(UsageError, match="alpha value 3/2 is given more than once"):
             run_hk_audit((Fraction(3, 2), Fraction(2), Fraction(6, 4)), k_max=4, backend=RATIONAL)
 
-    @pytest.mark.parametrize("backend", ["float", "rational"])
-    def test_makes_no_circle_call(self, backend, monkeypatch, capsys):
-        def refuse(*args):
-            raise AssertionError("verify hk certifies by the convex weights; it samples no circle")
-
-        monkeypatch.setattr(caratheodory, "min_real_part", refuse)
-        monkeypatch.setattr(bounds, "min_real_part", refuse)
-        monkeypatch.setattr(harness, "min_real_part", refuse, raising=False)
-        assert cli.main(["verify", "hk", "--backend", backend]) == 0
-
     def test_float_audit_builds_nothing_exactly(self, monkeypatch, capsys):
         # the exact verdict comes from hk_weights at Fraction(alpha), not from a rational build
         backends = []
@@ -408,5 +401,83 @@ class TestExpand:
             run_expand(self.float_doc(), -1, 2.0, 0.0, 16, 6)
 
 
-def test_tail_bound_reference_value():
-    assert tail_bound(0.99, 64) == pytest.approx(2 * 0.99**65 / 0.01, rel=1e-15)
+def _perfbench_workloads():
+    """perfbench's workload builder, loaded from its file (perfbench is not a package)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestExpandRoundTrip:
+    """The membership rows of `run_expand`: by construction, and p -> f -> p_from_f(f) -> p."""
+
+    def test_float_stream_documents_never_fail(self):
+        # alpha log-uniform on [1e-4, 100], n <= 4, beta <= 0.9, order <= 64
+        rng = random.Random(20261018)
+        statuses = {"pass": 0, "info": 0}
+        for _ in range(1000):
+            doc = trial_atoms(rng.getrandbits(64), rng.randrange(1000)).to_document()
+            alpha, beta = 10 ** rng.uniform(-4, 2), rng.uniform(0, 0.9)
+            result = run_expand(doc, rng.randrange(5), alpha, beta, rng.randint(2, 64), 2)
+            assert result["membership_status"] != "fail", result
+            assert float(result["round_trip_residual"]) <= float(result["round_trip_tolerance"])
+            statuses[result["membership_status"]] += 1
+        assert statuses["pass"] > 800
+
+    def test_perfbench_documents(self, tmp_path):
+        # the expand documents of scalar-mixed seeds 1-40: float ones pass, rational ones are exact
+        workloads = _perfbench_workloads()
+        for seed in range(1, 41):
+            for command in workloads.scalar_mixed(seed, tmp_path).commands:
+                if command.check != "expand":
+                    continue
+                e = command.expect
+                result = run_expand(e["doc"], e["n"], e["alpha"], e["beta"], workloads.EXPAND_ORDER,
+                                    workloads.EXPAND_KMAX)
+                assert result["membership_status"] == "pass", command.label
+                if result["backend"] == "rational":
+                    assert result["round_trip_residual"] == "0"
+                else:
+                    assert float(result["round_trip_residual"]) <= 1e-14
+                    assert float(result["round_trip_tolerance"]) <= 1e-11
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_rational_one_atom_is_exact(self, n):
+        doc = {"backend": "rational", "atoms": [{"weight": "1", "t": "0"}]}
+        for alpha in ("1/10000", "1/100", "1/10", "1/3", "1", "2", "10"):
+            result = run_expand(doc, n, alpha, "0", 64, 8)
+            assert (result["membership_status"], result["round_trip_residual"]) == ("pass", "0"), alpha
+            assert result["round_trip_tolerance"] == "0"
+
+    @pytest.mark.parametrize("alpha, status", [("2", "pass"), ("1/3", "info"), ("1/10000", "info")])
+    def test_float_one_atom_verdicts(self, alpha, status):
+        # a tolerance of 2 or more judges nothing: 2 bounds every coefficient of P
+        result = run_expand(extremal_p(2).to_document(), 0, alpha, "0", 64, 8)
+        assert result["membership_status"] == status
+        tolerance = float(result["round_trip_tolerance"])
+        assert (tolerance >= 2) == (status == "info")
+
+    def test_construction_row_reports_the_smallest_weight(self):
+        doc = {"backend": "rational", "atoms": [{"weight": "1/3", "t": "1/2"}, {"weight": "2/3", "t": "-3/4"}]}
+        assert run_expand(doc, 1, "2", "0", 16, 6)["membership_min_weight"] == "1/3"
+        assert run_expand(extremal_p(4).to_document(), 1, 2.0, 0.0, 16, 6)["membership_min_weight"] == (
+            fmt_float(min(extremal_p(4).weights))
+        )
+
+    def test_rational_perturbation_fails(self, monkeypatch):
+        doc = {"backend": "rational", "atoms": [{"weight": "1/3", "t": "1/2"}, {"weight": "2/3", "t": "-3/4"}]}
+        original = harness.f_from_p
+
+        def perturbed(p, params, order):
+            f = original(p, params, order)
+            coeffs = list(f.coeffs)
+            coeffs[5] = coeffs[5] + Fraction(1, 10**40)
+            return TruncatedSeries(coeffs, order, backend=RATIONAL)
+
+        monkeypatch.setattr(harness, "f_from_p", perturbed)
+        result = run_expand(doc, 2, "3/2", "1/4", 16, 8)
+        assert result["membership_status"] == "fail"
+        assert result["round_trip_k"] == 4

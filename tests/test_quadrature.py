@@ -10,9 +10,8 @@ circle to read coefficients back off — and compares.
 import numpy as np
 import pytest
 
-from coeffbounds import random_herglotz
 from coeffbounds.caratheodory import transform_coefficients
-from oracles import transform_coefficients_by_quadrature
+from oracles import random_herglotz, transform_coefficients_by_quadrature
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 5.0])

@@ -18,7 +18,6 @@ from coeffbounds import (
     gammas_from_coefficients,
     half_hadamard,
     hk_weights,
-    min_real_part,
     nehari_series,
     recipe_even_constant,
 )
@@ -29,7 +28,7 @@ from coeffbounds.caratheodory import (
     half_hadamard_coefficients,
 )
 from coeffbounds.schemes import gamma_identity_row, gamma_ladder, nehari_coefficients
-from oracles import nehari_coefficients_full, scheme_etas
+from oracles import min_real_part_scalar, nehari_coefficients_full, random_herglotz, scheme_etas
 
 
 class TestGammaLadder:
@@ -170,7 +169,7 @@ class TestBuildHk:
     def test_stays_positive_real_part(self, k):
         h, _ = build_hk(k, 1.7, 64)
         tail = 2 * 0.99**65 / 0.01
-        assert min_real_part(h, 0.99, 360) >= -tail
+        assert min_real_part_scalar(h, 0.99, 360) >= -tail
 
     def test_intermediate_orders_drift(self):
         # the d's are solved from the defining order; at k = 4 the m = 2 row
@@ -331,7 +330,7 @@ class TestNehariSeries:
     def test_n0_bound_holds_on_samples(self):
         # at n = 0 the weights collapse to the classical ladder and the
         # bound 2(1-beta) holds on sampled generator pairs
-        from coeffbounds import half_hadamard, random_herglotz
+        from coeffbounds import half_hadamard
 
         for seed in range(6):
             p = random_herglotz(seed).series(10)

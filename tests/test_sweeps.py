@@ -17,7 +17,6 @@ from coeffbounds import (
     gammas_from_coefficients,
     half_hadamard,
     nehari_series,
-    random_herglotz,
     sharp_bound,
 )
 from coeffbounds._rational import RationalComplex
@@ -46,7 +45,7 @@ from coeffbounds.sweeps import (
     nehari_sweep,
     stream_key,
 )
-from oracles import a_k_direct, dominance_margins_scalar, nehari_margins_scalar
+from oracles import a_k_direct, dominance_margins_scalar, nehari_margins_scalar, random_herglotz
 
 NEHARI_ROLES = ("nehari:h", "nehari:p", "nehari:q")
 
