@@ -11,7 +11,7 @@ The mathematical objects, by module:
   piecewise small-parameter bound with its region map, and the generator
   of a class member (the inverse of the generator-to-function map).
 - :mod:`~coeffbounds.schemes` — the weight ladder, the per-index generator
-  constructions, and the alternating Nehari-type series.
+  constructions, and the coefficients of the alternating Nehari-type series.
 - :mod:`~coeffbounds.sweeps` — vectorized randomized sweeps over reproducible
   counter-based atom streams.
 - :mod:`~coeffbounds.harness` / :mod:`~coeffbounds.reports` /
@@ -35,11 +35,7 @@ from .bounds import (
     small_alpha_bound,
     small_alpha_bounds,
 )
-from .caratheodory import (
-    HerglotzAtoms,
-    get_doc_backend,
-    half_hadamard,
-)
+from .caratheodory import HerglotzAtoms
 from .harness import (
     GridSpec,
     UsageError,
@@ -58,9 +54,7 @@ from .schemes import (
     check_gamma_identity,
     compare_even_constants,
     gamma_target,
-    gammas_from_coefficients,
     hk_weights,
-    nehari_series,
     recipe_even_constant,
 )
 from .series import TruncatedSeries
@@ -91,13 +85,9 @@ __all__ = [
     "extremal_p",
     "f_from_p",
     "gamma_target",
-    "gammas_from_coefficients",
     "get_backend",
-    "get_doc_backend",
     "growth_estimate",
-    "half_hadamard",
     "hk_weights",
-    "nehari_series",
     "p_from_f",
     "recipe_even_constant",
     "run_bounds_table",

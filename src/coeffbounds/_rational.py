@@ -1,10 +1,10 @@
 """Exact complex numbers over the rationals.
 
-A ``RationalComplex`` is a pair of ``fractions.Fraction`` values. It supports
-the field operations exactly, which is what the rational backend needs:
-unimodular points built from the Pythagorean parametrization stay exactly on
-the unit circle, and every series coefficient downstream is an exact rational
-pair.
+A ``RationalComplex`` is a pair of ``fractions.Fraction`` values. It adds,
+subtracts, multiplies and divides exactly, which is what the rational
+backend needs: unimodular points built from the Pythagorean parametrization
+stay exactly on the unit circle, and every series coefficient downstream is
+an exact rational pair.
 """
 
 from __future__ import annotations
@@ -61,12 +61,8 @@ class RationalComplex:
             return _exact(self.re - other, self.im)
         return NotImplemented
 
-    def __rsub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return _exact(other - self.re, -self.im)
-        return NotImplemented
-
     def __neg__(self):
+        # the Nehari kernel negates every other weight, on exact data too
         return _exact(-self.re, -self.im)
 
     def __mul__(self, other):
@@ -99,28 +95,7 @@ class RationalComplex:
             raise ZeroDivisionError("division by zero RationalComplex")
         return _exact(a / c, b / c if b else b)
 
-    def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return _exact(Fraction(other), _ZERO) / self
-        return NotImplemented
-
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            return NotImplemented
-        out = _exact(_ONE, _ZERO)
-        base = self
-        m = n
-        while m:
-            if m & 1:
-                out = out * base
-            base = base * base
-            m >>= 1
-        return out
-
     # -- structure ------------------------------------------------------
-
-    def conjugate(self) -> "RationalComplex":
-        return _exact(self.re, -self.im)
 
     def abs2(self) -> Fraction:
         """|z|^2 as an exact Fraction."""
@@ -152,8 +127,6 @@ class RationalComplex:
 _new = object.__new__
 _set_re = RationalComplex.re.__set__
 _set_im = RationalComplex.im.__set__
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _exact(re: Fraction, im: Fraction) -> RationalComplex:

@@ -1,9 +1,10 @@
 """Arithmetic backends: exact rational complex, or double-precision complex.
 
 Every series and atom system carries one of the two singleton backends below.
-The float backend is for randomized sweeps and disk sampling; the rational
-backend gives exact equality in regression fixtures (weights, transform
-factors, and bound formulas are all rational in rational inputs).
+The float backend is for the randomized sweeps and float documents; the
+rational backend gives exact equality in regression fixtures and exact
+checks (weights, transform factors, and bound formulas are all rational in
+rational inputs).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ class Backend:
     def __init__(self, name: str):
         self.name = name
 
-    # scalar: the real number type used for weights, alpha, beta, radii
+    # scalar: the real number type used for weights, alpha and beta
     # coeff: the series-coefficient type
 
     def __repr__(self):

@@ -206,13 +206,17 @@ def growth_estimate(alpha, k: int) -> float:
     Estimates the k-th power-quotient coefficient |A_(k+1)(alpha)| (a
     different object from a_k); always evaluated in floating point.
     Saturates to +inf when the exponent exceeds the float range (around
-    alpha = 10, k = 14), which keeps the upper-estimate semantics intact.
+    alpha = 10, k = 14), or alpha itself does, which keeps the
+    upper-estimate semantics intact.
     """
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"index must be a non-negative integer, got {k!r}")
-    a = float(alpha)
-    if not a > 0:
+    if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
+    try:
+        a = float(alpha)
+    except OverflowError:  # an exact alpha beyond the float range
+        return math.inf
     harmonic = sum(1.0 / j for j in range(1, k + 1))
     try:
         return math.exp(0.624 * a * a + (2.0 * a * a - 0.5) * harmonic)

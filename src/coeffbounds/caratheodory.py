@@ -148,7 +148,9 @@ class HerglotzAtoms:
                     raise ValueError(f"point {x} is not exactly unimodular")
         else:
             _check_atom_row(weights, points)
-        _fill_atoms(self, backend, weights, points)
+        object.__setattr__(self, "backend", backend)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "points", points)
 
     def __setattr__(self, name, value):
         raise AttributeError("HerglotzAtoms is immutable")
@@ -169,13 +171,6 @@ class HerglotzAtoms:
         return f"HerglotzAtoms({len(self)} atoms, backend={self.backend.name})"
 
     # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def _from_checked(cls, weights: tuple, points: tuple) -> "HerglotzAtoms":
-        """Float atoms from a row that already passed `check_atom_rows`; it is not checked again."""
-        atoms = object.__new__(cls)
-        _fill_atoms(atoms, FLOAT, weights, points)
-        return atoms
 
     @classmethod
     def from_angles(cls, weights, angles) -> "HerglotzAtoms":
@@ -233,7 +228,7 @@ class HerglotzAtoms:
         """
         if not isinstance(doc, dict) or "atoms" not in doc:
             raise ValueError("atom document must be an object with an 'atoms' list")
-        backend = get_doc_backend(doc)
+        backend = _doc_backend(doc)
         raw = doc["atoms"]
         if not isinstance(raw, list) or not raw:
             raise ValueError("'atoms' must be a non-empty list")
@@ -267,13 +262,7 @@ class HerglotzAtoms:
         return cls(weights, points, backend=backend)
 
 
-def _fill_atoms(atoms: HerglotzAtoms, backend: Backend, weights: tuple, points: tuple) -> None:
-    object.__setattr__(atoms, "backend", backend)
-    object.__setattr__(atoms, "weights", weights)
-    object.__setattr__(atoms, "points", points)
-
-
-def get_doc_backend(doc: dict) -> Backend:
+def _doc_backend(doc: dict) -> Backend:
     if not isinstance(doc, dict):
         raise ValueError(f"atom document must be an object, got {type(doc).__name__}")
     name = doc.get("backend")
@@ -285,22 +274,6 @@ def get_doc_backend(doc: dict) -> Backend:
     if "angle_radians" in first:
         return FLOAT
     return RATIONAL
-
-
-def half_hadamard(p: TruncatedSeries, q: TruncatedSeries) -> TruncatedSeries:
-    """r = 1 + (1/2) sum_k p_k q_k z^k for two class-P series.
-
-    By the Nehari-Netanyahu composition lemma r is again in P whenever p and
-    q are; the tests check that numerically on sampled generators.
-    """
-    if p.backend is not q.backend or p.order != q.order:
-        raise ValueError("half_hadamard needs two series of equal order on one backend")
-    backend = p.backend
-    if p.coeffs[0] != backend.one or q.coeffs[0] != backend.one:
-        raise ValueError("half_hadamard expects constant terms equal to 1")
-    half = backend.scalar(Fraction(1, 2))
-    coeffs = half_hadamard_coefficients(p.coeffs, q.coeffs, backend.one, half)
-    return TruncatedSeries(coeffs, p.order, backend=backend)
 
 
 # -- the atom stream -----------------------------------------------------------
@@ -384,11 +357,8 @@ def draw_atoms(key: int, start: int, stop: int):
 
 
 def trial_atoms(key: int, trial: int) -> HerglotzAtoms:
-    """The atoms of one trial of stream ``key``: the one-row draw trial..trial+1.
-
-    `draw_atoms` has checked the row, so the atoms are built without a second check.
-    """
+    """The atoms of one trial of stream ``key``: the one-row draw trial..trial+1."""
     weights, points, counts = draw_atoms(key, trial, trial + 1)
     used = counts[0]
-    return HerglotzAtoms._from_checked(tuple(weights[0, :used].tolist()), tuple(points[0, :used].tolist()))
+    return HerglotzAtoms(weights[0, :used].tolist(), points[0, :used].tolist())
 

@@ -2,14 +2,16 @@
 
 Subcommands and the flags each one reads (any other flag exits 2)::
 
-    coeffbounds bounds            --n --alpha --beta --kmax
-    coeffbounds verify extremal   --n --alpha --beta --kmax
+    coeffbounds bounds            --n --alpha --beta --kmax --backend
+    coeffbounds verify extremal   --n --alpha --beta --kmax --backend
     coeffbounds verify random     --n --alpha --beta --kmax --trials --seed
     coeffbounds verify nehari     --n --alpha --beta --kmax --trials --seed
-    coeffbounds verify hk         --alpha --kmax
+    coeffbounds verify hk         --alpha --kmax --backend
     coeffbounds expand            --pspec --n --alpha --beta --order --kmax
 
-and every subcommand also takes --backend, --format and --out. ``bounds``
+and every subcommand also takes --format and --out. The sweeps of ``verify
+random|nehari`` sample float generators, and an ``expand`` document names
+its own backend, so only the other three read --backend. ``bounds``
 and ``verify`` walk a grid: --n, --alpha and --beta repeat, and each
 defaults to the stock grid. ``expand`` takes exactly one of each. Only
 ``expand`` truncates a series, so only it reads --order; its membership
@@ -22,7 +24,8 @@ makes agree.
 Reports (CSV or JSON) go to stdout or ``--out`` and are byte-identical
 across reruns with the same flags; the human-readable summary and timings
 go to stderr. Exit status: 0 when everything passed, 1 when at least one
-check failed, 2 for usage problems.
+check failed, 2 for usage problems, among them parameters whose float
+arithmetic overflows.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import time
 from argparse import SUPPRESS
 from pathlib import Path
 
-from .backends import FLOAT, get_backend
+from .backends import get_backend
 from .harness import (
     DEFAULT_ALPHA_TOKENS,
     DEFAULT_BETA_TOKENS,
@@ -82,10 +85,7 @@ def _flag_specs(grid: bool) -> dict:
         "trials": dict(type=int, default=SUPPRESS, help="random trials per grid point"),
         "seed": dict(type=int, default=SUPPRESS, help="master seed for the randomized suites"),
         "order": dict(type=int, default=SUPPRESS, help="series truncation order"),
-        "backend": dict(
-            choices=("float", "rational"), default=None,
-            help="arithmetic backend (default float; expand defaults to the document's backend)",
-        ),
+        "backend": dict(choices=("float", "rational"), default="float", help="arithmetic backend"),
         "format": dict(choices=("csv", "json"), default="csv", help="report format"),
         "out": dict(metavar="PATH", help="write the report here instead of stdout"),
     }
@@ -95,10 +95,10 @@ def _flag_specs(grid: bool) -> dict:
 _COMMAND_FLAGS = {
     "bounds": "n alpha beta kmax backend format out",
     "extremal": "n alpha beta kmax backend format out",
-    "random": "n alpha beta kmax trials seed backend format out",
-    "nehari": "n alpha beta kmax trials seed backend format out",
+    "random": "n alpha beta kmax trials seed format out",
+    "nehari": "n alpha beta kmax trials seed format out",
     "hk": "alpha kmax backend format out",
-    "expand": "pspec n alpha beta order kmax backend format out",
+    "expand": "pspec n alpha beta order kmax format out",
 }
 
 
@@ -139,7 +139,7 @@ def _parse_tokens(backend, tokens, what: str) -> tuple:
     for tok in tokens:
         try:
             out.append(backend.scalar(tok))
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
+        except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
             raise UsageError(f"bad {what} token {tok!r}: {exc}") from exc
     return tuple(out)
 
@@ -248,11 +248,10 @@ def _expand_csv(result: dict) -> str:
 
 def _run_expand_command(args) -> int:
     doc = _read_pspec(args.pspec)
-    backend = get_backend(args.backend) if args.backend else None
     n = _single(args.n, "n")
     alpha = _single(args.alpha, "alpha")
     beta = _single(args.beta, "beta")
-    result = run_expand(doc, n, alpha, beta, backend=backend, **_given(args))
+    result = run_expand(doc, n, alpha, beta, **_given(args))
     text = json_text(result) if args.format == "json" else _expand_csv(result)
     _emit(text, args.out)
     failed = result["membership_status"] == "fail" or any(
@@ -275,7 +274,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "expand":
             return _run_expand_command(args)
-        backend = get_backend(args.backend) if args.backend else FLOAT
+        backend = get_backend(getattr(args, "backend", "float"))
         start = time.perf_counter()
         if args.command == "bounds":
             grid = _grid_from_args(args, backend)
@@ -298,12 +297,18 @@ def main(argv=None) -> int:
             reports = run_hk_audit(alphas, backend=backend, **_given(args))
         else:
             grid = _grid_from_args(args, backend)
-            reports = _SUITE_RUNNERS[args.suite](grid, backend)
+            runner = _SUITE_RUNNERS[args.suite]
+            reports = runner(grid, backend) if "backend" in args else runner(grid)
         text = suite_json(reports) if args.format == "json" else suite_csv(reports)
         _emit(text, args.out)
         return _summarize_reports(reports, time.perf_counter() - start)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError as exc:
+        # only float arithmetic overflows, and only on parameters far outside the stock grid
+        print(f"usage error: float overflow ({exc}); the parameters leave the float range",
+              file=sys.stderr)
         return 2
 
 

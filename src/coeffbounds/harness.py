@@ -29,7 +29,7 @@ from .bounds import (
     sharp_bounds,
     small_alpha_bounds,
 )
-from .caratheodory import HerglotzAtoms, get_doc_backend, trial_atoms
+from .caratheodory import HerglotzAtoms, trial_atoms
 from .reports import SuiteEntry, SuiteReport, fmt_float
 from .schemes import (
     build_hk,
@@ -126,13 +126,6 @@ def _require_alpha_gt1(alpha_values, suite: str):
     for a in alpha_values:
         if not a > 1:
             raise UsageError(f"the {suite} suite needs every alpha > 1, got {a!r}")
-
-
-def _require_float(backend: Backend, suite: str):
-    if backend is not FLOAT:
-        raise UsageError(
-            f"the {suite} suite samples floating-point generators; run it with --backend float"
-        )
 
 
 def _point(backend: Backend, n: int, alpha, beta) -> dict:
@@ -266,13 +259,16 @@ def run_extremal_suite(grid: GridSpec, backend: Backend = FLOAT):
 
 # -- randomized suites ------------------------------------------------------
 
-def _sweep_reports(grid, backend, suite, sweep):
-    """One report per grid point; a failing point's witness is its first violation."""
+def _sweep_reports(grid, suite, sweep):
+    """One report per grid point; a failing point's witness is its first violation.
+
+    The sweeps sample float generators, so the grid holds float values.
+    """
     reports = []
     for n, alpha, beta in grid.points():
         start = time.perf_counter()
         outcome = sweep(grid.seed, n, alpha, beta, grid.trials, grid.k_max)
-        point = _point(backend, n, alpha, beta)
+        point = _point(FLOAT, n, alpha, beta)
         entries = [
             SuiteEntry(
                 suite=suite,
@@ -339,16 +335,15 @@ def _sweep_reports(grid, backend, suite, sweep):
     return reports
 
 
-def run_random_suite(grid: GridSpec, backend: Backend = FLOAT):
+def run_random_suite(grid: GridSpec):
     """Random generators never exceed the sharp bound (dominance check)."""
     from . import sweeps  # numpy loads with the sweeps, not with the CLI
 
-    _require_float(backend, "random")
     _require_alpha_gt1(grid.alpha_values, "random")
-    return _sweep_reports(grid, backend, "random", sweeps.dominance_sweep)
+    return _sweep_reports(grid, "random", sweeps.dominance_sweep)
 
 
-def run_nehari_suite(grid: GridSpec, backend: Backend = FLOAT):
+def run_nehari_suite(grid: GridSpec):
     """Sampled alternating series against the claimed transform-weighted bound.
 
     The n = 0 rows reduce to the classical coefficient bound (scaled by
@@ -360,8 +355,7 @@ def run_nehari_suite(grid: GridSpec, backend: Backend = FLOAT):
     """
     from . import sweeps
 
-    _require_float(backend, "nehari")
-    return _sweep_reports(grid, backend, "nehari", sweeps.nehari_sweep)
+    return _sweep_reports(grid, "nehari", sweeps.nehari_sweep)
 
 
 # -- h_k audit ---------------------------------------------------------------
@@ -541,40 +535,27 @@ def _ratio(residual: float, tolerance: float) -> float:
 
 
 def run_expand(
-    doc: dict,
-    n: int,
-    alpha,
-    beta,
-    order: int = DEFAULT_ORDER,
-    k_max: int = DEFAULT_K_MAX,
-    *,
-    backend: Backend | None = None,
+    doc: dict, n: int, alpha, beta, order: int = DEFAULT_ORDER, k_max: int = DEFAULT_K_MAX
 ) -> dict:
     """Expand one generator document into f, per-k bound reports, membership.
 
     A document that passes the atom rules is in P, so f is in the class by
     construction; the membership rows report the smallest weight and check
     that `p_from_f` gives back the generator's coefficients (see
-    `_round_trip`). The document's own backend wins unless ``backend`` is
-    passed explicitly, in which case a mismatch is a usage error. The
-    defaults are the ones ``coeffbounds expand`` uses.
+    `_round_trip`). The document names its backend, and alpha and beta are
+    read on it. The defaults are the ones ``coeffbounds expand`` uses.
     """
     _check_k_max(k_max)
     if not isinstance(order, int) or order < k_max:
         raise UsageError(f"order must be an integer >= k_max, got {order!r}")
     try:
-        doc_backend = get_doc_backend(doc)
         atoms = HerglotzAtoms.from_document(doc)
     except (ValueError, TypeError, KeyError) as exc:
         raise UsageError(f"invalid generator document: {exc}") from exc
-    if backend is not None and backend is not doc_backend:
-        raise UsageError(
-            f"document is on the {doc_backend.name} backend but --backend {backend.name} was given"
-        )
-    backend = doc_backend
+    backend = atoms.backend
     try:
         params = ClassParams(n, backend.scalar(alpha), backend.scalar(beta))
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise UsageError(str(exc)) from exc
     p = atoms.series(order - 1)
     f = f_from_p(p, params, order)

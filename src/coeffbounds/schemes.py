@@ -5,11 +5,11 @@ Caratheodory class with coefficients d_mu, the ladder
 
     gamma_m = 2^(-m) [1 + 1/2 sum_{mu=1}^{m} C(m, mu) d_mu],   gamma_0 = 1
 
-feeds the weights eta_m = (1-beta) alpha^n gamma_m / (alpha+m)^n of the
-Nehari-type series sum_m (-1)^(m+1) eta_{m-1} G^m (``nehari_series``).
-Since G(0) = 0, G = z H and G^m = z^m T_m: at truncation order K the
-series is summed from the tails T_m, each through order K - m, so the
-leading zeros of the powers are never multiplied.
+(``gamma_ladder``) feeds the weights eta_m = (1-beta) alpha^n gamma_m /
+(alpha+m)^n of the Nehari-type series sum_m (-1)^(m+1) eta_{m-1} G^m
+(``nehari_coefficients``). Since G(0) = 0, G = z H and G^m = z^m T_m: at
+truncation order K the series is summed from the tails T_m, each through
+order K - m, so the leading zeros of the powers are never multiplied.
 
 Hitting the sharp coefficient bound at index k requires the ladder value at
 order m = k-1 to equal the target product
@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .backends import FLOAT, Backend
-from .bounds import ClassParams
 from .series import TruncatedSeries, power_tails
 
 _HALF = Fraction(1, 2)
@@ -58,9 +57,9 @@ def gamma_target(m: int, alpha):
 def gamma_ladder(ds, m_max: int, half) -> list:
     """gamma_m = half^m [1 + half sum_{mu=1}^{m} C(m, mu) d_mu] for m = 0..m_max.
 
-    The coefficient kernel behind `gammas_from_coefficients`: the entries of
-    ds are backend scalars or numpy columns (see `series`), and ``half`` is
-    1/2 typed to match them.
+    The entries of ds are backend scalars or numpy columns (see `series`),
+    and ``half`` is 1/2 typed to match them; an exact 1/2 keeps rational
+    inputs exact. ds needs at least m_max entries.
     """
     out = []
     for m in range(m_max + 1):
@@ -81,8 +80,7 @@ def nehari_coefficients(gammas, G, n: int, alpha, beta, zero) -> list:
     to vanish (it is never read), so G = z H and G^m = z^m T_m, where the
     tail T_m runs through order K - m (`series.power_tails`). Each weighted
     tail is added into A_m..A_K only: the products with the leading zeros
-    of G^m, which added exact zeros, are never formed. The coefficient
-    kernel behind `nehari_series`.
+    of G^m, which added exact zeros, are never formed.
     """
     order = len(G) - 1
     total = [zero] * len(G)
@@ -95,20 +93,6 @@ def nehari_coefficients(gammas, G, n: int, alpha, beta, zero) -> list:
     return total
 
 
-def gammas_from_coefficients(ds, m_max: int):
-    """Ladder values gamma_0..gamma_{m_max} from the coefficients d_1, d_2, ...
-
-    gamma_m = 2^(-m) [1 + 1/2 sum_{mu=1}^{m} C(m, mu) d_mu]. Works for real
-    scalars and for complex coefficient types alike; the 1/2 and 2^(-m)
-    factors are applied as exact fractions so rational inputs stay exact.
-    """
-    if not isinstance(m_max, int) or m_max < 0:
-        raise ValueError(f"m_max must be a non-negative integer, got {m_max!r}")
-    if len(ds) < m_max:
-        raise ValueError(f"need {m_max} coefficients for gamma_{m_max}, got {len(ds)}")
-    return gamma_ladder(ds, m_max, _HALF)
-
-
 @dataclass(frozen=True)
 class GammaScheme:
     """The d / sigma / gamma data behind one h(z)_k construction.
@@ -116,18 +100,15 @@ class GammaScheme:
     ``d`` holds d_1..d_{k-2} (empty at k = 2) and ``gammas`` the ladder
     values gamma_0..gamma_{k-2} derived from them. ``sigma`` is the shared
     even-index coefficient of the k >= 6 recipe (zero for smaller k, where
-    the defining coefficient lives in ``d`` directly); ``xi`` and ``omega``
-    are that recipe's last even and odd indices (zero when unused).
-    ``weights`` are the convex-combination weights of h(z)_k, the constant
-    kernel's first (see `build_hk`).
+    the defining coefficient lives in ``d`` directly). ``weights`` are the
+    convex-combination weights of h(z)_k, the constant kernel's first (see
+    `build_hk`).
     """
 
     k: int
     alpha: object
     d: tuple
     sigma: object
-    xi: int
-    omega: int
     gammas: tuple
     weights: tuple
 
@@ -166,7 +147,7 @@ def hk_weights(k: int, alpha):
         lam = abs(dval) / 2
         return (one_s - lam, lam), zero_s, 1 if dval >= 0 else -1
     lam1 = (2 * one_s) / (k - 2)
-    even_binom_sum = 2 ** (k - 3) - 1  # C(k-2,2) + C(k-2,4) + ... + C(k-2,xi)
+    even_binom_sum = 2 ** (k - 3) - 1  # C(k-2,2) + C(k-2,4) + ..., even indices up to k-2
     prod = one_s
     for j in range(1, k - 1):
         prod = prod * ((j * alpha - 1) / (j * alpha))
@@ -193,10 +174,11 @@ def build_hk(k: int, alpha, order: int, *, backend: Backend = FLOAT):
              l2 = sigma/2 and l0 = 1 - l1 - l2, where
 
                sigma = 2^(k-1) prod_{j=1}^{k-2} ((j alpha - 1)/(j alpha))
-                       / [(k-1) (C(k-2,2) + C(k-2,4) + ... + C(k-2,xi))],
+                       / [(k-1) (C(k-2,2) + C(k-2,4) + ... + C(k-2,xi))]
 
-             giving d_1 = -2/(k-2), every even coefficient equal to sigma,
-             and every odd coefficient above 1 equal to zero.
+             with xi the largest even index <= k-2, giving d_1 = -2/(k-2),
+             every even coefficient equal to sigma, and every odd
+             coefficient above 1 equal to zero.
 
     The series and d are formed from the weights and kernels. The kernels
     past the constant have disjoint supports, so each coefficient is one
@@ -216,7 +198,6 @@ def build_hk(k: int, alpha, order: int, *, backend: Backend = FLOAT):
         raise ValueError(f"order must be an integer >= k = {k}, got {order!r}")
     alpha = backend.scalar(alpha)
     weights, sigma, sign = hk_weights(k, alpha)
-    xi = omega = 0
     if k == 2:
         kernels = ()
     elif k <= 5:
@@ -224,8 +205,6 @@ def build_hk(k: int, alpha, order: int, *, backend: Backend = FLOAT):
         kernels = (_moebius(k - 2, sign, order),)
     else:
         kernels = ([(1, -1)], _moebius(2, 1, order))  # 1 - z and (1 + z^2)/(1 - z^2)
-        xi = k - 2 if (k - 2) % 2 == 0 else k - 3
-        omega = k - 2 if (k - 2) % 2 == 1 else k - 3
     coeffs = [backend.one] + [backend.zero] * order
     d = [alpha * 0] * (k - 2)
     for w, kernel in zip(weights[1:], kernels):  # weights[0] is the constant kernel's
@@ -240,9 +219,8 @@ def build_hk(k: int, alpha, order: int, *, backend: Backend = FLOAT):
                 d[j - 1] = value
     series = TruncatedSeries(coeffs, order, backend=backend)
     d = tuple(d)
-    gammas = tuple(gammas_from_coefficients(d, k - 2))
-    scheme = GammaScheme(k=k, alpha=alpha, d=d, sigma=sigma, xi=xi, omega=omega, gammas=gammas,
-                         weights=weights)
+    gammas = tuple(gamma_ladder(d, k - 2, _HALF))
+    scheme = GammaScheme(k=k, alpha=alpha, d=d, sigma=sigma, gammas=gammas, weights=weights)
     return series, scheme
 
 
@@ -322,37 +300,3 @@ def compare_even_constants():
         rec = recipe_even_constant(k)
         rows.append(EvenConstantCheck(k=k, recomputed=rec, tabulated=tab, agree=rec == tab))
     return tuple(rows)
-
-
-def nehari_series(
-    h: TruncatedSeries, G: TruncatedSeries, params: ClassParams, order: int
-) -> TruncatedSeries:
-    """The alternating series sum_{m>=1} (-1)^(m+1) eta_{m-1} G^m.
-
-    h supplies the coefficients d_mu behind the gamma ladder; G is the
-    series with G(0) = 0 such that 1 + G lies in the Caratheodory class.
-    The output collects the coefficients A_1, A_2, ... up to ``order``.
-
-    The claimed bound |A_k| <= 2 (1-beta) alpha^n / (alpha+k)^n is a tested
-    property of the verification suite, not an assumption here: at n = 0 it
-    reduces to the classical |A_k| <= 2 (scaled by 1-beta) and holds, while
-    for n >= 1 the suite exhibits violations (see the audit notes).
-    """
-    if not isinstance(order, int) or order < 1:
-        raise ValueError(f"order must be a positive integer, got {order!r}")
-    if h.backend is not G.backend:
-        raise ValueError("mixed backends: convert explicitly before combining")
-    backend = h.backend
-    if h.coeffs[0] != backend.one:
-        raise ValueError("h must have constant term exactly 1")
-    if G.coeffs[0] != backend.zero:
-        raise ValueError("G must vanish at 0 (1 + G has constant term 1)")
-    if h.order < order - 1:
-        raise ValueError(f"h order {h.order} is below the needed {order - 1}")
-    if G.order < order:
-        raise ValueError(f"G order {G.order} is below the needed {order}")
-    gammas = gammas_from_coefficients(h.coeffs[1:], order - 1)
-    alpha = backend.scalar(params.alpha)
-    beta = backend.scalar(params.beta)
-    total = nehari_coefficients(gammas, G.coeffs[: order + 1], params.n, alpha, beta, backend.zero)
-    return TruncatedSeries(total, order, backend=backend)

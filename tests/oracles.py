@@ -18,11 +18,11 @@ Horner loop).
   times, and then reads coefficients off a circle by discrete Fourier
   transform.
 - ``dominance_margins_scalar`` and ``nehari_margins_scalar`` recompute one
-  sweep trial through the scalar functions (`f_from_p`,
-  `half_hadamard`, `nehari_series`), one `HerglotzAtoms` system at a time.
-  They share the coefficient kernels with the sweeps, so they check the
-  column split, the padding and the bounds; the closed-form oracle
-  ``a_k_direct`` checks the kernels themselves.
+  sweep trial on scalars, one `HerglotzAtoms` system at a time: through
+  `f_from_p`, and through the half-Hadamard, ladder and Nehari kernels on
+  the atoms' coefficient lists. They share the coefficient kernels with the
+  sweeps, so they check the column split, the padding and the bounds; the
+  closed-form oracle ``a_k_direct`` checks the kernels themselves.
 - ``a_k_direct`` expands a_k as a sum over powers of the transformed
   generator, without the real-power recurrence.
 - ``f_from_p_by_wrappers`` is `f_from_p` as a composition of steps, one
@@ -33,8 +33,8 @@ Horner loop).
   fractions on the rational backend.
 - ``min_real_part_scalar`` is the minimum of Re over equally spaced points
   of a circle, one ``evaluate`` call per point on the ``complex``
-  coefficients; the positivity probes of `half_hadamard` and `build_hk`
-  read it. The library samples no circle.
+  coefficients; the positivity probes of the half-Hadamard composition and
+  of `build_hk` read it. The library samples no circle.
 - ``random_herglotz`` is the atom system of trial 0 of the stream keyed by
   a seed, a fixed random generator for tests.
 - ``classify_region_by_fractions`` is the omega-region test with the
@@ -71,12 +71,11 @@ from coeffbounds import (
     HerglotzAtoms,
     TruncatedSeries,
     f_from_p,
-    half_hadamard,
     sharp_bound,
 )
 from coeffbounds.bounds import Region
-from coeffbounds.caratheodory import MAX_ATOMS, check_atom_rows, trial_atoms
-from coeffbounds.schemes import nehari_series
+from coeffbounds.caratheodory import MAX_ATOMS, check_atom_rows, half_hadamard_coefficients, trial_atoms
+from coeffbounds.schemes import gamma_ladder, nehari_coefficients
 from coeffbounds.series import cauchy_coefficients, real_power_coefficients
 
 
@@ -223,15 +222,17 @@ def dominance_margins_scalar(atoms, n: int, alpha, beta, k_max: int):
 
 
 def nehari_margins_scalar(h_atoms, p_atoms, q_atoms, n: int, alpha, beta, k_max: int):
-    """One trial of the nehari sweep through the scalar series pipeline."""
-    h = h_atoms.series(k_max - 1)
-    r = half_hadamard(p_atoms.series(k_max), q_atoms.series(k_max))
-    G = TruncatedSeries([FLOAT.zero, *r.coeffs[1:]], k_max)
-    A = nehari_series(h, G, ClassParams(n, alpha, beta), k_max)
+    """One trial of the nehari sweep through the kernels on scalar coefficient lists."""
+    half = FLOAT.scalar(Fraction(1, 2))
     af = float(alpha)
     bf = float(beta)
+    d = h_atoms.series(k_max - 1).coeffs
+    p, q = p_atoms.series(k_max).coeffs, q_atoms.series(k_max).coeffs
+    r = half_hadamard_coefficients(p, q, FLOAT.one, half)
+    gammas = gamma_ladder(d[1:], k_max - 1, half)
+    A = nehari_coefficients(gammas, [FLOAT.zero, *r[1:]], n, af, bf, FLOAT.zero)
     return [
-        2.0 * (1.0 - bf) * af**n / (af + k) ** n - abs(A.coefficient(k))
+        2.0 * (1.0 - bf) * af**n / (af + k) ** n - abs(A[k])
         for k in range(1, k_max + 1)
     ]
 

@@ -16,14 +16,17 @@ from coeffbounds import (
     RATIONAL,
     ClassParams,
     GammaScheme,
+    HerglotzAtoms,
     TruncatedSeries,
     bounds,
     caratheodory,
+    cli,
     harness,
     schemes,
     series,
     sweeps,
 )
+from coeffbounds._rational import RationalComplex
 import oracles
 
 REMOVED_EXPORTS = (
@@ -41,6 +44,10 @@ REMOVED_EXPORTS = (
     "tail_bound",
     "verify_membership",
     "random_herglotz",
+    "half_hadamard",
+    "nehari_series",
+    "gammas_from_coefficients",
+    "get_doc_backend",
 )
 
 
@@ -85,6 +92,16 @@ def test_removed_name_is_not_exported(name):
         (caratheodory, "min_real_part"),
         (caratheodory, "CIRCLE_BLOCK"),
         (caratheodory, "random_herglotz"),
+        (caratheodory, "half_hadamard"),
+        (caratheodory, "get_doc_backend"),
+        (caratheodory, "_fill_atoms"),
+        (HerglotzAtoms, "_from_checked"),
+        (schemes, "nehari_series"),
+        (schemes, "gammas_from_coefficients"),
+        (GammaScheme, "xi"),
+        (GammaScheme, "omega"),
+        (harness, "_require_float"),
+        *((RationalComplex, method) for method in ("__rsub__", "__rtruediv__", "__pow__", "conjugate")),
         (bounds, "verify_membership"),
         (harness, "tail_bound"),
         (harness, "DEFAULT_RADIUS"),
@@ -129,6 +146,9 @@ def test_backend_constants_are_shared():
         (caratheodory.trial_atoms, "max_atoms"),
         (oracles.random_herglotz, "max_atoms"),
         (harness._sweep_reports, "witness_of"),
+        (harness.run_random_suite, "backend"),
+        (harness.run_nehari_suite, "backend"),
+        (harness.run_expand, "backend"),
         (schemes.check_gamma_identity, "alpha"),
         (schemes.check_gamma_identity, "tol"),
         (bounds.bound_report, "tol"),
@@ -296,3 +316,112 @@ def test_unused_import_scan_sees_an_unused_name():
     tree = ast.parse("from __future__ import annotations\nimport cmath, math\nfrom x import y\n"
                      "__all__ = ['y']\nmath.pi\n")
     assert _unused_imports(tree) == ["cmath"]
+
+
+def _functions_in(tree: ast.Module, file_name: str, prefix: str) -> dict:
+    """Qualified name of every def in a module, keyed by (file name, first line of its code).
+
+    A decorated function's code object starts at its first decorator.
+    """
+    found = {}
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                line = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found[(file_name, line)] = prefix + child.name
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(tree, prefix)
+    return found
+
+
+def _defined_functions() -> dict:
+    found = {}
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        found.update(_functions_in(ast.parse(path.read_text()), path.name, f"{path.stem}."))
+    return found
+
+
+#: Value-type methods that compare, hash, print, measure or guard immutability;
+#: no command needs them.
+_VALUE_DUNDERS = {"__eq__", "__hash__", "__repr__", "__setattr__", "__len__"}
+#: The other package functions the commands below need not enter, and why.
+_MAY_STAY_UNENTERED = {
+    "backends.Backend.__init__": "runs at import time, when FLOAT and RATIONAL are built",
+    "cli.entry": "the console-script wrapper around cli.main",
+    "_rational.t_from_unimodular": "writes rational witnesses, which only a failing rational run reaches",
+    "caratheodory.HerglotzAtoms.from_rational": "the public constructor of exact atom systems",
+    "_rational.RationalComplex.__neg__": "schemes.nehari_coefficients negates on exact data, "
+    "which no command runs yet",
+}
+
+
+def _one_point_commands(tmp_path) -> list:
+    """Every command once on one grid point, in CSV and in JSON."""
+    point = ["--n", "1", "--alpha", "2", "--beta", "0"]
+    commands = []
+    for backend in ("float", "rational"):
+        flag = ["--backend", backend]
+        commands += [["bounds", *point, *flag], ["verify", "extremal", *point, *flag],
+                     ["verify", "hk", "--alpha", "2", *flag]]
+    # the nehari point fails at n = 1, so its witness atoms are rebuilt too
+    commands += [["verify", "random", *point], ["verify", "nehari", *point]]
+    docs = {
+        "float": {"backend": "float", "atoms": [{"weight": 0.5, "angle_radians": 0.7},
+                                                 {"weight": 0.5, "angle_radians": -1.3}]},
+        "rational": {"backend": "rational", "atoms": [{"weight": "1/3", "t": "1/2"},
+                                                       {"weight": "2/3", "t": "-3/4"}]},
+    }
+    # alpha 2 compares against the sharp bound, alpha 1/2 against the small-alpha bound
+    for (name, doc), alpha in zip(docs.items(), ("2", "1/2")):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        commands.append(["expand", "--pspec", str(path), "--n", "1", "--alpha", alpha, "--beta", "0"])
+    return [[*argv, "--format", fmt] for argv in commands for fmt in ("csv", "json")]
+
+
+def test_commands_enter_every_package_function(tmp_path, capsys):
+    # what no command enters is test-only or dead code, unless it is allowed above
+    package = str(PACKAGE_DIR)
+    entered = set()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename.startswith(package):
+            entered.add((Path(code.co_filename).name, code.co_firstlineno))
+
+    commands = _one_point_commands(tmp_path)
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        codes = [cli.main(argv) for argv in commands]
+    finally:
+        sys.setprofile(previous)
+    capsys.readouterr()
+    assert codes == [1 if "nehari" in argv else 0 for argv in commands]
+    defined = _defined_functions()
+    assert set(_MAY_STAY_UNENTERED) <= set(defined.values())
+    unentered = sorted(
+        name for key, name in defined.items()
+        if key not in entered
+        and name not in _MAY_STAY_UNENTERED
+        and name.rsplit(".", 1)[1] not in _VALUE_DUNDERS
+    )
+    assert unentered == []
+
+
+def test_function_scan_keys_match_code_objects():
+    source = "class A:\n    @classmethod\n    def f(cls):\n        def g():\n            pass\n"
+    found = _functions_in(ast.parse(source), "m.py", "m.")
+    assert found == {("m.py", 2): "m.A.f", ("m.py", 4): "m.A.f.g"}
+    codes, stack = [], [compile(source, "m.py", "exec")]
+    while stack:
+        code = stack.pop()
+        codes.append((code.co_name, code.co_firstlineno))
+        stack.extend(c for c in code.co_consts if inspect.iscode(c))
+    assert {("f", 2), ("g", 4)} <= set(codes)

@@ -279,6 +279,12 @@ class TestGrowthEstimate:
             for k in range(17):
                 assert growth_estimate(alpha, k) > 2.0
 
+    def test_saturates_for_an_exact_alpha_past_the_float_range(self):
+        # what `bounds --backend rational --alpha 1e400` tabulates
+        assert growth_estimate(Fraction(10**400), 3) == math.inf
+        with pytest.raises(ValueError):
+            growth_estimate(Fraction(-(10**400)), 3)
+
 
 class TestReconstruction:
     def test_constant_generator_gives_identity(self):

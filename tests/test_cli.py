@@ -42,12 +42,12 @@ class TestExitCodes:
         assert "0/1 points passed" in err
 
     def test_rational_random_is_usage_error(self, capsys):
+        # the sweeps sample float generators, so verify random takes no --backend at all
         code, out, err = run(
             ["verify", "random", *SMALL, "--backend", "rational", "--trials", "20"], capsys
         )
-        assert code == 2
-        assert err.startswith("usage error:")
-        assert out == ""
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --backend rational" in err
 
     def test_bad_alpha_token(self, capsys):
         code, _, err = run(["bounds", "--alpha", "x/y"], capsys)
@@ -79,11 +79,36 @@ class TestExitCodes:
         code, _, err = run(["bounds", "--n", "1", "--alpha", "2", "--beta", "1.5"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", "--alpha", "1e400"],
+            ["expand", "--n", "1", "--alpha", "1e400", "--beta", "0"],
+            ["bounds", "--alpha", "1e308"],
+            ["verify", "extremal", "--alpha", "1e308"],
+            ["verify", "hk", "--alpha", "1e308"],
+            ["verify", "random", "--alpha", "1e308"],
+            ["verify", "nehari", "--alpha", "1e308"],
+            ["verify", "hk", "--alpha", "1e200"],
+            ["bounds", "--alpha", "1e-320"],
+        ],
+        ids=" ".join,
+    )
+    def test_float_overflow_is_a_usage_error(self, argv, tmp_path, capsys):
+        # 1e400 is past the float range, and the float powers of the others overflow
+        if argv[0] == "expand":
+            path = tmp_path / "p.json"
+            path.write_text(json.dumps(extremal_p(2).to_document()))
+            argv = [*argv, "--pspec", str(path)]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error:")
 
-_POINT_FLAGS = {"--n", "--alpha", "--beta", "--kmax", "--backend", "--format", "--out"}
+
+_POINT_FLAGS = {"--n", "--alpha", "--beta", "--kmax", "--format", "--out"}
 _FLAGS_BY_COMMAND = {
-    ("bounds",): _POINT_FLAGS,
-    ("verify", "extremal"): _POINT_FLAGS,
+    ("bounds",): _POINT_FLAGS | {"--backend"},
+    ("verify", "extremal"): _POINT_FLAGS | {"--backend"},
     ("verify", "random"): _POINT_FLAGS | {"--trials", "--seed"},
     ("verify", "nehari"): _POINT_FLAGS | {"--trials", "--seed"},
     ("verify", "hk"): {"--alpha", "--kmax", "--backend", "--format", "--out"},
@@ -115,6 +140,9 @@ class TestFlagsPerSubcommand:
             ["verify", "hk", "--n", "7", "--beta", "0.5", "--trials", "3", "--seed", "9"],
             ["verify", "random", "--order", "5000", "--radius", "0.1"],
             ["expand", "--radius", "0.5"],
+            # the sweeps sample float generators, and a document names its own backend
+            ["verify", "random", "--backend", "float", "--trials", "5"],
+            ["verify", "nehari", "--backend", "float", "--trials", "5"],
         ],
     )
     def test_ignored_flags_are_usage_errors(self, argv, capsys):
@@ -331,10 +359,11 @@ class TestExpandCommand:
         assert run(self.expand_args(str(path)), capsys)[0] == 2
 
     def test_backend_mismatch(self, tmp_path, capsys):
+        # the document names its backend, so expand takes no --backend at all
         args = self.expand_args(str(self.doc_path(tmp_path))) + ["--backend", "rational"]
-        code, _, err = run(args, capsys)
-        assert code == 2
-        assert "usage error" in err
+        code, out, err = run(args, capsys)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --backend rational" in err
 
     @pytest.mark.parametrize(
         "atom",

@@ -173,10 +173,6 @@ class TestRandomSuite:
         assert all(r.witness is None for r in reports)
         assert all(e.reference == fmt_float(-SLACK) for r in reports for e in r.entries)
 
-    def test_rejects_rational_backend(self):
-        with pytest.raises(UsageError):
-            run_random_suite(small_grid(), RATIONAL)
-
     def test_byte_identical_reports(self):
         a = suite_csv(run_random_suite(small_grid()))
         b = suite_csv(run_random_suite(small_grid()))
@@ -383,10 +379,6 @@ class TestExpand:
         result = run_expand(doc, 1, "2", "0", 8, 4)
         assert result["backend"] == "rational"
         assert result["f_coefficients"][1] == "1"
-
-    def test_conflicting_backend_flag(self):
-        with pytest.raises(UsageError):
-            run_expand(self.float_doc(), 1, 2.0, 0.0, 16, 6, backend=RATIONAL)
 
     def test_malformed_document(self):
         with pytest.raises(UsageError):

@@ -85,7 +85,7 @@ class TestArithmetic:
     def test_conjugate_and_abs2(self):
         x = rc(Fraction(3, 5), Fraction(4, 5))
         assert x.abs2() == 1
-        assert x * x.conjugate() == rc(x.abs2())
+        assert x * rc(x.re, -x.im) == rc(x.abs2())
 
     def test_fraction_and_int_mixing(self):
         assert Fraction(1, 2) * rc(4, 6) == rc(2, 3)
@@ -106,6 +106,7 @@ class TestArithmetic:
     @given(fractions, fractions)
     def test_additive_inverse(self, a, b):
         x = rc(a, b)
+        assert_exact(-x, (-a, -b))
         assert x + (-x) == rc(0)
 
 
@@ -128,16 +129,12 @@ class TestRealOperandPaths:
         a, b, r = zeroed(values, zeros)
         x, real = (a, b), (Fraction(r), Fraction(0))
         check_op(op, x, real, rc(a, b), r)
-        check_op(op, real, x, r, rc(a, b))
-
-    @given(parts, parts, st.integers(0, 5))
-    def test_negation_conjugate_and_power(self, a, b, n):
-        assert_exact(-rc(a, b), (-a, -b))
-        assert_exact(rc(a, b).conjugate(), (a, -b))
-        expected = (Fraction(1), Fraction(0))
-        for _ in range(n):
-            expected = generic("mul", expected, (a, b))
-        assert_exact(rc(a, b) ** n, expected)
+        if op in ("add", "mul"):
+            check_op(op, real, x, r, rc(a, b))
+        else:
+            # no computation subtracts from or divides a real by an exact complex
+            with pytest.raises(TypeError):
+                OPS[op](r, rc(a, b))
 
     @given(parts, parts, st.one_of(st.integers(-50, 50), parts))
     def test_equality_with_a_real(self, a, b, r):

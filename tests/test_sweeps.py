@@ -11,12 +11,8 @@ from coeffbounds import (
     FLOAT,
     RATIONAL,
     ClassParams,
-    TruncatedSeries,
     caratheodory,
     f_from_p,
-    gammas_from_coefficients,
-    half_hadamard,
-    nehari_series,
     sharp_bound,
 )
 from coeffbounds._rational import RationalComplex
@@ -385,7 +381,7 @@ class TestBatchKernels:
         if dtype is np.complex128:
             ds += 1j * rng.uniform(-2, 2, size=(3, 8))
         got = gamma_ladder(list(ds.T), 8, self.half)
-        want = [gammas_from_coefficients([c.item() for c in row], 8) for row in ds]
+        want = [gamma_ladder([c.item() for c in row], 8, Fraction(1, 2)) for row in ds]
         assert_columns_match(got, want, dtype=dtype)
         assert got[0] == 1
 
@@ -400,9 +396,12 @@ class TestBatchKernels:
         got = nehari_coefficients(gammas, [FLOAT.zero, *r[1:]], n, 2.0, 0.25, FLOAT.zero)
         want = []
         for h_at, p_at, q_at in zip(h_sys, p_sys, q_sys):
-            r = half_hadamard(p_at.series(k_max), q_at.series(k_max))
-            G = TruncatedSeries([FLOAT.zero, *r.coeffs[1:]], k_max)
-            want.append(nehari_series(h_at.series(k_max - 1), G, params, k_max).coeffs)
+            # the scalar route, one trial at a time, with the exact 1/2 of the rational backend
+            r = half_hadamard_coefficients(p_at.series(k_max).coeffs, q_at.series(k_max).coeffs,
+                                           FLOAT.one, Fraction(1, 2))
+            gammas = gamma_ladder(h_at.series(k_max - 1).coeffs[1:], k_max - 1, Fraction(1, 2))
+            want.append(nehari_coefficients(gammas, [FLOAT.zero, *r[1:]], n, params.alpha, params.beta,
+                                            FLOAT.zero))
         assert_columns_match(got, want)
 
 
@@ -487,14 +486,14 @@ class TestNehari:
         def exact(atoms, order):
             weights = [Fraction(w) for w in atoms.weights]
             points = [RationalComplex(Fraction(x.real), Fraction(x.imag)) for x in atoms.points]
-            coeffs = atom_coefficients(weights, points, order, RATIONAL.one, RATIONAL.zero)
-            return TruncatedSeries(coeffs, order, backend=RATIONAL)
+            return atom_coefficients(weights, points, order, RATIONAL.one, RATIONAL.zero)
 
         h, p, q = witness(seed, NEHARI_ROLES, 0, 2.0, 0.0, trial)
-        r = half_hadamard(exact(p, k), exact(q, k))
-        G = TruncatedSeries([RATIONAL.zero, *r.coeffs[1:]], k, backend=RATIONAL)
-        A = nehari_series(exact(h, k - 1), G, ClassParams(0, Fraction(2), Fraction(0)), k)
-        assert A.coefficient(k).abs2() <= 4
+        half = Fraction(1, 2)
+        r = half_hadamard_coefficients(exact(p, k), exact(q, k), RATIONAL.one, half)
+        gammas = gamma_ladder(exact(h, k - 1)[1:], k - 1, half)
+        A = nehari_coefficients(gammas, [RATIONAL.zero, *r[1:]], 0, Fraction(2), Fraction(0), RATIONAL.zero)
+        assert A[k].abs2() <= 4
 
     def test_roles_use_independent_seeds(self):
         h_at, p_at, q_at = witness(9, NEHARI_ROLES, 1, 2.0, 0.0, 4)
