@@ -9,6 +9,7 @@ an exact rational pair.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 
@@ -20,6 +21,16 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, str):
         return Fraction(x)
     raise TypeError(f"cannot build an exact rational from {type(x).__name__}")
+
+
+def exact_text(x: Fraction) -> str:
+    """``str(x)``; an integer past the interpreter's digit limit raises OverflowError."""
+    try:
+        return str(x)
+    except ValueError:
+        raise OverflowError(
+            f"an exact value has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 class RationalComplex:
@@ -119,9 +130,9 @@ class RationalComplex:
 
     def __str__(self):
         if self.im == 0:
-            return str(self.re)
+            return exact_text(self.re)
         sign = "+" if self.im >= 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
+        return f"{exact_text(self.re)}{sign}{exact_text(abs(self.im))}i"
 
 
 _new = object.__new__

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._rational import RationalComplex
+from ._rational import RationalComplex, exact_text
 from .reports import fmt_float
 
 
@@ -69,7 +69,7 @@ class _RationalBackend(Backend):
     one = RationalComplex(1, 0)
 
     def format_scalar(self, x) -> str:
-        return str(Fraction(x))
+        return exact_text(Fraction(x))
 
 
 FLOAT = _FloatBackend("float")

@@ -87,21 +87,22 @@ def check_atom_rows(weights, points, counts) -> None:
 
     Used weights are positive, each row's weights sum to 1 within
     `_WEIGHT_SUM_TOL` and used points lie within `_UNIMODULAR_TOL` of the
-    unit circle. Each comparison is written so that NaN fails it.
+    unit circle. Each comparison is written so that NaN fails it, and unused
+    points are masked out of the last rule.
     """
     import numpy as np
 
-    used = np.arange(weights.shape[1]) < counts[:, None]
-    if not (weights[used] > 0).all():
+    used = (np.arange(weights.shape[1])[:, None] < counts).T  # atom-major, as `draw_atoms` stores
+    if not ((weights > 0) | ~used).all():
         raise ValueError("weights must be positive")
     totals = weights.sum(axis=1)
     off = ~(np.abs(totals - 1.0) <= _WEIGHT_SUM_TOL)
     if off.any():
         raise ValueError(f"weights must sum to 1, got {float(totals[off][0])!r}")
-    used_points = points[used]
-    off = ~(np.abs(np.abs(used_points) - 1.0) <= _UNIMODULAR_TOL)
+    off = ~(np.abs(np.abs(points) - 1.0) <= _UNIMODULAR_TOL)
+    off &= used
     if off.any():
-        raise ValueError(f"point {complex(used_points[off][0])!r} is not unimodular")
+        raise ValueError(f"point {complex(points[off][0])!r} is not unimodular")
 
 
 def _check_atom_row(weights: tuple, points: tuple) -> None:
@@ -324,6 +325,8 @@ def draw_atoms(key: int, start: int, stop: int):
 
     Returns ``(weights, points, counts)``: (trials, MAX_ATOMS) arrays whose
     first counts[t] slots of row t are used, padded with weight 0 and point 1.
+    The two arrays are stored atom-major, so ``weights.T`` and ``points.T``
+    are C-contiguous.
     Every row passes `check_atom_rows`.
     """
     if not 0 <= key < 2**64:
@@ -335,23 +338,32 @@ def draw_atoms(key: int, start: int, stop: int):
     rows, width = stop - start, 1 + 2 * MAX_ATOMS
     u = _uniforms(key, start * width, stop * width).reshape(rows, width)
     counts = np.minimum(1 + (u[:, 0] * MAX_ATOMS).astype(np.intp), MAX_ATOMS)
-    unused = np.arange(MAX_ATOMS) >= counts[:, None]
-    angles = 2.0 * math.pi * u[:, 1 : 1 + MAX_ATOMS]
-    points = np.empty((rows, MAX_ATOMS), dtype=np.complex128)
+    # atom-major arrays: each atom's column is contiguous, for the column adds
+    # below and for the per-atom columns of the sweeps
+    unused = (np.arange(MAX_ATOMS)[:, None] >= counts).T
+    angles = np.multiply(2.0 * math.pi, u[:, 1 : 1 + MAX_ATOMS], out=np.empty((MAX_ATOMS, rows)).T)
+    points = np.empty((MAX_ATOMS, rows), dtype=np.complex128).T
     np.cos(angles, out=points.real)
     np.sin(angles, out=points.imag)
     points[unused] = 1.0
     # the exponentials -log1p(-u), made in place, then normalized in place
-    weights = np.negative(u[:, 1 + MAX_ATOMS :])
+    weights = np.negative(u[:, 1 + MAX_ATOMS :], out=np.empty((MAX_ATOMS, rows)).T)
     np.log1p(weights, out=weights)
     np.negative(weights, out=weights)
     weights[unused] = 0.0
-    # cumsum adds left to right, so a row sums alike alone or in a block
-    weights /= np.cumsum(weights, axis=1)[:, -1:]
-    # renormalize the last used weight so the sum is exactly 1.0 in floating point
-    row, last = np.arange(rows), counts - 1
-    rest = np.cumsum(weights, axis=1)[row, last - 1]
-    weights[row, last] = 1.0 - np.where(last > 0, rest, 0.0)
+    # the row totals add column by column, left to right as cumsum(axis=1)
+    # adds, so a row sums alike alone or in a block
+    columns = weights.T
+    total = columns[0].copy()
+    for column in columns[1:]:
+        total += column
+    weights /= total[:, None]
+    # renormalize the last used weight so the sum is exactly 1.0 in floating
+    # point: one minus the left-to-right sum of the weights before it
+    rest = np.zeros(rows)
+    for j, column in enumerate(columns):
+        np.subtract(1.0, rest, out=column, where=counts == j + 1)
+        rest += column
     check_atom_rows(weights, points, counts)
     return weights, points, counts
 

@@ -25,7 +25,7 @@ Reports (CSV or JSON) go to stdout or ``--out`` and are byte-identical
 across reruns with the same flags; the human-readable summary and timings
 go to stderr. Exit status: 0 when everything passed, 1 when at least one
 check failed, 2 for usage problems, among them parameters whose float
-arithmetic overflows.
+arithmetic overflows or whose exact values grow past the digits Python prints.
 """
 
 from __future__ import annotations
@@ -306,8 +306,9 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except OverflowError as exc:
-        # only float arithmetic overflows, and only on parameters far outside the stock grid
-        print(f"usage error: float overflow ({exc}); the parameters leave the float range",
+        # float arithmetic overflows, and exact values outgrow the digits the interpreter
+        # prints, only on parameters far outside the stock grid
+        print(f"usage error: overflow ({exc}); the parameters leave the range of the arithmetic",
               file=sys.stderr)
         return 2
 

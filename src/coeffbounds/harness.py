@@ -55,11 +55,27 @@ DEFAULT_SEED = 1729
 EXTREMAL_REL_TOL = 1e-10
 #: Largest |a_k| gap at which the alpha = 1 audit matches a closed form 2/k^n or 2/(k+1)^n.
 ALPHA_ONE_MATCH_TOL = 1e-12
+#: Largest bit length of the numerator or the denominator of an exact alpha or
+#: beta (19 decimal digits fit). Exact bounds and expansions grow with it: a
+#: 400-digit alpha keeps a rational ``expand`` busy for minutes.
+MAX_EXACT_BITS = 64
 
 
 def _check_k_max(k_max):
     if not isinstance(k_max, int) or k_max < 2:
         raise UsageError(f"k_max must be an integer >= 2, got {k_max!r}")
+
+
+def _check_exact_size(values, what: str):
+    """An exact value past `MAX_EXACT_BITS` is a usage error; floats pass."""
+    for value in values:
+        if not isinstance(value, Fraction):
+            continue
+        bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+        if bits > MAX_EXACT_BITS:
+            # the value itself is not printed: it may pass the interpreter's digit limit
+            raise UsageError(f"exact {what} has a {bits}-bit numerator or denominator, "
+                             f"over the {MAX_EXACT_BITS}-bit limit")
 
 
 def _reject_repeats(values, what: str):
@@ -98,6 +114,8 @@ class GridSpec:
         for b in self.beta_values:
             if not (0 <= b < 1):
                 raise UsageError(f"beta must lie in [0, 1), got {b!r}")
+        _check_exact_size(self.alpha_values, "alpha")
+        _check_exact_size(self.beta_values, "beta")
         _reject_repeats(self.n_values, "n")
         _reject_repeats(self.alpha_values, "alpha")
         _reject_repeats(self.beta_values, "beta")
@@ -262,77 +280,83 @@ def run_extremal_suite(grid: GridSpec, backend: Backend = FLOAT):
 def _sweep_reports(grid, suite, sweep):
     """One report per grid point; a failing point's witness is its first violation.
 
-    The sweeps sample float generators, so the grid holds float values.
+    The sweeps sample float generators, so the grid holds float values. One
+    sweep call covers the betas of one (n, alpha), so each of its points
+    reports the group's time split evenly.
     """
     reports = []
-    for n, alpha, beta in grid.points():
+    for n, alpha in itertools.product(grid.n_values, grid.alpha_values):
         start = time.perf_counter()
-        outcome = sweep(grid.seed, n, alpha, beta, grid.trials, grid.k_max)
-        point = _point(FLOAT, n, alpha, beta)
-        entries = [
+        outcomes = sweep(grid.seed, n, alpha, grid.beta_values, grid.trials, grid.k_max)
+        group = [_sweep_report(suite, grid, _point(FLOAT, n, alpha, beta), outcome)
+                 for beta, outcome in zip(grid.beta_values, outcomes)]
+        elapsed = (time.perf_counter() - start) / len(group)
+        reports += [SuiteReport(**fields, elapsed=elapsed) for fields in group]
+    return reports
+
+
+def _sweep_report(suite, grid, point, outcome) -> dict:
+    """The SuiteReport fields of one point's sweep outcome, all but the elapsed time."""
+    entries = [
+        SuiteEntry(
+            suite=suite,
+            **point,
+            k=str(outcome.worst_k),
+            case=f"worst margin over {grid.trials} trials",
+            observed=fmt_float(outcome.worst_margin),
+            reference=fmt_float(-SLACK),
+            margin=fmt_float(outcome.worst_margin),
+            status="pass" if not outcome.violation_count else "fail",
+        )
+    ]
+    for trial, k, margin in outcome.violations:
+        entries.append(
             SuiteEntry(
                 suite=suite,
                 **point,
-                k=str(outcome.worst_k),
-                case=f"worst margin over {grid.trials} trials",
-                observed=fmt_float(outcome.worst_margin),
+                k=str(k),
+                case=f"violation in trial {trial}",
+                observed=fmt_float(margin),
                 reference=fmt_float(-SLACK),
-                margin=fmt_float(outcome.worst_margin),
-                status="pass" if not outcome.violation_count else "fail",
-            )
-        ]
-        for trial, k, margin in outcome.violations:
-            entries.append(
-                SuiteEntry(
-                    suite=suite,
-                    **point,
-                    k=str(k),
-                    case=f"violation in trial {trial}",
-                    observed=fmt_float(margin),
-                    reference=fmt_float(-SLACK),
-                    margin=fmt_float(margin),
-                    status="fail",
-                )
-            )
-        hidden = outcome.violation_count - len(outcome.violations)
-        if hidden > 0:
-            entries.append(
-                SuiteEntry(
-                    suite=suite,
-                    **point,
-                    k="",
-                    case=f"{hidden} further violations not listed",
-                    observed=str(outcome.violation_count),
-                    reference="0",
-                    margin="",
-                    status="info",
-                )
-            )
-        witness = None
-        if outcome.violations:
-            trial, k, margin = outcome.violations[0]
-            witness = {
-                "trial": trial,
-                "k": k,
-                "margin": fmt_float(margin),
-                "stream_keys": outcome.stream_keys,
-                "atoms": {
-                    role: trial_atoms(key, trial).to_document()
-                    for role, key in outcome.stream_keys.items()
-                },
-            }
-        reports.append(
-            SuiteReport(
-                suite=suite,
-                point=point,
-                passed=not outcome.violation_count,
-                worst_margin=outcome.worst_margin,
-                witness=witness,
-                entries=tuple(entries),
-                elapsed=time.perf_counter() - start,
+                margin=fmt_float(margin),
+                status="fail",
             )
         )
-    return reports
+    hidden = outcome.violation_count - len(outcome.violations)
+    if hidden > 0:
+        entries.append(
+            SuiteEntry(
+                suite=suite,
+                **point,
+                k="",
+                case=f"{hidden} further violations not listed",
+                observed=str(outcome.violation_count),
+                reference="0",
+                margin="",
+                status="info",
+            )
+        )
+    witness = None
+    if outcome.violations:
+        trial, k, margin = outcome.violations[0]
+        witness = {
+            "trial": trial,
+            "k": k,
+            "margin": fmt_float(margin),
+            "stream_keys": outcome.stream_keys,
+            "atoms": {
+                role: trial_atoms(key, trial).to_document()
+                for role, key in outcome.stream_keys.items()
+            },
+        }
+    return dict(
+        suite=suite,
+        point=point,
+        passed=not outcome.violation_count,
+        worst_margin=outcome.worst_margin,
+        witness=witness,
+        entries=tuple(entries),
+    )
 
 
 def run_random_suite(grid: GridSpec):
@@ -340,7 +364,7 @@ def run_random_suite(grid: GridSpec):
     from . import sweeps  # numpy loads with the sweeps, not with the CLI
 
     _require_alpha_gt1(grid.alpha_values, "random")
-    return _sweep_reports(grid, "random", sweeps.dominance_sweep)
+    return _sweep_reports(grid, "random", sweeps.dominance_sweeps)
 
 
 def run_nehari_suite(grid: GridSpec):
@@ -355,7 +379,7 @@ def run_nehari_suite(grid: GridSpec):
     """
     from . import sweeps
 
-    return _sweep_reports(grid, "nehari", sweeps.nehari_sweep)
+    return _sweep_reports(grid, "nehari", sweeps.nehari_sweeps)
 
 
 # -- h_k audit ---------------------------------------------------------------
@@ -380,6 +404,7 @@ def run_hk_audit(alpha_values, k_max: int = DEFAULT_K_MAX, backend: Backend = FL
     if not alpha_values:
         raise UsageError("empty alpha list")
     _require_alpha_gt1(alpha_values, "hk")
+    _check_exact_size(alpha_values, "alpha")
     _reject_repeats(alpha_values, "alpha")
     _check_k_max(k_max)
     reports = []
@@ -557,6 +582,8 @@ def run_expand(
         params = ClassParams(n, backend.scalar(alpha), backend.scalar(beta))
     except (ValueError, TypeError, OverflowError) as exc:
         raise UsageError(str(exc)) from exc
+    _check_exact_size((params.alpha,), "alpha")
+    _check_exact_size((params.beta,), "beta")
     p = atoms.series(order - 1)
     f = f_from_p(p, params, order)
     bound_rows = []

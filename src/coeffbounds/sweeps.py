@@ -10,14 +10,20 @@ coefficient kernels (the atom series, the transform, the beta shift, the
 real power, the gamma ladder and the Nehari sum): the scalar series
 classes and the sweeps run one implementation of every recurrence, on
 backend scalars or on columns holding one value per trial. Besides the
-stream keys, this module adds only the claimed Nehari bound, the stacking
-of the margins into ``(trials, k)`` arrays and the summary.
+stream keys, this module adds only the claimed Nehari bound, the margins
+as ``(trials, k)`` arrays, the blocks and the summary.
 
-Trials are processed in chunks of `CHUNK_TRIALS`, so memory stays flat in
-the trial count. Each sweep keeps the worst margin (the first occurrence,
-as ``np.argmin`` over all trials would give), the total number of
-violations (margins below ``-bounds.SLACK``, and NaN margins, which never
-pass) and only the first five of them in (trial, k) order.
+One sweep call covers the betas of one (n, alpha): it walks those points'
+trials point by point and cuts them into blocks of at most `CHUNK_TRIALS`
+rows, so the four stock betas at 1000 trials share one pass of the kernels,
+and memory stays flat in the trial count and in the number of betas. Each
+block draws its segments (a run of one point's trials) from that point's
+own streams, runs the kernels once with one beta per row, and folds each
+segment into its point's summary. Each point keeps the worst margin (the
+first occurrence, as ``np.argmin`` over all its trials would give), the
+total number of violations (margins below ``-bounds.SLACK``, and NaN
+margins, which never pass) and only the first five of them in (trial, k)
+order. A point's outcome is the one it has swept alone, bit for bit.
 
 Seed contract: each role of a suite at a parameter point reads one
 counter-based atom stream whose 64-bit key is
@@ -30,10 +36,10 @@ role to its label: the dominance sweep's one role "random" reads
 "nehari:p" and "nehari:q". Uniform i of trial j is the SplitMix64
 finalizer of ``key + (j B + i + 1) * 0x9E3779B97F4A7C15`` (mod 2^64) with
 ``B = 1 + 2 MAX_ATOMS`` uniforms per trial; see `caratheodory.draw_atoms`
-for how they become atoms. A block of trials is one pass of numpy array
-operations, and chunked and unchunked runs agree bit for bit. A sweep's
-`SweepOutcome` carries its role -> key map, and a (stream key, trial)
-pair is enough to rebuild the trial's atoms with
+for how they become atoms. Blocks leave this contract as it was: a trial
+reads the same uniforms in any block, and blocked and unblocked runs agree
+bit for bit. A point's `SweepOutcome` carries its role -> key map, and a
+(stream key, trial) pair is enough to rebuild the trial's atoms with
 `caratheodory.trial_atoms`.
 """
 
@@ -87,7 +93,8 @@ def _columns(atoms) -> tuple:
 
     The weights are cast to complex128 once here, so each product w x^k in
     the atom series is one complex multiply with no per-product cast; numpy
-    would cast a float weight to complex for that same multiply anyway.
+    would cast a float weight to complex for that same multiply anyway. The
+    atom-major arrays of `draw_atoms` give the point columns without a copy.
     """
     weights, points = atoms
     return list(weights.T.astype(np.complex128, order="C")), list(np.ascontiguousarray(points.T))
@@ -112,67 +119,179 @@ class SweepOutcome:
     violation_count: int  # all such rows
 
 
-def _chunked_sweep(trials: int, k_values: np.ndarray, stream_keys: dict, margins_of) -> SweepOutcome:
-    """Summarize ``margins_of(start, stop)`` over the trials, one chunk at a time."""
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials!r}")
-    worst = worst_trial = worst_i = None
-    violations = []
-    count = 0
-    for start in range(0, trials, CHUNK_TRIALS):
-        margins = margins_of(start, min(start + CHUNK_TRIALS, trials))
+class _Summary:
+    """The running summary of one point, folded from its trials in order."""
+
+    __slots__ = ("worst", "worst_trial", "worst_i", "violations", "count")
+
+    def __init__(self):
+        self.worst = self.worst_trial = self.worst_i = None
+        self.violations = []
+        self.count = 0
+
+    def fold(self, margins: np.ndarray, start: int, k_values: np.ndarray):
+        """Add the margins of trials start, start + 1, ..., one row each."""
         t, i = divmod(int(np.argmin(margins)), margins.shape[1])
         m = margins[t, i]
         # first occurrence wins, and so does the first NaN, as in np.argmin
-        if worst is None or (not np.isnan(worst) and (np.isnan(m) or m < worst)):
-            worst, worst_trial, worst_i = m, start + t, i
+        if self.worst is None or (not np.isnan(self.worst) and (np.isnan(m) or m < self.worst)):
+            self.worst, self.worst_trial, self.worst_i = m, start + t, i
         bad = ~(margins >= -SLACK)  # a NaN margin is a violation too
-        count += int(np.count_nonzero(bad))
-        for flat in np.flatnonzero(bad)[: _MAX_LISTED_VIOLATIONS - len(violations)]:
-            bt, bi = divmod(int(flat), margins.shape[1])
-            violations.append((start + bt, int(k_values[bi]), float(margins[bt, bi])))
-    return SweepOutcome(
-        trials=trials,
-        k_values=tuple(int(k) for k in k_values),
-        stream_keys=stream_keys,
-        worst_trial=worst_trial,
-        worst_k=int(k_values[worst_i]),
-        worst_margin=float(worst),
-        violations=tuple(violations),
-        violation_count=count,
-    )
+        self.count += int(np.count_nonzero(bad))
+        room = _MAX_LISTED_VIOLATIONS - len(self.violations)
+        if room:
+            for flat in np.flatnonzero(bad)[:room]:
+                bt, bi = divmod(int(flat), margins.shape[1])
+                self.violations.append((start + bt, int(k_values[bi]), float(margins[bt, bi])))
+
+    def outcome(self, trials: int, k_values: np.ndarray, stream_keys: dict) -> SweepOutcome:
+        return SweepOutcome(
+            trials=trials,
+            k_values=tuple(int(k) for k in k_values),
+            stream_keys=stream_keys,
+            worst_trial=self.worst_trial,
+            worst_k=int(k_values[self.worst_i]),
+            worst_margin=float(self.worst),
+            violations=tuple(self.violations),
+            violation_count=self.count,
+        )
 
 
-def dominance_sweep(seed: int, n: int, alpha: float, beta: float, trials: int, k_max: int) -> SweepOutcome:
-    """Random generators against the sharp bound: margin = bound - |a_k|.
+def _blocks(points: int, trials: int):
+    """The trials of ``points`` points, point by point, cut into blocks of at most CHUNK_TRIALS.
+
+    Yields each block as its segments ``(point, start, stop)``: trials
+    start..stop-1 of one point, in order.
+    """
+    segments, room = [], CHUNK_TRIALS
+    for point in range(points):
+        start = 0
+        while start < trials:
+            stop = min(trials, start + room)
+            segments.append((point, start, stop))
+            room -= stop - start
+            start = stop
+            if not room:
+                yield segments
+                segments, room = [], CHUNK_TRIALS
+    if segments:
+        yield segments
+
+
+def _segment_rows(segments):
+    """Each segment as (point, start, rows), rows its slice of the block's rows."""
+    row = 0
+    for point, start, stop in segments:
+        yield point, start, slice(row, row + stop - start)
+        row += stop - start
+
+
+def _blocked_sweep(trials: int, k_values: np.ndarray, stream_keys: list, margins_of) -> tuple:
+    """Summarize ``margins_of(segments)`` over the blocks of `_blocks`, one outcome per point.
+
+    ``stream_keys`` holds each point's role -> key map, and ``margins_of``
+    returns one row of margins per trial of the block, segments in order.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials!r}")
+    summaries = [_Summary() for _ in stream_keys]
+    for segments in _blocks(len(stream_keys), trials):
+        # the last block's margins stay alive until this block's exist
+        margins = margins_of(segments)
+        for point, start, rows in _segment_rows(segments):
+            summaries[point].fold(margins[rows], start, k_values)
+    return tuple(s.outcome(trials, k_values, keys) for s, keys in zip(summaries, stream_keys))
+
+
+def _block_betas(betas: np.ndarray, segments) -> np.ndarray:
+    """The beta of each trial of the block, as a float64 column."""
+    points = [point for point, _, _ in segments]
+    return np.repeat(betas[points], [stop - start for _, start, stop in segments])
+
+
+def _block_atoms(keys: list, role: str, segments) -> tuple:
+    """(weights, points) rows of one role over the block, each segment drawn from its point's stream."""
+    drawn = [draw_atoms(keys[point][role], start, stop)[:2] for point, start, stop in segments]
+    if len(drawn) == 1:
+        return drawn[0]
+    # concatenation keeps the atom-major layout of the draws
+    return tuple(np.concatenate(arrays) for arrays in zip(*drawn))
+
+
+def _beta_sweep(seed: int, roles: tuple, n: int, alpha, betas, trials: int, k_values, bounds, margins_of):
+    """One sweep over the points (n, alpha, beta) for beta in betas, in shared blocks.
+
+    ``bounds`` holds each point's row of bounds. ``margins_of(atoms, beta,
+    bound)`` gets the block's (weights, points) rows of each role and one
+    beta per trial.
+    """
+    keys = [_stream_keys(seed, roles, n, alpha, beta) for beta in betas]
+    betas = np.array(betas, dtype=np.float64)
+    bounds = np.array(bounds, dtype=np.float64)
+    zero = np.zeros(len(k_values))
+
+    def block_margins(segments):
+        atoms = [_block_atoms(keys, role, segments) for role in roles]
+        # margins against a zero bound are -|c|; adding each segment's own bound
+        # row in place gives bound - |c| bit for bit, as x - y is x + (-y)
+        margins = margins_of(atoms, _block_betas(betas, segments), zero)
+        for point, _, rows in _segment_rows(segments):
+            margins[rows] += bounds[point]
+        return margins
+
+    return _blocked_sweep(trials, k_values, keys, block_margins)
+
+
+def dominance_sweeps(seed: int, n: int, alpha: float, betas, trials: int, k_max: int) -> tuple:
+    """Random generators against the sharp bound, margin = bound - |a_k|: one outcome per beta.
 
     Coefficients a_2..a_{k_max} only need the quotient series through order
     k_max - 1, and truncation is exact on leading coefficients, so the sweep
     runs at that reduced order.
     """
-    keys = _stream_keys(seed, ("random",), n, alpha, beta)
+    bounds = [sharp_bounds(ClassParams(n, FLOAT.scalar(alpha), FLOAT.scalar(beta)), k_max) for beta in betas]
 
-    def margins_of(start, stop):
-        return dominance_margins(*draw_atoms(keys["random"], start, stop)[:2], n, alpha, beta, k_max)
+    def margins_of(atoms, beta, bound):
+        (drawn,) = atoms
+        return dominance_margins(*drawn, n, alpha, beta, bound)
 
-    return _chunked_sweep(trials, np.arange(2, k_max + 1), keys, margins_of)
+    return _beta_sweep(seed, ("random",), n, alpha, betas, trials, np.arange(2, k_max + 1), bounds, margins_of)
 
 
-def dominance_margins(
-    weights: np.ndarray, points: np.ndarray, n: int, alpha: float, beta: float, k_max: int
-) -> np.ndarray:
-    """Margins bound - |a_k| for k = 2..k_max, one row per row of atoms."""
-    alpha, beta = FLOAT.scalar(alpha), FLOAT.scalar(beta)
-    b = _generator_coefficients((weights, points), k_max - 1)
-    g = shift_coefficients(transform_coefficients(b, alpha, n), beta, FLOAT.one)
+def dominance_margins(weights: np.ndarray, points: np.ndarray, n: int, alpha: float, beta, bound) -> np.ndarray:
+    """Margins bound - |a_k| for k = 2..k_max, one row per row of atoms.
+
+    ``beta`` is one float or a float64 column with one per row, and
+    ``bound`` the row of sharp bounds of k = 2..k_max (`bounds.sharp_bounds`).
+    """
+    alpha = FLOAT.scalar(alpha)
+    # nested calls free each coefficient list once the next one exists: at
+    # 4000 trials a block's peak memory is mostly these lists
+    g = shift_coefficients(
+        transform_coefficients(_generator_coefficients((weights, points), np.shape(bound)[-1]), alpha, n),
+        beta,
+        FLOAT.one,
+    )
     u = real_power_coefficients(g, 1 / alpha, FLOAT.one, FLOAT.zero)
-    params = ClassParams(n, alpha, beta)
-    bound = np.array(sharp_bounds(params, k_max))
-    return bound - np.abs(np.stack(u[1:], axis=1))
+    del g
+    # |a_k| goes into the margins one column at a time: a complex (trials, k)
+    # stack would add to the block's peak memory
+    margins = np.empty((len(u[1]), len(u) - 1))
+    margins[...] = bound
+    for i, c in enumerate(u[1:]):
+        margins[:, i] -= np.abs(c)
+    return margins
 
 
-def nehari_sweep(seed: int, n: int, alpha: float, beta: float, trials: int, k_max: int) -> SweepOutcome:
-    """Sampled alternating series against the claimed transform-weighted bound.
+def nehari_bounds(n: int, alpha: float, beta: float, k_max: int) -> np.ndarray:
+    """The claimed bounds 2 (1-beta) alpha^n / (alpha+k)^n for k = 1..k_max."""
+    alpha, beta = FLOAT.scalar(alpha), FLOAT.scalar(beta)
+    k = np.arange(1, k_max + 1)
+    return 2.0 * (1.0 - beta) * alpha**n / (alpha + k.astype(np.float64)) ** n
+
+
+def nehari_sweeps(seed: int, n: int, alpha: float, betas, trials: int, k_max: int) -> tuple:
+    """Sampled alternating series against the claimed transform-weighted bound: one outcome per beta.
 
     Each trial draws three independent atom systems: h (whose coefficients
     feed the gamma ladder) and a generator pair (p, q) combined through the
@@ -181,21 +300,24 @@ def nehari_sweep(seed: int, n: int, alpha: float, beta: float, trials: int, k_ma
     negative rows are genuine counterexamples to the claimed bound (expected
     for n >= 1 — see the audit notes in the verification harness).
     """
-    keys = _stream_keys(seed, ("h", "p", "q"), n, alpha, beta)
+    bounds = [nehari_bounds(n, alpha, beta, k_max) for beta in betas]
 
-    def margins_of(start, stop):
-        h, p, q = (draw_atoms(key, start, stop)[:2] for key in keys.values())
-        return nehari_margins(h, p, q, n, alpha, beta, k_max)
+    def margins_of(atoms, beta, bound):
+        return nehari_margins(*atoms, n, alpha, beta, bound)
 
-    return _chunked_sweep(trials, np.arange(1, k_max + 1), keys, margins_of)
+    return _beta_sweep(seed, ("h", "p", "q"), n, alpha, betas, trials, np.arange(1, k_max + 1), bounds, margins_of)
 
 
-def nehari_margins(h, p, q, n: int, alpha: float, beta: float, k_max: int) -> np.ndarray:
-    """Margins 2 (1-beta) alpha^n / (alpha+k)^n - |A_k| for k = 1..k_max.
+def nehari_margins(h, p, q, n: int, alpha: float, beta, bound) -> np.ndarray:
+    """Margins bound - |A_k| for k = 1..k_max.
 
     h, p and q are (weights, points) atom arrays with one row per trial.
+    ``beta`` is one float or a float64 column with one per row (a complex
+    column would turn the m = 1 weight's float divide into a complex one),
+    and ``bound`` the row of claimed bounds of k = 1..k_max (`nehari_bounds`).
     """
-    alpha, beta = FLOAT.scalar(alpha), FLOAT.scalar(beta)
+    alpha = FLOAT.scalar(alpha)
+    k_max = np.shape(bound)[-1]
     half = FLOAT.scalar(Fraction(1, 2))
     d = _generator_coefficients(h, k_max - 1)
     r = half_hadamard_coefficients(
@@ -203,7 +325,8 @@ def nehari_margins(h, p, q, n: int, alpha: float, beta: float, k_max: int) -> np
     )
     gammas = gamma_ladder(d[1:], k_max - 1, half)
     A = nehari_coefficients(gammas, [FLOAT.zero, *r[1:]], n, alpha, beta, FLOAT.zero)
-    k = np.arange(1, k_max + 1)
-    bound = 2.0 * (1.0 - beta) * alpha**n / (alpha + k.astype(np.float64)) ** n
+    # one complex (trials, k) stack per block: glibc's malloc sizes its trim
+    # threshold by the largest block freed, so this transient keeps the heap
+    # from being returned and refaulted between blocks (half the minor page
+    # faults of the column-by-column form at 20000 trials)
     return bound - np.abs(np.stack(A[1:], axis=1))
-

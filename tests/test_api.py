@@ -85,6 +85,9 @@ def test_removed_name_is_not_exported(name):
         (sweeps, "check_atom_rows"),
         (sweeps, "dominance_witness"),
         (sweeps, "nehari_witness"),
+        (sweeps, "dominance_sweep"),
+        (sweeps, "nehari_sweep"),
+        (sweeps, "_chunked_sweep"),
         (caratheodory, "_read_fraction"),
         (caratheodory, "iterated_transform"),
         (caratheodory, "shift_to_beta"),
@@ -137,11 +140,11 @@ def test_backend_constants_are_shared():
         (harness.run_random_suite, "slack"),
         (harness.run_nehari_suite, "slack"),
         (harness.run_hk_audit, "identity_tol"),
-        (sweeps.dominance_sweep, "slack"),
-        (sweeps.nehari_sweep, "slack"),
-        (sweeps._chunked_sweep, "slack"),
-        (sweeps.dominance_sweep, "max_atoms"),
-        (sweeps.nehari_sweep, "max_atoms"),
+        (sweeps.dominance_sweeps, "slack"),
+        (sweeps.nehari_sweeps, "slack"),
+        (sweeps._blocked_sweep, "slack"),
+        (sweeps.dominance_sweeps, "max_atoms"),
+        (sweeps.nehari_sweeps, "max_atoms"),
         (caratheodory.draw_atoms, "max_atoms"),
         (caratheodory.trial_atoms, "max_atoms"),
         (oracles.random_herglotz, "max_atoms"),

@@ -3,6 +3,10 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -103,6 +107,45 @@ class TestExitCodes:
         code, out, err = run(argv, capsys)
         assert (code, out) == (2, "")
         assert err.startswith("usage error:")
+
+
+class TestOversizedExactParameters:
+    """Exact parameters whose arithmetic would outgrow time or the printable digits exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # over MAX_EXACT_BITS: refused before any arithmetic
+            ["bounds", "--backend", "rational", "--alpha", "1e-320"],
+            ["expand", "--n", "1", "--alpha", "1e400", "--beta", "0"],
+            ["verify", "hk", "--backend", "rational", "--alpha", "1e30"],
+            ["verify", "extremal", "--backend", "rational", "--beta", "1e-20"],
+            # a 64-bit alpha passes, but its k = 30 bounds pass the interpreter's digit limit
+            ["bounds", "--backend", "rational", "--n", "3", "--alpha", "1/18446744073709551615", "--kmax", "30"],
+        ],
+        ids=" ".join,
+    )
+    def test_usage_error_within_a_timeout(self, argv, tmp_path):
+        if argv[0] == "expand":
+            path = tmp_path / "p.json"
+            path.write_text(json.dumps({"backend": "rational", "atoms": [{"weight": "1/3", "t": "1/2"},
+                                                                         {"weight": "2/3", "t": "-3/4"}]}))
+            argv = [*argv, "--pspec", str(path)]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-m", "coeffbounds.cli", *argv], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr.startswith("usage error:")
+        assert "Traceback" not in out.stderr
+
+    def test_cap_is_on_bits(self, capsys):
+        # 2^64 - 1 over 2^64 - 2 is at the cap and runs; one more bit in the numerator is refused
+        at_cap = ["--alpha", f"{2**64 - 1}/{2**64 - 2}", "--n", "1", "--beta", "0", "--kmax", "3"]
+        assert run(["verify", "extremal", "--backend", "rational", *at_cap], capsys)[0] == 0
+        over = ["--alpha", f"{2**64 + 1}/{2**64 - 2}", "--n", "1", "--beta", "0", "--kmax", "3"]
+        code, out, err = run(["verify", "extremal", "--backend", "rational", *over], capsys)
+        assert (code, out) == (2, "")
+        assert "65-bit" in err and str(harness.MAX_EXACT_BITS) in err
 
 
 _POINT_FLAGS = {"--n", "--alpha", "--beta", "--kmax", "--format", "--out"}

@@ -1,4 +1,4 @@
-"""Vectorized sweeps: stream keys, the atom stream, chunking, column kernels, witnesses."""
+"""Vectorized sweeps: stream keys, the atom stream, blocks, column kernels, witnesses."""
 
 import tracemalloc
 import warnings
@@ -14,6 +14,8 @@ from coeffbounds import (
     caratheodory,
     f_from_p,
     sharp_bound,
+    sharp_bounds,
+    sweeps,
 )
 from coeffbounds._rational import RationalComplex
 from coeffbounds.bounds import SLACK
@@ -34,16 +36,44 @@ from coeffbounds.series import cauchy_coefficients, real_power_coefficients
 from coeffbounds.sweeps import (
     CHUNK_TRIALS,
     STREAM_LABELS,
-    _chunked_sweep,
+    _blocked_sweep,
+    _blocks,
     dominance_margins,
-    dominance_sweep,
+    dominance_sweeps,
+    nehari_bounds,
     nehari_margins,
-    nehari_sweep,
+    nehari_sweeps,
     stream_key,
 )
 from oracles import a_k_direct, dominance_margins_scalar, nehari_margins_scalar, random_herglotz
 
 NEHARI_ROLES = ("nehari:h", "nehari:p", "nehari:q")
+
+
+def dominance_sweep(seed, n, alpha, beta, trials, k_max):
+    """One point swept alone: the group of one beta."""
+    (out,) = dominance_sweeps(seed, n, alpha, (beta,), trials, k_max)
+    return out
+
+
+def nehari_sweep(seed, n, alpha, beta, trials, k_max):
+    """One point swept alone: the group of one beta."""
+    (out,) = nehari_sweeps(seed, n, alpha, (beta,), trials, k_max)
+    return out
+
+
+#: The group sweep behind each one-point helper.
+GROUP_SWEEPS = {dominance_sweep: dominance_sweeps, nehari_sweep: nehari_sweeps}
+
+
+def dominance_bound(n, alpha, beta, k_max):
+    """The row of sharp bounds the dominance margins are taken against."""
+    return np.array(sharp_bounds(ClassParams(n, alpha, beta), k_max))
+
+
+def block_of(margins, segments):
+    """The rows of a block from per-point margin arrays, segments in order."""
+    return np.concatenate([margins[point][start:stop] for point, start, stop in segments])
 
 
 def rows(seed, suite, n, alpha, beta, start, stop):
@@ -229,6 +259,19 @@ class TestSampler:
         points = np.array([[1j, -1.0, 1.0], [-1j, 1.0, 1.0]])
         check_atom_rows(weights, points, np.array([2, 1]))
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_checks_read_used_slots_only(self, order):
+        # a NaN point in an unused slot is masked out; in a used slot it fails, as a NaN weight does
+        points = np.array([[1j, -1.0, np.nan], [-1j, np.nan, 1.0]], order=order)
+        weights = np.array([[0.25, 0.75, 0.0], [1.0, 0.0, 0.0]], order=order)
+        check_atom_rows(weights, points, np.array([2, 1]))
+        weights = np.array([[0.25, 0.5, 0.25], [1.0, 0.0, 0.0]], order=order)
+        with pytest.raises(ValueError, match=r"point \(nan\+0j\) is not unimodular"):
+            check_atom_rows(weights, points, np.array([3, 1]))
+        weights[1, 0] = np.nan
+        with pytest.raises(ValueError, match="positive"):
+            check_atom_rows(weights, np.ones_like(points), np.array([2, 1]))
+
     @pytest.mark.parametrize(
         "weights, points, count, match",
         [
@@ -252,14 +295,14 @@ class TestChunking:
         seed, n, alpha, beta, k_max = 31, 1, 2.0, 0.25, 12
         out = dominance_sweep(seed, n, alpha, beta, self.trials, k_max)
         atoms = reference_atoms(seed, "random", n, alpha, beta, self.trials)
-        margins = dominance_margins(*atoms, n, alpha, beta, k_max)
+        margins = dominance_margins(*atoms, n, alpha, beta, dominance_bound(n, alpha, beta, k_max))
         assert summary(out) == reference_summary(margins, range(2, k_max + 1))
 
     def test_nehari_matches_unchunked_reference(self):
         seed, n, alpha, beta, k_max = 31, 1, 2.0, 0.0, 12
         out = nehari_sweep(seed, n, alpha, beta, self.trials, k_max)
         atoms = [reference_atoms(seed, role, n, alpha, beta, self.trials) for role in NEHARI_ROLES]
-        margins = nehari_margins(*atoms, n, alpha, beta, k_max)
+        margins = nehari_margins(*atoms, n, alpha, beta, nehari_bounds(n, alpha, beta, k_max))
         assert summary(out) == reference_summary(margins, range(1, k_max + 1))
         assert out.violation_count > CHUNK_TRIALS  # violations span several chunks
         assert len(out.violations) <= 5
@@ -269,7 +312,8 @@ class TestChunking:
         k_values = np.arange(2, 5)
 
         def run():
-            return _chunked_sweep(self.trials, k_values, {}, lambda a, b: margins[a:b])
+            (out,) = _blocked_sweep(self.trials, k_values, [{}], lambda segments: block_of([margins], segments))
+            return out
 
         # two violations in the first chunk, then the listed ones cross into later chunks
         c = CHUNK_TRIALS
@@ -290,7 +334,7 @@ class TestChunking:
         c = CHUNK_TRIALS
         margins[3, 1] = margins[c + 2, 0] = np.nan
         margins[2 * c + 5, 2] = -0.5
-        out = _chunked_sweep(self.trials, k_values, {}, lambda a, b: margins[a:b])
+        (out,) = _blocked_sweep(self.trials, k_values, [{}], lambda segments: block_of([margins], segments))
         assert out.violation_count == 3
         assert [(t, k) for t, k, _ in out.violations] == [(3, 3), (c + 2, 2), (2 * c + 5, 4)]
         assert np.isnan(out.violations[0][2]) and np.isnan(out.violations[1][2])
@@ -299,17 +343,86 @@ class TestChunking:
 
     @pytest.mark.parametrize("sweep", [nehari_sweep, dominance_sweep])
     def test_memory_is_flat_in_trials(self, sweep):
-        # n = 1 puts violations in every nehari chunk; only five are ever held
-        def peak(trials):
+        # n = 1 puts violations in every nehari block; only five per point are ever held.
+        # A four-beta group draws its blocks across points, and holds as little.
+        group = GROUP_SWEEPS[sweep]
+
+        def peak(betas, trials):
             tracemalloc.start()
             try:
-                sweep(1729, 1, 2.0, 0.0, trials, 12)
+                group(1729, 1, 2.0, betas, trials, 12)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         sweep(1729, 1, 2.0, 0.0, 16, 12)  # imports and first-call caches stay out of the peaks
-        assert peak(10 * CHUNK_TRIALS) <= 1.1 * peak(2 * CHUNK_TRIALS)
+        assert peak((0.0,), 10 * CHUNK_TRIALS) <= 1.1 * peak((0.0,), 2 * CHUNK_TRIALS)
+        betas = (0.0, 0.25, 0.5, 0.9)
+        four = peak(betas, 2 * CHUNK_TRIALS)
+        assert peak(betas, 10 * CHUNK_TRIALS) <= 1.1 * four
+        assert four <= 1.1 * peak((0.0,), 2 * CHUNK_TRIALS)
+
+
+BETAS = (0.0, 0.25, 0.5, 0.9, 0.1)
+
+
+class TestBlocks:
+    """The betas of one (n, alpha) share blocks; each point's outcome is the one it has alone."""
+
+    @pytest.mark.parametrize("trials", [1, 999, 1000, 3000, 4097, 9000])
+    def test_blocks_walk_the_points_in_order(self, trials):
+        for points in range(1, 6):
+            blocks = list(_blocks(points, trials))
+            assert all(sum(stop - start for _, start, stop in b) <= CHUNK_TRIALS for b in blocks)
+            # every block but the last is full, and the segments tile each point's trials in order
+            assert all(sum(stop - start for _, start, stop in b) == CHUNK_TRIALS for b in blocks[:-1])
+            flat = [segment for b in blocks for segment in b]
+            assert [p for p, _, _ in flat] == sorted(p for p, _, _ in flat)
+            for point in range(points):
+                spans = [(start, stop) for p, start, stop in flat if p == point]
+                assert spans[0][0] == 0 and spans[-1][1] == trials
+                assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("trials", [1, 999, 1000, 3000, 4097, 9000])
+    @pytest.mark.parametrize("group, alone", [(dominance_sweeps, dominance_sweep), (nehari_sweeps, nehari_sweep)],
+                             ids=["dominance", "nehari"])
+    def test_each_point_equals_its_sweep_alone(self, group, alone, count, trials):
+        betas = BETAS[:count]
+        outcomes = group(41, 1, 1.5, betas, trials, 6)
+        assert len(outcomes) == count
+        for beta, outcome in zip(betas, outcomes):
+            assert outcome == alone(41, 1, 1.5, beta, trials, 6)
+
+    def test_nehari_group_lists_violations_per_point(self):
+        # n = 1 violates the claimed bound at every point, in every block
+        outcomes = nehari_sweeps(9, 1, 2.0, BETAS[:4], 3000, 8)
+        for beta, outcome in zip(BETAS, outcomes):
+            assert outcome.violations and outcome == nehari_sweep(9, 1, 2.0, beta, 3000, 8)
+            assert outcome.stream_keys == {role: stream_key(9, f"nehari:{role}", 1, 2.0, beta) for role in "hpq"}
+
+    def test_nan_in_a_later_segment_fails_only_its_point(self, monkeypatch):
+        # four points of 1000 trials share one block: row 2500 is trial 500 of the third point
+        margins_of = sweeps.dominance_margins
+
+        def one_nan(*args):
+            margins = margins_of(*args)
+            margins[2500, 3] = np.nan
+            return margins
+
+        monkeypatch.setattr(sweeps, "dominance_margins", one_nan)
+        outcomes = dominance_sweeps(1729, 1, 2.0, BETAS[:4], 1000, 8)
+        assert [o.violation_count for o in outcomes] == [0, 0, 1, 0]
+        (trial, k, margin), = outcomes[2].violations
+        assert (trial, k) == (500, 5) and np.isnan(margin)
+        assert (outcomes[2].worst_trial, outcomes[2].worst_k) == (500, 5) and np.isnan(outcomes[2].worst_margin)
+        monkeypatch.undo()
+        for i in (0, 1, 3):
+            assert outcomes[i] == dominance_sweep(1729, 1, 2.0, BETAS[i], 1000, 8)
+
+    def test_rejects_non_positive_trials(self):
+        with pytest.raises(ValueError, match="trials must be positive"):
+            dominance_sweeps(1, 1, 2.0, (0.0,), 0, 6)
 
 
 def columns(rows):
@@ -414,7 +527,9 @@ class TestDominance:
 
     def test_vectorized_equals_scalar_pipeline(self):
         seed, n, alpha, beta, k_max = 42, 2, 1.5, 0.25, 12
-        margins = dominance_margins(*rows(seed, "random", n, alpha, beta, 0, 8), n, alpha, beta, k_max)
+        margins = dominance_margins(
+            *rows(seed, "random", n, alpha, beta, 0, 8), n, alpha, beta, dominance_bound(n, alpha, beta, k_max)
+        )
         params = ClassParams(n, alpha, beta)
         for t in range(8):
             (atoms,) = witness(seed, ["random"], n, alpha, beta, t)
@@ -481,7 +596,7 @@ class TestNehari:
         # float margin is below -SLACK, the same atoms in exact rationals are in bound
         seed, trial, k = 2288874184, 2921, 16
         drawn = [rows(seed, role, 0, 2.0, 0.0, trial, trial + 1) for role in NEHARI_ROLES]
-        assert nehari_margins(*drawn, 0, 2.0, 0.0, k)[0, k - 1] < -SLACK
+        assert nehari_margins(*drawn, 0, 2.0, 0.0, nehari_bounds(0, 2.0, 0.0, k))[0, k - 1] < -SLACK
 
         def exact(atoms, order):
             weights = [Fraction(w) for w in atoms.weights]
