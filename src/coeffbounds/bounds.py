@@ -235,23 +235,31 @@ def _generator_coefficients(p, order: int):
     raise TypeError("generator must be HerglotzAtoms or TruncatedSeries")
 
 
+def f_quotient_coefficients(coeffs, n: int, alpha, beta, one, zero) -> list:
+    """Coefficients of f/z = (beta + (1 - beta) p_n)^(1/alpha) from those of p, p_0 = 1.
+
+    On backend scalars or on numpy columns with one value per trial (``beta``
+    may be such a column). Rebinding ``coeffs`` frees each list once the next exists.
+    """
+    coeffs = transform_coefficients(coeffs, alpha, n)
+    coeffs = shift_coefficients(coeffs, beta, one)
+    return real_power_coefficients(coeffs, 1 / alpha, one, zero)
+
+
 def f_from_p(p, params: ClassParams, order: int) -> TruncatedSeries:
     """Rebuild the class member from its generator.
 
     f(z) = z * (beta + (1 - beta) p_n(z))^(1/alpha) where p_n is the n-fold
     transform of p. The result has f_0 = 0, f_1 = 1 and the requested order.
-    The transform, the beta shift and the real power run as one pass over
-    the coefficient list.
     """
     if not isinstance(order, int) or order < 1:
         raise ValueError(f"order must be a positive integer, got {order!r}")
     coeffs, backend = _generator_coefficients(p, order - 1)
     if coeffs[0] != backend.one:
         raise ValueError("f_from_p needs a generator with constant term 1")
-    alpha = backend.scalar(params.alpha)
-    q_n = transform_coefficients(coeffs, alpha, params.n)
-    shifted = shift_coefficients(q_n, backend.scalar(params.beta), backend.one)
-    u = real_power_coefficients(shifted, 1 / alpha, backend.one, backend.zero)
+    u = f_quotient_coefficients(
+        coeffs, params.n, backend.scalar(params.alpha), backend.scalar(params.beta), backend.one, backend.zero
+    )
     return TruncatedSeries([backend.zero, *u], order, backend=backend)
 
 

@@ -166,8 +166,11 @@ def _grid_from_args(args, backend) -> GridSpec:
 
 def _emit(text: str, out: str | None):
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -193,7 +196,7 @@ def _read_pspec(path: str | None) -> dict:
         raise UsageError("expand needs --pspec (a JSON document, or - for stdin)")
     try:
         text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read pspec: {exc}") from exc
     try:
         doc = json.loads(text)

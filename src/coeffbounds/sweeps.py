@@ -4,26 +4,26 @@ The randomized suites run thousands of generator trials per parameter
 point. Each sweep draws its trials with `caratheodory.draw_atoms`, the
 package's one random draw, which returns zero-padded ``(trials,
 MAX_ATOMS)`` weight and point arrays (padding: weight 0, point 1) that
-already pass the float `HerglotzAtoms` rules. The margins split those
-arrays into per-atom numpy columns and feed them to the library's own
-coefficient kernels (the atom series, the transform, the beta shift, the
-real power, the gamma ladder and the Nehari sum): the scalar series
-classes and the sweeps run one implementation of every recurrence, on
-backend scalars or on columns holding one value per trial. Besides the
-stream keys, this module adds only the claimed Nehari bound, the margins
-as ``(trials, k)`` arrays, the blocks and the summary.
+already pass the float `HerglotzAtoms` rules. Two magnitude kernels split
+those arrays into per-atom numpy columns and feed them to the library's own
+coefficient kernels (the atom series, `bounds.f_quotient_coefficients`, the
+gamma ladder and the Nehari sum), so the scalar commands and the sweeps run
+one implementation of every recurrence. Besides the stream keys, this
+module adds only the claimed Nehari bound, the kernels, which return |c_k|
+as ``(trials, k)`` arrays, and one sweep loop with its blocks and summary.
 
 One sweep call covers the betas of one (n, alpha): it walks those points'
 trials point by point and cuts them into blocks of at most `CHUNK_TRIALS`
 rows, so the four stock betas at 1000 trials share one pass of the kernels,
 and memory stays flat in the trial count and in the number of betas. Each
 block draws its segments (a run of one point's trials) from that point's
-own streams, runs the kernels once with one beta per row, and folds each
-segment into its point's summary. Each point keeps the worst margin (the
-first occurrence, as ``np.argmin`` over all its trials would give), the
-total number of violations (margins below ``-bounds.SLACK``, and NaN
-margins, which never pass) and only the first five of them in (trial, k)
-order. A point's outcome is the one it has swept alone, bit for bit.
+own streams, runs a kernel once with one beta per row, and turns each
+segment's rows into margins bound - |c_k| in place, folded into its point's
+summary. Each point keeps the worst margin (the first occurrence, as
+``np.argmin`` over all its trials would give), the total number of
+violations (margins below ``-bounds.SLACK``, and NaN margins, which never
+pass) and only the first five of them in (trial, k) order. A point's
+outcome is the one it has swept alone, bit for bit.
 
 Seed contract: each role of a suite at a parameter point reads one
 counter-based atom stream whose 64-bit key is
@@ -52,16 +52,9 @@ from fractions import Fraction
 import numpy as np
 
 from .backends import FLOAT
-from .bounds import SLACK, ClassParams, sharp_bounds
-from .caratheodory import (
-    atom_coefficients,
-    draw_atoms,
-    half_hadamard_coefficients,
-    shift_coefficients,
-    transform_coefficients,
-)
+from .bounds import SLACK, ClassParams, f_quotient_coefficients, sharp_bounds
+from .caratheodory import atom_coefficients, draw_atoms, half_hadamard_coefficients
 from .schemes import gamma_ladder, nehari_coefficients
-from .series import real_power_coefficients
 
 
 def _scalar_token(x) -> str:
@@ -109,8 +102,6 @@ def _generator_coefficients(atoms, order: int) -> list:
 class SweepOutcome:
     """Summary of one randomized sweep at one parameter point."""
 
-    trials: int
-    k_values: tuple
     stream_keys: dict  # role -> key of the atom stream the role's trials read
     worst_trial: int
     worst_k: int
@@ -122,10 +113,10 @@ class SweepOutcome:
 class _Summary:
     """The running summary of one point, folded from its trials in order."""
 
-    __slots__ = ("worst", "worst_trial", "worst_i", "violations", "count")
+    __slots__ = ("worst", "worst_trial", "worst_k", "violations", "count")
 
     def __init__(self):
-        self.worst = self.worst_trial = self.worst_i = None
+        self.worst = self.worst_trial = self.worst_k = None
         self.violations = []
         self.count = 0
 
@@ -135,7 +126,7 @@ class _Summary:
         m = margins[t, i]
         # first occurrence wins, and so does the first NaN, as in np.argmin
         if self.worst is None or (not np.isnan(self.worst) and (np.isnan(m) or m < self.worst)):
-            self.worst, self.worst_trial, self.worst_i = m, start + t, i
+            self.worst, self.worst_trial, self.worst_k = m, start + t, int(k_values[i])
         bad = ~(margins >= -SLACK)  # a NaN margin is a violation too
         self.count += int(np.count_nonzero(bad))
         room = _MAX_LISTED_VIOLATIONS - len(self.violations)
@@ -144,13 +135,11 @@ class _Summary:
                 bt, bi = divmod(int(flat), margins.shape[1])
                 self.violations.append((start + bt, int(k_values[bi]), float(margins[bt, bi])))
 
-    def outcome(self, trials: int, k_values: np.ndarray, stream_keys: dict) -> SweepOutcome:
+    def outcome(self, stream_keys: dict) -> SweepOutcome:
         return SweepOutcome(
-            trials=trials,
-            k_values=tuple(int(k) for k in k_values),
             stream_keys=stream_keys,
             worst_trial=self.worst_trial,
-            worst_k=int(k_values[self.worst_i]),
+            worst_k=self.worst_k,
             worst_margin=float(self.worst),
             violations=tuple(self.violations),
             violation_count=self.count,
@@ -178,37 +167,6 @@ def _blocks(points: int, trials: int):
         yield segments
 
 
-def _segment_rows(segments):
-    """Each segment as (point, start, rows), rows its slice of the block's rows."""
-    row = 0
-    for point, start, stop in segments:
-        yield point, start, slice(row, row + stop - start)
-        row += stop - start
-
-
-def _blocked_sweep(trials: int, k_values: np.ndarray, stream_keys: list, margins_of) -> tuple:
-    """Summarize ``margins_of(segments)`` over the blocks of `_blocks`, one outcome per point.
-
-    ``stream_keys`` holds each point's role -> key map, and ``margins_of``
-    returns one row of margins per trial of the block, segments in order.
-    """
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials!r}")
-    summaries = [_Summary() for _ in stream_keys]
-    for segments in _blocks(len(stream_keys), trials):
-        # the last block's margins stay alive until this block's exist
-        margins = margins_of(segments)
-        for point, start, rows in _segment_rows(segments):
-            summaries[point].fold(margins[rows], start, k_values)
-    return tuple(s.outcome(trials, k_values, keys) for s, keys in zip(summaries, stream_keys))
-
-
-def _block_betas(betas: np.ndarray, segments) -> np.ndarray:
-    """The beta of each trial of the block, as a float64 column."""
-    points = [point for point, _, _ in segments]
-    return np.repeat(betas[points], [stop - start for _, start, stop in segments])
-
-
 def _block_atoms(keys: list, role: str, segments) -> tuple:
     """(weights, points) rows of one role over the block, each segment drawn from its point's stream."""
     drawn = [draw_atoms(keys[point][role], start, stop)[:2] for point, start, stop in segments]
@@ -218,28 +176,36 @@ def _block_atoms(keys: list, role: str, segments) -> tuple:
     return tuple(np.concatenate(arrays) for arrays in zip(*drawn))
 
 
-def _beta_sweep(seed: int, roles: tuple, n: int, alpha, betas, trials: int, k_values, bounds, margins_of):
-    """One sweep over the points (n, alpha, beta) for beta in betas, in shared blocks.
+def _sweeps(seed: int, roles: tuple, magnitudes, n: int, alpha, betas, trials: int, first_k: int, bounds) -> tuple:
+    """One sweep over the points (n, alpha, beta) for beta in betas, in shared blocks: one outcome each.
 
-    ``bounds`` holds each point's row of bounds. ``margins_of(atoms, beta,
-    bound)`` gets the block's (weights, points) rows of each role and one
-    beta per trial.
+    ``bounds`` holds each point's bounds on |c_k| for k = first_k, ..., and
+    ``magnitudes(*atoms, n, alpha, beta, count)`` the block's |c_k| from its
+    (weights, points) rows of each role and one beta per row.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials!r}")
     keys = [_stream_keys(seed, roles, n, alpha, beta) for beta in betas]
     betas = np.array(betas, dtype=np.float64)
     bounds = np.array(bounds, dtype=np.float64)
-    zero = np.zeros(len(k_values))
-
-    def block_margins(segments):
-        atoms = [_block_atoms(keys, role, segments) for role in roles]
-        # margins against a zero bound are -|c|; adding each segment's own bound
-        # row in place gives bound - |c| bit for bit, as x - y is x + (-y)
-        margins = margins_of(atoms, _block_betas(betas, segments), zero)
-        for point, _, rows in _segment_rows(segments):
-            margins[rows] += bounds[point]
-        return margins
-
-    return _blocked_sweep(trials, k_values, keys, block_margins)
+    count = bounds.shape[1]
+    k_values = np.arange(first_k, first_k + count)
+    summaries = [_Summary() for _ in keys]
+    for segments in _blocks(len(keys), trials):
+        points = [point for point, _, _ in segments]
+        sizes = [stop - start for _, start, stop in segments]
+        # the last block's rows stay alive until this block's exist
+        rows = magnitudes(
+            *[_block_atoms(keys, role, segments) for role in roles],
+            n, alpha, np.repeat(betas[points], sizes), count,
+        )
+        row = 0
+        for point, start, stop in segments:
+            margins = rows[row : row + stop - start]
+            np.subtract(bounds[point], margins, out=margins)
+            summaries[point].fold(margins, start, k_values)
+            row += stop - start
+    return tuple(s.outcome(point_keys) for s, point_keys in zip(summaries, keys))
 
 
 def dominance_sweeps(seed: int, n: int, alpha: float, betas, trials: int, k_max: int) -> tuple:
@@ -250,37 +216,24 @@ def dominance_sweeps(seed: int, n: int, alpha: float, betas, trials: int, k_max:
     runs at that reduced order.
     """
     bounds = [sharp_bounds(ClassParams(n, FLOAT.scalar(alpha), FLOAT.scalar(beta)), k_max) for beta in betas]
-
-    def margins_of(atoms, beta, bound):
-        (drawn,) = atoms
-        return dominance_margins(*drawn, n, alpha, beta, bound)
-
-    return _beta_sweep(seed, ("random",), n, alpha, betas, trials, np.arange(2, k_max + 1), bounds, margins_of)
+    return _sweeps(seed, ("random",), dominance_magnitudes, n, alpha, betas, trials, 2, bounds)
 
 
-def dominance_margins(weights: np.ndarray, points: np.ndarray, n: int, alpha: float, beta, bound) -> np.ndarray:
-    """Margins bound - |a_k| for k = 2..k_max, one row per row of atoms.
+def dominance_magnitudes(atoms, n: int, alpha: float, beta, count: int) -> np.ndarray:
+    """|a_k| for k = 2..count + 1, one row per row of ``atoms``, a (weights, points) pair.
 
-    ``beta`` is one float or a float64 column with one per row, and
-    ``bound`` the row of sharp bounds of k = 2..k_max (`bounds.sharp_bounds`).
+    ``beta`` is one float or a float64 column with one per row.
     """
     alpha = FLOAT.scalar(alpha)
-    # nested calls free each coefficient list once the next one exists: at
-    # 4000 trials a block's peak memory is mostly these lists
-    g = shift_coefficients(
-        transform_coefficients(_generator_coefficients((weights, points), np.shape(bound)[-1]), alpha, n),
-        beta,
-        FLOAT.one,
-    )
-    u = real_power_coefficients(g, 1 / alpha, FLOAT.one, FLOAT.zero)
-    del g
-    # |a_k| goes into the margins one column at a time: a complex (trials, k)
-    # stack would add to the block's peak memory
-    margins = np.empty((len(u[1]), len(u) - 1))
-    margins[...] = bound
+    # the generator list is freed inside the pipeline: at 4000 trials a
+    # block's peak memory is mostly these coefficient lists
+    u = f_quotient_coefficients(_generator_coefficients(atoms, count), n, alpha, beta, FLOAT.one, FLOAT.zero)
+    # |a_k| goes in one column at a time: a complex (trials, k) stack would
+    # add to the block's peak memory
+    magnitudes = np.empty((len(u[1]), count))
     for i, c in enumerate(u[1:]):
-        margins[:, i] -= np.abs(c)
-    return margins
+        np.abs(c, out=magnitudes[:, i])
+    return magnitudes
 
 
 def nehari_bounds(n: int, alpha: float, beta: float, k_max: int) -> np.ndarray:
@@ -301,23 +254,17 @@ def nehari_sweeps(seed: int, n: int, alpha: float, betas, trials: int, k_max: in
     for n >= 1 — see the audit notes in the verification harness).
     """
     bounds = [nehari_bounds(n, alpha, beta, k_max) for beta in betas]
-
-    def margins_of(atoms, beta, bound):
-        return nehari_margins(*atoms, n, alpha, beta, bound)
-
-    return _beta_sweep(seed, ("h", "p", "q"), n, alpha, betas, trials, np.arange(1, k_max + 1), bounds, margins_of)
+    return _sweeps(seed, ("h", "p", "q"), nehari_magnitudes, n, alpha, betas, trials, 1, bounds)
 
 
-def nehari_margins(h, p, q, n: int, alpha: float, beta, bound) -> np.ndarray:
-    """Margins bound - |A_k| for k = 1..k_max.
+def nehari_magnitudes(h, p, q, n: int, alpha: float, beta, k_max: int) -> np.ndarray:
+    """|A_k| for k = 1..k_max, one row per trial.
 
     h, p and q are (weights, points) atom arrays with one row per trial.
     ``beta`` is one float or a float64 column with one per row (a complex
-    column would turn the m = 1 weight's float divide into a complex one),
-    and ``bound`` the row of claimed bounds of k = 1..k_max (`nehari_bounds`).
+    column would turn the m = 1 weight's float divide into a complex one).
     """
     alpha = FLOAT.scalar(alpha)
-    k_max = np.shape(bound)[-1]
     half = FLOAT.scalar(Fraction(1, 2))
     d = _generator_coefficients(h, k_max - 1)
     r = half_hadamard_coefficients(
@@ -329,4 +276,4 @@ def nehari_margins(h, p, q, n: int, alpha: float, beta, bound) -> np.ndarray:
     # threshold by the largest block freed, so this transient keeps the heap
     # from being returned and refaulted between blocks (half the minor page
     # faults of the column-by-column form at 20000 trials)
-    return bound - np.abs(np.stack(A[1:], axis=1))
+    return np.abs(np.stack(A[1:], axis=1))

@@ -88,6 +88,13 @@ def test_removed_name_is_not_exported(name):
         (sweeps, "dominance_sweep"),
         (sweeps, "nehari_sweep"),
         (sweeps, "_chunked_sweep"),
+        *((sweeps, name) for name in ("_blocked_sweep", "_beta_sweep", "_segment_rows", "_block_betas",
+                                      "dominance_margins", "nehari_margins")),
+        *(
+            (sweeps.SweepOutcome({}, worst_trial=0, worst_k=2, worst_margin=0.0, violations=(), violation_count=0),
+             field)
+            for field in ("trials", "k_values")
+        ),
         (caratheodory, "_read_fraction"),
         (caratheodory, "iterated_transform"),
         (caratheodory, "shift_to_beta"),
@@ -142,7 +149,9 @@ def test_backend_constants_are_shared():
         (harness.run_hk_audit, "identity_tol"),
         (sweeps.dominance_sweeps, "slack"),
         (sweeps.nehari_sweeps, "slack"),
-        (sweeps._blocked_sweep, "slack"),
+        (sweeps._sweeps, "slack"),
+        (sweeps.dominance_magnitudes, "bound"),
+        (sweeps.nehari_magnitudes, "bound"),
         (sweeps.dominance_sweeps, "max_atoms"),
         (sweeps.nehari_sweeps, "max_atoms"),
         (caratheodory.draw_atoms, "max_atoms"),

@@ -262,6 +262,13 @@ class TestVerifyOutput:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes().decode().splitlines()[0] == ",".join(SUITE_COLUMNS)
 
+    @pytest.mark.parametrize("target", ["missing/x.csv", "."], ids=["no-such-directory", "a-directory"])
+    def test_unwritable_out_is_a_usage_error(self, target, tmp_path, capsys):
+        out_path = tmp_path / target
+        code, out, err = run(["bounds", *SMALL, "--out", str(out_path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage error: cannot write --out {out_path}")
+
 
 class TestExpandCommand:
     def doc_path(self, tmp_path):
@@ -395,6 +402,20 @@ class TestExpandCommand:
         path = tmp_path / "junk.json"
         path.write_text("{nope")
         assert run(self.expand_args(str(path)), capsys)[0] == 2
+
+    def test_pspec_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bytes.json"
+        path.write_bytes(b"\xff\xfe{")
+        code, out, err = run(self.expand_args(str(path)), capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: cannot read pspec")
+
+    @pytest.mark.parametrize("target", ["missing/x.csv", "."], ids=["no-such-directory", "a-directory"])
+    def test_unwritable_out_is_a_usage_error(self, target, tmp_path, capsys):
+        out_path = tmp_path / target
+        code, out, err = run([*self.expand_args(str(self.doc_path(tmp_path))), "--out", str(out_path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage error: cannot write --out {out_path}")
 
     def test_pspec_not_object(self, tmp_path, capsys):
         path = tmp_path / "list.json"

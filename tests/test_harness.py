@@ -182,14 +182,14 @@ class TestRandomSuite:
         assert ja == jb
 
     def test_nan_margin_fails_the_point(self, monkeypatch):
-        margins_of = sweeps.dominance_margins
+        margins_of = sweeps.dominance_magnitudes
 
         def one_nan(*args):
             margins = margins_of(*args)
             margins[7, 2] = np.nan
             return margins
 
-        monkeypatch.setattr(sweeps, "dominance_margins", one_nan)
+        monkeypatch.setattr(sweeps, "dominance_magnitudes", one_nan)
         report = run_random_suite(small_grid(n_values=(1,)))[0]
         assert not report.passed
         assert report.entries[0].status == "fail" and report.entries[0].margin == "nan"

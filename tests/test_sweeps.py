@@ -11,6 +11,7 @@ from coeffbounds import (
     FLOAT,
     RATIONAL,
     ClassParams,
+    bounds,
     caratheodory,
     f_from_p,
     sharp_bound,
@@ -36,12 +37,12 @@ from coeffbounds.series import cauchy_coefficients, real_power_coefficients
 from coeffbounds.sweeps import (
     CHUNK_TRIALS,
     STREAM_LABELS,
-    _blocked_sweep,
     _blocks,
-    dominance_margins,
+    _sweeps,
+    dominance_magnitudes,
     dominance_sweeps,
     nehari_bounds,
-    nehari_margins,
+    nehari_magnitudes,
     nehari_sweeps,
     stream_key,
 )
@@ -71,9 +72,25 @@ def dominance_bound(n, alpha, beta, k_max):
     return np.array(sharp_bounds(ClassParams(n, alpha, beta), k_max))
 
 
-def block_of(margins, segments):
-    """The rows of a block from per-point margin arrays, segments in order."""
-    return np.concatenate([margins[point][start:stop] for point, start, stop in segments])
+def dominance_margins(weights, points, n, alpha, beta, bound):
+    """Margins bound - |a_k| for k = 2..k_max, one row per row of atoms."""
+    return bound - dominance_magnitudes((weights, points), n, alpha, beta, len(bound))
+
+
+def nehari_margins(h, p, q, n, alpha, beta, bound):
+    """Margins bound - |A_k| for k = 1..k_max, one row per trial."""
+    return bound - nehari_magnitudes(h, p, q, n, alpha, beta, len(bound))
+
+
+def sweep_margins(margins, first_k):
+    """`_sweeps` of one point over given (trials, k) margins, against a zero bound.
+
+    The stub kernel hands the loop -margins block by block, and 0 - (-m) is m exactly.
+    """
+    blocks = (-margins[start:stop] for [(_, start, stop)] in _blocks(1, len(margins)))
+    (out,) = _sweeps(0, (), lambda *args: next(blocks), 1, 2.0, (0.0,), len(margins), first_k,
+                     [np.zeros(margins.shape[1])])
+    return out
 
 
 def rows(seed, suite, n, alpha, beta, start, stop):
@@ -310,31 +327,25 @@ class TestChunking:
     def test_merge_across_chunks(self):
         margins = np.random.default_rng(5).uniform(0.0, 1.0, size=(self.trials, 3))
         k_values = np.arange(2, 5)
-
-        def run():
-            (out,) = _blocked_sweep(self.trials, k_values, [{}], lambda segments: block_of([margins], segments))
-            return out
-
         # two violations in the first chunk, then the listed ones cross into later chunks
         c = CHUNK_TRIALS
         for t, i in [(5, 2), (40, 0), (c + 1, 1), (c + 1, 2), (2 * c, 0), (2 * c + 3, 1)]:
             margins[t, i] = -0.5
         margins[c + 1, 1] = margins[2 * c + 3, 1] = -9.0  # tie across chunks
-        out = run()
+        out = sweep_margins(margins, 2)
         assert summary(out) == reference_summary(margins, k_values)
         assert out.violations[-1] == (2 * c, 2, -0.5) and out.violation_count == 6
         margins[2 * c, 2] = margins[c + 9, 0] = np.nan
-        out = run()
+        out = sweep_margins(margins, 2)
         assert (out.worst_trial, out.worst_k) == (c + 9, 2) == reference_summary(margins, k_values)[:2]
         assert np.isnan(out.worst_margin)
 
     def test_nan_margins_are_violations(self):
         margins = np.random.default_rng(6).uniform(0.0, 1.0, size=(self.trials, 3))
-        k_values = np.arange(2, 5)
         c = CHUNK_TRIALS
         margins[3, 1] = margins[c + 2, 0] = np.nan
         margins[2 * c + 5, 2] = -0.5
-        (out,) = _blocked_sweep(self.trials, k_values, [{}], lambda segments: block_of([margins], segments))
+        out = sweep_margins(margins, 2)
         assert out.violation_count == 3
         assert [(t, k) for t, k, _ in out.violations] == [(3, 3), (c + 2, 2), (2 * c + 5, 4)]
         assert np.isnan(out.violations[0][2]) and np.isnan(out.violations[1][2])
@@ -403,14 +414,14 @@ class TestBlocks:
 
     def test_nan_in_a_later_segment_fails_only_its_point(self, monkeypatch):
         # four points of 1000 trials share one block: row 2500 is trial 500 of the third point
-        margins_of = sweeps.dominance_margins
+        margins_of = sweeps.dominance_magnitudes
 
         def one_nan(*args):
             margins = margins_of(*args)
             margins[2500, 3] = np.nan
             return margins
 
-        monkeypatch.setattr(sweeps, "dominance_margins", one_nan)
+        monkeypatch.setattr(sweeps, "dominance_magnitudes", one_nan)
         outcomes = dominance_sweeps(1729, 1, 2.0, BETAS[:4], 1000, 8)
         assert [o.violation_count for o in outcomes] == [0, 0, 1, 0]
         (trial, k, margin), = outcomes[2].violations
@@ -475,6 +486,22 @@ class TestBatchKernels:
         params = ClassParams(n, alpha, beta)
         assert_columns_match(got, [f_from_p(atoms, params, 12).coeffs[1:] for atoms in systems])
 
+    def test_f_from_p_and_the_dominance_sweep_share_one_pipeline(self, monkeypatch):
+        # transform, beta shift and real power exist once, for scalars and for columns
+        pipeline = bounds.f_quotient_coefficients
+        assert sweeps.f_quotient_coefficients is pipeline
+        calls = []
+
+        def counting(coeffs, *args):
+            calls.append(isinstance(coeffs[1], np.ndarray))
+            return pipeline(coeffs, *args)
+
+        for module in (bounds, sweeps):
+            monkeypatch.setattr(module, "f_quotient_coefficients", counting)
+        f_from_p(random_herglotz(3), ClassParams(1, 2.0, 0.25), 8)
+        dominance_sweeps(5, 1, 2.0, BETAS[:4], 1000, 8)  # one block of 4000 rows
+        assert calls == [False, True]
+
     def test_batch_cauchy_matches_series_product(self):
         a = [random_herglotz(s).series(9) for s in (1, 2, 3)]
         b = [random_herglotz(s).series(9) for s in (4, 5, 6)]
@@ -521,7 +548,7 @@ class TestBatchKernels:
 class TestDominance:
     def test_passes_on_default_style_point(self):
         out = dominance_sweep(1729, 1, 2.0, 0.0, 200, 12)
-        assert out.trials == 200
+        assert 0 <= out.worst_trial < 200
         assert not out.violations
         assert out.worst_margin > -1e-9
 
