@@ -312,16 +312,30 @@ def _uniforms(key: int, first: int, stop: int):
 def draw_atoms(key: int, start: int, stop: int):
     """Atom systems of trials start..stop-1 of stream ``key`` as padded rows.
 
-    This is the only random draw in the package. Trial j reads the B = 1 +
-    2 MAX_ATOMS uniforms jB .. jB + B - 1 of the stream: the atom count,
-    uniform on 1..MAX_ATOMS, then MAX_ATOMS angles, uniform on the circle,
-    then MAX_ATOMS exponentials; the first count angles and exponentials
-    are used. The weights are the normalized
-    exponentials, i.e. uniform on the probability simplex. Every step is
-    elementwise per row, so trial j drawn alone (start=j, stop=j+1) is the
-    same row as in any block that contains it. The uniforms are integer
-    arithmetic and so the same on every platform; the atoms go through
-    numpy's cos, sin and log1p.
+    This is the only random draw in the package. Trial j reads the B = 2
+    MAX_ATOMS uniforms jB .. jB + B - 1 of the stream: the atom count c,
+    uniform on 1..MAX_ATOMS, then MAX_ATOMS point uniforms, then MAX_ATOMS - 1
+    weight uniforms; the first c point uniforms and c - 1 weight uniforms are
+    used. From the uniforms on, the draw is +, -, *, / and floor, min and max,
+    which IEEE 754 rounds alike on every host, and no transcendental function.
+
+    - Point: with q = floor(4u) and t = 2(4u - q) - 1 in [-1, 1), both exact,
+      x = i^q ((1 - t^2) + 2ti) / (1 + t^2), the float form of the exactly
+      unimodular i^q (1 + it) / (1 - it); each part is within 4 * 2^-53 of it.
+      The multiply by i^q is exact. The law on the circle is invariant under
+      quarter turns but not uniform: every angle is reached from two of the
+      four turned half-circle arcs 2 arctan t, and the density varies by
+      about a factor 1.3.
+    - Weights: the spacings 0 = s_0 <= s_1 <= ... <= s_{c-1} <= 1 of the used
+      weight uniforms, sorted by an odd-even min/max network after the unused
+      ones are set to 1.0, so unused slots get spacing 0. This is
+      Dirichlet(1, ..., 1), uniform on the probability simplex. Every weight
+      is a multiple of 2^-53, so each row sums to exactly 1.0 in any order.
+      Two equal weight uniforms, or a zero one, give a zero weight, which
+      `check_atom_rows` refuses: a chance of about 1e-15 per trial.
+
+    Every step is elementwise per row, so trial j drawn alone (start=j,
+    stop=j+1) is the same row as in any block that contains it.
 
     Returns ``(weights, points, counts)``: (trials, MAX_ATOMS) arrays whose
     first counts[t] slots of row t are used, padded with weight 0 and point 1.
@@ -335,35 +349,41 @@ def draw_atoms(key: int, start: int, stop: int):
         raise ValueError(f"need 0 <= start <= stop, got {start!r}, {stop!r}")
     import numpy as np
 
-    rows, width = stop - start, 1 + 2 * MAX_ATOMS
+    rows, width = stop - start, 2 * MAX_ATOMS
     u = _uniforms(key, start * width, stop * width).reshape(rows, width)
     counts = np.minimum(1 + (u[:, 0] * MAX_ATOMS).astype(np.intp), MAX_ATOMS)
-    # atom-major arrays: each atom's column is contiguous, for the column adds
-    # below and for the per-atom columns of the sweeps
-    unused = (np.arange(MAX_ATOMS)[:, None] >= counts).T
-    angles = np.multiply(2.0 * math.pi, u[:, 1 : 1 + MAX_ATOMS], out=np.empty((MAX_ATOMS, rows)).T)
-    points = np.empty((MAX_ATOMS, rows), dtype=np.complex128).T
-    np.cos(angles, out=points.real)
-    np.sin(angles, out=points.imag)
-    points[unused] = 1.0
-    # the exponentials -log1p(-u), made in place, then normalized in place
-    weights = np.negative(u[:, 1 + MAX_ATOMS :], out=np.empty((MAX_ATOMS, rows)).T)
-    np.log1p(weights, out=weights)
-    np.negative(weights, out=weights)
-    weights[unused] = 0.0
-    # the row totals add column by column, left to right as cumsum(axis=1)
-    # adds, so a row sums alike alone or in a block
-    columns = weights.T
-    total = columns[0].copy()
-    for column in columns[1:]:
-        total += column
-    weights /= total[:, None]
-    # renormalize the last used weight so the sum is exactly 1.0 in floating
-    # point: one minus the left-to-right sum of the weights before it
-    rest = np.zeros(rows)
-    for j, column in enumerate(columns):
-        np.subtract(1.0, rest, out=column, where=counts == j + 1)
-        rest += column
+    # the point and weight uniforms, atom-major, with the unused ones padded:
+    # a point uniform of 1/8 gives t = q = 0 and so the point 1 exactly, and a
+    # weight uniform of 1.0 sorts last and leaves a spacing of 0. Point
+    # uniform j is used when atom j is, weight uniform j when atom j + 1 is.
+    atom = np.array([*range(MAX_ATOMS), *range(1, MAX_ATOMS)])[:, None]
+    pad = np.array([0.125] * MAX_ATOMS + [1.0] * (MAX_ATOMS - 1))[:, None]
+    slots = np.where(atom >= counts, pad, u[:, 1:].T)
+    t, sorted_u = slots[:MAX_ATOMS], list(slots[MAX_ATOMS:])
+    t *= 4.0
+    q = np.floor(t)
+    t -= q
+    t *= 2.0
+    t -= 1.0
+    squares = t * t
+    denominators = squares + 1.0
+    points = np.empty((MAX_ATOMS, rows), dtype=np.complex128)
+    np.subtract(1.0, squares, out=points.real)
+    points.real /= denominators
+    np.multiply(2.0, t, out=points.imag)
+    points.imag /= denominators
+    points *= np.array([1, 1j, -1, -1j])[q.astype(np.intp)]
+    # odd-even transposition sort: rounds of min/max on neighbouring columns
+    for r in range(len(sorted_u)):
+        for i in range(r % 2, len(sorted_u) - 1, 2):
+            low, high = sorted_u[i], sorted_u[i + 1]
+            sorted_u[i] = np.minimum(low, high)
+            np.maximum(low, high, out=high)
+    edges = [0.0, *sorted_u, 1.0]
+    weights = np.empty((MAX_ATOMS, rows))
+    for j, column in enumerate(weights):
+        np.subtract(edges[j + 1], edges[j], out=column)
+    weights, points = weights.T, points.T
     check_atom_rows(weights, points, counts)
     return weights, points, counts
 

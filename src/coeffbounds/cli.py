@@ -25,7 +25,8 @@ Reports (CSV or JSON) go to stdout or ``--out`` and are byte-identical
 across reruns with the same flags; the human-readable summary and timings
 go to stderr. Exit status: 0 when everything passed, 1 when at least one
 check failed, 2 for usage problems, among them parameters whose float
-arithmetic overflows or whose exact values grow past the digits Python prints.
+arithmetic overflows or whose exact values grow past the digits Python prints,
+and a --kmax or --order above `harness.MAX_ORDER`.
 """
 
 from __future__ import annotations

@@ -59,11 +59,18 @@ ALPHA_ONE_MATCH_TOL = 1e-12
 #: beta (19 decimal digits fit). Exact bounds and expansions grow with it: a
 #: 400-digit alpha keeps a rational ``expand`` busy for minutes.
 MAX_EXACT_BITS = 64
+#: Largest k_max of every command and largest series order of ``expand``.
+#: The costliest work grows like the index to the power 2.8: at 256, one
+#: 4096-trial block of ``verify nehari`` takes about 30 s and 130 MB, and a
+#: rational ``expand`` about 10 s; each doubling multiplies the time by about 7.
+MAX_ORDER = 256
 
 
 def _check_k_max(k_max):
     if not isinstance(k_max, int) or k_max < 2:
         raise UsageError(f"k_max must be an integer >= 2, got {k_max!r}")
+    if k_max > MAX_ORDER:
+        raise UsageError(f"k_max must be at most {MAX_ORDER}, got {k_max!r}")
 
 
 def _check_exact_size(values, what: str):
@@ -573,6 +580,8 @@ def run_expand(
     _check_k_max(k_max)
     if not isinstance(order, int) or order < k_max:
         raise UsageError(f"order must be an integer >= k_max, got {order!r}")
+    if order > MAX_ORDER:
+        raise UsageError(f"order must be at most {MAX_ORDER}, got {order!r}")
     try:
         atoms = HerglotzAtoms.from_document(doc)
     except (ValueError, TypeError, KeyError) as exc:

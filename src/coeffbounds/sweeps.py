@@ -35,12 +35,19 @@ role to its label: the dominance sweep's one role "random" reads
 "random", and the nehari sweep's roles h, p and q read "nehari:h",
 "nehari:p" and "nehari:q". Uniform i of trial j is the SplitMix64
 finalizer of ``key + (j B + i + 1) * 0x9E3779B97F4A7C15`` (mod 2^64) with
-``B = 1 + 2 MAX_ATOMS`` uniforms per trial; see `caratheodory.draw_atoms`
-for how they become atoms. Blocks leave this contract as it was: a trial
-reads the same uniforms in any block, and blocked and unblocked runs agree
-bit for bit. A point's `SweepOutcome` carries its role -> key map, and a
-(stream key, trial) pair is enough to rebuild the trial's atoms with
-`caratheodory.trial_atoms`.
+``B = 2 MAX_ATOMS`` uniforms per trial; see `caratheodory.draw_atoms` for
+how they become atoms with +, -, *, / and no transcendental function, so
+every weight is a dyadic rational and each row sums to 1.0 exactly. Blocks
+leave this contract as it was: a trial reads the same uniforms in any
+block, and blocked and unblocked runs agree bit for bit. A point's
+`SweepOutcome` carries its role -> key map, and a (stream key, trial) pair
+is enough to rebuild the trial's atoms with `caratheodory.trial_atoms`.
+
+The draw and the claimed Nehari bound row use no numpy function whose
+result depends on the SIMD level numpy dispatches to, so the sweep reports
+read the same with and without AVX-512. The scope stops there: numpy's
+complex multiply and complex ``abs`` round differently without AVX2 (fused
+multiply-adds), and Python-float powers go through the C library's ``pow``.
 """
 
 from __future__ import annotations
@@ -237,10 +244,15 @@ def dominance_magnitudes(atoms, n: int, alpha: float, beta, count: int) -> np.nd
 
 
 def nehari_bounds(n: int, alpha: float, beta: float, k_max: int) -> np.ndarray:
-    """The claimed bounds 2 (1-beta) alpha^n / (alpha+k)^n for k = 1..k_max."""
+    """The claimed bounds 2 (1-beta) alpha^n / (alpha+k)^n for k = 1..k_max.
+
+    Python floats in the order of `bounds.sharp_bounds`: the head
+    2 (1-beta) alpha^n once, then head / (alpha + k)^n. numpy's ``power``
+    would round differently with and without AVX-512.
+    """
     alpha, beta = FLOAT.scalar(alpha), FLOAT.scalar(beta)
-    k = np.arange(1, k_max + 1)
-    return 2.0 * (1.0 - beta) * alpha**n / (alpha + k.astype(np.float64)) ** n
+    head = 2.0 * (1.0 - beta) * alpha**n
+    return np.array([head / (alpha + k) ** n for k in range(1, k_max + 1)])
 
 
 def nehari_sweeps(seed: int, n: int, alpha: float, betas, trials: int, k_max: int) -> tuple:

@@ -44,11 +44,15 @@ Horner loop).
   the library's row forms the head 2 (1-beta) alpha^(n-1) once per point.
 - ``scheme_etas`` forms the transformed ladder weights
   eta_m = (1-beta) alpha^n gamma_m / (alpha+m)^n of one `GammaScheme`.
-- The ``*_parent`` functions are the coefficient kernels and the atom draw
-  as they were before the kernels accumulated in place: ``acc = acc + x``
-  with a fresh temporary per term, float weight columns, and the atom
-  stream built by whole-array expressions. The library must match them bit
-  for bit (``tobytes``) on columns and with ``==`` on scalars.
+- The ``*_parent`` functions are the coefficient kernels and the uniforms
+  of the atom stream as they were before the kernels accumulated in place:
+  ``acc = acc + x`` with a fresh temporary per term, float weight columns,
+  and the SplitMix64 finalizer built by whole-array expressions. The
+  library must match them bit for bit (``tobytes``) on columns and with
+  ``==`` on scalars.
+- ``draw_atoms_exact`` rebuilds each drawn row's atom system in exact
+  arithmetic from its uniforms: dyadic weights and exactly unimodular
+  points, which the float rows must equal (weights) or round (points).
 - ``nehari_coefficients_full`` and ``small_alpha_bound_full`` build every
   power of a series that vanishes at 0 as a full-length Cauchy product,
   leading zeros included. The library sums the same non-zero products in
@@ -74,7 +78,8 @@ from coeffbounds import (
     sharp_bound,
 )
 from coeffbounds.bounds import Region
-from coeffbounds.caratheodory import MAX_ATOMS, check_atom_rows, half_hadamard_coefficients, trial_atoms
+from coeffbounds._rational import RationalComplex
+from coeffbounds.caratheodory import MAX_ATOMS, half_hadamard_coefficients, trial_atoms
 from coeffbounds.schemes import gamma_ladder, nehari_coefficients
 from coeffbounds.series import cauchy_coefficients, real_power_coefficients
 
@@ -418,25 +423,27 @@ def _uniforms_parent(key: int, first: int, stop: int):
     return (z >> 11).astype(np.float64) * 2.0**-53
 
 
-def draw_atoms_parent(key: int, start: int, stop: int):
-    """Atom systems of trials start..stop-1 of stream ``key`` as padded rows."""
-    if not 0 <= key < 2**64:
-        raise ValueError(f"stream key must be a 64-bit unsigned integer, got {key!r}")
-    if not 0 <= start <= stop:
-        raise ValueError(f"need 0 <= start <= stop, got {start!r}, {stop!r}")
-    rows, width = stop - start, 1 + 2 * MAX_ATOMS
-    u = _uniforms_parent(key, start * width, stop * width).reshape(rows, width)
-    counts = np.minimum(1 + (u[:, 0] * MAX_ATOMS).astype(np.intp), MAX_ATOMS)
-    slots = np.arange(MAX_ATOMS)
-    used = slots < counts[:, None]
-    angles = 2.0 * math.pi * u[:, 1 : 1 + MAX_ATOMS]
-    points = np.where(used, np.cos(angles) + 1j * np.sin(angles), 1.0)
-    raw = np.where(used, -np.log1p(-u[:, 1 + MAX_ATOMS :]), 0.0)
-    # cumsum adds left to right, so a row sums alike alone or in a block
-    weights = raw / np.cumsum(raw, axis=1)[:, -1:]
-    # renormalize the last used weight so the sum is exactly 1.0 in floating point
-    row, last = np.arange(rows), counts - 1
-    rest = np.cumsum(weights, axis=1)[row, last - 1]
-    weights[row, last] = 1.0 - np.where(last > 0, rest, 0.0)
-    check_atom_rows(weights, points, counts)
-    return weights, points, counts
+def draw_atoms_exact(key: int, start: int, stop: int) -> list:
+    """The exact atom system behind each row of `draw_atoms`: (count, weights, points) per trial.
+
+    Read from the trial's uniforms in Fractions and `RationalComplex`: the
+    weights are the spacings of the sorted used weight uniforms, and point j
+    is i^q (1 + it) / (1 - it) with q = floor(4u) and t = 2(4u - q) - 1.
+    Unused slots hold weight 0 and point 1.
+    """
+    width = 2 * MAX_ATOMS
+    out = []
+    for row in _uniforms_parent(key, start * width, stop * width).reshape(stop - start, width).tolist():
+        u = [Fraction(x) for x in row]
+        count = min(1 + math.floor(u[0] * MAX_ATOMS), MAX_ATOMS)
+        points = []
+        for x in u[1 : 1 + count]:
+            q = math.floor(4 * x)
+            t = 2 * (4 * x - q) - 1
+            turn = (RationalComplex(1), RationalComplex(0, 1), RationalComplex(-1), RationalComplex(0, -1))[q]
+            points.append(turn * (RationalComplex(1, t) / RationalComplex(1, -t)))
+        edges = [Fraction(0), *sorted(u[1 + MAX_ATOMS : MAX_ATOMS + count]), Fraction(1)]
+        weights = [b - a for a, b in zip(edges, edges[1:])]
+        pad = MAX_ATOMS - count
+        out.append((count, weights + [Fraction(0)] * pad, points + [RationalComplex(1)] * pad))
+    return out

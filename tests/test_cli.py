@@ -23,6 +23,13 @@ def run(argv, capsys):
     return code, captured.out, captured.err
 
 
+def run_process(argv):
+    """The CLI in a fresh interpreter under a 60 s timeout, so a runaway argv fails instead of hanging."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "coeffbounds.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
 class TestExitCodes:
     def test_help(self, capsys):
         assert run(["--help"], capsys)[0] == 0
@@ -131,9 +138,7 @@ class TestOversizedExactParameters:
             path.write_text(json.dumps({"backend": "rational", "atoms": [{"weight": "1/3", "t": "1/2"},
                                                                          {"weight": "2/3", "t": "-3/4"}]}))
             argv = [*argv, "--pspec", str(path)]
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-        out = subprocess.run([sys.executable, "-m", "coeffbounds.cli", *argv], env=env,
-                             capture_output=True, text=True, timeout=60)
+        out = run_process(argv)
         assert (out.returncode, out.stdout) == (2, "")
         assert out.stderr.startswith("usage error:")
         assert "Traceback" not in out.stderr
@@ -146,6 +151,46 @@ class TestOversizedExactParameters:
         code, out, err = run(["verify", "extremal", "--backend", "rational", *over], capsys)
         assert (code, out) == (2, "")
         assert "65-bit" in err and str(harness.MAX_EXACT_BITS) in err
+
+
+_ONE_POINT = ["--n", "1", "--alpha", "2", "--beta", "0"]
+
+
+class TestIndexCap:
+    """A --kmax or --order past `harness.MAX_ORDER` is a usage error that names the limit."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bounds", *_ONE_POINT, "--kmax", "257"],
+            ["verify", "extremal", *_ONE_POINT, "--kmax", "257"],
+            ["verify", "random", *_ONE_POINT, "--kmax", "257", "--trials", "3"],
+            ["verify", "nehari", *_ONE_POINT, "--kmax", "257", "--trials", "3"],
+            ["verify", "hk", "--alpha", "2", "--kmax", "257"],
+            ["expand", *_ONE_POINT, "--kmax", "257", "--order", "257"],
+            ["expand", *_ONE_POINT, "--kmax", "12", "--order", "257"],
+            ["verify", "nehari", *_ONE_POINT, "--kmax", "1000", "--trials", "3"],
+        ],
+        ids=" ".join,
+    )
+    def test_over_the_cap_within_a_timeout(self, argv, tmp_path):
+        if argv[0] == "expand":
+            path = tmp_path / "p.json"
+            path.write_text(json.dumps(extremal_p(2).to_document()))
+            argv = [*argv, "--pspec", str(path)]
+        out = run_process(argv)
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr.startswith("usage error:")
+        assert f"at most {harness.MAX_ORDER}" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_the_cap_itself_runs(self, tmp_path, capsys):
+        assert harness.MAX_ORDER == 256
+        assert run(["bounds", *_ONE_POINT, "--kmax", "256"], capsys)[0] == 0
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(extremal_p(2).to_document()))
+        argv = ["expand", *_ONE_POINT, "--kmax", "4", "--order", "256", "--pspec", str(path)]
+        assert run(argv, capsys)[0] == 0
 
 
 _POINT_FLAGS = {"--n", "--alpha", "--beta", "--kmax", "--format", "--out"}
@@ -305,13 +350,13 @@ class TestExpandCommand:
     @pytest.mark.parametrize(
         "n, alpha, order, message",
         [("0", "1/10000", "200", "f has a non-finite coefficient"),
-         ("0", "1/100", "400", "the generator rebuilt from f is not finite"),
+         ("0", "1/200", "256", "the generator rebuilt from f is not finite"),
          ("4", "1e-80", "8", "((alpha + 1) / alpha)^4 overflows")],
         ids=["f-overflows", "minimum-overflows", "transform-overflows"],
     )
     def test_float_overflow_is_a_usage_error(self, n, alpha, order, message, tmp_path, capsys):
         # from the generator (1+z)/(1-z) at a small alpha, the float expansion overflows to NaN,
-        # in f itself or, at 1/100, in the (f/z)^alpha of the round trip; at 1e-80 the factor
+        # in f itself or, at 1/200, in the (f/z)^alpha of the round trip; at 1e-80 the factor
         # that undoes the transform overflows
         path = tmp_path / "p.json"
         path.write_text(json.dumps(extremal_p(2).to_document()))
@@ -482,8 +527,8 @@ class TestExpandCommand:
     strict=True,
     raises=AssertionError,
     reason="known defect: the float alternating Nehari sum loses digits to cancellation "
-    "at n = 0 for k_max >= 16; the worst trial (2921, k = 16) reads -1.60e-9 in float "
-    "and +1.3e-15 in exact arithmetic",
+    "at n = 0 for k_max >= 16; the worst trial (398, k = 16) reads -3.41e-9 in float "
+    "and 0 in exact arithmetic on its own dyadic atoms",
 )
 def test_nehari_n0_deep_kmax_has_no_false_counterexample(capsys):
     argv = ["verify", "nehari", "--n", "0", "--alpha", "2", "--beta", "0", "--kmax", "16",
@@ -578,7 +623,7 @@ def test_scalar_path_stdout_is_pinned(argv, doc, digest, tmp_path, capsys):
     "argv, code, digest",
     [
         (["verify", "nehari", *SMALL, "--trials", "150", "--format", "json"], 1,
-         "9e9fcdf234921fdb203f6951ca5468813d97a0cc2cc0f4cb403baadedc0073c1"),
+         "b08fae5e21cd09c987ae214bfc6a076e4d5733ff27d7ffe02a2248931df35907"),
         (["verify", "random", *SMALL, "--trials", "60"], 0,
          "bd7ebc88d149b3722a44e6dedb3e245d95b61d449f13ffb2919d1065cbffdba3"),
     ],
@@ -588,3 +633,38 @@ def test_sweep_path_stdout_is_pinned(argv, code, digest, capsys):
     got, out, _ = run(argv, capsys)
     assert got == code
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+#: The NPY_DISABLE_CPU_FEATURES value that turns off numpy's AVX-512 dispatch.
+_NO_AVX512 = "AVX512_SPR AVX512_ICL X86_V4"
+
+
+def _dispatches_avx512() -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        return False
+    return "X86_V4" in __cpu_dispatch__ and bool(__cpu_features__.get("X86_V4"))
+
+
+@pytest.mark.skipif(not _dispatches_avx512(),
+                    reason="numpy reports no AVX-512 (X86_V4) dispatch on this host: none to turn off")
+@pytest.mark.parametrize("suite, code", [("random", 0), ("nehari", 1)])
+def test_stock_sweep_reports_do_not_depend_on_avx512(suite, code):
+    # the sweep reports read one sha256 with numpy's AVX-512 kernels and without them
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    off = dict(env, NPY_DISABLE_CPU_FEATURES=_NO_AVX512)
+    probe = "from numpy._core._multiarray_umath import __cpu_features__ as f; print(f['X86_V4'])"
+    for features, want in ((env, "True"), (off, "False")):
+        seen = subprocess.run([sys.executable, "-c", probe], env=features, capture_output=True, text=True,
+                              timeout=60)
+        assert seen.stdout.strip() == want, seen.stderr
+    for fmt in ("csv", "json"):
+        digests = set()
+        for features in (env, off):
+            out = subprocess.run([sys.executable, "-m", "coeffbounds.cli", "verify", suite, "--format", fmt],
+                                 env=features, capture_output=True, timeout=120)
+            assert out.returncode == code, out.stderr
+            digests.add(hashlib.sha256(out.stdout).hexdigest())
+        assert len(digests) == 1, (suite, fmt)

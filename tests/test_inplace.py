@@ -1,10 +1,13 @@
-"""The in-place kernels: bit for bit the kernels they replaced, and no aliasing.
+"""The in-place kernels and the atom draw: exact where they can be, and no aliasing.
 
 The coefficient kernels accumulate into columns they created (``acc += x``)
-and the atom draw builds its arrays in place. The ``*_parent`` oracles are
-the same functions as they stood before, each term a fresh temporary; the
-library must match them exactly, on stream columns, on columns with
-planted signed zeros, infinities and NaN, and on every scalar type.
+and the atom stream's uniforms are made in place. The ``*_parent`` oracles
+are the same functions as they stood before, each term a fresh temporary;
+the library must match them exactly, on stream columns, on columns with
+planted signed zeros, infinities and NaN, and on every scalar type. The
+atom draw builds its rows in place too, and each row must be its exact
+atom system (``draw_atoms_exact``) rounded: the same dyadic weights, and
+points within 4 * 2^-53 per part of exactly unimodular ones.
 """
 
 from fractions import Fraction
@@ -17,6 +20,7 @@ from coeffbounds.caratheodory import (
     MAX_ATOMS,
     _uniforms,
     atom_coefficients,
+    check_atom_rows,
     draw_atoms,
     shift_coefficients,
     transform_coefficients,
@@ -29,7 +33,7 @@ from oracles import (
     atom_coefficients_parent,
     cauchy_coefficients_parent,
     columns_parent,
-    draw_atoms_parent,
+    draw_atoms_exact,
     gamma_ladder_parent,
     nehari_coefficients_parent,
     real_power_coefficients_parent,
@@ -169,16 +173,59 @@ def draw_cases():
     return cases
 
 
-def test_draw_atoms_matches_parent_bits():
-    cases = draw_cases()
-    assert len(cases) >= 200
-    for key, start, stop in cases:
-        width = 1 + 2 * MAX_ATOMS
+DRAW_CASES = draw_cases()
+
+
+def test_uniforms_match_parent_bits():
+    assert len(DRAW_CASES) >= 200
+    width = 2 * MAX_ATOMS
+    for key, start, stop in DRAW_CASES:
         assert _uniforms(key, start * width, stop * width).tobytes() == (
             _uniforms_parent(key, start * width, stop * width).tobytes())
-        for got, want in zip(draw_atoms(key, start, stop), draw_atoms_parent(key, start, stop)):
+
+
+def test_draw_is_block_invariant_over_random_splits():
+    rng = np.random.default_rng(7)
+    for key, start, stop in DRAW_CASES:
+        whole = draw_atoms(key, start, stop)
+        cuts = sorted(int(c) for c in rng.integers(start, stop + 1, size=int(rng.integers(0, 4))))
+        edges = [start, *cuts, stop]
+        pieces = [draw_atoms(key, a, b) for a, b in zip(edges, edges[1:])]
+        for parts, want in zip(zip(*pieces), whole):
+            got = np.concatenate(parts)
             assert (got.dtype, got.shape) == (want.dtype, want.shape)
-            assert got.tobytes() == want.tobytes(), (key, start, stop)
+            assert got.tobytes() == want.tobytes(), (key, start, stop, edges)
+
+
+def test_draw_returns_fresh_arrays():
+    key, start, stop = 0x3243F6A8885A308D, 5, 300
+    first = draw_atoms(key, start, stop)
+    want = [a.copy() for a in first]
+    for i, a in enumerate(first):
+        assert not any(np.shares_memory(a, b) for b in first[i + 1 :])
+    for a in first:
+        a[...] = 0
+    second = draw_atoms(key, start, stop)
+    for got, w in zip(second, want):
+        assert got.tobytes() == w.tobytes()
+    assert not any(np.shares_memory(a, b) for a in first for b in second)
+
+
+def test_rows_round_exact_atom_systems():
+    # 4 * 2^-53 is 4 ulps of a part in [1/2, 1), and 2 of the unit
+    tolerance = Fraction(4, 2**53)
+    for key, start, stop in DRAW_CASES:
+        weights, points, counts = draw_atoms(key, start, stop)
+        check_atom_rows(weights, points, counts)
+        for row, (count, exact_weights, exact_points) in enumerate(draw_atoms_exact(key, start, stop)):
+            assert counts[row] == count
+            drawn_weights = [Fraction(w) for w in weights[row].tolist()]
+            assert drawn_weights == exact_weights
+            assert sum(drawn_weights) == 1
+            for x, twin in zip(points[row].tolist(), exact_points):
+                assert twin.abs2() == 1
+                assert abs(Fraction(x.real) - twin.re) <= tolerance, (key, start + row, x)
+                assert abs(Fraction(x.imag) - twin.im) <= tolerance, (key, start + row, x)
 
 
 @pytest.mark.parametrize("rows", [4096, 1])

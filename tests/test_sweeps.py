@@ -18,7 +18,6 @@ from coeffbounds import (
     sharp_bounds,
     sweeps,
 )
-from coeffbounds._rational import RationalComplex
 from coeffbounds.bounds import SLACK
 from coeffbounds.caratheodory import (
     MAX_ATOMS,
@@ -46,7 +45,13 @@ from coeffbounds.sweeps import (
     nehari_sweeps,
     stream_key,
 )
-from oracles import a_k_direct, dominance_margins_scalar, nehari_margins_scalar, random_herglotz
+from oracles import (
+    a_k_direct,
+    dominance_margins_scalar,
+    draw_atoms_exact,
+    nehari_margins_scalar,
+    random_herglotz,
+)
 
 NEHARI_ROLES = ("nehari:h", "nehari:p", "nehari:q")
 
@@ -163,17 +168,21 @@ class TestTrialSeed:
         # key 0 gives the published SplitMix64 sequence (its first three outputs)
         assert splitmix64(0, 3) == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
         assert _uniforms(0, 0, 3).tolist() == [(x >> 11) * 2.0**-53 for x in splitmix64(0, 3)]
-        # uniform i of trial j is output j B + i + 1, B = 1 + 2 MAX_ATOMS
-        width = 1 + 2 * MAX_ATOMS
+        # uniform i of trial j is output j B + i + 1, B = 2 MAX_ATOMS
+        width = 2 * MAX_ATOMS
         first = 17 * width
         want = [(x >> 11) * 2.0**-53 for x in splitmix64(key, first + width)[first:]]
         assert _uniforms(key, first, first + width).tolist() == want
-        assert [int(u * 2**53) for u in want[:3]] == [4099456855454215, 5514377678972238, 8725279373621565]
+        assert [int(u * 2**53) for u in want[:3]] == [6934619302435694, 7699703015336238, 4028249366411451]
+        # the draw is exact arithmetic on those uniforms, so its values are pinned exactly
         weights, points, counts = draw_atoms(key, 17, 18)
-        assert counts.tolist() == [2]
-        assert weights[0] == pytest.approx([0.2180258761966428, 0.7819741238033572, 0, 0], abs=1e-15)
-        want_points = [-0.7615518095714923 - 0.6481040358911411j, 0.9807246861833233 - 0.19539470287247318j]
-        assert np.abs(points[0] - [*want_points, 1, 1]).max() <= 1e-15
+        assert counts.tolist() == [4]
+        assert weights[0].tolist() == [0.02240517484987148, 0.29173238633773935, 0.12932326498549385,
+                                       0.5565391738268953]
+        assert points[0].tolist() == [-0.3144009215813643 - 0.9492902930657138j,
+                                      -0.8663655516383157 + 0.49941038328656806j,
+                                      -0.37011040861402783 - 0.9289877746426792j,
+                                      -0.9464401615338148 - 0.32287926634555897j]
 
     def test_exact_scalars_feed_the_label(self):
         assert stream_key(1, "random", 1, Fraction(2), 0.0) != stream_key(1, "random", 1, 2.0, 0.0)
@@ -620,22 +629,23 @@ class TestNehari:
     def test_n0_deep_kmax_flag_is_float_cancellation(self):
         # the worst trial that `verify nehari --n 0 --alpha 2 --beta 0 --kmax 16
         # --trials 4000 --seed 2288874184` flags (README, "Known limits"): the
-        # float margin is below -SLACK, the same atoms in exact rationals are in bound
-        seed, trial, k = 2288874184, 2921, 16
+        # float margin is below -SLACK, while the trial's own exact atoms (its
+        # dyadic weights and exactly unimodular points) sit on the bound
+        seed, trial, k = 2288874184, 398, 16
         drawn = [rows(seed, role, 0, 2.0, 0.0, trial, trial + 1) for role in NEHARI_ROLES]
         assert nehari_margins(*drawn, 0, 2.0, 0.0, nehari_bounds(0, 2.0, 0.0, k))[0, k - 1] < -SLACK
 
-        def exact(atoms, order):
-            weights = [Fraction(w) for w in atoms.weights]
-            points = [RationalComplex(Fraction(x.real), Fraction(x.imag)) for x in atoms.points]
-            return atom_coefficients(weights, points, order, RATIONAL.one, RATIONAL.zero)
+        def exact(role, order):
+            key = stream_key(seed, role, 0, 2.0, 0.0)
+            [(count, weights, points)] = draw_atoms_exact(key, trial, trial + 1)
+            return atom_coefficients(weights[:count], points[:count], order, RATIONAL.one, RATIONAL.zero)
 
-        h, p, q = witness(seed, NEHARI_ROLES, 0, 2.0, 0.0, trial)
         half = Fraction(1, 2)
-        r = half_hadamard_coefficients(exact(p, k), exact(q, k), RATIONAL.one, half)
-        gammas = gamma_ladder(exact(h, k - 1)[1:], k - 1, half)
+        r = half_hadamard_coefficients(exact("nehari:p", k), exact("nehari:q", k), RATIONAL.one, half)
+        gammas = gamma_ladder(exact("nehari:h", k - 1)[1:], k - 1, half)
         A = nehari_coefficients(gammas, [RATIONAL.zero, *r[1:]], 0, Fraction(2), Fraction(0), RATIONAL.zero)
-        assert A[k].abs2() <= 4
+        # |A_16| = 2 = 2 (1 - beta) alpha^0 / (alpha + 16)^0: exact margin 0
+        assert A[k].abs2() == 4
 
     def test_roles_use_independent_seeds(self):
         h_at, p_at, q_at = witness(9, NEHARI_ROLES, 1, 2.0, 0.0, 4)
