@@ -290,13 +290,23 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def _uniforms(key: int, first: int, stop: int):
-    """Uniforms first..stop-1 of stream ``key``, as doubles (x >> 11) 2^-53 in [0, 1)."""
+def _uniforms(runs):
+    """Uniforms first..stop-1 of stream key for each run (key, first, stop), back to back.
+
+    Each run's counters become its uint64 column of key + m * GOLDEN, and one
+    finalizer pass over all the columns turns them into doubles
+    (x >> 11) 2^-53 in [0, 1). Every step is elementwise, so a run's
+    uniforms do not depend on the runs around it.
+    """
     import numpy as np
 
-    z = np.arange(first + 1, stop + 1, dtype=np.uint64)
-    z *= np.uint64(_GOLDEN)
-    z += np.uint64(key)
+    z = np.empty(sum(stop - first for _, first, stop in runs), dtype=np.uint64)
+    at = 0
+    for key, first, stop in runs:
+        column = z[at : at + stop - first]
+        np.multiply(np.arange(first + 1, stop + 1, dtype=np.uint64), np.uint64(_GOLDEN), out=column)
+        column += np.uint64(key)
+        at += stop - first
     shifted = np.empty_like(z)  # the finalizer runs in place, with this one scratch array
     z ^= np.right_shift(z, 30, out=shifted)
     z *= np.uint64(_MIX1)
@@ -309,15 +319,19 @@ def _uniforms(key: int, first: int, stop: int):
     return u
 
 
-def draw_atoms(key: int, start: int, stop: int):
-    """Atom systems of trials start..stop-1 of stream ``key`` as padded rows.
+def draw_atoms(segments):
+    """Atom systems of the segments (key, start, stop), as padded rows.
 
-    This is the only random draw in the package. Trial j reads the B = 2
-    MAX_ATOMS uniforms jB .. jB + B - 1 of the stream: the atom count c,
-    uniform on 1..MAX_ATOMS, then MAX_ATOMS point uniforms, then MAX_ATOMS - 1
-    weight uniforms; the first c point uniforms and c - 1 weight uniforms are
-    used. From the uniforms on, the draw is +, -, *, / and floor, min and max,
-    which IEEE 754 rounds alike on every host, and no transcendental function.
+    This is the only random draw in the package. A segment is trials
+    start..stop-1 of stream ``key``, and the rows of all segments come back
+    to back, in order, from one pass: one block of a sweep draws each role's
+    segments, one per point, with one call. Trial j of a stream reads the
+    B = 2 MAX_ATOMS uniforms jB .. jB + B - 1 of that stream: the atom count
+    c, uniform on 1..MAX_ATOMS, then MAX_ATOMS point uniforms, then
+    MAX_ATOMS - 1 weight uniforms; the first c point uniforms and c - 1
+    weight uniforms are used. From the uniforms on, the draw is +, -, *, /
+    and floor, min and max, which IEEE 754 rounds alike on every host, and no
+    transcendental function.
 
     - Point: with q = floor(4u) and t = 2(4u - q) - 1 in [-1, 1), both exact,
       x = i^q ((1 - t^2) + 2ti) / (1 + t^2), the float form of the exactly
@@ -334,23 +348,26 @@ def draw_atoms(key: int, start: int, stop: int):
       Two equal weight uniforms, or a zero one, give a zero weight, which
       `check_atom_rows` refuses: a chance of about 1e-15 per trial.
 
-    Every step is elementwise per row, so trial j drawn alone (start=j,
-    stop=j+1) is the same row as in any block that contains it.
+    Every step is elementwise per row, so trial j drawn alone (the segment
+    (key, j, j + 1)) is the same row as in any draw that contains it.
 
-    Returns ``(weights, points, counts)``: (trials, MAX_ATOMS) arrays whose
+    Returns ``(weights, points, counts)``: (rows, MAX_ATOMS) arrays whose
     first counts[t] slots of row t are used, padded with weight 0 and point 1.
     The two arrays are stored atom-major, so ``weights.T`` and ``points.T``
     are C-contiguous.
     Every row passes `check_atom_rows`.
     """
-    if not 0 <= key < 2**64:
-        raise ValueError(f"stream key must be a 64-bit unsigned integer, got {key!r}")
-    if not 0 <= start <= stop:
-        raise ValueError(f"need 0 <= start <= stop, got {start!r}, {stop!r}")
+    segments = list(segments)
+    for key, start, stop in segments:
+        if not 0 <= key < 2**64:
+            raise ValueError(f"stream key must be a 64-bit unsigned integer, got {key!r}")
+        if not 0 <= start <= stop:
+            raise ValueError(f"need 0 <= start <= stop, got {start!r}, {stop!r}")
     import numpy as np
 
-    rows, width = stop - start, 2 * MAX_ATOMS
-    u = _uniforms(key, start * width, stop * width).reshape(rows, width)
+    width = 2 * MAX_ATOMS
+    u = _uniforms([(key, start * width, stop * width) for key, start, stop in segments]).reshape(-1, width)
+    rows = len(u)
     counts = np.minimum(1 + (u[:, 0] * MAX_ATOMS).astype(np.intp), MAX_ATOMS)
     # the point and weight uniforms, atom-major, with the unused ones padded:
     # a point uniform of 1/8 gives t = q = 0 and so the point 1 exactly, and a
@@ -390,7 +407,7 @@ def draw_atoms(key: int, start: int, stop: int):
 
 def trial_atoms(key: int, trial: int) -> HerglotzAtoms:
     """The atoms of one trial of stream ``key``: the one-row draw trial..trial+1."""
-    weights, points, counts = draw_atoms(key, trial, trial + 1)
+    weights, points, counts = draw_atoms([(key, trial, trial + 1)])
     used = counts[0]
     return HerglotzAtoms(weights[0, :used].tolist(), points[0, :used].tolist())
 

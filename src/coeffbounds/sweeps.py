@@ -16,14 +16,24 @@ One sweep call covers the betas of one (n, alpha): it walks those points'
 trials point by point and cuts them into blocks of at most `CHUNK_TRIALS`
 rows, so the four stock betas at 1000 trials share one pass of the kernels,
 and memory stays flat in the trial count and in the number of betas. Each
-block draws its segments (a run of one point's trials) from that point's
-own streams, runs a kernel once with one beta per row, and turns each
-segment's rows into margins bound - |c_k| in place, folded into its point's
-summary. Each point keeps the worst margin (the first occurrence, as
-``np.argmin`` over all its trials would give), the total number of
-violations (margins below ``-bounds.SLACK``, and NaN margins, which never
-pass) and only the first five of them in (trial, k) order. A point's
-outcome is the one it has swept alone, bit for bit.
+block draws each role's segments (a run of one point's trials, read from
+that point's stream) with one `draw_atoms` call, runs a kernel once with
+one beta per row, and turns each segment's rows into margins bound - |c_k|
+in place, folded into its point's summary. Each point keeps the worst
+margin (the first occurrence, as ``np.argmin`` over all its trials would
+give), the total number of violations (margins below ``-bounds.SLACK``,
+and NaN margins, which never pass) and only the first five of them in
+(trial, k) order. A point's outcome is the one it has swept alone, bit for
+bit.
+
+Importing this module pins glibc's malloc thresholds for the process, once,
+through ``mallopt`` (`TRIM_THRESHOLD`, `MMAP_THRESHOLD`). By default glibc
+sizes its trim threshold from the largest block it has freed, which for a
+sweep is far below a block's heap peak, so the heap went back to the system
+after every (n, alpha) group and the next group faulted it in again: about
+11 450 minor page faults per four-command stock `verify random` pass, against
+about 30 with the thresholds pinned. Where the C library has no ``mallopt``
+nothing is set; the thresholds change speed only, never a result.
 
 Seed contract: each role of a suite at a parameter point reads one
 counter-based atom stream whose 64-bit key is
@@ -52,6 +62,7 @@ multiply-adds), and Python-float powers go through the C library's ``pow``.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
@@ -62,6 +73,28 @@ from .backends import FLOAT
 from .bounds import SLACK, ClassParams, f_quotient_coefficients, sharp_bounds
 from .caratheodory import atom_coefficients, draw_atoms, half_hadamard_coefficients
 from .schemes import gamma_ladder, nehari_coefficients
+
+
+#: glibc's malloc keeps up to this much free memory at the top of its heap
+#: rather than give it back; above the measured heap peaks of a sweep (1.87
+#: MiB for a stock `verify random` (n, alpha) group, 5.86 MiB for a
+#: 20 000-trial `verify nehari` point, tracemalloc), so no block refaults it.
+TRIM_THRESHOLD = 16 << 20
+#: Allocations from this size on get their own mapping; above every array of
+#: a stock sweep block, so the blocks stay on the warm heap.
+MMAP_THRESHOLD = 4 << 20
+# the parameter numbers of glibc's <malloc.h>
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+try:
+    _mallopt = ctypes.CDLL(None).mallopt
+except (AttributeError, OSError, TypeError):  # a C library without mallopt: nothing to pin
+    pass
+else:
+    _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    _mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+    _mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
 
 
 def _scalar_token(x) -> str:
@@ -103,6 +136,18 @@ def _columns(atoms) -> tuple:
 def _generator_coefficients(atoms, order: int) -> list:
     """Columns 1, b_1, ..., b_order of the generator series of each trial's atoms."""
     return atom_coefficients(*_columns(atoms), order, FLOAT.one, FLOAT.zero)
+
+
+def _magnitudes(columns: list) -> np.ndarray:
+    """|c| of each complex column, as the columns of one (trials, len(columns)) float array.
+
+    One column at a time: a complex (trials, k) stack would add to the
+    block's peak memory.
+    """
+    magnitudes = np.empty((len(columns[0]), len(columns)))
+    for i, c in enumerate(columns):
+        np.abs(c, out=magnitudes[:, i])
+    return magnitudes
 
 
 @dataclass(frozen=True)
@@ -174,15 +219,6 @@ def _blocks(points: int, trials: int):
         yield segments
 
 
-def _block_atoms(keys: list, role: str, segments) -> tuple:
-    """(weights, points) rows of one role over the block, each segment drawn from its point's stream."""
-    drawn = [draw_atoms(keys[point][role], start, stop)[:2] for point, start, stop in segments]
-    if len(drawn) == 1:
-        return drawn[0]
-    # concatenation keeps the atom-major layout of the draws
-    return tuple(np.concatenate(arrays) for arrays in zip(*drawn))
-
-
 def _sweeps(seed: int, roles: tuple, magnitudes, n: int, alpha, betas, trials: int, first_k: int, bounds) -> tuple:
     """One sweep over the points (n, alpha, beta) for beta in betas, in shared blocks: one outcome each.
 
@@ -192,9 +228,13 @@ def _sweeps(seed: int, roles: tuple, magnitudes, n: int, alpha, betas, trials: i
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials!r}")
+    if not len(betas):
+        raise ValueError("betas must hold at least one beta")
+    bounds = np.array(bounds, dtype=np.float64)
+    if not bounds.shape[1]:
+        raise ValueError("bounds must hold at least one k, got an empty row")
     keys = [_stream_keys(seed, roles, n, alpha, beta) for beta in betas]
     betas = np.array(betas, dtype=np.float64)
-    bounds = np.array(bounds, dtype=np.float64)
     count = bounds.shape[1]
     k_values = np.arange(first_k, first_k + count)
     summaries = [_Summary() for _ in keys]
@@ -203,7 +243,8 @@ def _sweeps(seed: int, roles: tuple, magnitudes, n: int, alpha, betas, trials: i
         sizes = [stop - start for _, start, stop in segments]
         # the last block's rows stay alive until this block's exist
         rows = magnitudes(
-            *[_block_atoms(keys, role, segments) for role in roles],
+            *[draw_atoms([(keys[point][role], start, stop) for point, start, stop in segments])[:2]
+              for role in roles],
             n, alpha, np.repeat(betas[points], sizes), count,
         )
         row = 0
@@ -235,12 +276,7 @@ def dominance_magnitudes(atoms, n: int, alpha: float, beta, count: int) -> np.nd
     # the generator list is freed inside the pipeline: at 4000 trials a
     # block's peak memory is mostly these coefficient lists
     u = f_quotient_coefficients(_generator_coefficients(atoms, count), n, alpha, beta, FLOAT.one, FLOAT.zero)
-    # |a_k| goes in one column at a time: a complex (trials, k) stack would
-    # add to the block's peak memory
-    magnitudes = np.empty((len(u[1]), count))
-    for i, c in enumerate(u[1:]):
-        np.abs(c, out=magnitudes[:, i])
-    return magnitudes
+    return _magnitudes(u[1:])
 
 
 def nehari_bounds(n: int, alpha: float, beta: float, k_max: int) -> np.ndarray:
@@ -284,8 +320,4 @@ def nehari_magnitudes(h, p, q, n: int, alpha: float, beta, k_max: int) -> np.nda
     )
     gammas = gamma_ladder(d[1:], k_max - 1, half)
     A = nehari_coefficients(gammas, [FLOAT.zero, *r[1:]], n, alpha, beta, FLOAT.zero)
-    # one complex (trials, k) stack per block: glibc's malloc sizes its trim
-    # threshold by the largest block freed, so this transient keeps the heap
-    # from being returned and refaulted between blocks (half the minor page
-    # faults of the column-by-column form at 20000 trials)
-    return np.abs(np.stack(A[1:], axis=1))
+    return _magnitudes(A[1:])

@@ -24,6 +24,7 @@ from coeffbounds.caratheodory import (
     draw_atoms,
     shift_coefficients,
     transform_coefficients,
+    trial_atoms,
 )
 from coeffbounds.schemes import gamma_ladder, nehari_coefficients
 from coeffbounds.series import cauchy_coefficients, real_power_coefficients
@@ -58,7 +59,7 @@ def same_bits(got, want):
 
 def stream_columns(key: int, rows: int):
     """Per-atom float weight and complex point columns of rows trials of one stream."""
-    return columns_parent(draw_atoms(key, 0, rows)[:2])
+    return columns_parent(draw_atoms([(key, 0, rows)])[:2])
 
 
 def plant(columns, seed: int):
@@ -134,7 +135,7 @@ def test_column_kernels_match_parent_bits(label, weights, points, zero, one):
 
 def scalar_cases():
     """(label, weights, points, zero, one, half, alpha, beta, c) on each scalar type."""
-    atoms = draw_atoms(0x0123456789ABCDEF, 7, 8)
+    atoms = draw_atoms([(0x0123456789ABCDEF, 7, 8)])
     used = atoms[2][0]
     float_w = [float(w) for w in atoms[0][0, :used]]
     float_x = [complex(x) for x in atoms[1][0, :used]]
@@ -180,32 +181,73 @@ def test_uniforms_match_parent_bits():
     assert len(DRAW_CASES) >= 200
     width = 2 * MAX_ATOMS
     for key, start, stop in DRAW_CASES:
-        assert _uniforms(key, start * width, stop * width).tobytes() == (
+        assert _uniforms([(key, start * width, stop * width)]).tobytes() == (
             _uniforms_parent(key, start * width, stop * width).tobytes())
 
 
 def test_draw_is_block_invariant_over_random_splits():
     rng = np.random.default_rng(7)
     for key, start, stop in DRAW_CASES:
-        whole = draw_atoms(key, start, stop)
+        whole = draw_atoms([(key, start, stop)])
         cuts = sorted(int(c) for c in rng.integers(start, stop + 1, size=int(rng.integers(0, 4))))
         edges = [start, *cuts, stop]
-        pieces = [draw_atoms(key, a, b) for a, b in zip(edges, edges[1:])]
+        pieces = [draw_atoms([(key, a, b)]) for a, b in zip(edges, edges[1:])]
         for parts, want in zip(zip(*pieces), whole):
             got = np.concatenate(parts)
             assert (got.dtype, got.shape) == (want.dtype, want.shape)
             assert got.tobytes() == want.tobytes(), (key, start, stop, edges)
 
 
+def block_cases():
+    """100 segment lists over 1-4 stream keys, with empty, one-row and longer segments, and no segment."""
+    rng = np.random.default_rng(2025)
+    cases = [[]]
+    for _ in range(99):
+        keys = [int(rng.integers(0, 2**63)) * 2 + int(rng.integers(0, 2)) for _ in range(int(rng.integers(1, 5)))]
+        segments = []
+        for _ in range(int(rng.integers(1, 9))):
+            start = int(rng.integers(0, 10**12)) if rng.integers(0, 4) == 0 else int(rng.integers(0, 5000))
+            rows = int(rng.choice([0, 1, int(rng.integers(2, 300))]))
+            segments.append((keys[int(rng.integers(0, len(keys)))], start, start + rows))
+        cases.append(segments)
+    return cases
+
+
+def test_block_draw_equals_its_one_segment_draws():
+    for segments in block_cases():
+        given = list(segments)
+        block = draw_atoms(segments)
+        assert segments == given
+        for i, a in enumerate(block):
+            assert not any(np.shares_memory(a, b) for b in block[i + 1 :])
+        assert len(block[2]) == sum(stop - start for _, start, stop in segments)
+        pieces = [draw_atoms([segment]) for segment in segments]
+        for parts, got in zip(zip(*pieces), block):
+            want = np.concatenate(parts)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes(), segments
+        check_atom_rows(*block)
+        assert block[0].T.flags.c_contiguous and block[1].T.flags.c_contiguous
+        row = 0
+        for key, start, stop in segments:
+            row += stop - start
+            if stop > start:
+                # the last trial of each segment rebuilds to its row
+                weights, points, counts = (a[row - 1] for a in block)
+                atoms = trial_atoms(key, stop - 1)
+                assert atoms.weights == tuple(weights[:counts].tolist())
+                assert atoms.points == tuple(points[:counts].tolist())
+
+
 def test_draw_returns_fresh_arrays():
     key, start, stop = 0x3243F6A8885A308D, 5, 300
-    first = draw_atoms(key, start, stop)
+    first = draw_atoms([(key, start, stop)])
     want = [a.copy() for a in first]
     for i, a in enumerate(first):
         assert not any(np.shares_memory(a, b) for b in first[i + 1 :])
     for a in first:
         a[...] = 0
-    second = draw_atoms(key, start, stop)
+    second = draw_atoms([(key, start, stop)])
     for got, w in zip(second, want):
         assert got.tobytes() == w.tobytes()
     assert not any(np.shares_memory(a, b) for a in first for b in second)
@@ -215,7 +257,7 @@ def test_rows_round_exact_atom_systems():
     # 4 * 2^-53 is 4 ulps of a part in [1/2, 1), and 2 of the unit
     tolerance = Fraction(4, 2**53)
     for key, start, stop in DRAW_CASES:
-        weights, points, counts = draw_atoms(key, start, stop)
+        weights, points, counts = draw_atoms([(key, start, stop)])
         check_atom_rows(weights, points, counts)
         for row, (count, exact_weights, exact_points) in enumerate(draw_atoms_exact(key, start, stop)):
             assert counts[row] == count
@@ -230,7 +272,7 @@ def test_rows_round_exact_atom_systems():
 
 @pytest.mark.parametrize("rows", [4096, 1])
 def test_complex_weight_columns_give_the_parent_series(rows):
-    atoms = draw_atoms(0x452821E638D01377, 3, 3 + rows)[:2]
+    atoms = draw_atoms([(0x452821E638D01377, 3, 3 + rows)])[:2]
     weights, points = _columns(atoms)
     assert all(w.dtype == np.complex128 and w.flags.c_contiguous for w in weights)
     got = atom_coefficients(weights, points, 12, FLOAT.one, FLOAT.zero)

@@ -381,7 +381,7 @@ class TestNehariKernel:
 
     @staticmethod
     def columns(key, order):
-        weights, points = draw_atoms(key, 0, 64)[:2]
+        weights, points = draw_atoms([(key, 0, 64)])[:2]
         return atom_coefficients(list(weights.T), list(points.T), order, FLOAT.one, FLOAT.zero)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])

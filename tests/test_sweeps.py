@@ -1,8 +1,13 @@
-"""Vectorized sweeps: stream keys, the atom stream, blocks, column kernels, witnesses."""
+"""Vectorized sweeps: stream keys, the atom stream, blocks, column kernels, witnesses, the heap."""
 
+import ctypes
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -100,7 +105,7 @@ def sweep_margins(margins, first_k):
 
 def rows(seed, suite, n, alpha, beta, start, stop):
     """Zero-padded (weights, points) rows of trials start..stop-1 of one suite's stream."""
-    return draw_atoms(stream_key(seed, suite, n, alpha, beta), start, stop)[:2]
+    return draw_atoms([(stream_key(seed, suite, n, alpha, beta), start, stop)])[:2]
 
 
 def witness(seed, roles, n, alpha, beta, trial):
@@ -156,7 +161,7 @@ class TestTrialSeed:
         }
         assert base not in others and len(others) == 4
         # the trials of one stream read disjoint counters
-        _, points, _ = draw_atoms(base, 0, 2)
+        _, points, _ = draw_atoms([(base, 0, 2)])
         assert not np.array_equal(points[0], points[1])
 
     def test_frozen_values(self):
@@ -167,15 +172,15 @@ class TestTrialSeed:
         assert key == 6013373881491230973
         # key 0 gives the published SplitMix64 sequence (its first three outputs)
         assert splitmix64(0, 3) == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
-        assert _uniforms(0, 0, 3).tolist() == [(x >> 11) * 2.0**-53 for x in splitmix64(0, 3)]
+        assert _uniforms([(0, 0, 3)]).tolist() == [(x >> 11) * 2.0**-53 for x in splitmix64(0, 3)]
         # uniform i of trial j is output j B + i + 1, B = 2 MAX_ATOMS
         width = 2 * MAX_ATOMS
         first = 17 * width
         want = [(x >> 11) * 2.0**-53 for x in splitmix64(key, first + width)[first:]]
-        assert _uniforms(key, first, first + width).tolist() == want
+        assert _uniforms([(key, first, first + width)]).tolist() == want
         assert [int(u * 2**53) for u in want[:3]] == [6934619302435694, 7699703015336238, 4028249366411451]
         # the draw is exact arithmetic on those uniforms, so its values are pinned exactly
-        weights, points, counts = draw_atoms(key, 17, 18)
+        weights, points, counts = draw_atoms([(key, 17, 18)])
         assert counts.tolist() == [4]
         assert weights[0].tolist() == [0.02240517484987148, 0.29173238633773935, 0.12932326498549385,
                                        0.5565391738268953]
@@ -200,7 +205,7 @@ class TestSampler:
             weights, points = rows(seed, suite, n, alpha, beta, start, stop)
             assert weights.shape == points.shape == (stop - start, MAX_ATOMS)
             for j in range(stop - start):
-                w, x, c = draw_atoms(key, start + j, start + j + 1)
+                w, x, c = draw_atoms([(key, start + j, start + j + 1)])
                 assert np.array_equal(weights[j], w[0]) and np.array_equal(points[j], x[0])
                 assert (w[0, c[0] :] == 0.0).all() and (x[0, c[0] :] == 1.0).all()
             if start == 0:
@@ -212,8 +217,8 @@ class TestSampler:
 
     def test_random_access_far_into_the_stream(self):
         key = stream_key(7, "random", 1, 2.0, 0.0)
-        far = draw_atoms(key, 10**12, 10**12 + 3)
-        around = draw_atoms(key, 10**12 - 2, 10**12 + 5)
+        far = draw_atoms([(key, 10**12, 10**12 + 3)])
+        around = draw_atoms([(key, 10**12 - 2, 10**12 + 5)])
         for got, want in zip(far, around):
             assert np.array_equal(got, want[2:5])
 
@@ -221,12 +226,12 @@ class TestSampler:
         # uint64 arithmetic must stay on arrays, which wrap silently
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            draw_atoms(2**64 - 1, 10**12, 10**12 + 3)
-            draw_atoms(0, 0, 1)
-            draw_atoms(stream_key(2**40 + 3, "nehari:q", 3, 5.0, 0.5), 0, 100)
+            draw_atoms([(2**64 - 1, 10**12, 10**12 + 3)])
+            draw_atoms([(0, 0, 1)])
+            draw_atoms([(stream_key(2**40 + 3, "nehari:q", 3, 5.0, 0.5), 0, 100)])
 
     def test_distribution(self):
-        weights, points, counts = draw_atoms(stream_key(11, "random", 1, 2.0, 0.0), 0, 40_000)
+        weights, points, counts = draw_atoms([(stream_key(11, "random", 1, 2.0, 0.0), 0, 40_000)])
         share = np.bincount(counts, minlength=MAX_ATOMS + 1)[1:] / len(counts)
         assert np.abs(share * MAX_ATOMS - 1).max() < 0.05
         used = np.arange(MAX_ATOMS) < counts[:, None]
@@ -249,7 +254,7 @@ class TestSampler:
     @pytest.mark.parametrize("key, start, stop", [(-1, 0, 1), (2**64, 0, 1), (5, 3, 2), (5, -1, 1)])
     def test_draw_rejects_bad_arguments(self, key, start, stop):
         with pytest.raises(ValueError):
-            draw_atoms(key, start, stop)
+            draw_atoms([(key, start, stop)])
 
     def test_draw_checks_its_rows(self, monkeypatch):
         def refuse(weights, points, counts):
@@ -257,13 +262,13 @@ class TestSampler:
 
         monkeypatch.setattr(caratheodory, "check_atom_rows", refuse)
         with pytest.raises(ValueError, match="rows checked"):
-            draw_atoms(5, 0, 3)
+            draw_atoms([(5, 0, 3)])
 
     def test_trial_atoms_checks_its_row_once(self, monkeypatch):
         cases = ((12345, 17), (5, 0), (2**64 - 1, 10**6))
         expected = []
         for key, trial in cases:
-            weights, points, counts = draw_atoms(key, trial, trial + 1)
+            weights, points, counts = draw_atoms([(key, trial, trial + 1)])
             # the checked construction from the drawn row
             expected.append(HerglotzAtoms(weights[0, : counts[0]].tolist(), points[0, : counts[0]].tolist()))
         calls = []
@@ -443,6 +448,26 @@ class TestBlocks:
     def test_rejects_non_positive_trials(self):
         with pytest.raises(ValueError, match="trials must be positive"):
             dominance_sweeps(1, 1, 2.0, (0.0,), 0, 6)
+
+    @pytest.fixture
+    def no_draws(self, monkeypatch):
+        def refuse(segments):
+            raise AssertionError("drew before checking the arguments")
+
+        monkeypatch.setattr(sweeps, "draw_atoms", refuse)
+
+    @pytest.mark.parametrize("group", [dominance_sweeps, nehari_sweeps], ids=["dominance", "nehari"])
+    def test_rejects_an_empty_beta_list(self, group, no_draws):
+        with pytest.raises(ValueError, match="betas must hold at least one beta"):
+            group(1, 1, 2.0, [], 10, 12)
+
+    def test_rejects_a_bound_row_with_no_k(self, no_draws):
+        # dominance_sweeps refuses k_max < 2 in sharp_bounds already
+        message = "bounds must hold at least one k, got an empty row"
+        with pytest.raises(ValueError, match=message):
+            nehari_sweeps(1, 1, 2.0, [0.0], 10, 0)
+        with pytest.raises(ValueError, match=message):
+            _sweeps(0, ("random",), dominance_magnitudes, 1, 2.0, (0.0,), 10, 2, [np.ones(0)])
 
 
 def columns(rows):
@@ -650,3 +675,38 @@ class TestNehari:
     def test_roles_use_independent_seeds(self):
         h_at, p_at, q_at = witness(9, NEHARI_ROLES, 1, 2.0, 0.0, 4)
         assert h_at != p_at and p_at != q_at and h_at != q_at
+
+
+def _has_mallopt() -> bool:
+    try:
+        ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    return True
+
+
+#: A fresh interpreter runs one command twice through `cli.main` and prints
+#: the minor page faults of the second run.
+_WARM_RUN = """
+import contextlib, io, resource
+from coeffbounds import cli
+
+def run():
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["verify", "random", "--n", "1", "--trials", "1000"]) == 0
+
+run()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_a_warm_sweep_keeps_its_heap():
+    # without pinned malloc thresholds the second run faults its heap back in: about 2900 faults
+    env = dict(os.environ, PYTHONPATH=str(Path(sweeps.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", _WARM_RUN], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 500
