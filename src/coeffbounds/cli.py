@@ -24,7 +24,8 @@ makes agree.
 Reports (CSV or JSON) go to stdout or ``--out`` and are byte-identical
 across reruns with the same flags; the human-readable summary and timings
 go to stderr. Exit status: 0 when everything passed, 1 when at least one
-check failed, 2 for usage problems, among them parameters whose float
+check failed, 2 for usage problems (stdout empty, one ``usage error:`` line on
+stderr, argparse's rejections included), among them parameters whose float
 arithmetic overflows or whose exact values grow past the digits Python prints,
 and a --kmax or --order above `harness.MAX_ORDER`.
 """
@@ -109,8 +110,16 @@ def _add_flags(sub: argparse.ArgumentParser, command: str):
         sub.add_argument(f"--{name}", **specs[name])
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse whose rejections read like every other usage error (subparsers inherit it)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(2, f"usage error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coeffbounds",
         description="Coefficient-bound tables and verification suites for the iterated-transform class.",
     )

@@ -422,7 +422,7 @@ def run_hk_audit(alpha_values, k_max: int = DEFAULT_K_MAX, backend: Backend = FL
         passed = True
         worst = 0.0
         for k in range(2, k_max + 1):
-            _, scheme = build_hk(k, alpha, k, backend=backend)
+            scheme = build_hk(k, alpha, backend=backend)
             # the membership verdict reads the weights at the exact value of alpha
             weights = scheme.weights if backend is RATIONAL else hk_weights(k, Fraction(alpha))[0]
             m, value, target, residual = gamma_identity_row(scheme, k - 1)
@@ -455,16 +455,14 @@ def run_hk_audit(alpha_values, k_max: int = DEFAULT_K_MAX, backend: Backend = FL
                 elapsed=time.perf_counter() - start,
             )
         )
-    reports.append(_even_constant_report(k_max))
+    reports.append(_even_constant_report())
     reports.append(_alpha_one_report(backend))
     return reports
 
 
-def _even_constant_report(k_max: int) -> SuiteReport:
+def _even_constant_report() -> SuiteReport:
     entries = []
     for row in compare_even_constants():
-        if row.k > max(k_max, 10):
-            continue
         entries.append(
             SuiteEntry(
                 suite="hk",

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .backends import FLOAT, Backend
-from .series import TruncatedSeries, power_tails
+from .series import power_tails
 
 _HALF = Fraction(1, 2)
 #: Largest |ladder - target| that `check_gamma_identity` accepts on float data.
@@ -113,11 +113,6 @@ class GammaScheme:
     weights: tuple
 
 
-def _moebius(step: int, sign: int, order: int) -> list:
-    """(j, c_j), j = 1..order, of (1 + s z^step)/(1 - s z^step) = 1 + 2 sum_i s^i z^(i step)."""
-    return [(j, 2 * sign**i) for i, j in enumerate(range(step, order + 1, step), start=1)]
-
-
 def hk_weights(k: int, alpha):
     """The convex weights of h(z)_k, the constant kernel's first, with sigma and s.
 
@@ -155,8 +150,8 @@ def hk_weights(k: int, alpha):
     return (one_s - lam1 - sigma / 2, lam1, sigma / 2), sigma, 1
 
 
-def build_hk(k: int, alpha, order: int, *, backend: Backend = FLOAT):
-    """Construct the Caratheodory function h(z)_k and its GammaScheme.
+def build_hk(k: int, alpha, *, backend: Backend = FLOAT) -> GammaScheme:
+    """The GammaScheme of the Caratheodory function h(z)_k.
 
     Each h is an explicit convex combination of kernels, chosen so that the
     ladder built from its coefficients hits gamma_target at the defining
@@ -180,11 +175,11 @@ def build_hk(k: int, alpha, order: int, *, backend: Backend = FLOAT):
              every even coefficient equal to sigma, and every odd
              coefficient above 1 equal to zero.
 
-    The series and d are formed from the weights and kernels. The kernels
-    past the constant have disjoint supports, so each coefficient is one
-    weight times 2, -2 or -1 (exact in floating point too); the constant
-    term is exactly 1. P is convex, so h is in P exactly when the weights
-    lie in the simplex, which ``harness.run_hk_audit`` certifies exactly.
+    d_1..d_{k-2} are formed from the weights alone. The kernels past the
+    constant have disjoint supports, so each d is one weight times 2s, -1
+    or 2 (exact in floating point too), or zero. P is convex, so h is in P
+    exactly when the weights lie in the simplex, which
+    ``harness.run_hk_audit`` certifies exactly.
 
     The sign-dependent kernel for k in {4, 5} covers both sides of the
     alpha where the defining coefficient changes sign with one formula (the
@@ -192,36 +187,19 @@ def build_hk(k: int, alpha, order: int, *, backend: Backend = FLOAT):
     coefficient only in the sign pattern of the higher kernel powers).
     Requires alpha > 1; exact on the rational backend.
     """
-    if not isinstance(k, int) or k < 2:
-        raise ValueError(f"coefficient index must be an integer >= 2, got {k!r}")
-    if not isinstance(order, int) or order < k:
-        raise ValueError(f"order must be an integer >= k = {k}, got {order!r}")
     alpha = backend.scalar(alpha)
     weights, sigma, sign = hk_weights(k, alpha)
-    if k == 2:
-        kernels = ()
-    elif k <= 5:
-        # the kernel's powers alternate in sign when s is -1: d, -d, d, ...
-        kernels = (_moebius(k - 2, sign, order),)
-    else:
-        kernels = ([(1, -1)], _moebius(2, 1, order))  # 1 - z and (1 + z^2)/(1 - z^2)
-    coeffs = [backend.one] + [backend.zero] * order
     d = [alpha * 0] * (k - 2)
-    for w, kernel in zip(weights[1:], kernels):  # weights[0] is the constant kernel's
-        # each distinct coefficient is multiplied and converted once, then shared
-        made = {}
-        for j, c in kernel:
-            if c not in made:
-                value = w * c
-                made[c] = (value, backend.coeff(value))
-            value, coeffs[j] = made[c]
-            if j < k - 1:
-                d[j - 1] = value
-    series = TruncatedSeries(coeffs, order, backend=backend)
+    if 3 <= k <= 5:
+        d[k - 3] = weights[1] * (2 * sign)  # (1 + s z^(k-2))/(1 - s z^(k-2)) starts 1 + 2s z^(k-2)
+    elif k >= 6:
+        d[0] = weights[1] * -1  # 1 - z
+        even = weights[2] * 2  # (1 + z^2)/(1 - z^2) = 1 + 2 z^2 + 2 z^4 + ...
+        for j in range(2, k - 1, 2):
+            d[j - 1] = even
     d = tuple(d)
     gammas = tuple(gamma_ladder(d, k - 2, _HALF))
-    scheme = GammaScheme(k=k, alpha=alpha, d=d, sigma=sigma, gammas=gammas, weights=weights)
-    return series, scheme
+    return GammaScheme(k=k, alpha=alpha, d=d, sigma=sigma, gammas=gammas, weights=weights)
 
 
 def gamma_identity_row(scheme: GammaScheme, m: int):

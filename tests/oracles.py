@@ -34,7 +34,11 @@ Horner loop).
 - ``min_real_part_scalar`` is the minimum of Re over equally spaced points
   of a circle, one ``evaluate`` call per point on the ``complex``
   coefficients; the positivity probes of the half-Hadamard composition and
-  of `build_hk` read it. The library samples no circle.
+  of h(z)_k read it. The library samples no circle.
+- ``hk_coefficients`` expands h(z)_k as the weighted sum of its kernels,
+  each kernel written out term by term. `build_hk` forms only d_1..d_(k-2)
+  straight from the weights, so they must equal coefficients 1..k-2 of
+  this sum: bit for bit on floats, as fractions on the rational backend.
 - ``random_herglotz`` is the atom system of trial 0 of the stream keyed by
   a seed, a fixed random generator for tests.
 - ``classify_region_by_fractions`` is the omega-region test with the
@@ -80,7 +84,7 @@ from coeffbounds import (
 from coeffbounds.bounds import Region
 from coeffbounds._rational import RationalComplex
 from coeffbounds.caratheodory import MAX_ATOMS, half_hadamard_coefficients, trial_atoms
-from coeffbounds.schemes import gamma_ladder, nehari_coefficients
+from coeffbounds.schemes import gamma_ladder, hk_weights, nehari_coefficients
 from coeffbounds.series import cauchy_coefficients, real_power_coefficients
 
 
@@ -261,6 +265,28 @@ def min_real_part_scalar(p: TruncatedSeries, radius: float, samples: int) -> flo
         if value < best:
             best = value
     return best
+
+
+def hk_coefficients(k: int, alpha, order: int) -> list:
+    """Coefficients 0..order of h(z)_k: its kernels written out term by term, times their weights.
+
+    ``alpha`` is a backend scalar (float or Fraction); the weights and the
+    sign s come from `hk_weights`. The kernels are 1, (1 + s z^(k-2))/(1 - s
+    z^(k-2)) for k in {3, 4, 5}, and 1, 1 - z, (1 + z^2)/(1 - z^2) for
+    k >= 6.
+    """
+    weights, _, sign = hk_weights(k, alpha)
+
+    def moebius(step, s):
+        """(1 + s z^step)/(1 - s z^step) = 1 + 2 sum_i s^i z^(i step)."""
+        return [1] + [2 * s ** (j // step) if j % step == 0 else 0 for j in range(1, order + 1)]
+
+    kernels = [[1] + [0] * order]
+    if 3 <= k <= 5:
+        kernels.append(moebius(k - 2, sign))
+    elif k >= 6:
+        kernels += [[1, -1] + [0] * (order - 1), moebius(2, 1)]
+    return [sum(w * kernel[j] for w, kernel in zip(weights, kernels)) for j in range(order + 1)]
 
 
 def nehari_coefficients_full(gammas, G, n: int, alpha, beta, zero) -> list:

@@ -182,7 +182,7 @@ def test_criterion_07_hk_audit(criterion):
     exact = True
     for alpha in default_grid(RATIONAL).alpha_values:
         for k in range(2, 13):
-            _, scheme = build_hk(k, alpha, 64, backend=RATIONAL)
+            scheme = build_hk(k, alpha, backend=RATIONAL)
             exact = exact and check_gamma_identity(scheme)
     ok = (
         all(r.passed for r in construction)

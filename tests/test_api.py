@@ -163,6 +163,7 @@ def test_backend_constants_are_shared():
         (harness.run_expand, "backend"),
         (schemes.check_gamma_identity, "alpha"),
         (schemes.check_gamma_identity, "tol"),
+        (schemes.build_hk, "order"),
         (bounds.bound_report, "tol"),
     ],
 )
@@ -407,7 +408,8 @@ def test_commands_enter_every_package_function(tmp_path, capsys):
         if event == "call" and code.co_filename.startswith(package):
             entered.add((Path(code.co_filename).name, code.co_firstlineno))
 
-    commands = _one_point_commands(tmp_path)
+    # plus one argv that does not parse, which takes the parser's usage-error path
+    commands = [*_one_point_commands(tmp_path), ["bounds", "--kmax", "x"]]
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:
@@ -415,7 +417,7 @@ def test_commands_enter_every_package_function(tmp_path, capsys):
     finally:
         sys.setprofile(previous)
     capsys.readouterr()
-    assert codes == [1 if "nehari" in argv else 0 for argv in commands]
+    assert codes == [1 if "nehari" in argv else 0 for argv in commands[:-1]] + [2]
     defined = _defined_functions()
     assert set(_MAY_STAY_UNENTERED) <= set(defined.values())
     unentered = sorted(

@@ -1,14 +1,19 @@
 """End-to-end command-line behaviour: exit codes, formats, streams."""
 
+import contextlib
+import csv
 import hashlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coeffbounds import SmallAlphaBound, TruncatedSeries, bounds, cli, extremal_p, harness, run_expand
 from coeffbounds.harness import BOUNDS_COLUMNS
@@ -243,6 +248,116 @@ class TestFlagsPerSubcommand:
         code, _, err = run(["verify", "random", "--kmax", "70", "--trials", "5"], capsys)
         assert code == 0
         assert "96/96 points passed" in err
+
+
+# Values that are malformed, out of range or at the edge of the arithmetic, for any flag:
+# non-finite and signed zero, past the float range, blank, non-ASCII digits, fractions over
+# 64 bits. None is a valid int past 12, so none makes a run of --n or --trials costly.
+_TRICKY = ("inf", "-inf", "nan", "-0", "1e400", "1e-400", "5e-324", "", " 7", "1/2", "0x10", "٣", "１２",
+           "-1", "1/0", "18446744073709551617/3", "1/18446744073709551617")
+# Ints at and past 64 bits, for the flags whose cost is capped (an uncapped --n or --trials
+# would run away) and for grid tokens.
+_HUGE = ("9223372036854775807", "99999999999999999999", f"-{2**70}")
+_DIGIT_ZEROS = ("0", "٠", "०", "０")  # ASCII, Arabic-Indic, Devanagari, fullwidth
+
+
+def _digits(value: int, zero: str) -> str:
+    """``value`` written in the decimal digits that start at ``zero``."""
+    return ("-" if value < 0 else "") + "".join(chr(ord(zero) + int(c)) for c in str(abs(value)))
+
+
+def _token(valid, tricky=_TRICKY):
+    """Mostly a valid value, else a tricky token."""
+    return st.sampled_from(("valid",) * 4 + ("tricky",)).flatmap(
+        lambda kind: valid if kind == "valid" else st.sampled_from(tricky))
+
+
+def _int_token(low, high, huge=True):
+    """A valid int in [low, high] in any digits, else a tricky token or (``huge``) a huge int."""
+    valid = st.builds(_digits, st.integers(low, high), st.sampled_from(_DIGIT_ZEROS))
+    return _token(valid, _TRICKY + _HUGE if huge else _TRICKY)
+
+
+# Valid --kmax, --trials and --order stay small, so a generated run costs milliseconds.
+# Repeated grid values come from equal tokens and from 1/2 against 0.5.
+_VALUES = {
+    "--n": _int_token(0, 5, huge=False),
+    "--kmax": _int_token(2, 16),
+    "--trials": _int_token(1, 50, huge=False),
+    "--seed": _int_token(-(2**70), 2**70),
+    "--order": _int_token(1, 32),
+    # alphas that parse but whose float powers overflow, next to the stock-like ones
+    "--alpha": _token(st.sampled_from(("1.1", "11/10", "3/2", "1.5", "2", "٢", "10", "1/3", "1e308", "5e-324")),
+                      _TRICKY + _HUGE),
+    "--beta": _token(st.sampled_from(("0", "0.25", "1/4", "0.5", "1/2", "0.9")), _TRICKY + _HUGE),
+    "--backend": _token(st.sampled_from(("float", "rational"))),
+    "--format": _token(st.sampled_from(("csv", "json"))),
+    "--radius": st.sampled_from(("0.5", "nan")),
+    "--samples": st.sampled_from(("16", "-1")),
+}
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand with some of its flags, then up to two more: repeats or another command's."""
+    command = draw(st.sampled_from(list(_FLAGS_BY_COMMAND)))
+    argv = list(command)
+    for flag in sorted(_FLAGS_BY_COMMAND[command] & set(_VALUES)):
+        if draw(st.booleans()) or (command == ("expand",) and flag in ("--n", "--alpha", "--beta")):
+            argv += [flag, draw(_VALUES[flag])]
+    for flag in draw(st.lists(st.sampled_from(sorted(_VALUES)), max_size=2)):
+        argv += [flag, draw(_VALUES[flag])]
+    if command[-1] in ("random", "nehari"):
+        argv += ["--trials", draw(_VALUES["--trials"])]  # the last one counts: never the default 1000
+    return argv
+
+
+@pytest.fixture(scope="module")
+def pspec_paths(tmp_path_factory):
+    """One float and one rational generator document for ``expand``."""
+    folder = tmp_path_factory.mktemp("pspec")
+    paths = []
+    for name, doc in (("float", extremal_p(2).to_document()),
+                      ("rational", {"backend": "rational", "atoms": [{"weight": "1/3", "t": "1/2"},
+                                                                     {"weight": "2/3", "t": "-3/4"}]})):
+        path = folder / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        paths.append(str(path))
+    return paths
+
+
+def _alarm(signum, frame):
+    raise TimeoutError("one generated argv ran past its 20 s budget")
+
+
+class TestGeneratedArgvs:
+    @settings(max_examples=400)
+    @given(argv=_argvs(), pick=st.integers(0, 1))
+    def test_exit_code_and_streams_keep_the_contract(self, pspec_paths, argv, pick):
+        if argv[0] == "expand":
+            argv = [*argv, "--pspec", pspec_paths[pick]]
+        out, err = io.StringIO(), io.StringIO()
+        previous = signal.signal(signal.SIGALRM, _alarm)
+        signal.alarm(20)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert out == "", argv
+            assert sum(line.startswith("usage error:") for line in err.splitlines()) == 1, (argv, err)
+            return
+        formats = [value for flag, value in zip(argv, argv[1:]) if flag == "--format"]
+        if formats[-1:] == ["json"]:
+            assert isinstance(json.loads(out), dict)
+        else:
+            rows = list(csv.reader(io.StringIO(out)))
+            assert len(rows) > 1, argv
+            assert {len(row) for row in rows} == {len(rows[0])}, argv
 
 
 class TestBoundsCommand:

@@ -33,7 +33,7 @@ from coeffbounds import (
     sweeps,
 )
 from coeffbounds.bounds import SLACK
-from coeffbounds.harness import DEFAULT_K_MAX, DEFAULT_ORDER
+from coeffbounds.harness import DEFAULT_K_MAX
 from coeffbounds.schemes import gamma_identity_row
 from coeffbounds.reports import fmt_float
 from oracles import dominance_margins_scalar, nehari_margins_scalar
@@ -281,9 +281,9 @@ class TestHkAudit:
         backends = []
         original = harness.build_hk
 
-        def recording(k, alpha, order, *, backend=FLOAT):
+        def recording(k, alpha, *, backend=FLOAT):
             backends.append(backend)
-            return original(k, alpha, order, backend=backend)
+            return original(k, alpha, backend=backend)
 
         monkeypatch.setattr(harness, "build_hk", recording)
         assert cli.main(["verify", "hk"]) == 0
@@ -298,7 +298,7 @@ class TestHkAudit:
             assert [e.k for e in rows] == [str(k) for k in range(2, DEFAULT_K_MAX + 1)]
             for k, row in zip(range(2, DEFAULT_K_MAX + 1), rows):
                 # the weights of the construction at the exact value of alpha, never rounded
-                _, exact = build_hk(k, Fraction(alpha), k, backend=RATIONAL)
+                exact = build_hk(k, Fraction(alpha), backend=RATIONAL)
                 assert sum(exact.weights) == 1
                 smallest = min(exact.weights)
                 assert smallest > 0
@@ -337,7 +337,7 @@ class TestHkAudit:
             entries = [e for e in report.entries if e.case.startswith("gamma identity")]
             assert [e.k for e in entries] == [str(k) for k in range(2, DEFAULT_K_MAX + 1)]
             for k, entry in zip(range(2, DEFAULT_K_MAX + 1), entries):
-                _, scheme = build_hk(k, alpha, DEFAULT_ORDER, backend=backend)
+                scheme = build_hk(k, alpha, backend=backend)
                 m, value, target, residual = [gamma_identity_row(scheme, m) for m in range(1, k)][-1]
                 assert entry.case == f"gamma identity at defining order m={m}"
                 assert (entry.observed, entry.reference, entry.margin) == (

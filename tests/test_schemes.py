@@ -1,6 +1,7 @@
 """Weight ladder, per-index constructions, and the alternating series."""
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,13 @@ from coeffbounds.caratheodory import (
     half_hadamard_coefficients,
 )
 from coeffbounds.schemes import gamma_identity_row, gamma_ladder, nehari_coefficients
-from oracles import min_real_part_scalar, nehari_coefficients_full, random_herglotz, scheme_etas
+from oracles import (
+    hk_coefficients,
+    min_real_part_scalar,
+    nehari_coefficients_full,
+    random_herglotz,
+    scheme_etas,
+)
 
 HALF = Fraction(1, 2)
 
@@ -66,108 +73,101 @@ class TestGammaLadder:
 
 class TestBuildHk:
     def test_k2_is_constant_one(self):
-        h, scheme = build_hk(2, Fraction(3, 2), 6, backend=RATIONAL)
-        assert h == TruncatedSeries([RATIONAL.one], 6, backend=RATIONAL)
+        scheme = build_hk(2, Fraction(3, 2), backend=RATIONAL)
+        assert hk_coefficients(2, Fraction(3, 2), 6) == [1] + [0] * 6
         assert scheme.d == ()
         assert scheme.gammas == (Fraction(1),)
         assert check_gamma_identity(scheme)
 
     def test_k3_alternating_series(self):
-        h, scheme = build_hk(3, Fraction(2), 6, backend=RATIONAL)
+        scheme = build_hk(3, Fraction(2), backend=RATIONAL)
         assert scheme.d == (Fraction(-1),)
-        for j in range(7):
-            expect = Fraction(1) if j == 0 else Fraction((-1) ** j)
-            assert h.coefficient(j) == RATIONAL.coeff(expect)
+        assert hk_coefficients(3, Fraction(2), 6) == [Fraction((-1) ** j) for j in range(7)]
         assert check_gamma_identity(scheme)
 
     def test_k4_defining_coefficient(self):
-        h, scheme = build_hk(4, Fraction(2), 8, backend=RATIONAL)
+        scheme = build_hk(4, Fraction(2), backend=RATIONAL)
+        h = hk_coefficients(4, Fraction(2), 8)
         # 2(alpha^2 - 6 alpha + 2)/(3 alpha^2) at alpha=2 is -1
         assert scheme.d == (Fraction(0), Fraction(-1))
-        assert h.coefficient(1) == RATIONAL.zero
-        assert h.coefficient(2) == RATIONAL.coeff(-1)
-        assert h.coefficient(4) == RATIONAL.coeff(1)  # sign alternates with s = -1
-        assert h.coefficient(3) == RATIONAL.zero
+        assert h[1] == 0
+        assert h[2] == -1
+        assert h[4] == 1  # sign alternates with s = -1
+        assert h[3] == 0
         assert check_gamma_identity(scheme)
 
     def test_k5_defining_coefficient(self):
-        h, scheme = build_hk(5, Fraction(2), 9, backend=RATIONAL)
+        scheme = build_hk(5, Fraction(2), backend=RATIONAL)
+        h = hk_coefficients(5, Fraction(2), 9)
         assert scheme.d == (Fraction(0), Fraction(0), Fraction(-3, 4))
-        assert h.coefficient(3) == RATIONAL.coeff(Fraction(-3, 4))
-        assert h.coefficient(6) == RATIONAL.coeff(Fraction(3, 4))
+        assert h[3] == Fraction(-3, 4)
+        assert h[6] == Fraction(3, 4)
         assert check_gamma_identity(scheme)
 
     def test_k6_recipe(self):
-        h, scheme = build_hk(6, Fraction(2), 16, backend=RATIONAL)
+        scheme = build_hk(6, Fraction(2), backend=RATIONAL)
+        h = hk_coefficients(6, Fraction(2), 16)
         assert scheme.sigma == Fraction(1, 4)
-        assert h.coefficient(1) == RATIONAL.coeff(Fraction(-1, 2))
+        assert h[1] == Fraction(-1, 2)
         for j in range(2, 17):
-            expect = Fraction(1, 4) if j % 2 == 0 else Fraction(0)
-            assert h.coefficient(j) == RATIONAL.coeff(expect)
+            assert h[j] == (Fraction(1, 4) if j % 2 == 0 else 0)
         assert scheme.d == (Fraction(-1, 2), Fraction(1, 4), Fraction(0), Fraction(1, 4))
         assert check_gamma_identity(scheme)
 
     @pytest.mark.parametrize("k", range(2, 13))
     @pytest.mark.parametrize("alpha", [Fraction(11, 10), Fraction(3, 2), Fraction(2), Fraction(10)])
     def test_identity_exact_across_grid(self, k, alpha):
-        _, scheme = build_hk(k, alpha, k, backend=RATIONAL)
+        scheme = build_hk(k, alpha, backend=RATIONAL)
         assert check_gamma_identity(scheme)
         m, value, target, residual = gamma_identity_row(scheme, k - 1)
         assert m == k - 1 and value == target and residual == 0
 
-    @pytest.mark.parametrize("backend", [FLOAT, RATIONAL], ids=lambda b: b.name)
-    @pytest.mark.parametrize("alpha", ["11/10", "2", "3", "10"])
-    def test_repeated_coefficients_are_built_once(self, backend, alpha):
-        # k = 3 alternates two values, k = 4, 5 one or two (the sign pattern),
-        # k >= 6 has d_1 and one shared even value
-        for k in range(3, 13):
-            h, _ = build_hk(k, backend.scalar(alpha), 40, backend=backend)
-            assert len({id(c) for c in h.coeffs[1:] if c != backend.zero}) <= 2
-
     @pytest.mark.parametrize("k", range(2, 13))
     def test_coefficients_bounded_by_two(self, k):
         for alpha in (Fraction(11, 10), Fraction(2), Fraction(100)):
-            _, scheme = build_hk(k, alpha, k, backend=RATIONAL)
+            scheme = build_hk(k, alpha, backend=RATIONAL)
             assert all(abs(d) <= 2 for d in scheme.d)
 
     @pytest.mark.parametrize("k", range(2, 13))
     @pytest.mark.parametrize("alpha", [Fraction(11, 10), Fraction(3, 2), Fraction(6), Fraction(100)])
     def test_series_is_the_weighted_kernel_sum(self, k, alpha):
-        # the kernels written out coefficient by coefficient, constant term first
+        # the weights and the coefficients of the kernel sum against the closed forms of build_hk
         order = 16
-
-        def moebius(step, sign):
-            return [1] + [2 * sign ** (j // step) if j % step == 0 else 0 for j in range(1, order + 1)]
-
-        constant = [1] + [0] * order
-        h, scheme = build_hk(k, alpha, order, backend=RATIONAL)
+        h = hk_coefficients(k, alpha, order)
+        scheme = build_hk(k, alpha, backend=RATIONAL)
         if k == 2:
-            kernels, weights = [constant], [1]
+            weights, want = [1], [0] * order
         elif k == 3:
-            kernels, weights = [constant, moebius(1, -1)], [1 - 1 / alpha, 1 / alpha]
+            weights = [1 - 1 / alpha, 1 / alpha]
+            want = [2 * (-1) ** j / alpha for j in range(1, order + 1)]
         elif k in (4, 5):
-            d = scheme.d[-1]
-            kernels = [constant, moebius(k - 2, 1 if d >= 0 else -1)]
-            weights = [1 - abs(d) / 2, abs(d) / 2]
+            if k == 4:
+                top = 2 * (alpha**2 - 6 * alpha + 2) / (3 * alpha**2)
+            else:
+                top = 2 * (3 * alpha**3 - 11 * alpha**2 + 6 * alpha - 1) / (3 * alpha**3)
+            s = 1 if top >= 0 else -1
+            weights = [1 - abs(top) / 2, abs(top) / 2]
+            want = [top * s ** (j // (k - 2) - 1) if j % (k - 2) == 0 else 0 for j in range(1, order + 1)]
         else:
-            kernels = [constant, [1, -1] + [0] * (order - 1), moebius(2, 1)]
-            weights = [1 - Fraction(2, k - 2) - scheme.sigma / 2, Fraction(2, k - 2), scheme.sigma / 2]
+            sigma = recipe_even_constant(k) * math.prod(j * alpha - 1 for j in range(1, k - 1)) / alpha ** (k - 2)
+            weights = [1 - Fraction(2, k - 2) - sigma / 2, Fraction(2, k - 2), sigma / 2]
+            want = [Fraction(-2, k - 2)] + [sigma if j % 2 == 0 else 0 for j in range(2, order + 1)]
         assert scheme.weights == tuple(weights)
         assert sum(scheme.weights) == 1 and min(scheme.weights) >= 0
-        for j in range(order + 1):
-            assert h.coefficient(j) == RATIONAL.coeff(sum(w * kernel[j] for w, kernel in zip(weights, kernels)))
+        assert h == [1, *want]
+        assert scheme.d == tuple(want[: k - 2])
 
     @pytest.mark.parametrize("alpha", ["11/10", "2", "3", "10"])
     def test_float_weights_track_exact_weights(self, alpha):
         for k in range(2, 13):
-            _, sf = build_hk(k, FLOAT.scalar(alpha), k)
-            _, sr = build_hk(k, RATIONAL.scalar(alpha), k, backend=RATIONAL)
+            sf = build_hk(k, FLOAT.scalar(alpha))
+            sr = build_hk(k, RATIONAL.scalar(alpha), backend=RATIONAL)
             assert len(sf.weights) == len(sr.weights)
             assert all(abs(f - float(r)) < 1e-14 for f, r in zip(sf.weights, sr.weights))
 
     @pytest.mark.parametrize("k", range(3, 13))
     def test_stays_positive_real_part(self, k):
-        h, _ = build_hk(k, 1.7, 64)
+        h = TruncatedSeries(hk_coefficients(k, 1.7, 64))
         tail = 2 * 0.99**65 / 0.01
         assert min_real_part_scalar(h, 0.99, 360) >= -tail
 
@@ -175,7 +175,7 @@ class TestBuildHk:
         # the d's are solved from the defining order; at k = 4 the m = 2 row
         # reads 1/2 against a target of (alpha-1)/(2 alpha), unequal for
         # every alpha, which is why the identity check pins its orders
-        _, scheme = build_hk(4, Fraction(2), 4, backend=RATIONAL)
+        scheme = build_hk(4, Fraction(2), backend=RATIONAL)
         rows = {}
         for m in range(1, scheme.k):
             _, value, target, _ = gamma_identity_row(scheme, m)
@@ -185,7 +185,7 @@ class TestBuildHk:
         assert rows[3][0] == rows[3][1]
 
     def test_identity_detects_perturbation(self):
-        _, scheme = build_hk(5, Fraction(2), 5, backend=RATIONAL)
+        scheme = build_hk(5, Fraction(2), backend=RATIONAL)
         bad_d = (scheme.d[0], scheme.d[1] + Fraction(1, 1000), scheme.d[2])
         bad = dataclasses.replace(
             scheme, d=bad_d, gammas=tuple(gamma_ladder(bad_d, scheme.k - 2, HALF))
@@ -202,13 +202,26 @@ class TestBuildHk:
         a = backend.scalar(alpha)
         for k in range(2, 21):
             weights, sigma, sign = hk_weights(k, a)
-            _, scheme = build_hk(k, a, k, backend=backend)
+            scheme = build_hk(k, a, backend=backend)
             assert list(map(repr, weights)) == list(map(repr, scheme.weights)), k
             assert repr(sigma) == repr(scheme.sigma)
             if 3 <= k <= 5:  # the sign of the defining coefficient d_(k-2)
                 assert sign == (1 if scheme.d[k - 3] >= 0 else -1)
             else:
                 assert sign == 1
+
+    @pytest.mark.parametrize("backend", [FLOAT, RATIONAL], ids=lambda b: b.name)
+    @pytest.mark.parametrize("alpha", WEIGHT_ALPHAS)
+    def test_d_is_the_kernel_sum(self, backend, alpha):
+        # d_1..d_(k-2) formed from the weights are coefficients 1..k-2 of the weighted kernels
+        a = backend.scalar(alpha)
+        for k in range(2, 21):
+            d = build_hk(k, a, backend=backend).d
+            want = hk_coefficients(k, a, k - 2)[1:]
+            if backend is FLOAT:
+                assert list(map(repr, d)) == list(map(repr, want)), k
+            else:
+                assert list(d) == want, k
 
     def test_weights_validation(self):
         with pytest.raises(ValueError):
@@ -220,23 +233,23 @@ class TestBuildHk:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            build_hk(1, 2.0, 8)
+            build_hk(1, 2.0)
         with pytest.raises(ValueError):
-            build_hk(4, 2.0, 3)
-        with pytest.raises(ValueError):
-            build_hk(4, 1.0, 8)
+            build_hk(4, 1.0)
 
     def test_etas(self):
-        _, scheme = build_hk(3, Fraction(2), 3, backend=RATIONAL)
+        scheme = build_hk(3, Fraction(2), backend=RATIONAL)
         etas = scheme_etas(scheme, 1, Fraction(0))
         assert etas[0] == 1
         assert etas[1] == 2 * scheme.gammas[1] / 3
 
     def test_float_matches_rational(self):
-        hf, sf = build_hk(7, 1.5, 12)
-        hr, sr = build_hk(7, Fraction(3, 2), 12, backend=RATIONAL)
-        for j in range(13):
-            assert abs(complex(hf.coefficient(j)) - complex(hr.coefficient(j))) < 1e-14
+        hf, sf = hk_coefficients(7, 1.5, 12), build_hk(7, 1.5)
+        hr, sr = hk_coefficients(7, Fraction(3, 2), 12), build_hk(7, Fraction(3, 2), backend=RATIONAL)
+        for f, r in zip(hf, hr, strict=True):
+            assert abs(f - float(r)) < 1e-14
+        for f, r in zip(sf.d, sr.d, strict=True):
+            assert abs(f - float(r)) < 1e-14
         assert abs(complex(sf.sigma) - complex(sr.sigma)) < 1e-14
 
 
@@ -252,7 +265,7 @@ class TestEvenConstants:
         # sigma should factor as c_k * prod (j alpha - 1) / alpha^(k-2)
         for k in range(6, 11):
             alpha = Fraction(7, 3)
-            _, scheme = build_hk(k, alpha, k, backend=RATIONAL)
+            scheme = build_hk(k, alpha, backend=RATIONAL)
             prod = Fraction(1)
             for j in range(1, k - 1):
                 prod *= j * alpha - 1
@@ -406,7 +419,7 @@ class TestNehariKernel:
             doc = [{"weight": w, "t": t} for w, t in pairs]
             return HerglotzAtoms.from_document({"backend": "rational", "atoms": doc})
 
-        h = build_hk(6, Fraction(5, 2), 8, backend=RATIONAL)[0].coeffs
+        h = TruncatedSeries(hk_coefficients(6, Fraction(5, 2), 8), backend=RATIONAL).coeffs
         p = atoms(("1/3", "1/2"), ("2/3", "-3/4")).series(order).coeffs
         q = atoms(("1/4", "2"), ("3/4", "-1/5")).series(order).coeffs
         r = half_hadamard_coefficients(p, q, RATIONAL.one, HALF)
