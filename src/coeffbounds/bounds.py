@@ -239,10 +239,11 @@ def f_quotient_coefficients(coeffs, n: int, alpha, beta, one, zero) -> list:
     """Coefficients of f/z = (beta + (1 - beta) p_n)^(1/alpha) from those of p, p_0 = 1.
 
     On backend scalars or on numpy columns with one value per trial (``beta``
-    may be such a column). Rebinding ``coeffs`` frees each list once the next exists.
+    may be such a column). An entry that is the ``zero`` object costs nothing
+    (see `series`). Rebinding ``coeffs`` frees each list once the next exists.
     """
-    coeffs = transform_coefficients(coeffs, alpha, n)
-    coeffs = shift_coefficients(coeffs, beta, one)
+    coeffs = transform_coefficients(coeffs, alpha, n, zero)
+    coeffs = shift_coefficients(coeffs, beta, one, zero)
     return real_power_coefficients(coeffs, 1 / alpha, one, zero)
 
 

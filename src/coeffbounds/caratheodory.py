@@ -62,24 +62,29 @@ def half_hadamard_coefficients(p, q, one, half) -> list:
     return [one, *(half * (pk * qk) for pk, qk in zip(p[1:], q[1:]))]
 
 
-def transform_coefficients(coeffs, alpha, n: int) -> list:
+def transform_coefficients(coeffs, alpha, n: int, zero) -> list:
     """Multiply the k-th coefficient by (alpha / (alpha + k))^n, k >= 1.
 
     That is n applications of p -> (alpha / z^alpha) integral_0^z t^(alpha-1) p(t) dt.
+    An entry that is the caller's ``zero`` object passes through unchanged
+    (see `series.real_power_coefficients`).
     """
     if n == 0:
         return list(coeffs)
     out = [coeffs[0]]
     for k in range(1, len(coeffs)):
-        w = alpha / (alpha + k)
-        out.append((w**n) * coeffs[k])
+        c = coeffs[k]
+        out.append(c if c is zero else (alpha / (alpha + k)) ** n * c)
     return out
 
 
-def shift_coefficients(coeffs, beta, one) -> list:
-    """beta + (1 - beta) p for p_0 = 1: every coefficient past the first times 1 - beta."""
+def shift_coefficients(coeffs, beta, one, zero) -> list:
+    """beta + (1 - beta) p for p_0 = 1: every coefficient past the first times 1 - beta.
+
+    An entry that is the caller's ``zero`` object passes through unchanged.
+    """
     one_minus = 1 - beta
-    return [one, *(one_minus * c for c in coeffs[1:])]
+    return [one, *(c if c is zero else one_minus * c for c in coeffs[1:])]
 
 
 def check_atom_rows(weights, points, counts) -> None:

@@ -27,12 +27,17 @@ go to stderr. Exit status: 0 when everything passed, 1 when at least one
 check failed, 2 for usage problems (stdout empty, one ``usage error:`` line on
 stderr, argparse's rejections included), among them parameters whose float
 arithmetic overflows or whose exact values grow past the digits Python prints,
-and a --kmax or --order above `harness.MAX_ORDER`.
+a --kmax or --order above `harness.MAX_ORDER`, and an --n above
+`harness.MAX_N`.
+
+`main` builds its parser on its first call and reuses it for every later
+call in the process; `build_parser` returns a new one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -142,6 +147,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_flags(expand, "expand")
 
     return parser
+
+
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """The parser `main` reads its argv with: built on the first call, then reused.
+
+    argparse keeps no state from one ``parse_args`` call to the next, so a
+    process that calls `main` many times builds the tree of subcommands and
+    flags once. Nothing is built at import.
+    """
+    return build_parser()
 
 
 def _parse_tokens(backend, tokens, what: str) -> tuple:
@@ -279,9 +295,8 @@ def _run_expand_command(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -23,6 +23,7 @@ from .bounds import (
     bound_report,
     extremal_p,
     f_from_p,
+    f_quotient_coefficients,
     growth_estimate,
     p_from_f,
     round_trip_tolerances,
@@ -64,6 +65,18 @@ MAX_EXACT_BITS = 64
 #: 4096-trial block of ``verify nehari`` takes about 30 s and 130 MB, and a
 #: rational ``expand`` about 10 s; each doubling multiplies the time by about 7.
 MAX_ORDER = 256
+#: Largest n of every command. Only the exact runs grow with n, the costliest
+#: being a rational ``expand``: at the default order 64 and n = 64 it takes
+#: about 16 s (and 38 s at n = 100), against 0.05 s for a rational ``bounds``
+#: at n = 1000; see CHANGES.md for the measurement.
+MAX_N = 64
+
+
+def _check_n(n):
+    if not isinstance(n, int) or n < 0:
+        raise UsageError(f"n must be a non-negative integer, got {n!r}")
+    if n > MAX_N:
+        raise UsageError(f"n must be at most {MAX_N}, got {n!r}")
 
 
 def _check_k_max(k_max):
@@ -113,8 +126,7 @@ class GridSpec:
         if not self.beta_values:
             raise UsageError("empty beta list")
         for n in self.n_values:
-            if not isinstance(n, int) or n < 0:
-                raise UsageError(f"n must be a non-negative integer, got {n!r}")
+            _check_n(n)
         for a in self.alpha_values:
             if not a > 0:
                 raise UsageError(f"alpha must be positive, got {a!r}")
@@ -219,30 +231,30 @@ def run_bounds_table(grid: GridSpec, backend: Backend = FLOAT):
 def run_extremal_suite(grid: GridSpec, backend: Backend = FLOAT):
     """Extremal generators must hit the sharp bound at every grid point.
 
-    Float backend: relative deviation at most `EXTREMAL_REL_TOL` for k = 2..k_max.
-    Rational backend: exact equality, where the extremal atoms exist
-    exactly (k = 2 and 3); higher k would need irrational atoms.
+    The generator of index k is `extremal_p(k)`, whose series through order
+    k - 1 is 1 + 2 z^(k-1). That series is exact on both backends, and it is
+    given to `f_quotient_coefficients` with every other entry the backend's
+    own zero object, so the kernels skip those entries and a_k costs O(k).
+    Float backend: relative deviation at most `EXTREMAL_REL_TOL` for
+    k = 2..k_max. Rational backend: exact equality for k = 2 and 3, where
+    `extremal_p` has exact atoms for the witness of a failing row.
     """
     _require_alpha_gt1(grid.alpha_values, "extremal")
     k_top = grid.k_max if backend is FLOAT else min(grid.k_max, 3)
-    # the generators depend on k alone: build each once, keep the atoms for witnesses
-    generators = {}
-    for k in range(2, k_top + 1):
-        atoms = extremal_p(k, backend=backend)
-        generators[k] = (atoms, atoms.series(k - 1))
+    one, zero = backend.one, backend.zero
+    series = {k: [one, *[zero] * (k - 2), backend.coeff(2)] for k in range(2, k_top + 1)}
     reports = []
     for n, alpha, beta in grid.points():
         start = time.perf_counter()
         params = ClassParams(n, alpha, beta)
         point = _point(backend, n, alpha, beta)
+        alpha, beta = backend.scalar(alpha), backend.scalar(beta)
         entries = []
         passed = True
         worst = 0.0
         witness = None
         for k, bound in zip(range(2, k_top + 1), sharp_bounds(params, k_top)):
-            atoms, series = generators[k]
-            f = f_from_p(series, params, k)
-            a_k = f.coefficient(k)
+            a_k = f_quotient_coefficients(series[k], n, alpha, beta, one, zero)[k - 1]
             if backend is RATIONAL:
                 ok = a_k.abs2() == bound * bound
                 rel = 0.0 if ok else abs(float(bound) - abs(complex(a_k))) / float(bound)
@@ -255,7 +267,7 @@ def run_extremal_suite(grid: GridSpec, backend: Backend = FLOAT):
             if not ok:
                 passed = False
                 if witness is None:
-                    witness = {"k": k, "atoms": atoms.to_document()}
+                    witness = {"k": k, "atoms": extremal_p(k, backend=backend).to_document()}
             entries.append(
                 SuiteEntry(
                     suite="extremal",
@@ -431,7 +443,7 @@ def run_hk_audit(alpha_values, k_max: int = DEFAULT_K_MAX, backend: Backend = FL
             w_min = min(weights)
             checks = (  # (case, observed, reference, margin, verdict)
                 (f"gamma identity at defining order m={m}", backend.format_scalar(value),
-                 backend.format_scalar(target), fmt_float(residual), check_gamma_identity(scheme)),
+                 backend.format_scalar(target), fmt_float(residual), check_gamma_identity(scheme, target)),
                 ("coefficient magnitude max|d|", backend.format_scalar(d_max), "2",
                  fmt_float(2 - float(d_max)), d_max <= 2),
                 ("convex weights of the construction", backend.format_scalar(w_min), "0",
@@ -575,6 +587,7 @@ def run_expand(
     `_round_trip`). The document names its backend, and alpha and beta are
     read on it. The defaults are the ones ``coeffbounds expand`` uses.
     """
+    _check_n(n)
     _check_k_max(k_max)
     if not isinstance(order, int) or order < k_max:
         raise UsageError(f"order must be an integer >= k_max, got {order!r}")

@@ -209,7 +209,7 @@ def gamma_identity_row(scheme: GammaScheme, m: int):
     return m, value, target, abs(complex(value - target))
 
 
-def check_gamma_identity(scheme: GammaScheme) -> bool:
+def check_gamma_identity(scheme: GammaScheme, target=None) -> bool:
     """True when the ladder meets its target at the pinned orders.
 
     The d-choices for index k are solved from the identity at the defining
@@ -218,16 +218,22 @@ def check_gamma_identity(scheme: GammaScheme) -> bool:
     order, and e.g. k = 4 gives gamma_1 = 1/2 against an m = 2 target of
     (alpha-1)/(2 alpha), unequal for every alpha. So this checks m = 1 and
     m = k-1 — exactly on Fraction data, within `IDENTITY_TOL` otherwise — and
-    leaves the full per-order picture to ``gamma_identity_row``.
+    leaves the full per-order picture to ``gamma_identity_row``. ``target``
+    is the target at m = k-1 when the caller has formed it already (the row
+    of ``gamma_identity_row`` at that order carries it).
     """
     exact = isinstance(scheme.alpha, Fraction)
-    for m in (1, scheme.k - 1) if scheme.k > 2 else (1,):
+    if target is None:
+        target = gamma_target(scheme.k - 1, scheme.alpha)
+    pinned = {scheme.k - 1: target}
+    if scheme.k > 2:
+        pinned[1] = gamma_target(1, scheme.alpha)
+    for m, want in pinned.items():
         value = scheme.gammas[m - 1]
-        target = gamma_target(m, scheme.alpha)
         if exact:
-            if value != target:
+            if value != want:
                 return False
-        elif abs(complex(value - target)) > IDENTITY_TOL:
+        elif abs(complex(value - want)) > IDENTITY_TOL:
             return False
     return True
 

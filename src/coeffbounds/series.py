@@ -25,6 +25,15 @@ term into it without a temporary; that column keeps the dtype of
 Python ``complex``, ``Fraction`` and ``RationalComplex`` there is no
 in-place operator, ``+=`` falls back to ``+``, and scalars and columns run
 the same code.
+
+An entry that *is* the caller's ``zero`` object (a structural zero, as in
+the sparse extremal series 1 + 2 z^(k-1) of ``harness.run_extremal_suite``)
+is known to vanish: ``real_power_coefficients`` skips its terms, and the
+transform and the shift of `caratheodory` pass it through unchanged. On
+finite values a skipped term is an exact zero, and adding one to an
+accumulator that started at +0 changes none of its bits, so the result is
+the dense recurrence's bit for bit. A computed zero or a numpy column is
+never the ``zero`` object and takes the dense path.
 """
 
 from __future__ import annotations
@@ -66,13 +75,19 @@ def real_power_coefficients(g, c, one, zero) -> list:
         u_0 = 1,   k u_k = sum_{j=1}^{k} (j c - (k - j)) g_j u_{k-j}.
 
     1/k is typed like the exponent: a Fraction for a Fraction c, a float otherwise.
+    The terms of an entry g_j that is the caller's ``zero`` object are never
+    formed, so a series with one other entry past g_0 costs O(len(g)) terms.
     """
+    terms = [j for j in range(1, len(g)) if g[j] is not zero]
+    exact = isinstance(c, Fraction)  # an ABC check, so once per call
     u = [one]
     for k in range(1, len(g)):
         acc = zero
-        for j in range(1, k + 1):
+        for j in terms:
+            if j > k:
+                break
             acc += (c * j - (k - j)) * g[j] * u[k - j]
-        if isinstance(c, Fraction):
+        if exact:
             u.append(acc * Fraction(1, k))
         else:
             acc *= 1.0 / k

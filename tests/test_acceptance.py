@@ -161,7 +161,7 @@ def test_criterion_06_quadrature_crosscheck(criterion):
         p = random_herglotz(seed).series(24)
         for alpha in (0.5, 1.0, 2.0, 5.0):
             for n in range(4):
-                closed = transform_coefficients(p.coeffs, alpha, n)
+                closed = transform_coefficients(p.coeffs, alpha, n, FLOAT.zero)
                 quad = transform_coefficients_by_quadrature(p, alpha, n, 16)
                 for k in range(17):
                     worst = max(worst, abs(quad[k] - closed[k]))
@@ -245,9 +245,9 @@ def test_criterion_09_growth_estimate_dominates(criterion):
         for seed in range(12):
             p = random_herglotz(7000 + seed).series(16).coeffs
             for n in grid.n_values:
-                shifted = transform_coefficients(p, alpha, n)
+                shifted = transform_coefficients(p, alpha, n, FLOAT.zero)
                 for beta in grid.beta_values:
-                    g = shift_coefficients(shifted, beta, FLOAT.one)
+                    g = shift_coefficients(shifted, beta, FLOAT.one, FLOAT.zero)
                     for k in range(17):
                         gap = estimates[k] - abs(g[k])
                         worst = max(worst, -gap)

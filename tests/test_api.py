@@ -410,6 +410,8 @@ def test_commands_enter_every_package_function(tmp_path, capsys):
 
     # plus one argv that does not parse, which takes the parser's usage-error path
     commands = [*_one_point_commands(tmp_path), ["bounds", "--kmax", "x"]]
+    # an earlier test may have built the shared parser; these calls must build it
+    cli._shared_parser.cache_clear()
     previous = sys.getprofile()
     sys.setprofile(profile)
     try:

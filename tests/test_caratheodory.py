@@ -82,7 +82,7 @@ class TestHalfHadamard:
 class TestTransform:
     def test_coefficient_factors(self):
         p = HerglotzAtoms.from_rational([Fraction(1)], [Fraction(0)]).series(4)
-        out = transform_coefficients(p.coeffs, Fraction(3), 2)
+        out = transform_coefficients(p.coeffs, Fraction(3), 2, RATIONAL.zero)
         # b_k = 2 -> 2 * (3/(3+k))^2
         for k in range(1, 5):
             assert out[k] == RATIONAL.coeff(2 * Fraction(3, 3 + k) ** 2)
@@ -90,24 +90,24 @@ class TestTransform:
 
     def test_composes_additively_in_n(self):
         p = random_herglotz(7).series(10).coeffs
-        once = transform_coefficients(transform_coefficients(p, 2.0, 1), 2.0, 2)
-        both = transform_coefficients(p, 2.0, 3)
+        once = transform_coefficients(transform_coefficients(p, 2.0, 1, FLOAT.zero), 2.0, 2, FLOAT.zero)
+        both = transform_coefficients(p, 2.0, 3, FLOAT.zero)
         assert all(abs(a - b) < 1e-14 for a, b in zip(once, both, strict=True))
 
     def test_n_zero_is_identity(self):
         p = random_herglotz(3).series(8).coeffs
-        assert transform_coefficients(p, 5.0, 0) == list(p)
+        assert transform_coefficients(p, 5.0, 0, FLOAT.zero) == list(p)
 
     def test_shift_to_beta_keeps_unit_constant(self):
         p = random_herglotz(21).series(16).coeffs
-        shifted = shift_coefficients(p, 0.375, FLOAT.one)
+        shifted = shift_coefficients(p, 0.375, FLOAT.one, FLOAT.zero)
         assert shifted[0] == 1 + 0j
         for k in range(1, 17):
             assert abs(shifted[k] - 0.625 * p[k]) < 1e-15
 
     def test_shift_to_beta_exact_rational(self):
         p = HerglotzAtoms.from_rational([Fraction(1)], [Fraction(1, 3)]).series(6).coeffs
-        shifted = shift_coefficients(p, Fraction(1, 4), RATIONAL.one)
+        shifted = shift_coefficients(p, Fraction(1, 4), RATIONAL.one, RATIONAL.zero)
         assert shifted[0] == RATIONAL.one
         assert shifted[2] == RATIONAL.coeff(Fraction(3, 4)) * p[2]
 

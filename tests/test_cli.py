@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coeffbounds import SmallAlphaBound, TruncatedSeries, bounds, cli, extremal_p, harness, run_expand
-from coeffbounds.harness import BOUNDS_COLUMNS
+from coeffbounds.harness import BOUNDS_COLUMNS, UsageError
 from coeffbounds.reports import SUITE_COLUMNS, json_text
 
 SMALL = ["--n", "1", "--alpha", "2", "--beta", "0", "--kmax", "6"]
@@ -198,6 +198,44 @@ class TestIndexCap:
         assert run(argv, capsys)[0] == 0
 
 
+class TestNCap:
+    """An --n past `harness.MAX_N` is a usage error that names the limit, before any work."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # before the cap, the first ran past 30 s and the second out of memory
+            ["bounds", "--backend", "rational", "--n", "10000000", "--alpha", "2", "--beta", "0", "--kmax", "4"],
+            ["bounds", "--backend", "rational", "--n", "99999999999999999999"],
+            ["bounds", "--n", "65"],
+            ["verify", "extremal", "--backend", "rational", "--n", "0", "--n", "65"],
+            ["verify", "random", "--n", "65", "--trials", "3"],
+            ["verify", "nehari", "--n", "99999999999999999999", "--trials", "3"],
+            ["expand", "--n", "65", "--alpha", "3/2", "--beta", "1/4"],
+            ["expand", "--n", "10000000", "--alpha", "3/2", "--beta", "1/4"],
+        ],
+        ids=" ".join,
+    )
+    def test_over_the_cap_within_a_timeout(self, argv, tmp_path):
+        if argv[0] == "expand":
+            path = tmp_path / "p.json"
+            path.write_text(json.dumps(_GOLDEN_RATIONAL_DOC))
+            argv = [*argv, "--pspec", str(path)]
+        out = run_process(argv)
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr.startswith("usage error:")
+        assert f"n must be at most {harness.MAX_N}" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_the_cap_itself_runs(self, capsys):
+        assert harness.MAX_N == 64
+        assert run(["bounds", "--backend", "rational", "--n", "64", "--alpha", "2", "--beta", "0"], capsys)[0] == 0
+        assert run(["verify", "extremal", "--backend", "rational", "--n", "64"], capsys)[0] == 0
+        assert run(["verify", "random", *SMALL, "--n", "64", "--trials", "5"], capsys)[0] == 0
+        with pytest.raises(UsageError, match="at most 64"):
+            run_expand(extremal_p(2).to_document(), 65, 2.0, 0.0)
+
+
 _POINT_FLAGS = {"--n", "--alpha", "--beta", "--kmax", "--format", "--out"}
 _FLAGS_BY_COMMAND = {
     ("bounds",): _POINT_FLAGS | {"--backend"},
@@ -252,12 +290,14 @@ class TestFlagsPerSubcommand:
 
 # Values that are malformed, out of range or at the edge of the arithmetic, for any flag:
 # non-finite and signed zero, past the float range, blank, non-ASCII digits, fractions over
-# 64 bits. None is a valid int past 12, so none makes a run of --n or --trials costly.
+# 64 bits. None is a valid int past 12, so none makes a run of --trials costly.
 _TRICKY = ("inf", "-inf", "nan", "-0", "1e400", "1e-400", "5e-324", "", " 7", "1/2", "0x10", "٣", "１２",
            "-1", "1/0", "18446744073709551617/3", "1/18446744073709551617")
-# Ints at and past 64 bits, for the flags whose cost is capped (an uncapped --n or --trials
-# would run away) and for grid tokens.
+# Ints at and past 64 bits, for the flags whose cost is capped (an uncapped --trials would
+# run away) and for grid tokens.
 _HUGE = ("9223372036854775807", "99999999999999999999", f"-{2**70}")
+# --n just past its cap, and one whose exact powers ran for minutes before the cap
+_OVER_N = (str(harness.MAX_N + 1), "10000000", *_HUGE)
 _DIGIT_ZEROS = ("0", "٠", "०", "０")  # ASCII, Arabic-Indic, Devanagari, fullwidth
 
 
@@ -272,18 +312,18 @@ def _token(valid, tricky=_TRICKY):
         lambda kind: valid if kind == "valid" else st.sampled_from(tricky))
 
 
-def _int_token(low, high, huge=True):
-    """A valid int in [low, high] in any digits, else a tricky token or (``huge``) a huge int."""
+def _int_token(low, high, over=_HUGE):
+    """A valid int in [low, high] in any digits, else a tricky token or one of ``over``."""
     valid = st.builds(_digits, st.integers(low, high), st.sampled_from(_DIGIT_ZEROS))
-    return _token(valid, _TRICKY + _HUGE if huge else _TRICKY)
+    return _token(valid, _TRICKY + over)
 
 
 # Valid --kmax, --trials and --order stay small, so a generated run costs milliseconds.
 # Repeated grid values come from equal tokens and from 1/2 against 0.5.
 _VALUES = {
-    "--n": _int_token(0, 5, huge=False),
+    "--n": _int_token(0, 5, _OVER_N),
     "--kmax": _int_token(2, 16),
-    "--trials": _int_token(1, 50, huge=False),
+    "--trials": _int_token(1, 50, ()),
     "--seed": _int_token(-(2**70), 2**70),
     "--order": _int_token(1, 32),
     # alphas that parse but whose float powers overflow, next to the stock-like ones
@@ -638,6 +678,65 @@ class TestExpandCommand:
         assert json_text(run_expand(doc, 1, "2", "0", 16, 8)) == out
 
 
+_PSPEC = "<pspec>"  # replaced by the path of a rational document
+
+
+class TestSharedParser:
+    """`main` parses with one parser per process; each call reads as a fresh one."""
+
+    @staticmethod
+    def outcomes(sequence, fresh, capsys):
+        """Exit code and stdout of each argv, and stderr for the usage errors (the rest holds timings)."""
+        out = []
+        for argv in sequence:
+            if fresh:
+                cli._shared_parser.cache_clear()
+            code, stdout, stderr = run(argv, capsys)
+            out.append((code, stdout, stderr if code == 2 else None))
+        return out
+
+    @pytest.mark.parametrize(
+        "sequence",
+        [
+            # a grid command, then the same command without --n
+            [["bounds", "--n", "2", "--alpha", "3/2", "--kmax", "4"], ["bounds", "--alpha", "3/2", "--kmax", "4"]],
+            [["verify", "extremal", "--n", "1", "--n", "3", "--kmax", "5", "--backend", "rational"],
+             ["verify", "extremal", "--kmax", "5", "--backend", "rational"]],
+            [["verify", "random", *SMALL, "--trials", "20"], ["verify", "random", "--alpha", "2", "--trials", "20"]],
+            # a usage error, then a valid call
+            [["bounds", "--kmax", "x"], ["bounds", "--kmax", "3", "--format", "json"]],
+            [["verify", "hk", "--n", "1"], ["verify", "hk", "--alpha", "2", "--kmax", "5"]],
+            [["verify"], ["verify", "extremal", *SMALL]],
+            # expand: a valid call, a usage error, then the first call with one flag more
+            [["expand", "--pspec", _PSPEC, "--n", "1", "--alpha", "2", "--beta", "0", "--order", "12", "--kmax", "6"],
+             ["expand", "--pspec", _PSPEC, "--n", "1", "--n", "2", "--alpha", "2", "--beta", "0"],
+             ["expand", "--pspec", _PSPEC, "--n", "1", "--alpha", "2", "--beta", "0", "--order", "12", "--kmax", "6",
+              "--format", "json"]],
+        ],
+        ids=lambda sequence: " / ".join(" ".join(argv[:2]) for argv in sequence),
+    )
+    def test_a_sequence_reads_like_fresh_calls(self, sequence, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(_GOLDEN_RATIONAL_DOC))
+        sequence = [[str(path) if token == _PSPEC else token for token in argv] for argv in sequence]
+        fresh = self.outcomes(sequence, True, capsys)
+        cli._shared_parser.cache_clear()
+        shared = self.outcomes(sequence, False, capsys)
+        assert shared == fresh
+        assert cli._shared_parser.cache_info().misses == 1
+
+    def test_built_on_the_first_call_not_at_import(self):
+        probe = ("import coeffbounds.cli as cli; before = cli._shared_parser.cache_info().currsize; "
+                 "cli.main(['bounds', '--kmax', 'x']); print(before, cli._shared_parser.cache_info().currsize)")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+        assert out.stdout.split() == ["0", "1"]
+
+    def test_build_parser_still_builds_a_new_one(self):
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli.build_parser() is not cli._shared_parser()
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
@@ -693,7 +792,7 @@ _REGION_EDGES = ["--alpha", "1/10", "--alpha", "1/3", "--alpha", "2/3", "--alpha
         (["verify", "hk", *_HK_WIDE], None, "8315f20fd3d9bec3959b782fcc49b3c6dc3e4036d5d5afad9a82a2125074c09a"),
         (["verify", "hk", *_HK_WIDE, "--backend", "rational"], None,
          "671d23d78252ecbfcffd9318ccc436b6a9b657252e27cdc4bdad1c683468952c"),
-        (["verify", "extremal"], None, "2ed47a800b39c0e08497303da4371519a511a8ac38011c62712c0701686a6d67"),
+        (["verify", "extremal"], None, "1bf90081c9d5a6115f044c0321baae6bd9e82c471a3891e6dcb951da50f579f7"),
         (["verify", "extremal", "--backend", "rational"], None,
          "f0fe53ec7ef477d980602c22f297a8d22000ad9b6ebd0b50dbf36b1e3388604d"),
         (["expand", *_GOLDEN_EXPAND], _GOLDEN_FLOAT_DOC,

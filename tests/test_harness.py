@@ -1,6 +1,7 @@
 """Grid handling, suite reports, and the expand pipeline."""
 
 import importlib.util
+import json
 import random
 import sys
 from fractions import Fraction
@@ -32,7 +33,7 @@ from coeffbounds import (
     suite_json,
     sweeps,
 )
-from coeffbounds.bounds import SLACK
+from coeffbounds.bounds import SLACK, ClassParams, f_from_p, sharp_bounds
 from coeffbounds.harness import DEFAULT_K_MAX
 from coeffbounds.schemes import gamma_identity_row
 from coeffbounds.reports import fmt_float
@@ -165,6 +166,53 @@ class TestExtremalSuite:
         with pytest.raises(UsageError):
             run_extremal_suite(small_grid(alpha_values=(0.5,)), FLOAT)
 
+    def test_float_atoms_meet_the_tolerance_on_the_stock_grid(self):
+        # the suite reads the exact series 1 + 2 z^(k-1); the roots-of-unity atoms of
+        # extremal_p, through the dense f_from_p, must still meet the same tolerance
+        grid = default_grid(FLOAT)
+        ks = range(2, grid.k_max + 1)
+        series = {k: extremal_p(k).series(k - 1) for k in ks}
+        rels = []
+        for n, alpha, beta in grid.points():
+            params = ClassParams(n, alpha, beta)
+            for k, bound in zip(ks, sharp_bounds(params, grid.k_max)):
+                rels.append(abs(bound - abs(f_from_p(series[k], params, k).coefficient(k))) / bound)
+        assert len(rels) == 96 * 11
+        assert max(rels) <= harness.EXTREMAL_REL_TOL
+
+    @pytest.mark.parametrize("backend", [FLOAT, RATIONAL], ids=lambda b: b.name)
+    def test_builds_no_series_object_and_no_f(self, backend, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the suite reads a_k from the coefficient kernels alone")
+
+        monkeypatch.setattr(harness, "f_from_p", refuse)
+        monkeypatch.setattr(TruncatedSeries, "__init__", refuse)
+        monkeypatch.setattr(HerglotzAtoms, "series", refuse)
+        grid = default_grid(backend, n_values=(0, 2), k_max=12)
+        assert all(report.passed for report in run_extremal_suite(grid, backend))
+
+    @pytest.mark.parametrize("backend", [FLOAT, RATIONAL], ids=lambda b: b.name)
+    def test_a_failing_row_carries_atoms_that_expand_accepts(self, backend, monkeypatch, tmp_path, capsys):
+        exact = harness.sharp_bounds
+        monkeypatch.setattr(harness, "sharp_bounds", lambda params, k_max: [b + 1 for b in exact(params, k_max)])
+        grid = default_grid(backend, n_values=(2,), alpha_values=(backend.scalar("3/2"),),
+                            beta_values=(backend.scalar("1/4"),), k_max=6)
+        (report,) = run_extremal_suite(grid, backend)
+        monkeypatch.undo()
+        assert not report.passed
+        assert report.witness["k"] == 2
+        assert report.witness["atoms"] == extremal_p(2, backend=backend).to_document()
+        path = tmp_path / "witness.json"
+        path.write_text(json.dumps(report.witness["atoms"]))
+        point = report.point
+        argv = ["expand", "--pspec", str(path), "--n", point["n"], "--alpha", point["alpha"],
+                "--beta", point["beta"], "--order", "8", "--kmax", "4"]
+        code = cli.main(argv)
+        out = capsys.readouterr().out
+        assert code == 0
+        # the witness hits the true sharp bound at its k
+        assert "2,bound (sharp hit)," in out
+
 
 class TestRandomSuite:
     def test_passes(self):
@@ -244,6 +292,22 @@ class TestNehariSuite:
 
 
 class TestHkAudit:
+    @pytest.mark.parametrize("backend", [FLOAT, RATIONAL], ids=lambda b: b.name)
+    def test_forms_each_target_once(self, backend, monkeypatch):
+        orders = []
+        target = schemes.gamma_target
+
+        def counting(m, alpha):
+            orders.append(m)
+            return target(m, alpha)
+
+        monkeypatch.setattr(schemes, "gamma_target", counting)
+        run_hk_audit((backend.scalar("2"), backend.scalar("7/2")), 12, backend)
+        # per alpha: the defining order k - 1 once per k, shared by the row and its
+        # verdict, and the m = 1 target once per k > 2
+        per_alpha = sorted([k - 1 for k in range(2, 13)] + [1] * 10)
+        assert sorted(orders) == sorted(per_alpha * 2)
+
     def test_shape(self):
         reports = run_hk_audit((1.5, 2.0), k_max=8)
         sections = {r.point.get("section") for r in reports}

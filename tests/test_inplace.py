@@ -112,7 +112,7 @@ def kernel_runs(kernels, weights, points, zero, one, half=0.5, alpha=ALPHA, beta
     atom_k, cauchy_k, power_k, ladder_k, nehari_k = kernels
     atoms = atom_coefficients_parent(weights, points, ORDER, one, zero)
     other = atom_coefficients_parent(weights[::-1], points[::-1], ORDER, one, zero)
-    g = shift_coefficients(transform_coefficients(atoms, alpha, N), beta, one)
+    g = shift_coefficients(transform_coefficients(atoms, alpha, N, zero), beta, one, zero)
     gammas = gamma_ladder_parent(atoms[1:], ORDER - 1, half)
     G = [zero, *cauchy_coefficients_parent(atoms, other, zero)[1:]]
     return {
@@ -285,7 +285,7 @@ def test_kernels_leave_inputs_and_share_no_memory(label, weights, points, zero, 
     with np.errstate(all="ignore"):
         atoms = atom_coefficients_parent(weights, points, ORDER, one, zero)
         other = atom_coefficients_parent(weights[::-1], points[::-1], ORDER, one, zero)
-        g = shift_coefficients(transform_coefficients(atoms, ALPHA, N), BETA, one)
+        g = shift_coefficients(transform_coefficients(atoms, ALPHA, N, zero), BETA, one, zero)
         gammas = gamma_ladder_parent(atoms[1:], ORDER - 1, 0.5)
     G = [zero, *other[1:]]
     runs = (

@@ -10,6 +10,7 @@ circle to read coefficients back off — and compares.
 import numpy as np
 import pytest
 
+from coeffbounds import FLOAT
 from coeffbounds.caratheodory import transform_coefficients
 from oracles import random_herglotz, transform_coefficients_by_quadrature
 
@@ -19,7 +20,7 @@ from oracles import random_herglotz, transform_coefficients_by_quadrature
 def test_quadrature_matches_closed_form(alpha, n):
     atoms = random_herglotz(314)
     p = atoms.series(24)
-    closed = transform_coefficients(p.coeffs, alpha, n)
+    closed = transform_coefficients(p.coeffs, alpha, n, FLOAT.zero)
     quad = transform_coefficients_by_quadrature(p, alpha, n, 16)
     for k in range(17):
         assert abs(quad[k] - closed[k]) < 1e-8
@@ -35,7 +36,7 @@ def test_quadrature_identity_at_n_zero():
 
 def test_more_nodes_tighten_agreement():
     p = random_herglotz(55).series(24)
-    closed = transform_coefficients(p.coeffs, 0.5, 2)
+    closed = transform_coefficients(p.coeffs, 0.5, 2, FLOAT.zero)
     coarse = transform_coefficients_by_quadrature(p, 0.5, 2, 10, nodes=8)
     fine = transform_coefficients_by_quadrature(p, 0.5, 2, 10, nodes=48)
     err_coarse = max(abs(coarse[k] - closed[k]) for k in range(11))

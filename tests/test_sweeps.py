@@ -515,7 +515,7 @@ class TestBatchKernels:
     def test_batch_power_quotient_matches_f_from_p(self, n, alpha, beta):
         # transform, then beta shift, then the 1/alpha power: (f/z) of each trial
         systems, b = self.generator_columns((6, 7, 8), 11)
-        g = shift_coefficients(transform_coefficients(b, alpha, n), beta, FLOAT.one)
+        g = shift_coefficients(transform_coefficients(b, alpha, n, FLOAT.zero), beta, FLOAT.one, FLOAT.zero)
         got = real_power_coefficients(g, 1 / alpha, FLOAT.one, FLOAT.zero)
         params = ClassParams(n, alpha, beta)
         assert_columns_match(got, [f_from_p(atoms, params, 12).coeffs[1:] for atoms in systems])
