@@ -72,10 +72,6 @@ class RationalComplex:
             return _exact(self.re - other, self.im)
         return NotImplemented
 
-    def __neg__(self):
-        # the Nehari kernel negates every other weight, on exact data too
-        return _exact(-self.re, -self.im)
-
     def __mul__(self, other):
         a, b = self.re, self.im
         if isinstance(other, RationalComplex):

@@ -182,7 +182,7 @@ def _small_alpha_row(params: ClassParams, ks) -> list:
     tails = []
     sign_prod = 1 - 0 * alpha  # prod_{j=0}^{m-1} (1 - j alpha), starts at 1
     factorial = 1
-    for m, tail in enumerate(power_tails(tail_base, max(m_tops), zero), start=1):
+    for m, tail in enumerate(power_tails(tail_base, max(m_tops)), start=1):
         if m > 1:
             sign_prod = sign_prod * (1 - (m - 1) * alpha)
             factorial *= m

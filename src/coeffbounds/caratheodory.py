@@ -43,17 +43,18 @@ MAX_ATOMS = 4
 # scalars or 1-D numpy columns (one value per trial); see `series`.
 
 
-def atom_coefficients(weights, points, order: int, one, zero) -> list:
+def atom_coefficients(weights, points, order: int, one) -> list:
     """1, b_1, ..., b_order with b_k = 2 sum_j w_j x_j^k."""
     coeffs = [one]
     powers = list(points)
-    for _ in range(order):
-        acc = zero
-        for w, p in zip(weights, powers):
+    for k in range(1, order + 1):
+        acc = weights[0] * powers[0]
+        for w, p in zip(weights[1:], powers[1:]):
             acc += w * p
         acc += acc
         coeffs.append(acc)
-        powers = [p * x for p, x in zip(powers, points)]
+        if k < order:
+            powers = [p * x for p, x in zip(powers, points)]
     return coeffs
 
 
@@ -195,7 +196,7 @@ class HerglotzAtoms:
     def series(self, order: int) -> TruncatedSeries:
         """1 + sum_k b_k z^k with b_k = 2 sum_j lambda_j x_j^k."""
         backend = self.backend
-        coeffs = atom_coefficients(self.weights, self.points, order, backend.one, backend.zero)
+        coeffs = atom_coefficients(self.weights, self.points, order, backend.one)
         return TruncatedSeries(coeffs, order, backend=backend)
 
     # -- serialization ------------------------------------------------------
@@ -230,10 +231,14 @@ class HerglotzAtoms:
         """Parse an atom document (the inverse of :meth:`to_document`).
 
         Rational weights, t parameters and explicit points are fraction
-        strings. An atom field the backend does not read is an error.
+        strings. A document or atom field the backend does not read is an
+        error, and so is a rational atom that gives both t and the point.
         """
         if not isinstance(doc, dict) or "atoms" not in doc:
             raise ValueError("atom document must be an object with an 'atoms' list")
+        unknown = sorted(set(doc) - {"backend", "atoms"})
+        if unknown:
+            raise ValueError(f"unknown document fields {unknown}")
         backend = _doc_backend(doc)
         raw = doc["atoms"]
         if not isinstance(raw, list) or not raw:
@@ -257,6 +262,8 @@ class HerglotzAtoms:
                     raise ValueError("float atom needs 'angle_radians'")
             else:
                 weights.append(Fraction(str(entry["weight"])))
+                if "t" in entry and ("x_re" in entry or "x_im" in entry):
+                    raise ValueError("rational atom takes 't' or 'x_re'/'x_im', not both")
                 if "t" in entry:
                     points.append(unimodular_from_t(Fraction(str(entry["t"]))))
                 elif "x_re" in entry and "x_im" in entry:

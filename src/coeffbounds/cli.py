@@ -226,7 +226,7 @@ def _read_pspec(path: str | None) -> dict:
         raise UsageError(f"cannot read pspec: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the interpreter's digit limit
         raise UsageError(f"pspec is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise UsageError(f"pspec must be a JSON object, got {type(doc).__name__}")

@@ -57,8 +57,9 @@ EXTREMAL_REL_TOL = 1e-10
 #: Largest |a_k| gap at which the alpha = 1 audit matches a closed form 2/k^n or 2/(k+1)^n.
 ALPHA_ONE_MATCH_TOL = 1e-12
 #: Largest bit length of the numerator or the denominator of an exact alpha or
-#: beta (19 decimal digits fit). Exact bounds and expansions grow with it: a
-#: 400-digit alpha keeps a rational ``expand`` busy for minutes.
+#: beta, or of a value of a rational ``expand`` document (19 decimal digits
+#: fit). Exact bounds and expansions grow with it: a 400-digit alpha keeps a
+#: rational ``expand`` busy for minutes.
 MAX_EXACT_BITS = 64
 #: Largest k_max of every command and largest series order of ``expand``.
 #: The costliest work grows like the index to the power 2.8: at 256, one
@@ -66,9 +67,10 @@ MAX_EXACT_BITS = 64
 #: rational ``expand`` about 10 s; each doubling multiplies the time by about 7.
 MAX_ORDER = 256
 #: Largest n of every command. Only the exact runs grow with n, the costliest
-#: being a rational ``expand``: at the default order 64 and n = 64 it takes
-#: about 16 s (and 38 s at n = 100), against 0.05 s for a rational ``bounds``
-#: at n = 1000; see CHANGES.md for the measurement.
+#: being a rational ``expand``: at the default order 64 and n = 64 it took
+#: about 16 s (and 38 s at n = 100) before `_expansion` stopped it at the
+#: first stage past the digit limit (0.5 s now), against 0.05 s for a
+#: rational ``bounds`` at n = 1000; see CHANGES.md for the measurement.
 MAX_N = 64
 
 
@@ -576,6 +578,25 @@ def _ratio(residual: float, tolerance: float) -> float:
     return math.inf if residual else 0.0
 
 
+def _expansion(p, params: ClassParams, order: int) -> tuple:
+    """``f_from_p(p, params, order)`` and its coefficients as the report prints them.
+
+    An exact expansion is built at orders 16, 32, ... up to ``order``. Each
+    stage's coefficients are the full expansion's first ones (truncation is
+    lower-triangular), so a coefficient past the interpreter's digit limit,
+    which the report could not print, ends the run at the first stage that
+    forms it, not after the whole expansion and its round trip.
+    """
+    backend = p.backend
+    stage = order if backend is FLOAT else min(order, 16)
+    while True:
+        f = f_from_p(p, params, stage)
+        text = [_fmt_coeff(backend, c) for c in f.coeffs]
+        if stage == order:
+            return f, text
+        stage = min(2 * stage, order)
+
+
 def run_expand(
     doc: dict, n: int, alpha, beta, order: int = DEFAULT_ORDER, k_max: int = DEFAULT_K_MAX
 ) -> dict:
@@ -585,7 +606,8 @@ def run_expand(
     construction; the membership rows report the smallest weight and check
     that `p_from_f` gives back the generator's coefficients (see
     `_round_trip`). The document names its backend, and alpha and beta are
-    read on it. The defaults are the ones ``coeffbounds expand`` uses.
+    read on it; like them, each value of a rational document is held to
+    `MAX_EXACT_BITS`. The defaults are the ones ``coeffbounds expand`` uses.
     """
     _check_n(n)
     _check_k_max(k_max)
@@ -595,9 +617,13 @@ def run_expand(
         raise UsageError(f"order must be at most {MAX_ORDER}, got {order!r}")
     try:
         atoms = HerglotzAtoms.from_document(doc)
-    except (ValueError, TypeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:  # "1/0" is a ZeroDivisionError
         raise UsageError(f"invalid generator document: {exc}") from exc
     backend = atoms.backend
+    if backend is RATIONAL:
+        for entry in doc["atoms"]:
+            for field, value in entry.items():
+                _check_exact_size((Fraction(str(value)),), f"atom {field}")
     try:
         params = ClassParams(n, backend.scalar(alpha), backend.scalar(beta))
     except (ValueError, TypeError, OverflowError) as exc:
@@ -605,7 +631,7 @@ def run_expand(
     _check_exact_size((params.alpha,), "alpha")
     _check_exact_size((params.beta,), "beta")
     p = atoms.series(order - 1)
-    f = f_from_p(p, params, order)
+    f, f_coefficients = _expansion(p, params, order)
     bound_rows = []
     for k in range(2, k_max + 1):
         rep = bound_report(params, k, f.coefficient(k), backend=backend)
@@ -640,7 +666,7 @@ def run_expand(
             "beta": backend.format_scalar(params.beta),
         },
         "order": order,
-        "f_coefficients": [_fmt_coeff(backend, c) for c in f.coeffs],
+        "f_coefficients": f_coefficients,
         "bounds": bound_rows,
         "membership_min_weight": backend.format_scalar(min(atoms.weights)),
         "membership_status": status,

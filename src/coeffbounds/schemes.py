@@ -63,8 +63,8 @@ def gamma_ladder(ds, m_max: int, half) -> list:
     """
     out = []
     for m in range(m_max + 1):
-        acc = 0
-        for mu in range(1, m + 1):
+        acc = m * ds[0] if m else 0  # C(m, 1) d_1 starts the sum
+        for mu in range(2, m + 1):
             acc += math.comb(m, mu) * ds[mu - 1]
         acc *= half
         acc += 1
@@ -76,20 +76,27 @@ def gamma_ladder(ds, m_max: int, half) -> list:
 def nehari_coefficients(gammas, G, n: int, alpha, beta, zero) -> list:
     """A_0..A_K of sum_{m=1}^{K} (-1)^(m+1) eta_{m-1} G^m with K = len(G) - 1.
 
-    eta_{m-1} = (1-beta) alpha^n gamma_{m-1} / (alpha + m - 1)^n. G_0 is taken
-    to vanish (it is never read), so G = z H and G^m = z^m T_m, where the
-    tail T_m runs through order K - m (`series.power_tails`). Each weighted
-    tail is added into A_m..A_K only: the products with the leading zeros
-    of G^m, which added exact zeros, are never formed.
+    eta_{m-1} = (1-beta) alpha^n gamma_{m-1} / (alpha + m - 1)^n, with the
+    factor (1-beta) alpha^n formed once. G_0 is taken to vanish (it is never
+    read), so G = z H and G^m = z^m T_m, where the tail T_m runs through
+    order K - m (`series.power_tails`). Each weighted tail is added into
+    A_m..A_K only: the products with the leading zeros of G^m, which added
+    exact zeros, are never formed. The m = 1 products start A_1..A_K, A_0 is
+    the caller's ``zero``, and an even m subtracts its weighted tail, which
+    gives the bits of adding the negated weight times it.
     """
-    order = len(G) - 1
-    total = [zero] * len(G)
-    for m, tail in enumerate(power_tails(G[1:], order, zero), start=1):
-        weight = (1 - beta) * alpha**n * gammas[m - 1] / (alpha + m - 1) ** n
-        if m % 2 == 0:
-            weight = -weight
-        for i, c in enumerate(tail, start=m):
-            total[i] += weight * c
+    head = (1 - beta) * alpha**n
+    total = [zero]
+    for m, tail in enumerate(power_tails(G[1:], len(G) - 1), start=1):
+        weight = head * gammas[m - 1] / (alpha + m - 1) ** n
+        if m == 1:
+            total += [weight * c for c in tail]
+        elif m % 2:
+            for i, c in enumerate(tail, start=m):
+                total[i] += weight * c
+        else:
+            for i, c in enumerate(tail, start=m):
+                total[i] -= weight * c
     return total
 
 

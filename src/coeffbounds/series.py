@@ -17,14 +17,15 @@ sweeps pass); the same additions and multiplications run in the same order
 either way. The constants they need (zero, one, the exponent) come from
 the caller, typed for the backend, so a column never meets a `Fraction`.
 
-A kernel updates in place only objects it created, and never an input. Its
-accumulators start at the caller's scalar ``zero``, so the first term x
-makes a fresh column ``zero + x`` and ``acc += y`` then adds each further
-term into it without a temporary; that column keeps the dtype of
-``zero + x`` (the sweeps pass complex128 columns and a complex zero). On
-Python ``complex``, ``Fraction`` and ``RationalComplex`` there is no
-in-place operator, ``+=`` falls back to ``+``, and scalars and columns run
-the same code.
+A kernel updates in place only objects it created, and never an input. A
+Cauchy sum starts from its first product, a fresh column, and ``acc += y``
+then adds each further term into it without a temporary; no pass adds an
+exact zero. The real power's accumulators alone start at the caller's
+scalar ``zero``, so the first term x makes a fresh column ``zero + x``:
+its results keep the signed zeros of that +0 start, which the structural
+zero path below relies on. On Python ``complex``, ``Fraction`` and
+``RationalComplex`` there is no in-place operator, ``+=`` falls back to
+``+``, and scalars and columns run the same code.
 
 An entry that *is* the caller's ``zero`` object (a structural zero, as in
 the sparse extremal series 1 + 2 z^(k-1) of ``harness.run_extremal_suite``)
@@ -43,18 +44,18 @@ from fractions import Fraction
 from .backends import FLOAT, Backend
 
 
-def cauchy_coefficients(a, b, zero) -> list:
+def cauchy_coefficients(a, b) -> list:
     """Truncated Cauchy product c_k = sum_{j=0}^{k} a_j b_{k-j}, k < len(a)."""
     out = []
     for k in range(len(a)):
-        acc = zero
-        for j in range(k + 1):
+        acc = a[0] * b[k]
+        for j in range(1, k + 1):
             acc += a[j] * b[k - j]
         out.append(acc)
     return out
 
 
-def power_tails(h, count: int, zero):
+def power_tails(h, count: int):
     """Yield T_1..T_count, the tails (z h)^m = z^m T_m, T_m through order len(h) - m.
 
     T_1 = h and T_{m+1} is the Cauchy product of T_m (its top entry dropped)
@@ -66,7 +67,7 @@ def power_tails(h, count: int, zero):
     for m in range(1, count + 1):
         yield tail
         if m < count:
-            tail = cauchy_coefficients(tail[:-1], h, zero)
+            tail = cauchy_coefficients(tail[:-1], h)
 
 
 def real_power_coefficients(g, c, one, zero) -> list:

@@ -203,7 +203,7 @@ def a_k_direct(p: TruncatedSeries, params: ClassParams, k: int):
     factorial = 1
     for m in range(1, k):
         if m > 1:
-            power = cauchy_coefficients(power, w, backend.zero)
+            power = cauchy_coefficients(power, w)
             sign_prod = sign_prod * (1 - (m - 1) * alpha)
             factorial *= m
         b_m = (1 - beta) ** m * alpha ** (m * (n - 1)) * sign_prod / factorial
@@ -289,6 +289,13 @@ def hk_coefficients(k: int, alpha, order: int) -> list:
     return [sum(w * kernel[j] for w, kernel in zip(weights, kernels)) for j in range(order + 1)]
 
 
+def negated(w):
+    """-w, on exact values part by part: `RationalComplex` has no unary minus."""
+    if isinstance(w, RationalComplex):
+        return RationalComplex(-w.re, -w.im)
+    return -w
+
+
 def nehari_coefficients_full(gammas, G, n: int, alpha, beta, zero) -> list:
     """`schemes.nehari_coefficients` with every power G^m at full length K + 1."""
     order = len(G) - 1
@@ -297,10 +304,10 @@ def nehari_coefficients_full(gammas, G, n: int, alpha, beta, zero) -> list:
     for m in range(1, order + 1):
         weight = (1 - beta) * alpha**n * gammas[m - 1] / (alpha + m - 1) ** n
         if m % 2 == 0:
-            weight = -weight
+            weight = negated(weight)
         total = [t + weight * c for t, c in zip(total, power)]
         if m < order:
-            power = cauchy_coefficients(power, G, zero)
+            power = cauchy_coefficients(power, G)
     return total
 
 
@@ -340,7 +347,7 @@ def small_alpha_bound_full(params: ClassParams, k: int):
     factorial = 1
     for m in range(1, m_top + 1):
         if m > 1:
-            power = cauchy_coefficients(power, base, zero)
+            power = cauchy_coefficients(power, base)
             sign_prod = sign_prod * (1 - (m - 1) * alpha)
             factorial *= m
         b_m = (2**m) * (1 - beta) ** m * alpha ** (m * (n - 1)) * sign_prod / factorial
@@ -430,7 +437,7 @@ def nehari_coefficients_parent(gammas, G, n: int, alpha, beta, zero) -> list:
     for m, tail in enumerate(power_tails_parent(G[1:], order, zero), start=1):
         weight = (1 - beta) * alpha**n * gammas[m - 1] / (alpha + m - 1) ** n
         if m % 2 == 0:
-            weight = -weight
+            weight = negated(weight)
         total[m:] = [t + weight * c for t, c in zip(total[m:], tail)]
     return total
 

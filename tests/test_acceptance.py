@@ -109,7 +109,7 @@ def test_criterion_04_integer_power_oracle(criterion):
         ]
         G = [zero, *s]
         oracle = [one] + [zero] * len(s)
-        tails = list(power_tails(s, m, zero))
+        tails = list(power_tails(s, m))
         ok = ok and len(tails) == m
         for j, tail in enumerate(tails, start=1):
             oracle = mul_oracle(oracle, G, zero)

@@ -331,6 +331,74 @@ def test_unused_import_scan_sees_an_unused_name():
     assert _unused_imports(tree) == ["cmath"]
 
 
+def _unread_parameters(tree: ast.Module, prefix: str) -> list:
+    """Qualified ``function:parameter`` for each parameter that its function body never reads.
+
+    A method's first parameter (``self`` or ``cls``) is not counted; a read
+    in a nested function counts for the function around it.
+    """
+    found = []
+
+    def visit(node, prefix, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                params = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+                params = [a.arg for a in params if a is not None]
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in child.decorator_list)
+                if in_class and not static:
+                    params = params[1:]
+                read = {
+                    name.id for stmt in child.body for name in ast.walk(stmt)
+                    if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)
+                }
+                found.extend(f"{prefix}{child.name}:{p}" for p in params if p not in read)
+                visit(child, f"{prefix}{child.name}.", False)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", True)
+            else:
+                visit(child, prefix, in_class)
+
+    visit(tree, prefix, False)
+    return found
+
+
+#: Immutability guards refuse every assignment, so they read neither the name nor the value.
+_UNREAD_MAY_STAY = {
+    f"{owner}.__setattr__:{param}"
+    for owner in ("_rational.RationalComplex", "caratheodory.HerglotzAtoms", "series.TruncatedSeries")
+    for param in ("name", "value")
+}
+
+
+def test_every_parameter_is_read():
+    unread = set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        unread.update(_unread_parameters(ast.parse(path.read_text()), f"{path.stem}."))
+    assert sorted(unread - _UNREAD_MAY_STAY) == []
+    assert _UNREAD_MAY_STAY <= unread  # every exemption is still needed
+
+
+def test_unread_parameter_scan_sees_a_planted_parameter():
+    source = (
+        "def kernel(a, b, zero, *rest, scale=1, **extra):\n"
+        "    def inner():\n"
+        "        return b\n"
+        "    return a * scale + inner() + len(rest)\n"
+        "class A:\n"
+        "    def method(self, x):\n"
+        "        return 0\n"
+        "    @staticmethod\n"
+        "    def helper(y, z):\n"
+        "        y = 1\n"
+        "        return z\n"
+    )
+    # a parameter that is only assigned to is unread too
+    assert _unread_parameters(ast.parse(source), "m.") == [
+        "m.kernel:zero", "m.kernel:extra", "m.A.method:x", "m.A.helper:y",
+    ]
+
+
 def _functions_in(tree: ast.Module, file_name: str, prefix: str) -> dict:
     """Qualified name of every def in a module, keyed by (file name, first line of its code).
 
@@ -369,8 +437,6 @@ _MAY_STAY_UNENTERED = {
     "cli.entry": "the console-script wrapper around cli.main",
     "_rational.t_from_unimodular": "writes rational witnesses, which only a failing rational run reaches",
     "caratheodory.HerglotzAtoms.from_rational": "the public constructor of exact atom systems",
-    "_rational.RationalComplex.__neg__": "schemes.nehari_coefficients negates on exact data, "
-    "which no command runs yet",
 }
 
 

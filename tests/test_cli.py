@@ -366,8 +366,100 @@ def pspec_paths(tmp_path_factory):
     return paths
 
 
+# Document values that break a document or sit at the edge of its arithmetic: JSON booleans
+# and null, non-finite numbers (json writes NaN and Infinity, and reads them back), fractions
+# over 64 bits and at the limit, blanks, containers, and a JSON integer past the interpreter's
+# digit limit.
+_BIG_INT = "__integer with 5000 digits__"
+_DOC_TRICKY = (True, False, None, float("nan"), float("inf"), float("-inf"), "nan", "-inf", "", "1/0",
+               "x", "18446744073709551617/3", "1/18446744073709551617", 2**70, -(2**70), 0, -1, [], {},
+               _BIG_INT, "18446744073709551615/18446744073709551614", "-1/18446744073709551557")
+_SMALL_T = st.fractions(min_value=-4, max_value=4, max_denominator=9).map(str)
+
+
+@st.composite
+def _pspec_texts(draw):
+    """A float or rational generator document as JSON text: valid, then broken in up to three ways."""
+    backend = draw(st.sampled_from(("float", "rational")))
+    count = draw(st.integers(0, 3))  # no atom at all is an empty atom list
+    atoms = []
+    for _ in range(count):
+        if backend == "float":
+            atoms.append({"weight": 1.0 / count, "angle_radians": draw(st.floats(-7.0, 7.0))})
+        elif draw(st.booleans()):
+            atoms.append({"weight": f"1/{count}", "t": draw(_SMALL_T)})
+        else:
+            atoms.append({"weight": f"1/{count}", "x_re": "-1", "x_im": "0"})
+    doc = {"backend": backend, "atoms": atoms}
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("drop", "extra", "value", "weight", "document")))
+        if kind == "document":
+            # the other backend, no backend, a backend that is no name, a field no reader reads
+            key, value = draw(st.sampled_from((("backend", "float" if backend == "rational" else "rational"),
+                                               ("backend", True), ("backend", None), ("order", 5),
+                                               ("atoms", {}), ("atoms", "x"))))
+            doc[key] = value
+            if value is None:
+                del doc[key]
+            continue
+        if not atoms:
+            continue
+        atom = atoms[draw(st.integers(0, len(atoms) - 1))]
+        if kind == "drop" and atom:
+            del atom[draw(st.sampled_from(sorted(atom)))]
+        elif kind == "extra":
+            field = draw(st.sampled_from(("t", "angle_radians", "x_im", "color")))
+            atom[field] = draw(_SMALL_T)
+        elif kind == "value":
+            field = draw(st.sampled_from(("weight", "t", "angle_radians", "x_re")))
+            atom[field] = draw(st.sampled_from(_DOC_TRICKY))
+        elif kind == "weight":  # the weights no longer sum to 1
+            atom["weight"] = draw(st.sampled_from(("1/7", "2/3", 0.3, 0.5000001)))
+    return json.dumps(doc).replace(json.dumps(_BIG_INT), "9" * 5000)
+
+
+@st.composite
+def _expand_argvs(draw):
+    """A valid ``expand`` argv without its --pspec, at the default order or a small one."""
+    argv = ["expand", "--n", draw(st.sampled_from("0123")),
+            "--alpha", draw(st.sampled_from(("1/3", "11/10", "2", "10"))),
+            "--beta", draw(st.sampled_from(("0", "1/4", "0.9")))]
+    if draw(st.booleans()):
+        k_max = draw(st.integers(2, 8))
+        argv += ["--kmax", str(k_max), "--order", str(draw(st.integers(k_max, 24)))]
+    return [*argv, "--format", draw(st.sampled_from(("csv", "json")))]
+
+
 def _alarm(signum, frame):
     raise TimeoutError("one generated argv ran past its 20 s budget")
+
+
+def _keeps_the_contract(argv, stdin: str = ""):
+    """Run one argv with a 20 s budget: exit 0, 1 or 2, one usage-error line, well-formed reports."""
+    out, err = io.StringIO(), io.StringIO()
+    previous, previous_stdin = signal.signal(signal.SIGALRM, _alarm), sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    signal.alarm(20)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        sys.stdin = previous_stdin
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out == "", argv
+        assert sum(line.startswith("usage error:") for line in err.splitlines()) == 1, (argv, err)
+        return
+    formats = [value for flag, value in zip(argv, argv[1:]) if flag == "--format"]
+    if formats[-1:] == ["json"]:
+        assert isinstance(json.loads(out), dict)
+    else:
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) > 1, argv
+        assert {len(row) for row in rows} == {len(rows[0])}, argv
 
 
 class TestGeneratedArgvs:
@@ -376,28 +468,12 @@ class TestGeneratedArgvs:
     def test_exit_code_and_streams_keep_the_contract(self, pspec_paths, argv, pick):
         if argv[0] == "expand":
             argv = [*argv, "--pspec", pspec_paths[pick]]
-        out, err = io.StringIO(), io.StringIO()
-        previous = signal.signal(signal.SIGALRM, _alarm)
-        signal.alarm(20)
-        try:
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main(argv)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
-        out, err = out.getvalue(), err.getvalue()
-        assert code in (0, 1, 2), argv
-        if code == 2:
-            assert out == "", argv
-            assert sum(line.startswith("usage error:") for line in err.splitlines()) == 1, (argv, err)
-            return
-        formats = [value for flag, value in zip(argv, argv[1:]) if flag == "--format"]
-        if formats[-1:] == ["json"]:
-            assert isinstance(json.loads(out), dict)
-        else:
-            rows = list(csv.reader(io.StringIO(out)))
-            assert len(rows) > 1, argv
-            assert {len(row) for row in rows} == {len(rows[0])}, argv
+        _keeps_the_contract(argv)
+
+    @settings(max_examples=300)
+    @given(argv=_expand_argvs(), text=_pspec_texts())
+    def test_generated_documents_keep_the_contract(self, argv, text):
+        _keeps_the_contract([*argv, "--pspec", "-"], text)
 
 
 class TestBoundsCommand:
@@ -520,6 +596,54 @@ class TestExpandCommand:
         code, out, err = run(argv, capsys)
         assert (code, out) == (2, "")
         assert err.startswith(f"usage error: {message}")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [('{"backend": "rational", "atoms": [{"weight": 1, "t": ' + "9" * 5000 + '}]}',
+          "pspec is not valid JSON: Exceeds the limit (4300 digits)"),
+         ('{"backend": "rational", "atoms": [{"weight": "1/0", "t": "1/2"}]}',
+          "invalid generator document: Fraction(1, 0)"),
+         ('{"backend": "rational", "atoms": [{"weight": "1", "t": "1/2"}], "order": 8}',
+          "invalid generator document: unknown document fields ['order']"),
+         ('{"backend": "rational", "atoms": [{"weight": "1", "t": "1/2", "x_re": "-1", "x_im": "0"}]}',
+          "invalid generator document: rational atom takes 't' or 'x_re'/'x_im', not both"),
+         ('{"backend": "rational", "atoms": [{"weight": "1", "t": "18446744073709551617/3"}]}',
+          "exact atom t has a 65-bit numerator or denominator, over the 64-bit limit"),
+         ('{"backend": "rational", "atoms": [{"weight": "1/18446744073709551617", "t": "0"}, '
+          '{"weight": "18446744073709551616/18446744073709551617", "t": "1"}]}',
+          "exact atom weight has a 65-bit numerator or denominator, over the 64-bit limit")],
+        ids=["integer-past-digit-limit", "zero-denominator", "unknown-document-field", "t-and-point",
+             "t-over-64-bits", "weight-over-64-bits"],
+    )
+    def test_document_is_a_usage_error(self, text, message, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(["expand", "--pspec", "-", "--n", "0", "--alpha", "2", "--beta", "0"], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage error: {message}")
+
+    @staticmethod
+    def expansion_stages(flags, capsys, monkeypatch):
+        """The order of each `f_from_p` call of one rational expand, then its code, stdout and stderr."""
+        orders, expand = [], harness.f_from_p
+        monkeypatch.setattr(harness, "f_from_p",
+                            lambda p, params, order: orders.append(order) or expand(p, params, order))
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(_GOLDEN_RATIONAL_DOC)))
+        return orders, *run(["expand", "--pspec", "-", *flags], capsys)
+
+    def test_exact_expansion_stops_at_the_first_stage_past_the_digit_limit(self, capsys, monkeypatch):
+        # at a 64-bit alpha and n = 3, f's coefficients pass 4300 digits below z^32, so the
+        # order-32 stage ends the run; the whole order-64 expansion and its round trip took 20 s
+        flags = ["--n", "3", "--alpha", "18446744073709551557/18446744073709551556", "--beta", "0"]
+        orders, code, out, err = self.expansion_stages(flags, capsys, monkeypatch)
+        assert (code, out) == (2, "")
+        assert "more than 4300 digits" in err
+        assert orders == [16, 32]
+
+    def test_exact_expansion_stages_end_at_the_order(self, capsys, monkeypatch):
+        flags = ["--n", "1", "--alpha", "2", "--beta", "0", "--order", "40"]
+        orders, code, _, _ = self.expansion_stages(flags, capsys, monkeypatch)
+        assert code == 0
+        assert orders == [16, 32, 40]
 
     # the one-atom generator (1+z)/(1-z) at a tiny alpha: bounds up to 2.5e26, where float
     # rounding alone leaves |a_k| a few ulps above the bound

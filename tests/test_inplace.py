@@ -11,6 +11,7 @@ points within 4 * 2^-53 per part of exactly unimodular ones.
 """
 
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -110,14 +111,16 @@ PARENT_KERNELS = (atom_coefficients_parent, cauchy_coefficients_parent, real_pow
 def kernel_runs(kernels, weights, points, zero, one, half=0.5, alpha=ALPHA, beta=BETA, c=1 / ALPHA):
     """Every kernel once, each on inputs the parent kernels built, so a difference shows where it is made."""
     atom_k, cauchy_k, power_k, ladder_k, nehari_k = kernels
+    if kernels is PARENT_KERNELS:  # the parents start their sums at the caller's zero
+        atom_k, cauchy_k = partial(atom_k, zero=zero), partial(cauchy_k, zero=zero)
     atoms = atom_coefficients_parent(weights, points, ORDER, one, zero)
     other = atom_coefficients_parent(weights[::-1], points[::-1], ORDER, one, zero)
     g = shift_coefficients(transform_coefficients(atoms, alpha, N, zero), beta, one, zero)
     gammas = gamma_ladder_parent(atoms[1:], ORDER - 1, half)
     G = [zero, *cauchy_coefficients_parent(atoms, other, zero)[1:]]
     return {
-        "atom_coefficients": atom_k(weights, points, ORDER, one, zero),
-        "cauchy_coefficients": cauchy_k(atoms, other, zero),
+        "atom_coefficients": atom_k(weights, points, ORDER, one),
+        "cauchy_coefficients": cauchy_k(atoms, other),
         "real_power_coefficients": power_k(g, c, one, zero),
         "gamma_ladder": ladder_k(atoms[1:], ORDER - 1, half),
         "nehari_coefficients": nehari_k(gammas, G, N, alpha, beta, zero),
@@ -275,7 +278,7 @@ def test_complex_weight_columns_give_the_parent_series(rows):
     atoms = draw_atoms([(0x452821E638D01377, 3, 3 + rows)])[:2]
     weights, points = _columns(atoms)
     assert all(w.dtype == np.complex128 and w.flags.c_contiguous for w in weights)
-    got = atom_coefficients(weights, points, 12, FLOAT.one, FLOAT.zero)
+    got = atom_coefficients(weights, points, 12, FLOAT.one)
     want = atom_coefficients_parent(*columns_parent(atoms), 12, FLOAT.one, FLOAT.zero)
     same_bits(got, want)
 
@@ -289,8 +292,8 @@ def test_kernels_leave_inputs_and_share_no_memory(label, weights, points, zero, 
         gammas = gamma_ladder_parent(atoms[1:], ORDER - 1, 0.5)
     G = [zero, *other[1:]]
     runs = (
-        (atom_coefficients, (weights, points, ORDER, one, zero)),
-        (cauchy_coefficients, (atoms, other, zero)),
+        (atom_coefficients, (weights, points, ORDER, one)),
+        (cauchy_coefficients, (atoms, other)),
         (real_power_coefficients, (g, 1 / ALPHA, one, zero)),
         (gamma_ladder, (atoms[1:], ORDER - 1, 0.5)),
         (nehari_coefficients, (gammas, G, N, ALPHA, BETA, zero)),

@@ -1,0 +1,108 @@
+"""Operation counts of the coefficient kernels on a logging scalar.
+
+Each kernel runs on ``Op`` values, complex numbers that log every
+arithmetic operation they take part in. The counts are exact: a sum starts
+from its first product (no addition to a zero), the atom series forms no
+power past its last order, and the Nehari sum forms (1 - beta) alpha^n once,
+subtracts the even weighted tails and negates nothing.
+"""
+
+from collections import Counter
+
+from coeffbounds.caratheodory import atom_coefficients
+from coeffbounds.schemes import gamma_ladder, nehari_coefficients
+from coeffbounds.series import cauchy_coefficients
+
+_MUL = ("__mul__", "__rmul__")
+_ADD = ("__add__", "__radd__")
+
+
+class Op(complex):
+    """A complex whose operations append (name, self, *operands) to ``Op.log`` and return an Op."""
+
+    log = []
+
+
+def _logged(name):
+    method = getattr(complex, name)
+
+    def op(self, *operands):
+        Op.log.append((name, self, *operands))
+        return Op(method(self, *operands))
+
+    op.__name__ = name
+    return op
+
+
+for _name in (*_MUL, *_ADD, "__sub__", "__rsub__", "__truediv__", "__rtruediv__", "__pow__", "__neg__"):
+    setattr(Op, _name, _logged(_name))
+
+
+def ops(run) -> Counter:
+    """The names of the operations ``run()`` makes, counted."""
+    Op.log = []
+    run()
+    return Counter(entry[0] for entry in Op.log)
+
+
+def values(count: int, start: float = 0.5) -> list:
+    """``count`` distinct Op values."""
+    return [Op(complex(start + 0.25 * i, 0.125 * i - 1)) for i in range(count)]
+
+
+def test_cauchy_product_counts():
+    for length in range(8):
+        a, b = values(length), values(length, 1.5)
+        got = ops(lambda: cauchy_coefficients(a, b))
+        want = Counter({"__mul__": length * (length + 1) // 2, "__add__": length * (length - 1) // 2})
+        assert got == +want, length
+
+
+def test_atom_series_forms_no_power_past_its_last_order():
+    atoms = 3
+    for order in range(6):
+        weights, points = values(atoms, 0.25), values(atoms, 0.75)
+        got = ops(lambda: atom_coefficients(weights, points, order, Op(1)))
+        # b_k: one product per atom, atoms - 1 additions and the doubling; x^k for k < order
+        assert got["__add__"] == atoms * order
+        assert got["__mul__"] == atoms * order + atoms * max(order - 1, 0), order
+        # a power x^(k+1) = x^k x is the one product whose left operand is no weight
+        powers = [entry for entry in Op.log if entry[0] == "__mul__" and not any(entry[1] is w for w in weights)]
+        assert len(powers) == atoms * max(order - 1, 0)
+        assert set(got) <= {"__add__", "__mul__"}
+
+
+def test_gamma_ladder_sums_start_from_their_first_product():
+    m_max = 6
+    ds, half = values(m_max), Op(0.5)
+    got = ops(lambda: gamma_ladder(ds, m_max, half))
+    # m - 1 additions in the sum of gamma_m, then + 1
+    assert sum(got[name] for name in _ADD) == sum(m - 1 for m in range(1, m_max + 1)) + m_max + 1
+    # no sum starts at the int 0 that the empty sum of gamma_0 is
+    assert not [entry for entry in Op.log if entry[0] in _ADD and any(type(x) is int and x == 0 for x in entry[2:])]
+
+
+def test_nehari_sum_counts():
+    order = 7
+    gammas, G, zero = values(order, 1.0), values(order + 1, 0.1), Op(0)
+    got = ops(lambda: nehari_coefficients(gammas, G, 2, 2.5, 0.25, zero))
+    tails = range(1, order + 1)  # T_m has order - m + 1 entries
+    cauchy = [order - m for m in range(1, order)]  # the length of each Cauchy product in power_tails
+    assert got["__neg__"] == 0
+    # A_1..A_K start from the m = 1 products; odd m >= 3 add and even m subtract
+    assert got["__sub__"] == sum(order - m + 1 for m in tails if m % 2 == 0)
+    assert got["__add__"] == (sum(order - m + 1 for m in tails if m % 2 and m > 1)
+                              + sum(n * (n - 1) // 2 for n in cauchy))
+    # each weight is one product and one quotient; then one product per tail entry
+    assert got["__rmul__"] == order and got["__truediv__"] == order
+    assert got["__mul__"] == sum(order - m + 1 for m in tails) + sum(n * (n + 1) // 2 for n in cauchy)
+    assert not [entry for entry in Op.log if any(x is zero for x in entry[1:])]
+
+
+def test_nehari_sum_forms_the_weight_head_once():
+    order = 6
+    alpha, beta = Op(2.5), Op(0.25)
+    ops(lambda: nehari_coefficients(values(order, 1.0), values(order + 1, 0.1), 3, alpha, beta, Op(0)))
+    assert sum(1 for name, x, *_ in Op.log if name == "__rsub__" and x is beta) == 1
+    assert sum(1 for name, x, *_ in Op.log if name == "__pow__" and x is alpha) == 1
+    assert not [entry for entry in Op.log if entry[0] == "__neg__"]

@@ -105,9 +105,12 @@ class TestArithmetic:
 
     @given(fractions, fractions)
     def test_additive_inverse(self, a, b):
+        # the inverse is a subtraction from zero: no kernel negates an exact value
         x = rc(a, b)
-        assert_exact(-x, (-a, -b))
-        assert x + (-x) == rc(0)
+        assert_exact(rc(0) - x, (-a, -b))
+        assert x + (rc(0) - x) == rc(0)
+        with pytest.raises(TypeError):
+            -x
 
 
 class TestRealOperandPaths:

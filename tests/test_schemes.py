@@ -395,7 +395,7 @@ class TestNehariKernel:
     @staticmethod
     def columns(key, order):
         weights, points = draw_atoms([(key, 0, 64)])[:2]
-        return atom_coefficients(list(weights.T), list(points.T), order, FLOAT.one, FLOAT.zero)
+        return atom_coefficients(list(weights.T), list(points.T), order, FLOAT.one)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     @pytest.mark.parametrize("k_max", [1, 2, 3, 12, 16, 24])

@@ -387,6 +387,19 @@ class TestChunking:
         assert peak(betas, 10 * CHUNK_TRIALS) <= 1.1 * four
         assert four <= 1.1 * peak((0.0,), 2 * CHUNK_TRIALS)
 
+    def test_nehari_block_heap_peak(self):
+        # h's series is gone before P and Q exist: a full block peaks below 60 complex columns
+        drawn = [rows(1729, role, 1, 2.0, 0.25, 0, CHUNK_TRIALS) for role in NEHARI_ROLES]
+        betas = np.full(CHUNK_TRIALS, 0.25)
+        nehari_magnitudes(*drawn, 1, 2.0, betas, 12)  # first-call caches stay out of the peak
+        tracemalloc.start()
+        try:
+            nehari_magnitudes(*drawn, 1, 2.0, betas, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 60 * CHUNK_TRIALS * np.dtype(np.complex128).itemsize
+
 
 BETAS = (0.0, 0.25, 0.5, 0.9, 0.1)
 
@@ -496,7 +509,7 @@ class TestBatchKernels:
         for t, atoms in enumerate(systems):
             weights[t, : len(atoms)] = atoms.weights
             points[t, : len(atoms)] = atoms.points
-        cols = atom_coefficients(list(weights.T), list(points.T), order, FLOAT.one, FLOAT.zero)
+        cols = atom_coefficients(list(weights.T), list(points.T), order, FLOAT.one)
         return systems, cols
 
     def test_batch_series_matches_atom_series(self):
@@ -539,8 +552,8 @@ class TestBatchKernels:
     def test_batch_cauchy_matches_series_product(self):
         a = [random_herglotz(s).series(9) for s in (1, 2, 3)]
         b = [random_herglotz(s).series(9) for s in (4, 5, 6)]
-        got = cauchy_coefficients(columns([x.coeffs for x in a]), columns([y.coeffs for y in b]), FLOAT.zero)
-        want = [cauchy_coefficients(x.coeffs, y.coeffs, FLOAT.zero) for x, y in zip(a, b)]
+        got = cauchy_coefficients(columns([x.coeffs for x in a]), columns([y.coeffs for y in b]))
+        want = [cauchy_coefficients(x.coeffs, y.coeffs) for x, y in zip(a, b)]
         assert_columns_match(got, want)
 
     def test_batch_gammas_dyadic_for_zero_d(self):
@@ -663,7 +676,7 @@ class TestNehari:
         def exact(role, order):
             key = stream_key(seed, role, 0, 2.0, 0.0)
             [(count, weights, points)] = draw_atoms_exact(key, trial, trial + 1)
-            return atom_coefficients(weights[:count], points[:count], order, RATIONAL.one, RATIONAL.zero)
+            return atom_coefficients(weights[:count], points[:count], order, RATIONAL.one)
 
         half = Fraction(1, 2)
         r = half_hadamard_coefficients(exact("nehari:p", k), exact("nehari:q", k), RATIONAL.one, half)
