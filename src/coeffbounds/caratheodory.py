@@ -44,17 +44,20 @@ MAX_ATOMS = 4
 
 
 def atom_coefficients(weights, points, order: int, one) -> list:
-    """1, b_1, ..., b_order with b_k = 2 sum_j w_j x_j^k."""
+    """1, b_1, ..., b_order with b_k = 2 sum_j w_j x_j^k.
+
+    Each atom keeps its running weighted power t_j = (2 w_j) x_j^k, one
+    product per atom and order, and b_k is the sum of the t_j. Each t_j is
+    a fresh product, never updated in place (see `series`).
+    """
     coeffs = [one]
-    powers = list(points)
-    for k in range(1, order + 1):
-        acc = weights[0] * powers[0]
-        for w, p in zip(weights[1:], powers[1:]):
-            acc += w * p
-        acc += acc
+    terms = [w + w for w in weights]
+    for _ in range(order):
+        terms = [t * x for t, x in zip(terms, points)]
+        acc = terms[0] + terms[1] if len(terms) > 1 else terms[0]
+        for t in terms[2:]:
+            acc += t
         coeffs.append(acc)
-        if k < order:
-            powers = [p * x for p, x in zip(powers, points)]
     return coeffs
 
 

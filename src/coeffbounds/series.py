@@ -27,6 +27,15 @@ zero path below relies on. On Python ``complex``, ``Fraction`` and
 ``RationalComplex`` there is no in-place operator, ``+=`` falls back to
 ``+``, and scalars and columns run the same code.
 
+Never multiply complex columns in place: every product is a fresh column.
+numpy 2.4.6 on x86-64 (AVX2 and AVX-512 dispatch alike) rounds an
+in-place complex128 multiply of a length-1 array without fused
+multiply-adds, unlike the same product inside a longer array or out of
+place: 883 of 2000 random products differed in their last bits. A kernel
+that multiplied in place would give a one-trial sweep block other bits than
+the same trial inside a longer block (`tests/test_inplace.py` checks every
+column kernel on one-row columns against a 4096-row call).
+
 An entry that *is* the caller's ``zero`` object (a structural zero, as in
 the sparse extremal series 1 + 2 z^(k-1) of ``harness.run_extremal_suite``)
 is known to vanish: ``real_power_coefficients`` skips its terms, and the

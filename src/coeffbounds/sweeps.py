@@ -5,12 +5,16 @@ point. Each sweep draws its trials with `caratheodory.draw_atoms`, the
 package's one random draw, which returns zero-padded ``(trials,
 MAX_ATOMS)`` weight and point arrays (padding: weight 0, point 1) that
 already pass the float `HerglotzAtoms` rules. Two magnitude kernels split
-those arrays into per-atom numpy columns and feed them to the library's own
-coefficient kernels (the atom series, `bounds.f_quotient_coefficients`, the
-gamma ladder and the Nehari sum), so the scalar commands and the sweeps run
-one implementation of every recurrence. Besides the stream keys, this
-module adds only the claimed Nehari bound, the kernels, which return |c_k|
-as ``(trials, k)`` arrays, and one sweep loop with its blocks and summary.
+those arrays into per-atom float weight and complex point columns and feed
+them to the library's own coefficient kernels (the atom series,
+`bounds.f_quotient_coefficients`, the half-Hadamard composition and the
+Nehari sum), so the scalar commands and the sweeps run one implementation
+of every recurrence. The gamma ladder of h is the atom series too: since
+each drawn row's weights sum to 1.0 exactly, the binomial sums of
+`schemes.gamma_ladder` collapse to gamma_m = sum_j w_j ((1 + x_j) / 2)^m
+(`_ladder`). Besides the stream keys, this module adds only the claimed
+Nehari bound, the kernels, which return |c_k| as ``(trials, k)`` arrays,
+and one sweep loop with its blocks and summary.
 
 One sweep call covers the betas of one (n, alpha): it walks those points'
 trials point by point and cuts them into blocks of at most `CHUNK_TRIALS`
@@ -72,7 +76,7 @@ import numpy as np
 from .backends import FLOAT
 from .bounds import SLACK, ClassParams, f_quotient_coefficients, sharp_bounds
 from .caratheodory import atom_coefficients, draw_atoms, half_hadamard_coefficients
-from .schemes import gamma_ladder, nehari_coefficients
+from .schemes import nehari_coefficients
 
 
 #: glibc's malloc keeps up to this much free memory at the top of its heap
@@ -122,15 +126,15 @@ _MAX_LISTED_VIOLATIONS = 5
 
 
 def _columns(atoms) -> tuple:
-    """Split (trials, MAX_ATOMS) weight and point arrays into per-atom complex columns.
+    """Split (trials, MAX_ATOMS) weight and point arrays into per-atom float and complex columns.
 
-    The weights are cast to complex128 once here, so each product w x^k in
-    the atom series is one complex multiply with no per-product cast; numpy
-    would cast a float weight to complex for that same multiply anyway. The
-    atom-major arrays of `draw_atoms` give the point columns without a copy.
+    The weights stay float64: numpy multiplies a float weight column into a
+    complex point column as it would the weight cast to complex, so a cast
+    would only add a pass. The atom-major arrays of `draw_atoms` give both
+    lists without a copy.
     """
     weights, points = atoms
-    return list(weights.T.astype(np.complex128, order="C")), list(np.ascontiguousarray(points.T))
+    return list(np.ascontiguousarray(weights.T)), list(np.ascontiguousarray(points.T))
 
 
 def _generator_coefficients(atoms, order: int) -> list:
@@ -305,20 +309,34 @@ def nehari_sweeps(seed: int, n: int, alpha: float, betas, trials: int, k_max: in
     return _sweeps(seed, ("h", "p", "q"), nehari_magnitudes, n, alpha, betas, trials, 1, bounds)
 
 
+def _ladder(atoms, m_max: int) -> list:
+    """Columns gamma_0, ..., gamma_m_max of the gamma ladder of each trial's atoms.
+
+    With d_mu = 2 sum_j w_j x_j^mu and sum_j w_j = 1 (every drawn row sums
+    to 1.0 exactly), the binomial theorem turns the ladder of
+    `schemes.gamma_ladder` into gamma_m = sum_j w_j ((1 + x_j) / 2)^m: the
+    atom series of the weights w_j / 2 on the points (1 + x_j) / 2. gamma_0
+    is the float 1.0, as in `schemes.gamma_ladder`, so the m = 1 weight of
+    the Nehari sum stays a float column. The halved columns die on return,
+    before the series of p and q exist (`nehari_magnitudes`).
+    """
+    weights, points = _columns(atoms)
+    return atom_coefficients([w * 0.5 for w in weights], [(x + 1.0) * 0.5 for x in points], m_max, 1.0)
+
+
 def nehari_magnitudes(h, p, q, n: int, alpha: float, beta, k_max: int) -> np.ndarray:
     """|A_k| for k = 1..k_max, one row per trial.
 
     h, p and q are (weights, points) atom arrays with one row per trial.
     ``beta`` is one float or a float64 column with one per row (a complex
     column would turn the m = 1 weight's float divide into a complex one).
-    The gamma ladder is built first, so h's series is freed before the
-    series of p and q exist: a 4096-row block at k_max 12 peaks at 58.6
-    complex columns of traced heap, where it peaked at 69.2 with all three
-    alive.
+    The gamma ladder comes from h's atoms (`_ladder`), before the series of
+    p and q exist: a 4096-row block at k_max 12 peaks at 58.6 complex
+    columns of traced heap.
     """
     alpha = FLOAT.scalar(alpha)
     half = FLOAT.scalar(Fraction(1, 2))
-    gammas = gamma_ladder(_generator_coefficients(h, k_max - 1)[1:], k_max - 1, half)
+    gammas = _ladder(h, k_max - 1)
     r = half_hadamard_coefficients(
         _generator_coefficients(p, k_max), _generator_coefficients(q, k_max), FLOAT.one, half
     )

@@ -49,9 +49,11 @@ Horner loop).
 - ``scheme_etas`` forms the transformed ladder weights
   eta_m = (1-beta) alpha^n gamma_m / (alpha+m)^n of one `GammaScheme`.
 - The ``*_parent`` functions are the coefficient kernels and the uniforms
-  of the atom stream as they were before the kernels accumulated in place:
-  ``acc = acc + x`` with a fresh temporary per term, float weight columns,
-  and the SplitMix64 finalizer built by whole-array expressions. The
+  of the atom stream with no in-place update: ``acc = acc + x`` with a
+  fresh temporary per term, float weight columns, and the SplitMix64
+  finalizer built by whole-array expressions. The atom series runs the
+  library's recurrence (running weighted powers (2 w_j) x_j^k), the others
+  are the kernels as they stood before they accumulated in place. The
   library must match them bit for bit (``tobytes``) on columns and with
   ``==`` on scalars.
 - ``draw_atoms_exact`` rebuilds each drawn row's atom system in exact
@@ -361,10 +363,11 @@ def scheme_etas(scheme, n: int, beta) -> tuple:
     return tuple((1 - beta) * alpha**n * g / (alpha + m) ** n for m, g in enumerate(scheme.gammas))
 
 
-# -- the kernels before in-place accumulation -----------------------------------
+# -- the kernels without in-place updates ---------------------------------------
 #
-# Copied from the library as they stood, renamed with a ``_parent`` suffix;
-# each calls the other ``_parent`` functions, never the library's kernels.
+# The library's recurrences with a fresh temporary per term, named with a
+# ``_parent`` suffix; each calls the other ``_parent`` functions, never the
+# library's kernels.
 
 
 def cauchy_coefficients_parent(a, b, zero) -> list:
@@ -401,16 +404,16 @@ def real_power_coefficients_parent(g, c, one, zero) -> list:
     return u
 
 
-def atom_coefficients_parent(weights, points, order: int, one, zero) -> list:
-    """1, b_1, ..., b_order with b_k = 2 sum_j w_j x_j^k."""
+def atom_coefficients_parent(weights, points, order: int, one) -> list:
+    """1, b_1, ..., b_order with b_k the sum of the running weighted powers (2 w_j) x_j^k."""
     coeffs = [one]
-    powers = list(points)
+    terms = [w + w for w in weights]
     for _ in range(order):
-        acc = zero
-        for w, p in zip(weights, powers):
-            acc = acc + w * p
-        coeffs.append(acc + acc)
-        powers = [p * x for p, x in zip(powers, points)]
+        terms = [t * x for t, x in zip(terms, points)]
+        acc = terms[0]
+        for t in terms[1:]:
+            acc = acc + t
+        coeffs.append(acc)
     return coeffs
 
 

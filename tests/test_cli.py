@@ -865,7 +865,7 @@ class TestSharedParser:
     strict=True,
     raises=AssertionError,
     reason="known defect: the float alternating Nehari sum loses digits to cancellation "
-    "at n = 0 for k_max >= 16; the worst trial (398, k = 16) reads -3.41e-9 in float "
+    "at n = 0 for k_max >= 16; the worst trial (398, k = 16) reads -1.79e-9 in float "
     "and 0 in exact arithmetic on its own dyadic atoms",
 )
 def test_nehari_n0_deep_kmax_has_no_false_counterexample(capsys):
@@ -961,7 +961,7 @@ def test_scalar_path_stdout_is_pinned(argv, doc, digest, tmp_path, capsys):
     "argv, code, digest",
     [
         (["verify", "nehari", *SMALL, "--trials", "150", "--format", "json"], 1,
-         "b08fae5e21cd09c987ae214bfc6a076e4d5733ff27d7ffe02a2248931df35907"),
+         "a7d16f52f8e009e3bcb9a69fbb25b30a68ca0487ea840b7e1e8e7ace9ecb44e4"),
         (["verify", "random", *SMALL, "--trials", "60"], 0,
          "bd7ebc88d149b3722a44e6dedb3e245d95b61d449f13ffb2919d1065cbffdba3"),
     ],

@@ -29,7 +29,7 @@ from coeffbounds.caratheodory import (
 )
 from coeffbounds.schemes import gamma_ladder, nehari_coefficients
 from coeffbounds.series import cauchy_coefficients, real_power_coefficients
-from coeffbounds.sweeps import _columns
+from coeffbounds.sweeps import _columns, _ladder
 from oracles import (
     _uniforms_parent,
     atom_coefficients_parent,
@@ -111,10 +111,10 @@ PARENT_KERNELS = (atom_coefficients_parent, cauchy_coefficients_parent, real_pow
 def kernel_runs(kernels, weights, points, zero, one, half=0.5, alpha=ALPHA, beta=BETA, c=1 / ALPHA):
     """Every kernel once, each on inputs the parent kernels built, so a difference shows where it is made."""
     atom_k, cauchy_k, power_k, ladder_k, nehari_k = kernels
-    if kernels is PARENT_KERNELS:  # the parents start their sums at the caller's zero
-        atom_k, cauchy_k = partial(atom_k, zero=zero), partial(cauchy_k, zero=zero)
-    atoms = atom_coefficients_parent(weights, points, ORDER, one, zero)
-    other = atom_coefficients_parent(weights[::-1], points[::-1], ORDER, one, zero)
+    if kernels is PARENT_KERNELS:  # the parent Cauchy product starts its sums at the caller's zero
+        cauchy_k = partial(cauchy_k, zero=zero)
+    atoms = atom_coefficients_parent(weights, points, ORDER, one)
+    other = atom_coefficients_parent(weights[::-1], points[::-1], ORDER, one)
     g = shift_coefficients(transform_coefficients(atoms, alpha, N, zero), beta, one, zero)
     gammas = gamma_ladder_parent(atoms[1:], ORDER - 1, half)
     G = [zero, *cauchy_coefficients_parent(atoms, other, zero)[1:]]
@@ -274,20 +274,40 @@ def test_rows_round_exact_atom_systems():
 
 
 @pytest.mark.parametrize("rows", [4096, 1])
-def test_complex_weight_columns_give_the_parent_series(rows):
+def test_float_weight_columns_give_the_parent_series(rows):
     atoms = draw_atoms([(0x452821E638D01377, 3, 3 + rows)])[:2]
     weights, points = _columns(atoms)
-    assert all(w.dtype == np.complex128 and w.flags.c_contiguous for w in weights)
+    assert all(w.dtype == np.float64 and w.flags.c_contiguous for w in weights)
+    assert all(x.dtype == np.complex128 and x.flags.c_contiguous for x in points)
     got = atom_coefficients(weights, points, 12, FLOAT.one)
-    want = atom_coefficients_parent(*columns_parent(atoms), 12, FLOAT.one, FLOAT.zero)
+    want = atom_coefficients_parent(*columns_parent(atoms), 12, FLOAT.one)
     same_bits(got, want)
+
+
+def test_one_row_columns_give_the_rows_of_a_long_call():
+    # numpy rounds an in-place complex multiply of a length-1 array without fused multiply-adds
+    # (`series`), so a kernel that multiplied complex columns in place would fail here
+    atoms = draw_atoms([(0xA4093822299F31D0, 0, 4096)])[:2]
+    weights, points = _columns(atoms)
+
+    def runs(rows):
+        out = kernel_runs(LIBRARY_KERNELS, [w[rows] for w in weights], [x[rows] for x in points],
+                          FLOAT.zero, FLOAT.one)
+        out["sweeps._ladder"] = _ladder([a[rows] for a in atoms], ORDER)
+        return out
+
+    long = runs(slice(None))
+    for row in (0, 1, 2, 1000, 4095):
+        for name, got in runs(slice(row, row + 1)).items():
+            want = [x[row : row + 1] if isinstance(x, np.ndarray) else x for x in long[name]]
+            same_bits(got, want)
 
 
 @pytest.mark.parametrize("label, weights, points, zero, one", CASES, ids=IDS)
 def test_kernels_leave_inputs_and_share_no_memory(label, weights, points, zero, one):
     with np.errstate(all="ignore"):
-        atoms = atom_coefficients_parent(weights, points, ORDER, one, zero)
-        other = atom_coefficients_parent(weights[::-1], points[::-1], ORDER, one, zero)
+        atoms = atom_coefficients_parent(weights, points, ORDER, one)
+        other = atom_coefficients_parent(weights[::-1], points[::-1], ORDER, one)
         g = shift_coefficients(transform_coefficients(atoms, ALPHA, N, zero), BETA, one, zero)
         gammas = gamma_ladder_parent(atoms[1:], ORDER - 1, 0.5)
     G = [zero, *other[1:]]

@@ -2,9 +2,10 @@
 
 Each kernel runs on ``Op`` values, complex numbers that log every
 arithmetic operation they take part in. The counts are exact: a sum starts
-from its first product (no addition to a zero), the atom series forms no
-power past its last order, and the Nehari sum forms (1 - beta) alpha^n once,
-subtracts the even weighted tails and negates nothing.
+from its first product (no addition to a zero), the atom series forms one
+running product per atom and order and none past its last order, and the
+Nehari sum forms (1 - beta) alpha^n once, subtracts the even weighted tails
+and negates nothing.
 """
 
 from collections import Counter
@@ -63,12 +64,12 @@ def test_atom_series_forms_no_power_past_its_last_order():
     for order in range(6):
         weights, points = values(atoms, 0.25), values(atoms, 0.75)
         got = ops(lambda: atom_coefficients(weights, points, order, Op(1)))
-        # b_k: one product per atom, atoms - 1 additions and the doubling; x^k for k < order
-        assert got["__add__"] == atoms * order
-        assert got["__mul__"] == atoms * order + atoms * max(order - 1, 0), order
-        # a power x^(k+1) = x^k x is the one product whose left operand is no weight
-        powers = [entry for entry in Op.log if entry[0] == "__mul__" and not any(entry[1] is w for w in weights)]
-        assert len(powers) == atoms * max(order - 1, 0)
+        # 2 w_j once per atom, then b_k: one running product per atom and atoms - 1 additions
+        assert got["__add__"] == atoms + (atoms - 1) * order, order
+        assert got["__mul__"] == atoms * order, order
+        # every product carries a running power forward by one point: none at order 0
+        products = [entry for entry in Op.log if entry[0] == "__mul__"]
+        assert all(any(entry[2] is x for x in points) for entry in products)
         assert set(got) <= {"__add__", "__mul__"}
 
 

@@ -27,6 +27,7 @@ from coeffbounds.caratheodory import (
 )
 from coeffbounds.schemes import gamma_identity_row, gamma_ladder, nehari_coefficients
 from oracles import (
+    draw_atoms_exact,
     hk_coefficients,
     min_real_part_scalar,
     nehari_coefficients_full,
@@ -69,6 +70,26 @@ class TestGammaLadder:
         gammas = gamma_ladder((Fraction(-1), Fraction(2)), 2, HALF)
         assert gammas[1] == Fraction(1, 2) * (1 + Fraction(-1, 2))
         assert gammas[2] == Fraction(1, 4)
+
+    def test_ladder_of_atoms_is_an_atom_series(self):
+        # d_mu = 2 sum_j w_j x_j^mu with sum_j w_j = 1: the binomial theorem gives
+        # gamma_m = sum_j w_j ((1 + x_j) / 2)^m, the atom series the sweeps run
+        systems = [
+            (list(a.weights), list(a.points))
+            for a in (
+                HerglotzAtoms.from_rational([Fraction(1, 3), Fraction(2, 3)], [Fraction(1, 2), Fraction(-3, 4)]),
+                HerglotzAtoms.from_rational([Fraction(1)], [Fraction(5, 7)]),
+                # x = -1, which no t reaches, contributes to gamma_0 alone
+                HerglotzAtoms([Fraction(1, 4), Fraction(3, 4)], [RATIONAL.coeff(-1), RATIONAL.coeff(0, 1)],
+                              backend=RATIONAL),
+            )
+        ]
+        systems += [(w[:count], x[:count]) for count, w, x in draw_atoms_exact(0x5BE0CD19137E2179, 0, 12)]
+        for weights, points in systems:
+            halves = [w / 2 for w in weights], [(1 + x) / 2 for x in points]
+            for m_max in (0, 1, 16):
+                ladder = gamma_ladder(atom_coefficients(weights, points, m_max, RATIONAL.one)[1:], m_max, HALF)
+                assert atom_coefficients(*halves, m_max, RATIONAL.one) == ladder
 
 
 class TestBuildHk:

@@ -1,6 +1,7 @@
 """Vectorized sweeps: stream keys, the atom stream, blocks, column kernels, witnesses, the heap."""
 
 import ctypes
+import math
 import os
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from coeffbounds import (
     sharp_bounds,
     sweeps,
 )
+from coeffbounds._rational import RationalComplex
 from coeffbounds.bounds import SLACK
 from coeffbounds.caratheodory import (
     MAX_ATOMS,
@@ -111,6 +113,49 @@ def rows(seed, suite, n, alpha, beta, start, stop):
 def witness(seed, roles, n, alpha, beta, trial):
     """The atoms trial ``trial`` of each role's stream rebuilds to."""
     return [trial_atoms(stream_key(seed, role, n, alpha, beta), trial) for role in roles]
+
+
+def exact_series(key, trial, order):
+    """The atom series of a trial's exact atoms (`draw_atoms_exact`), in `RationalComplex`."""
+    [(count, weights, points)] = draw_atoms_exact(key, trial, trial + 1)
+    return atom_coefficients(weights[:count], points[:count], order, RATIONAL.one)
+
+
+def exact_nehari(trials, n, alpha, beta, k_max):
+    """A_0..A_k_max of one Nehari trial on the exact atoms of its (key, trial) pairs for h, p and q."""
+    (h_key, h_trial), (p_key, p_trial), (q_key, q_trial) = trials
+    half = Fraction(1, 2)
+    r = half_hadamard_coefficients(exact_series(p_key, p_trial, k_max), exact_series(q_key, q_trial, k_max),
+                                   RATIONAL.one, half)
+    gammas = gamma_ladder(exact_series(h_key, h_trial, k_max - 1)[1:], k_max - 1, half)
+    return nehari_coefficients(gammas, [RATIONAL.zero, *r[1:]], n, alpha, beta, RATIONAL.zero)
+
+
+#: The unit roundoff of float64.
+U = Fraction(1, 2**53)
+
+
+def rounding_band(d, s):
+    """gamma_D S = D u / (1 - D u) S (Higham, Accuracy and Stability of Numerical Algorithms, Lemma 3.1)."""
+    return d * U / (1 - d * U) * s
+
+
+def nehari_band(k, n, alpha, beta):
+    """How far A_k from float atoms may lie from A_k on the exact atoms they round, as a Fraction.
+
+    S_k = (1-beta) alpha^n sum_m 2^m C(k-1, m-1) / (alpha+m-1)^n is the sum run on absolute values:
+    every |x| = 1 and every weight row sums to 1, so |b_l|, |r_l| <= 2 and |gamma_m| <= 1. D counts
+    the roundings along the longest chain: a complex product as 3 (sqrt(2) gamma_2 < 3u, Higham's
+    Lemma 3.5), a complex sum and a real-times-complex product as 1, a quotient by a real as 2
+    (numpy multiplies by the rounded reciprocal), and a drawn point's own error (4u per part, a
+    relative 4 sqrt(2) u) as 6. That gives b_l 9l + 1, r_l 18l + 5, the z^k entry of G^m
+    18k + 5m + (m-1)(k+1), gamma_(m-1) of the binomial ladder 10m - 8, the weight and its product 6
+    and the sum over m k - 1: D = k^2 + 34k - 4, at m = k.
+    """
+    s = (1 - beta) * alpha**n * sum(
+        Fraction(2**m * math.comb(k - 1, m - 1)) / (alpha + m - 1) ** n for m in range(1, k + 1)
+    )
+    return rounding_band(k * k + 34 * k - 4, s)
 
 
 def reference_atoms(seed, suite, n, alpha, beta, trials):
@@ -388,7 +433,7 @@ class TestChunking:
         assert four <= 1.1 * peak((0.0,), 2 * CHUNK_TRIALS)
 
     def test_nehari_block_heap_peak(self):
-        # h's series is gone before P and Q exist: a full block peaks below 60 complex columns
+        # of h only its ladder is alive when P and Q exist: a full block peaks below 60 complex columns
         drawn = [rows(1729, role, 1, 2.0, 0.25, 0, CHUNK_TRIALS) for role in NEHARI_ROLES]
         betas = np.full(CHUNK_TRIALS, 0.25)
         nehari_magnitudes(*drawn, 1, 2.0, betas, 12)  # first-call caches stay out of the peak
@@ -574,22 +619,28 @@ class TestBatchKernels:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_batch_nehari_matches_nehari_series(self, n):
-        k_max, params = 9, ClassParams(n, 2.0, 0.25)
-        h_sys, d = self.generator_columns((11, 12, 13), k_max - 1)
-        p_sys, p = self.generator_columns((14, 15, 16), k_max)
-        q_sys, q = self.generator_columns((17, 18, 19), k_max)
+        # the column route and the scalar route, each against A_k on the trials' exact atoms
+        # (random_herglotz(s) is trial 0 of stream s) within the rounding band of each k
+        k_max, alpha, beta = 9, Fraction(2), Fraction(1, 4)
+        seeds = (11, 12, 13), (14, 15, 16), (17, 18, 19)
+        h_sys, d = self.generator_columns(seeds[0], k_max - 1)
+        p_sys, p = self.generator_columns(seeds[1], k_max)
+        q_sys, q = self.generator_columns(seeds[2], k_max)
         r = half_hadamard_coefficients(p, q, FLOAT.one, self.half)
         gammas = gamma_ladder(d[1:], k_max - 1, self.half)
-        got = nehari_coefficients(gammas, [FLOAT.zero, *r[1:]], n, 2.0, 0.25, FLOAT.zero)
-        want = []
-        for h_at, p_at, q_at in zip(h_sys, p_sys, q_sys):
+        got = nehari_coefficients(gammas, [FLOAT.zero, *r[1:]], n, float(alpha), float(beta), FLOAT.zero)
+        bands = [nehari_band(k, n, alpha, beta) for k in range(1, k_max + 1)]
+        for t, (h_at, p_at, q_at) in enumerate(zip(h_sys, p_sys, q_sys)):
             # the scalar route, one trial at a time, with the exact 1/2 of the rational backend
             r = half_hadamard_coefficients(p_at.series(k_max).coeffs, q_at.series(k_max).coeffs,
                                            FLOAT.one, Fraction(1, 2))
             gammas = gamma_ladder(h_at.series(k_max - 1).coeffs[1:], k_max - 1, Fraction(1, 2))
-            want.append(nehari_coefficients(gammas, [FLOAT.zero, *r[1:]], n, params.alpha, params.beta,
-                                            FLOAT.zero))
-        assert_columns_match(got, want)
+            want = nehari_coefficients(gammas, [FLOAT.zero, *r[1:]], n, float(alpha), float(beta), FLOAT.zero)
+            exact = exact_nehari([(seed[t], 0) for seed in seeds], n, alpha, beta, k_max)
+            for k, band in enumerate(bands, start=1):
+                for route in (complex(got[k][t]), want[k]):
+                    error = exact[k] - RationalComplex(Fraction(route.real), Fraction(route.imag))
+                    assert error.abs2() <= band * band, (n, t, k, route)
 
 
 class TestDominance:
@@ -672,18 +723,28 @@ class TestNehari:
         seed, trial, k = 2288874184, 398, 16
         drawn = [rows(seed, role, 0, 2.0, 0.0, trial, trial + 1) for role in NEHARI_ROLES]
         assert nehari_margins(*drawn, 0, 2.0, 0.0, nehari_bounds(0, 2.0, 0.0, k))[0, k - 1] < -SLACK
-
-        def exact(role, order):
-            key = stream_key(seed, role, 0, 2.0, 0.0)
-            [(count, weights, points)] = draw_atoms_exact(key, trial, trial + 1)
-            return atom_coefficients(weights[:count], points[:count], order, RATIONAL.one)
-
-        half = Fraction(1, 2)
-        r = half_hadamard_coefficients(exact("nehari:p", k), exact("nehari:q", k), RATIONAL.one, half)
-        gammas = gamma_ladder(exact("nehari:h", k - 1)[1:], k - 1, half)
-        A = nehari_coefficients(gammas, [RATIONAL.zero, *r[1:]], 0, Fraction(2), Fraction(0), RATIONAL.zero)
+        keys = [(stream_key(seed, role, 0, 2.0, 0.0), trial) for role in NEHARI_ROLES]
+        A = exact_nehari(keys, 0, Fraction(2), Fraction(0), k)
         # |A_16| = 2 = 2 (1 - beta) alpha^0 / (alpha + 16)^0: exact margin 0
         assert A[k].abs2() == 4
+
+    def test_ladder_rounds_the_exact_ladder(self):
+        # the sweep's gamma_m = sum_j w_j ((1 + x_j) / 2)^m on drawn rows, against the same sum on
+        # the exact atoms the rows round: the paper's ladder (test_schemes.py shows it exactly), and
+        # cheaper in Fractions than its binomial sums. (1 + x) / 2 lies within 4u of its exact value
+        # (the point's own 4u per part and the rounding of 1 + x): 4 roundings. w (1 + x) / 2 adds 1,
+        # each further power 4 + 3 (a complex product), the sum over the atoms 3: D = 7m + 1, and
+        # S = sum_j w_j ((1 + |x_j|) / 2)^m = 1
+        key, trials, m_max = stream_key(1729, "nehari:h", 0, 2.0, 0.0), 300, 15
+        got = sweeps._ladder(draw_atoms([(key, 0, trials)])[:2], m_max)
+        assert got[0] == 1.0 and type(got[0]) is float
+        for t, (count, weights, points) in enumerate(draw_atoms_exact(key, 0, trials)):
+            halves = [w / 2 for w in weights[:count]], [(1 + x) / 2 for x in points[:count]]
+            exact = atom_coefficients(*halves, m_max, RATIONAL.one)
+            for m in range(1, m_max + 1):
+                z = complex(got[m][t])
+                error = exact[m] - RationalComplex(Fraction(z.real), Fraction(z.imag))
+                assert error.abs2() <= rounding_band(7 * m + 1, 1) ** 2, (t, m)
 
     def test_roles_use_independent_seeds(self):
         h_at, p_at, q_at = witness(9, NEHARI_ROLES, 1, 2.0, 0.0, 4)
