@@ -27,7 +27,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .backends import FLOAT, RATIONAL, Backend
@@ -47,21 +47,27 @@ NORMALIZATION_TOL = 1e-12
 ROUND_TRIP_C = 16
 
 
-@dataclass(frozen=True)
-class ClassParams:
-    """Class parameters: iteration count n >= 0, exponent alpha > 0, order beta."""
+class ClassParams(namedtuple("ClassParams", "n alpha beta")):
+    """Class parameters: iteration count n >= 0, exponent alpha > 0, order beta.
 
-    n: int
-    alpha: object
-    beta: object
+    Every construction, ``_replace`` included, goes through the checks of `_make`.
+    """
 
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 0:
-            raise ValueError(f"n must be a non-negative integer, got {self.n!r}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha!r}")
-        if not (0 <= self.beta < 1):
-            raise ValueError(f"beta must lie in [0, 1), got {self.beta!r}")
+    __slots__ = ()
+
+    def __new__(cls, n, alpha, beta):
+        return cls._make((n, alpha, beta))
+
+    @classmethod
+    def _make(cls, values):
+        n, alpha, beta = values
+        if not isinstance(n, int) or n < 0:
+            raise ValueError(f"n must be a non-negative integer, got {n!r}")
+        if not alpha > 0:
+            raise ValueError(f"alpha must be positive, got {alpha!r}")
+        if not (0 <= beta < 1):
+            raise ValueError(f"beta must lie in [0, 1), got {beta!r}")
+        return tuple.__new__(cls, (n, alpha, beta))
 
 
 class Region(enum.Enum):
@@ -135,12 +141,10 @@ def sharp_bound(params: ClassParams, k: int):
     return _sharp_row(params, (k,))[0]
 
 
-@dataclass(frozen=True)
-class SmallAlphaBound:
+class SmallAlphaBound(namedtuple("SmallAlphaBound", "value region")):
     """Piecewise bound value (None outside the omega regions) plus the region."""
 
-    value: object
-    region: Region
+    __slots__ = ()
 
 
 def small_alpha_bounds(params: ClassParams, k_max: int) -> list:
@@ -358,18 +362,16 @@ def extremal_p(k: int, *, backend: Backend = FLOAT) -> HerglotzAtoms:
     return HerglotzAtoms.from_angles(weights, angles)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Observed |a_k| against the applicable bound at one parameter point."""
+class BoundReport(namedtuple(
+    "BoundReport", "k a_abs bound bound_source region margin sharp_hit applicable"
+)):
+    """Observed |a_k| against the applicable bound at one parameter point.
 
-    k: int
-    a_abs: float
-    bound: float
-    bound_source: str | None
-    region: Region
-    margin: float
-    sharp_hit: bool
-    applicable: bool
+    ``bound_source`` is "sharp", "small_alpha" or None (inapplicable, when
+    ``bound`` and ``margin`` are NaN).
+    """
+
+    __slots__ = ()
 
 
 def bound_report(params: ClassParams, k: int, a_k, *, backend: Backend) -> BoundReport:

@@ -38,11 +38,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 import time
 from argparse import SUPPRESS
-from pathlib import Path
 
 from .backends import get_backend
 from .harness import (
@@ -220,8 +218,14 @@ def _summarize_reports(reports, elapsed: float) -> int:
 def _read_pspec(path: str | None) -> dict:
     if not path:
         raise UsageError("expand needs --pspec (a JSON document, or - for stdin)")
+    import json  # only expand reads JSON input, so the CLI's import path leaves it out
+
     try:
-        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as stream:
+                text = stream.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read pspec: {exc}") from exc
     try:

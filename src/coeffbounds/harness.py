@@ -1,9 +1,10 @@
 """Verification harness: parameter grids, suites, audits, report assembly.
 
 Each ``run_*`` function walks a parameter grid, performs its checks, and
-returns :class:`~coeffbounds.reports.SuiteReport` objects with
+returns :class:`~coeffbounds.reports.SuiteReport` records with
 pre-formatted entries (exact fraction strings on the rational backend,
-17-digit floats otherwise). Configuration problems raise
+17-digit floats otherwise). Like every record of the package, `GridSpec`
+and the reports are named tuples. Configuration problems raise
 :class:`UsageError`, which the CLI distinguishes (exit 2) from genuine
 assertion failures (exit 1).
 """
@@ -13,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .backends import FLOAT, RATIONAL, Backend
@@ -109,42 +110,46 @@ def _reject_repeats(values, what: str):
         seen.add(value)
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Parameter grid plus sampling configuration for the suites."""
+class GridSpec(namedtuple("GridSpec", "n_values alpha_values beta_values k_max trials seed")):
+    """Parameter grid plus sampling configuration for the suites.
 
-    n_values: tuple
-    alpha_values: tuple
-    beta_values: tuple
-    k_max: int = DEFAULT_K_MAX
-    trials: int = DEFAULT_TRIALS
-    seed: int = DEFAULT_SEED
+    Every construction, ``_replace`` included, goes through the checks of `_make`.
+    """
 
-    def __post_init__(self):
-        if not self.n_values:
+    __slots__ = ()
+
+    def __new__(cls, n_values, alpha_values, beta_values, k_max=DEFAULT_K_MAX,
+                trials=DEFAULT_TRIALS, seed=DEFAULT_SEED):
+        return cls._make((n_values, alpha_values, beta_values, k_max, trials, seed))
+
+    @classmethod
+    def _make(cls, values):
+        n_values, alpha_values, beta_values, k_max, trials, seed = values
+        if not n_values:
             raise UsageError("empty n list")
-        if not self.alpha_values:
+        if not alpha_values:
             raise UsageError("empty alpha list")
-        if not self.beta_values:
+        if not beta_values:
             raise UsageError("empty beta list")
-        for n in self.n_values:
+        for n in n_values:
             _check_n(n)
-        for a in self.alpha_values:
+        for a in alpha_values:
             if not a > 0:
                 raise UsageError(f"alpha must be positive, got {a!r}")
-        for b in self.beta_values:
+        for b in beta_values:
             if not (0 <= b < 1):
                 raise UsageError(f"beta must lie in [0, 1), got {b!r}")
-        _check_exact_size(self.alpha_values, "alpha")
-        _check_exact_size(self.beta_values, "beta")
-        _reject_repeats(self.n_values, "n")
-        _reject_repeats(self.alpha_values, "alpha")
-        _reject_repeats(self.beta_values, "beta")
-        _check_k_max(self.k_max)
-        if not isinstance(self.trials, int) or self.trials < 1:
-            raise UsageError(f"trials must be a positive integer, got {self.trials!r}")
-        if not isinstance(self.seed, int):
-            raise UsageError(f"seed must be an integer, got {self.seed!r}")
+        _check_exact_size(alpha_values, "alpha")
+        _check_exact_size(beta_values, "beta")
+        _reject_repeats(n_values, "n")
+        _reject_repeats(alpha_values, "alpha")
+        _reject_repeats(beta_values, "beta")
+        _check_k_max(k_max)
+        if not isinstance(trials, int) or trials < 1:
+            raise UsageError(f"trials must be a positive integer, got {trials!r}")
+        if not isinstance(seed, int):
+            raise UsageError(f"seed must be an integer, got {seed!r}")
+        return tuple.__new__(cls, (n_values, alpha_values, beta_values, k_max, trials, seed))
 
     def points(self):
         return itertools.product(self.n_values, self.alpha_values, self.beta_values)

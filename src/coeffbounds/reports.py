@@ -6,15 +6,17 @@ them. Given identical inputs the rendered CSV/JSON is byte-identical:
 stable column order, ``\n`` line endings, sorted JSON keys, and no
 timestamps — wall-clock data lives on the report objects for console
 display but never reaches the serialized output.
+
+The records are named tuples: a `SuiteEntry` is a CSV row as it stands,
+its fields being `SUITE_COLUMNS` in order.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 SUITE_COLUMNS = (
     "suite",
@@ -34,40 +36,25 @@ def fmt_float(x) -> str:
     return format(float(x), ".17g")
 
 
-@dataclass(frozen=True)
-class SuiteEntry:
-    """One assertion (or informational) row of a verification suite."""
+class SuiteEntry(namedtuple("SuiteEntry", SUITE_COLUMNS)):
+    """One assertion (or informational) row of a verification suite.
 
-    suite: str
-    n: str
-    alpha: str
-    beta: str
-    k: str
-    case: str
-    observed: str
-    reference: str
-    margin: str
-    status: str  # "pass" | "fail" | "info"
+    ``status`` is "pass", "fail" or "info".
+    """
 
-    def as_dict(self) -> dict:
-        return {name: getattr(self, name) for name in SUITE_COLUMNS}
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(namedtuple(
+    "SuiteReport", "suite point passed worst_margin witness entries elapsed", defaults=(0.0,)
+)):
     """Outcome of one suite at one parameter point.
 
     ``elapsed`` is for console display only and is deliberately left out of
     both serializations so reruns stay byte-identical.
     """
 
-    suite: str
-    point: dict
-    passed: bool
-    worst_margin: float | None
-    witness: dict | None
-    entries: tuple
-    elapsed: float = 0.0
+    __slots__ = ()
 
 
 def _rows_csv(columns, rows) -> str:
@@ -86,12 +73,13 @@ def csv_text(columns, rows) -> str:
 
 
 def json_text(payload) -> str:
+    import json  # only JSON reports need it, so the CLI's import path leaves it out
+
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def suite_csv(reports) -> str:
-    cells = operator.attrgetter(*SUITE_COLUMNS)
-    return _rows_csv(SUITE_COLUMNS, (cells(entry) for report in reports for entry in report.entries))
+    return _rows_csv(SUITE_COLUMNS, (entry for report in reports for entry in report.entries))
 
 
 def suite_json(reports) -> str:
@@ -102,7 +90,7 @@ def suite_json(reports) -> str:
             "passed": report.passed,
             "worst_margin": None if report.worst_margin is None else fmt_float(report.worst_margin),
             "witness": report.witness,
-            "entries": [entry.as_dict() for entry in report.entries],
+            "entries": [entry._asdict() for entry in report.entries],
         }
         suites.setdefault(report.suite, []).append(item)
     return json_text({"suites": suites})

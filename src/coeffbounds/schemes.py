@@ -27,7 +27,7 @@ row at any order for auditing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .backends import FLOAT, Backend
@@ -100,8 +100,7 @@ def nehari_coefficients(gammas, G, n: int, alpha, beta, zero) -> list:
     return total
 
 
-@dataclass(frozen=True)
-class GammaScheme:
+class GammaScheme(namedtuple("GammaScheme", "k alpha d sigma gammas weights")):
     """The d / sigma / gamma data behind one h(z)_k construction.
 
     ``d`` holds d_1..d_{k-2} (empty at k = 2) and ``gammas`` the ladder
@@ -112,12 +111,7 @@ class GammaScheme:
     `build_hk`).
     """
 
-    k: int
-    alpha: object
-    d: tuple
-    sigma: object
-    gammas: tuple
-    weights: tuple
+    __slots__ = ()
 
 
 def hk_weights(k: int, alpha):
@@ -274,14 +268,10 @@ TABULATED_EVEN_CONSTANTS = {
 }
 
 
-@dataclass(frozen=True)
-class EvenConstantCheck:
+class EvenConstantCheck(namedtuple("EvenConstantCheck", "k recomputed tabulated agree")):
     """One row of the recipe-vs-reference-table constant comparison."""
 
-    k: int
-    recomputed: Fraction
-    tabulated: Fraction
-    agree: bool
+    __slots__ = ()
 
 
 def compare_even_constants():

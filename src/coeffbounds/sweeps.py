@@ -68,7 +68,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -154,16 +154,18 @@ def _magnitudes(columns: list) -> np.ndarray:
     return magnitudes
 
 
-@dataclass(frozen=True)
-class SweepOutcome:
-    """Summary of one randomized sweep at one parameter point."""
+class SweepOutcome(namedtuple(
+    "SweepOutcome", "stream_keys worst_trial worst_k worst_margin violations violation_count"
+)):
+    """Summary of one randomized sweep at one parameter point.
 
-    stream_keys: dict  # role -> key of the atom stream the role's trials read
-    worst_trial: int
-    worst_k: int
-    worst_margin: float
-    violations: tuple  # first _MAX_LISTED_VIOLATIONS (trial, k, margin) rows, margin < -SLACK or NaN
-    violation_count: int  # all such rows
+    ``stream_keys`` maps each role to the key of the atom stream its trials
+    read. ``violations`` holds the first `_MAX_LISTED_VIOLATIONS` (trial, k,
+    margin) rows with margin < -SLACK or NaN, and ``violation_count`` counts
+    all such rows.
+    """
+
+    __slots__ = ()
 
 
 class _Summary:

@@ -1,11 +1,14 @@
 """The public surface: what `coeffbounds` exports, and names that must stay gone."""
 
 import ast
+import importlib
 import inspect
 import json
 import os
 import subprocess
 import sys
+from collections import namedtuple
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,9 +17,15 @@ import coeffbounds
 from coeffbounds import (
     FLOAT,
     RATIONAL,
+    BoundReport,
     ClassParams,
     GammaScheme,
+    GridSpec,
     HerglotzAtoms,
+    Region,
+    SmallAlphaBound,
+    SuiteEntry,
+    SuiteReport,
     TruncatedSeries,
     bounds,
     caratheodory,
@@ -119,6 +128,7 @@ def test_removed_name_is_not_exported(name):
         (schemes, "gamma_identity_residuals"),
         (series, "constant_one"),
         (series, "geometric"),
+        (SuiteEntry, "as_dict"),
         *(
             (TruncatedSeries, method)
             for method in (
@@ -227,6 +237,39 @@ def test_only_sweeps_loads_numpy_on_import(path):
     # numpy is about half of the CLI's start-up; the array code imports it in its functions
     loaded = _import_time_modules(ast.parse(path.read_text())) & {"numpy", "sweeps"}
     assert loaded == ({"numpy"} if path.name == "sweeps.py" else set())
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
+def test_module_loads_no_dataclasses_json_or_pathlib_on_import(path):
+    # dataclasses brings inspect, ast and dis; json is for JSON reports and expand alone
+    assert _import_time_modules(ast.parse(path.read_text())) & {"dataclasses", "json", "pathlib"} == set()
+
+
+#: Modules the CLI's import and parser never load; each costs milliseconds of start-up.
+_OFF_THE_IMPORT_PATH = ("dataclasses", "inspect", "json", "pathlib", "typing", "numpy")
+
+
+def test_cli_import_path_leaves_heavy_modules_unloaded(tmp_path):
+    doc = tmp_path / "float.json"
+    doc.write_text(json.dumps({"backend": "float", "atoms": [{"weight": 1.0, "angle_radians": 0.5}]}))
+    code = (
+        "import sys\n"
+        "import coeffbounds.cli\n"
+        "coeffbounds.cli.build_parser()\n"
+        f"print(sorted(set({_OFF_THE_IMPORT_PATH!r}) & set(sys.modules)))\n"
+        "import contextlib, io\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    codes = [coeffbounds.cli.main(['bounds', '--kmax', '4', '--format', 'json']),\n"
+        f"             coeffbounds.cli.main(['expand', '--pspec', {str(doc)!r}, '--n', '1', '--alpha', '2',\n"
+        "                                   '--beta', '0', '--order', '8', '--kmax', '4'])]\n"
+        "print(codes, 'json' in sys.modules)\n"
+    )
+    # -S: no site hook preloads a module, as on an interpreter without site-packages extras
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    # the JSON report and the pspec read load json on use, which the probe sees
+    assert out.stdout.splitlines() == ["[]", "[0, 0] True"]
 
 
 def test_import_time_scan_skips_function_bodies():
@@ -507,3 +550,82 @@ def test_function_scan_keys_match_code_objects():
         codes.append((code.co_name, code.co_firstlineno))
         stack.extend(c for c in code.co_consts if inspect.iscode(c))
     assert {("f", 2), ("g", 4)} <= set(codes)
+
+
+def _one_of_each_record() -> list:
+    """One instance of every record, each built by keyword."""
+    entry = SuiteEntry(suite="extremal", n="1", alpha="2", beta="0", k="2", case="sharp",
+                       observed="0.5", reference="0.5", margin="0", status="pass")
+    return [
+        ClassParams(n=1, alpha=2.0, beta=0.0),
+        SmallAlphaBound(value=0.5, region=Region.OMEGA1),
+        BoundReport(k=2, a_abs=0.5, bound=0.5, bound_source="sharp", region=Region.OMEGA1,
+                    margin=0.0, sharp_hit=True, applicable=True),
+        entry,
+        SuiteReport(suite="extremal", point={"n": "1"}, passed=True, worst_margin=0.0,
+                    witness=None, entries=(entry,), elapsed=0.25),
+        GammaScheme(k=2, alpha=2.0, d=(), sigma=0.0, gammas=(1.0,), weights=(1.0,)),
+        schemes.EvenConstantCheck(k=6, recomputed=Fraction(1, 3), tabulated=Fraction(1, 3), agree=True),
+        GridSpec(n_values=(1,), alpha_values=(2.0,), beta_values=(0.0,), k_max=4, trials=8, seed=3),
+        sweeps.SweepOutcome(stream_keys={"p": 7}, worst_trial=0, worst_k=2, worst_margin=0.5,
+                            violations=(), violation_count=0),
+    ]
+
+
+def test_every_record_is_checked():
+    modules = [importlib.import_module(f"coeffbounds.{path.stem}")
+               for path in PACKAGE_DIR.glob("*.py") if path.stem != "__init__"]
+    found = {
+        value for module in modules for value in vars(module).values()
+        if isinstance(value, type) and issubclass(value, tuple) and value.__module__ == module.__name__
+    }
+    assert found == {type(record) for record in _one_of_each_record()}
+
+
+@pytest.mark.parametrize("record", _one_of_each_record(), ids=lambda r: type(r).__name__)
+class TestRecordContract:
+    def test_refuses_assignment(self, record):
+        for name in (record._fields[0], "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+
+    def test_repr_names_every_field(self, record):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(record._fields, record))
+        assert repr(record) == f"{type(record).__name__}({fields})"
+
+    def test_positional_equals_keyword(self, record):
+        assert type(record)(*record) == record == type(record)(**record._asdict())
+
+    def test_is_a_plain_tuple_of_its_fields(self, record):
+        assert record == tuple(getattr(record, name) for name in record._fields)
+        assert record._replace() == record
+
+
+def test_class_params_repr():
+    assert repr(ClassParams(n=1, alpha=2.0, beta=0.0)) == "ClassParams(n=1, alpha=2.0, beta=0.0)"
+
+
+def test_suite_report_elapsed_defaults_to_zero():
+    assert SuiteReport("extremal", {}, True, None, None, ()).elapsed == 0.0
+
+
+def test_assignment_check_sees_a_record_without_slots():
+    # without `__slots__ = ()` a named tuple subclass takes new attributes
+    loose = type("Loose", (namedtuple("Loose", "a"),), {})(1)
+    loose.extra = 0
+    assert loose.extra == 0
+
+
+def test_replace_skips_a_check_kept_in_new_alone():
+    # why ClassParams and GridSpec check in `_make`: `_replace` builds through it, not `__new__`
+    class NewOnly(namedtuple("NewOnly", "alpha")):
+        __slots__ = ()
+
+        def __new__(cls, alpha):
+            if not alpha > 0:
+                raise ValueError("alpha must be positive")
+            return super().__new__(cls, alpha)
+
+    with pytest.raises(ValueError):
+        NewOnly(-1.0)
+    assert NewOnly(1.0)._replace(alpha=-1.0).alpha == -1.0

@@ -49,6 +49,8 @@ class TestClassParams:
     def test_invalid(self, n, alpha, beta):
         with pytest.raises((ValueError, TypeError)):
             ClassParams(n, alpha, beta)
+        with pytest.raises((ValueError, TypeError)):
+            ClassParams(2, 1.5, 0.25)._replace(n=n, alpha=alpha, beta=beta)
 
 
 class TestSharpBound:

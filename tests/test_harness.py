@@ -82,11 +82,15 @@ class TestGridSpec:
             dict(alpha_values=(2.0, 3.0, 2.0)),
             dict(alpha_values=(Fraction(1, 2), Fraction(2, 4))),
             dict(beta_values=(0.0, -0.0)),
+            dict(alpha_values=(-2.0,)),
+            dict(k_max=harness.MAX_ORDER + 1),
         ],
     )
     def test_rejects_bad_values(self, overrides):
         with pytest.raises(UsageError):
             small_grid(**overrides)
+        with pytest.raises(UsageError):
+            small_grid()._replace(**overrides)
 
     def test_points_order(self):
         grid = small_grid(n_values=(0, 1), alpha_values=(2.0, 3.0), beta_values=(0.5,))

@@ -1,6 +1,5 @@
 """Weight ladder, per-index constructions, and the alternating series."""
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -208,9 +207,7 @@ class TestBuildHk:
     def test_identity_detects_perturbation(self):
         scheme = build_hk(5, Fraction(2), backend=RATIONAL)
         bad_d = (scheme.d[0], scheme.d[1] + Fraction(1, 1000), scheme.d[2])
-        bad = dataclasses.replace(
-            scheme, d=bad_d, gammas=tuple(gamma_ladder(bad_d, scheme.k - 2, HALF))
-        )
+        bad = scheme._replace(d=bad_d, gammas=tuple(gamma_ladder(bad_d, scheme.k - 2, HALF)))
         assert not check_gamma_identity(bad)
 
     # both sides of the sign changes of d_2 (alpha = 3 + sqrt 7) and of d_3 (alpha near 3.046)
