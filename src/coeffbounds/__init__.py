@@ -31,8 +31,10 @@ from .bounds import (
     growth_estimate,
     p_from_f,
     sharp_bound,
+    sharp_bound_rows,
     sharp_bounds,
     small_alpha_bound,
+    small_alpha_bound_rows,
     small_alpha_bounds,
 )
 from .caratheodory import HerglotzAtoms
@@ -97,8 +99,10 @@ __all__ = [
     "run_nehari_suite",
     "run_random_suite",
     "sharp_bound",
+    "sharp_bound_rows",
     "sharp_bounds",
     "small_alpha_bound",
+    "small_alpha_bound_rows",
     "small_alpha_bounds",
     "suite_csv",
     "suite_json",

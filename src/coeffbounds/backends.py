@@ -4,7 +4,9 @@ Every series and atom system carries one of the two singleton backends below.
 The float backend is for the randomized sweeps and float documents; the
 rational backend gives exact equality in regression fixtures and exact
 checks (weights, transform factors, and bound formulas are all rational in
-rational inputs).
+rational inputs). Rational scalars are ``Fraction`` values, and rational
+coefficients are `_rational.RationalComplex` values, each one integer
+triple (a + b i) / d in lowest terms.
 """
 
 from __future__ import annotations

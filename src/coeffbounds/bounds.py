@@ -19,7 +19,9 @@ Three bound formulas are provided: the sharp one for alpha > 1
 with its omega regions (``small_alpha_bound``), and the exponential estimate on
 the power-quotient coefficients (``growth_estimate``). The first two also come
 as the k = 2..k_max row of one parameter point (``sharp_bounds``,
-``small_alpha_bounds``), which forms what the indices share once.
+``small_alpha_bounds``), which forms what the indices share once, and as the
+rows of all the betas of one (n, alpha) (``sharp_bound_rows``,
+``small_alpha_bound_rows``), which also form what the betas share once.
 """
 
 from __future__ import annotations
@@ -114,20 +116,38 @@ def _check_index(k):
         raise ValueError(f"coefficient index must be an integer >= 2, got {k!r}")
 
 
-def _sharp_row(params: ClassParams, ks) -> list:
-    alpha, beta, n = params.alpha, params.beta, params.n
-    head = 2 * (1 - beta) * alpha ** (n - 1)
-    return [head / (alpha + k - 1) ** n for k in ks]
+def _group_indices(n, alpha, betas, k_max) -> range:
+    """The indices 2..k_max of a group row, after the checks a `ClassParams` of each beta makes."""
+    for beta in betas:
+        ClassParams(n, alpha, beta)
+    _check_index(k_max)
+    return range(2, k_max + 1)
+
+
+def _sharp_rows(n: int, alpha, betas, ks) -> list:
+    power = alpha ** (n - 1)
+    dens = [(alpha + k - 1) ** n for k in ks]
+    rows = []
+    for beta in betas:
+        head = 2 * (1 - beta) * power
+        rows.append([head / den for den in dens])
+    return rows
+
+
+def sharp_bound_rows(n: int, alpha, betas, k_max: int) -> list:
+    """`sharp_bounds` of (n, alpha, beta) for each beta of ``betas``, one row each.
+
+    alpha^(n-1) and the denominators (alpha + k - 1)^n are formed once for
+    the group; each row is the head 2 (1 - beta) alpha^(n-1) divided by
+    them, the same operations in the same order as `sharp_bound`.
+    """
+    return _sharp_rows(n, alpha, betas, _group_indices(n, alpha, betas, k_max))
 
 
 def sharp_bounds(params: ClassParams, k_max: int) -> list:
-    """`sharp_bound` for k = 2..k_max: 2 (1 - beta) alpha^(n-1) formed once.
-
-    Each entry is that head divided by (alpha + k - 1)^n, the same
-    operations in the same order as `sharp_bound`.
-    """
+    """`sharp_bound` for k = 2..k_max: the one-beta row of `sharp_bound_rows`."""
     _check_index(k_max)
-    return _sharp_row(params, range(2, k_max + 1))
+    return _sharp_rows(params.n, params.alpha, (params.beta,), range(2, k_max + 1))[0]
 
 
 def sharp_bound(params: ClassParams, k: int):
@@ -138,7 +158,7 @@ def sharp_bound(params: ClassParams, k: int):
     inputs. The one-index row of `sharp_bounds`.
     """
     _check_index(k)
-    return _sharp_row(params, (k,))[0]
+    return _sharp_rows(params.n, params.alpha, (params.beta,), (k,))[0][0]
 
 
 class SmallAlphaBound(namedtuple("SmallAlphaBound", "value region")):
@@ -147,31 +167,38 @@ class SmallAlphaBound(namedtuple("SmallAlphaBound", "value region")):
     __slots__ = ()
 
 
-def small_alpha_bounds(params: ClassParams, k_max: int) -> list:
-    """`small_alpha_bound` for k = 2..k_max, one ladder for the whole row.
+def small_alpha_bound_rows(n: int, alpha, betas, k_max: int) -> list:
+    """`small_alpha_bounds` of (n, alpha, beta) for each beta of ``betas``, one row each.
 
     With B_m = 2^m (1-beta)^m alpha^(m(n-1)) prod_{j=0}^{m-1} (1 - j alpha) / m!
     and Q the coefficients of powers of sum_{j>=1} z^j / (alpha + j)^n, the
     bound is sum_{m=1}^{k-1} B_m Q_{k-1}^(m) on omega1 and omega2, and the
     shorter sum to k-2 on omega3. Outside the regions no value is fabricated.
 
-    Each k is classified once, and B_m and the tails T_m of the powers are
-    formed once, sized to the largest k in a region. Entry i of T_m depends
-    only on entries <= i of the base, so every value is the one a ladder cut
-    to k alone gives, bit for bit on floats.
+    What does not depend on beta is formed once for the group: the region
+    of each k, the tails T_m of the powers, sized to the largest k in a
+    region, and the factors alpha^(m(n-1)), prod_j (1 - j alpha) and m! of
+    B_m. Each beta then forms its B_m and sums. Entry i of T_m depends only
+    on entries <= i of the base, and B_m multiplies its factors in the order
+    written, so every value is the one a ladder cut to one beta and to k
+    alone gives, bit for bit on floats.
     """
+    return _small_alpha_rows(n, alpha, betas, _group_indices(n, alpha, betas, k_max))
+
+
+def small_alpha_bounds(params: ClassParams, k_max: int) -> list:
+    """`small_alpha_bound` for k = 2..k_max: the one-beta row of `small_alpha_bound_rows`."""
     _check_index(k_max)
-    return _small_alpha_row(params, range(2, k_max + 1))
+    return _small_alpha_rows(params.n, params.alpha, (params.beta,), range(2, k_max + 1))[0]
 
 
 def small_alpha_bound(params: ClassParams, k: int) -> SmallAlphaBound:
     """Small-alpha piecewise bound on |a_k|: the one-index row of `small_alpha_bounds`."""
     _check_index(k)
-    return _small_alpha_row(params, (k,))[0]
+    return _small_alpha_rows(params.n, params.alpha, (params.beta,), (k,))[0][0]
 
 
-def _small_alpha_row(params: ClassParams, ks) -> list:
-    alpha, beta, n = params.alpha, params.beta, params.n
+def _small_alpha_rows(n: int, alpha, betas, ks) -> list:
     regions = [classify_region(alpha, k) for k in ks]
     # the number of powers summed at each k; none outside the regions
     m_tops = [
@@ -182,26 +209,31 @@ def _small_alpha_row(params: ClassParams, ks) -> list:
     zero = alpha * 0
     # the base series is z times these; Q_{k-1}^(m) is entry k-1-m of the m-th tail
     tail_base = [1 / (alpha + j) ** n for j in range(1, k_top)]
-    b = []
     tails = []
+    factors = []  # (alpha^(m(n-1)), prod_{j<m} (1 - j alpha), m!) for m = 1, 2, ...
     sign_prod = 1 - 0 * alpha  # prod_{j=0}^{m-1} (1 - j alpha), starts at 1
     factorial = 1
     for m, tail in enumerate(power_tails(tail_base, max(m_tops)), start=1):
         if m > 1:
             sign_prod = sign_prod * (1 - (m - 1) * alpha)
             factorial *= m
-        b.append((2**m) * (1 - beta) ** m * alpha ** (m * (n - 1)) * sign_prod / factorial)
+        factors.append((alpha ** (m * (n - 1)), sign_prod, factorial))
         tails.append(tail)
-    row = []
-    for k, region, m_top in zip(ks, regions, m_tops):
-        if not m_top:
-            row.append(SmallAlphaBound(None, region))
-            continue
-        total = zero
-        for m in range(1, m_top + 1):
-            total = total + b[m - 1] * tails[m - 1][k - 1 - m]
-        row.append(SmallAlphaBound(total, region))
-    return row
+    rows = []
+    for beta in betas:
+        b = [(2**m) * (1 - beta) ** m * power * prod / m_factorial
+             for m, (power, prod, m_factorial) in enumerate(factors, start=1)]
+        row = []
+        for k, region, m_top in zip(ks, regions, m_tops):
+            if not m_top:
+                row.append(SmallAlphaBound(None, region))
+                continue
+            total = zero
+            for m in range(1, m_top + 1):
+                total = total + b[m - 1] * tails[m - 1][k - 1 - m]
+            row.append(SmallAlphaBound(total, region))
+        rows.append(row)
+    return rows
 
 
 def growth_estimate(alpha, k: int) -> float:

@@ -31,7 +31,8 @@ a --kmax or --order above `harness.MAX_ORDER`, and an --n above
 `harness.MAX_N`.
 
 `main` builds its parser on its first call and reuses it for every later
-call in the process; `build_parser` returns a new one.
+call in the process, so its help keeps the terminal width of that first
+call; `build_parser` returns a new one.
 """
 
 from __future__ import annotations
@@ -122,17 +123,28 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    """The parser of every subcommand; its help wraps to the terminal width read here, once.
+
+    argparse's default formatter reads the terminal size whenever it is
+    built, once per ``add_argument``. Every parser of this tree shares one
+    formatter class instead, fixed at argparse's default width: the
+    terminal's columns less 2.
+    """
+    import shutil  # argparse imports it for its first formatter anyway
+
+    formatter = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+    parser_class = functools.partial(_Parser, formatter_class=formatter)
+    parser = parser_class(
         prog="coeffbounds",
         description="Coefficient-bound tables and verification suites for the iterated-transform class.",
     )
-    commands = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True, parser_class=parser_class)
 
     bounds = commands.add_parser("bounds", help="tabulate sharp/piecewise bound values over a grid")
     _add_flags(bounds, "bounds")
 
     verify = commands.add_parser("verify", help="run a verification suite")
-    suites = verify.add_subparsers(dest="suite", required=True)
+    suites = verify.add_subparsers(dest="suite", required=True, parser_class=parser_class)
     for name, blurb in (
         ("extremal", "extremal generators must hit the sharp bound"),
         ("random", "random generators never exceed the sharp bound"),

@@ -28,8 +28,8 @@ from .bounds import (
     growth_estimate,
     p_from_f,
     round_trip_tolerances,
-    sharp_bounds,
-    small_alpha_bounds,
+    sharp_bound_rows,
+    small_alpha_bound_rows,
 )
 from .caratheodory import HerglotzAtoms, trial_atoms
 from .reports import SuiteEntry, SuiteReport, fmt_float
@@ -202,20 +202,32 @@ BOUNDS_COLUMNS = (
 )
 
 
+def _point_rows(grid: GridSpec, k_max: int, *row_functions):
+    """(n, alpha, beta, one row per function) for each point of `GridSpec.points`.
+
+    Each function is a group-row function of `bounds`. The points run over
+    the betas of one (n, alpha) before the next, so each function is called
+    once per (n, alpha), at its first beta, for all the betas.
+    """
+    first_beta = grid.beta_values[0]
+    for n, alpha, beta in grid.points():
+        if beta is first_beta:
+            groups = [iter(rows(n, alpha, grid.beta_values, k_max)) for rows in row_functions]
+        yield n, alpha, beta, *[next(group) for group in groups]
+
+
 def run_bounds_table(grid: GridSpec, backend: Backend = FLOAT):
     """Tabulated bound values over the grid: one row per (n, alpha, beta, k).
 
-    The bounds of a grid point come from one `sharp_bounds` and one
-    `small_alpha_bounds` call for all its k.
+    The bounds of the betas of one (n, alpha) come from one
+    `sharp_bound_rows` and one `small_alpha_bound_rows` call for all their k.
     """
     ks = range(2, grid.k_max + 1)
     growth = {alpha: [fmt_float(growth_estimate(alpha, k)) for k in ks] for alpha in grid.alpha_values}
     rows = []
-    for n, alpha, beta in grid.points():
-        params = ClassParams(n, alpha, beta)
+    point_rows = _point_rows(grid, grid.k_max, sharp_bound_rows, small_alpha_bound_rows)
+    for n, alpha, beta, sharp_row, piece_row in point_rows:
         point = _point(backend, n, alpha, beta)
-        sharp_row = sharp_bounds(params, grid.k_max)
-        piece_row = small_alpha_bounds(params, grid.k_max)
         for k, sharp, piece, growth_cell in zip(ks, sharp_row, piece_row, growth[alpha]):
             rows.append(
                 {
@@ -251,16 +263,15 @@ def run_extremal_suite(grid: GridSpec, backend: Backend = FLOAT):
     one, zero = backend.one, backend.zero
     series = {k: [one, *[zero] * (k - 2), backend.coeff(2)] for k in range(2, k_top + 1)}
     reports = []
-    for n, alpha, beta in grid.points():
+    for n, alpha, beta, bounds in _point_rows(grid, k_top, sharp_bound_rows):
         start = time.perf_counter()
-        params = ClassParams(n, alpha, beta)
         point = _point(backend, n, alpha, beta)
         alpha, beta = backend.scalar(alpha), backend.scalar(beta)
         entries = []
         passed = True
         worst = 0.0
         witness = None
-        for k, bound in zip(range(2, k_top + 1), sharp_bounds(params, k_top)):
+        for k, bound in zip(range(2, k_top + 1), bounds):
             a_k = f_quotient_coefficients(series[k], n, alpha, beta, one, zero)[k - 1]
             if backend is RATIONAL:
                 ok = a_k.abs2() == bound * bound

@@ -54,18 +54,29 @@ def gamma_target(m: int, alpha):
     return prod / (math.factorial(m) * alpha ** (m - 1))
 
 
-def gamma_ladder(ds, m_max: int, half) -> list:
+def gamma_ladder(ds, m_max: int, half, zero) -> list:
     """gamma_m = half^m [1 + half sum_{mu=1}^{m} C(m, mu) d_mu] for m = 0..m_max.
 
     The entries of ds are backend scalars or numpy columns (see `series`),
     and ``half`` is 1/2 typed to match them; an exact 1/2 keeps rational
-    inputs exact. ds needs at least m_max entries.
+    inputs exact. ds needs at least m_max entries. Each sum starts from its
+    first term. A d that is the caller's scalar ``zero`` object forms no
+    term (as in `series.real_power_coefficients`), and a sum at m >= 1 with
+    no other term is that zero; gamma_0's empty sum is the int 0.
     """
+    live = [mu for mu in range(1, m_max + 1) if ds[mu - 1] is not zero]
     out = []
+    count = 0  # live[:count] are the live mu <= m
     for m in range(m_max + 1):
-        acc = m * ds[0] if m else 0  # C(m, 1) d_1 starts the sum
-        for mu in range(2, m + 1):
-            acc += math.comb(m, mu) * ds[mu - 1]
+        if count < len(live) and live[count] == m:
+            count += 1
+        if count:
+            first = live[0]
+            acc = math.comb(m, first) * ds[first - 1]
+            for mu in live[1:count]:
+                acc += math.comb(m, mu) * ds[mu - 1]
+        else:
+            acc = zero if m else 0
         acc *= half
         acc += 1
         acc *= half**m
@@ -178,8 +189,9 @@ def build_hk(k: int, alpha, *, backend: Backend = FLOAT) -> GammaScheme:
 
     d_1..d_{k-2} are formed from the weights alone. The kernels past the
     constant have disjoint supports, so each d is one weight times 2s, -1
-    or 2 (exact in floating point too), or zero. P is convex, so h is in P
-    exactly when the weights lie in the simplex, which
+    or 2 (exact in floating point too), or zero; the zero d's are the one
+    object ``alpha * 0``, whose terms `gamma_ladder` skips. P is convex, so
+    h is in P exactly when the weights lie in the simplex, which
     ``harness.run_hk_audit`` certifies exactly.
 
     The sign-dependent kernel for k in {4, 5} covers both sides of the
@@ -190,7 +202,8 @@ def build_hk(k: int, alpha, *, backend: Backend = FLOAT) -> GammaScheme:
     """
     alpha = backend.scalar(alpha)
     weights, sigma, sign = hk_weights(k, alpha)
-    d = [alpha * 0] * (k - 2)
+    zero = alpha * 0
+    d = [zero] * (k - 2)
     if 3 <= k <= 5:
         d[k - 3] = weights[1] * (2 * sign)  # (1 + s z^(k-2))/(1 - s z^(k-2)) starts 1 + 2s z^(k-2)
     elif k >= 6:
@@ -199,7 +212,7 @@ def build_hk(k: int, alpha, *, backend: Backend = FLOAT) -> GammaScheme:
         for j in range(2, k - 1, 2):
             d[j - 1] = even
     d = tuple(d)
-    gammas = tuple(gamma_ladder(d, k - 2, _HALF))
+    gammas = tuple(gamma_ladder(d, k - 2, _HALF, zero))
     return GammaScheme(k=k, alpha=alpha, d=d, sigma=sigma, gammas=gammas, weights=weights)
 
 

@@ -74,7 +74,7 @@ from fractions import Fraction
 import numpy as np
 
 from .backends import FLOAT
-from .bounds import SLACK, ClassParams, f_quotient_coefficients, sharp_bounds
+from .bounds import SLACK, f_quotient_coefficients, sharp_bound_rows
 from .caratheodory import atom_coefficients, draw_atoms, half_hadamard_coefficients
 from .schemes import nehari_coefficients
 
@@ -269,7 +269,7 @@ def dominance_sweeps(seed: int, n: int, alpha: float, betas, trials: int, k_max:
     k_max - 1, and truncation is exact on leading coefficients, so the sweep
     runs at that reduced order.
     """
-    bounds = [sharp_bounds(ClassParams(n, FLOAT.scalar(alpha), FLOAT.scalar(beta)), k_max) for beta in betas]
+    bounds = sharp_bound_rows(n, FLOAT.scalar(alpha), [FLOAT.scalar(beta) for beta in betas], k_max)
     return _sweeps(seed, ("random",), dominance_magnitudes, n, alpha, betas, trials, 2, bounds)
 
 
@@ -288,7 +288,7 @@ def dominance_magnitudes(atoms, n: int, alpha: float, beta, count: int) -> np.nd
 def nehari_bounds(n: int, alpha: float, beta: float, k_max: int) -> np.ndarray:
     """The claimed bounds 2 (1-beta) alpha^n / (alpha+k)^n for k = 1..k_max.
 
-    Python floats in the order of `bounds.sharp_bounds`: the head
+    Python floats in the order of `bounds.sharp_bound_rows`: the head
     2 (1-beta) alpha^n once, then head / (alpha + k)^n. numpy's ``power``
     would round differently with and without AVX-512.
     """

@@ -240,7 +240,7 @@ def nehari_margins_scalar(h_atoms, p_atoms, q_atoms, n: int, alpha, beta, k_max:
     d = h_atoms.series(k_max - 1).coeffs
     p, q = p_atoms.series(k_max).coeffs, q_atoms.series(k_max).coeffs
     r = half_hadamard_coefficients(p, q, FLOAT.one, half)
-    gammas = gamma_ladder(d[1:], k_max - 1, half)
+    gammas = gamma_ladder(d[1:], k_max - 1, half, FLOAT.zero)
     A = nehari_coefficients(gammas, [FLOAT.zero, *r[1:]], n, af, bf, FLOAT.zero)
     return [
         2.0 * (1.0 - bf) * af**n / (af + k) ** n - abs(A[k])

@@ -286,6 +286,23 @@ def test_atom_tolerances_live_in_caratheodory(path):
     assert named == (path.name == "caratheodory.py")
 
 
+def _triple_reads(tree: ast.Module) -> list:
+    """Line of each attribute access that names a slot of the `RationalComplex` triple."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in RationalComplex.__slots__]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
+def test_only_rational_reads_the_triple(path):
+    # every other module goes through the arithmetic and the Fraction parts re and im
+    reads = _triple_reads(ast.parse(path.read_text()))
+    assert bool(reads) == (path.name == "_rational.py"), reads
+
+
+def test_triple_scan_sees_a_slot_read():
+    assert _triple_reads(ast.parse("def f(x):\n    return x.re + x._b / x._d\n")) == [2, 2]
+
+
 def test_sweeps_leave_numpy_random_unimported():
     # numpy.random costs about 2 MB of resident memory once imported
     code = (
@@ -480,6 +497,8 @@ _MAY_STAY_UNENTERED = {
     "cli.entry": "the console-script wrapper around cli.main",
     "_rational.t_from_unimodular": "writes rational witnesses, which only a failing rational run reaches",
     "caratheodory.HerglotzAtoms.from_rational": "the public constructor of exact atom systems",
+    "bounds.sharp_bounds": "the one-beta row of bounds.sharp_bound_rows, which the commands call instead",
+    "bounds.small_alpha_bounds": "the one-beta row of bounds.small_alpha_bound_rows, which the commands call instead",
 }
 
 

@@ -21,11 +21,14 @@ from coeffbounds import (
     growth_estimate,
     p_from_f,
     sharp_bound,
+    sharp_bound_rows,
     sharp_bounds,
     small_alpha_bound,
+    small_alpha_bound_rows,
     small_alpha_bounds,
 )
 from coeffbounds.bounds import NORMALIZATION_TOL, round_trip_tolerances
+from coeffbounds.harness import DEFAULT_ALPHA_TOKENS, DEFAULT_BETA_TOKENS, DEFAULT_N
 from oracles import (
     a_k_direct,
     classify_region_by_fractions,
@@ -262,6 +265,44 @@ class TestBoundRows:
         for k_max in (1, 0, 2.0):
             with pytest.raises(ValueError):
                 row(params, k_max)
+
+
+class TestGroupRows:
+    """A group call per (n, alpha) gives each beta the row of its own one-beta call."""
+
+    #: the stock alphas, and those of the small-alpha and region-edge pins of tests/test_cli.py
+    GRIDS = {
+        "stock": DEFAULT_ALPHA_TOKENS,
+        "small-alpha": ("1/10", "1/4", "1/3", "1/2"),
+        "region-edges": ("1/10", "1/3", "2/3", "1", "3/2"),
+    }
+
+    @pytest.mark.parametrize("backend", [FLOAT, RATIONAL], ids=lambda b: b.name)
+    @pytest.mark.parametrize("grid", list(GRIDS))
+    def test_group_rows_equal_the_one_beta_rows(self, grid, backend):
+        # repr tells every float apart (-0.0 from 0.0 too); Fractions compare exactly
+        same = repr if backend is FLOAT else (lambda x: x)
+        betas = tuple(backend.scalar(token) for token in DEFAULT_BETA_TOKENS)
+        for k_max in range(2, 17):
+            for n in DEFAULT_N:
+                for alpha in map(backend.scalar, self.GRIDS[grid]):
+                    sharp = sharp_bound_rows(n, alpha, betas, k_max)
+                    pieces = small_alpha_bound_rows(n, alpha, betas, k_max)
+                    assert len(sharp) == len(pieces) == len(betas)
+                    for beta, sharp_row, piece_row in zip(betas, sharp, pieces):
+                        params = ClassParams(n, alpha, beta)
+                        assert list(map(same, sharp_row)) == list(map(same, sharp_bounds(params, k_max)))
+                        assert list(map(same, piece_row)) == list(map(same, small_alpha_bounds(params, k_max)))
+
+    @pytest.mark.parametrize("rows, one_beta", [(sharp_bound_rows, sharp_bounds),
+                                                (small_alpha_bound_rows, small_alpha_bounds)])
+    @pytest.mark.parametrize("beta, k_max", [(1.0, 4), (-0.1, 4), (Fraction(3, 2), 4), (0.5, 1), (0.5, 2.0)])
+    def test_bad_values_raise_the_one_beta_messages(self, rows, one_beta, beta, k_max):
+        with pytest.raises(ValueError) as want:
+            one_beta(ClassParams(1, 2.0, beta), k_max)
+        with pytest.raises(ValueError) as got:
+            rows(1, 2.0, (0.0, beta), k_max)
+        assert str(got.value) == str(want.value)
 
 
 class TestGrowthEstimate:

@@ -861,6 +861,54 @@ class TestSharedParser:
         assert cli.build_parser() is not cli._shared_parser()
 
 
+#: sha256 of the ``--help`` stdout of the top level and of each subcommand, per terminal width
+_HELP_DIGESTS = {
+    "50": {
+        "": "01139442ddd07fcc4dd9a2bada214cf38f5ab9ffa08b4da4f049f7201f4476f4",
+        "bounds": "e55e088a2dd5a68f86e6f2fe11cd015c089d0821de121b61d3c455c53ba6a492",
+        "verify": "1b54213d3962e58f8357bec228be75b45c9240b93bd3fbd48b79936ce6ed5ed8",
+        "verify extremal": "eef4020c32e3d42745f6dc653ed7bbaa60f473a9e56c9e54acfa7b70c4d2e637",
+        "verify random": "550557b2c4628c6ae89d7b14a8df6ab76f245d209344c54a799d3ca17ad93f8d",
+        "verify hk": "c6c5f94305413e58659c6f46a9a5767c03d4f16fa87d9768a6d016323d8a9b66",
+        "verify nehari": "69a559c4219c279b54c30aaa5d27e16736f7756983ece1b429cd7625e1fbda24",
+        "expand": "332667a4a59f93b2eb41733c24d1ef6f22656e2704c9d2a03d221489e3486ab6",
+    },
+    "120": {
+        "": "c692eb5e0ab80ba8b4c909f0b5f0977cb65077ed069807bbbd1d3377e1f2e730",
+        "bounds": "1effb96fb1c0ad072f0abf1027e329fb9df5c0cd344e822564606b80aa4198de",
+        "verify": "8f7e296c25b58220ffe88ca9cef3a3df9dab8a2d344ba6ec994a1bda99ba3f57",
+        "verify extremal": "f06e197868923698b81804ba30d2c33630719b2a2dd9614df027e6fac4cf5c1c",
+        "verify random": "591edbcf1c6c63a9b62a95f3a642739ca592ad111f68dc72da7ef3c8e89693b8",
+        "verify hk": "df713305239115e0b4e1b392c0562b76c6d9b949c6f8bd2826e75775c7eb5487",
+        "verify nehari": "03bdd3264097cf8c326e13c2ac6b967e9c80cc012c43cfb039c233eba3c3d461",
+        "expand": "82f7ca3049cbbef6a52bc534eab247c1c4b898248d5c179b6ed9a26d1a00e9dd",
+    },
+}
+
+
+class TestHelp:
+    """The parser reads the terminal width once per build, and ``--help`` wraps as argparse's default does."""
+
+    @pytest.mark.parametrize("columns", sorted(_HELP_DIGESTS))
+    def test_help_is_pinned(self, columns, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", columns)
+        for command, digest in _HELP_DIGESTS[columns].items():
+            with pytest.raises(SystemExit) as exit_info:
+                cli.build_parser().parse_args([*command.split(), "--help"])
+            assert exit_info.value.code == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (columns, command)
+
+    def test_build_reads_the_terminal_size_once(self, monkeypatch):
+        import shutil
+
+        calls = []
+        size = shutil.get_terminal_size
+        monkeypatch.setattr(shutil, "get_terminal_size", lambda *args: calls.append(args) or size(*args))
+        cli.build_parser()
+        assert len(calls) == 1
+
+
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,

@@ -131,24 +131,24 @@ class TestBoundsTable:
         for row in rows:
             assert row["growth_estimate"] == fmt_float(growth_estimate(float(row["alpha"]), int(row["k"])))
 
-    def test_one_row_call_per_grid_point(self, monkeypatch, capsys):
+    def test_one_group_row_call_per_n_and_alpha(self, monkeypatch, capsys):
         calls = []
 
-        def counting(row):
-            def wrapper(params, k_max):
-                calls.append((row.__name__, params, k_max))
-                return row(params, k_max)
+        def counting(rows):
+            def wrapper(n, alpha, betas, k_max):
+                calls.append((rows.__name__, n, alpha, tuple(betas), k_max))
+                return rows(n, alpha, betas, k_max)
             return wrapper
 
-        for name in ("sharp_bounds", "small_alpha_bounds"):
+        for name in ("sharp_bound_rows", "small_alpha_bound_rows"):
             monkeypatch.setattr(harness, name, counting(getattr(harness, name)))
         assert cli.main(["bounds"]) == 0
         capsys.readouterr()
         grid = default_grid(FLOAT)
-        for name in ("sharp_bounds", "small_alpha_bounds"):
-            made = [(params, k_max) for row, params, k_max in calls if row == name]
-            assert len(made) == len({params for params, _ in made}) == 96
-            assert {k_max for _, k_max in made} == {grid.k_max}
+        for name in ("sharp_bound_rows", "small_alpha_bound_rows"):
+            made = [call[1:] for call in calls if call[0] == name]
+            assert len(made) == len({(n, alpha) for n, alpha, _, _ in made}) == 24
+            assert {(betas, k_max) for _, _, betas, k_max in made} == {(grid.beta_values, grid.k_max)}
 
 
 class TestExtremalSuite:
@@ -197,8 +197,9 @@ class TestExtremalSuite:
 
     @pytest.mark.parametrize("backend", [FLOAT, RATIONAL], ids=lambda b: b.name)
     def test_a_failing_row_carries_atoms_that_expand_accepts(self, backend, monkeypatch, tmp_path, capsys):
-        exact = harness.sharp_bounds
-        monkeypatch.setattr(harness, "sharp_bounds", lambda params, k_max: [b + 1 for b in exact(params, k_max)])
+        exact = harness.sharp_bound_rows
+        monkeypatch.setattr(harness, "sharp_bound_rows",
+                            lambda *args: [[b + 1 for b in row] for row in exact(*args)])
         grid = default_grid(backend, n_values=(2,), alpha_values=(backend.scalar("3/2"),),
                             beta_values=(backend.scalar("1/4"),), k_max=6)
         (report,) = run_extremal_suite(grid, backend)

@@ -113,6 +113,8 @@ def kernel_runs(kernels, weights, points, zero, one, half=0.5, alpha=ALPHA, beta
     atom_k, cauchy_k, power_k, ladder_k, nehari_k = kernels
     if kernels is PARENT_KERNELS:  # the parent Cauchy product starts its sums at the caller's zero
         cauchy_k = partial(cauchy_k, zero=zero)
+    else:  # the library ladder skips the caller's zero object, which no column is
+        ladder_k = partial(ladder_k, zero=zero)
     atoms = atom_coefficients_parent(weights, points, ORDER, one)
     other = atom_coefficients_parent(weights[::-1], points[::-1], ORDER, one)
     g = shift_coefficients(transform_coefficients(atoms, alpha, N, zero), beta, one, zero)
@@ -315,7 +317,7 @@ def test_kernels_leave_inputs_and_share_no_memory(label, weights, points, zero, 
         (atom_coefficients, (weights, points, ORDER, one)),
         (cauchy_coefficients, (atoms, other)),
         (real_power_coefficients, (g, 1 / ALPHA, one, zero)),
-        (gamma_ladder, (atoms[1:], ORDER - 1, 0.5)),
+        (gamma_ladder, (atoms[1:], ORDER - 1, 0.5, zero)),
         (nehari_coefficients, (gammas, G, N, ALPHA, BETA, zero)),
     )
     for kernel, args in runs:

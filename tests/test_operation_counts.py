@@ -3,7 +3,8 @@
 Each kernel runs on ``Op`` values, complex numbers that log every
 arithmetic operation they take part in. The counts are exact: a sum starts
 from its first product (no addition to a zero), the atom series forms one
-running product per atom and order and none past its last order, and the
+running product per atom and order and none past its last order, the
+gamma ladder forms no term for a d that is the caller's zero, and the
 Nehari sum forms (1 - beta) alpha^n once, subtracts the even weighted tails
 and negates nothing.
 """
@@ -76,11 +77,26 @@ def test_atom_series_forms_no_power_past_its_last_order():
 def test_gamma_ladder_sums_start_from_their_first_product():
     m_max = 6
     ds, half = values(m_max), Op(0.5)
-    got = ops(lambda: gamma_ladder(ds, m_max, half))
+    got = ops(lambda: gamma_ladder(ds, m_max, half, Op(0)))
     # m - 1 additions in the sum of gamma_m, then + 1
     assert sum(got[name] for name in _ADD) == sum(m - 1 for m in range(1, m_max + 1)) + m_max + 1
     # no sum starts at the int 0 that the empty sum of gamma_0 is
     assert not [entry for entry in Op.log if entry[0] in _ADD and any(type(x) is int and x == 0 for x in entry[2:])]
+
+
+def test_gamma_ladder_forms_no_term_for_a_structural_zero():
+    m_max = 7
+    zero = Op(0)
+    for zeros in ((2, 3, 5, 7), (1, 2), (1, 2, 3, 4, 5, 6, 7)):  # as build_hk's k = 4 and k >= 6, k = 5, and all
+        ds = [zero if mu in zeros else d for mu, d in enumerate(values(m_max), start=1)]
+        got = ops(lambda: gamma_ladder(ds, m_max, Op(0.5), zero))
+        live = [[mu for mu in range(1, m + 1) if mu not in zeros] for m in range(m_max + 1)]
+        # one product C(m, mu) d_mu per live mu <= m, and none with the zero
+        terms = [entry for entry in Op.log if entry[0] == "__rmul__" and any(entry[1] is d for d in ds)]
+        assert not [entry for entry in terms if entry[1] is zero]
+        assert len(terms) == sum(map(len, live)), zeros
+        # each sum starts from its first term; then + 1 at every m
+        assert sum(got[name] for name in _ADD) == sum(max(len(mus) - 1, 0) for mus in live) + m_max + 1
 
 
 def test_nehari_sum_counts():

@@ -1,6 +1,7 @@
 """Exact complex-rational arithmetic and the unimodular parametrization."""
 
 import itertools
+import math
 import operator
 from fractions import Fraction
 
@@ -50,9 +51,17 @@ def generic(op, x, y):
     return (a * c + b * d) / den, (b * c - a * d) / den
 
 
+def assert_canonical(z):
+    """The triple (a, b, d) of z = (a + b i) / d has d > 0 and gcd(a, b, d) = 1."""
+    a, b, d = z._a, z._b, z._d
+    assert type(a) is int and type(b) is int and type(d) is int
+    assert d > 0 and math.gcd(a, b, d) == 1, (a, b, d)
+
+
 def assert_exact(z, expected):
     assert (z.re, z.im) == expected
     assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert_canonical(z)
     for name in ("re", "im"):
         with pytest.raises(AttributeError):
             setattr(z, name, Fraction(0))
@@ -113,6 +122,46 @@ class TestArithmetic:
             -x
 
 
+class TestCanonicalTriple:
+    """One triple per value: d > 0 and gcd(a, b, d) = 1, whatever the operations that reached it."""
+
+    @given(parts, parts)
+    def test_construction(self, a, b):
+        assert_exact(rc(a, b), (a, b))
+        assert_exact(RationalComplex(), (0, 0))
+
+    @pytest.mark.parametrize("divisor", [Fraction(-3, 7), -2, rc(Fraction(-3, 7)), rc(-5, 0),
+                                         rc(Fraction(-3, 7), Fraction(2, 9)), rc(-1, -1)],
+                             ids=["fraction", "int", "real-rc", "real-int-rc", "complex-rc", "complex-rc-both"])
+    @given(x=st.tuples(parts, parts))
+    def test_negative_divisors_keep_the_denominator_positive(self, divisor, x):
+        a, b = x
+        y = (Fraction(divisor), Fraction(0)) if not isinstance(divisor, RationalComplex) else (divisor.re, divisor.im)
+        assert_exact(rc(a, b) / divisor, generic("div", (a, b), y))
+
+    @given(fractions, fractions, fractions, fractions, fractions, fractions)
+    def test_equal_values_by_different_orders_are_equal_and_hash_equal(self, a, b, c, d, e, f):
+        x, y, z = rc(a, b), rc(c, d), rc(e, f)
+        pairs = [((x + y) * z, x * z + y * z), ((x + y) + z, x + (y + z)), ((x * y) * z, x * (z * y)),
+                 (x - y + z, (z - y) + x)]
+        if any((c, d)):
+            pairs.append(((x * y) / y, x))
+            pairs.append((x / y * z, x * z / y))
+        for left, right in pairs:
+            assert_canonical(left)
+            assert_canonical(right)
+            assert left == right and hash(left) == hash(right)
+
+    @given(fractions, fractions)
+    def test_parts_are_fractions_of_the_triple(self, a, b):
+        z = rc(a, b) * rc(Fraction(1, 3), Fraction(-2, 5))
+        assert type(z.re) is Fraction and type(z.im) is Fraction
+        assert (z.re, z.im) == (Fraction(z._a, z._d), Fraction(z._b, z._d))
+        for name in ("_a", "_b", "_d"):
+            with pytest.raises(AttributeError):
+                setattr(z, name, 1)
+
+
 class TestRealOperandPaths:
     """Zero imaginary parts and int/Fraction operands give the generic formula's values."""
 
@@ -168,6 +217,7 @@ class TestUnimodular:
     @given(fractions)
     def test_exactly_unimodular(self, t):
         assert unimodular_from_t(t).abs2() == 1
+        assert_canonical(unimodular_from_t(t))
 
     @given(fractions)
     def test_roundtrip(self, t):

@@ -39,7 +39,7 @@ HALF = Fraction(1, 2)
 
 def nehari(h, G, params, order):
     """A_0..A_order of the Nehari series of coefficient lists h and G; G_0 is the zero."""
-    gammas = gamma_ladder(h[1:], order - 1, HALF)
+    gammas = gamma_ladder(h[1:], order - 1, HALF, G[0])
     return nehari_coefficients(gammas, G[: order + 1], params.n, params.alpha, params.beta, G[0])
 
 
@@ -59,14 +59,15 @@ class TestGammaLadder:
             gamma_target(2, Fraction(0))
 
     def test_zero_coefficients_give_dyadic_ladder(self):
-        gammas = gamma_ladder((), 0, HALF)
+        gammas = gamma_ladder((), 0, HALF, Fraction(0))
         assert gammas == [Fraction(1)]
-        gammas = gamma_ladder((Fraction(0),) * 5, 5, HALF)
-        assert gammas == [Fraction(1, 2**m) for m in range(6)]
+        zero = Fraction(0)
+        for ds in ((Fraction(0),) * 5, (zero,) * 5):  # computed zeros, then the caller's zero object
+            assert gamma_ladder(ds, 5, HALF, zero) == [Fraction(1, 2**m) for m in range(6)]
 
     def test_hand_example(self):
         # d_1 = -1, d_2 = 2: gamma_2 = (1 + (-2 + 2)/2)/4 = 1/4
-        gammas = gamma_ladder((Fraction(-1), Fraction(2)), 2, HALF)
+        gammas = gamma_ladder((Fraction(-1), Fraction(2)), 2, HALF, Fraction(0))
         assert gammas[1] == Fraction(1, 2) * (1 + Fraction(-1, 2))
         assert gammas[2] == Fraction(1, 4)
 
@@ -87,7 +88,8 @@ class TestGammaLadder:
         for weights, points in systems:
             halves = [w / 2 for w in weights], [(1 + x) / 2 for x in points]
             for m_max in (0, 1, 16):
-                ladder = gamma_ladder(atom_coefficients(weights, points, m_max, RATIONAL.one)[1:], m_max, HALF)
+                ds = atom_coefficients(weights, points, m_max, RATIONAL.one)[1:]
+                ladder = gamma_ladder(ds, m_max, HALF, RATIONAL.zero)
                 assert atom_coefficients(*halves, m_max, RATIONAL.one) == ladder
 
 
@@ -207,7 +209,7 @@ class TestBuildHk:
     def test_identity_detects_perturbation(self):
         scheme = build_hk(5, Fraction(2), backend=RATIONAL)
         bad_d = (scheme.d[0], scheme.d[1] + Fraction(1, 1000), scheme.d[2])
-        bad = scheme._replace(d=bad_d, gammas=tuple(gamma_ladder(bad_d, scheme.k - 2, HALF)))
+        bad = scheme._replace(d=bad_d, gammas=tuple(gamma_ladder(bad_d, scheme.k - 2, HALF, Fraction(0))))
         assert not check_gamma_identity(bad)
 
     # both sides of the sign changes of d_2 (alpha = 3 + sqrt 7) and of d_3 (alpha near 3.046)
@@ -422,7 +424,7 @@ class TestNehariKernel:
         r = half_hadamard_coefficients(
             self.columns(0x5678 + n, k_max), self.columns(0x9ABC, k_max), FLOAT.one, self.half
         )
-        gammas = gamma_ladder(d[1:], k_max - 1, self.half)
+        gammas = gamma_ladder(d[1:], k_max - 1, self.half, FLOAT.zero)
         G = [FLOAT.zero, *r[1:]]
         got = nehari_coefficients(gammas, G, n, 2.5, 0.25, FLOAT.zero)
         want = nehari_coefficients_full(gammas, G, n, 2.5, 0.25, FLOAT.zero)
@@ -444,7 +446,7 @@ class TestNehariKernel:
         G = [RATIONAL.zero, *r[1:]]
         alpha, beta = Fraction(5, 2), Fraction(1, 3)
         got = nehari(h, G, ClassParams(n, alpha, beta), order)
-        gammas = gamma_ladder(h[1:], order - 1, HALF)
+        gammas = gamma_ladder(h[1:], order - 1, HALF, RATIONAL.zero)
         want = nehari_coefficients_full(gammas, G, n, alpha, beta, RATIONAL.zero)
         assert got == want
 

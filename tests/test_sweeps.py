@@ -127,7 +127,7 @@ def exact_nehari(trials, n, alpha, beta, k_max):
     half = Fraction(1, 2)
     r = half_hadamard_coefficients(exact_series(p_key, p_trial, k_max), exact_series(q_key, q_trial, k_max),
                                    RATIONAL.one, half)
-    gammas = gamma_ladder(exact_series(h_key, h_trial, k_max - 1)[1:], k_max - 1, half)
+    gammas = gamma_ladder(exact_series(h_key, h_trial, k_max - 1)[1:], k_max - 1, half, RATIONAL.zero)
     return nehari_coefficients(gammas, [RATIONAL.zero, *r[1:]], n, alpha, beta, RATIONAL.zero)
 
 
@@ -602,7 +602,7 @@ class TestBatchKernels:
         assert_columns_match(got, want)
 
     def test_batch_gammas_dyadic_for_zero_d(self):
-        got = gamma_ladder([np.zeros(2)] * 6, 6, self.half)
+        got = gamma_ladder([np.zeros(2)] * 6, 6, self.half, 0.0)
         assert got[0] == 1 and np.stack(got[1:]).dtype == np.float64
         assert np.allclose(np.stack(got[1:], axis=1), [[0.5**m for m in range(1, 7)]] * 2)
 
@@ -612,8 +612,8 @@ class TestBatchKernels:
         ds = rng.uniform(-2, 2, size=(3, 8)).astype(dtype)
         if dtype is np.complex128:
             ds += 1j * rng.uniform(-2, 2, size=(3, 8))
-        got = gamma_ladder(list(ds.T), 8, self.half)
-        want = [gamma_ladder([c.item() for c in row], 8, Fraction(1, 2)) for row in ds]
+        got = gamma_ladder(list(ds.T), 8, self.half, 0.0)
+        want = [gamma_ladder([c.item() for c in row], 8, Fraction(1, 2), 0.0) for row in ds]
         assert_columns_match(got, want, dtype=dtype)
         assert got[0] == 1
 
@@ -627,14 +627,14 @@ class TestBatchKernels:
         p_sys, p = self.generator_columns(seeds[1], k_max)
         q_sys, q = self.generator_columns(seeds[2], k_max)
         r = half_hadamard_coefficients(p, q, FLOAT.one, self.half)
-        gammas = gamma_ladder(d[1:], k_max - 1, self.half)
+        gammas = gamma_ladder(d[1:], k_max - 1, self.half, FLOAT.zero)
         got = nehari_coefficients(gammas, [FLOAT.zero, *r[1:]], n, float(alpha), float(beta), FLOAT.zero)
         bands = [nehari_band(k, n, alpha, beta) for k in range(1, k_max + 1)]
         for t, (h_at, p_at, q_at) in enumerate(zip(h_sys, p_sys, q_sys)):
             # the scalar route, one trial at a time, with the exact 1/2 of the rational backend
             r = half_hadamard_coefficients(p_at.series(k_max).coeffs, q_at.series(k_max).coeffs,
                                            FLOAT.one, Fraction(1, 2))
-            gammas = gamma_ladder(h_at.series(k_max - 1).coeffs[1:], k_max - 1, Fraction(1, 2))
+            gammas = gamma_ladder(h_at.series(k_max - 1).coeffs[1:], k_max - 1, Fraction(1, 2), FLOAT.zero)
             want = nehari_coefficients(gammas, [FLOAT.zero, *r[1:]], n, float(alpha), float(beta), FLOAT.zero)
             exact = exact_nehari([(seed[t], 0) for seed in seeds], n, alpha, beta, k_max)
             for k, band in enumerate(bands, start=1):
