@@ -56,6 +56,8 @@ from .schemes import (
     check_gamma_identity,
     compare_even_constants,
     gamma_target,
+    gamma_target_row,
+    hk_weight_row,
     hk_weights,
     recipe_even_constant,
 )
@@ -87,8 +89,10 @@ __all__ = [
     "extremal_p",
     "f_from_p",
     "gamma_target",
+    "gamma_target_row",
     "get_backend",
     "growth_estimate",
+    "hk_weight_row",
     "hk_weights",
     "p_from_f",
     "recipe_even_constant",

@@ -34,7 +34,7 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"cannot build an exact rational from {type(x).__name__}")
 
 
-def exact_text(x: Fraction) -> str:
+def exact_text(x: int | Fraction) -> str:
     """``str(x)``; an integer past the interpreter's digit limit raises OverflowError."""
     try:
         return str(x)

@@ -71,7 +71,10 @@ class _RationalBackend(Backend):
     one = RationalComplex(1, 0)
 
     def format_scalar(self, x) -> str:
-        return exact_text(Fraction(x))
+        # a float prints neither its binary expansion nor its repr in an exact report
+        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+            raise TypeError(f"cannot format {type(x).__name__} as an exact scalar")
+        return exact_text(x)
 
 
 FLOAT = _FloatBackend("float")

@@ -38,7 +38,8 @@ from .schemes import (
     check_gamma_identity,
     compare_even_constants,
     gamma_identity_row,
-    hk_weights,
+    gamma_target_row,
+    hk_weight_row,
 )
 
 
@@ -430,9 +431,11 @@ def run_hk_audit(alpha_values, k_max: int = DEFAULT_K_MAX, backend: Backend = FL
     |d_mu| <= 2, and the membership certificate h(z)_k in P: the class is
     convex, so h is a member exactly when the weights of its convex
     combination of kernels lie in the simplex (every weight >= 0, sum 1).
-    That verdict is exact on both backends: the weights are recomputed in
-    Fractions from the exact value of alpha (for a float alpha, the binary
-    fraction it stores). Two cross-cutting sections follow: the k = 6..10
+    That verdict is exact on both backends: it reads a row of weights formed
+    in Fractions from the exact value of alpha (for a float alpha, the binary
+    fraction it stores). Each alpha forms its rows of weights and ladder
+    targets once for every k (`schemes.hk_weight_row`,
+    `schemes.gamma_target_row`). Two cross-cutting sections follow: the k = 6..10
     even-coefficient constants recomputed against the reference table
     (disagreements are reported, not asserted away), and the alpha = 1
     closed form, which matches 2(1-beta)/k^n — not the (k+1)-indexed
@@ -447,21 +450,25 @@ def run_hk_audit(alpha_values, k_max: int = DEFAULT_K_MAX, backend: Backend = FL
     reports = []
     for alpha in alpha_values:
         start = time.perf_counter()
+        alpha = backend.scalar(alpha)
         point = {"alpha": backend.format_scalar(alpha), "section": "construction"}
         entries = []
         passed = True
         worst = 0.0
+        recipes = hk_weight_row(k_max, alpha)
+        # the membership verdict reads the weights at the exact value of alpha
+        exact_recipes = recipes if backend is RATIONAL else hk_weight_row(k_max, Fraction(alpha))
+        targets = gamma_target_row(k_max - 1, alpha)
         for k in range(2, k_max + 1):
-            scheme = build_hk(k, alpha, backend=backend)
-            # the membership verdict reads the weights at the exact value of alpha
-            weights = scheme.weights if backend is RATIONAL else hk_weights(k, Fraction(alpha))[0]
-            m, value, target, residual = gamma_identity_row(scheme, k - 1)
+            scheme = build_hk(k, alpha, backend=backend, recipe=recipes[k - 2])
+            weights = exact_recipes[k - 2][0]
+            m, value, target, residual = gamma_identity_row(scheme, k - 1, targets[k - 2])
             worst = max(worst, residual)
             d_max = max((abs(d) for d in scheme.d), default=0)
             w_min = min(weights)
             checks = (  # (case, observed, reference, margin, verdict)
                 (f"gamma identity at defining order m={m}", backend.format_scalar(value),
-                 backend.format_scalar(target), fmt_float(residual), check_gamma_identity(scheme, target)),
+                 backend.format_scalar(target), fmt_float(residual), check_gamma_identity(scheme, targets)),
                 ("coefficient magnitude max|d|", backend.format_scalar(d_max), "2",
                  fmt_float(2 - float(d_max)), d_max <= 2),
                 ("convex weights of the construction", backend.format_scalar(w_min), "0",

@@ -21,7 +21,9 @@ and ``build_hk`` constructs, for each k, a genuine Caratheodory function
 of ``hk_weights``) whose coefficients d_mu satisfy exactly that.
 ``check_gamma_identity`` verifies the identity at the orders the
 construction pins down; ``gamma_identity_row`` gives the ladder-vs-target
-row at any order for auditing.
+row at any order for auditing. Both products only grow with the index, so
+``hk_weight_row`` and ``gamma_target_row`` form the weights and targets of
+every index up to a bound from one running product each.
 """
 
 from __future__ import annotations
@@ -38,20 +40,57 @@ _HALF = Fraction(1, 2)
 IDENTITY_TOL = 1e-12
 
 
-def gamma_target(m: int, alpha):
+def _running_products(alpha, factor, count: int):
+    """alpha^0, then the running product of factor(j, alpha) after each j = 1..count.
+
+    Lazy, so a caller that validates each index first forms no factor past
+    a rejected one.
+    """
+    prod = alpha**0
+    yield prod
+    for j in range(1, count + 1):
+        prod = prod * factor(j, alpha)
+        yield prod
+
+
+def _target_factor(j: int, alpha):
+    return j * alpha - 1
+
+
+def _weight_factor(j: int, alpha):
+    return (j * alpha - 1) / (j * alpha)
+
+
+def gamma_target(m: int, alpha, product=None):
     """Target ladder value prod_{j=1}^{m-1} (j alpha - 1) / (m! alpha^(m-1)).
 
     Equals 1 at m = 1 and vanishes for m >= 2 at alpha = 1 (the j = 1 factor).
-    Exact when alpha is a Fraction.
+    Exact when alpha is a Fraction. ``product`` is the numerator when the
+    caller has formed it (`gamma_target_row` does, for every m at once).
     """
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"ladder index must be a positive integer, got {m!r}")
+    _check_ladder_index(m)
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
-    prod = alpha**0
-    for j in range(1, m):
-        prod = prod * (j * alpha - 1)
-    return prod / (math.factorial(m) * alpha ** (m - 1))
+    if product is None:
+        *_, product = _running_products(alpha, _target_factor, m - 1)
+    return product / (math.factorial(m) * alpha ** (m - 1))
+
+
+def gamma_target_row(m_max: int, alpha) -> list:
+    """`gamma_target` for m = 1..m_max, one entry each, from one running product.
+
+    Entry m-1 multiplies the same factors in the same order as the one-index
+    call, so every value is the same bit for bit on floats: the row forms
+    m_max - 1 factors where the one-index calls form m_max (m_max - 1) / 2.
+    """
+    _check_ladder_index(m_max)
+    products = _running_products(alpha, _target_factor, m_max - 1)
+    return [gamma_target(m, alpha, product) for m, product in zip(range(1, m_max + 1), products)]
+
+
+def _check_ladder_index(m):
+    if not isinstance(m, int) or m < 1:
+        raise ValueError(f"ladder index must be a positive integer, got {m!r}")
 
 
 def gamma_ladder(ds, m_max: int, half, zero) -> list:
@@ -125,18 +164,19 @@ class GammaScheme(namedtuple("GammaScheme", "k alpha d sigma gammas weights")):
     __slots__ = ()
 
 
-def hk_weights(k: int, alpha):
+def hk_weights(k: int, alpha, product=None):
     """The convex weights of h(z)_k, the constant kernel's first, with sigma and s.
 
     Returns (weights, sigma, s): ``sigma`` is the shared even coefficient of
     the k >= 6 recipe (zero below k = 6), and ``s`` the sign of the defining
     coefficient d_(k-2) for k in {3, 4, 5} (1 for other k). `build_hk`
     gives the formulas. The weights are exact for a Fraction alpha, so
-    ``harness.run_hk_audit`` certifies h in P from them alone. Requires
-    alpha > 1.
+    ``harness.run_hk_audit`` certifies h in P from them alone. ``product``
+    is prod_{j=1}^{k-2} (j alpha - 1) / (j alpha), read for k >= 6, when the
+    caller has formed it (`hk_weight_row` does, for every k at once).
+    Requires alpha > 1.
     """
-    if not isinstance(k, int) or k < 2:
-        raise ValueError(f"coefficient index must be an integer >= 2, got {k!r}")
+    _check_coefficient_index(k)
     if not alpha > 1:
         raise ValueError(f"the generator construction needs alpha > 1, got {alpha!r}")
     one_s = alpha**0
@@ -155,14 +195,30 @@ def hk_weights(k: int, alpha):
         return (one_s - lam, lam), zero_s, 1 if dval >= 0 else -1
     lam1 = (2 * one_s) / (k - 2)
     even_binom_sum = 2 ** (k - 3) - 1  # C(k-2,2) + C(k-2,4) + ..., even indices up to k-2
-    prod = one_s
-    for j in range(1, k - 1):
-        prod = prod * ((j * alpha - 1) / (j * alpha))
-    sigma = 2 ** (k - 1) * prod / ((k - 1) * even_binom_sum)
+    if product is None:
+        *_, product = _running_products(alpha, _weight_factor, k - 2)
+    sigma = 2 ** (k - 1) * product / ((k - 1) * even_binom_sum)
     return (one_s - lam1 - sigma / 2, lam1, sigma / 2), sigma, 1
 
 
-def build_hk(k: int, alpha, *, backend: Backend = FLOAT) -> GammaScheme:
+def hk_weight_row(k_max: int, alpha) -> list:
+    """`hk_weights` for k = 2..k_max, one entry each, from one running product.
+
+    Entry k-2 multiplies the same factors in the same order as the one-index
+    call, so every value is the same bit for bit on floats: the row forms
+    k_max - 2 factors where the one-index calls form k - 2 for each k >= 6.
+    """
+    _check_coefficient_index(k_max)
+    products = _running_products(alpha, _weight_factor, k_max - 2)
+    return [hk_weights(k, alpha, product) for k, product in zip(range(2, k_max + 1), products)]
+
+
+def _check_coefficient_index(k):
+    if not isinstance(k, int) or k < 2:
+        raise ValueError(f"coefficient index must be an integer >= 2, got {k!r}")
+
+
+def build_hk(k: int, alpha, *, backend: Backend = FLOAT, recipe=None) -> GammaScheme:
     """The GammaScheme of the Caratheodory function h(z)_k.
 
     Each h is an explicit convex combination of kernels, chosen so that the
@@ -198,10 +254,13 @@ def build_hk(k: int, alpha, *, backend: Backend = FLOAT) -> GammaScheme:
     alpha where the defining coefficient changes sign with one formula (the
     two convex combinations it specializes to differ beyond the defining
     coefficient only in the sign pattern of the higher kernel powers).
-    Requires alpha > 1; exact on the rational backend.
+    ``recipe`` is the `hk_weights` triple at the backend's alpha when the
+    caller has formed it (an entry of `hk_weight_row`). Requires alpha > 1;
+    exact on the rational backend, and the ladder halves in the backend's
+    scalars, so a float scheme holds floats only.
     """
     alpha = backend.scalar(alpha)
-    weights, sigma, sign = hk_weights(k, alpha)
+    weights, sigma, sign = hk_weights(k, alpha) if recipe is None else recipe
     zero = alpha * 0
     d = [zero] * (k - 2)
     if 3 <= k <= 5:
@@ -212,18 +271,22 @@ def build_hk(k: int, alpha, *, backend: Backend = FLOAT) -> GammaScheme:
         for j in range(2, k - 1, 2):
             d[j - 1] = even
     d = tuple(d)
-    gammas = tuple(gamma_ladder(d, k - 2, _HALF, zero))
+    gammas = tuple(gamma_ladder(d, k - 2, backend.scalar(_HALF), zero))
     return GammaScheme(k=k, alpha=alpha, d=d, sigma=sigma, gammas=gammas, weights=weights)
 
 
-def gamma_identity_row(scheme: GammaScheme, m: int):
-    """The ladder-vs-target row (m, ladder value, target, |residual|) at order m."""
+def gamma_identity_row(scheme: GammaScheme, m: int, target=None):
+    """The ladder-vs-target row (m, ladder value, target, |residual|) at order m.
+
+    ``target`` is gamma_target(m, scheme.alpha) when the caller has formed it.
+    """
     value = scheme.gammas[m - 1]
-    target = gamma_target(m, scheme.alpha)
+    if target is None:
+        target = gamma_target(m, scheme.alpha)
     return m, value, target, abs(complex(value - target))
 
 
-def check_gamma_identity(scheme: GammaScheme, target=None) -> bool:
+def check_gamma_identity(scheme: GammaScheme, targets=None) -> bool:
     """True when the ladder meets its target at the pinned orders.
 
     The d-choices for index k are solved from the identity at the defining
@@ -232,16 +295,16 @@ def check_gamma_identity(scheme: GammaScheme, target=None) -> bool:
     order, and e.g. k = 4 gives gamma_1 = 1/2 against an m = 2 target of
     (alpha-1)/(2 alpha), unequal for every alpha. So this checks m = 1 and
     m = k-1 — exactly on Fraction data, within `IDENTITY_TOL` otherwise — and
-    leaves the full per-order picture to ``gamma_identity_row``. ``target``
-    is the target at m = k-1 when the caller has formed it already (the row
-    of ``gamma_identity_row`` at that order carries it).
+    leaves the full per-order picture to ``gamma_identity_row``.
+    ``targets`` is the `gamma_target_row` through at least m = k-1 when the
+    caller has formed it.
     """
     exact = isinstance(scheme.alpha, Fraction)
-    if target is None:
-        target = gamma_target(scheme.k - 1, scheme.alpha)
-    pinned = {scheme.k - 1: target}
+    if targets is None:
+        targets = gamma_target_row(scheme.k - 1, scheme.alpha)
+    pinned = {scheme.k - 1: targets[scheme.k - 2]}
     if scheme.k > 2:
-        pinned[1] = gamma_target(1, scheme.alpha)
+        pinned[1] = targets[0]
     for m, want in pinned.items():
         value = scheme.gammas[m - 1]
         if exact:

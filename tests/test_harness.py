@@ -35,7 +35,7 @@ from coeffbounds import (
 )
 from coeffbounds.bounds import SLACK, ClassParams, f_from_p, sharp_bounds
 from coeffbounds.harness import DEFAULT_K_MAX
-from coeffbounds.schemes import gamma_identity_row
+from coeffbounds.schemes import gamma_identity_row, gamma_target
 from coeffbounds.reports import fmt_float
 from oracles import dominance_margins_scalar, nehari_margins_scalar
 from coeffbounds.caratheodory import HerglotzAtoms, trial_atoms
@@ -302,16 +302,15 @@ class TestHkAudit:
         orders = []
         target = schemes.gamma_target
 
-        def counting(m, alpha):
-            orders.append(m)
-            return target(m, alpha)
+        def counting(m, alpha, product=None):
+            orders.append((m, product is not None))
+            return target(m, alpha, product)
 
         monkeypatch.setattr(schemes, "gamma_target", counting)
         run_hk_audit((backend.scalar("2"), backend.scalar("7/2")), 12, backend)
-        # per alpha: the defining order k - 1 once per k, shared by the row and its
-        # verdict, and the m = 1 target once per k > 2
-        per_alpha = sorted([k - 1 for k in range(2, 13)] + [1] * 10)
-        assert sorted(orders) == sorted(per_alpha * 2)
+        # per alpha: one row of targets through the largest defining order k_max - 1, each
+        # from the row's running product; every k's identity row and verdict read it
+        assert orders == [(m, True) for m in range(1, 12)] * 2
 
     def test_shape(self):
         reports = run_hk_audit((1.5, 2.0), k_max=8)
@@ -346,17 +345,18 @@ class TestHkAudit:
             run_hk_audit((Fraction(3, 2), Fraction(2), Fraction(6, 4)), k_max=4, backend=RATIONAL)
 
     def test_float_audit_builds_nothing_exactly(self, monkeypatch, capsys):
-        # the exact verdict comes from hk_weights at Fraction(alpha), not from a rational build
-        backends = []
+        # the exact verdict comes from a row of hk_weights at Fraction(alpha), not from a
+        # rational build, and each float scheme is built from float weights
+        builds = []
         original = harness.build_hk
 
-        def recording(k, alpha, *, backend=FLOAT):
-            backends.append(backend)
-            return original(k, alpha, backend=backend)
+        def recording(k, alpha, *, backend=FLOAT, recipe=None):
+            builds.append((backend, {type(w) for w in recipe[0]}))
+            return original(k, alpha, backend=backend, recipe=recipe)
 
         monkeypatch.setattr(harness, "build_hk", recording)
         assert cli.main(["verify", "hk"]) == 0
-        assert backends == [FLOAT] * (6 * (DEFAULT_K_MAX - 1))
+        assert builds == [(FLOAT, {float})] * (6 * (DEFAULT_K_MAX - 1))
 
     @pytest.mark.parametrize("backend", [FLOAT, RATIONAL], ids=lambda b: b.name)
     def test_convex_weight_rows_are_exact(self, backend):
@@ -377,18 +377,17 @@ class TestHkAudit:
 
     def test_weights_outside_the_simplex_fail(self, monkeypatch, capsys):
         # a negative control: scale the non-constant part of h_3 by 6/5, giving weights (6/5, -1/5),
-        # where the weights are formed: in build_hk (read on the rational backend) and in the
-        # float audit's exact recomputation
+        # where the weights are formed: in the rows of hk_weights, which build the schemes and,
+        # on the float backend, the exact weights at Fraction(alpha)
         original = schemes.hk_weights
 
-        def leaving_the_simplex(k, alpha):
-            weights, sigma, sign = original(k, alpha)
+        def leaving_the_simplex(k, alpha, product=None):
+            weights, sigma, sign = original(k, alpha, product)
             if k == 3:
                 weights = (Fraction(6, 5), Fraction(-1, 5))
             return weights, sigma, sign
 
         monkeypatch.setattr(schemes, "hk_weights", leaving_the_simplex)
-        monkeypatch.setattr(harness, "hk_weights", leaving_the_simplex)
         for backend in (FLOAT, RATIONAL):
             reports = run_hk_audit((backend.scalar(2),), k_max=4, backend=backend)
             rows = [e for e in reports[0].entries if e.case == "convex weights of the construction"]
@@ -419,15 +418,16 @@ class TestHkAudit:
     def test_reads_only_the_defining_order_row(self, backend, monkeypatch):
         orders = []
 
-        def recording(scheme, m):
-            orders.append((scheme.k, m))
-            return gamma_identity_row(scheme, m)
+        def recording(scheme, m, target=None):
+            # the target comes from the alpha's row, the value the one-index call gives
+            orders.append((scheme.k, m, target == gamma_target(m, scheme.alpha)))
+            return gamma_identity_row(scheme, m, target)
 
         monkeypatch.setattr(harness, "gamma_identity_row", recording)
         reports = run_hk_audit(default_grid(backend).alpha_values, backend=backend)
         assert len(reports) == 6 + 2
         assert all(r.passed for r in reports)
-        assert orders == [(k, k - 1) for k in range(2, DEFAULT_K_MAX + 1)] * 6
+        assert orders == [(k, k - 1, True) for k in range(2, DEFAULT_K_MAX + 1)] * 6
 
 
 class TestExpand:

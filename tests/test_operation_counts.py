@@ -6,12 +6,17 @@ from its first product (no addition to a zero), the atom series forms one
 running product per atom and order and none past its last order, the
 gamma ladder forms no term for a d that is the caller's zero, and the
 Nehari sum forms (1 - beta) alpha^n once, subtracts the even weighted tails
-and negates nothing.
+and negates nothing. The h(z)_k audit runs on ``Tally`` scalars, reals
+that log the same way, and forms one running product of weight factors and
+one of target factors per alpha and scalar type.
 """
 
 from collections import Counter
+from fractions import Fraction
 
+from coeffbounds import FLOAT, RATIONAL, harness, schemes
 from coeffbounds.caratheodory import atom_coefficients
+from coeffbounds.harness import run_hk_audit
 from coeffbounds.schemes import gamma_ladder, nehari_coefficients
 from coeffbounds.series import cauchy_coefficients
 
@@ -123,3 +128,82 @@ def test_nehari_sum_forms_the_weight_head_once():
     assert sum(1 for name, x, *_ in Op.log if name == "__rsub__" and x is beta) == 1
     assert sum(1 for name, x, *_ in Op.log if name == "__pow__" and x is alpha) == 1
     assert not [entry for entry in Op.log if entry[0] == "__neg__"]
+
+
+class Tally(Fraction):
+    """A Fraction whose arithmetic appends (name, self, operand, result) to ``Tally.log``."""
+
+    log = []
+
+
+class FloatTally(float):
+    """The float counterpart of `Tally`, logging to the same list."""
+
+
+def _tallied(cls, base, name):
+    method = getattr(base, name)
+
+    def op(self, *operands):
+        result = method(self, *operands)
+        if isinstance(result, base):
+            result = cls(result)
+        Tally.log.append((name, self, *operands, result))
+        return result
+
+    op.__name__ = name
+    return op
+
+
+for _cls, _base in ((Tally, Fraction), (FloatTally, float)):
+    for _name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                  "__truediv__", "__rtruediv__", "__pow__"):
+        setattr(_cls, _name, _tallied(_cls, _base, _name))
+
+
+def running_product_factors() -> Counter:
+    """Factors multiplied into the running products of ``Tally.log``, by (kind, scalar type).
+
+    A running product starts at alpha^0 and takes one factor per product;
+    the kind is the operation that formed the factor: a quotient
+    (j alpha - 1) / (j alpha) for the weights, a difference j alpha - 1 for
+    the targets. The log holds every value, so no id is reused.
+    """
+    made_by = {id(entry[-1]): entry[0] for entry in Tally.log}
+    running = {id(result) for name, _, operand, result in Tally.log if name == "__pow__" and operand == 0}
+    counts = Counter()
+    for name, prod, *operands, result in Tally.log:
+        if name == "__mul__" and id(prod) in running:
+            running.add(id(result))
+            counts[made_by.get(id(operands[0])), type(prod)] += 1
+    return counts
+
+
+def test_hk_audit_forms_one_running_product_per_row(monkeypatch):
+    ladders = []
+
+    def recording(ds, m_max, half, zero):
+        ladders.append({type(half), *map(type, ds)})
+        return gamma_ladder(ds, m_max, half, zero)
+
+    monkeypatch.setattr(schemes, "gamma_ladder", recording)
+    # the audit reads its alpha through the backend's scalar and the exact weights of the
+    # float audit through Fraction(alpha); both keep a tallied alpha tallied
+    monkeypatch.setattr(harness, "Fraction", Tally)
+    runs = ((FLOAT, FloatTally, (2.0, 3.5)), (RATIONAL, Tally, (Fraction(2), Fraction(7, 2))))
+    for backend, tally, alphas in runs:
+        scalar = backend.scalar
+        monkeypatch.setattr(backend, "scalar", lambda x, tally=tally, scalar=scalar:
+                            x if isinstance(x, tally) else scalar(x))
+        for alpha in alphas:
+            Tally.log = []
+            ladders.clear()
+            assert run_hk_audit((tally(alpha),), 12, backend)[0].passed
+            # k_max - 2 = 10 factors per row, where one product per k formed 4 + 5 + ... + 10 = 49
+            # weight factors and one per defining order 0 + 1 + ... + 10 = 55 target factors
+            want = {("__truediv__", tally): 10, ("__sub__", tally): 10}
+            if backend is FLOAT:
+                want["__truediv__", Tally] = 10  # the exact weights of the membership verdict
+            assert running_product_factors() == want, alpha
+            assert len(ladders) == 11
+            if backend is FLOAT:
+                assert not [types for types in ladders if any(issubclass(t, Fraction) for t in types)]

@@ -3,12 +3,14 @@
 import itertools
 import math
 import operator
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coeffbounds import RATIONAL, cli
 from coeffbounds._rational import RationalComplex, t_from_unimodular, unimodular_from_t
 
 fractions = st.fractions(
@@ -232,3 +234,28 @@ class TestUnimodular:
     def test_t_from_non_unimodular_rejected(self):
         with pytest.raises(ValueError):
             t_from_unimodular(rc(Fraction(1, 2)))
+
+
+class TestExactText:
+    """`RATIONAL.format_scalar` writes ints and Fractions as they are, and nothing else."""
+
+    @given(st.one_of(st.integers(-(10**40), 10**40), st.fractions(max_denominator=10**20)))
+    def test_text_is_the_fraction_text(self, x):
+        assert RATIONAL.format_scalar(x) == str(Fraction(x))
+
+    @pytest.mark.parametrize("x", [True, False, 0.5, 2.0, 1e-320, "1/2", 1j, None], ids=repr)
+    def test_rejects_what_is_not_exact(self, x):
+        # a float would print its binary expansion or its short repr, neither of them exact text
+        with pytest.raises(TypeError):
+            RATIONAL.format_scalar(x)
+
+    def test_text_past_the_digit_limit_is_an_overflow(self, capsys):
+        big = 10 ** sys.get_int_max_str_digits()
+        for x in (big, Fraction(1, big), Fraction(big + 1, 3)):
+            with pytest.raises(OverflowError):
+                RATIONAL.format_scalar(x)
+        # a 64-bit alpha passes the size check, and its k = 30 bounds outgrow the printable digits
+        argv = ["bounds", "--backend", "rational", "--n", "3", "--alpha", "1/18446744073709551615",
+                "--kmax", "30"]
+        assert cli.main(argv) == 2
+        assert "digits" in capsys.readouterr().err

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coeffbounds import (
     FLOAT,
@@ -14,7 +16,10 @@ from coeffbounds import (
     build_hk,
     check_gamma_identity,
     compare_even_constants,
+    default_grid,
     gamma_target,
+    gamma_target_row,
+    hk_weight_row,
     hk_weights,
     recipe_even_constant,
 )
@@ -271,6 +276,68 @@ class TestBuildHk:
         for f, r in zip(sf.d, sr.d, strict=True):
             assert abs(f - float(r)) < 1e-14
         assert abs(complex(sf.sigma) - complex(sr.sigma)) < 1e-14
+
+
+def _bits(value):
+    """A value with every float replaced by its hex text, so == compares bits (nan too)."""
+    if isinstance(value, (tuple, list)):
+        return type(value)(map(_bits, value))
+    return (float, value.hex()) if isinstance(value, float) else (type(value), value)
+
+
+def _outcomes(values):
+    """The list of values, or OverflowError at the first value that overflows."""
+    out = []
+    try:
+        for value in values:
+            out.append(value())
+    except OverflowError:
+        return OverflowError
+    return out
+
+
+class TestRows:
+    """The rows of hk_weights and gamma_target against the one-index calls."""
+
+    @staticmethod
+    def check(k_max, alpha):
+        weights = [hk_weights(k, alpha) for k in range(2, k_max + 1)]
+        assert _bits(hk_weight_row(k_max, alpha)) == _bits(weights)
+        m_max = k_max - 1
+        row = _outcomes([lambda: gamma_target_row(m_max, alpha)])
+        targets = _outcomes([lambda m=m: gamma_target(m, alpha) for m in range(1, m_max + 1)])
+        # at a large float alpha, alpha^(m-1) overflows in the row as in the one-index calls
+        assert row is targets if targets is OverflowError else _bits(row[0]) == _bits(targets)
+
+    @settings(max_examples=60)
+    @given(st.floats(min_value=1, max_value=1e6, exclude_min=True), st.integers(2, 64))
+    @example(1 + 2**-52, 64)
+    @example(1e6, 64)
+    def test_float_rows_are_the_one_index_values_bit_for_bit(self, alpha, k_max):
+        self.check(k_max, alpha)
+
+    @settings(max_examples=15)
+    @given(st.tuples(st.integers(1, 2**64 - 1), st.integers(1, 2**64 - 1))
+           .map(lambda t: Fraction(max(t), min(t))).filter(lambda a: a > 1), st.integers(2, 64))
+    @example(Fraction(2**64 - 1, 2**63 + 1), 64)
+    def test_exact_rows_are_the_one_index_values(self, alpha, k_max):
+        self.check(k_max, alpha)
+
+    def test_rows_reject_what_the_one_index_calls_reject(self):
+        for call in (lambda: hk_weight_row(1, 2.0), lambda: hk_weight_row(8, 1.0),
+                     lambda: gamma_target_row(0, 2.0), lambda: gamma_target_row(4, 0.0)):
+            with pytest.raises(ValueError):
+                call()
+
+    def test_float_ladders_run_in_floats(self):
+        # every gamma of every stock float scheme is a float, with the bits of the exact-1/2 ladder
+        for alpha in default_grid(FLOAT).alpha_values:
+            for k in range(2, 13):
+                scheme = build_hk(k, alpha)
+                zero = next((d for d in scheme.d if d == 0), object())  # build_hk's structural zero
+                exact_half = gamma_ladder(scheme.d, k - 2, HALF, zero)
+                assert {type(g) for g in scheme.gammas} == {float}
+                assert [g.hex() for g in scheme.gammas] == [float(g).hex() for g in exact_half]
 
 
 class TestEvenConstants:
