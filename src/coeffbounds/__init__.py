@@ -32,10 +32,8 @@ from .bounds import (
     p_from_f,
     sharp_bound,
     sharp_bound_rows,
-    sharp_bounds,
     small_alpha_bound,
     small_alpha_bound_rows,
-    small_alpha_bounds,
 )
 from .caratheodory import HerglotzAtoms
 from .harness import (
@@ -52,13 +50,11 @@ from .harness import (
 from .reports import SuiteEntry, SuiteReport, suite_csv, suite_json
 from .schemes import (
     GammaScheme,
-    build_hk,
     check_gamma_identity,
     compare_even_constants,
-    gamma_target,
     gamma_target_row,
+    hk_schemes,
     hk_weight_row,
-    hk_weights,
     recipe_even_constant,
 )
 from .series import TruncatedSeries
@@ -81,19 +77,17 @@ __all__ = [
     "TruncatedSeries",
     "UsageError",
     "bound_report",
-    "build_hk",
     "check_gamma_identity",
     "classify_region",
     "compare_even_constants",
     "default_grid",
     "extremal_p",
     "f_from_p",
-    "gamma_target",
     "gamma_target_row",
     "get_backend",
     "growth_estimate",
+    "hk_schemes",
     "hk_weight_row",
-    "hk_weights",
     "p_from_f",
     "recipe_even_constant",
     "run_bounds_table",
@@ -104,10 +98,8 @@ __all__ = [
     "run_random_suite",
     "sharp_bound",
     "sharp_bound_rows",
-    "sharp_bounds",
     "small_alpha_bound",
     "small_alpha_bound_rows",
-    "small_alpha_bounds",
     "suite_csv",
     "suite_json",
 ]

@@ -18,10 +18,9 @@ Three bound formulas are provided: the sharp one for alpha > 1
 (``sharp_bound``, attained by ``extremal_p``), the piecewise small-alpha one
 with its omega regions (``small_alpha_bound``), and the exponential estimate on
 the power-quotient coefficients (``growth_estimate``). The first two also come
-as the k = 2..k_max row of one parameter point (``sharp_bounds``,
-``small_alpha_bounds``), which forms what the indices share once, and as the
-rows of all the betas of one (n, alpha) (``sharp_bound_rows``,
-``small_alpha_bound_rows``), which also form what the betas share once.
+as the k = 2..k_max rows of all the betas of one (n, alpha)
+(``sharp_bound_rows``, ``small_alpha_bound_rows``), which form what the
+indices and the betas share once.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ class ClassParams(namedtuple("ClassParams", "n alpha beta")):
     @classmethod
     def _make(cls, values):
         n, alpha, beta = values
-        if not isinstance(n, int) or n < 0:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise ValueError(f"n must be a non-negative integer, got {n!r}")
         if not alpha > 0:
             raise ValueError(f"alpha must be positive, got {alpha!r}")
@@ -90,8 +89,7 @@ def classify_region(alpha, k: int) -> Region:
     1/(k-2) is num (k-2) < den, so the comparisons are exact integer ones
     for both backends.
     """
-    if not isinstance(k, int) or k < 2:
-        raise ValueError(f"coefficient index must be an integer >= 2, got {k!r}")
+    _check_index(k)
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
     if k == 2:
@@ -135,7 +133,7 @@ def _sharp_rows(n: int, alpha, betas, ks) -> list:
 
 
 def sharp_bound_rows(n: int, alpha, betas, k_max: int) -> list:
-    """`sharp_bounds` of (n, alpha, beta) for each beta of ``betas``, one row each.
+    """`sharp_bound` of (n, alpha, beta) for k = 2..k_max, one row for each beta of ``betas``.
 
     alpha^(n-1) and the denominators (alpha + k - 1)^n are formed once for
     the group; each row is the head 2 (1 - beta) alpha^(n-1) divided by
@@ -144,18 +142,12 @@ def sharp_bound_rows(n: int, alpha, betas, k_max: int) -> list:
     return _sharp_rows(n, alpha, betas, _group_indices(n, alpha, betas, k_max))
 
 
-def sharp_bounds(params: ClassParams, k_max: int) -> list:
-    """`sharp_bound` for k = 2..k_max: the one-beta row of `sharp_bound_rows`."""
-    _check_index(k_max)
-    return _sharp_rows(params.n, params.alpha, (params.beta,), range(2, k_max + 1))[0]
-
-
 def sharp_bound(params: ClassParams, k: int):
     """2 (1 - beta) alpha^(n-1) / (alpha + k - 1)^n for k >= 2.
 
     The formula evaluates for every alpha > 0; it is the sharp bound for
     alpha > 1 (reports mark it inapplicable otherwise). Exact in rational
-    inputs. The one-index row of `sharp_bounds`.
+    inputs. The one-beta, one-index row of `sharp_bound_rows`.
     """
     _check_index(k)
     return _sharp_rows(params.n, params.alpha, (params.beta,), (k,))[0][0]
@@ -168,7 +160,7 @@ class SmallAlphaBound(namedtuple("SmallAlphaBound", "value region")):
 
 
 def small_alpha_bound_rows(n: int, alpha, betas, k_max: int) -> list:
-    """`small_alpha_bounds` of (n, alpha, beta) for each beta of ``betas``, one row each.
+    """`small_alpha_bound` of (n, alpha, beta) for k = 2..k_max, one row for each beta of ``betas``.
 
     With B_m = 2^m (1-beta)^m alpha^(m(n-1)) prod_{j=0}^{m-1} (1 - j alpha) / m!
     and Q the coefficients of powers of sum_{j>=1} z^j / (alpha + j)^n, the
@@ -186,14 +178,8 @@ def small_alpha_bound_rows(n: int, alpha, betas, k_max: int) -> list:
     return _small_alpha_rows(n, alpha, betas, _group_indices(n, alpha, betas, k_max))
 
 
-def small_alpha_bounds(params: ClassParams, k_max: int) -> list:
-    """`small_alpha_bound` for k = 2..k_max: the one-beta row of `small_alpha_bound_rows`."""
-    _check_index(k_max)
-    return _small_alpha_rows(params.n, params.alpha, (params.beta,), range(2, k_max + 1))[0]
-
-
 def small_alpha_bound(params: ClassParams, k: int) -> SmallAlphaBound:
-    """Small-alpha piecewise bound on |a_k|: the one-index row of `small_alpha_bounds`."""
+    """Small-alpha piecewise bound on |a_k|: the one-beta, one-index row of `small_alpha_bound_rows`."""
     _check_index(k)
     return _small_alpha_rows(params.n, params.alpha, (params.beta,), (k,))[0][0]
 
@@ -376,8 +362,7 @@ def extremal_p(k: int, *, backend: Backend = FLOAT) -> HerglotzAtoms:
     feeds a_k and the sharp bound is attained exactly. On the rational
     backend only k = 2 and k = 3 exist (higher k needs irrational roots).
     """
-    if not isinstance(k, int) or k < 2:
-        raise ValueError(f"coefficient index must be an integer >= 2, got {k!r}")
+    _check_index(k)
     count = k - 1
     if backend is RATIONAL:
         if k == 2:

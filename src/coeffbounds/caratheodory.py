@@ -246,7 +246,7 @@ class HerglotzAtoms:
         raw = doc["atoms"]
         if not isinstance(raw, list) or not raw:
             raise ValueError("'atoms' must be a non-empty list")
-        weights, points = [], []
+        weights, points, angles = [], [], []
         fields = _ATOM_FIELDS[backend.name]
         for entry in raw:
             if not isinstance(entry, dict):
@@ -260,7 +260,7 @@ class HerglotzAtoms:
                 # FLOAT.scalar refuses a JSON boolean, which float() would read as 0 or 1
                 weights.append(FLOAT.scalar(entry["weight"]))
                 if "angle_radians" in entry:
-                    points.append(cmath.exp(1j * FLOAT.scalar(entry["angle_radians"])))
+                    angles.append(FLOAT.scalar(entry["angle_radians"]))
                 else:
                     raise ValueError("float atom needs 'angle_radians'")
             else:
@@ -275,7 +275,9 @@ class HerglotzAtoms:
                     )
                 else:
                     raise ValueError("rational atom needs 't' or 'x_re'/'x_im'")
-        return cls(weights, points, backend=backend)
+        if backend is FLOAT:
+            return cls.from_angles(weights, angles)
+        return cls(weights, points, backend=RATIONAL)
 
 
 def _doc_backend(doc: dict) -> Backend:

@@ -33,14 +33,7 @@ from .bounds import (
 )
 from .caratheodory import HerglotzAtoms, trial_atoms
 from .reports import SuiteEntry, SuiteReport, fmt_float
-from .schemes import (
-    build_hk,
-    check_gamma_identity,
-    compare_even_constants,
-    gamma_identity_row,
-    gamma_target_row,
-    hk_weight_row,
-)
+from .schemes import check_gamma_identity, compare_even_constants, hk_schemes, hk_weight_row
 
 
 class UsageError(ValueError):
@@ -56,8 +49,6 @@ DEFAULT_TRIALS = 1000
 DEFAULT_SEED = 1729
 #: Largest relative gap |bound - |a_k|| / bound of a float extremal generator.
 EXTREMAL_REL_TOL = 1e-10
-#: Largest |a_k| gap at which the alpha = 1 audit matches a closed form 2/k^n or 2/(k+1)^n.
-ALPHA_ONE_MATCH_TOL = 1e-12
 #: Largest bit length of the numerator or the denominator of an exact alpha or
 #: beta, or of a value of a rational ``expand`` document (19 decimal digits
 #: fit). Exact bounds and expansions grow with it: a 400-digit alpha keeps a
@@ -77,7 +68,7 @@ MAX_N = 64
 
 
 def _check_n(n):
-    if not isinstance(n, int) or n < 0:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise UsageError(f"n must be a non-negative integer, got {n!r}")
     if n > MAX_N:
         raise UsageError(f"n must be at most {MAX_N}, got {n!r}")
@@ -146,9 +137,9 @@ class GridSpec(namedtuple("GridSpec", "n_values alpha_values beta_values k_max t
         _reject_repeats(alpha_values, "alpha")
         _reject_repeats(beta_values, "beta")
         _check_k_max(k_max)
-        if not isinstance(trials, int) or trials < 1:
+        if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
             raise UsageError(f"trials must be a positive integer, got {trials!r}")
-        if not isinstance(seed, int):
+        if not isinstance(seed, int) or isinstance(seed, bool):
             raise UsageError(f"seed must be an integer, got {seed!r}")
         return tuple.__new__(cls, (n_values, alpha_values, beta_values, k_max, trials, seed))
 
@@ -433,9 +424,8 @@ def run_hk_audit(alpha_values, k_max: int = DEFAULT_K_MAX, backend: Backend = FL
     combination of kernels lie in the simplex (every weight >= 0, sum 1).
     That verdict is exact on both backends: it reads a row of weights formed
     in Fractions from the exact value of alpha (for a float alpha, the binary
-    fraction it stores). Each alpha forms its rows of weights and ladder
-    targets once for every k (`schemes.hk_weight_row`,
-    `schemes.gamma_target_row`). Two cross-cutting sections follow: the k = 6..10
+    fraction it stores). Each alpha builds its schemes for every k at once
+    (`schemes.hk_schemes`). Two cross-cutting sections follow: the k = 6..10
     even-coefficient constants recomputed against the reference table
     (disagreements are reported, not asserted away), and the alpha = 1
     closed form, which matches 2(1-beta)/k^n — not the (k+1)-indexed
@@ -455,20 +445,21 @@ def run_hk_audit(alpha_values, k_max: int = DEFAULT_K_MAX, backend: Backend = FL
         entries = []
         passed = True
         worst = 0.0
-        recipes = hk_weight_row(k_max, alpha)
+        built = hk_schemes(k_max, alpha, backend=backend)
         # the membership verdict reads the weights at the exact value of alpha
-        exact_recipes = recipes if backend is RATIONAL else hk_weight_row(k_max, Fraction(alpha))
-        targets = gamma_target_row(k_max - 1, alpha)
-        for k in range(2, k_max + 1):
-            scheme = build_hk(k, alpha, backend=backend, recipe=recipes[k - 2])
-            weights = exact_recipes[k - 2][0]
-            m, value, target, residual = gamma_identity_row(scheme, k - 1, targets[k - 2])
+        if backend is RATIONAL:
+            exact_weights = [scheme.weights for scheme in built]
+        else:
+            exact_weights = [weights for weights, _, _ in hk_weight_row(k_max, Fraction(alpha))]
+        for scheme, weights in zip(built, exact_weights):
+            k, value, target = scheme.k, scheme.gammas[-1], scheme.target
+            residual = abs(complex(value - target))
             worst = max(worst, residual)
             d_max = max((abs(d) for d in scheme.d), default=0)
             w_min = min(weights)
             checks = (  # (case, observed, reference, margin, verdict)
-                (f"gamma identity at defining order m={m}", backend.format_scalar(value),
-                 backend.format_scalar(target), fmt_float(residual), check_gamma_identity(scheme, targets)),
+                (f"gamma identity at defining order m={k - 1}", backend.format_scalar(value),
+                 backend.format_scalar(target), fmt_float(residual), check_gamma_identity(scheme)),
                 ("coefficient magnitude max|d|", backend.format_scalar(d_max), "2",
                  fmt_float(2 - float(d_max)), d_max <= 2),
                 ("convex weights of the construction", backend.format_scalar(w_min), "0",
@@ -526,26 +517,33 @@ def _even_constant_report() -> SuiteReport:
 
 
 def _alpha_one_report(backend: Backend) -> SuiteReport:
+    """|a_k| of the alpha = 1, beta = 0 extremal function against 2/k^n and 2/(k+1)^n.
+
+    alpha = 1 and beta = 0 are exact on either backend, so the expansion and
+    the match run in exact arithmetic; only the printed columns follow the
+    backend. Truncation is lower-triangular, so one expansion per n serves
+    every k.
+    """
     entries = []
-    one = backend.scalar(1)
-    zero = backend.scalar(0)
-    kernel = extremal_p(2, backend=backend)
+    alpha, beta = backend.format_scalar(backend.scalar(1)), backend.format_scalar(backend.scalar(0))
+    kernel = extremal_p(2, backend=RATIONAL)
     for n in (1, 2):
-        params = ClassParams(n, one, zero)
+        f = f_from_p(kernel, ClassParams(n, RATIONAL.scalar(1), RATIONAL.scalar(0)), 5)
         for k in (2, 3, 4, 5):
-            f = f_from_p(kernel, params, k)
-            a_abs = abs(complex(f.coefficient(k)))
+            a_k = f.coefficient(k)
+            a_abs2 = a_k.abs2()
+            matches = "k" if a_abs2 == Fraction(2, k**n) ** 2 else (
+                "k+1" if a_abs2 == Fraction(2, (k + 1) ** n) ** 2 else "neither"
+            )
+            a_abs = abs(complex(a_k))
             k_form = 2.0 / k**n
             k1_form = 2.0 / (k + 1) ** n
-            matches = "k" if abs(a_abs - k_form) <= ALPHA_ONE_MATCH_TOL else (
-                "k+1" if abs(a_abs - k1_form) <= ALPHA_ONE_MATCH_TOL else "neither"
-            )
             entries.append(
                 SuiteEntry(
                     suite="hk",
                     n=str(n),
-                    alpha=backend.format_scalar(one),
-                    beta=backend.format_scalar(zero),
+                    alpha=alpha,
+                    beta=beta,
                     k=str(k),
                     case=f"alpha=1 closed form exponent base (matches {matches}^n)",
                     observed=fmt_float(a_abs),

@@ -16,14 +16,13 @@ order m = k-1 to equal the target product
 
     gamma_{m-1} = prod_{j=1}^{m-1} (j alpha - 1) / (m! alpha^(m-1)),
 
-and ``build_hk`` constructs, for each k, a genuine Caratheodory function
-(an explicit convex combination of Moebius-type kernels, with the weights
-of ``hk_weights``) whose coefficients d_mu satisfy exactly that.
+and ``hk_schemes`` constructs, for k = 2..k_max, a genuine Caratheodory
+function h(z)_k (an explicit convex combination of Moebius-type kernels)
+whose coefficients d_mu satisfy exactly that. Its weights come from
+``hk_weight_row`` and its targets from ``gamma_target_row``; each row holds
+its formula once, as one running product over the index.
 ``check_gamma_identity`` verifies the identity at the orders the
-construction pins down; ``gamma_identity_row`` gives the ladder-vs-target
-row at any order for auditing. Both products only grow with the index, so
-``hk_weight_row`` and ``gamma_target_row`` form the weights and targets of
-every index up to a bound from one running product each.
+construction pins down.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .backends import FLOAT, Backend
+from .backends import Backend
 from .series import power_tails
 
 _HALF = Fraction(1, 2)
@@ -40,57 +39,24 @@ _HALF = Fraction(1, 2)
 IDENTITY_TOL = 1e-12
 
 
-def _running_products(alpha, factor, count: int):
-    """alpha^0, then the running product of factor(j, alpha) after each j = 1..count.
+def gamma_target_row(m_max: int, alpha) -> list:
+    """Target ladder values prod_{j=1}^{m-1} (j alpha - 1) / (m! alpha^(m-1)) for m = 1..m_max.
 
-    Lazy, so a caller that validates each index first forms no factor past
-    a rejected one.
+    Entry m-1 is the target at order m: 1 at m = 1, and 0 for m >= 2 at
+    alpha = 1 (the j = 1 factor). The numerators are one running product,
+    so the row forms m_max - 1 factors. Exact when alpha is a Fraction.
     """
-    prod = alpha**0
-    yield prod
-    for j in range(1, count + 1):
-        prod = prod * factor(j, alpha)
-        yield prod
-
-
-def _target_factor(j: int, alpha):
-    return j * alpha - 1
-
-
-def _weight_factor(j: int, alpha):
-    return (j * alpha - 1) / (j * alpha)
-
-
-def gamma_target(m: int, alpha, product=None):
-    """Target ladder value prod_{j=1}^{m-1} (j alpha - 1) / (m! alpha^(m-1)).
-
-    Equals 1 at m = 1 and vanishes for m >= 2 at alpha = 1 (the j = 1 factor).
-    Exact when alpha is a Fraction. ``product`` is the numerator when the
-    caller has formed it (`gamma_target_row` does, for every m at once).
-    """
-    _check_ladder_index(m)
+    if not isinstance(m_max, int) or m_max < 1:
+        raise ValueError(f"ladder index must be a positive integer, got {m_max!r}")
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
-    if product is None:
-        *_, product = _running_products(alpha, _target_factor, m - 1)
-    return product / (math.factorial(m) * alpha ** (m - 1))
-
-
-def gamma_target_row(m_max: int, alpha) -> list:
-    """`gamma_target` for m = 1..m_max, one entry each, from one running product.
-
-    Entry m-1 multiplies the same factors in the same order as the one-index
-    call, so every value is the same bit for bit on floats: the row forms
-    m_max - 1 factors where the one-index calls form m_max (m_max - 1) / 2.
-    """
-    _check_ladder_index(m_max)
-    products = _running_products(alpha, _target_factor, m_max - 1)
-    return [gamma_target(m, alpha, product) for m, product in zip(range(1, m_max + 1), products)]
-
-
-def _check_ladder_index(m):
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"ladder index must be a positive integer, got {m!r}")
+    product = alpha**0
+    row = []
+    for m in range(1, m_max + 1):
+        if m > 1:
+            product = product * ((m - 1) * alpha - 1)
+        row.append(product / (math.factorial(m) * alpha ** (m - 1)))
+    return row
 
 
 def gamma_ladder(ds, m_max: int, half, zero) -> list:
@@ -150,81 +116,68 @@ def nehari_coefficients(gammas, G, n: int, alpha, beta, zero) -> list:
     return total
 
 
-class GammaScheme(namedtuple("GammaScheme", "k alpha d sigma gammas weights")):
+class GammaScheme(namedtuple("GammaScheme", "k alpha d sigma gammas weights target")):
     """The d / sigma / gamma data behind one h(z)_k construction.
 
     ``d`` holds d_1..d_{k-2} (empty at k = 2) and ``gammas`` the ladder
     values gamma_0..gamma_{k-2} derived from them. ``sigma`` is the shared
     even-index coefficient of the k >= 6 recipe (zero for smaller k, where
     the defining coefficient lives in ``d`` directly). ``weights`` are the
-    convex-combination weights of h(z)_k, the constant kernel's first (see
-    `build_hk`).
+    convex-combination weights of h(z)_k, the constant kernel's first, and
+    ``target`` is the ladder target at the defining order m = k-1 (see
+    `hk_schemes`).
     """
 
     __slots__ = ()
 
 
-def hk_weights(k: int, alpha, product=None):
-    """The convex weights of h(z)_k, the constant kernel's first, with sigma and s.
+def hk_weight_row(k_max: int, alpha) -> list:
+    """The convex weights of h(z)_k for k = 2..k_max, the constant kernel's first, with sigma and s.
 
-    Returns (weights, sigma, s): ``sigma`` is the shared even coefficient of
-    the k >= 6 recipe (zero below k = 6), and ``s`` the sign of the defining
-    coefficient d_(k-2) for k in {3, 4, 5} (1 for other k). `build_hk`
-    gives the formulas. The weights are exact for a Fraction alpha, so
-    ``harness.run_hk_audit`` certifies h in P from them alone. ``product``
-    is prod_{j=1}^{k-2} (j alpha - 1) / (j alpha), read for k >= 6, when the
-    caller has formed it (`hk_weight_row` does, for every k at once).
+    Entry k-2 is (weights, sigma, s): ``sigma`` is the shared even
+    coefficient of the k >= 6 recipe (zero below k = 6), and ``s`` the sign
+    of the defining coefficient d_(k-2) for k in {3, 4, 5} (1 for other k).
+    `hk_schemes` gives the formulas. The products prod_{j=1}^{k-2}
+    (j alpha - 1) / (j alpha) of the recipe are one running product, so the
+    row forms k_max - 2 factors. The weights are exact for a Fraction
+    alpha, so ``harness.run_hk_audit`` certifies h in P from them alone.
     Requires alpha > 1.
     """
-    _check_coefficient_index(k)
+    if not isinstance(k_max, int) or k_max < 2:
+        raise ValueError(f"coefficient index must be an integer >= 2, got {k_max!r}")
     if not alpha > 1:
         raise ValueError(f"the generator construction needs alpha > 1, got {alpha!r}")
     one_s = alpha**0
     zero_s = alpha * 0
-    if k == 2:
-        return (one_s,), zero_s, 1
-    if k == 3:
-        lam = 1 / alpha
-        return (one_s - lam, lam), zero_s, -1
-    if k in (4, 5):
-        if k == 4:
-            dval = 2 * (alpha * alpha - 6 * alpha + 2) / (3 * alpha * alpha)
+    product = one_s
+    row = [((one_s,), zero_s, 1)]
+    for k in range(3, k_max + 1):
+        product = product * (((k - 2) * alpha - 1) / ((k - 2) * alpha))
+        if k == 3:
+            lam = 1 / alpha
+            row.append(((one_s - lam, lam), zero_s, -1))
+        elif k < 6:
+            if k == 4:
+                dval = 2 * (alpha * alpha - 6 * alpha + 2) / (3 * alpha * alpha)
+            else:
+                dval = 2 * (3 * alpha**3 - 11 * alpha**2 + 6 * alpha - 1) / (3 * alpha**3)
+            lam = abs(dval) / 2
+            row.append(((one_s - lam, lam), zero_s, 1 if dval >= 0 else -1))
         else:
-            dval = 2 * (3 * alpha**3 - 11 * alpha**2 + 6 * alpha - 1) / (3 * alpha**3)
-        lam = abs(dval) / 2
-        return (one_s - lam, lam), zero_s, 1 if dval >= 0 else -1
-    lam1 = (2 * one_s) / (k - 2)
-    even_binom_sum = 2 ** (k - 3) - 1  # C(k-2,2) + C(k-2,4) + ..., even indices up to k-2
-    if product is None:
-        *_, product = _running_products(alpha, _weight_factor, k - 2)
-    sigma = 2 ** (k - 1) * product / ((k - 1) * even_binom_sum)
-    return (one_s - lam1 - sigma / 2, lam1, sigma / 2), sigma, 1
+            lam1 = (2 * one_s) / (k - 2)
+            even_binom_sum = 2 ** (k - 3) - 1  # C(k-2,2) + C(k-2,4) + ..., even indices up to k-2
+            sigma = 2 ** (k - 1) * product / ((k - 1) * even_binom_sum)
+            row.append(((one_s - lam1 - sigma / 2, lam1, sigma / 2), sigma, 1))
+    return row
 
 
-def hk_weight_row(k_max: int, alpha) -> list:
-    """`hk_weights` for k = 2..k_max, one entry each, from one running product.
-
-    Entry k-2 multiplies the same factors in the same order as the one-index
-    call, so every value is the same bit for bit on floats: the row forms
-    k_max - 2 factors where the one-index calls form k - 2 for each k >= 6.
-    """
-    _check_coefficient_index(k_max)
-    products = _running_products(alpha, _weight_factor, k_max - 2)
-    return [hk_weights(k, alpha, product) for k, product in zip(range(2, k_max + 1), products)]
-
-
-def _check_coefficient_index(k):
-    if not isinstance(k, int) or k < 2:
-        raise ValueError(f"coefficient index must be an integer >= 2, got {k!r}")
-
-
-def build_hk(k: int, alpha, *, backend: Backend = FLOAT, recipe=None) -> GammaScheme:
-    """The GammaScheme of the Caratheodory function h(z)_k.
+def hk_schemes(k_max: int, alpha, *, backend: Backend) -> list:
+    """The GammaSchemes of the Caratheodory functions h(z)_k for k = 2..k_max.
 
     Each h is an explicit convex combination of kernels, chosen so that the
-    ladder built from its coefficients hits gamma_target at the defining
-    order m = k-1; ``scheme.weights`` lists the weights (`hk_weights`), the
-    constant kernel's first:
+    ladder built from its coefficients hits its target (`gamma_target_row`)
+    at the defining order m = k-1; ``scheme.weights`` lists the weights
+    (`hk_weight_row`), the constant kernel's first:
 
       k = 2: h = 1, weights (1) (all d vanish; the target is gamma_0 = 1).
       k = 3: (1 - 1/alpha) + (1/alpha)(1-z)/(1+z), so d_1 = -2/alpha.
@@ -254,59 +207,47 @@ def build_hk(k: int, alpha, *, backend: Backend = FLOAT, recipe=None) -> GammaSc
     alpha where the defining coefficient changes sign with one formula (the
     two convex combinations it specializes to differ beyond the defining
     coefficient only in the sign pattern of the higher kernel powers).
-    ``recipe`` is the `hk_weights` triple at the backend's alpha when the
-    caller has formed it (an entry of `hk_weight_row`). Requires alpha > 1;
-    exact on the rational backend, and the ladder halves in the backend's
-    scalars, so a float scheme holds floats only.
+    Requires alpha > 1; exact on the rational backend, and the ladder halves
+    in the backend's scalars, so a float scheme holds floats only.
     """
     alpha = backend.scalar(alpha)
-    weights, sigma, sign = hk_weights(k, alpha) if recipe is None else recipe
+    recipes = hk_weight_row(k_max, alpha)
+    targets = gamma_target_row(k_max - 1, alpha)
+    half = backend.scalar(_HALF)
     zero = alpha * 0
-    d = [zero] * (k - 2)
-    if 3 <= k <= 5:
-        d[k - 3] = weights[1] * (2 * sign)  # (1 + s z^(k-2))/(1 - s z^(k-2)) starts 1 + 2s z^(k-2)
-    elif k >= 6:
-        d[0] = weights[1] * -1  # 1 - z
-        even = weights[2] * 2  # (1 + z^2)/(1 - z^2) = 1 + 2 z^2 + 2 z^4 + ...
-        for j in range(2, k - 1, 2):
-            d[j - 1] = even
-    d = tuple(d)
-    gammas = tuple(gamma_ladder(d, k - 2, backend.scalar(_HALF), zero))
-    return GammaScheme(k=k, alpha=alpha, d=d, sigma=sigma, gammas=gammas, weights=weights)
+    schemes = []
+    for k, (weights, sigma, sign), target in zip(range(2, k_max + 1), recipes, targets):
+        d = [zero] * (k - 2)
+        if 3 <= k <= 5:
+            d[k - 3] = weights[1] * (2 * sign)  # (1 + s z^(k-2))/(1 - s z^(k-2)) starts 1 + 2s z^(k-2)
+        elif k >= 6:
+            d[0] = weights[1] * -1  # 1 - z
+            even = weights[2] * 2  # (1 + z^2)/(1 - z^2) = 1 + 2 z^2 + 2 z^4 + ...
+            for j in range(2, k - 1, 2):
+                d[j - 1] = even
+        d = tuple(d)
+        gammas = tuple(gamma_ladder(d, k - 2, half, zero))
+        schemes.append(GammaScheme(k=k, alpha=alpha, d=d, sigma=sigma, gammas=gammas, weights=weights,
+                                   target=target))
+    return schemes
 
 
-def gamma_identity_row(scheme: GammaScheme, m: int, target=None):
-    """The ladder-vs-target row (m, ladder value, target, |residual|) at order m.
-
-    ``target`` is gamma_target(m, scheme.alpha) when the caller has formed it.
-    """
-    value = scheme.gammas[m - 1]
-    if target is None:
-        target = gamma_target(m, scheme.alpha)
-    return m, value, target, abs(complex(value - target))
-
-
-def check_gamma_identity(scheme: GammaScheme, targets=None) -> bool:
+def check_gamma_identity(scheme: GammaScheme) -> bool:
     """True when the ladder meets its target at the pinned orders.
 
     The d-choices for index k are solved from the identity at the defining
     order m = k-1 (plus the vacuous m = 1), and for k >= 4 those are the
     only orders the identity can hold at: the same d's feed every lower
     order, and e.g. k = 4 gives gamma_1 = 1/2 against an m = 2 target of
-    (alpha-1)/(2 alpha), unequal for every alpha. So this checks m = 1 and
-    m = k-1 — exactly on Fraction data, within `IDENTITY_TOL` otherwise — and
-    leaves the full per-order picture to ``gamma_identity_row``.
-    ``targets`` is the `gamma_target_row` through at least m = k-1 when the
-    caller has formed it.
+    (alpha-1)/(2 alpha), unequal for every alpha. So this checks m = k-1
+    against ``scheme.target`` and m = 1 against its target 1, exactly on
+    Fraction data and within `IDENTITY_TOL` otherwise.
     """
     exact = isinstance(scheme.alpha, Fraction)
-    if targets is None:
-        targets = gamma_target_row(scheme.k - 1, scheme.alpha)
-    pinned = {scheme.k - 1: targets[scheme.k - 2]}
+    pinned = [(scheme.gammas[-1], scheme.target)]
     if scheme.k > 2:
-        pinned[1] = targets[0]
-    for m, want in pinned.items():
-        value = scheme.gammas[m - 1]
+        pinned.append((scheme.gammas[0], 1))
+    for value, want in pinned:
         if exact:
             if value != want:
                 return False

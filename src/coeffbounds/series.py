@@ -40,7 +40,7 @@ An entry that *is* the caller's ``zero`` object (a structural zero, as in
 the sparse extremal series 1 + 2 z^(k-1) of ``harness.run_extremal_suite``)
 is known to vanish: ``real_power_coefficients`` skips its terms, and the
 transform and the shift of `caratheodory` pass it through unchanged
-(`schemes.gamma_ladder` skips the d's of `schemes.build_hk` the same way). On
+(`schemes.gamma_ladder` skips the d's of `schemes.hk_schemes` the same way). On
 finite values a skipped term is an exact zero, and adding one to an
 accumulator that started at +0 changes none of its bits, so the result is
 the dense recurrence's bit for bit. A computed zero or a numpy column is

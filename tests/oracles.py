@@ -36,9 +36,15 @@ Horner loop).
   coefficients; the positivity probes of the half-Hadamard composition and
   of h(z)_k read it. The library samples no circle.
 - ``hk_coefficients`` expands h(z)_k as the weighted sum of its kernels,
-  each kernel written out term by term. `build_hk` forms only d_1..d_(k-2)
-  straight from the weights, so they must equal coefficients 1..k-2 of
-  this sum: bit for bit on floats, as fractions on the rational backend.
+  each kernel written out term by term. `hk_schemes` forms only
+  d_1..d_(k-2) straight from the weights, so they must equal coefficients
+  1..k-2 of this sum: bit for bit on floats, as fractions on the rational
+  backend.
+- ``hk_weights`` and ``gamma_target`` are the weights of h(z)_k and the
+  ladder target at one index, each forming its own running product from
+  alpha^0. The library's rows (`hk_weight_row`, `gamma_target_row`) carry
+  one running product across the indices; they multiply the same factors
+  in the same order, so they must match bit for bit on floats.
 - ``random_herglotz`` is the atom system of trial 0 of the stream keyed by
   a seed, a fixed random generator for tests.
 - ``classify_region_by_fractions`` is the omega-region test with the
@@ -86,7 +92,7 @@ from coeffbounds import (
 from coeffbounds.bounds import Region
 from coeffbounds._rational import RationalComplex
 from coeffbounds.caratheodory import MAX_ATOMS, half_hadamard_coefficients, trial_atoms
-from coeffbounds.schemes import gamma_ladder, hk_weights, nehari_coefficients
+from coeffbounds.schemes import gamma_ladder, hk_weight_row, nehari_coefficients
 from coeffbounds.series import cauchy_coefficients, real_power_coefficients
 
 
@@ -273,11 +279,11 @@ def hk_coefficients(k: int, alpha, order: int) -> list:
     """Coefficients 0..order of h(z)_k: its kernels written out term by term, times their weights.
 
     ``alpha`` is a backend scalar (float or Fraction); the weights and the
-    sign s come from `hk_weights`. The kernels are 1, (1 + s z^(k-2))/(1 - s
+    sign s come from `hk_weight_row`. The kernels are 1, (1 + s z^(k-2))/(1 - s
     z^(k-2)) for k in {3, 4, 5}, and 1, 1 - z, (1 + z^2)/(1 - z^2) for
     k >= 6.
     """
-    weights, _, sign = hk_weights(k, alpha)
+    weights, _, sign = hk_weight_row(k, alpha)[-1]
 
     def moebius(step, s):
         """(1 + s z^step)/(1 - s z^step) = 1 + 2 sum_i s^i z^(i step)."""
@@ -289,6 +295,46 @@ def hk_coefficients(k: int, alpha, order: int) -> list:
     elif k >= 6:
         kernels += [[1, -1] + [0] * (order - 1), moebius(2, 1)]
     return [sum(w * kernel[j] for w, kernel in zip(weights, kernels)) for j in range(order + 1)]
+
+
+def hk_weights(k: int, alpha):
+    """(weights, sigma, s) of h(z)_k at one index: entry k-2 of `hk_weight_row`."""
+    if not isinstance(k, int) or k < 2:
+        raise ValueError(f"coefficient index must be an integer >= 2, got {k!r}")
+    if not alpha > 1:
+        raise ValueError(f"the generator construction needs alpha > 1, got {alpha!r}")
+    one_s = alpha**0
+    zero_s = alpha * 0
+    if k == 2:
+        return (one_s,), zero_s, 1
+    if k == 3:
+        lam = 1 / alpha
+        return (one_s - lam, lam), zero_s, -1
+    if k in (4, 5):
+        if k == 4:
+            dval = 2 * (alpha * alpha - 6 * alpha + 2) / (3 * alpha * alpha)
+        else:
+            dval = 2 * (3 * alpha**3 - 11 * alpha**2 + 6 * alpha - 1) / (3 * alpha**3)
+        lam = abs(dval) / 2
+        return (one_s - lam, lam), zero_s, 1 if dval >= 0 else -1
+    product = alpha**0
+    for j in range(1, k - 1):
+        product = product * ((j * alpha - 1) / (j * alpha))
+    lam1 = (2 * one_s) / (k - 2)
+    sigma = 2 ** (k - 1) * product / ((k - 1) * (2 ** (k - 3) - 1))
+    return (one_s - lam1 - sigma / 2, lam1, sigma / 2), sigma, 1
+
+
+def gamma_target(m: int, alpha):
+    """prod_{j=1}^{m-1} (j alpha - 1) / (m! alpha^(m-1)): entry m-1 of `gamma_target_row`."""
+    if not isinstance(m, int) or m < 1:
+        raise ValueError(f"ladder index must be a positive integer, got {m!r}")
+    if not alpha > 0:
+        raise ValueError(f"alpha must be positive, got {alpha!r}")
+    product = alpha**0
+    for j in range(1, m):
+        product = product * (j * alpha - 1)
+    return product / (math.factorial(m) * alpha ** (m - 1))
 
 
 def negated(w):

@@ -16,11 +16,11 @@ from coeffbounds import (
     FLOAT,
     RATIONAL,
     ClassParams,
-    build_hk,
     check_gamma_identity,
     cli,
     default_grid,
     growth_estimate,
+    hk_schemes,
     run_extremal_suite,
     run_hk_audit,
     run_nehari_suite,
@@ -181,8 +181,7 @@ def test_criterion_07_hk_audit(criterion):
     alpha_one = [r for r in reports if r.point.get("section") == "alpha-1-exponent"]
     exact = True
     for alpha in default_grid(RATIONAL).alpha_values:
-        for k in range(2, 13):
-            scheme = build_hk(k, alpha, backend=RATIONAL)
+        for scheme in hk_schemes(12, alpha, backend=RATIONAL):
             exact = exact and check_gamma_identity(scheme)
     ok = (
         all(r.passed for r in construction)

@@ -126,6 +126,11 @@ def test_removed_name_is_not_exported(name):
         (harness, "DEFAULT_RADIUS"),
         (harness, "DEFAULT_SAMPLES"),
         (schemes, "gamma_identity_residuals"),
+        *((schemes, name) for name in ("build_hk", "hk_weights", "gamma_target", "gamma_identity_row",
+                                       "_running_products")),
+        (bounds, "sharp_bounds"),
+        (bounds, "small_alpha_bounds"),
+        (harness, "ALPHA_ONE_MATCH_TOL"),
         (series, "constant_one"),
         (series, "geometric"),
         (SuiteEntry, "as_dict"),
@@ -173,7 +178,11 @@ def test_backend_constants_are_shared():
         (harness.run_expand, "backend"),
         (schemes.check_gamma_identity, "alpha"),
         (schemes.check_gamma_identity, "tol"),
-        (schemes.build_hk, "order"),
+        (schemes.check_gamma_identity, "targets"),
+        (schemes.hk_schemes, "order"),
+        (schemes.hk_schemes, "recipe"),
+        (schemes.hk_weight_row, "product"),
+        (schemes.gamma_target_row, "product"),
         (bounds.bound_report, "tol"),
     ],
 )
@@ -497,8 +506,6 @@ _MAY_STAY_UNENTERED = {
     "cli.entry": "the console-script wrapper around cli.main",
     "_rational.t_from_unimodular": "writes rational witnesses, which only a failing rational run reaches",
     "caratheodory.HerglotzAtoms.from_rational": "the public constructor of exact atom systems",
-    "bounds.sharp_bounds": "the one-beta row of bounds.sharp_bound_rows, which the commands call instead",
-    "bounds.small_alpha_bounds": "the one-beta row of bounds.small_alpha_bound_rows, which the commands call instead",
 }
 
 
@@ -583,7 +590,7 @@ def _one_of_each_record() -> list:
         entry,
         SuiteReport(suite="extremal", point={"n": "1"}, passed=True, worst_margin=0.0,
                     witness=None, entries=(entry,), elapsed=0.25),
-        GammaScheme(k=2, alpha=2.0, d=(), sigma=0.0, gammas=(1.0,), weights=(1.0,)),
+        GammaScheme(k=2, alpha=2.0, d=(), sigma=0.0, gammas=(1.0,), weights=(1.0,), target=1.0),
         schemes.EvenConstantCheck(k=6, recomputed=Fraction(1, 3), tabulated=Fraction(1, 3), agree=True),
         GridSpec(n_values=(1,), alpha_values=(2.0,), beta_values=(0.0,), k_max=4, trials=8, seed=3),
         sweeps.SweepOutcome(stream_keys={"p": 7}, worst_trial=0, worst_k=2, worst_margin=0.5,

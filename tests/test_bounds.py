@@ -22,10 +22,8 @@ from coeffbounds import (
     p_from_f,
     sharp_bound,
     sharp_bound_rows,
-    sharp_bounds,
     small_alpha_bound,
     small_alpha_bound_rows,
-    small_alpha_bounds,
 )
 from coeffbounds.bounds import NORMALIZATION_TOL, round_trip_tolerances
 from coeffbounds.harness import DEFAULT_ALPHA_TOKENS, DEFAULT_BETA_TOKENS, DEFAULT_N
@@ -47,7 +45,8 @@ class TestClassParams:
 
     @pytest.mark.parametrize(
         "n,alpha,beta",
-        [(-1, 2.0, 0.0), (1.5, 2.0, 0.0), (1, 0.0, 0.0), (1, -2.0, 0.0), (1, 2.0, 1.0), (1, 2.0, -0.1)],
+        [(-1, 2.0, 0.0), (1.5, 2.0, 0.0), (1, 0.0, 0.0), (1, -2.0, 0.0), (1, 2.0, 1.0), (1, 2.0, -0.1),
+         (True, 2.0, 0.0), (False, 2.0, 0.0)],
     )
     def test_invalid(self, n, alpha, beta):
         with pytest.raises((ValueError, TypeError)):
@@ -227,6 +226,16 @@ class TestSmallAlphaBound:
         piece = small_alpha_bound(ClassParams(1, Fraction(3, 4), Fraction(0)), 5)
         assert piece.value is None
         assert piece.region is Region.OUT_OF_RANGE
+
+
+def sharp_bounds(params, k_max):
+    """The one-beta row of `sharp_bound_rows` at one parameter point."""
+    return sharp_bound_rows(params.n, params.alpha, (params.beta,), k_max)[0]
+
+
+def small_alpha_bounds(params, k_max):
+    """The one-beta row of `small_alpha_bound_rows` at one parameter point."""
+    return small_alpha_bound_rows(params.n, params.alpha, (params.beta,), k_max)[0]
 
 
 class TestBoundRows:

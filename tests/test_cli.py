@@ -958,10 +958,10 @@ _REGION_EDGES = ["--alpha", "1/10", "--alpha", "1/3", "--alpha", "2/3", "--alpha
 @pytest.mark.parametrize(
     "argv, doc, digest",
     [
-        (["verify", "hk"], None, "2fbcf8a717ea767fecae9a4d66f8622e57a17047461635ea3cafaa41b82fb5da"),
+        (["verify", "hk"], None, "9654f25262f3569f8d62014334a5d4241af47e4eb88acbab1c96097c9647940d"),
         (["verify", "hk", "--backend", "rational"], None,
          "b4bdd854862121c4fbf767c9bc73a814630ca71257f2d16f7458928a3c8dd81d"),
-        (["verify", "hk", *_HK_WIDE], None, "8315f20fd3d9bec3959b782fcc49b3c6dc3e4036d5d5afad9a82a2125074c09a"),
+        (["verify", "hk", *_HK_WIDE], None, "3fb31dfd4bd40bd2aa9e6b61a6d4620f1f3d8464461472feb32414cda826d505"),
         (["verify", "hk", *_HK_WIDE, "--backend", "rational"], None,
          "671d23d78252ecbfcffd9318ccc436b6a9b657252e27cdc4bdad1c683468952c"),
         (["verify", "extremal"], None, "1bf90081c9d5a6115f044c0321baae6bd9e82c471a3891e6dcb951da50f579f7"),

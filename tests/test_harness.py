@@ -16,12 +16,12 @@ from coeffbounds import (
     GridSpec,
     TruncatedSeries,
     UsageError,
-    build_hk,
     cli,
     default_grid,
     extremal_p,
     growth_estimate,
     harness,
+    hk_schemes,
     run_bounds_table,
     run_expand,
     run_extremal_suite,
@@ -33,11 +33,10 @@ from coeffbounds import (
     suite_json,
     sweeps,
 )
-from coeffbounds.bounds import SLACK, ClassParams, f_from_p, sharp_bounds
+from coeffbounds.bounds import SLACK, ClassParams, f_from_p, sharp_bound_rows
 from coeffbounds.harness import DEFAULT_K_MAX
-from coeffbounds.schemes import gamma_identity_row, gamma_target
 from coeffbounds.reports import fmt_float
-from oracles import dominance_margins_scalar, nehari_margins_scalar
+from oracles import dominance_margins_scalar, gamma_target, nehari_margins_scalar
 from coeffbounds.caratheodory import HerglotzAtoms, trial_atoms
 
 
@@ -84,6 +83,11 @@ class TestGridSpec:
             dict(beta_values=(0.0, -0.0)),
             dict(alpha_values=(-2.0,)),
             dict(k_max=harness.MAX_ORDER + 1),
+            # a bool is no integer here: seed=True would key its streams "random|True|..."
+            dict(n_values=(True,)),
+            dict(trials=True),
+            dict(seed=True),
+            dict(seed=False),
         ],
     )
     def test_rejects_bad_values(self, overrides):
@@ -179,7 +183,7 @@ class TestExtremalSuite:
         rels = []
         for n, alpha, beta in grid.points():
             params = ClassParams(n, alpha, beta)
-            for k, bound in zip(ks, sharp_bounds(params, grid.k_max)):
+            for k, bound in zip(ks, sharp_bound_rows(n, alpha, (beta,), grid.k_max)[0]):
                 rels.append(abs(bound - abs(f_from_p(series[k], params, k).coefficient(k))) / bound)
         assert len(rels) == 96 * 11
         assert max(rels) <= harness.EXTREMAL_REL_TOL
@@ -299,18 +303,18 @@ class TestNehariSuite:
 class TestHkAudit:
     @pytest.mark.parametrize("backend", [FLOAT, RATIONAL], ids=lambda b: b.name)
     def test_forms_each_target_once(self, backend, monkeypatch):
-        orders = []
-        target = schemes.gamma_target
+        rows = []
+        row = schemes.gamma_target_row
 
-        def counting(m, alpha, product=None):
-            orders.append((m, product is not None))
-            return target(m, alpha, product)
+        def counting(m_max, alpha):
+            rows.append(m_max)
+            return row(m_max, alpha)
 
-        monkeypatch.setattr(schemes, "gamma_target", counting)
+        monkeypatch.setattr(schemes, "gamma_target_row", counting)
         run_hk_audit((backend.scalar("2"), backend.scalar("7/2")), 12, backend)
-        # per alpha: one row of targets through the largest defining order k_max - 1, each
-        # from the row's running product; every k's identity row and verdict read it
-        assert orders == [(m, True) for m in range(1, 12)] * 2
+        # per alpha: one row of targets through the largest defining order k_max - 1;
+        # every k's identity row and verdict read its entry
+        assert rows == [11] * 2
 
     def test_shape(self):
         reports = run_hk_audit((1.5, 2.0), k_max=8)
@@ -345,16 +349,17 @@ class TestHkAudit:
             run_hk_audit((Fraction(3, 2), Fraction(2), Fraction(6, 4)), k_max=4, backend=RATIONAL)
 
     def test_float_audit_builds_nothing_exactly(self, monkeypatch, capsys):
-        # the exact verdict comes from a row of hk_weights at Fraction(alpha), not from a
+        # the exact verdict comes from a weight row at Fraction(alpha), not from a
         # rational build, and each float scheme is built from float weights
         builds = []
-        original = harness.build_hk
+        original = harness.hk_schemes
 
-        def recording(k, alpha, *, backend=FLOAT, recipe=None):
-            builds.append((backend, {type(w) for w in recipe[0]}))
-            return original(k, alpha, backend=backend, recipe=recipe)
+        def recording(k_max, alpha, *, backend):
+            built = original(k_max, alpha, backend=backend)
+            builds.extend((backend, {type(w) for w in scheme.weights}) for scheme in built)
+            return built
 
-        monkeypatch.setattr(harness, "build_hk", recording)
+        monkeypatch.setattr(harness, "hk_schemes", recording)
         assert cli.main(["verify", "hk"]) == 0
         assert builds == [(FLOAT, {float})] * (6 * (DEFAULT_K_MAX - 1))
 
@@ -365,9 +370,9 @@ class TestHkAudit:
         for alpha, report in zip(alphas, reports):
             rows = [e for e in report.entries if e.case == "convex weights of the construction"]
             assert [e.k for e in rows] == [str(k) for k in range(2, DEFAULT_K_MAX + 1)]
-            for k, row in zip(range(2, DEFAULT_K_MAX + 1), rows):
+            exact_schemes = hk_schemes(DEFAULT_K_MAX, Fraction(alpha), backend=RATIONAL)
+            for row, exact in zip(rows, exact_schemes, strict=True):
                 # the weights of the construction at the exact value of alpha, never rounded
-                exact = build_hk(k, Fraction(alpha), backend=RATIONAL)
                 assert sum(exact.weights) == 1
                 smallest = min(exact.weights)
                 assert smallest > 0
@@ -377,17 +382,18 @@ class TestHkAudit:
 
     def test_weights_outside_the_simplex_fail(self, monkeypatch, capsys):
         # a negative control: scale the non-constant part of h_3 by 6/5, giving weights (6/5, -1/5),
-        # where the weights are formed: in the rows of hk_weights, which build the schemes and,
+        # where the weights are formed: in the weight rows, which build the schemes and,
         # on the float backend, the exact weights at Fraction(alpha)
-        original = schemes.hk_weights
+        original = schemes.hk_weight_row
 
-        def leaving_the_simplex(k, alpha, product=None):
-            weights, sigma, sign = original(k, alpha, product)
-            if k == 3:
-                weights = (Fraction(6, 5), Fraction(-1, 5))
-            return weights, sigma, sign
+        def leaving_the_simplex(k_max, alpha):
+            row = original(k_max, alpha)
+            _, sigma, sign = row[1]
+            row[1] = (Fraction(6, 5), Fraction(-1, 5)), sigma, sign
+            return row
 
-        monkeypatch.setattr(schemes, "hk_weights", leaving_the_simplex)
+        monkeypatch.setattr(schemes, "hk_weight_row", leaving_the_simplex)
+        monkeypatch.setattr(harness, "hk_weight_row", leaving_the_simplex)
         for backend in (FLOAT, RATIONAL):
             reports = run_hk_audit((backend.scalar(2),), k_max=4, backend=backend)
             rows = [e for e in reports[0].entries if e.case == "convex weights of the construction"]
@@ -404,9 +410,12 @@ class TestHkAudit:
         for alpha, report in zip(alphas, reports):
             entries = [e for e in report.entries if e.case.startswith("gamma identity")]
             assert [e.k for e in entries] == [str(k) for k in range(2, DEFAULT_K_MAX + 1)]
-            for k, entry in zip(range(2, DEFAULT_K_MAX + 1), entries):
-                scheme = build_hk(k, alpha, backend=backend)
-                m, value, target, residual = [gamma_identity_row(scheme, m) for m in range(1, k)][-1]
+            built = hk_schemes(DEFAULT_K_MAX, alpha, backend=backend)
+            for k, entry, scheme in zip(range(2, DEFAULT_K_MAX + 1), entries, built, strict=True):
+                # the last of the per-order rows (m, ladder value, one-index target, residual)
+                rows = [(m, scheme.gammas[m - 1], gamma_target(m, scheme.alpha)) for m in range(1, k)]
+                m, value, target = rows[-1]
+                residual = abs(complex(value - target))
                 assert entry.case == f"gamma identity at defining order m={m}"
                 assert (entry.observed, entry.reference, entry.margin) == (
                     backend.format_scalar(value),
@@ -417,13 +426,21 @@ class TestHkAudit:
     @pytest.mark.parametrize("backend", [FLOAT, RATIONAL], ids=lambda b: b.name)
     def test_reads_only_the_defining_order_row(self, backend, monkeypatch):
         orders = []
+        original = harness.hk_schemes
 
-        def recording(scheme, m, target=None):
-            # the target comes from the alpha's row, the value the one-index call gives
-            orders.append((scheme.k, m, target == gamma_target(m, scheme.alpha)))
-            return gamma_identity_row(scheme, m, target)
+        def recording(k_max, alpha, *, backend):
+            built = []
+            for scheme in original(k_max, alpha, backend=backend):
+                # the target is the one-index value at the defining order m = k - 1
+                m = scheme.k - 1
+                orders.append((scheme.k, m, scheme.target == gamma_target(m, scheme.alpha)))
+                # and no ladder value between gamma_0 and the defining order is read
+                unread = (None,) * max(scheme.k - 3, 0)
+                gammas = (scheme.gammas[0], *unread, scheme.gammas[-1]) if scheme.k > 2 else scheme.gammas
+                built.append(scheme._replace(gammas=gammas))
+            return built
 
-        monkeypatch.setattr(harness, "gamma_identity_row", recording)
+        monkeypatch.setattr(harness, "hk_schemes", recording)
         reports = run_hk_audit(default_grid(backend).alpha_values, backend=backend)
         assert len(reports) == 6 + 2
         assert all(r.passed for r in reports)
@@ -460,6 +477,8 @@ class TestExpand:
             run_expand(self.float_doc(), 1, 2.0, 0.0, 4, 6)  # order < k_max
         with pytest.raises(UsageError):
             run_expand(self.float_doc(), -1, 2.0, 0.0, 16, 6)
+        with pytest.raises(UsageError):
+            run_expand(self.float_doc(), True, 2.0, 0.0, 16, 6)
 
 
 def _perfbench_workloads():

@@ -92,7 +92,7 @@ def test_gamma_ladder_sums_start_from_their_first_product():
 def test_gamma_ladder_forms_no_term_for_a_structural_zero():
     m_max = 7
     zero = Op(0)
-    for zeros in ((2, 3, 5, 7), (1, 2), (1, 2, 3, 4, 5, 6, 7)):  # as build_hk's k = 4 and k >= 6, k = 5, and all
+    for zeros in ((2, 3, 5, 7), (1, 2), (1, 2, 3, 4, 5, 6, 7)):  # as hk_schemes' k = 4 and k >= 6, k = 5, and all
         ds = [zero if mu in zeros else d for mu, d in enumerate(values(m_max), start=1)]
         got = ops(lambda: gamma_ladder(ds, m_max, Op(0.5), zero))
         live = [[mu for mu in range(1, m + 1) if mu not in zeros] for m in range(m_max + 1)]

@@ -13,14 +13,12 @@ from coeffbounds import (
     RATIONAL,
     ClassParams,
     TruncatedSeries,
-    build_hk,
     check_gamma_identity,
     compare_even_constants,
     default_grid,
-    gamma_target,
     gamma_target_row,
+    hk_schemes,
     hk_weight_row,
-    hk_weights,
     recipe_even_constant,
 )
 from coeffbounds.caratheodory import (
@@ -29,10 +27,12 @@ from coeffbounds.caratheodory import (
     draw_atoms,
     half_hadamard_coefficients,
 )
-from coeffbounds.schemes import gamma_identity_row, gamma_ladder, nehari_coefficients
+from coeffbounds.schemes import gamma_ladder, nehari_coefficients
 from oracles import (
     draw_atoms_exact,
+    gamma_target,
     hk_coefficients,
+    hk_weights,
     min_real_part_scalar,
     nehari_coefficients_full,
     random_herglotz,
@@ -40,6 +40,11 @@ from oracles import (
 )
 
 HALF = Fraction(1, 2)
+
+
+def scheme_of(k, alpha, backend=FLOAT):
+    """The GammaScheme of h(z)_k: the last of `hk_schemes` through k."""
+    return hk_schemes(k, alpha, backend=backend)[-1]
 
 
 def nehari(h, G, params, order):
@@ -50,18 +55,16 @@ def nehari(h, G, params, order):
 
 class TestGammaLadder:
     def test_target_values(self):
-        assert gamma_target(1, Fraction(7)) == 1
-        assert gamma_target(2, Fraction(2)) == Fraction(1, 4)
-        assert gamma_target(3, Fraction(2)) == Fraction(3, 24)
+        assert gamma_target_row(1, Fraction(7)) == [1]
+        assert gamma_target_row(3, Fraction(2)) == [1, Fraction(1, 4), Fraction(3, 24)]
         # the j = 1 factor kills every target beyond m = 1 at alpha = 1
-        for m in (2, 3, 4, 7):
-            assert gamma_target(m, Fraction(1)) == 0
+        assert gamma_target_row(7, Fraction(1)) == [1, 0, 0, 0, 0, 0, 0]
 
     def test_target_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            gamma_target(0, Fraction(2))
+            gamma_target_row(0, Fraction(2))
         with pytest.raises(ValueError):
-            gamma_target(2, Fraction(0))
+            gamma_target_row(2, Fraction(0))
 
     def test_zero_coefficients_give_dyadic_ladder(self):
         gammas = gamma_ladder((), 0, HALF, Fraction(0))
@@ -100,20 +103,20 @@ class TestGammaLadder:
 
 class TestBuildHk:
     def test_k2_is_constant_one(self):
-        scheme = build_hk(2, Fraction(3, 2), backend=RATIONAL)
+        scheme = scheme_of(2, Fraction(3, 2), RATIONAL)
         assert hk_coefficients(2, Fraction(3, 2), 6) == [1] + [0] * 6
         assert scheme.d == ()
         assert scheme.gammas == (Fraction(1),)
         assert check_gamma_identity(scheme)
 
     def test_k3_alternating_series(self):
-        scheme = build_hk(3, Fraction(2), backend=RATIONAL)
+        scheme = scheme_of(3, Fraction(2), RATIONAL)
         assert scheme.d == (Fraction(-1),)
         assert hk_coefficients(3, Fraction(2), 6) == [Fraction((-1) ** j) for j in range(7)]
         assert check_gamma_identity(scheme)
 
     def test_k4_defining_coefficient(self):
-        scheme = build_hk(4, Fraction(2), backend=RATIONAL)
+        scheme = scheme_of(4, Fraction(2), RATIONAL)
         h = hk_coefficients(4, Fraction(2), 8)
         # 2(alpha^2 - 6 alpha + 2)/(3 alpha^2) at alpha=2 is -1
         assert scheme.d == (Fraction(0), Fraction(-1))
@@ -124,7 +127,7 @@ class TestBuildHk:
         assert check_gamma_identity(scheme)
 
     def test_k5_defining_coefficient(self):
-        scheme = build_hk(5, Fraction(2), backend=RATIONAL)
+        scheme = scheme_of(5, Fraction(2), RATIONAL)
         h = hk_coefficients(5, Fraction(2), 9)
         assert scheme.d == (Fraction(0), Fraction(0), Fraction(-3, 4))
         assert h[3] == Fraction(-3, 4)
@@ -132,7 +135,7 @@ class TestBuildHk:
         assert check_gamma_identity(scheme)
 
     def test_k6_recipe(self):
-        scheme = build_hk(6, Fraction(2), backend=RATIONAL)
+        scheme = scheme_of(6, Fraction(2), RATIONAL)
         h = hk_coefficients(6, Fraction(2), 16)
         assert scheme.sigma == Fraction(1, 4)
         assert h[1] == Fraction(-1, 2)
@@ -144,24 +147,23 @@ class TestBuildHk:
     @pytest.mark.parametrize("k", range(2, 13))
     @pytest.mark.parametrize("alpha", [Fraction(11, 10), Fraction(3, 2), Fraction(2), Fraction(10)])
     def test_identity_exact_across_grid(self, k, alpha):
-        scheme = build_hk(k, alpha, backend=RATIONAL)
+        scheme = scheme_of(k, alpha, RATIONAL)
         assert check_gamma_identity(scheme)
-        m, value, target, residual = gamma_identity_row(scheme, k - 1)
-        assert m == k - 1 and value == target and residual == 0
+        assert scheme.gammas[k - 2] == scheme.target == gamma_target(k - 1, alpha)
 
     @pytest.mark.parametrize("k", range(2, 13))
     def test_coefficients_bounded_by_two(self, k):
         for alpha in (Fraction(11, 10), Fraction(2), Fraction(100)):
-            scheme = build_hk(k, alpha, backend=RATIONAL)
+            scheme = scheme_of(k, alpha, RATIONAL)
             assert all(abs(d) <= 2 for d in scheme.d)
 
     @pytest.mark.parametrize("k", range(2, 13))
     @pytest.mark.parametrize("alpha", [Fraction(11, 10), Fraction(3, 2), Fraction(6), Fraction(100)])
     def test_series_is_the_weighted_kernel_sum(self, k, alpha):
-        # the weights and the coefficients of the kernel sum against the closed forms of build_hk
+        # the weights and the coefficients of the kernel sum against the closed forms of hk_schemes
         order = 16
         h = hk_coefficients(k, alpha, order)
-        scheme = build_hk(k, alpha, backend=RATIONAL)
+        scheme = scheme_of(k, alpha, RATIONAL)
         if k == 2:
             weights, want = [1], [0] * order
         elif k == 3:
@@ -187,8 +189,8 @@ class TestBuildHk:
     @pytest.mark.parametrize("alpha", ["11/10", "2", "3", "10"])
     def test_float_weights_track_exact_weights(self, alpha):
         for k in range(2, 13):
-            sf = build_hk(k, FLOAT.scalar(alpha))
-            sr = build_hk(k, RATIONAL.scalar(alpha), backend=RATIONAL)
+            sf = scheme_of(k, FLOAT.scalar(alpha))
+            sr = scheme_of(k, RATIONAL.scalar(alpha), RATIONAL)
             assert len(sf.weights) == len(sr.weights)
             assert all(abs(f - float(r)) < 1e-14 for f, r in zip(sf.weights, sr.weights))
 
@@ -202,20 +204,20 @@ class TestBuildHk:
         # the d's are solved from the defining order; at k = 4 the m = 2 row
         # reads 1/2 against a target of (alpha-1)/(2 alpha), unequal for
         # every alpha, which is why the identity check pins its orders
-        scheme = build_hk(4, Fraction(2), backend=RATIONAL)
-        rows = {}
-        for m in range(1, scheme.k):
-            _, value, target, _ = gamma_identity_row(scheme, m)
-            rows[m] = (value, target)
+        scheme = scheme_of(4, Fraction(2), RATIONAL)
+        targets = gamma_target_row(scheme.k - 1, scheme.alpha)
+        rows = {m: (scheme.gammas[m - 1], targets[m - 1]) for m in range(1, scheme.k)}
         assert rows[2][0] == Fraction(1, 2)
         assert rows[2][1] == Fraction(1, 4)
         assert rows[3][0] == rows[3][1]
 
     def test_identity_detects_perturbation(self):
-        scheme = build_hk(5, Fraction(2), backend=RATIONAL)
+        scheme = scheme_of(5, Fraction(2), RATIONAL)
         bad_d = (scheme.d[0], scheme.d[1] + Fraction(1, 1000), scheme.d[2])
         bad = scheme._replace(d=bad_d, gammas=tuple(gamma_ladder(bad_d, scheme.k - 2, HALF, Fraction(0))))
         assert not check_gamma_identity(bad)
+        # gamma_0 is pinned to its target 1 too
+        assert not check_gamma_identity(scheme._replace(gammas=(Fraction(2), *scheme.gammas[1:])))
 
     # both sides of the sign changes of d_2 (alpha = 3 + sqrt 7) and of d_3 (alpha near 3.046)
     WEIGHT_ALPHAS = ("1000001/1000000", "11/10", "3/2", "2", "3", "31/10", "4", "5", "56/10", "57/10",
@@ -225,9 +227,8 @@ class TestBuildHk:
     @pytest.mark.parametrize("alpha", WEIGHT_ALPHAS)
     def test_weights_are_the_constructions(self, backend, alpha):
         a = backend.scalar(alpha)
-        for k in range(2, 21):
+        for k, scheme in zip(range(2, 21), hk_schemes(20, a, backend=backend)):
             weights, sigma, sign = hk_weights(k, a)
-            scheme = build_hk(k, a, backend=backend)
             assert list(map(repr, weights)) == list(map(repr, scheme.weights)), k
             assert repr(sigma) == repr(scheme.sigma)
             if 3 <= k <= 5:  # the sign of the defining coefficient d_(k-2)
@@ -240,8 +241,8 @@ class TestBuildHk:
     def test_d_is_the_kernel_sum(self, backend, alpha):
         # d_1..d_(k-2) formed from the weights are coefficients 1..k-2 of the weighted kernels
         a = backend.scalar(alpha)
-        for k in range(2, 21):
-            d = build_hk(k, a, backend=backend).d
+        for k, scheme in zip(range(2, 21), hk_schemes(20, a, backend=backend)):
+            d = scheme.d
             want = hk_coefficients(k, a, k - 2)[1:]
             if backend is FLOAT:
                 assert list(map(repr, d)) == list(map(repr, want)), k
@@ -250,27 +251,27 @@ class TestBuildHk:
 
     def test_weights_validation(self):
         with pytest.raises(ValueError):
-            hk_weights(1, 2.0)
+            hk_weight_row(1, 2.0)
         with pytest.raises(ValueError):
-            hk_weights(4, 1.0)
+            hk_weight_row(4, 1.0)
         with pytest.raises(ValueError):
-            hk_weights(7, Fraction(1))
+            hk_weight_row(7, Fraction(1))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            build_hk(1, 2.0)
+            hk_schemes(1, 2.0, backend=FLOAT)
         with pytest.raises(ValueError):
-            build_hk(4, 1.0)
+            hk_schemes(4, 1.0, backend=FLOAT)
 
     def test_etas(self):
-        scheme = build_hk(3, Fraction(2), backend=RATIONAL)
+        scheme = scheme_of(3, Fraction(2), RATIONAL)
         etas = scheme_etas(scheme, 1, Fraction(0))
         assert etas[0] == 1
         assert etas[1] == 2 * scheme.gammas[1] / 3
 
     def test_float_matches_rational(self):
-        hf, sf = hk_coefficients(7, 1.5, 12), build_hk(7, 1.5)
-        hr, sr = hk_coefficients(7, Fraction(3, 2), 12), build_hk(7, Fraction(3, 2), backend=RATIONAL)
+        hf, sf = hk_coefficients(7, 1.5, 12), scheme_of(7, 1.5)
+        hr, sr = hk_coefficients(7, Fraction(3, 2), 12), scheme_of(7, Fraction(3, 2), RATIONAL)
         for f, r in zip(hf, hr, strict=True):
             assert abs(f - float(r)) < 1e-14
         for f, r in zip(sf.d, sr.d, strict=True):
@@ -297,7 +298,7 @@ def _outcomes(values):
 
 
 class TestRows:
-    """The rows of hk_weights and gamma_target against the one-index calls."""
+    """The weight and target rows against the one-index references of `oracles`."""
 
     @staticmethod
     def check(k_max, alpha):
@@ -332,9 +333,8 @@ class TestRows:
     def test_float_ladders_run_in_floats(self):
         # every gamma of every stock float scheme is a float, with the bits of the exact-1/2 ladder
         for alpha in default_grid(FLOAT).alpha_values:
-            for k in range(2, 13):
-                scheme = build_hk(k, alpha)
-                zero = next((d for d in scheme.d if d == 0), object())  # build_hk's structural zero
+            for k, scheme in zip(range(2, 13), hk_schemes(12, alpha, backend=FLOAT)):
+                zero = next((d for d in scheme.d if d == 0), object())  # hk_schemes' structural zero
                 exact_half = gamma_ladder(scheme.d, k - 2, HALF, zero)
                 assert {type(g) for g in scheme.gammas} == {float}
                 assert [g.hex() for g in scheme.gammas] == [float(g).hex() for g in exact_half]
@@ -352,7 +352,7 @@ class TestEvenConstants:
         # sigma should factor as c_k * prod (j alpha - 1) / alpha^(k-2)
         for k in range(6, 11):
             alpha = Fraction(7, 3)
-            scheme = build_hk(k, alpha, backend=RATIONAL)
+            scheme = scheme_of(k, alpha, RATIONAL)
             prod = Fraction(1)
             for j in range(1, k - 1):
                 prod *= j * alpha - 1

@@ -21,7 +21,7 @@ from coeffbounds import (
     caratheodory,
     f_from_p,
     sharp_bound,
-    sharp_bounds,
+    sharp_bound_rows,
     sweeps,
 )
 from coeffbounds._rational import RationalComplex
@@ -81,7 +81,7 @@ GROUP_SWEEPS = {dominance_sweep: dominance_sweeps, nehari_sweep: nehari_sweeps}
 
 def dominance_bound(n, alpha, beta, k_max):
     """The row of sharp bounds the dominance margins are taken against."""
-    return np.array(sharp_bounds(ClassParams(n, alpha, beta), k_max))
+    return np.array(sharp_bound_rows(n, alpha, (beta,), k_max)[0])
 
 
 def dominance_margins(weights, points, n, alpha, beta, bound):
@@ -520,7 +520,7 @@ class TestBlocks:
             group(1, 1, 2.0, [], 10, 12)
 
     def test_rejects_a_bound_row_with_no_k(self, no_draws):
-        # dominance_sweeps refuses k_max < 2 in sharp_bounds already
+        # dominance_sweeps refuses k_max < 2 in sharp_bound_rows already
         message = "bounds must hold at least one k, got an empty row"
         with pytest.raises(ValueError, match=message):
             nehari_sweeps(1, 1, 2.0, [0.0], 10, 0)
