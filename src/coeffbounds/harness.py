@@ -4,7 +4,12 @@ Each ``run_*`` function walks a parameter grid, performs its checks, and
 returns :class:`~coeffbounds.reports.SuiteReport` records with
 pre-formatted entries (exact fraction strings on the rational backend,
 17-digit floats otherwise). Like every record of the package, `GridSpec`
-and the reports are named tuples. Configuration problems raise
+and the reports are named tuples.
+
+The verdict rule, stated once: a row's status is ``pass`` or ``fail`` by its
+check, or ``info`` for a row that judges nothing, and a report passes when
+no row fails. `_row` builds every row and `_report` every report, so the
+rule lives in those two functions and `_STATUS`. Configuration problems raise
 :class:`UsageError`, which the CLI distinguishes (exit 2) from genuine
 assertion failures (exit 1).
 """
@@ -172,6 +177,24 @@ def _point(backend: Backend, n: int, alpha, beta) -> dict:
     }
 
 
+#: The status of a row by its verdict: None marks a row that judges nothing.
+_STATUS = {True: "pass", False: "fail", None: "info"}
+
+
+def _row(suite, point, k, case, observed, reference, margin, ok) -> SuiteEntry:
+    """One suite row at `point`, whose n, alpha and beta it copies ("" for any it lacks)."""
+    get = point.get
+    return SuiteEntry(suite, get("n", ""), get("alpha", ""), get("beta", ""), str(k), case,
+                      observed, reference, margin, _STATUS[ok])
+
+
+def _report(suite, point, entries, worst_margin=None, witness=None, elapsed=0.0) -> SuiteReport:
+    """One suite report at `point`: it passes when no row fails."""
+    entries = tuple(entries)
+    passed = all(entry.status != "fail" for entry in entries)
+    return SuiteReport(suite, point, passed, worst_margin, witness, entries, elapsed)
+
+
 def _fmt_coeff(backend: Backend, c) -> str:
     if backend is RATIONAL:
         return str(c)
@@ -260,7 +283,6 @@ def run_extremal_suite(grid: GridSpec, backend: Backend = FLOAT):
         point = _point(backend, n, alpha, beta)
         alpha, beta = backend.scalar(alpha), backend.scalar(beta)
         entries = []
-        passed = True
         worst = 0.0
         witness = None
         for k, bound in zip(range(2, k_top + 1), bounds):
@@ -274,33 +296,11 @@ def run_extremal_suite(grid: GridSpec, backend: Backend = FLOAT):
                 ok = rel <= EXTREMAL_REL_TOL
                 observed = fmt_float(abs(a_k))
             worst = max(worst, rel)
-            if not ok:
-                passed = False
-                if witness is None:
-                    witness = {"k": k, "atoms": extremal_p(k, backend=backend).to_document()}
-            entries.append(
-                SuiteEntry(
-                    suite="extremal",
-                    **point,
-                    k=str(k),
-                    case="sharp equality",
-                    observed=observed,
-                    reference=backend.format_scalar(bound),
-                    margin=fmt_float(rel),
-                    status="pass" if ok else "fail",
-                )
-            )
-        reports.append(
-            SuiteReport(
-                suite="extremal",
-                point=point,
-                passed=passed,
-                worst_margin=worst,
-                witness=witness,
-                entries=tuple(entries),
-                elapsed=time.perf_counter() - start,
-            )
-        )
+            if not ok and witness is None:
+                witness = {"k": k, "atoms": extremal_p(k, backend=backend).to_document()}
+            entries.append(_row("extremal", point, k, "sharp equality", observed,
+                                backend.format_scalar(bound), fmt_float(rel), ok))
+        reports.append(_report("extremal", point, entries, worst, witness, time.perf_counter() - start))
     return reports
 
 
@@ -320,51 +320,23 @@ def _sweep_reports(grid, suite, sweep):
         group = [_sweep_report(suite, grid, _point(FLOAT, n, alpha, beta), outcome)
                  for beta, outcome in zip(grid.beta_values, outcomes)]
         elapsed = (time.perf_counter() - start) / len(group)
-        reports += [SuiteReport(**fields, elapsed=elapsed) for fields in group]
+        reports += [_report(*fields, elapsed=elapsed) for fields in group]
     return reports
 
 
-def _sweep_report(suite, grid, point, outcome) -> dict:
-    """The SuiteReport fields of one point's sweep outcome, all but the elapsed time."""
-    entries = [
-        SuiteEntry(
-            suite=suite,
-            **point,
-            k=str(outcome.worst_k),
-            case=f"worst margin over {grid.trials} trials",
-            observed=fmt_float(outcome.worst_margin),
-            reference=fmt_float(-SLACK),
-            margin=fmt_float(outcome.worst_margin),
-            status="pass" if not outcome.violation_count else "fail",
-        )
-    ]
+def _sweep_report(suite, grid, point, outcome) -> tuple:
+    """The `_report` arguments of one point's sweep outcome, all but the elapsed time."""
+    reference = fmt_float(-SLACK)
+    worst = fmt_float(outcome.worst_margin)
+    entries = [_row(suite, point, outcome.worst_k, f"worst margin over {grid.trials} trials",
+                    worst, reference, worst, not outcome.violation_count)]
     for trial, k, margin in outcome.violations:
-        entries.append(
-            SuiteEntry(
-                suite=suite,
-                **point,
-                k=str(k),
-                case=f"violation in trial {trial}",
-                observed=fmt_float(margin),
-                reference=fmt_float(-SLACK),
-                margin=fmt_float(margin),
-                status="fail",
-            )
-        )
+        entries.append(_row(suite, point, k, f"violation in trial {trial}",
+                            fmt_float(margin), reference, fmt_float(margin), False))
     hidden = outcome.violation_count - len(outcome.violations)
     if hidden > 0:
-        entries.append(
-            SuiteEntry(
-                suite=suite,
-                **point,
-                k="",
-                case=f"{hidden} further violations not listed",
-                observed=str(outcome.violation_count),
-                reference="0",
-                margin="",
-                status="info",
-            )
-        )
+        entries.append(_row(suite, point, "", f"{hidden} further violations not listed",
+                            str(outcome.violation_count), "0", "", None))
     witness = None
     if outcome.violations:
         trial, k, margin = outcome.violations[0]
@@ -378,14 +350,7 @@ def _sweep_report(suite, grid, point, outcome) -> dict:
                 for role, key in outcome.stream_keys.items()
             },
         }
-    return dict(
-        suite=suite,
-        point=point,
-        passed=not outcome.violation_count,
-        worst_margin=outcome.worst_margin,
-        witness=witness,
-        entries=tuple(entries),
-    )
+    return suite, point, entries, outcome.worst_margin, witness
 
 
 def run_random_suite(grid: GridSpec):
@@ -443,7 +408,6 @@ def run_hk_audit(alpha_values, k_max: int = DEFAULT_K_MAX, backend: Backend = FL
         alpha = backend.scalar(alpha)
         point = {"alpha": backend.format_scalar(alpha), "section": "construction"}
         entries = []
-        passed = True
         worst = 0.0
         built = hk_schemes(k_max, alpha, backend=backend)
         # the membership verdict reads the weights at the exact value of alpha
@@ -465,55 +429,25 @@ def run_hk_audit(alpha_values, k_max: int = DEFAULT_K_MAX, backend: Backend = FL
                 ("convex weights of the construction", backend.format_scalar(w_min), "0",
                  fmt_float(w_min), w_min >= 0 and sum(weights) == 1),
             )
-            for case, observed, reference, margin, ok in checks:
-                entries.append(
-                    SuiteEntry(suite="hk", n="", alpha=point["alpha"], beta="", k=str(k), case=case,
-                               observed=observed, reference=reference, margin=margin,
-                               status="pass" if ok else "fail")
-                )
-                passed = passed and ok
-        reports.append(
-            SuiteReport(
-                suite="hk",
-                point=point,
-                passed=passed,
-                worst_margin=worst,
-                witness=None,
-                entries=tuple(entries),
-                elapsed=time.perf_counter() - start,
-            )
-        )
+            entries += [_row("hk", point, k, *check) for check in checks]
+        reports.append(_report("hk", point, entries, worst, elapsed=time.perf_counter() - start))
     reports.append(_even_constant_report())
     reports.append(_alpha_one_report(backend))
     return reports
 
 
 def _even_constant_report() -> SuiteReport:
-    entries = []
-    for row in compare_even_constants():
-        entries.append(
-            SuiteEntry(
-                suite="hk",
-                n="",
-                alpha="",
-                beta="",
-                k=str(row.k),
-                case="even-coefficient constant, recipe vs reference table"
-                + ("" if row.agree else " (table entry looks like a digit slip)"),
-                observed=str(row.recomputed),
-                reference=str(row.tabulated),
-                margin=fmt_float(float(row.recomputed / row.tabulated) - 1.0),
-                status="pass" if row.agree else "info",
-            )
-        )
-    return SuiteReport(
-        suite="hk",
-        point={"section": "even-constants"},
-        passed=True,
-        worst_margin=None,
-        witness=None,
-        entries=tuple(entries),
-    )
+    """The k = 6..10 even constants against the reference table; a disagreement only informs."""
+    point = {"section": "even-constants"}
+    entries = [
+        _row("hk", point, row.k,
+             "even-coefficient constant, recipe vs reference table"
+             + ("" if row.agree else " (table entry looks like a digit slip)"),
+             str(row.recomputed), str(row.tabulated),
+             fmt_float(float(row.recomputed / row.tabulated) - 1.0), True if row.agree else None)
+        for row in compare_even_constants()
+    ]
+    return _report("hk", point, entries)
 
 
 def _alpha_one_report(backend: Backend) -> SuiteReport:
@@ -538,28 +472,13 @@ def _alpha_one_report(backend: Backend) -> SuiteReport:
             a_abs = abs(complex(a_k))
             k_form = 2.0 / k**n
             k1_form = 2.0 / (k + 1) ** n
-            entries.append(
-                SuiteEntry(
-                    suite="hk",
-                    n=str(n),
-                    alpha=alpha,
-                    beta=beta,
-                    k=str(k),
-                    case=f"alpha=1 closed form exponent base (matches {matches}^n)",
-                    observed=fmt_float(a_abs),
-                    reference=f"2/k^n={fmt_float(k_form)}; 2/(k+1)^n={fmt_float(k1_form)}",
-                    margin=fmt_float(a_abs - k_form),
-                    status="pass" if matches == "k" else "fail",
-                )
-            )
-    return SuiteReport(
-        suite="hk",
-        point={"section": "alpha-1-exponent"},
-        passed=all(e.status == "pass" for e in entries),
-        worst_margin=None,
-        witness=None,
-        entries=tuple(entries),
-    )
+            entries.append(_row(
+                "hk", {"n": str(n), "alpha": alpha, "beta": beta}, k,
+                f"alpha=1 closed form exponent base (matches {matches}^n)", fmt_float(a_abs),
+                f"2/k^n={fmt_float(k_form)}; 2/(k+1)^n={fmt_float(k1_form)}",
+                fmt_float(a_abs - k_form), matches == "k",
+            ))
+    return _report("hk", {"section": "alpha-1-exponent"}, entries)
 
 
 # -- expand ------------------------------------------------------------------
@@ -578,19 +497,19 @@ def _round_trip(backend: Backend, p, back, f, params) -> tuple:
     residuals = [abs(complex(b - c)) for b, c in zip(back.coeffs, p.coeffs)]
     if backend is RATIONAL:
         tolerances = [0.0] * len(residuals)
-        status = "pass" if back.coeffs == p.coeffs else "fail"
+        ok = back.coeffs == p.coeffs
     else:
         tolerances = round_trip_tolerances(f, params)
         if any(r > t for r, t in zip(residuals, tolerances)):
-            status = "fail"
+            ok = False
         else:
-            status = "pass" if all(t < 2 for t in tolerances) else "info"
+            ok = True if all(t < 2 for t in tolerances) else None
     ks = range(1, len(residuals))
-    if status == "info":
+    if ok is None:
         k = next(k for k in ks if not tolerances[k] < 2)
     else:
         k = max(ks, key=lambda k: _ratio(residuals[k], tolerances[k]))
-    return status, k, residuals[k], tolerances[k]
+    return _STATUS[ok], k, residuals[k], tolerances[k]
 
 
 def _ratio(residual: float, tolerance: float) -> float:
@@ -656,10 +575,7 @@ def run_expand(
     bound_rows = []
     for k in range(2, k_max + 1):
         rep = bound_report(params, k, f.coefficient(k), backend=backend)
-        if not rep.applicable:
-            status = "info"
-        else:
-            status = "fail" if rep.margin < -SLACK * max(1.0, rep.bound) else "pass"
+        ok = not rep.margin < -SLACK * max(1.0, rep.bound) if rep.applicable else None
         bound_rows.append(
             {
                 "k": k,
@@ -670,7 +586,7 @@ def run_expand(
                 "margin": "" if not rep.applicable else fmt_float(rep.margin),
                 "sharp_hit": rep.sharp_hit,
                 "applicable": rep.applicable,
-                "status": status,
+                "status": _STATUS[ok],
             }
         )
     try:

@@ -46,7 +46,7 @@ def gamma_target_row(m_max: int, alpha) -> list:
     alpha = 1 (the j = 1 factor). The numerators are one running product,
     so the row forms m_max - 1 factors. Exact when alpha is a Fraction.
     """
-    if not isinstance(m_max, int) or m_max < 1:
+    if not isinstance(m_max, int) or isinstance(m_max, bool) or m_max < 1:
         raise ValueError(f"ladder index must be a positive integer, got {m_max!r}")
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")

@@ -312,6 +312,27 @@ def test_triple_scan_sees_a_slot_read():
     assert _triple_reads(ast.parse("def f(x):\n    return x.re + x._b / x._d\n")) == [2, 2]
 
 
+def _record_builds(tree: ast.Module) -> list:
+    """Line of each `SuiteEntry` or `SuiteReport` call outside the bodies of `_row` and `_report`."""
+    builders = [node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name in ("_row", "_report")]
+    inside = {id(node) for builder in builders for node in ast.walk(builder)}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and id(node) not in inside
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("SuiteEntry", "SuiteReport")]
+
+
+def test_harness_builds_records_only_in_row_and_report():
+    # one verdict path: the status map and the "no row fails" rule each have one home
+    assert _record_builds(ast.parse((PACKAGE_DIR / "harness.py").read_text())) == []
+
+
+def test_record_scan_sees_a_planted_call():
+    tree = ast.parse("def _row(k):\n    return SuiteEntry(k)\n\n"
+                     "def run(rows):\n    return [reports.SuiteReport(SuiteEntry(k)) for k in rows]\n")
+    assert _record_builds(tree) == [5, 5]
+
+
 def test_sweeps_leave_numpy_random_unimported():
     # numpy.random costs about 2 MB of resident memory once imported
     code = (

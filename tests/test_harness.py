@@ -447,6 +447,37 @@ class TestHkAudit:
         assert orders == [(k, k - 1, True) for k in range(2, DEFAULT_K_MAX + 1)] * 6
 
 
+class TestVerdictRule:
+    """Every status is pass, fail or info, and a report passes exactly when no row fails."""
+
+    @staticmethod
+    def one_point(backend=FLOAT):
+        return small_grid(n_values=(1,), alpha_values=(backend.scalar("2"),), beta_values=(backend.scalar("0"),))
+
+    @staticmethod
+    def check(reports):
+        assert reports
+        for report in reports:
+            statuses = {entry.status for entry in report.entries}
+            assert statuses <= {"pass", "fail", "info"}, report.point
+            assert report.passed == ("fail" not in statuses), report.point
+
+    @pytest.mark.parametrize("backend", [FLOAT, RATIONAL], ids=lambda b: b.name)
+    def test_extremal(self, backend):
+        self.check(run_extremal_suite(self.one_point(backend), backend))
+
+    @pytest.mark.parametrize("backend", [FLOAT, RATIONAL], ids=lambda b: b.name)
+    def test_hk(self, backend):
+        grid = self.one_point(backend)
+        # the even-constants section holds an info row and passes
+        self.check(run_hk_audit(grid.alpha_values, grid.k_max, backend))
+
+    @pytest.mark.parametrize("run", [run_random_suite, run_nehari_suite], ids=lambda run: run.__name__)
+    def test_sweeps(self, run):
+        # the nehari point fails at n = 1, so both sides of the rule are seen
+        self.check(run(self.one_point()))
+
+
 class TestExpand:
     def float_doc(self):
         return extremal_p(3).to_document()

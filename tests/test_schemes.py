@@ -66,6 +66,11 @@ class TestGammaLadder:
         with pytest.raises(ValueError):
             gamma_target_row(2, Fraction(0))
 
+    def test_target_refuses_a_bool(self):
+        # True == 1, but a bool is not an index
+        with pytest.raises(ValueError):
+            gamma_target_row(True, Fraction(2))
+
     def test_zero_coefficients_give_dyadic_ladder(self):
         gammas = gamma_ladder((), 0, HALF, Fraction(0))
         assert gammas == [Fraction(1)]
