@@ -50,7 +50,6 @@ from .harness import (
 from .reports import SuiteEntry, SuiteReport, suite_csv, suite_json
 from .schemes import (
     GammaScheme,
-    check_gamma_identity,
     compare_even_constants,
     gamma_target_row,
     hk_schemes,
@@ -77,7 +76,6 @@ __all__ = [
     "TruncatedSeries",
     "UsageError",
     "bound_report",
-    "check_gamma_identity",
     "classify_region",
     "compare_even_constants",
     "default_grid",

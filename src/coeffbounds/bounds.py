@@ -231,7 +231,7 @@ def growth_estimate(alpha, k: int) -> float:
     alpha = 10, k = 14), or alpha itself does, which keeps the
     upper-estimate semantics intact.
     """
-    if not isinstance(k, int) or k < 0:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise ValueError(f"index must be a non-negative integer, got {k!r}")
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha!r}")
@@ -275,7 +275,7 @@ def f_from_p(p, params: ClassParams, order: int) -> TruncatedSeries:
     f(z) = z * (beta + (1 - beta) p_n(z))^(1/alpha) where p_n is the n-fold
     transform of p. The result has f_0 = 0, f_1 = 1 and the requested order.
     """
-    if not isinstance(order, int) or order < 1:
+    if not isinstance(order, int) or isinstance(order, bool) or order < 1:
         raise ValueError(f"order must be a positive integer, got {order!r}")
     coeffs, backend = _generator_coefficients(p, order - 1)
     if coeffs[0] != backend.one:

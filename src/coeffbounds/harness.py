@@ -38,7 +38,7 @@ from .bounds import (
 )
 from .caratheodory import HerglotzAtoms, trial_atoms
 from .reports import SuiteEntry, SuiteReport, fmt_float
-from .schemes import check_gamma_identity, compare_even_constants, hk_schemes, hk_weight_row
+from .schemes import compare_even_constants, hk_schemes
 
 
 class UsageError(ValueError):
@@ -382,15 +382,15 @@ def run_nehari_suite(grid: GridSpec):
 def run_hk_audit(alpha_values, k_max: int = DEFAULT_K_MAX, backend: Backend = FLOAT):
     """Audit the per-index generator constructions.
 
-    Per alpha and k: the gamma-ladder identity at its defining order
-    (exact on the rational backend), the coefficient-magnitude bound
-    |d_mu| <= 2, and the membership certificate h(z)_k in P: the class is
-    convex, so h is a member exactly when the weights of its convex
-    combination of kernels lie in the simplex (every weight >= 0, sum 1).
-    That verdict is exact on both backends: it reads a row of weights formed
-    in Fractions from the exact value of alpha (for a float alpha, the binary
-    fraction it stores). Each alpha builds its schemes for every k at once
-    (`schemes.hk_schemes`). Two cross-cutting sections follow: the k = 6..10
+    Per alpha and k: the gamma-ladder identity at its defining order, the
+    coefficient-magnitude bound |d_mu| <= 2, and the membership certificate
+    h(z)_k in P: the class is convex, so h is a member exactly when the
+    weights of its convex combination of kernels lie in the simplex (every
+    weight >= 0, sum 1). Each alpha builds its schemes for every k at once,
+    in Fractions (`schemes.hk_schemes`), so every verdict is exact on both
+    backends; a float alpha is taken at the binary fraction it stores, and
+    the backend only chooses how values print (a float row prints each exact
+    value correctly rounded). Two cross-cutting sections follow: the k = 6..10
     even-coefficient constants recomputed against the reference table
     (disagreements are reported, not asserted away), and the alpha = 1
     closed form, which matches 2(1-beta)/k^n — not the (k+1)-indexed
@@ -398,32 +398,27 @@ def run_hk_audit(alpha_values, k_max: int = DEFAULT_K_MAX, backend: Backend = FL
     """
     if not alpha_values:
         raise UsageError("empty alpha list")
+    alpha_values = [backend.scalar(alpha) for alpha in alpha_values]
     _require_alpha_gt1(alpha_values, "hk")
-    _check_exact_size(alpha_values, "alpha")
+    # a float alpha is built at its exact value, held to the size of an exact alpha
+    _check_exact_size(map(Fraction, alpha_values), "alpha")
     _reject_repeats(alpha_values, "alpha")
     _check_k_max(k_max)
     reports = []
     for alpha in alpha_values:
         start = time.perf_counter()
-        alpha = backend.scalar(alpha)
         point = {"alpha": backend.format_scalar(alpha), "section": "construction"}
         entries = []
         worst = 0.0
-        built = hk_schemes(k_max, alpha, backend=backend)
-        # the membership verdict reads the weights at the exact value of alpha
-        if backend is RATIONAL:
-            exact_weights = [scheme.weights for scheme in built]
-        else:
-            exact_weights = [weights for weights, _, _ in hk_weight_row(k_max, Fraction(alpha))]
-        for scheme, weights in zip(built, exact_weights):
-            k, value, target = scheme.k, scheme.gammas[-1], scheme.target
-            residual = abs(complex(value - target))
+        for scheme in hk_schemes(k_max, alpha):
+            k, value, target, weights = scheme.k, scheme.gamma, scheme.target, scheme.weights
+            residual = float(abs(value - target))
             worst = max(worst, residual)
-            d_max = max((abs(d) for d in scheme.d), default=0)
+            d_max = max(map(abs, scheme.d), default=0)
             w_min = min(weights)
             checks = (  # (case, observed, reference, margin, verdict)
                 (f"gamma identity at defining order m={k - 1}", backend.format_scalar(value),
-                 backend.format_scalar(target), fmt_float(residual), check_gamma_identity(scheme)),
+                 backend.format_scalar(target), fmt_float(residual), value == target),
                 ("coefficient magnitude max|d|", backend.format_scalar(d_max), "2",
                  fmt_float(2 - float(d_max)), d_max <= 2),
                 ("convex weights of the construction", backend.format_scalar(w_min), "0",

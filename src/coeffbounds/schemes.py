@@ -5,11 +5,12 @@ Caratheodory class with coefficients d_mu, the ladder
 
     gamma_m = 2^(-m) [1 + 1/2 sum_{mu=1}^{m} C(m, mu) d_mu],   gamma_0 = 1
 
-(``gamma_ladder``) feeds the weights eta_m = (1-beta) alpha^n gamma_m /
-(alpha+m)^n of the Nehari-type series sum_m (-1)^(m+1) eta_{m-1} G^m
-(``nehari_coefficients``). Since G(0) = 0, G = z H and G^m = z^m T_m: at
-truncation order K the series is summed from the tails T_m, each through
-order K - m, so the leading zeros of the powers are never multiplied.
+(``gamma_value`` forms one order of it) feeds the weights eta_m =
+(1-beta) alpha^n gamma_m / (alpha+m)^n of the Nehari-type series
+sum_m (-1)^(m+1) eta_{m-1} G^m (``nehari_coefficients``). Since G(0) = 0,
+G = z H and G^m = z^m T_m: at truncation order K the series is summed from
+the tails T_m, each through order K - m, so the leading zeros of the powers
+are never multiplied.
 
 Hitting the sharp coefficient bound at index k requires the ladder value at
 order m = k-1 to equal the target product
@@ -20,9 +21,9 @@ and ``hk_schemes`` constructs, for k = 2..k_max, a genuine Caratheodory
 function h(z)_k (an explicit convex combination of Moebius-type kernels)
 whose coefficients d_mu satisfy exactly that. Its weights come from
 ``hk_weight_row`` and its targets from ``gamma_target_row``; each row holds
-its formula once, as one running product over the index.
-``check_gamma_identity`` verifies the identity at the orders the
-construction pins down.
+its formula once, as one running product over the index. Every scheme is
+built in exact arithmetic, and its ladder is formed only at the defining
+order, the one order the identity pins down.
 """
 
 from __future__ import annotations
@@ -31,12 +32,9 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .backends import Backend
 from .series import power_tails
 
 _HALF = Fraction(1, 2)
-#: Largest |ladder - target| that `check_gamma_identity` accepts on float data.
-IDENTITY_TOL = 1e-12
 
 
 def gamma_target_row(m_max: int, alpha) -> list:
@@ -59,34 +57,27 @@ def gamma_target_row(m_max: int, alpha) -> list:
     return row
 
 
-def gamma_ladder(ds, m_max: int, half, zero) -> list:
-    """gamma_m = half^m [1 + half sum_{mu=1}^{m} C(m, mu) d_mu] for m = 0..m_max.
+def gamma_value(ds, m: int, half, zero):
+    """gamma_m = half^m [1 + half sum_{mu=1}^{m} C(m, mu) d_mu], the ladder at one order m.
 
     The entries of ds are backend scalars or numpy columns (see `series`),
     and ``half`` is 1/2 typed to match them; an exact 1/2 keeps rational
-    inputs exact. ds needs at least m_max entries. Each sum starts from its
-    first term. A d that is the caller's scalar ``zero`` object forms no
-    term (as in `series.real_power_coefficients`), and a sum at m >= 1 with
-    no other term is that zero; gamma_0's empty sum is the int 0.
+    inputs exact. ds needs at least m entries. The sum starts from its first
+    term. A d that is the caller's scalar ``zero`` object forms no term (as
+    in `series.real_power_coefficients`), and a sum at m >= 1 with no other
+    term is that zero; gamma_0's empty sum is the int 0.
     """
-    live = [mu for mu in range(1, m_max + 1) if ds[mu - 1] is not zero]
-    out = []
-    count = 0  # live[:count] are the live mu <= m
-    for m in range(m_max + 1):
-        if count < len(live) and live[count] == m:
-            count += 1
-        if count:
-            first = live[0]
-            acc = math.comb(m, first) * ds[first - 1]
-            for mu in live[1:count]:
-                acc += math.comb(m, mu) * ds[mu - 1]
-        else:
-            acc = zero if m else 0
-        acc *= half
-        acc += 1
-        acc *= half**m
-        out.append(acc)
-    return out
+    live = [mu for mu in range(1, m + 1) if ds[mu - 1] is not zero]
+    if live:
+        acc = math.comb(m, live[0]) * ds[live[0] - 1]
+        for mu in live[1:]:
+            acc += math.comb(m, mu) * ds[mu - 1]
+    else:
+        acc = zero if m else 0
+    acc *= half
+    acc += 1
+    acc *= half**m
+    return acc
 
 
 def nehari_coefficients(gammas, G, n: int, alpha, beta, zero) -> list:
@@ -116,16 +107,16 @@ def nehari_coefficients(gammas, G, n: int, alpha, beta, zero) -> list:
     return total
 
 
-class GammaScheme(namedtuple("GammaScheme", "k alpha d sigma gammas weights target")):
-    """The d / sigma / gamma data behind one h(z)_k construction.
+class GammaScheme(namedtuple("GammaScheme", "k d sigma gamma weights target")):
+    """The d / sigma / gamma data behind one h(z)_k construction, all exact.
 
-    ``d`` holds d_1..d_{k-2} (empty at k = 2) and ``gammas`` the ladder
-    values gamma_0..gamma_{k-2} derived from them. ``sigma`` is the shared
-    even-index coefficient of the k >= 6 recipe (zero for smaller k, where
-    the defining coefficient lives in ``d`` directly). ``weights`` are the
-    convex-combination weights of h(z)_k, the constant kernel's first, and
-    ``target`` is the ladder target at the defining order m = k-1 (see
-    `hk_schemes`).
+    ``d`` holds d_1..d_{k-2} (empty at k = 2) and ``gamma`` the ladder value
+    gamma_{k-2} derived from them, at the defining order m = k-1. ``sigma``
+    is the shared even-index coefficient of the k >= 6 recipe (zero for
+    smaller k, where the defining coefficient lives in ``d`` directly).
+    ``weights`` are the convex-combination weights of h(z)_k, the constant
+    kernel's first, and ``target`` is the ladder target at the defining
+    order (see `hk_schemes`); the identity holds when ``gamma == target``.
     """
 
     __slots__ = ()
@@ -171,7 +162,7 @@ def hk_weight_row(k_max: int, alpha) -> list:
     return row
 
 
-def hk_schemes(k_max: int, alpha, *, backend: Backend) -> list:
+def hk_schemes(k_max: int, alpha) -> list:
     """The GammaSchemes of the Caratheodory functions h(z)_k for k = 2..k_max.
 
     Each h is an explicit convex combination of kernels, chosen so that the
@@ -198,22 +189,21 @@ def hk_schemes(k_max: int, alpha, *, backend: Backend) -> list:
 
     d_1..d_{k-2} are formed from the weights alone. The kernels past the
     constant have disjoint supports, so each d is one weight times 2s, -1
-    or 2 (exact in floating point too), or zero; the zero d's are the one
-    object ``alpha * 0``, whose terms `gamma_ladder` skips. P is convex, so
-    h is in P exactly when the weights lie in the simplex, which
-    ``harness.run_hk_audit`` certifies exactly.
+    or 2, or zero; the zero d's are the one object ``alpha * 0``, whose
+    terms `gamma_value` skips. P is convex, so h is in P exactly when the
+    weights lie in the simplex, which ``harness.run_hk_audit`` certifies.
 
     The sign-dependent kernel for k in {4, 5} covers both sides of the
     alpha where the defining coefficient changes sign with one formula (the
     two convex combinations it specializes to differ beyond the defining
     coefficient only in the sign pattern of the higher kernel powers).
-    Requires alpha > 1; exact on the rational backend, and the ladder halves
-    in the backend's scalars, so a float scheme holds floats only.
+    Requires alpha > 1. Every scheme is exact: the construction runs on
+    ``Fraction(alpha)``, so a float alpha is taken at the binary fraction it
+    stores.
     """
-    alpha = backend.scalar(alpha)
+    alpha = Fraction(alpha)
     recipes = hk_weight_row(k_max, alpha)
     targets = gamma_target_row(k_max - 1, alpha)
-    half = backend.scalar(_HALF)
     zero = alpha * 0
     schemes = []
     for k, (weights, sigma, sign), target in zip(range(2, k_max + 1), recipes, targets):
@@ -226,34 +216,9 @@ def hk_schemes(k_max: int, alpha, *, backend: Backend) -> list:
             for j in range(2, k - 1, 2):
                 d[j - 1] = even
         d = tuple(d)
-        gammas = tuple(gamma_ladder(d, k - 2, half, zero))
-        schemes.append(GammaScheme(k=k, alpha=alpha, d=d, sigma=sigma, gammas=gammas, weights=weights,
-                                   target=target))
+        schemes.append(GammaScheme(k=k, d=d, sigma=sigma, gamma=gamma_value(d, k - 2, _HALF, zero),
+                                   weights=weights, target=target))
     return schemes
-
-
-def check_gamma_identity(scheme: GammaScheme) -> bool:
-    """True when the ladder meets its target at the pinned orders.
-
-    The d-choices for index k are solved from the identity at the defining
-    order m = k-1 (plus the vacuous m = 1), and for k >= 4 those are the
-    only orders the identity can hold at: the same d's feed every lower
-    order, and e.g. k = 4 gives gamma_1 = 1/2 against an m = 2 target of
-    (alpha-1)/(2 alpha), unequal for every alpha. So this checks m = k-1
-    against ``scheme.target`` and m = 1 against its target 1, exactly on
-    Fraction data and within `IDENTITY_TOL` otherwise.
-    """
-    exact = isinstance(scheme.alpha, Fraction)
-    pinned = [(scheme.gammas[-1], scheme.target)]
-    if scheme.k > 2:
-        pinned.append((scheme.gammas[0], 1))
-    for value, want in pinned:
-        if exact:
-            if value != want:
-                return False
-        elif abs(complex(value - want)) > IDENTITY_TOL:
-            return False
-    return True
 
 
 def recipe_even_constant(k: int) -> Fraction:

@@ -40,7 +40,7 @@ An entry that *is* the caller's ``zero`` object (a structural zero, as in
 the sparse extremal series 1 + 2 z^(k-1) of ``harness.run_extremal_suite``)
 is known to vanish: ``real_power_coefficients`` skips its terms, and the
 transform and the shift of `caratheodory` pass it through unchanged
-(`schemes.gamma_ladder` skips the d's of `schemes.hk_schemes` the same way). On
+(`schemes.gamma_value` skips the d's of `schemes.hk_schemes` the same way). On
 finite values a skipped term is an exact zero, and adding one to an
 accumulator that started at +0 changes none of its bits, so the result is
 the dense recurrence's bit for bit. A computed zero or a numpy column is
@@ -122,7 +122,7 @@ class TruncatedSeries:
             if not coeffs:
                 raise ValueError("empty coefficient list needs an explicit order")
             order = len(coeffs) - 1
-        if not isinstance(order, int) or order < 0:
+        if not isinstance(order, int) or isinstance(order, bool) or order < 0:
             raise ValueError(f"order must be a non-negative integer, got {order!r}")
         coeffs = coeffs[: order + 1]
         coeffs += [backend.zero] * (order + 1 - len(coeffs))

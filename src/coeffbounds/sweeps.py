@@ -11,7 +11,7 @@ them to the library's own coefficient kernels (the atom series,
 Nehari sum), so the scalar commands and the sweeps run one implementation
 of every recurrence. The gamma ladder of h is the atom series too: since
 each drawn row's weights sum to 1.0 exactly, the binomial sums of
-`schemes.gamma_ladder` collapse to gamma_m = sum_j w_j ((1 + x_j) / 2)^m
+`schemes.gamma_value` collapse to gamma_m = sum_j w_j ((1 + x_j) / 2)^m
 (`_ladder`). Besides the stream keys, this module adds only the claimed
 Nehari bound, the kernels, which return |c_k| as ``(trials, k)`` arrays,
 and one sweep loop with its blocks and summary.
@@ -315,10 +315,10 @@ def _ladder(atoms, m_max: int) -> list:
     """Columns gamma_0, ..., gamma_m_max of the gamma ladder of each trial's atoms.
 
     With d_mu = 2 sum_j w_j x_j^mu and sum_j w_j = 1 (every drawn row sums
-    to 1.0 exactly), the binomial theorem turns the ladder of
-    `schemes.gamma_ladder` into gamma_m = sum_j w_j ((1 + x_j) / 2)^m: the
+    to 1.0 exactly), the binomial theorem turns each order of the ladder,
+    `schemes.gamma_value`, into gamma_m = sum_j w_j ((1 + x_j) / 2)^m: the
     atom series of the weights w_j / 2 on the points (1 + x_j) / 2. gamma_0
-    is the float 1.0, as in `schemes.gamma_ladder`, so the m = 1 weight of
+    is the float 1.0, as in `schemes.gamma_value`, so the m = 1 weight of
     the Nehari sum stays a float column. The halved columns die on return,
     before the series of p and q exist (`nehari_magnitudes`).
     """

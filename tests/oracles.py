@@ -37,9 +37,8 @@ Horner loop).
   of h(z)_k read it. The library samples no circle.
 - ``hk_coefficients`` expands h(z)_k as the weighted sum of its kernels,
   each kernel written out term by term. `hk_schemes` forms only
-  d_1..d_(k-2) straight from the weights, so they must equal coefficients
-  1..k-2 of this sum: bit for bit on floats, as fractions on the rational
-  backend.
+  d_1..d_(k-2) straight from the exact weights, so they must equal
+  coefficients 1..k-2 of this sum at the exact value of alpha.
 - ``hk_weights`` and ``gamma_target`` are the weights of h(z)_k and the
   ladder target at one index, each forming its own running product from
   alpha^0. The library's rows (`hk_weight_row`, `gamma_target_row`) carry
@@ -52,6 +51,9 @@ Horner loop).
   against alpha; the library compares the integer ratio of alpha instead.
 - ``sharp_bound_formula`` is the sharp bound at one index, formed whole;
   the library's row forms the head 2 (1-beta) alpha^(n-1) once per point.
+- ``gamma_ladder`` is the whole ladder gamma_0..gamma_m_max, one
+  `schemes.gamma_value` call per order; the library forms only the order it
+  reads.
 - ``scheme_etas`` forms the transformed ladder weights
   eta_m = (1-beta) alpha^n gamma_m / (alpha+m)^n of one `GammaScheme`.
 - The ``*_parent`` functions are the coefficient kernels and the uniforms
@@ -92,7 +94,7 @@ from coeffbounds import (
 from coeffbounds.bounds import Region
 from coeffbounds._rational import RationalComplex
 from coeffbounds.caratheodory import MAX_ATOMS, half_hadamard_coefficients, trial_atoms
-from coeffbounds.schemes import gamma_ladder, hk_weight_row, nehari_coefficients
+from coeffbounds.schemes import gamma_value, hk_weight_row, nehari_coefficients
 from coeffbounds.series import cauchy_coefficients, real_power_coefficients
 
 
@@ -227,6 +229,11 @@ def f_from_p_by_wrappers(p, params: ClassParams, order: int) -> TruncatedSeries:
     g = shift_list(transform_list(q.coeffs[:order], alpha, params.n), backend.scalar(params.beta))
     u = real_power_coefficients(g, 1 / alpha, backend.one, backend.zero)
     return TruncatedSeries([backend.zero, *u], order, backend=backend)
+
+
+def gamma_ladder(ds, m_max: int, half, zero) -> list:
+    """gamma_0..gamma_m_max of coefficients ds, each order by `schemes.gamma_value`."""
+    return [gamma_value(ds, m, half, zero) for m in range(m_max + 1)]
 
 
 def dominance_margins_scalar(atoms, n: int, alpha, beta, k_max: int):
@@ -403,10 +410,10 @@ def small_alpha_bound_full(params: ClassParams, k: int):
     return total
 
 
-def scheme_etas(scheme, n: int, beta) -> tuple:
+def scheme_etas(scheme, alpha, n: int, beta) -> tuple:
     """eta_m = (1-beta) alpha^n gamma_m / (alpha+m)^n for m = 0..k-2; eta_0 is 1-beta."""
-    alpha = scheme.alpha
-    return tuple((1 - beta) * alpha**n * g / (alpha + m) ** n for m, g in enumerate(scheme.gammas))
+    gammas = gamma_ladder(scheme.d, scheme.k - 2, Fraction(1, 2), None)
+    return tuple((1 - beta) * alpha**n * g / (alpha + m) ** n for m, g in enumerate(gammas))
 
 
 # -- the kernels without in-place updates ---------------------------------------

@@ -5,6 +5,7 @@ import importlib
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import namedtuple
@@ -57,6 +58,7 @@ REMOVED_EXPORTS = (
     "nehari_series",
     "gammas_from_coefficients",
     "get_doc_backend",
+    "check_gamma_identity",
 )
 
 
@@ -126,6 +128,10 @@ def test_removed_name_is_not_exported(name):
         (harness, "DEFAULT_RADIUS"),
         (harness, "DEFAULT_SAMPLES"),
         (schemes, "gamma_identity_residuals"),
+        *((schemes, name) for name in ("check_gamma_identity", "IDENTITY_TOL", "gamma_ladder")),
+        (GammaScheme, "alpha"),
+        (GammaScheme, "gammas"),
+        (harness, "hk_weight_row"),
         *((schemes, name) for name in ("build_hk", "hk_weights", "gamma_target", "gamma_identity_row",
                                        "_running_products")),
         (bounds, "sharp_bounds"),
@@ -176,9 +182,7 @@ def test_backend_constants_are_shared():
         (harness.run_random_suite, "backend"),
         (harness.run_nehari_suite, "backend"),
         (harness.run_expand, "backend"),
-        (schemes.check_gamma_identity, "alpha"),
-        (schemes.check_gamma_identity, "tol"),
-        (schemes.check_gamma_identity, "targets"),
+        (schemes.hk_schemes, "backend"),
         (schemes.hk_schemes, "order"),
         (schemes.hk_schemes, "recipe"),
         (schemes.hk_weight_row, "product"),
@@ -421,6 +425,40 @@ def test_unused_import_scan_sees_an_unused_name():
     assert _unused_imports(tree) == ["cmath"]
 
 
+#: A backticked ``module.name``, as README.md and the docstrings cite the package.
+_REFERENCE = re.compile(r"`+(\w+)\.(\w+)")
+_MODULES = sorted(path.stem for path in PACKAGE_DIR.glob("*.py") if path.stem != "__init__")
+
+
+def _unresolved_references(where: str, text: str) -> list:
+    """``where: module.name`` for each backticked reference to a package module that lacks the name."""
+    return [
+        f"{where}: {module}.{name}" for module, name in _REFERENCE.findall(text)
+        if module in _MODULES and not hasattr(importlib.import_module(f"coeffbounds.{module}"), name)
+    ]
+
+
+def _docstrings(path: Path):
+    """(where, docstring) of the module, each class and each function of one source file."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            doc = ast.get_docstring(node, clean=False)
+            if doc:
+                yield f"{path.name}:{getattr(node, 'name', '<module>')}", doc
+
+
+def test_docs_cite_only_names_that_exist():
+    readme = Path(__file__).parents[1] / "README.md"
+    texts = [("README.md", readme.read_text(encoding="utf-8"))]
+    texts += [item for path in sorted(PACKAGE_DIR.glob("*.py")) for item in _docstrings(path)]
+    assert [ref for where, text in texts for ref in _unresolved_references(where, text)] == []
+
+
+def test_reference_scan_sees_a_missing_name():
+    text = "see ``schemes.gamma_value``, `harness.run_hk_audit(alphas)` and `schemes.no_such_name`; `x.y` is no module"
+    assert _unresolved_references("t", text) == ["t: schemes.no_such_name"]
+
+
 def _unread_parameters(tree: ast.Module, prefix: str) -> list:
     """Qualified ``function:parameter`` for each parameter that its function body never reads.
 
@@ -611,7 +649,7 @@ def _one_of_each_record() -> list:
         entry,
         SuiteReport(suite="extremal", point={"n": "1"}, passed=True, worst_margin=0.0,
                     witness=None, entries=(entry,), elapsed=0.25),
-        GammaScheme(k=2, alpha=2.0, d=(), sigma=0.0, gammas=(1.0,), weights=(1.0,), target=1.0),
+        GammaScheme(k=2, d=(), sigma=Fraction(0), gamma=Fraction(1), weights=(Fraction(1),), target=Fraction(1)),
         schemes.EvenConstantCheck(k=6, recomputed=Fraction(1, 3), tabulated=Fraction(1, 3), agree=True),
         GridSpec(n_values=(1,), alpha_values=(2.0,), beta_values=(0.0,), k_max=4, trials=8, seed=3),
         sweeps.SweepOutcome(stream_keys={"p": 7}, worst_trial=0, worst_k=2, worst_margin=0.5,

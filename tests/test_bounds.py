@@ -338,6 +338,22 @@ class TestGrowthEstimate:
             growth_estimate(Fraction(-(10**400)), 3)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda flag: TruncatedSeries([1, 2, 3], order=flag),
+        lambda flag: f_from_p(extremal_p(2), ClassParams(1, 2.0, 0.0), flag),
+        lambda flag: growth_estimate(2.0, flag),
+    ],
+    ids=["series-order", "f_from_p-order", "growth_estimate-index"],
+)
+@pytest.mark.parametrize("flag", [True, False])
+def test_bool_is_not_an_order_or_index(call, flag):
+    # True == 1 and False == 0, but a bool is neither an order nor an index
+    with pytest.raises(ValueError):
+        call(flag)
+
+
 class TestReconstruction:
     def test_constant_generator_gives_identity(self):
         params = ClassParams(2, 1.5, 0.25)

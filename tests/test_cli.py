@@ -9,6 +9,7 @@ import os
 import signal
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from coeffbounds import SmallAlphaBound, TruncatedSeries, bounds, cli, extremal_p, harness, run_expand
 from coeffbounds.harness import BOUNDS_COLUMNS, UsageError
-from coeffbounds.reports import SUITE_COLUMNS, json_text
+from coeffbounds.reports import SUITE_COLUMNS, fmt_float, json_text
 
 SMALL = ["--n", "1", "--alpha", "2", "--beta", "0", "--kmax", "6"]
 
@@ -134,6 +135,9 @@ class TestOversizedExactParameters:
             ["verify", "extremal", "--backend", "rational", "--beta", "1e-20"],
             # a 64-bit alpha passes, but its k = 30 bounds pass the interpreter's digit limit
             ["bounds", "--backend", "rational", "--n", "3", "--alpha", "1/18446744073709551615", "--kmax", "30"],
+            # and its h_k constructions at k_max 256, whose ladder is formed at one order per k
+            ["verify", "hk", "--backend", "rational", "--alpha", "18446744073709551615/18446744073709551614",
+             "--kmax", "256"],
         ],
         ids=" ".join,
     )
@@ -517,6 +521,23 @@ class TestVerifyOutput:
         assert code == 0
         assert "section=even-constants" in err
         assert "digit slip" in out
+
+    @pytest.mark.parametrize("token", harness.DEFAULT_ALPHA_TOKENS)
+    def test_float_hk_rows_are_the_exact_rows_rounded(self, token, capsys):
+        # float verify hk at a stock alpha is rational verify hk at the fraction the float
+        # stores, with each value cell printed as the float nearest its exact value
+        exact = Fraction(float(token))
+        float_run = run(["verify", "hk", "--alpha", token], capsys)
+        exact_run = run(["verify", "hk", "--backend", "rational", "--alpha", str(exact)], capsys)
+        assert float_run[0] == exact_run[0] == 0
+        float_rows, exact_rows = (list(csv.DictReader(io.StringIO(out))) for _, out, _ in (float_run, exact_run))
+        construction = [row for row in exact_rows if row["alpha"] and not row["n"]]
+        assert len(construction) == 3 * (harness.DEFAULT_K_MAX - 1)
+        cells = ("alpha", "observed", "reference", "margin")
+        rounded = [{**row, **{cell: fmt_float(Fraction(row[cell])) for cell in cells}} for row in construction]
+        assert [row for row in float_rows if row["alpha"] and not row["n"]] == rounded
+        # the even-constant rows print the same on either backend
+        assert [row for row in float_rows if not row["alpha"]] == [row for row in exact_rows if not row["alpha"]]
 
     @pytest.mark.parametrize(
         "flags",
@@ -958,10 +979,10 @@ _REGION_EDGES = ["--alpha", "1/10", "--alpha", "1/3", "--alpha", "2/3", "--alpha
 @pytest.mark.parametrize(
     "argv, doc, digest",
     [
-        (["verify", "hk"], None, "9654f25262f3569f8d62014334a5d4241af47e4eb88acbab1c96097c9647940d"),
+        (["verify", "hk"], None, "6fc0cee95673a50d62f99a1f3082ca5faa47aa6b20c276e751a68312b4638a66"),
         (["verify", "hk", "--backend", "rational"], None,
          "b4bdd854862121c4fbf767c9bc73a814630ca71257f2d16f7458928a3c8dd81d"),
-        (["verify", "hk", *_HK_WIDE], None, "3fb31dfd4bd40bd2aa9e6b61a6d4620f1f3d8464461472feb32414cda826d505"),
+        (["verify", "hk", *_HK_WIDE], None, "87e249be3bf0b3ce6c512c0ec00e00f0061f66d6c03b486b58f6018e36909ccd"),
         (["verify", "hk", *_HK_WIDE, "--backend", "rational"], None,
          "671d23d78252ecbfcffd9318ccc436b6a9b657252e27cdc4bdad1c683468952c"),
         (["verify", "extremal"], None, "1bf90081c9d5a6115f044c0321baae6bd9e82c471a3891e6dcb951da50f579f7"),

@@ -36,7 +36,7 @@ from coeffbounds import (
 from coeffbounds.bounds import SLACK, ClassParams, f_from_p, sharp_bound_rows
 from coeffbounds.harness import DEFAULT_K_MAX
 from coeffbounds.reports import fmt_float
-from oracles import dominance_margins_scalar, gamma_target, nehari_margins_scalar
+from oracles import dominance_margins_scalar, gamma_ladder, gamma_target, nehari_margins_scalar
 from coeffbounds.caratheodory import HerglotzAtoms, trial_atoms
 
 
@@ -348,20 +348,41 @@ class TestHkAudit:
         with pytest.raises(UsageError, match="alpha value 3/2 is given more than once"):
             run_hk_audit((Fraction(3, 2), Fraction(2), Fraction(6, 4)), k_max=4, backend=RATIONAL)
 
-    def test_float_audit_builds_nothing_exactly(self, monkeypatch, capsys):
-        # the exact verdict comes from a weight row at Fraction(alpha), not from a
-        # rational build, and each float scheme is built from float weights
-        builds = []
-        original = harness.hk_schemes
+    def test_float_audit_builds_each_scheme_once_exactly(self, monkeypatch, capsys):
+        # one build per alpha, in Fractions at the binary value of the float alpha,
+        # from one weight row: the float audit has no second, float path
+        builds, weight_rows = [], []
+        original, row = harness.hk_schemes, schemes.hk_weight_row
 
-        def recording(k_max, alpha, *, backend):
-            built = original(k_max, alpha, backend=backend)
-            builds.extend((backend, {type(w) for w in scheme.weights}) for scheme in built)
+        def recording(k_max, alpha):
+            built = original(k_max, alpha)
+            builds.extend({type(w) for w in scheme.weights} for scheme in built)
             return built
 
         monkeypatch.setattr(harness, "hk_schemes", recording)
+        monkeypatch.setattr(schemes, "hk_weight_row",
+                            lambda k_max, alpha: weight_rows.append(alpha) or row(k_max, alpha))
         assert cli.main(["verify", "hk"]) == 0
-        assert builds == [(FLOAT, {float})] * (6 * (DEFAULT_K_MAX - 1))
+        assert builds == [{Fraction}] * (6 * (DEFAULT_K_MAX - 1))
+        assert weight_rows == [Fraction(float(token)) for token in harness.DEFAULT_ALPHA_TOKENS]
+
+    def test_float_audit_fails_a_target_off_by_two_to_the_minus_60(self, monkeypatch, capsys):
+        # a negative control far below any float tolerance: the target of k = 6 (m = 5)
+        # moved by a relative 2^-60 breaks the exact identity on the float backend too
+        row = schemes.gamma_target_row
+
+        def nudged(m_max, alpha):
+            targets = row(m_max, alpha)
+            targets[4] *= 1 + Fraction(1, 2**60)
+            return targets
+
+        monkeypatch.setattr(schemes, "gamma_target_row", nudged)
+        reports = run_hk_audit((2.0,), k_max=8)
+        rows = [e for e in reports[0].entries if e.case.startswith("gamma identity")]
+        assert [(e.k, e.status) for e in rows if e.status != "pass"] == [("6", "fail")]
+        assert float(rows[4].margin) > 0
+        assert not reports[0].passed
+        assert cli.main(["verify", "hk", "--alpha", "2", "--kmax", "8"]) == 1
 
     @pytest.mark.parametrize("backend", [FLOAT, RATIONAL], ids=lambda b: b.name)
     def test_convex_weight_rows_are_exact(self, backend):
@@ -370,7 +391,7 @@ class TestHkAudit:
         for alpha, report in zip(alphas, reports):
             rows = [e for e in report.entries if e.case == "convex weights of the construction"]
             assert [e.k for e in rows] == [str(k) for k in range(2, DEFAULT_K_MAX + 1)]
-            exact_schemes = hk_schemes(DEFAULT_K_MAX, Fraction(alpha), backend=RATIONAL)
+            exact_schemes = hk_schemes(DEFAULT_K_MAX, Fraction(alpha))
             for row, exact in zip(rows, exact_schemes, strict=True):
                 # the weights of the construction at the exact value of alpha, never rounded
                 assert sum(exact.weights) == 1
@@ -382,8 +403,7 @@ class TestHkAudit:
 
     def test_weights_outside_the_simplex_fail(self, monkeypatch, capsys):
         # a negative control: scale the non-constant part of h_3 by 6/5, giving weights (6/5, -1/5),
-        # where the weights are formed: in the weight rows, which build the schemes and,
-        # on the float backend, the exact weights at Fraction(alpha)
+        # where the weights are formed: in the weight row, which builds the schemes of both backends
         original = schemes.hk_weight_row
 
         def leaving_the_simplex(k_max, alpha):
@@ -393,7 +413,6 @@ class TestHkAudit:
             return row
 
         monkeypatch.setattr(schemes, "hk_weight_row", leaving_the_simplex)
-        monkeypatch.setattr(harness, "hk_weight_row", leaving_the_simplex)
         for backend in (FLOAT, RATIONAL):
             reports = run_hk_audit((backend.scalar(2),), k_max=4, backend=backend)
             rows = [e for e in reports[0].entries if e.case == "convex weights of the construction"]
@@ -410,10 +429,11 @@ class TestHkAudit:
         for alpha, report in zip(alphas, reports):
             entries = [e for e in report.entries if e.case.startswith("gamma identity")]
             assert [e.k for e in entries] == [str(k) for k in range(2, DEFAULT_K_MAX + 1)]
-            built = hk_schemes(DEFAULT_K_MAX, alpha, backend=backend)
+            built = hk_schemes(DEFAULT_K_MAX, alpha)
             for k, entry, scheme in zip(range(2, DEFAULT_K_MAX + 1), entries, built, strict=True):
                 # the last of the per-order rows (m, ladder value, one-index target, residual)
-                rows = [(m, scheme.gammas[m - 1], gamma_target(m, scheme.alpha)) for m in range(1, k)]
+                gammas = gamma_ladder(scheme.d, k - 2, Fraction(1, 2), None)
+                rows = [(m, gammas[m - 1], gamma_target(m, Fraction(alpha))) for m in range(1, k)]
                 m, value, target = rows[-1]
                 residual = abs(complex(value - target))
                 assert entry.case == f"gamma identity at defining order m={m}"
@@ -428,23 +448,22 @@ class TestHkAudit:
         orders = []
         original = harness.hk_schemes
 
-        def recording(k_max, alpha, *, backend):
-            built = []
-            for scheme in original(k_max, alpha, backend=backend):
-                # the target is the one-index value at the defining order m = k - 1
+        def recording(k_max, alpha):
+            built = original(k_max, alpha)
+            for scheme in built:
+                # the target is the one-index value at the defining order m = k - 1, and the
+                # scheme holds the one ladder value there: the last of the whole ladder
                 m = scheme.k - 1
-                orders.append((scheme.k, m, scheme.target == gamma_target(m, scheme.alpha)))
-                # and no ladder value between gamma_0 and the defining order is read
-                unread = (None,) * max(scheme.k - 3, 0)
-                gammas = (scheme.gammas[0], *unread, scheme.gammas[-1]) if scheme.k > 2 else scheme.gammas
-                built.append(scheme._replace(gammas=gammas))
+                ladder = gamma_ladder(scheme.d, m - 1, Fraction(1, 2), None)
+                orders.append((scheme.k, m, scheme.target == gamma_target(m, Fraction(alpha)),
+                               scheme.gamma == ladder[-1]))
             return built
 
         monkeypatch.setattr(harness, "hk_schemes", recording)
         reports = run_hk_audit(default_grid(backend).alpha_values, backend=backend)
         assert len(reports) == 6 + 2
         assert all(r.passed for r in reports)
-        assert orders == [(k, k - 1, True) for k in range(2, DEFAULT_K_MAX + 1)] * 6
+        assert orders == [(k, k - 1, True, True) for k in range(2, DEFAULT_K_MAX + 1)] * 6
 
 
 class TestVerdictRule:

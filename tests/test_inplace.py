@@ -27,7 +27,7 @@ from coeffbounds.caratheodory import (
     transform_coefficients,
     trial_atoms,
 )
-from coeffbounds.schemes import gamma_ladder, nehari_coefficients
+from coeffbounds.schemes import nehari_coefficients
 from coeffbounds.series import cauchy_coefficients, real_power_coefficients
 from coeffbounds.sweeps import _columns, _ladder
 from oracles import (
@@ -36,6 +36,7 @@ from oracles import (
     cauchy_coefficients_parent,
     columns_parent,
     draw_atoms_exact,
+    gamma_ladder,
     gamma_ladder_parent,
     nehari_coefficients_parent,
     real_power_coefficients_parent,

@@ -8,7 +8,7 @@ gamma ladder forms no term for a d that is the caller's zero, and the
 Nehari sum forms (1 - beta) alpha^n once, subtracts the even weighted tails
 and negates nothing. The h(z)_k audit runs on ``Tally`` scalars, reals
 that log the same way, and forms one running product of weight factors and
-one of target factors per alpha and scalar type.
+one of target factors per alpha, in Fractions on either backend.
 """
 
 from collections import Counter
@@ -17,8 +17,9 @@ from fractions import Fraction
 from coeffbounds import FLOAT, RATIONAL, harness, schemes
 from coeffbounds.caratheodory import atom_coefficients
 from coeffbounds.harness import run_hk_audit
-from coeffbounds.schemes import gamma_ladder, nehari_coefficients
+from coeffbounds.schemes import gamma_value, nehari_coefficients
 from coeffbounds.series import cauchy_coefficients
+from oracles import gamma_ladder
 
 _MUL = ("__mul__", "__rmul__")
 _ADD = ("__add__", "__radd__")
@@ -181,14 +182,13 @@ def running_product_factors() -> Counter:
 def test_hk_audit_forms_one_running_product_per_row(monkeypatch):
     ladders = []
 
-    def recording(ds, m_max, half, zero):
-        ladders.append({type(half), *map(type, ds)})
-        return gamma_ladder(ds, m_max, half, zero)
+    def recording(ds, m, half, zero):
+        ladders.append((m, {type(half), *map(type, ds)}))
+        return gamma_value(ds, m, half, zero)
 
-    monkeypatch.setattr(schemes, "gamma_ladder", recording)
-    # the audit reads its alpha through the backend's scalar and the exact weights of the
-    # float audit through Fraction(alpha); both keep a tallied alpha tallied
-    monkeypatch.setattr(harness, "Fraction", Tally)
+    monkeypatch.setattr(schemes, "gamma_value", recording)
+    # the schemes build on Fraction(alpha), which keeps a tallied alpha tallied
+    monkeypatch.setattr(schemes, "Fraction", Tally)
     runs = ((FLOAT, FloatTally, (2.0, 3.5)), (RATIONAL, Tally, (Fraction(2), Fraction(7, 2))))
     for backend, tally, alphas in runs:
         scalar = backend.scalar
@@ -199,11 +199,9 @@ def test_hk_audit_forms_one_running_product_per_row(monkeypatch):
             ladders.clear()
             assert run_hk_audit((tally(alpha),), 12, backend)[0].passed
             # k_max - 2 = 10 factors per row, where one product per k formed 4 + 5 + ... + 10 = 49
-            # weight factors and one per defining order 0 + 1 + ... + 10 = 55 target factors
-            want = {("__truediv__", tally): 10, ("__sub__", tally): 10}
-            if backend is FLOAT:
-                want["__truediv__", Tally] = 10  # the exact weights of the membership verdict
-            assert running_product_factors() == want, alpha
-            assert len(ladders) == 11
-            if backend is FLOAT:
-                assert not [types for types in ladders if any(issubclass(t, Fraction) for t in types)]
+            # weight factors and one per defining order 0 + 1 + ... + 10 = 55 target factors;
+            # both backends build once, in Fractions
+            assert running_product_factors() == {("__truediv__", Tally): 10, ("__sub__", Tally): 10}, alpha
+            # one ladder value per k = 2..12, at its defining order m = k - 1 (gamma_(k-2))
+            assert [m for m, _ in ladders] == list(range(11))
+            assert all(issubclass(t, Fraction) for _, types in ladders for t in types)

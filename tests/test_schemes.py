@@ -13,7 +13,6 @@ from coeffbounds import (
     RATIONAL,
     ClassParams,
     TruncatedSeries,
-    check_gamma_identity,
     compare_even_constants,
     default_grid,
     gamma_target_row,
@@ -27,9 +26,10 @@ from coeffbounds.caratheodory import (
     draw_atoms,
     half_hadamard_coefficients,
 )
-from coeffbounds.schemes import gamma_ladder, nehari_coefficients
+from coeffbounds.schemes import gamma_value, nehari_coefficients
 from oracles import (
     draw_atoms_exact,
+    gamma_ladder,
     gamma_target,
     hk_coefficients,
     hk_weights,
@@ -42,9 +42,9 @@ from oracles import (
 HALF = Fraction(1, 2)
 
 
-def scheme_of(k, alpha, backend=FLOAT):
+def scheme_of(k, alpha):
     """The GammaScheme of h(z)_k: the last of `hk_schemes` through k."""
-    return hk_schemes(k, alpha, backend=backend)[-1]
+    return hk_schemes(k, alpha)[-1]
 
 
 def nehari(h, G, params, order):
@@ -108,20 +108,19 @@ class TestGammaLadder:
 
 class TestBuildHk:
     def test_k2_is_constant_one(self):
-        scheme = scheme_of(2, Fraction(3, 2), RATIONAL)
+        scheme = scheme_of(2, Fraction(3, 2))
         assert hk_coefficients(2, Fraction(3, 2), 6) == [1] + [0] * 6
         assert scheme.d == ()
-        assert scheme.gammas == (Fraction(1),)
-        assert check_gamma_identity(scheme)
+        assert scheme.gamma == scheme.target == 1
 
     def test_k3_alternating_series(self):
-        scheme = scheme_of(3, Fraction(2), RATIONAL)
+        scheme = scheme_of(3, Fraction(2))
         assert scheme.d == (Fraction(-1),)
         assert hk_coefficients(3, Fraction(2), 6) == [Fraction((-1) ** j) for j in range(7)]
-        assert check_gamma_identity(scheme)
+        assert scheme.gamma == scheme.target
 
     def test_k4_defining_coefficient(self):
-        scheme = scheme_of(4, Fraction(2), RATIONAL)
+        scheme = scheme_of(4, Fraction(2))
         h = hk_coefficients(4, Fraction(2), 8)
         # 2(alpha^2 - 6 alpha + 2)/(3 alpha^2) at alpha=2 is -1
         assert scheme.d == (Fraction(0), Fraction(-1))
@@ -129,37 +128,36 @@ class TestBuildHk:
         assert h[2] == -1
         assert h[4] == 1  # sign alternates with s = -1
         assert h[3] == 0
-        assert check_gamma_identity(scheme)
+        assert scheme.gamma == scheme.target
 
     def test_k5_defining_coefficient(self):
-        scheme = scheme_of(5, Fraction(2), RATIONAL)
+        scheme = scheme_of(5, Fraction(2))
         h = hk_coefficients(5, Fraction(2), 9)
         assert scheme.d == (Fraction(0), Fraction(0), Fraction(-3, 4))
         assert h[3] == Fraction(-3, 4)
         assert h[6] == Fraction(3, 4)
-        assert check_gamma_identity(scheme)
+        assert scheme.gamma == scheme.target
 
     def test_k6_recipe(self):
-        scheme = scheme_of(6, Fraction(2), RATIONAL)
+        scheme = scheme_of(6, Fraction(2))
         h = hk_coefficients(6, Fraction(2), 16)
         assert scheme.sigma == Fraction(1, 4)
         assert h[1] == Fraction(-1, 2)
         for j in range(2, 17):
             assert h[j] == (Fraction(1, 4) if j % 2 == 0 else 0)
         assert scheme.d == (Fraction(-1, 2), Fraction(1, 4), Fraction(0), Fraction(1, 4))
-        assert check_gamma_identity(scheme)
+        assert scheme.gamma == scheme.target
 
     @pytest.mark.parametrize("k", range(2, 13))
     @pytest.mark.parametrize("alpha", [Fraction(11, 10), Fraction(3, 2), Fraction(2), Fraction(10)])
     def test_identity_exact_across_grid(self, k, alpha):
-        scheme = scheme_of(k, alpha, RATIONAL)
-        assert check_gamma_identity(scheme)
-        assert scheme.gammas[k - 2] == scheme.target == gamma_target(k - 1, alpha)
+        scheme = scheme_of(k, alpha)
+        assert scheme.gamma == scheme.target == gamma_target(k - 1, alpha)
 
     @pytest.mark.parametrize("k", range(2, 13))
     def test_coefficients_bounded_by_two(self, k):
         for alpha in (Fraction(11, 10), Fraction(2), Fraction(100)):
-            scheme = scheme_of(k, alpha, RATIONAL)
+            scheme = scheme_of(k, alpha)
             assert all(abs(d) <= 2 for d in scheme.d)
 
     @pytest.mark.parametrize("k", range(2, 13))
@@ -168,7 +166,7 @@ class TestBuildHk:
         # the weights and the coefficients of the kernel sum against the closed forms of hk_schemes
         order = 16
         h = hk_coefficients(k, alpha, order)
-        scheme = scheme_of(k, alpha, RATIONAL)
+        scheme = scheme_of(k, alpha)
         if k == 2:
             weights, want = [1], [0] * order
         elif k == 3:
@@ -195,7 +193,7 @@ class TestBuildHk:
     def test_float_weights_track_exact_weights(self, alpha):
         for k in range(2, 13):
             sf = scheme_of(k, FLOAT.scalar(alpha))
-            sr = scheme_of(k, RATIONAL.scalar(alpha), RATIONAL)
+            sr = scheme_of(k, RATIONAL.scalar(alpha))
             assert len(sf.weights) == len(sr.weights)
             assert all(abs(f - float(r)) < 1e-14 for f, r in zip(sf.weights, sr.weights))
 
@@ -208,21 +206,19 @@ class TestBuildHk:
     def test_intermediate_orders_drift(self):
         # the d's are solved from the defining order; at k = 4 the m = 2 row
         # reads 1/2 against a target of (alpha-1)/(2 alpha), unequal for
-        # every alpha, which is why the identity check pins its orders
-        scheme = scheme_of(4, Fraction(2), RATIONAL)
-        targets = gamma_target_row(scheme.k - 1, scheme.alpha)
-        rows = {m: (scheme.gammas[m - 1], targets[m - 1]) for m in range(1, scheme.k)}
+        # every alpha, which is why the audit reads the defining order alone
+        scheme = scheme_of(4, Fraction(2))
+        gammas = gamma_ladder(scheme.d, scheme.k - 2, HALF, Fraction(0))
+        targets = gamma_target_row(scheme.k - 1, Fraction(2))
+        rows = {m: (gammas[m - 1], targets[m - 1]) for m in range(1, scheme.k)}
         assert rows[2][0] == Fraction(1, 2)
         assert rows[2][1] == Fraction(1, 4)
         assert rows[3][0] == rows[3][1]
 
     def test_identity_detects_perturbation(self):
-        scheme = scheme_of(5, Fraction(2), RATIONAL)
+        scheme = scheme_of(5, Fraction(2))
         bad_d = (scheme.d[0], scheme.d[1] + Fraction(1, 1000), scheme.d[2])
-        bad = scheme._replace(d=bad_d, gammas=tuple(gamma_ladder(bad_d, scheme.k - 2, HALF, Fraction(0))))
-        assert not check_gamma_identity(bad)
-        # gamma_0 is pinned to its target 1 too
-        assert not check_gamma_identity(scheme._replace(gammas=(Fraction(2), *scheme.gammas[1:])))
+        assert gamma_value(bad_d, scheme.k - 2, HALF, Fraction(0)) != scheme.target
 
     # both sides of the sign changes of d_2 (alpha = 3 + sqrt 7) and of d_3 (alpha near 3.046)
     WEIGHT_ALPHAS = ("1000001/1000000", "11/10", "3/2", "2", "3", "31/10", "4", "5", "56/10", "57/10",
@@ -231,9 +227,10 @@ class TestBuildHk:
     @pytest.mark.parametrize("backend", [FLOAT, RATIONAL], ids=lambda b: b.name)
     @pytest.mark.parametrize("alpha", WEIGHT_ALPHAS)
     def test_weights_are_the_constructions(self, backend, alpha):
+        # a float alpha builds at the binary fraction it stores
         a = backend.scalar(alpha)
-        for k, scheme in zip(range(2, 21), hk_schemes(20, a, backend=backend)):
-            weights, sigma, sign = hk_weights(k, a)
+        for k, scheme in zip(range(2, 21), hk_schemes(20, a)):
+            weights, sigma, sign = hk_weights(k, Fraction(a))
             assert list(map(repr, weights)) == list(map(repr, scheme.weights)), k
             assert repr(sigma) == repr(scheme.sigma)
             if 3 <= k <= 5:  # the sign of the defining coefficient d_(k-2)
@@ -246,13 +243,8 @@ class TestBuildHk:
     def test_d_is_the_kernel_sum(self, backend, alpha):
         # d_1..d_(k-2) formed from the weights are coefficients 1..k-2 of the weighted kernels
         a = backend.scalar(alpha)
-        for k, scheme in zip(range(2, 21), hk_schemes(20, a, backend=backend)):
-            d = scheme.d
-            want = hk_coefficients(k, a, k - 2)[1:]
-            if backend is FLOAT:
-                assert list(map(repr, d)) == list(map(repr, want)), k
-            else:
-                assert list(d) == want, k
+        for k, scheme in zip(range(2, 21), hk_schemes(20, a)):
+            assert list(scheme.d) == hk_coefficients(k, Fraction(a), k - 2)[1:], k
 
     def test_weights_validation(self):
         with pytest.raises(ValueError):
@@ -264,19 +256,19 @@ class TestBuildHk:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            hk_schemes(1, 2.0, backend=FLOAT)
+            hk_schemes(1, 2.0)
         with pytest.raises(ValueError):
-            hk_schemes(4, 1.0, backend=FLOAT)
+            hk_schemes(4, 1.0)
 
     def test_etas(self):
-        scheme = scheme_of(3, Fraction(2), RATIONAL)
-        etas = scheme_etas(scheme, 1, Fraction(0))
+        scheme = scheme_of(3, Fraction(2))
+        etas = scheme_etas(scheme, Fraction(2), 1, Fraction(0))
         assert etas[0] == 1
-        assert etas[1] == 2 * scheme.gammas[1] / 3
+        assert etas[1] == 2 * scheme.gamma / 3
 
     def test_float_matches_rational(self):
         hf, sf = hk_coefficients(7, 1.5, 12), scheme_of(7, 1.5)
-        hr, sr = hk_coefficients(7, Fraction(3, 2), 12), scheme_of(7, Fraction(3, 2), RATIONAL)
+        hr, sr = hk_coefficients(7, Fraction(3, 2), 12), scheme_of(7, Fraction(3, 2))
         for f, r in zip(hf, hr, strict=True):
             assert abs(f - float(r)) < 1e-14
         for f, r in zip(sf.d, sr.d, strict=True):
@@ -335,14 +327,15 @@ class TestRows:
             with pytest.raises(ValueError):
                 call()
 
-    def test_float_ladders_run_in_floats(self):
-        # every gamma of every stock float scheme is a float, with the bits of the exact-1/2 ladder
+    def test_float_alphas_build_at_their_exact_value(self):
+        # a stock float alpha builds the schemes of the binary fraction it stores, in Fractions,
+        # each gamma the defining-order entry of the whole ladder
         for alpha in default_grid(FLOAT).alpha_values:
-            for k, scheme in zip(range(2, 13), hk_schemes(12, alpha, backend=FLOAT)):
-                zero = next((d for d in scheme.d if d == 0), object())  # hk_schemes' structural zero
-                exact_half = gamma_ladder(scheme.d, k - 2, HALF, zero)
-                assert {type(g) for g in scheme.gammas} == {float}
-                assert [g.hex() for g in scheme.gammas] == [float(g).hex() for g in exact_half]
+            built = hk_schemes(12, alpha)
+            assert built == hk_schemes(12, Fraction(alpha))
+            for k, scheme in zip(range(2, 13), built):
+                assert {type(x) for x in (scheme.gamma, scheme.target, *scheme.d, *scheme.weights)} == {Fraction}
+                assert scheme.gamma == gamma_ladder(scheme.d, k - 2, HALF, Fraction(0))[-1] == scheme.target
 
 
 class TestEvenConstants:
@@ -357,7 +350,7 @@ class TestEvenConstants:
         # sigma should factor as c_k * prod (j alpha - 1) / alpha^(k-2)
         for k in range(6, 11):
             alpha = Fraction(7, 3)
-            scheme = scheme_of(k, alpha, RATIONAL)
+            scheme = scheme_of(k, alpha)
             prod = Fraction(1)
             for j in range(1, k - 1):
                 prod *= j * alpha - 1

@@ -38,7 +38,7 @@ from coeffbounds.caratheodory import (
     transform_coefficients,
     trial_atoms,
 )
-from coeffbounds.schemes import gamma_ladder, nehari_coefficients
+from coeffbounds.schemes import nehari_coefficients
 from coeffbounds.series import cauchy_coefficients, real_power_coefficients
 from coeffbounds.sweeps import (
     CHUNK_TRIALS,
@@ -56,6 +56,7 @@ from oracles import (
     a_k_direct,
     dominance_margins_scalar,
     draw_atoms_exact,
+    gamma_ladder,
     nehari_margins_scalar,
     random_herglotz,
 )
