@@ -4,16 +4,18 @@ Every series and atom system carries one of the two singleton backends below.
 The float backend is for the randomized sweeps and float documents; the
 rational backend gives exact equality in regression fixtures and exact
 checks (weights, transform factors, and bound formulas are all rational in
-rational inputs). Rational scalars are ``Fraction`` values, and rational
-coefficients are `_rational.RationalComplex` values, each one integer
-triple (a + b i) / d in lowest terms.
+rational inputs). Rational scalars are `_rational.Ratio` values, each a
+``fractions.Fraction`` whose arithmetic runs on its integer pair, and
+rational coefficients are `_rational.RationalComplex` values, each one
+integer triple (a + b i) / d in lowest terms. Both accept any ``Fraction``
+(or int) as an operand and return their own type.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from ._rational import RationalComplex, exact_text
+from ._rational import RationalComplex, Ratio, exact_text
 from .reports import fmt_float
 
 
@@ -37,7 +39,7 @@ class _FloatBackend(Backend):
         if isinstance(x, (int, float, Fraction)):
             return float(x)
         if isinstance(x, str):
-            return float(Fraction(x))
+            return float(Ratio(x))
         raise TypeError(f"cannot use {type(x).__name__} as a float-backend scalar")
 
     def coeff(self, re, im=0) -> complex:
@@ -53,13 +55,11 @@ class _FloatBackend(Backend):
 
 
 class _RationalBackend(Backend):
-    def scalar(self, x) -> Fraction:
+    def scalar(self, x) -> Ratio:
         if isinstance(x, bool):
             raise TypeError("bool is not a scalar")
-        if isinstance(x, (int, Fraction)):
-            return Fraction(x)
-        if isinstance(x, str):
-            return Fraction(x)
+        if isinstance(x, (int, Fraction, str)):
+            return Ratio(x)
         raise TypeError(f"cannot use {type(x).__name__} as an exact scalar")
 
     def coeff(self, re, im=0) -> RationalComplex:
@@ -71,8 +71,9 @@ class _RationalBackend(Backend):
     one = RationalComplex(1, 0)
 
     def format_scalar(self, x) -> str:
-        # a float prints neither its binary expansion nor its repr in an exact report
-        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+        # a float prints neither its binary expansion nor its repr in an exact report;
+        # the exact type test first spares a Ratio the ABC check
+        if type(x) is not Ratio and (isinstance(x, bool) or not isinstance(x, (int, Fraction))):
             raise TypeError(f"cannot format {type(x).__name__} as an exact scalar")
         return exact_text(x)
 

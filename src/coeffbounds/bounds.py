@@ -29,8 +29,8 @@ import cmath
 import enum
 import math
 from collections import namedtuple
-from fractions import Fraction
 
+from ._rational import Ratio
 from .backends import FLOAT, RATIONAL, Backend
 from .caratheodory import HerglotzAtoms, shift_coefficients, transform_coefficients
 from .series import TruncatedSeries, power_tails, real_power_coefficients
@@ -366,9 +366,9 @@ def extremal_p(k: int, *, backend: Backend = FLOAT) -> HerglotzAtoms:
     count = k - 1
     if backend is RATIONAL:
         if k == 2:
-            return HerglotzAtoms([Fraction(1)], [backend.coeff(1)], backend=RATIONAL)
+            return HerglotzAtoms([Ratio(1)], [backend.coeff(1)], backend=RATIONAL)
         if k == 3:
-            half = Fraction(1, 2)
+            half = Ratio(1, 2)
             return HerglotzAtoms(
                 [half, half], [backend.coeff(1), backend.coeff(-1)], backend=RATIONAL
             )

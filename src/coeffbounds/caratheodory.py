@@ -23,9 +23,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 
-from ._rational import RationalComplex, t_from_unimodular, unimodular_from_t
+from ._rational import RationalComplex, Ratio, t_from_unimodular, unimodular_from_t
 from .backends import FLOAT, RATIONAL, Backend, get_backend
 from .series import TruncatedSeries
 
@@ -220,7 +219,7 @@ class HerglotzAtoms:
             return {"backend": "float", "atoms": atoms}
         atoms = []
         for w, x in zip(self.weights, self.points):
-            entry = {"weight": str(Fraction(w))}
+            entry = {"weight": str(Ratio(w))}
             try:
                 entry["t"] = str(t_from_unimodular(x))
             except ValueError:
@@ -264,14 +263,14 @@ class HerglotzAtoms:
                 else:
                     raise ValueError("float atom needs 'angle_radians'")
             else:
-                weights.append(Fraction(str(entry["weight"])))
+                weights.append(Ratio(str(entry["weight"])))
                 if "t" in entry and ("x_re" in entry or "x_im" in entry):
                     raise ValueError("rational atom takes 't' or 'x_re'/'x_im', not both")
                 if "t" in entry:
-                    points.append(unimodular_from_t(Fraction(str(entry["t"]))))
+                    points.append(unimodular_from_t(Ratio(str(entry["t"]))))
                 elif "x_re" in entry and "x_im" in entry:
                     points.append(
-                        RationalComplex(Fraction(str(entry["x_re"])), Fraction(str(entry["x_im"])))
+                        RationalComplex(Ratio(str(entry["x_re"])), Ratio(str(entry["x_im"])))
                     )
                 else:
                     raise ValueError("rational atom needs 't' or 'x_re'/'x_im'")

@@ -22,6 +22,7 @@ import time
 from collections import namedtuple
 from fractions import Fraction
 
+from ._rational import Ratio
 from .backends import FLOAT, RATIONAL, Backend
 from .bounds import (
     SLACK,
@@ -386,11 +387,13 @@ def run_hk_audit(alpha_values, k_max: int = DEFAULT_K_MAX, backend: Backend = FL
     coefficient-magnitude bound |d_mu| <= 2, and the membership certificate
     h(z)_k in P: the class is convex, so h is a member exactly when the
     weights of its convex combination of kernels lie in the simplex (every
-    weight >= 0, sum 1). Each alpha builds its schemes for every k at once,
-    in Fractions (`schemes.hk_schemes`), so every verdict is exact on both
-    backends; a float alpha is taken at the binary fraction it stores, and
-    the backend only chooses how values print (a float row prints each exact
-    value correctly rounded). Two cross-cutting sections follow: the k = 6..10
+    weight >= 0, sum 1). The schemes are built in exact rationals
+    (`schemes.hk_schemes`), so every verdict is exact on both backends; a
+    float alpha is taken at the binary fraction it stores, and the backend
+    only chooses how values print (a float row prints each exact value
+    correctly rounded). Each k is formatted before the next is built, so a
+    value past the digits the interpreter prints stops the command at the
+    first k that forms one. Two cross-cutting sections follow: the k = 6..10
     even-coefficient constants recomputed against the reference table
     (disagreements are reported, not asserted away), and the alpha = 1
     closed form, which matches 2(1-beta)/k^n — not the (k+1)-indexed
@@ -401,7 +404,7 @@ def run_hk_audit(alpha_values, k_max: int = DEFAULT_K_MAX, backend: Backend = FL
     alpha_values = [backend.scalar(alpha) for alpha in alpha_values]
     _require_alpha_gt1(alpha_values, "hk")
     # a float alpha is built at its exact value, held to the size of an exact alpha
-    _check_exact_size(map(Fraction, alpha_values), "alpha")
+    _check_exact_size(map(Ratio, alpha_values), "alpha")
     _reject_repeats(alpha_values, "alpha")
     _check_k_max(k_max)
     reports = []
@@ -461,8 +464,8 @@ def _alpha_one_report(backend: Backend) -> SuiteReport:
         for k in (2, 3, 4, 5):
             a_k = f.coefficient(k)
             a_abs2 = a_k.abs2()
-            matches = "k" if a_abs2 == Fraction(2, k**n) ** 2 else (
-                "k+1" if a_abs2 == Fraction(2, (k + 1) ** n) ** 2 else "neither"
+            matches = "k" if a_abs2 == Ratio(2, k**n) ** 2 else (
+                "k+1" if a_abs2 == Ratio(2, (k + 1) ** n) ** 2 else "neither"
             )
             a_abs = abs(complex(a_k))
             k_form = 2.0 / k**n
@@ -558,7 +561,7 @@ def run_expand(
     if backend is RATIONAL:
         for entry in doc["atoms"]:
             for field, value in entry.items():
-                _check_exact_size((Fraction(str(value)),), f"atom {field}")
+                _check_exact_size((Ratio(str(value)),), f"atom {field}")
     try:
         params = ClassParams(n, backend.scalar(alpha), backend.scalar(beta))
     except (ValueError, TypeError, OverflowError) as exc:

@@ -30,11 +30,11 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 
+from ._rational import Ratio
 from .series import power_tails
 
-_HALF = Fraction(1, 2)
+_HALF = Ratio(1, 2)
 
 
 def gamma_target_row(m_max: int, alpha) -> list:
@@ -162,8 +162,8 @@ def hk_weight_row(k_max: int, alpha) -> list:
     return row
 
 
-def hk_schemes(k_max: int, alpha) -> list:
-    """The GammaSchemes of the Caratheodory functions h(z)_k for k = 2..k_max.
+def hk_schemes(k_max: int, alpha):
+    """An iterator over the GammaSchemes of the Caratheodory functions h(z)_k for k = 2..k_max.
 
     Each h is an explicit convex combination of kernels, chosen so that the
     ladder built from its coefficients hits its target (`gamma_target_row`)
@@ -198,30 +198,40 @@ def hk_schemes(k_max: int, alpha) -> list:
     two convex combinations it specializes to differ beyond the defining
     coefficient only in the sign pattern of the higher kernel powers).
     Requires alpha > 1. Every scheme is exact: the construction runs on
-    ``Fraction(alpha)``, so a float alpha is taken at the binary fraction it
+    ``Ratio(alpha)``, so a float alpha is taken at the binary fraction it
     stores.
+
+    The two rows are formed, and the arguments checked, on the call. The
+    d's and the ladder value of each k, the costly part, are formed only
+    when the iterator reaches that k, so a reader that stops early (as
+    ``harness.run_hk_audit`` does at a value it cannot print) builds no
+    later k.
     """
-    alpha = Fraction(alpha)
+    alpha = Ratio(alpha)
     recipes = hk_weight_row(k_max, alpha)
     targets = gamma_target_row(k_max - 1, alpha)
     zero = alpha * 0
-    schemes = []
-    for k, (weights, sigma, sign), target in zip(range(2, k_max + 1), recipes, targets):
-        d = [zero] * (k - 2)
-        if 3 <= k <= 5:
-            d[k - 3] = weights[1] * (2 * sign)  # (1 + s z^(k-2))/(1 - s z^(k-2)) starts 1 + 2s z^(k-2)
-        elif k >= 6:
-            d[0] = weights[1] * -1  # 1 - z
-            even = weights[2] * 2  # (1 + z^2)/(1 - z^2) = 1 + 2 z^2 + 2 z^4 + ...
-            for j in range(2, k - 1, 2):
-                d[j - 1] = even
-        d = tuple(d)
-        schemes.append(GammaScheme(k=k, d=d, sigma=sigma, gamma=gamma_value(d, k - 2, _HALF, zero),
-                                   weights=weights, target=target))
-    return schemes
+    return (_hk_scheme(k, recipe, target, zero)
+            for k, recipe, target in zip(range(2, k_max + 1), recipes, targets))
 
 
-def recipe_even_constant(k: int) -> Fraction:
+def _hk_scheme(k: int, recipe: tuple, target, zero) -> GammaScheme:
+    """The GammaScheme of h(z)_k from its (weights, sigma, sign) recipe and its ladder target."""
+    weights, sigma, sign = recipe
+    d = [zero] * (k - 2)
+    if 3 <= k <= 5:
+        d[k - 3] = weights[1] * (2 * sign)  # (1 + s z^(k-2))/(1 - s z^(k-2)) starts 1 + 2s z^(k-2)
+    elif k >= 6:
+        d[0] = weights[1] * -1  # 1 - z
+        even = weights[2] * 2  # (1 + z^2)/(1 - z^2) = 1 + 2 z^2 + 2 z^4 + ...
+        for j in range(2, k - 1, 2):
+            d[j - 1] = even
+    d = tuple(d)
+    return GammaScheme(k=k, d=d, sigma=sigma, gamma=gamma_value(d, k - 2, _HALF, zero),
+                       weights=weights, target=target)
+
+
+def recipe_even_constant(k: int) -> Ratio:
     """Rational factor c_k of the k >= 6 recipe's even coefficient.
 
     sigma factors as c_k * prod_{j=1}^{k-2} (j alpha - 1) / alpha^(k-2) with
@@ -234,7 +244,7 @@ def recipe_even_constant(k: int) -> Fraction:
     """
     if not isinstance(k, int) or k < 6:
         raise ValueError(f"the general recipe starts at k = 6, got {k!r}")
-    return Fraction(2 ** (k - 1), (k - 1) * (2 ** (k - 3) - 1) * math.factorial(k - 2))
+    return Ratio(2 ** (k - 1), (k - 1) * (2 ** (k - 3) - 1) * math.factorial(k - 2))
 
 
 #: External reference table for the even-coefficient constants c_k of the
@@ -242,11 +252,11 @@ def recipe_even_constant(k: int) -> Fraction:
 #: the k = 8 value looks like a digit slip for Fraction(8, 9765). The audit
 #: compares and reports — it never asserts these.
 TABULATED_EVEN_CONSTANTS = {
-    6: Fraction(4, 105),
-    7: Fraction(4, 675),
-    8: Fraction(8, 10765),
-    9: Fraction(2, 19845),
-    10: Fraction(4, 360045),
+    6: Ratio(4, 105),
+    7: Ratio(4, 675),
+    8: Ratio(8, 10765),
+    9: Ratio(2, 19845),
+    10: Ratio(4, 360045),
 }
 
 

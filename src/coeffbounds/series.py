@@ -23,7 +23,7 @@ then adds each further term into it without a temporary; no pass adds an
 exact zero. The real power's accumulators alone start at the caller's
 scalar ``zero``, so the first term x makes a fresh column ``zero + x``:
 its results keep the signed zeros of that +0 start, which the structural
-zero path below relies on. On Python ``complex``, ``Fraction`` and
+zero path below relies on. On Python ``complex``, ``Ratio`` and
 ``RationalComplex`` there is no in-place operator, ``+=`` falls back to
 ``+``, and scalars and columns run the same code.
 
@@ -85,7 +85,8 @@ def real_power_coefficients(g, c, one, zero) -> list:
 
         u_0 = 1,   k u_k = sum_{j=1}^{k} (j c - (k - j)) g_j u_{k-j}.
 
-    1/k is typed like the exponent: a Fraction for a Fraction c, a float otherwise.
+    For a Fraction c the sum is divided by k exactly; otherwise it is
+    multiplied by the float 1/k.
     The terms of an entry g_j that is the caller's ``zero`` object are never
     formed, so a series with one other entry past g_0 costs O(len(g)) terms.
     """
@@ -99,7 +100,7 @@ def real_power_coefficients(g, c, one, zero) -> list:
                 break
             acc += (c * j - (k - j)) * g[j] * u[k - j]
         if exact:
-            u.append(acc * Fraction(1, k))
+            u.append(acc / k)
         else:
             acc *= 1.0 / k
             u.append(acc)

@@ -73,6 +73,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._rational import Ratio
 from .backends import FLOAT
 from .bounds import SLACK, f_quotient_coefficients, sharp_bound_rows
 from .caratheodory import atom_coefficients, draw_atoms, half_hadamard_coefficients
@@ -337,7 +338,7 @@ def nehari_magnitudes(h, p, q, n: int, alpha: float, beta, k_max: int) -> np.nda
     columns of traced heap.
     """
     alpha = FLOAT.scalar(alpha)
-    half = FLOAT.scalar(Fraction(1, 2))
+    half = FLOAT.scalar(Ratio(1, 2))
     gammas = _ladder(h, k_max - 1)
     r = half_hadamard_coefficients(
         _generator_coefficients(p, k_max), _generator_coefficients(q, k_max), FLOAT.one, half

@@ -316,6 +316,29 @@ def test_triple_scan_sees_a_slot_read():
     assert _triple_reads(ast.parse("def f(x):\n    return x.re + x._b / x._d\n")) == [2, 2]
 
 
+def _fraction_uses(tree: ast.Module) -> list:
+    """Line of each use of the name ``Fraction`` other than as a type that ``isinstance`` tests."""
+    tested = {id(node) for call in ast.walk(tree)
+              if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "isinstance"
+              for node in ast.walk(call.args[1])}
+    return [node.lineno for node in ast.walk(tree)
+            if getattr(node, "id", getattr(node, "attr", None)) == "Fraction" and id(node) not in tested]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
+def test_only_rational_constructs_fractions(path):
+    # every exact value the package builds is a `_rational.Ratio`; other modules only test for Fraction
+    if path.name != "_rational.py":
+        assert _fraction_uses(ast.parse(path.read_text())) == []
+
+
+def test_fraction_scan_sees_a_planted_construction():
+    tree = ast.parse("import fractions\nfrom fractions import Fraction\n\n"
+                     "def f(x):\n    if isinstance(x, (int, Fraction)):\n        return Fraction(x)\n"
+                     "    return list(map(Fraction, x)), fractions.Fraction(1, 3)\n")
+    assert _fraction_uses(tree) == [6, 7, 7]
+
+
 def _record_builds(tree: ast.Module) -> list:
     """Line of each `SuiteEntry` or `SuiteReport` call outside the bodies of `_row` and `_report`."""
     builders = [node for node in ast.walk(tree)
@@ -564,6 +587,9 @@ _MAY_STAY_UNENTERED = {
     "backends.Backend.__init__": "runs at import time, when FLOAT and RATIONAL are built",
     "cli.entry": "the console-script wrapper around cli.main",
     "_rational.t_from_unimodular": "writes rational witnesses, which only a failing rational run reaches",
+    "_rational._arithmetic": "runs at import time, when the Ratio operators are built",
+    "_rational._comparison": "runs at import time, when the Ratio comparisons are built",
+    "_rational.Ratio.__neg__": "keeps a negated Ratio a Ratio; no command negates an exact value",
     "caratheodory.HerglotzAtoms.from_rational": "the public constructor of exact atom systems",
 }
 

@@ -33,6 +33,7 @@ from coeffbounds import (
     suite_json,
     sweeps,
 )
+from coeffbounds._rational import Ratio
 from coeffbounds.bounds import SLACK, ClassParams, f_from_p, sharp_bound_rows
 from coeffbounds.harness import DEFAULT_K_MAX
 from coeffbounds.reports import fmt_float
@@ -316,6 +317,33 @@ class TestHkAudit:
         # every k's identity row and verdict read its entry
         assert rows == [11] * 2
 
+    def test_stops_at_the_first_k_past_the_digit_limit(self, monkeypatch, capsys):
+        # each k is formatted before the next is built, so a 64-bit alpha near 1, whose values
+        # pass the smallest digit limit at k = 35, builds no ladder past that k
+        ladders = []
+        ladder = schemes.gamma_value
+        monkeypatch.setattr(schemes, "gamma_value",
+                            lambda ds, m, half, zero: ladders.append(m) or ladder(ds, m, half, zero))
+        alpha = "18446744073709551615/18446744073709551614"
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert cli.main(["verify", "hk", "--backend", "rational", "--alpha", alpha, "--kmax", "256"]) == 2
+            built = len(ladders)
+            for first, scheme in enumerate(hk_schemes(256, RATIONAL.scalar(alpha)), start=2):
+                values = (scheme.gamma, scheme.target, max(map(abs, scheme.d), default=0), min(scheme.weights))
+                try:
+                    list(map(RATIONAL.format_scalar, values))
+                except OverflowError:
+                    break
+        finally:
+            sys.set_int_max_str_digits(limit)
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "usage error: overflow (an exact value has more than 640 digits); "
+                                  "the parameters leave the range of the arithmetic\n")
+        assert first < 256
+        assert ladders[:built] == list(range(first - 1))  # m = k - 2 for k = 2..first
+
     def test_shape(self):
         reports = run_hk_audit((1.5, 2.0), k_max=8)
         sections = {r.point.get("section") for r in reports}
@@ -349,13 +377,13 @@ class TestHkAudit:
             run_hk_audit((Fraction(3, 2), Fraction(2), Fraction(6, 4)), k_max=4, backend=RATIONAL)
 
     def test_float_audit_builds_each_scheme_once_exactly(self, monkeypatch, capsys):
-        # one build per alpha, in Fractions at the binary value of the float alpha,
+        # one build per alpha, in Ratios at the binary value of the float alpha,
         # from one weight row: the float audit has no second, float path
         builds, weight_rows = [], []
         original, row = harness.hk_schemes, schemes.hk_weight_row
 
         def recording(k_max, alpha):
-            built = original(k_max, alpha)
+            built = list(original(k_max, alpha))
             builds.extend({type(w) for w in scheme.weights} for scheme in built)
             return built
 
@@ -363,7 +391,7 @@ class TestHkAudit:
         monkeypatch.setattr(schemes, "hk_weight_row",
                             lambda k_max, alpha: weight_rows.append(alpha) or row(k_max, alpha))
         assert cli.main(["verify", "hk"]) == 0
-        assert builds == [{Fraction}] * (6 * (DEFAULT_K_MAX - 1))
+        assert builds == [{Ratio}] * (6 * (DEFAULT_K_MAX - 1))
         assert weight_rows == [Fraction(float(token)) for token in harness.DEFAULT_ALPHA_TOKENS]
 
     def test_float_audit_fails_a_target_off_by_two_to_the_minus_60(self, monkeypatch, capsys):
@@ -449,7 +477,7 @@ class TestHkAudit:
         original = harness.hk_schemes
 
         def recording(k_max, alpha):
-            built = original(k_max, alpha)
+            built = list(original(k_max, alpha))
             for scheme in built:
                 # the target is the one-index value at the defining order m = k - 1, and the
                 # scheme holds the one ladder value there: the last of the whole ladder

@@ -187,8 +187,8 @@ def test_hk_audit_forms_one_running_product_per_row(monkeypatch):
         return gamma_value(ds, m, half, zero)
 
     monkeypatch.setattr(schemes, "gamma_value", recording)
-    # the schemes build on Fraction(alpha), which keeps a tallied alpha tallied
-    monkeypatch.setattr(schemes, "Fraction", Tally)
+    # the schemes build on Ratio(alpha); Tally in its place keeps a tallied alpha tallied
+    monkeypatch.setattr(schemes, "Ratio", Tally)
     runs = ((FLOAT, FloatTally, (2.0, 3.5)), (RATIONAL, Tally, (Fraction(2), Fraction(7, 2))))
     for backend, tally, alphas in runs:
         scalar = backend.scalar

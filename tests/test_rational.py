@@ -1,17 +1,19 @@
 """Exact complex-rational arithmetic and the unimodular parametrization."""
 
+import copy
 import itertools
 import math
 import operator
+import pickle
 import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coeffbounds import RATIONAL, cli
-from coeffbounds._rational import RationalComplex, t_from_unimodular, unimodular_from_t
+from coeffbounds._rational import RationalComplex, Ratio, t_from_unimodular, unimodular_from_t
 
 fractions = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=97
@@ -62,7 +64,8 @@ def assert_canonical(z):
 
 def assert_exact(z, expected):
     assert (z.re, z.im) == expected
-    assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert isinstance(z.re, Fraction) and isinstance(z.im, Fraction)
+    assert type(z.re) is Ratio and type(z.im) is Ratio
     assert_canonical(z)
     for name in ("re", "im"):
         with pytest.raises(AttributeError):
@@ -157,7 +160,8 @@ class TestCanonicalTriple:
     @given(fractions, fractions)
     def test_parts_are_fractions_of_the_triple(self, a, b):
         z = rc(a, b) * rc(Fraction(1, 3), Fraction(-2, 5))
-        assert type(z.re) is Fraction and type(z.im) is Fraction
+        assert isinstance(z.re, Fraction) and isinstance(z.im, Fraction)
+        assert type(z.re) is Ratio and type(z.im) is Ratio
         assert (z.re, z.im) == (Fraction(z._a, z._d), Fraction(z._b, z._d))
         for name in ("_a", "_b", "_d"):
             with pytest.raises(AttributeError):
@@ -201,6 +205,98 @@ class TestRealOperandPaths:
             OPS[op](rc(1, 1), 0.5)
         with pytest.raises(TypeError):
             OPS[op](0.5, rc(1, 1))
+
+
+def plain(x):
+    """The operand a plain-Fraction computation gets in place of ``x``."""
+    return Fraction(x) if type(x) is Ratio else x
+
+
+def outcome(compute):
+    """The value of ``compute()``, or the type and message of the arithmetic error it raises."""
+    try:
+        return compute()
+    except (ZeroDivisionError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same(got, want):
+    """A Ratio where Fraction gives a Fraction, with its numerator, denominator, hash and text."""
+    if isinstance(want, Fraction):
+        assert type(got) is Ratio
+        assert (got.numerator, got.denominator, hash(got), str(got)) == (
+            want.numerator, want.denominator, hash(want), str(want))
+    elif isinstance(want, float) and math.isnan(want):
+        assert type(got) is float and math.isnan(got)
+    else:
+        assert type(got) is type(want) and got == want
+
+
+ratios = st.one_of(fractions, st.fractions(max_denominator=10**30),
+                   st.integers(-(10**40), 10**40).map(Fraction)).map(Ratio)
+#: What a Ratio meets: another Ratio, a plain Fraction, an int and a float (nan and inf too).
+operands = st.one_of(ratios, st.fractions(max_denominator=10**30), st.integers(-(10**40), 10**40),
+                     st.just(0), st.floats())
+BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv,
+          "lt": operator.lt, "le": operator.le, "gt": operator.gt, "ge": operator.ge,
+          "eq": operator.eq, "ne": operator.ne}
+
+
+class TestRatio:
+    """`Ratio` gives what `fractions.Fraction` gives, as a Ratio wherever Fraction gives a Fraction."""
+
+    @pytest.mark.parametrize("op", sorted(BINARY))
+    @given(x=ratios, y=operands)
+    def test_binary_operators_on_either_side(self, op, x, y):
+        f = BINARY[op]
+        assert_same(outcome(lambda: f(x, y)), outcome(lambda: f(plain(x), plain(y))))
+        assert_same(outcome(lambda: f(y, x)), outcome(lambda: f(plain(y), plain(x))))
+
+    @given(x=ratios, k=st.integers(-7, 7))
+    @example(x=Ratio(-1, 3), k=-3)  # a negative base whose inverse has denominator -1 before the sign moves
+    def test_int_powers(self, x, k):
+        assert_same(outcome(lambda: x**k), outcome(lambda: plain(x) ** k))
+
+    @given(x=ratios, y=st.one_of(st.floats(-4, 4), st.fractions(-4, 4, max_denominator=5)))
+    def test_other_exponents_as_fraction(self, x, y):
+        got, want = outcome(lambda: x**y), outcome(lambda: plain(x) ** y)
+        # a complex power of a negative base: compare by value, nan parts included
+        assert type(got) is type(want) and repr(got) == repr(want)
+
+    @given(ratios)
+    def test_unary_operators(self, x):
+        assert_same(-x, -plain(x))
+        assert_same(abs(x), abs(plain(x)))
+        assert float(x) == float(plain(x)) and bool(x) == bool(plain(x))
+
+    @pytest.mark.parametrize("zero", [0, Fraction(0), Ratio(0)], ids=["int", "fraction", "ratio"])
+    @given(x=ratios, k=st.integers(1, 7))
+    def test_zero_division(self, zero, x, k):
+        for compute in (lambda a, b: a / b, lambda a, b: b ** -k):
+            got, want = outcome(lambda: compute(x, zero)), outcome(lambda: compute(plain(x), plain(zero)))
+            assert got == want and got[0] is ZeroDivisionError
+        with pytest.raises(ZeroDivisionError, match=r"^Fraction\(3, 0\)$"):
+            Ratio(3, 0)
+
+    @given(n=st.integers(-(10**40), 10**40), d=st.integers(-(10**40), 10**40).filter(bool))
+    def test_construction(self, n, d):
+        assert_same(Ratio(n, d), Fraction(n, d))
+        assert_same(Ratio(n), Fraction(n))
+        x = Ratio(n, d)
+        assert Ratio(x) is x
+        for source in (Fraction(n, d), str(Fraction(n, d)), float(n % 1000) / 8):
+            assert_same(Ratio(source), Fraction(source))
+        assert repr(x) == repr(Fraction(n, d))
+        for copied in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+            assert_same(copied, Fraction(n, d))
+
+    def test_writes_the_slots_of_this_interpreter(self):
+        # a Ratio is built by writing these two slots; a Python that renames them fails here
+        assert Fraction.__slots__ == ("_numerator", "_denominator")
+        assert Ratio.__slots__ == ()
+        with pytest.raises(AttributeError):
+            Ratio(1, 2).__dict__
+        assert (Ratio(6, -4)._numerator, Ratio(6, -4)._denominator) == (-3, 2)
 
 
 class TestUnimodular:

@@ -20,6 +20,7 @@ from coeffbounds import (
     hk_weight_row,
     recipe_even_constant,
 )
+from coeffbounds._rational import Ratio
 from coeffbounds.caratheodory import (
     HerglotzAtoms,
     atom_coefficients,
@@ -44,7 +45,7 @@ HALF = Fraction(1, 2)
 
 def scheme_of(k, alpha):
     """The GammaScheme of h(z)_k: the last of `hk_schemes` through k."""
-    return hk_schemes(k, alpha)[-1]
+    return list(hk_schemes(k, alpha))[-1]
 
 
 def nehari(h, G, params, order):
@@ -328,13 +329,13 @@ class TestRows:
                 call()
 
     def test_float_alphas_build_at_their_exact_value(self):
-        # a stock float alpha builds the schemes of the binary fraction it stores, in Fractions,
+        # a stock float alpha builds the schemes of the binary fraction it stores, in Ratios,
         # each gamma the defining-order entry of the whole ladder
         for alpha in default_grid(FLOAT).alpha_values:
-            built = hk_schemes(12, alpha)
-            assert built == hk_schemes(12, Fraction(alpha))
+            built = list(hk_schemes(12, alpha))
+            assert built == list(hk_schemes(12, Fraction(alpha)))
             for k, scheme in zip(range(2, 13), built):
-                assert {type(x) for x in (scheme.gamma, scheme.target, *scheme.d, *scheme.weights)} == {Fraction}
+                assert {type(x) for x in (scheme.gamma, scheme.target, *scheme.d, *scheme.weights)} == {Ratio}
                 assert scheme.gamma == gamma_ladder(scheme.d, k - 2, HALF, Fraction(0))[-1] == scheme.target
 
 
