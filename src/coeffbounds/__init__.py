@@ -8,8 +8,9 @@ The mathematical objects, by module:
 - :mod:`~coeffbounds.caratheodory` — positive-real-part generators as finite
   atom systems, their transforms, and serialization.
 - :mod:`~coeffbounds.bounds` — the class parameters, the sharp bound, the
-  piecewise small-parameter bound with its region map, and the generator
-  of a class member (the inverse of the generator-to-function map).
+  piecewise small-parameter bound with its region map, the choice of the
+  bound that applies at a point, and the generator of a class member (the
+  inverse of the generator-to-function map).
 - :mod:`~coeffbounds.schemes` — the weight ladder, the per-index generator
   constructions, and the coefficients of the alternating Nehari-type series.
 - :mod:`~coeffbounds.sweeps` — vectorized randomized sweeps over reproducible
@@ -20,19 +21,16 @@ The mathematical objects, by module:
 
 from .backends import FLOAT, RATIONAL, Backend, get_backend
 from .bounds import (
-    BoundReport,
     ClassParams,
     Region,
     SmallAlphaBound,
-    bound_report,
+    applicable_bound_row,
     classify_region,
     extremal_p,
     f_from_p,
     growth_estimate,
     p_from_f,
-    sharp_bound,
     sharp_bound_rows,
-    small_alpha_bound,
     small_alpha_bound_rows,
 )
 from .caratheodory import HerglotzAtoms
@@ -64,7 +62,6 @@ __all__ = [
     "FLOAT",
     "RATIONAL",
     "Backend",
-    "BoundReport",
     "ClassParams",
     "GammaScheme",
     "GridSpec",
@@ -75,7 +72,7 @@ __all__ = [
     "SuiteReport",
     "TruncatedSeries",
     "UsageError",
-    "bound_report",
+    "applicable_bound_row",
     "classify_region",
     "compare_even_constants",
     "default_grid",
@@ -94,9 +91,7 @@ __all__ = [
     "run_hk_audit",
     "run_nehari_suite",
     "run_random_suite",
-    "sharp_bound",
     "sharp_bound_rows",
-    "small_alpha_bound",
     "small_alpha_bound_rows",
     "suite_csv",
     "suite_json",

@@ -15,12 +15,12 @@ from a generator (``f_from_p``) and recovering the generator of a given f
 ``round_trip_tolerances`` bounds the float rounding of that round trip.
 
 Three bound formulas are provided: the sharp one for alpha > 1
-(``sharp_bound``, attained by ``extremal_p``), the piecewise small-alpha one
-with its omega regions (``small_alpha_bound``), and the exponential estimate on
-the power-quotient coefficients (``growth_estimate``). The first two also come
-as the k = 2..k_max rows of all the betas of one (n, alpha)
-(``sharp_bound_rows``, ``small_alpha_bound_rows``), which form what the
-indices and the betas share once.
+(``sharp_bound_rows``, attained by ``extremal_p``), the piecewise small-alpha
+one with its omega regions (``small_alpha_bound_rows``), and the exponential
+estimate on the power-quotient coefficients (``growth_estimate``). The first
+two give the k = 2..k_max rows of all the betas of one (n, alpha), and form
+what the indices and the betas share once. ``applicable_bound_row`` picks,
+for one point, the one of them that applies.
 """
 
 from __future__ import annotations
@@ -39,9 +39,6 @@ from .series import TruncatedSeries, power_tails, real_power_coefficients
 #: reference column. The per-k bound rows of ``expand`` scale it by
 #: max(1, bound), so float rounding of a large bound is no violation.
 SLACK = 1e-9
-#: ``BoundReport.sharp_hit`` when |bound - |a_k|| is at most this times
-#: max(1, bound) (float comparison).
-SHARP_HIT_TOL = 1e-9
 #: Largest float |a_0| that `p_from_f` accepts; a_1 must be exactly 1.
 NORMALIZATION_TOL = 1e-12
 #: The constant C of `round_trip_tolerances`.
@@ -122,7 +119,16 @@ def _group_indices(n, alpha, betas, k_max) -> range:
     return range(2, k_max + 1)
 
 
-def _sharp_rows(n: int, alpha, betas, ks) -> list:
+def sharp_bound_rows(n: int, alpha, betas, k_max: int) -> list:
+    """2 (1 - beta) alpha^(n-1) / (alpha + k - 1)^n for k = 2..k_max, one row for each beta of ``betas``.
+
+    The formula evaluates for every alpha > 0; it is the sharp bound for
+    alpha > 1 (reports mark it inapplicable otherwise). Exact in rational
+    inputs. alpha^(n-1) and the denominators (alpha + k - 1)^n are formed
+    once for the group; each row is the head 2 (1 - beta) alpha^(n-1)
+    divided by them.
+    """
+    ks = _group_indices(n, alpha, betas, k_max)
     power = alpha ** (n - 1)
     dens = [(alpha + k - 1) ** n for k in ks]
     rows = []
@@ -132,27 +138,6 @@ def _sharp_rows(n: int, alpha, betas, ks) -> list:
     return rows
 
 
-def sharp_bound_rows(n: int, alpha, betas, k_max: int) -> list:
-    """`sharp_bound` of (n, alpha, beta) for k = 2..k_max, one row for each beta of ``betas``.
-
-    alpha^(n-1) and the denominators (alpha + k - 1)^n are formed once for
-    the group; each row is the head 2 (1 - beta) alpha^(n-1) divided by
-    them, the same operations in the same order as `sharp_bound`.
-    """
-    return _sharp_rows(n, alpha, betas, _group_indices(n, alpha, betas, k_max))
-
-
-def sharp_bound(params: ClassParams, k: int):
-    """2 (1 - beta) alpha^(n-1) / (alpha + k - 1)^n for k >= 2.
-
-    The formula evaluates for every alpha > 0; it is the sharp bound for
-    alpha > 1 (reports mark it inapplicable otherwise). Exact in rational
-    inputs. The one-beta, one-index row of `sharp_bound_rows`.
-    """
-    _check_index(k)
-    return _sharp_rows(params.n, params.alpha, (params.beta,), (k,))[0][0]
-
-
 class SmallAlphaBound(namedtuple("SmallAlphaBound", "value region")):
     """Piecewise bound value (None outside the omega regions) plus the region."""
 
@@ -160,7 +145,7 @@ class SmallAlphaBound(namedtuple("SmallAlphaBound", "value region")):
 
 
 def small_alpha_bound_rows(n: int, alpha, betas, k_max: int) -> list:
-    """`small_alpha_bound` of (n, alpha, beta) for k = 2..k_max, one row for each beta of ``betas``.
+    """The small-alpha piecewise bound on |a_k| for k = 2..k_max, one row for each beta of ``betas``.
 
     With B_m = 2^m (1-beta)^m alpha^(m(n-1)) prod_{j=0}^{m-1} (1 - j alpha) / m!
     and Q the coefficients of powers of sum_{j>=1} z^j / (alpha + j)^n, the
@@ -175,16 +160,7 @@ def small_alpha_bound_rows(n: int, alpha, betas, k_max: int) -> list:
     written, so every value is the one a ladder cut to one beta and to k
     alone gives, bit for bit on floats.
     """
-    return _small_alpha_rows(n, alpha, betas, _group_indices(n, alpha, betas, k_max))
-
-
-def small_alpha_bound(params: ClassParams, k: int) -> SmallAlphaBound:
-    """Small-alpha piecewise bound on |a_k|: the one-beta, one-index row of `small_alpha_bound_rows`."""
-    _check_index(k)
-    return _small_alpha_rows(params.n, params.alpha, (params.beta,), (k,))[0][0]
-
-
-def _small_alpha_rows(n: int, alpha, betas, ks) -> list:
+    ks = _group_indices(n, alpha, betas, k_max)
     regions = [classify_region(alpha, k) for k in ks]
     # the number of powers summed at each k; none outside the regions
     m_tops = [
@@ -379,39 +355,16 @@ def extremal_p(k: int, *, backend: Backend = FLOAT) -> HerglotzAtoms:
     return HerglotzAtoms.from_angles(weights, angles)
 
 
-class BoundReport(namedtuple(
-    "BoundReport", "k a_abs bound bound_source region margin sharp_hit applicable"
-)):
-    """Observed |a_k| against the applicable bound at one parameter point.
+def applicable_bound_row(n: int, alpha, beta, k_max: int) -> list:
+    """(source, bound, region) of the bound that applies to |a_k| at (n, alpha, beta), for k = 2..k_max.
 
-    ``bound_source`` is "sharp", "small_alpha" or None (inapplicable, when
-    ``bound`` and ``margin`` are NaN).
+    alpha > 1 takes the sharp formula (source "sharp"); otherwise the
+    omega-region bound (source "small_alpha") where alpha falls inside a
+    region, and (None, None, region) in the open window, which carries no
+    fabricated value. Only the formula that applies is formed.
     """
-
-    __slots__ = ()
-
-
-def bound_report(params: ClassParams, k: int, a_k, *, backend: Backend) -> BoundReport:
-    """Pick the applicable bound for (params, k) and compare |a_k| to it.
-
-    alpha > 1 uses the sharp formula; otherwise the omega-region bound if
-    alpha falls inside one; otherwise the report is marked inapplicable (the
-    open window) and carries no fabricated value.
-    """
-    region = classify_region(params.alpha, k)
-    a_abs = abs(complex(a_k))
-    if params.alpha > 1:
-        bound_exact = sharp_bound(params, k)
-        bound = float(bound_exact)
-        if backend is RATIONAL:
-            hit = a_k.abs2() == bound_exact * bound_exact
-        else:
-            hit = abs(bound - a_abs) <= SHARP_HIT_TOL * max(1.0, bound)
-        return BoundReport(k, a_abs, bound, "sharp", region, bound - a_abs, hit, True)
-    t1 = small_alpha_bound(params, k)
-    if t1.value is not None:
-        bound = float(t1.value)
-        margin = bound - a_abs
-        hit = abs(margin) <= SHARP_HIT_TOL * max(1.0, bound)
-        return BoundReport(k, a_abs, bound, "small_alpha", region, margin, hit, True)
-    return BoundReport(k, a_abs, math.nan, None, region, math.nan, False, False)
+    if alpha > 1:
+        row = sharp_bound_rows(n, alpha, (beta,), k_max)[0]
+        return [("sharp", bound, classify_region(alpha, k)) for k, bound in enumerate(row, start=2)]
+    row = small_alpha_bound_rows(n, alpha, (beta,), k_max)[0]
+    return [("small_alpha" if piece.value is not None else None, piece.value, piece.region) for piece in row]

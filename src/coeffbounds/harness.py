@@ -27,7 +27,7 @@ from .backends import FLOAT, RATIONAL, Backend
 from .bounds import (
     SLACK,
     ClassParams,
-    bound_report,
+    applicable_bound_row,
     extremal_p,
     f_from_p,
     f_quotient_coefficients,
@@ -55,6 +55,9 @@ DEFAULT_TRIALS = 1000
 DEFAULT_SEED = 1729
 #: Largest relative gap |bound - |a_k|| / bound of a float extremal generator.
 EXTREMAL_REL_TOL = 1e-10
+#: An ``expand`` bound row is a sharp hit when |bound - |a_k|| is at most this
+#: times max(1, bound); an exact sharp bound is hit only by equality.
+SHARP_HIT_TOL = 1e-9
 #: Largest bit length of the numerator or the denominator of an exact alpha or
 #: beta, or of a value of a rational ``expand`` document (19 decimal digits
 #: fit). Exact bounds and expansions grow with it: a 400-digit alpha keeps a
@@ -538,12 +541,15 @@ def _expansion(p, params: ClassParams, order: int) -> tuple:
 def run_expand(
     doc: dict, n: int, alpha, beta, order: int = DEFAULT_ORDER, k_max: int = DEFAULT_K_MAX
 ) -> dict:
-    """Expand one generator document into f, per-k bound reports, membership.
+    """Expand one generator document into f, per-k bound rows, membership.
 
-    A document that passes the atom rules is in P, so f is in the class by
-    construction; the membership rows report the smallest weight and check
-    that `p_from_f` gives back the generator's coefficients (see
-    `_round_trip`). The document names its backend, and alpha and beta are
+    Each bound row compares |a_k| with the bound `applicable_bound_row`
+    selects: the margin bound - |a_k| fails below -SLACK * max(1, bound),
+    and a sharp hit is |a_k| = bound exactly for an exact sharp bound, else
+    |margin| <= `SHARP_HIT_TOL` * max(1, bound). A document that passes the
+    atom rules is in P, so f is in the class by construction; the
+    membership rows report the smallest weight and check that `p_from_f`
+    gives back the generator's coefficients (see `_round_trip`). The document names its backend, and alpha and beta are
     read on it; like them, each value of a rational document is held to
     `MAX_EXACT_BITS`. The defaults are the ones ``coeffbounds expand`` uses.
     """
@@ -571,22 +577,25 @@ def run_expand(
     p = atoms.series(order - 1)
     f, f_coefficients = _expansion(p, params, order)
     bound_rows = []
-    for k in range(2, k_max + 1):
-        rep = bound_report(params, k, f.coefficient(k), backend=backend)
-        ok = not rep.margin < -SLACK * max(1.0, rep.bound) if rep.applicable else None
-        bound_rows.append(
-            {
-                "k": k,
-                "a_abs": fmt_float(rep.a_abs),
-                "bound": "" if not rep.applicable else fmt_float(rep.bound),
-                "bound_source": rep.bound_source or "",
-                "region": rep.region.value,
-                "margin": "" if not rep.applicable else fmt_float(rep.margin),
-                "sharp_hit": rep.sharp_hit,
-                "applicable": rep.applicable,
-                "status": _STATUS[ok],
-            }
-        )
+    applicable = applicable_bound_row(n, params.alpha, params.beta, k_max)
+    for k, (source, bound, region) in enumerate(applicable, start=2):
+        a_k = f.coefficient(k)
+        a_abs = abs(complex(a_k))
+        row = {"k": k, "a_abs": fmt_float(a_abs), "bound": "", "bound_source": source or "",
+               "region": region.value, "margin": "", "sharp_hit": False, "applicable": source is not None}
+        ok = None
+        if source is not None:
+            value = float(bound)
+            margin = value - a_abs
+            scale = max(1.0, value)
+            if source == "sharp" and backend is RATIONAL:
+                row["sharp_hit"] = a_k.abs2() == bound * bound
+            else:
+                row["sharp_hit"] = abs(margin) <= SHARP_HIT_TOL * scale
+            row["bound"], row["margin"] = fmt_float(value), fmt_float(margin)
+            ok = not margin < -SLACK * scale
+        row["status"] = _STATUS[ok]
+        bound_rows.append(row)
     try:
         back = p_from_f(f, params)
     except ValueError as exc:

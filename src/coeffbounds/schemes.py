@@ -95,7 +95,8 @@ def nehari_coefficients(gammas, G, n: int, alpha, beta, zero) -> list:
     head = (1 - beta) * alpha**n
     total = [zero]
     for m, tail in enumerate(power_tails(G[1:], len(G) - 1), start=1):
-        weight = head * gammas[m - 1] / (alpha + m - 1) ** n
+        # one rounding: (alpha + m) - 1 can be an ulp off (alpha = 1.1), and is 0 at m = 1 for alpha below 2^-53
+        weight = head * gammas[m - 1] / (alpha + (m - 1)) ** n
         if m == 1:
             total += [weight * c for c in tail]
         elif m % 2:
@@ -107,13 +108,12 @@ def nehari_coefficients(gammas, G, n: int, alpha, beta, zero) -> list:
     return total
 
 
-class GammaScheme(namedtuple("GammaScheme", "k d sigma gamma weights target")):
-    """The d / sigma / gamma data behind one h(z)_k construction, all exact.
+class GammaScheme(namedtuple("GammaScheme", "k d gamma weights target")):
+    """The d / gamma data behind one h(z)_k construction, all exact.
 
     ``d`` holds d_1..d_{k-2} (empty at k = 2) and ``gamma`` the ladder value
-    gamma_{k-2} derived from them, at the defining order m = k-1. ``sigma``
-    is the shared even-index coefficient of the k >= 6 recipe (zero for
-    smaller k, where the defining coefficient lives in ``d`` directly).
+    gamma_{k-2} derived from them, at the defining order m = k-1; for
+    k >= 6 every even-index d is the recipe's shared coefficient sigma.
     ``weights`` are the convex-combination weights of h(z)_k, the constant
     kernel's first, and ``target`` is the ladder target at the defining
     order (see `hk_schemes`); the identity holds when ``gamma == target``.
@@ -123,11 +123,10 @@ class GammaScheme(namedtuple("GammaScheme", "k d sigma gamma weights target")):
 
 
 def hk_weight_row(k_max: int, alpha) -> list:
-    """The convex weights of h(z)_k for k = 2..k_max, the constant kernel's first, with sigma and s.
+    """The convex weights of h(z)_k for k = 2..k_max, the constant kernel's first, with s.
 
-    Entry k-2 is (weights, sigma, s): ``sigma`` is the shared even
-    coefficient of the k >= 6 recipe (zero below k = 6), and ``s`` the sign
-    of the defining coefficient d_(k-2) for k in {3, 4, 5} (1 for other k).
+    Entry k-2 is (weights, s), with ``s`` the sign of the defining
+    coefficient d_(k-2) for k in {3, 4, 5} (1 for other k).
     `hk_schemes` gives the formulas. The products prod_{j=1}^{k-2}
     (j alpha - 1) / (j alpha) of the recipe are one running product, so the
     row forms k_max - 2 factors. The weights are exact for a Fraction
@@ -139,26 +138,25 @@ def hk_weight_row(k_max: int, alpha) -> list:
     if not alpha > 1:
         raise ValueError(f"the generator construction needs alpha > 1, got {alpha!r}")
     one_s = alpha**0
-    zero_s = alpha * 0
     product = one_s
-    row = [((one_s,), zero_s, 1)]
+    row = [((one_s,), 1)]
     for k in range(3, k_max + 1):
         product = product * (((k - 2) * alpha - 1) / ((k - 2) * alpha))
         if k == 3:
             lam = 1 / alpha
-            row.append(((one_s - lam, lam), zero_s, -1))
+            row.append(((one_s - lam, lam), -1))
         elif k < 6:
             if k == 4:
                 dval = 2 * (alpha * alpha - 6 * alpha + 2) / (3 * alpha * alpha)
             else:
                 dval = 2 * (3 * alpha**3 - 11 * alpha**2 + 6 * alpha - 1) / (3 * alpha**3)
             lam = abs(dval) / 2
-            row.append(((one_s - lam, lam), zero_s, 1 if dval >= 0 else -1))
+            row.append(((one_s - lam, lam), 1 if dval >= 0 else -1))
         else:
             lam1 = (2 * one_s) / (k - 2)
             even_binom_sum = 2 ** (k - 3) - 1  # C(k-2,2) + C(k-2,4) + ..., even indices up to k-2
             sigma = 2 ** (k - 1) * product / ((k - 1) * even_binom_sum)
-            row.append(((one_s - lam1 - sigma / 2, lam1, sigma / 2), sigma, 1))
+            row.append(((one_s - lam1 - sigma / 2, lam1, sigma / 2), 1))
     return row
 
 
@@ -216,8 +214,8 @@ def hk_schemes(k_max: int, alpha):
 
 
 def _hk_scheme(k: int, recipe: tuple, target, zero) -> GammaScheme:
-    """The GammaScheme of h(z)_k from its (weights, sigma, sign) recipe and its ladder target."""
-    weights, sigma, sign = recipe
+    """The GammaScheme of h(z)_k from its (weights, sign) recipe and its ladder target."""
+    weights, sign = recipe
     d = [zero] * (k - 2)
     if 3 <= k <= 5:
         d[k - 3] = weights[1] * (2 * sign)  # (1 + s z^(k-2))/(1 - s z^(k-2)) starts 1 + 2s z^(k-2)
@@ -227,8 +225,7 @@ def _hk_scheme(k: int, recipe: tuple, target, zero) -> GammaScheme:
         for j in range(2, k - 1, 2):
             d[j - 1] = even
     d = tuple(d)
-    return GammaScheme(k=k, d=d, sigma=sigma, gamma=gamma_value(d, k - 2, _HALF, zero),
-                       weights=weights, target=target)
+    return GammaScheme(k=k, d=d, gamma=gamma_value(d, k - 2, _HALF, zero), weights=weights, target=target)
 
 
 def recipe_even_constant(k: int) -> Ratio:

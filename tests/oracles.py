@@ -89,7 +89,6 @@ from coeffbounds import (
     HerglotzAtoms,
     TruncatedSeries,
     f_from_p,
-    sharp_bound,
 )
 from coeffbounds.bounds import Region
 from coeffbounds._rational import RationalComplex
@@ -241,7 +240,7 @@ def dominance_margins_scalar(atoms, n: int, alpha, beta, k_max: int):
     params = ClassParams(n, alpha, beta)
     f = f_from_p(atoms, params, k_max)
     return [
-        float(sharp_bound(params, k)) - abs(f.coefficient(k)) for k in range(2, k_max + 1)
+        float(sharp_bound_formula(params, k)) - abs(f.coefficient(k)) for k in range(2, k_max + 1)
     ]
 
 
@@ -290,7 +289,7 @@ def hk_coefficients(k: int, alpha, order: int) -> list:
     z^(k-2)) for k in {3, 4, 5}, and 1, 1 - z, (1 + z^2)/(1 - z^2) for
     k >= 6.
     """
-    weights, _, sign = hk_weight_row(k, alpha)[-1]
+    weights, sign = hk_weight_row(k, alpha)[-1]
 
     def moebius(step, s):
         """(1 + s z^step)/(1 - s z^step) = 1 + 2 sum_i s^i z^(i step)."""
@@ -305,31 +304,30 @@ def hk_coefficients(k: int, alpha, order: int) -> list:
 
 
 def hk_weights(k: int, alpha):
-    """(weights, sigma, s) of h(z)_k at one index: entry k-2 of `hk_weight_row`."""
+    """(weights, s) of h(z)_k at one index: entry k-2 of `hk_weight_row`."""
     if not isinstance(k, int) or k < 2:
         raise ValueError(f"coefficient index must be an integer >= 2, got {k!r}")
     if not alpha > 1:
         raise ValueError(f"the generator construction needs alpha > 1, got {alpha!r}")
     one_s = alpha**0
-    zero_s = alpha * 0
     if k == 2:
-        return (one_s,), zero_s, 1
+        return (one_s,), 1
     if k == 3:
         lam = 1 / alpha
-        return (one_s - lam, lam), zero_s, -1
+        return (one_s - lam, lam), -1
     if k in (4, 5):
         if k == 4:
             dval = 2 * (alpha * alpha - 6 * alpha + 2) / (3 * alpha * alpha)
         else:
             dval = 2 * (3 * alpha**3 - 11 * alpha**2 + 6 * alpha - 1) / (3 * alpha**3)
         lam = abs(dval) / 2
-        return (one_s - lam, lam), zero_s, 1 if dval >= 0 else -1
+        return (one_s - lam, lam), 1 if dval >= 0 else -1
     product = alpha**0
     for j in range(1, k - 1):
         product = product * ((j * alpha - 1) / (j * alpha))
     lam1 = (2 * one_s) / (k - 2)
     sigma = 2 ** (k - 1) * product / ((k - 1) * (2 ** (k - 3) - 1))
-    return (one_s - lam1 - sigma / 2, lam1, sigma / 2), sigma, 1
+    return (one_s - lam1 - sigma / 2, lam1, sigma / 2), 1
 
 
 def gamma_target(m: int, alpha):
@@ -357,7 +355,7 @@ def nehari_coefficients_full(gammas, G, n: int, alpha, beta, zero) -> list:
     power = list(G)
     total = [zero] * len(G)
     for m in range(1, order + 1):
-        weight = (1 - beta) * alpha**n * gammas[m - 1] / (alpha + m - 1) ** n
+        weight = (1 - beta) * alpha**n * gammas[m - 1] / (alpha + (m - 1)) ** n
         if m % 2 == 0:
             weight = negated(weight)
         total = [t + weight * c for t, c in zip(total, power)]
@@ -388,7 +386,7 @@ def sharp_bound_formula(params: ClassParams, k: int):
 
 
 def small_alpha_bound_full(params: ClassParams, k: int):
-    """`bounds.small_alpha_bound`'s value with every power of the base at full length k."""
+    """The value of `bounds.small_alpha_bound_rows` at one k, with every power of the base at full length k."""
     region = classify_region_by_fractions(params.alpha, k)
     if region is Region.OUT_OF_RANGE:
         return None
@@ -491,7 +489,7 @@ def nehari_coefficients_parent(gammas, G, n: int, alpha, beta, zero) -> list:
     order = len(G) - 1
     total = [zero] * len(G)
     for m, tail in enumerate(power_tails_parent(G[1:], order, zero), start=1):
-        weight = (1 - beta) * alpha**n * gammas[m - 1] / (alpha + m - 1) ** n
+        weight = (1 - beta) * alpha**n * gammas[m - 1] / (alpha + (m - 1)) ** n
         if m % 2 == 0:
             weight = negated(weight)
         total[m:] = [t + weight * c for t, c in zip(total[m:], tail)]

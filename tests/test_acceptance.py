@@ -15,7 +15,6 @@ from fractions import Fraction
 from coeffbounds import (
     FLOAT,
     RATIONAL,
-    ClassParams,
     cli,
     default_grid,
     growth_estimate,
@@ -24,8 +23,8 @@ from coeffbounds import (
     run_hk_audit,
     run_nehari_suite,
     run_random_suite,
-    sharp_bound,
-    small_alpha_bound,
+    sharp_bound_rows,
+    small_alpha_bound_rows,
 )
 from coeffbounds.caratheodory import shift_coefficients, transform_coefficients
 from coeffbounds.series import power_tails, real_power_coefficients
@@ -73,15 +72,14 @@ def test_criterion_02_random_dominance(criterion):
 def test_criterion_03_piecewise_matches_sharp(criterion):
     worst = 0.0
     for n, alpha, beta in default_grid(FLOAT).points():
-        params = ClassParams(n, alpha, beta)
-        for k in (2, 3):
-            piece = small_alpha_bound(params, k)
-            worst = max(worst, abs(piece.value - sharp_bound(params, k)))
+        pieces = small_alpha_bound_rows(n, alpha, (beta,), 3)[0]
+        for piece, sharp in zip(pieces, sharp_bound_rows(n, alpha, (beta,), 3)[0]):  # k = 2, 3
+            worst = max(worst, abs(piece.value - sharp))
     exact = True
     for n, alpha, beta in default_grid(RATIONAL).points():
-        params = ClassParams(n, alpha, beta)
-        for k in (2, 3):
-            exact = exact and small_alpha_bound(params, k).value == sharp_bound(params, k)
+        pieces = small_alpha_bound_rows(n, alpha, (beta,), 3)[0]
+        for piece, sharp in zip(pieces, sharp_bound_rows(n, alpha, (beta,), 3)[0]):  # k = 2, 3
+            exact = exact and piece.value == sharp
     ok = worst <= 1e-12 and exact
     criterion(
         3,

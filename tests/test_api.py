@@ -18,7 +18,6 @@ import coeffbounds
 from coeffbounds import (
     FLOAT,
     RATIONAL,
-    BoundReport,
     ClassParams,
     GammaScheme,
     GridSpec,
@@ -59,6 +58,10 @@ REMOVED_EXPORTS = (
     "gammas_from_coefficients",
     "get_doc_backend",
     "check_gamma_identity",
+    "BoundReport",
+    "bound_report",
+    "sharp_bound",
+    "small_alpha_bound",
 )
 
 
@@ -136,6 +139,9 @@ def test_removed_name_is_not_exported(name):
                                        "_running_products")),
         (bounds, "sharp_bounds"),
         (bounds, "small_alpha_bounds"),
+        *((bounds, name) for name in ("BoundReport", "bound_report", "sharp_bound", "small_alpha_bound",
+                                      "_sharp_rows", "_small_alpha_rows", "SHARP_HIT_TOL")),
+        (GammaScheme, "sigma"),
         (harness, "ALPHA_ONE_MATCH_TOL"),
         (series, "constant_one"),
         (series, "geometric"),
@@ -187,7 +193,7 @@ def test_backend_constants_are_shared():
         (schemes.hk_schemes, "recipe"),
         (schemes.hk_weight_row, "product"),
         (schemes.gamma_target_row, "product"),
-        (bounds.bound_report, "tol"),
+        (harness.run_expand, "tol"),
     ],
 )
 def test_single_valued_knob_is_not_a_parameter(function, parameter):
@@ -670,12 +676,10 @@ def _one_of_each_record() -> list:
     return [
         ClassParams(n=1, alpha=2.0, beta=0.0),
         SmallAlphaBound(value=0.5, region=Region.OMEGA1),
-        BoundReport(k=2, a_abs=0.5, bound=0.5, bound_source="sharp", region=Region.OMEGA1,
-                    margin=0.0, sharp_hit=True, applicable=True),
         entry,
         SuiteReport(suite="extremal", point={"n": "1"}, passed=True, worst_margin=0.0,
                     witness=None, entries=(entry,), elapsed=0.25),
-        GammaScheme(k=2, d=(), sigma=Fraction(0), gamma=Fraction(1), weights=(Fraction(1),), target=Fraction(1)),
+        GammaScheme(k=2, d=(), gamma=Fraction(1), weights=(Fraction(1),), target=Fraction(1)),
         schemes.EvenConstantCheck(k=6, recomputed=Fraction(1, 3), tabulated=Fraction(1, 3), agree=True),
         GridSpec(n_values=(1,), alpha_values=(2.0,), beta_values=(0.0,), k_max=4, trials=8, seed=3),
         sweeps.SweepOutcome(stream_keys={"p": 7}, worst_trial=0, worst_k=2, worst_margin=0.5,

@@ -14,15 +14,13 @@ from coeffbounds import (
     HerglotzAtoms,
     Region,
     TruncatedSeries,
-    bound_report,
+    applicable_bound_row,
     classify_region,
     extremal_p,
     f_from_p,
     growth_estimate,
     p_from_f,
-    sharp_bound,
     sharp_bound_rows,
-    small_alpha_bound,
     small_alpha_bound_rows,
 )
 from coeffbounds.bounds import NORMALIZATION_TOL, round_trip_tolerances
@@ -57,24 +55,23 @@ class TestClassParams:
 
 class TestSharpBound:
     def test_reference_value(self):
-        assert sharp_bound(ClassParams(1, Fraction(2), Fraction(0)), 2) == Fraction(2, 3)
+        assert sharp_bound_rows(1, Fraction(2), [Fraction(0)], 2) == [[Fraction(2, 3)]]
 
     def test_float_matches_rational(self):
         pf = ClassParams(3, 1.5, 0.25)
         pr = ClassParams(3, Fraction(3, 2), Fraction(1, 4))
-        for k in range(2, 13):
-            assert abs(sharp_bound(pf, k) - float(sharp_bound(pr, k))) < 1e-15
+        for f, r in zip(sharp_bounds(pf, 12), sharp_bounds(pr, 12), strict=True):
+            assert abs(f - float(r)) < 1e-15
 
     def test_decreasing_in_k(self):
-        p = ClassParams(2, 3.0, 0.1)
-        values = [sharp_bound(p, k) for k in range(2, 16)]
+        values = sharp_bounds(ClassParams(2, 3.0, 0.1), 15)
         assert all(a > b for a, b in zip(values, values[1:]))
 
     def test_n_zero_loses_k_dependence(self):
         # at n = 0 the (alpha+k-1)^n factor drops out, leaving 2(1-beta)/alpha
-        p = ClassParams(0, Fraction(7, 2), Fraction(1, 4))
+        row = sharp_bounds(ClassParams(0, Fraction(7, 2), Fraction(1, 4)), 9)
         for k in (2, 5, 9):
-            assert sharp_bound(p, k) == 2 * Fraction(3, 4) * Fraction(2, 7)
+            assert row[k - 2] == 2 * Fraction(3, 4) * Fraction(2, 7)
 
 
 def region_oracle(alpha: Fraction, k: int) -> Region:
@@ -169,16 +166,15 @@ class TestSmallAlphaBound:
         for alpha in (Fraction(3, 2), Fraction(2), Fraction(5), Fraction(10)):
             for n in (0, 1, 2, 3):
                 p = ClassParams(n, alpha, Fraction(1, 4))
-                for k in (2, 3):
-                    piece = small_alpha_bound(p, k)
-                    assert piece.value == sharp_bound(p, k), (alpha, n, k)
+                for k, piece, sharp in zip((2, 3), small_alpha_bounds(p, 3), sharp_bounds(p, 3), strict=True):
+                    assert piece.value == sharp, (alpha, n, k)
 
     def test_brute_force_expansion_k4(self):
         # omega1 point: expand (sum_j z^j/(alpha+j)^n)^m by schoolbook
         # products and assemble sum_m B_m Q_3^(m) directly
         alpha, n, beta, k = Fraction(3, 10), 1, Fraction(0), 4
         params = ClassParams(n, alpha, beta)
-        piece = small_alpha_bound(params, k)
+        piece = small_alpha_bounds(params, k)[k - 2]
         assert piece.region is Region.OMEGA1
 
         base = [RATIONAL.zero] + [RATIONAL.coeff(1 / (alpha + j) ** n) for j in range(1, k)]
@@ -197,7 +193,7 @@ class TestSmallAlphaBound:
     def test_omega3_uses_shorter_sum(self):
         # k = 5 at alpha in [1/3, 1/2) sums only to m = 3
         params = ClassParams(1, Fraction(2, 5), Fraction(0))
-        piece = small_alpha_bound(params, 5)
+        piece = small_alpha_bounds(params, 5)[3]
         assert piece.region is Region.OMEGA3
         base = [RATIONAL.zero] + [RATIONAL.coeff(1 / (Fraction(2, 5) + j)) for j in range(1, 5)]
         total = Fraction(0)
@@ -218,12 +214,11 @@ class TestSmallAlphaBound:
             for n in (0, 1, 2, 3):
                 for beta in (Fraction(0), Fraction(1, 4)):
                     params = ClassParams(n, scalar(alpha), scalar(beta))
-                    for k in range(2, 13):
-                        want = small_alpha_bound_full(params, k)
-                        assert small_alpha_bound(params, k).value == want, (alpha, n, beta, k)
+                    for k, piece in enumerate(small_alpha_bounds(params, 12), start=2):
+                        assert piece.value == small_alpha_bound_full(params, k), (alpha, n, beta, k)
 
     def test_out_of_range_has_no_value(self):
-        piece = small_alpha_bound(ClassParams(1, Fraction(3, 4), Fraction(0)), 5)
+        piece = small_alpha_bounds(ClassParams(1, Fraction(3, 4), Fraction(0)), 5)[3]
         assert piece.value is None
         assert piece.region is Region.OUT_OF_RANGE
 
@@ -263,9 +258,6 @@ class TestBoundRows:
                     assert [p.region for p in pieces] == [
                         classify_region_by_fractions(params.alpha, k) for k in ks
                     ]
-                    # the one-index functions are the one-index rows
-                    assert [repr(sharp_bound(params, k)) for k in ks] == list(map(repr, sharp))
-                    assert [repr(small_alpha_bound(params, k)) for k in ks] == list(map(repr, pieces))
 
     @pytest.mark.parametrize("row", [sharp_bounds, small_alpha_bounds])
     def test_rows_need_an_index_of_two(self, row):
@@ -568,7 +560,8 @@ class TestExtremal:
             for alpha in (1.1, 2.0, 10.0):
                 params = ClassParams(2, alpha, 0.25)
                 f = f_from_p(extremal_p(k), params, k)
-                rel = abs(sharp_bound(params, k) - abs(f.coefficient(k))) / sharp_bound(params, k)
+                bound = sharp_bounds(params, k)[k - 2]
+                rel = abs(bound - abs(f.coefficient(k))) / bound
                 assert rel < 1e-10, (k, alpha)
 
     def test_hits_sharp_bound_exactly_rational(self):
@@ -576,7 +569,7 @@ class TestExtremal:
             atoms = extremal_p(k, backend=RATIONAL)
             params = ClassParams(3, Fraction(3, 2), Fraction(1, 4))
             f = f_from_p(atoms, params, k)
-            bound = sharp_bound(params, k)
+            bound = sharp_bounds(params, k)[k - 2]
             assert f.coefficient(k).abs2() == bound * bound
 
     def test_rational_backend_limited_to_exact_atoms(self):
@@ -584,25 +577,20 @@ class TestExtremal:
             extremal_p(4, backend=RATIONAL)
 
 
-class TestBoundReport:
+class TestApplicableBoundRow:
     def test_sharp_branch(self):
         params = ClassParams(1, Fraction(2), Fraction(0))
         f = f_from_p(extremal_p(2, backend=RATIONAL), params, 2)
-        rep = bound_report(params, 2, f.coefficient(2), backend=RATIONAL)
-        assert rep.applicable and rep.bound_source == "sharp"
-        assert rep.sharp_hit
-        assert rep.margin == 0
+        ((source, bound, region),) = applicable_bound_row(1, Fraction(2), Fraction(0), 2)
+        assert (source, region) == ("sharp", Region.OMEGA1)
+        assert f.coefficient(2).abs2() == bound * bound  # a sharp hit
+        assert float(bound) - abs(complex(f.coefficient(2))) == 0
 
     def test_small_alpha_branch(self):
-        params = ClassParams(1, Fraction(3, 5), Fraction(0))
-        rep = bound_report(params, 4, RATIONAL.coeff(Fraction(1, 10)), backend=RATIONAL)
-        assert rep.applicable and rep.bound_source == "small_alpha"
-        assert rep.region is Region.OMEGA2
+        source, bound, region = applicable_bound_row(1, Fraction(3, 5), Fraction(0), 4)[2]
+        assert (source, region) == ("small_alpha", Region.OMEGA2)
+        assert bound == small_alpha_bounds(ClassParams(1, Fraction(3, 5), Fraction(0)), 4)[2].value
 
     def test_open_window_not_applicable(self):
         # k = 5, alpha between 1/2 and 1: no statement applies
-        params = ClassParams(1, 0.75, 0.0)
-        rep = bound_report(params, 5, 0.1 + 0j, backend=FLOAT)
-        assert not rep.applicable
-        assert rep.bound_source is None
-        assert math.isnan(rep.bound)
+        assert applicable_bound_row(1, 0.75, 0.0, 5)[3] == (None, None, Region.OUT_OF_RANGE)

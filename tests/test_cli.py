@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coeffbounds import SmallAlphaBound, TruncatedSeries, bounds, cli, extremal_p, harness, run_expand
+from coeffbounds import TruncatedSeries, cli, extremal_p, harness, run_expand
 from coeffbounds.harness import BOUNDS_COLUMNS, UsageError
 from coeffbounds.reports import SUITE_COLUMNS, fmt_float, json_text
 
@@ -642,6 +642,29 @@ class TestExpandCommand:
         assert (code, out) == (2, "")
         assert err.startswith(f"usage error: {message}")
 
+    ONE_ATOM = {"float": extremal_p(2).to_document(),
+                "rational": {"backend": "rational", "atoms": [{"weight": "1", "t": "0"}]}}
+
+    @pytest.mark.parametrize("backend", ["float", "rational"])
+    @pytest.mark.parametrize("alpha", ["1/10", "1/3", "3/4", "1", "3/2"])
+    def test_bound_rows_are_the_bounds_table(self, backend, alpha, capsys, monkeypatch):
+        # expand's bound is the table's sharp_bound for alpha > 1 and its small_alpha_bound otherwise,
+        # blank in the open window; by k = 8, 1/3 and 1 reach omega1, omega2, omega3 and the window
+        point = ["--n", "1", "--alpha", alpha, "--beta", "1/4", "--kmax", "8"]
+        code, out, _ = run(["bounds", *point, "--backend", backend, "--format", "json"], capsys)
+        assert code == 0
+        table = json.loads(out)["rows"]
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(self.ONE_ATOM[backend])))
+        _, out, _ = run(["expand", "--pspec", "-", *point, "--order", "8", "--format", "json"], capsys)
+        rows = json.loads(out)["bounds"]
+        column, source = ("sharp_bound", "sharp") if Fraction(alpha) > 1 else ("small_alpha_bound", "small_alpha")
+        for row, cell in zip(rows, table, strict=True):
+            assert (str(row["k"]), row["region"]) == (cell["k"], cell["region"])
+            want = cell[column] and fmt_float(float(Fraction(cell[column])))
+            assert (row["bound"], row["bound_source"], row["applicable"]) == (
+                want, source if want else "", bool(want)
+            ), row["k"]
+
     @staticmethod
     def expansion_stages(flags, capsys, monkeypatch):
         """The order of each `f_from_p` call of one rational expand, then its code, stdout and stderr."""
@@ -685,13 +708,12 @@ class TestExpandCommand:
 
     def test_large_bound_still_catches_a_relative_excess(self, tmp_path, capsys, monkeypatch):
         # the same |a_k| against bounds shrunk by a relative 1e-6
-        exact = bounds.small_alpha_bound
+        exact = harness.applicable_bound_row
 
-        def shrunk(params, k):
-            piece = exact(params, k)
-            return SmallAlphaBound(piece.value / (1 + 1e-6), piece.region)
+        def shrunk(n, alpha, beta, k_max):
+            return [(source, bound / (1 + 1e-6), region) for source, bound, region in exact(n, alpha, beta, k_max)]
 
-        monkeypatch.setattr(bounds, "small_alpha_bound", shrunk)
+        monkeypatch.setattr(harness, "applicable_bound_row", shrunk)
         rows = self.large_bound_rows(tmp_path, capsys)
         assert all(row["status"] == "fail" and not row["sharp_hit"] for row in rows)
 

@@ -436,8 +436,8 @@ class TestHkAudit:
 
         def leaving_the_simplex(k_max, alpha):
             row = original(k_max, alpha)
-            _, sigma, sign = row[1]
-            row[1] = (Fraction(6, 5), Fraction(-1, 5)), sigma, sign
+            _, sign = row[1]
+            row[1] = (Fraction(6, 5), Fraction(-1, 5)), sign
             return row
 
         monkeypatch.setattr(schemes, "hk_weight_row", leaving_the_simplex)

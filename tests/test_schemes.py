@@ -142,7 +142,7 @@ class TestBuildHk:
     def test_k6_recipe(self):
         scheme = scheme_of(6, Fraction(2))
         h = hk_coefficients(6, Fraction(2), 16)
-        assert scheme.sigma == Fraction(1, 4)
+        assert scheme.d[1] == Fraction(1, 4)  # sigma, the shared even coefficient
         assert h[1] == Fraction(-1, 2)
         for j in range(2, 17):
             assert h[j] == (Fraction(1, 4) if j % 2 == 0 else 0)
@@ -231,9 +231,8 @@ class TestBuildHk:
         # a float alpha builds at the binary fraction it stores
         a = backend.scalar(alpha)
         for k, scheme in zip(range(2, 21), hk_schemes(20, a)):
-            weights, sigma, sign = hk_weights(k, Fraction(a))
+            weights, sign = hk_weights(k, Fraction(a))
             assert list(map(repr, weights)) == list(map(repr, scheme.weights)), k
-            assert repr(sigma) == repr(scheme.sigma)
             if 3 <= k <= 5:  # the sign of the defining coefficient d_(k-2)
                 assert sign == (1 if scheme.d[k - 3] >= 0 else -1)
             else:
@@ -274,7 +273,6 @@ class TestBuildHk:
             assert abs(f - float(r)) < 1e-14
         for f, r in zip(sf.d, sr.d, strict=True):
             assert abs(f - float(r)) < 1e-14
-        assert abs(complex(sf.sigma) - complex(sr.sigma)) < 1e-14
 
 
 def _bits(value):
@@ -348,14 +346,14 @@ class TestEvenConstants:
         assert recipe_even_constant(10) == Fraction(4, 360045)
 
     def test_recipe_matches_built_sigma(self):
-        # sigma should factor as c_k * prod (j alpha - 1) / alpha^(k-2)
+        # sigma (d_2 for k >= 6) should factor as c_k * prod (j alpha - 1) / alpha^(k-2)
         for k in range(6, 11):
             alpha = Fraction(7, 3)
             scheme = scheme_of(k, alpha)
             prod = Fraction(1)
             for j in range(1, k - 1):
                 prod *= j * alpha - 1
-            assert scheme.sigma == recipe_even_constant(k) * prod / alpha ** (k - 2)
+            assert scheme.d[1] == recipe_even_constant(k) * prod / alpha ** (k - 2)
 
     def test_reference_table_comparison(self):
         rows = {row.k: row for row in compare_even_constants()}
@@ -401,6 +399,16 @@ class TestNehariSeries:
         out = nehari(h, G, params, 6)
         for k in range(1, 7):
             assert out[k] == RATIONAL.coeff(Fraction(4 * (-1) ** (k + 1), k + 1))
+
+    @pytest.mark.parametrize("alpha", [1.1, 1e-200])
+    def test_weight_denominator_rounds_once(self, alpha):
+        # h = 1, G = z, n = 1, beta = 0: A_m = (-1)^(m+1) alpha / (alpha + m - 1), whose denominator
+        # is alpha + (m - 1) rounded once; (1.1 + 3) - 1 is one ulp off, and below 2^-53 (alpha + 1) - 1 is 0
+        order = 16
+        G = [0.0, 1.0] + [0.0] * (order - 1)
+        out = nehari_coefficients([1.0] * order, G, 1, alpha, 0.0, FLOAT.zero)
+        for m in range(1, order + 1):
+            assert out[m] == (-1) ** (m + 1) * (alpha / float(Fraction(alpha) + m - 1)), m
 
     def test_weighted_bound_fails_for_n_at_least_one(self):
         """The transform-weighted tail bound is genuinely violated at n >= 1.

@@ -20,7 +20,6 @@ from coeffbounds import (
     bounds,
     caratheodory,
     f_from_p,
-    sharp_bound,
     sharp_bound_rows,
     sweeps,
 )
@@ -59,6 +58,7 @@ from oracles import (
     gamma_ladder,
     nehari_margins_scalar,
     random_herglotz,
+    sharp_bound_formula,
 )
 
 NEHARI_ROLES = ("nehari:h", "nehari:p", "nehari:q")
@@ -662,7 +662,7 @@ class TestDominance:
             # the independent route: the nested binomial expansion, no root-taking
             p = atoms.series(k_max - 1)
             direct = [
-                float(sharp_bound(params, k)) - abs(a_k_direct(p, params, k)) for k in range(2, k_max + 1)
+                float(sharp_bound_formula(params, k)) - abs(a_k_direct(p, params, k)) for k in range(2, k_max + 1)
             ]
             assert margins[t] == pytest.approx(direct, abs=1e-12)
             # the scalar series classes, one trial at a time: column split and padding
