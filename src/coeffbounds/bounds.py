@@ -130,7 +130,8 @@ def sharp_bound_rows(n: int, alpha, betas, k_max: int) -> list:
     """
     ks = _group_indices(n, alpha, betas, k_max)
     power = alpha ** (n - 1)
-    dens = [(alpha + k - 1) ** n for k in ks]
+    # one rounding: (alpha + k) - 1 can be an ulp off (alpha = 1.1)
+    dens = [(alpha + (k - 1)) ** n for k in ks]
     rows = []
     for beta in betas:
         head = 2 * (1 - beta) * power

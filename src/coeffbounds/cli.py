@@ -23,8 +23,10 @@ makes agree.
 
 Reports (CSV or JSON) go to stdout or ``--out`` and are byte-identical
 across reruns with the same flags; the human-readable summary and timings
-go to stderr. Exit status: 0 when everything passed, 1 when at least one
-check failed, 2 for usage problems (stdout empty, one ``usage error:`` line on
+go to stderr. ``bounds`` writes its table; every other command, ``expand``
+included, writes suite reports through one path (`suite_csv` or
+`suite_json`, then `_summarize_reports`). Exit status: 0 when everything
+passed, 1 when at least one check failed, 2 for usage problems (stdout empty, one ``usage error:`` line on
 stderr, argparse's rejections included), among them parameters whose float
 arithmetic overflows or whose exact values grow past the digits Python prints,
 a --kmax or --order above `harness.MAX_ORDER`, and an --n above
@@ -257,67 +259,12 @@ def _single(values, what: str):
     return values[0]
 
 
-_EXPAND_COLUMNS = ("k", "case", "observed", "reference", "margin", "status")
-
-
-def _expand_csv(result: dict) -> str:
-    rows = []
-    for i, coeff in enumerate(result["f_coefficients"]):
-        rows.append(
-            {"k": str(i), "case": "coefficient", "observed": coeff, "reference": "", "margin": "", "status": "info"}
-        )
-    for row in result["bounds"]:
-        case = "bound"
-        if row["sharp_hit"]:
-            case = "bound (sharp hit)"
-        elif not row["applicable"]:
-            case = "bound (no applicable bound)"
-        rows.append(
-            {
-                "k": str(row["k"]),
-                "case": case,
-                "observed": row["a_abs"],
-                "reference": row["bound"],
-                "margin": row["margin"],
-                "status": row["status"],
-            }
-        )
-    # the atom rules were checked on parse, so the first row holds by construction
-    rows.append({"k": "", "case": "membership by construction (smallest atom weight)",
-                 "observed": result["membership_min_weight"], "reference": "0", "margin": "", "status": "pass"})
-    rows.append({"k": str(result["round_trip_k"]), "case": "round trip p_from_f(f) against the generator",
-                 "observed": result["round_trip_residual"], "reference": result["round_trip_tolerance"],
-                 "margin": "", "status": result["membership_status"]})
-    return csv_text(_EXPAND_COLUMNS, rows)
-
-
-def _run_expand_command(args) -> int:
-    doc = _read_pspec(args.pspec)
-    n = _single(args.n, "n")
-    alpha = _single(args.alpha, "alpha")
-    beta = _single(args.beta, "beta")
-    result = run_expand(doc, n, alpha, beta, **_given(args))
-    text = json_text(result) if args.format == "json" else _expand_csv(result)
-    _emit(text, args.out)
-    failed = result["membership_status"] == "fail" or any(
-        row["status"] == "fail" for row in result["bounds"]
-    )
-    print(
-        f"expanded order-{result['order']} series on the {result['backend']} backend; "
-        f"round trip residual {result['round_trip_residual']} ({result['membership_status']})",
-        file=sys.stderr,
-    )
-    return 1 if failed else 0
-
-
 def main(argv=None) -> int:
     try:
         args = _shared_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        if args.command == "expand":
-            return _run_expand_command(args)
         backend = get_backend(getattr(args, "backend", "float"))
         start = time.perf_counter()
         if args.command == "bounds":
@@ -331,8 +278,11 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 0
-        # verify
-        if args.suite == "hk":
+        if args.command == "expand":
+            doc = _read_pspec(args.pspec)
+            reports = run_expand(doc, _single(args.n, "n"), _single(args.alpha, "alpha"),
+                                 _single(args.beta, "beta"), **_given(args))
+        elif args.suite == "hk":
             alphas = (
                 _parse_tokens(backend, args.alpha, "alpha")
                 if args.alpha

@@ -1,7 +1,8 @@
 """Verification harness: parameter grids, suites, audits, report assembly.
 
-Each ``run_*`` function walks a parameter grid, performs its checks, and
-returns :class:`~coeffbounds.reports.SuiteReport` records with
+Each ``run_*`` function but `run_bounds_table` walks a parameter grid, or
+expands one generator document at one point (`run_expand`), performs its
+checks, and returns :class:`~coeffbounds.reports.SuiteReport` records with
 pre-formatted entries (exact fraction strings on the rational backend,
 17-digit floats otherwise). Like every record of the package, `GridSpec`
 and the reports are named tuples.
@@ -488,11 +489,11 @@ def _alpha_one_report(backend: Backend) -> SuiteReport:
 def _round_trip(backend: Backend, p, back, f, params) -> tuple:
     """Verdict, index, residual and tolerance of the round trip p -> f -> p_from_f(f).
 
-    Rational: "pass" only when every coefficient is equal, tolerance 0.
-    Float: "fail" when some |p_k - back_k| exceeds its tolerance from
-    `round_trip_tolerances`, "info" when some tolerance is 2 or more (the
-    coefficient bound of P, so it judges nothing), "pass" otherwise. The
-    index reported is the first tolerance that judges nothing on "info",
+    Rational: True only when every coefficient is equal, tolerance 0.
+    Float: False when some |p_k - back_k| exceeds its tolerance from
+    `round_trip_tolerances`, None when some tolerance is 2 or more (the
+    coefficient bound of P, so it judges nothing), True otherwise. The
+    index reported is the first tolerance that judges nothing on None,
     otherwise the largest residual relative to its tolerance.
     """
     residuals = [abs(complex(b - c)) for b, c in zip(back.coeffs, p.coeffs)]
@@ -510,7 +511,7 @@ def _round_trip(backend: Backend, p, back, f, params) -> tuple:
         k = next(k for k in ks if not tolerances[k] < 2)
     else:
         k = max(ks, key=lambda k: _ratio(residuals[k], tolerances[k]))
-    return _STATUS[ok], k, residuals[k], tolerances[k]
+    return ok, k, residuals[k], tolerances[k]
 
 
 def _ratio(residual: float, tolerance: float) -> float:
@@ -540,19 +541,26 @@ def _expansion(p, params: ClassParams, order: int) -> tuple:
 
 def run_expand(
     doc: dict, n: int, alpha, beta, order: int = DEFAULT_ORDER, k_max: int = DEFAULT_K_MAX
-) -> dict:
-    """Expand one generator document into f, per-k bound rows, membership.
+) -> list:
+    """Expand one generator document into f; one report of its coefficients, bounds and membership.
 
-    Each bound row compares |a_k| with the bound `applicable_bound_row`
-    selects: the margin bound - |a_k| fails below -SLACK * max(1, bound),
-    and a sharp hit is |a_k| = bound exactly for an exact sharp bound, else
-    |margin| <= `SHARP_HIT_TOL` * max(1, bound). A document that passes the
-    atom rules is in P, so f is in the class by construction; the
-    membership rows report the smallest weight and check that `p_from_f`
-    gives back the generator's coefficients (see `_round_trip`). The document names its backend, and alpha and beta are
-    read on it; like them, each value of a rational document is held to
-    `MAX_EXACT_BITS`. The defaults are the ones ``coeffbounds expand`` uses.
+    The report's point is the grid point plus the document's backend and
+    the order. Its rows are the coefficients a_0..a_order of f (info), then
+    one bound row per k = 2..k_max against the bound `applicable_bound_row`
+    selects, its case naming the source and the region: the margin
+    bound - |a_k| fails below -SLACK * max(1, bound), and a sharp hit
+    (|a_k| = bound exactly for an exact sharp bound, else |margin| <=
+    `SHARP_HIT_TOL` * max(1, bound)) is marked in the case; the open window
+    has no bound and the row judges nothing. A document that passes the atom
+    rules is in P, so f is in the class by construction; the two membership
+    rows report the smallest weight and check that `p_from_f` gives back the
+    generator's coefficients (see `_round_trip`). The worst margin is the
+    smallest bound margin, and there is no witness: the document is one.
+    The document names its backend, and alpha and beta are read on it; like
+    them, each value of a rational document is held to `MAX_EXACT_BITS`.
+    The defaults are the ones ``coeffbounds expand`` uses.
     """
+    start = time.perf_counter()
     _check_n(n)
     _check_k_max(k_max)
     if not isinstance(order, int) or order < k_max:
@@ -574,47 +582,41 @@ def run_expand(
         raise UsageError(str(exc)) from exc
     _check_exact_size((params.alpha,), "alpha")
     _check_exact_size((params.beta,), "beta")
+    point = {**_point(backend, n, params.alpha, params.beta), "backend": backend.name, "order": str(order)}
     p = atoms.series(order - 1)
     f, f_coefficients = _expansion(p, params, order)
-    bound_rows = []
+    entries = [_row("expand", point, k, "coefficient", text, "", "", None)
+               for k, text in enumerate(f_coefficients)]
+    margins = []
     applicable = applicable_bound_row(n, params.alpha, params.beta, k_max)
     for k, (source, bound, region) in enumerate(applicable, start=2):
         a_k = f.coefficient(k)
         a_abs = abs(complex(a_k))
-        row = {"k": k, "a_abs": fmt_float(a_abs), "bound": "", "bound_source": source or "",
-               "region": region.value, "margin": "", "sharp_hit": False, "applicable": source is not None}
-        ok = None
-        if source is not None:
-            value = float(bound)
-            margin = value - a_abs
-            scale = max(1.0, value)
-            if source == "sharp" and backend is RATIONAL:
-                row["sharp_hit"] = a_k.abs2() == bound * bound
-            else:
-                row["sharp_hit"] = abs(margin) <= SHARP_HIT_TOL * scale
-            row["bound"], row["margin"] = fmt_float(value), fmt_float(margin)
-            ok = not margin < -SLACK * scale
-        row["status"] = _STATUS[ok]
-        bound_rows.append(row)
+        if source is None:
+            entries.append(_row("expand", point, k, f"bound (none, {region.value})", fmt_float(a_abs),
+                                "", "", None))
+            continue
+        value = float(bound)
+        margin = value - a_abs
+        scale = max(1.0, value)
+        if source == "sharp" and backend is RATIONAL:
+            hit = a_k.abs2() == bound * bound
+        else:
+            hit = abs(margin) <= SHARP_HIT_TOL * scale
+        margins.append(margin)
+        entries.append(_row("expand", point, k, f"bound ({source}, {region.value}{', sharp hit' if hit else ''})",
+                            fmt_float(a_abs), fmt_float(value), fmt_float(margin),
+                            not margin < -SLACK * scale))
     try:
         back = p_from_f(f, params)
     except ValueError as exc:
         # f_from_p starts f as z exactly, so only a float overflow lands here
         raise UsageError(f"{exc}: the float expansion overflowed; lower --order or expand exactly") from exc
-    status, k, residual, tolerance = _round_trip(backend, p, back, f, params)
-    return {
-        "backend": backend.name,
-        "params": {
-            "n": str(n),
-            "alpha": backend.format_scalar(params.alpha),
-            "beta": backend.format_scalar(params.beta),
-        },
-        "order": order,
-        "f_coefficients": f_coefficients,
-        "bounds": bound_rows,
-        "membership_min_weight": backend.format_scalar(min(atoms.weights)),
-        "membership_status": status,
-        "round_trip_k": k,
-        "round_trip_residual": fmt_float(residual),
-        "round_trip_tolerance": fmt_float(tolerance),
-    }
+    ok, k, residual, tolerance = _round_trip(backend, p, back, f, params)
+    # the atom rules were checked on parse, so the first row holds by construction
+    entries.append(_row("expand", point, "", "membership by construction (smallest atom weight)",
+                        backend.format_scalar(min(atoms.weights)), "0", "", True))
+    entries.append(_row("expand", point, k, "round trip p_from_f(f) against the generator",
+                        fmt_float(residual), fmt_float(tolerance), "", ok))
+    worst = min(margins, default=None)
+    return [_report("expand", point, entries, worst, elapsed=time.perf_counter() - start)]

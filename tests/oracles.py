@@ -382,7 +382,7 @@ def classify_region_by_fractions(alpha, k: int) -> Region:
 def sharp_bound_formula(params: ClassParams, k: int):
     """2 (1 - beta) alpha^(n-1) / (alpha + k - 1)^n as one expression."""
     alpha, beta, n = params.alpha, params.beta, params.n
-    return 2 * (1 - beta) * alpha ** (n - 1) / (alpha + k - 1) ** n
+    return 2 * (1 - beta) * alpha ** (n - 1) / (alpha + (k - 1)) ** n
 
 
 def small_alpha_bound_full(params: ClassParams, k: int):

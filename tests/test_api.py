@@ -146,6 +146,7 @@ def test_removed_name_is_not_exported(name):
         (series, "constant_one"),
         (series, "geometric"),
         (SuiteEntry, "as_dict"),
+        *((cli, name) for name in ("_EXPAND_COLUMNS", "_expand_csv", "_run_expand_command")),
         *(
             (TruncatedSeries, method)
             for method in (

@@ -63,6 +63,10 @@ class TestSharpBound:
         for f, r in zip(sharp_bounds(pf, 12), sharp_bounds(pr, 12), strict=True):
             assert abs(f - float(r)) < 1e-15
 
+    def test_denominator_rounds_once(self):
+        # alpha + k - 1 reads (alpha + k) - 1: at alpha = 1.1, k = 3 that is 3.0999999999999996, not 1.1 + 2
+        assert sharp_bound_rows(1, 1.1, [0.0], 3)[0][1] == 2.0 / (1.1 + 2)
+
     def test_decreasing_in_k(self):
         values = sharp_bounds(ClassParams(2, 3.0, 0.1), 15)
         assert all(a > b for a, b in zip(values, values[1:]))

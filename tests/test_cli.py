@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -18,7 +19,8 @@ from hypothesis import strategies as st
 
 from coeffbounds import TruncatedSeries, cli, extremal_p, harness, run_expand
 from coeffbounds.harness import BOUNDS_COLUMNS, UsageError
-from coeffbounds.reports import SUITE_COLUMNS, fmt_float, json_text
+from coeffbounds.reports import SUITE_COLUMNS, fmt_float, suite_json
+from report_rows import ROUND_TRIP, bound_case, bound_rows, expand_rows, the_row
 
 SMALL = ["--n", "1", "--alpha", "2", "--beta", "0", "--kmax", "6"]
 
@@ -582,8 +584,8 @@ class TestExpandCommand:
         assert code == 0
         assert "membership by construction" in out
         assert "round trip" in out
-        assert "bound (sharp hit)" in out
-        assert "expanded order-12 series on the float backend" in err
+        assert ", sharp hit)" in out
+        assert "[pass] expand n=1 alpha=2 beta=0 backend=float order=12 " in err
 
     def test_from_stdin_matches_file(self, tmp_path, capsys, monkeypatch):
         code_file, out_file, _ = run(self.expand_args(str(self.doc_path(tmp_path))), capsys)
@@ -594,10 +596,11 @@ class TestExpandCommand:
     def test_json_format(self, tmp_path, capsys):
         code, out, _ = run([*self.expand_args(str(self.doc_path(tmp_path))), "--format", "json"], capsys)
         assert code == 0
-        payload = json.loads(out)
-        assert payload["backend"] == "float"
-        assert payload["membership_status"] == "pass"
-        assert [row["k"] for row in payload["bounds"]] == [2, 3, 4, 5]
+        (report,) = json.loads(out)["suites"]["expand"]
+        assert report["backend"] == "float"
+        rows = expand_rows(out)
+        assert the_row(rows, ROUND_TRIP)["status"] == "pass"
+        assert [row["k"] for row in bound_rows(rows)] == ["2", "3", "4", "5"]
 
     @pytest.mark.parametrize(
         "n, alpha, order, message",
@@ -656,13 +659,14 @@ class TestExpandCommand:
         table = json.loads(out)["rows"]
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(self.ONE_ATOM[backend])))
         _, out, _ = run(["expand", "--pspec", "-", *point, "--order", "8", "--format", "json"], capsys)
-        rows = json.loads(out)["bounds"]
+        rows = bound_rows(expand_rows(out))
         column, source = ("sharp_bound", "sharp") if Fraction(alpha) > 1 else ("small_alpha_bound", "small_alpha")
         for row, cell in zip(rows, table, strict=True):
-            assert (str(row["k"]), row["region"]) == (cell["k"], cell["region"])
+            row_source, region, _ = bound_case(row)
+            assert (row["k"], region) == (cell["k"], cell["region"])
             want = cell[column] and fmt_float(float(Fraction(cell[column])))
-            assert (row["bound"], row["bound_source"], row["applicable"]) == (
-                want, source if want else "", bool(want)
+            assert (row["reference"], row_source, row["status"] != "info") == (
+                want, source if want else "none", bool(want)
             ), row["k"]
 
     @staticmethod
@@ -697,14 +701,14 @@ class TestExpandCommand:
         path = tmp_path / "p.json"
         path.write_text(json.dumps(extremal_p(2).to_document()))
         _, out, _ = run(["expand", "--pspec", str(path), *self.LARGE, "--format", "json"], capsys)
-        rows = json.loads(out)["bounds"]
-        assert [row["k"] for row in rows] == list(range(2, 9))
+        rows = bound_rows(expand_rows(out))
+        assert [row["k"] for row in rows] == [str(k) for k in range(2, 9)]
         return rows
 
     def test_slack_scales_with_a_large_bound(self, tmp_path, capsys):
         rows = self.large_bound_rows(tmp_path, capsys)
         assert float(rows[-1]["margin"]) < -1e9  # k = 8: an absolute gap, a relative 3e-16
-        assert all(row["status"] == "pass" and row["sharp_hit"] for row in rows)
+        assert all(row["status"] == "pass" and bound_case(row)[2] for row in rows)
 
     def test_large_bound_still_catches_a_relative_excess(self, tmp_path, capsys, monkeypatch):
         # the same |a_k| against bounds shrunk by a relative 1e-6
@@ -715,7 +719,7 @@ class TestExpandCommand:
 
         monkeypatch.setattr(harness, "applicable_bound_row", shrunk)
         rows = self.large_bound_rows(tmp_path, capsys)
-        assert all(row["status"] == "fail" and not row["sharp_hit"] for row in rows)
+        assert all(row["status"] == "fail" and not bound_case(row)[2] for row in rows)
 
     def test_float_membership_at_a_tiny_alpha(self, tmp_path, capsys):
         # the coefficients of f reach 4.7e183, so the float round trip has tolerances far above 2,
@@ -724,15 +728,15 @@ class TestExpandCommand:
         path.write_text(json.dumps(extremal_p(2).to_document()))
         code, out, _ = run(["expand", "--pspec", str(path), *self.LARGE, "--format", "json"], capsys)
         assert code == 0
-        assert json.loads(out)["membership_status"] == "info"
+        assert the_row(expand_rows(out), ROUND_TRIP)["status"] == "info"
 
     def test_rational_membership_at_a_tiny_alpha(self, tmp_path, capsys):
         path = tmp_path / "p.json"
         path.write_text(json.dumps({"backend": "rational", "atoms": [{"weight": "1", "t": "0"}]}))
         code, out, _ = run(["expand", "--pspec", str(path), *self.LARGE, "--format", "json"], capsys)
         assert code == 0
-        result = json.loads(out)
-        assert (result["membership_status"], result["round_trip_residual"]) == ("pass", "0")
+        row = the_row(expand_rows(out), ROUND_TRIP)
+        assert (row["status"], row["observed"]) == ("pass", "0")
 
     @pytest.mark.parametrize("k", [2, 5, 16])
     def test_perturbed_float_expansion_fails_the_round_trip(self, k, tmp_path, capsys, monkeypatch):
@@ -751,10 +755,10 @@ class TestExpandCommand:
                 "--order", "16", "--kmax", "8"]
         code, out, err = run(argv, capsys)
         assert code == 1
-        row = out.splitlines()[-1].split(",")
-        assert (row[0], row[1], row[-1]) == (str(k - 1), "round trip p_from_f(f) against the generator", "fail")
-        assert float(row[2]) > 1000 * float(row[3])
-        assert "(fail)" in err
+        row = expand_rows(out)[-1]
+        assert (row["k"], row["case"], row["status"]) == (str(k - 1), ROUND_TRIP, "fail")
+        assert float(row["observed"]) > 1000 * float(row["reference"])
+        assert "[FAIL] expand" in err
 
     def test_missing_pspec(self, capsys):
         code, _, err = run(["expand", "--n", "1", "--alpha", "2", "--beta", "0"], capsys)
@@ -842,7 +846,34 @@ class TestExpandCommand:
         code, out, _ = run(argv, capsys)
         assert code == 0
         doc = json.loads(path.read_text())
-        assert json_text(run_expand(doc, 1, "2", "0", 16, 8)) == out
+        assert suite_json(run_expand(doc, 1, "2", "0", 16, 8)) == out
+
+
+#: One small run of each command that writes suite reports, which is every command but ``bounds``;
+#: an index stands for the path of `pspec_paths` it picks.
+_SUITE_ARGVS = [
+    ["verify", "extremal", *SMALL],
+    ["verify", "extremal", *SMALL, "--backend", "rational"],
+    ["verify", "random", *SMALL, "--trials", "20"],
+    ["verify", "nehari", *SMALL, "--trials", "20"],
+    ["verify", "hk", "--alpha", "2", "--kmax", "6"],
+    ["expand", "--pspec", 0, "--n", "1", "--alpha", "2", "--beta", "0", "--order", "8", "--kmax", "6"],
+    ["expand", "--pspec", 1, "--n", "1", "--alpha", "1/3", "--beta", "0", "--order", "8", "--kmax", "6"],
+]
+
+
+@pytest.mark.parametrize("argv", _SUITE_ARGVS, ids=["extremal-float", "extremal-rational", "random", "nehari", "hk",
+                                                     "expand-float", "expand-rational"])
+def test_one_report_shape(argv, pspec_paths, capsys):
+    # the CSV header is SUITE_COLUMNS, the JSON is {"suites": ...}, and stderr ends with the point count
+    argv = [pspec_paths[token] if isinstance(token, int) else token for token in argv]
+    code, out, err = run(argv, capsys)
+    assert next(csv.reader(io.StringIO(out))) == list(SUITE_COLUMNS)
+    passed, total = re.fullmatch(r"(\d+)/(\d+) points passed in \d+\.\d\ds", err.splitlines()[-1]).groups()
+    assert code == (0 if passed == total else 1)
+    json_code, out, _ = run([*argv, "--format", "json"], capsys)
+    assert json_code == code
+    assert list(json.loads(out)) == ["suites"]
 
 
 _PSPEC = "<pspec>"  # replaced by the path of a rational document
@@ -1007,27 +1038,27 @@ _REGION_EDGES = ["--alpha", "1/10", "--alpha", "1/3", "--alpha", "2/3", "--alpha
         (["verify", "hk", *_HK_WIDE], None, "87e249be3bf0b3ce6c512c0ec00e00f0061f66d6c03b486b58f6018e36909ccd"),
         (["verify", "hk", *_HK_WIDE, "--backend", "rational"], None,
          "671d23d78252ecbfcffd9318ccc436b6a9b657252e27cdc4bdad1c683468952c"),
-        (["verify", "extremal"], None, "1bf90081c9d5a6115f044c0321baae6bd9e82c471a3891e6dcb951da50f579f7"),
+        (["verify", "extremal"], None, "107d3ff9758f8042995b83ce5ad98dae58ccf2040cfd0d53b15cfc6a39d7f222"),
         (["verify", "extremal", "--backend", "rational"], None,
          "f0fe53ec7ef477d980602c22f297a8d22000ad9b6ebd0b50dbf36b1e3388604d"),
         (["expand", *_GOLDEN_EXPAND], _GOLDEN_FLOAT_DOC,
-         "0e1401607c2c7a10b2e59d6ae247adb3556bc71f784e365405763ec3b01d5ce9"),
+         "2bb889a39dab2354f553246602720cec8146d57bc5e7bbe1d6e5a042fc99edef"),
         (["expand", *_GOLDEN_EXPAND], _GOLDEN_RATIONAL_DOC,
-         "c2250a1fbc1ae7137b3aa0f212b66af24481e77a8504005f695aed09959623e0"),
+         "f679b08de5f01b02fb8cb50fe50bdc61e95bc2072582c9d6e0ea01d4fb577b4b"),
         (["expand", *_EXPAND_WIDE], _GOLDEN_FLOAT_DOC,
-         "8d52e06170dbba8a0849af0088c3cb9de52f797723a6f1952b6689c500c51833"),
+         "36b2cee2853b9ba9f1984a49549d429288cc0bcbd078f4a4dc8d29f7fbcea103"),
         (["expand", *_EXPAND_WIDE], _GOLDEN_RATIONAL_DOC,
-         "074c3880df5a5a9c45d36b5efdd7eef1cb7f5aa8dd06fc08a6bc14a44314a5b9"),
-        (["bounds"], None, "a33e37630faec425430b81a5617472adf5138894485637ec03479a905d3a7628"),
+         "49ffe072ef782e518c078423012c3afffa486991253729fa8e3a7709fc9398c1"),
+        (["bounds"], None, "d208a0c417d338a26f017579ad72ec70d9e076a651331c36fb8949ccd1bc631b"),
         (["bounds", "--backend", "rational"], None,
          "822b40bd5eee27134b23e4769af592ad6dd63008455876a51eab0b235dc579ff"),
-        (["bounds", *_SMALL_ALPHA], None, "01d188ef40d3523acd20b1855bdf9995400100a629556c22636a7af8d7b8a65e"),
+        (["bounds", *_SMALL_ALPHA], None, "fe27a4ba34e4f602652f2d76678e53a69cd49153f2a991637732e13d6f40f6b8"),
         (["bounds", *_SMALL_ALPHA, "--backend", "rational"], None,
          "3dd5ceb08318c90902d66b9b1b245841c375e64f9acb62b86b6fbfb4ffead661"),
-        (["bounds", *_REGION_EDGES], None, "3650ce93f00b0929637a2ece3c57fe26167b84b872071954824ffb27e374d16f"),
+        (["bounds", *_REGION_EDGES], None, "b263c6afeb435063b0a20688b768e6eea1894de6a9d48de3c7d5125e59a57712"),
         (["bounds", *_REGION_EDGES, "--backend", "rational"], None,
          "89dc600124f4dfea37cedfd6f43c0bb29d95a9b74af74cc8a127ac978f6e0452"),
-        (["bounds", "--format", "json"], None, "cdd052bbfaf66b675caa4b20c2dfcef6c3fcf34b11078699b0379233418c0062"),
+        (["bounds", "--format", "json"], None, "1e401f40ef31a1132860eabc3620f1ff1280226d06cc56c4cbe5f8e3c06a2edf"),
     ],
     ids=[
         "hk-float", "hk-rational", "hk-wide-float", "hk-wide-rational", "extremal-float", "extremal-rational", "expand-float", "expand-rational",

@@ -38,6 +38,7 @@ from coeffbounds.bounds import SLACK, ClassParams, f_from_p, sharp_bound_rows
 from coeffbounds.harness import DEFAULT_K_MAX
 from coeffbounds.reports import fmt_float
 from oracles import dominance_margins_scalar, gamma_ladder, gamma_target, nehari_margins_scalar
+from report_rows import MEMBERSHIP, ROUND_TRIP, bound_case, bound_rows, coefficients, expand_rows, the_row
 from coeffbounds.caratheodory import HerglotzAtoms, trial_atoms
 
 
@@ -221,7 +222,7 @@ class TestExtremalSuite:
         out = capsys.readouterr().out
         assert code == 0
         # the witness hits the true sharp bound at its k
-        assert "2,bound (sharp hit)," in out
+        assert ',2,"bound (sharp, omega1, sharp hit)",' in out
 
 
 class TestRandomSuite:
@@ -531,18 +532,19 @@ class TestExpand:
 
     def test_happy_path(self):
         result = run_expand(self.float_doc(), 1, 2.0, 0.0, 16, 6)
-        assert result["backend"] == "float"
-        assert len(result["f_coefficients"]) == 17
-        assert result["membership_status"] == "pass"
-        rows = {r["k"]: r for r in result["bounds"]}
-        assert rows[3]["sharp_hit"] is True
-        assert rows[3]["status"] == "pass"
+        assert result[0].point["backend"] == "float"
+        rows = expand_rows(result)
+        assert len(coefficients(rows)) == 17
+        assert the_row(rows, ROUND_TRIP)["status"] == "pass"
+        rows = {r["k"]: r for r in bound_rows(rows)}
+        assert bound_case(rows["3"])[2] is True
+        assert rows["3"]["status"] == "pass"
 
     def test_rational_document_wins_backend(self):
         doc = extremal_p(2, backend=RATIONAL).to_document()
         result = run_expand(doc, 1, "2", "0", 8, 4)
-        assert result["backend"] == "rational"
-        assert result["f_coefficients"][1] == "1"
+        assert result[0].point["backend"] == "rational"
+        assert coefficients(expand_rows(result))[1] == "1"
 
     def test_malformed_document(self):
         with pytest.raises(UsageError):
@@ -579,10 +581,11 @@ class TestExpandRoundTrip:
         for _ in range(1000):
             doc = trial_atoms(rng.getrandbits(64), rng.randrange(1000)).to_document()
             alpha, beta = 10 ** rng.uniform(-4, 2), rng.uniform(0, 0.9)
-            result = run_expand(doc, rng.randrange(5), alpha, beta, rng.randint(2, 64), 2)
-            assert result["membership_status"] != "fail", result
-            assert float(result["round_trip_residual"]) <= float(result["round_trip_tolerance"])
-            statuses[result["membership_status"]] += 1
+            row = the_row(expand_rows(run_expand(doc, rng.randrange(5), alpha, beta, rng.randint(2, 64), 2)),
+                          ROUND_TRIP)
+            assert row["status"] != "fail", row
+            assert float(row["observed"]) <= float(row["reference"])
+            statuses[row["status"]] += 1
         assert statuses["pass"] > 800
 
     def test_perfbench_documents(self, tmp_path):
@@ -595,35 +598,35 @@ class TestExpandRoundTrip:
                 e = command.expect
                 result = run_expand(e["doc"], e["n"], e["alpha"], e["beta"], workloads.EXPAND_ORDER,
                                     workloads.EXPAND_KMAX)
-                assert result["membership_status"] == "pass", command.label
-                if result["backend"] == "rational":
-                    assert result["round_trip_residual"] == "0"
+                row = the_row(expand_rows(result), ROUND_TRIP)
+                assert row["status"] == "pass", command.label
+                if result[0].point["backend"] == "rational":
+                    assert row["observed"] == "0"
                 else:
-                    assert float(result["round_trip_residual"]) <= 1e-14
-                    assert float(result["round_trip_tolerance"]) <= 1e-11
+                    assert float(row["observed"]) <= 1e-14
+                    assert float(row["reference"]) <= 1e-11
 
     @pytest.mark.parametrize("n", [0, 3])
     def test_rational_one_atom_is_exact(self, n):
         doc = {"backend": "rational", "atoms": [{"weight": "1", "t": "0"}]}
         for alpha in ("1/10000", "1/100", "1/10", "1/3", "1", "2", "10"):
-            result = run_expand(doc, n, alpha, "0", 64, 8)
-            assert (result["membership_status"], result["round_trip_residual"]) == ("pass", "0"), alpha
-            assert result["round_trip_tolerance"] == "0"
+            row = the_row(expand_rows(run_expand(doc, n, alpha, "0", 64, 8)), ROUND_TRIP)
+            assert (row["status"], row["observed"]) == ("pass", "0"), alpha
+            assert row["reference"] == "0"
 
     @pytest.mark.parametrize("alpha, status", [("2", "pass"), ("1/3", "info"), ("1/10000", "info")])
     def test_float_one_atom_verdicts(self, alpha, status):
         # a tolerance of 2 or more judges nothing: 2 bounds every coefficient of P
-        result = run_expand(extremal_p(2).to_document(), 0, alpha, "0", 64, 8)
-        assert result["membership_status"] == status
-        tolerance = float(result["round_trip_tolerance"])
+        row = the_row(expand_rows(run_expand(extremal_p(2).to_document(), 0, alpha, "0", 64, 8)), ROUND_TRIP)
+        assert row["status"] == status
+        tolerance = float(row["reference"])
         assert (tolerance >= 2) == (status == "info")
 
     def test_construction_row_reports_the_smallest_weight(self):
         doc = {"backend": "rational", "atoms": [{"weight": "1/3", "t": "1/2"}, {"weight": "2/3", "t": "-3/4"}]}
-        assert run_expand(doc, 1, "2", "0", 16, 6)["membership_min_weight"] == "1/3"
-        assert run_expand(extremal_p(4).to_document(), 1, 2.0, 0.0, 16, 6)["membership_min_weight"] == (
-            fmt_float(min(extremal_p(4).weights))
-        )
+        assert the_row(expand_rows(run_expand(doc, 1, "2", "0", 16, 6)), MEMBERSHIP)["observed"] == "1/3"
+        assert the_row(expand_rows(run_expand(extremal_p(4).to_document(), 1, 2.0, 0.0, 16, 6)),
+                       MEMBERSHIP)["observed"] == fmt_float(min(extremal_p(4).weights))
 
     def test_rational_perturbation_fails(self, monkeypatch):
         doc = {"backend": "rational", "atoms": [{"weight": "1/3", "t": "1/2"}, {"weight": "2/3", "t": "-3/4"}]}
@@ -636,6 +639,6 @@ class TestExpandRoundTrip:
             return TruncatedSeries(coeffs, order, backend=RATIONAL)
 
         monkeypatch.setattr(harness, "f_from_p", perturbed)
-        result = run_expand(doc, 2, "3/2", "1/4", 16, 8)
-        assert result["membership_status"] == "fail"
-        assert result["round_trip_k"] == 4
+        row = the_row(expand_rows(run_expand(doc, 2, "3/2", "1/4", 16, 8)), ROUND_TRIP)
+        assert row["status"] == "fail"
+        assert row["k"] == "4"
