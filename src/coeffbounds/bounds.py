@@ -14,13 +14,14 @@ from a generator (``f_from_p``) and recovering the generator of a given f
 (f/z)^alpha to undo the transform, then undoes the beta shift).
 ``round_trip_tolerances`` bounds the float rounding of that round trip.
 
-Three bound formulas are provided: the sharp one for alpha > 1
+Four bound formulas are provided: the sharp one for alpha > 1
 (``sharp_bound_rows``, attained by ``extremal_p``), the piecewise small-alpha
-one with its omega regions (``small_alpha_bound_rows``), and the exponential
-estimate on the power-quotient coefficients (``growth_estimate``). The first
-two give the k = 2..k_max rows of all the betas of one (n, alpha), and form
-what the indices and the betas share once. ``applicable_bound_row`` picks,
-for one point, the one of them that applies.
+one with its omega regions (``small_alpha_bound_rows``), the claimed Nehari
+bound of the alternating series (``nehari_bound_rows``), and the exponential
+estimate on the power-quotient coefficients (``growth_estimate``). The row
+functions form what the indices and the betas of one (n, alpha) share once.
+``applicable_bound_row`` picks the sharp or the small-alpha row that applies
+at one point, and ``bound_gap`` is the one rule for whether |a_k| meets a bound.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ from .series import TruncatedSeries, power_tails, real_power_coefficients
 #: reference column. The per-k bound rows of ``expand`` scale it by
 #: max(1, bound), so float rounding of a large bound is no violation.
 SLACK = 1e-9
+#: A float bound is met when |bound - |a_k|| is at most this times the bound.
+SHARP_REL_TOL = 1e-10
 #: Largest float |a_0| that `p_from_f` accepts; a_1 must be exactly 1.
 NORMALIZATION_TOL = 1e-12
 #: The constant C of `round_trip_tolerances`.
@@ -197,6 +200,21 @@ def small_alpha_bound_rows(n: int, alpha, betas, k_max: int) -> list:
             row.append(SmallAlphaBound(total, region))
         rows.append(row)
     return rows
+
+
+def nehari_bound_rows(n: int, alpha, betas, k_max: int) -> list:
+    """The claimed bounds 2 (1 - beta) alpha^n / (alpha + k)^n for k = 1..k_max, one row for each beta.
+
+    Exact in rational inputs; alpha^n and each (alpha + k)^n are formed once
+    for the group, in Python scalars (numpy's ``power`` rounds differently
+    with and without AVX-512). A k_max below 1 gives empty rows.
+    """
+    for beta in betas:
+        ClassParams(n, alpha, beta)
+    power = alpha**n
+    dens = [(alpha + k) ** n for k in range(1, k_max + 1)]
+    heads = [2 * (1 - beta) * power for beta in betas]
+    return [[head / den for den in dens] for head in heads]
 
 
 def growth_estimate(alpha, k: int) -> float:
@@ -359,13 +377,32 @@ def extremal_p(k: int, *, backend: Backend = FLOAT) -> HerglotzAtoms:
 def applicable_bound_row(n: int, alpha, beta, k_max: int) -> list:
     """(source, bound, region) of the bound that applies to |a_k| at (n, alpha, beta), for k = 2..k_max.
 
-    alpha > 1 takes the sharp formula (source "sharp"); otherwise the
-    omega-region bound (source "small_alpha") where alpha falls inside a
-    region, and (None, None, region) in the open window, which carries no
-    fabricated value. Only the formula that applies is formed.
+    alpha > 1 takes the sharp formula (source "sharp"), which has no
+    region (None); otherwise the omega-region bound (source "small_alpha")
+    where alpha falls inside a region, and (None, None, region) in the open
+    window, which carries no fabricated value. Only the formula that
+    applies is formed.
     """
     if alpha > 1:
-        row = sharp_bound_rows(n, alpha, (beta,), k_max)[0]
-        return [("sharp", bound, classify_region(alpha, k)) for k, bound in enumerate(row, start=2)]
+        return [("sharp", bound, None) for bound in sharp_bound_rows(n, alpha, (beta,), k_max)[0]]
     row = small_alpha_bound_rows(n, alpha, (beta,), k_max)[0]
     return [("small_alpha" if piece.value is not None else None, piece.value, piece.region) for piece in row]
+
+
+def bound_gap(a_k, bound) -> tuple:
+    """(met, gap): whether |a_k| meets ``bound``, and the relative gap |bound - |a_k|| / bound.
+
+    An exact (Ratio) bound is met only by |a_k|^2 = bound^2, with gap 0.0;
+    an unmet one's gap is taken in floats. A float bound is met when
+    |bound - |a_k|| <= `SHARP_REL_TOL` * bound, with no division: a bound
+    that underflowed to 0.0 is met only by 0 (gap 0.0; else inf).
+    """
+    if type(bound) is Ratio:
+        if a_k.abs2() == bound * bound:
+            return True, 0.0
+        met, bound, a_abs = False, float(bound), abs(complex(a_k))
+    else:
+        a_abs = abs(a_k)
+        met = abs(bound - a_abs) <= SHARP_REL_TOL * bound
+    diff = abs(bound - a_abs)
+    return met, diff / bound if bound else (math.inf if diff else 0.0)

@@ -10,7 +10,9 @@ and the reports are named tuples.
 The verdict rule, stated once: a row's status is ``pass`` or ``fail`` by its
 check, or ``info`` for a row that judges nothing, and a report passes when
 no row fails. `_row` builds every row and `_report` every report, so the
-rule lives in those two functions and `_STATUS`. Configuration problems raise
+rule lives in those two functions and `_STATUS`. Every bound, and every
+decision whether |a_k| meets one (`bounds.bound_gap`), comes from `bounds`;
+the constants here are defaults and input limits. Configuration problems raise
 :class:`UsageError`, which the CLI distinguishes (exit 2) from genuine
 assertion failures (exit 1).
 """
@@ -29,6 +31,7 @@ from .bounds import (
     SLACK,
     ClassParams,
     applicable_bound_row,
+    bound_gap,
     extremal_p,
     f_from_p,
     f_quotient_coefficients,
@@ -54,11 +57,6 @@ DEFAULT_K_MAX = 12
 DEFAULT_ORDER = 64
 DEFAULT_TRIALS = 1000
 DEFAULT_SEED = 1729
-#: Largest relative gap |bound - |a_k|| / bound of a float extremal generator.
-EXTREMAL_REL_TOL = 1e-10
-#: An ``expand`` bound row is a sharp hit when |bound - |a_k|| is at most this
-#: times max(1, bound); an exact sharp bound is hit only by equality.
-SHARP_HIT_TOL = 1e-9
 #: Largest bit length of the numerator or the denominator of an exact alpha or
 #: beta, or of a value of a rational ``expand`` document (19 decimal digits
 #: fit). Exact bounds and expansions grow with it: a 400-digit alpha keeps a
@@ -222,20 +220,6 @@ BOUNDS_COLUMNS = (
 )
 
 
-def _point_rows(grid: GridSpec, k_max: int, *row_functions):
-    """(n, alpha, beta, one row per function) for each point of `GridSpec.points`.
-
-    Each function is a group-row function of `bounds`. The points run over
-    the betas of one (n, alpha) before the next, so each function is called
-    once per (n, alpha), at its first beta, for all the betas.
-    """
-    first_beta = grid.beta_values[0]
-    for n, alpha, beta in grid.points():
-        if beta is first_beta:
-            groups = [iter(rows(n, alpha, grid.beta_values, k_max)) for rows in row_functions]
-        yield n, alpha, beta, *[next(group) for group in groups]
-
-
 def run_bounds_table(grid: GridSpec, backend: Backend = FLOAT):
     """Tabulated bound values over the grid: one row per (n, alpha, beta, k).
 
@@ -245,22 +229,16 @@ def run_bounds_table(grid: GridSpec, backend: Backend = FLOAT):
     ks = range(2, grid.k_max + 1)
     growth = {alpha: [fmt_float(growth_estimate(alpha, k)) for k in ks] for alpha in grid.alpha_values}
     rows = []
-    point_rows = _point_rows(grid, grid.k_max, sharp_bound_rows, small_alpha_bound_rows)
-    for n, alpha, beta, sharp_row, piece_row in point_rows:
-        point = _point(backend, n, alpha, beta)
-        for k, sharp, piece, growth_cell in zip(ks, sharp_row, piece_row, growth[alpha]):
-            rows.append(
-                {
-                    **point,
-                    "k": str(k),
-                    "sharp_bound": backend.format_scalar(sharp),
-                    "small_alpha_bound": ""
-                    if piece.value is None
-                    else backend.format_scalar(piece.value),
-                    "region": piece.region.value,
-                    "growth_estimate": growth_cell,
-                }
-            )
+    for n, alpha in itertools.product(grid.n_values, grid.alpha_values):
+        sharp_rows = sharp_bound_rows(n, alpha, grid.beta_values, grid.k_max)
+        piece_rows = small_alpha_bound_rows(n, alpha, grid.beta_values, grid.k_max)
+        for beta, sharp_row, piece_row in zip(grid.beta_values, sharp_rows, piece_rows):
+            point = _point(backend, n, alpha, beta)
+            for k, sharp, piece, growth_cell in zip(ks, sharp_row, piece_row, growth[alpha]):
+                small = "" if piece.value is None else backend.format_scalar(piece.value)
+                rows.append({**point, "k": str(k), "sharp_bound": backend.format_scalar(sharp),
+                             "small_alpha_bound": small, "region": piece.region.value,
+                             "growth_estimate": growth_cell})
     return BOUNDS_COLUMNS, rows
 
 
@@ -274,38 +252,34 @@ def run_extremal_suite(grid: GridSpec, backend: Backend = FLOAT):
     k - 1 is 1 + 2 z^(k-1). That series is exact on both backends, and it is
     given to `f_quotient_coefficients` with every other entry the backend's
     own zero object, so the kernels skip those entries and a_k costs O(k).
-    Float backend: relative deviation at most `EXTREMAL_REL_TOL` for
-    k = 2..k_max. Rational backend: exact equality for k = 2 and 3, where
+    `bounds.bound_gap` gives each row's verdict and its margin column, the
+    relative gap: within `bounds.SHARP_REL_TOL` for k = 2..k_max on the
+    float backend, exact equality for k = 2 and 3 on the rational one, where
     `extremal_p` has exact atoms for the witness of a failing row.
     """
     _require_alpha_gt1(grid.alpha_values, "extremal")
     k_top = grid.k_max if backend is FLOAT else min(grid.k_max, 3)
     one, zero = backend.one, backend.zero
     series = {k: [one, *[zero] * (k - 2), backend.coeff(2)] for k in range(2, k_top + 1)}
+    betas = [backend.scalar(beta) for beta in grid.beta_values]
     reports = []
-    for n, alpha, beta, bounds in _point_rows(grid, k_top, sharp_bound_rows):
-        start = time.perf_counter()
-        point = _point(backend, n, alpha, beta)
-        alpha, beta = backend.scalar(alpha), backend.scalar(beta)
-        entries = []
-        worst = 0.0
-        witness = None
-        for k, bound in zip(range(2, k_top + 1), bounds):
-            a_k = f_quotient_coefficients(series[k], n, alpha, beta, one, zero)[k - 1]
-            if backend is RATIONAL:
-                ok = a_k.abs2() == bound * bound
-                rel = 0.0 if ok else abs(float(bound) - abs(complex(a_k))) / float(bound)
-                observed = backend.format_scalar(a_k.re)
-            else:
-                rel = abs(bound - abs(a_k)) / bound
-                ok = rel <= EXTREMAL_REL_TOL
-                observed = fmt_float(abs(a_k))
-            worst = max(worst, rel)
-            if not ok and witness is None:
-                witness = {"k": k, "atoms": extremal_p(k, backend=backend).to_document()}
-            entries.append(_row("extremal", point, k, "sharp equality", observed,
-                                backend.format_scalar(bound), fmt_float(rel), ok))
-        reports.append(_report("extremal", point, entries, worst, witness, time.perf_counter() - start))
+    for n, alpha in itertools.product(grid.n_values, map(backend.scalar, grid.alpha_values)):
+        for beta, bounds in zip(betas, sharp_bound_rows(n, alpha, betas, k_top)):
+            start = time.perf_counter()
+            point = _point(backend, n, alpha, beta)
+            entries = []
+            worst = 0.0
+            witness = None
+            for k, bound in zip(range(2, k_top + 1), bounds):
+                a_k = f_quotient_coefficients(series[k], n, alpha, beta, one, zero)[k - 1]
+                ok, rel = bound_gap(a_k, bound)
+                observed = backend.format_scalar(a_k.re) if backend is RATIONAL else fmt_float(abs(a_k))
+                worst = max(worst, rel)
+                if not ok and witness is None:
+                    witness = {"k": k, "atoms": extremal_p(k, backend=backend).to_document()}
+                entries.append(_row("extremal", point, k, "sharp equality", observed,
+                                    backend.format_scalar(bound), fmt_float(rel), ok))
+            reports.append(_report("extremal", point, entries, worst, witness, time.perf_counter() - start))
     return reports
 
 
@@ -467,9 +441,8 @@ def _alpha_one_report(backend: Backend) -> SuiteReport:
         f = f_from_p(kernel, ClassParams(n, RATIONAL.scalar(1), RATIONAL.scalar(0)), 5)
         for k in (2, 3, 4, 5):
             a_k = f.coefficient(k)
-            a_abs2 = a_k.abs2()
-            matches = "k" if a_abs2 == Ratio(2, k**n) ** 2 else (
-                "k+1" if a_abs2 == Ratio(2, (k + 1) ** n) ** 2 else "neither"
+            matches = "k" if bound_gap(a_k, Ratio(2, k**n))[0] else (
+                "k+1" if bound_gap(a_k, Ratio(2, (k + 1) ** n))[0] else "neither"
             )
             a_abs = abs(complex(a_k))
             k_form = 2.0 / k**n
@@ -547,14 +520,14 @@ def run_expand(
     The report's point is the grid point plus the document's backend and
     the order. Its rows are the coefficients a_0..a_order of f (info), then
     one bound row per k = 2..k_max against the bound `applicable_bound_row`
-    selects, its case naming the source and the region: the margin
-    bound - |a_k| fails below -SLACK * max(1, bound), and a sharp hit
-    (|a_k| = bound exactly for an exact sharp bound, else |margin| <=
-    `SHARP_HIT_TOL` * max(1, bound)) is marked in the case; the open window
-    has no bound and the row judges nothing. A document that passes the atom
-    rules is in P, so f is in the class by construction; the two membership
-    rows report the smallest weight and check that `p_from_f` gives back the
-    generator's coefficients (see `_round_trip`). The worst margin is the
+    selects, its case naming the source and, for alpha <= 1, the omega
+    region: the margin bound - |a_k| fails below -SLACK * max(1, bound), and
+    a bound that |a_k| meets by `bounds.bound_gap` is marked ``sharp hit``
+    in the case; the open window has no bound and the row judges nothing.
+    A document that passes the atom rules is in P, so f is in the class by
+    construction; the two membership rows report the smallest weight and
+    check that `p_from_f` gives back the generator's coefficients (see
+    `_round_trip`). The worst margin is the
     smallest bound margin, and there is no witness: the document is one.
     The document names its backend, and alpha and beta are read on it; like
     them, each value of a rational document is held to `MAX_EXACT_BITS`.
@@ -592,21 +565,18 @@ def run_expand(
     for k, (source, bound, region) in enumerate(applicable, start=2):
         a_k = f.coefficient(k)
         a_abs = abs(complex(a_k))
+        labels = [source or "none", *([region.value] if region else [])]
         if source is None:
-            entries.append(_row("expand", point, k, f"bound (none, {region.value})", fmt_float(a_abs),
+            entries.append(_row("expand", point, k, f"bound ({', '.join(labels)})", fmt_float(a_abs),
                                 "", "", None))
             continue
         value = float(bound)
         margin = value - a_abs
-        scale = max(1.0, value)
-        if source == "sharp" and backend is RATIONAL:
-            hit = a_k.abs2() == bound * bound
-        else:
-            hit = abs(margin) <= SHARP_HIT_TOL * scale
+        if bound_gap(a_k, bound)[0]:
+            labels.append("sharp hit")
         margins.append(margin)
-        entries.append(_row("expand", point, k, f"bound ({source}, {region.value}{', sharp hit' if hit else ''})",
-                            fmt_float(a_abs), fmt_float(value), fmt_float(margin),
-                            not margin < -SLACK * scale))
+        entries.append(_row("expand", point, k, f"bound ({', '.join(labels)})", fmt_float(a_abs),
+                            fmt_float(value), fmt_float(margin), not margin < -SLACK * max(1.0, value)))
     try:
         back = p_from_f(f, params)
     except ValueError as exc:

@@ -62,18 +62,22 @@ def gamma_value(ds, m: int, half, zero):
 
     The entries of ds are backend scalars or numpy columns (see `series`),
     and ``half`` is 1/2 typed to match them; an exact 1/2 keeps rational
-    inputs exact. ds needs at least m entries. The sum starts from its first
-    term. A d that is the caller's scalar ``zero`` object forms no term (as
-    in `series.real_power_coefficients`), and a sum at m >= 1 with no other
-    term is that zero; gamma_0's empty sum is the int 0.
+    inputs exact. ds needs at least m entries. A d that is the caller's
+    scalar ``zero`` object forms no term (as in
+    `series.real_power_coefficients`), and a sum at m >= 1 with no other
+    term is that zero; gamma_0's empty sum is the int 0. The entries that
+    are one object (the shared even d of `hk_schemes`) form one term, the
+    sum of their binomials times it. The sum starts from its first term.
     """
-    live = [mu for mu in range(1, m + 1) if ds[mu - 1] is not zero]
-    if live:
-        acc = math.comb(m, live[0]) * ds[live[0] - 1]
-        for mu in live[1:]:
-            acc += math.comb(m, mu) * ds[mu - 1]
-    else:
-        acc = zero if m else 0
+    binomials = {}  # id(d) -> [d, sum of C(m, mu) over the mu that hold d]
+    for mu in range(1, m + 1):
+        d = ds[mu - 1]
+        if d is not zero:
+            binomials.setdefault(id(d), [d, 0])[1] += math.comb(m, mu)
+    terms = (c * d for d, c in binomials.values())
+    acc = next(terms, zero if m else 0)
+    for term in terms:
+        acc += term
     acc *= half
     acc += 1
     acc *= half**m

@@ -12,8 +12,8 @@ Nehari sum), so the scalar commands and the sweeps run one implementation
 of every recurrence. The gamma ladder of h is the atom series too: since
 each drawn row's weights sum to 1.0 exactly, the binomial sums of
 `schemes.gamma_value` collapse to gamma_m = sum_j w_j ((1 + x_j) / 2)^m
-(`_ladder`). Besides the stream keys, this module adds only the claimed
-Nehari bound, the kernels, which return |c_k| as ``(trials, k)`` arrays,
+(`_ladder`). Every bound comes from `bounds`; this module adds only the
+stream keys, the kernels, which return |c_k| as ``(trials, k)`` arrays,
 and one sweep loop with its blocks and summary.
 
 One sweep call covers the betas of one (n, alpha): it walks those points'
@@ -57,7 +57,7 @@ block, and blocked and unblocked runs agree bit for bit. A point's
 `SweepOutcome` carries its role -> key map, and a (stream key, trial) pair
 is enough to rebuild the trial's atoms with `caratheodory.trial_atoms`.
 
-The draw and the claimed Nehari bound row use no numpy function whose
+The draw and the bound rows use no numpy function whose
 result depends on the SIMD level numpy dispatches to, so the sweep reports
 read the same with and without AVX-512. The scope stops there: numpy's
 complex multiply and complex ``abs`` round differently without AVX2 (fused
@@ -75,7 +75,7 @@ import numpy as np
 
 from ._rational import Ratio
 from .backends import FLOAT
-from .bounds import SLACK, f_quotient_coefficients, sharp_bound_rows
+from .bounds import SLACK, f_quotient_coefficients, nehari_bound_rows, sharp_bound_rows
 from .caratheodory import atom_coefficients, draw_atoms, half_hadamard_coefficients
 from .schemes import nehari_coefficients
 
@@ -286,18 +286,6 @@ def dominance_magnitudes(atoms, n: int, alpha: float, beta, count: int) -> np.nd
     return _magnitudes(u[1:])
 
 
-def nehari_bounds(n: int, alpha: float, beta: float, k_max: int) -> np.ndarray:
-    """The claimed bounds 2 (1-beta) alpha^n / (alpha+k)^n for k = 1..k_max.
-
-    Python floats in the order of `bounds.sharp_bound_rows`: the head
-    2 (1-beta) alpha^n once, then head / (alpha + k)^n. numpy's ``power``
-    would round differently with and without AVX-512.
-    """
-    alpha, beta = FLOAT.scalar(alpha), FLOAT.scalar(beta)
-    head = 2.0 * (1.0 - beta) * alpha**n
-    return np.array([head / (alpha + k) ** n for k in range(1, k_max + 1)])
-
-
 def nehari_sweeps(seed: int, n: int, alpha: float, betas, trials: int, k_max: int) -> tuple:
     """Sampled alternating series against the claimed transform-weighted bound: one outcome per beta.
 
@@ -308,7 +296,7 @@ def nehari_sweeps(seed: int, n: int, alpha: float, betas, trials: int, k_max: in
     negative rows are genuine counterexamples to the claimed bound (expected
     for n >= 1 — see the audit notes in the verification harness).
     """
-    bounds = [nehari_bounds(n, alpha, beta, k_max) for beta in betas]
+    bounds = nehari_bound_rows(n, FLOAT.scalar(alpha), [FLOAT.scalar(beta) for beta in betas], k_max)
     return _sweeps(seed, ("h", "p", "q"), nehari_magnitudes, n, alpha, betas, trials, 1, bounds)
 
 

@@ -32,9 +32,11 @@ def bound_rows(rows) -> list:
 
 
 def bound_case(row) -> tuple:
-    """(source, region, sharp hit) read from a bound row's case: ``bound (source, region[, sharp hit])``."""
-    source, region, *hit = row["case"][len("bound ("):-1].split(", ")
-    return source, region, hit == ["sharp hit"]
+    """(source, region or None, sharp hit) read from a bound row's case: ``bound (source[, region][, sharp hit])``."""
+    source, *rest = row["case"][len("bound ("):-1].split(", ")
+    hit = rest[-1:] == ["sharp hit"]
+    (region,) = rest[: len(rest) - hit] or [None]
+    return source, region, hit
 
 
 def the_row(rows, case) -> dict:

@@ -143,6 +143,8 @@ def test_removed_name_is_not_exported(name):
                                       "_sharp_rows", "_small_alpha_rows", "SHARP_HIT_TOL")),
         (GammaScheme, "sigma"),
         (harness, "ALPHA_ONE_MATCH_TOL"),
+        *((harness, name) for name in ("EXTREMAL_REL_TOL", "SHARP_HIT_TOL", "_point_rows")),
+        (sweeps, "nehari_bounds"),
         (series, "constant_one"),
         (series, "geometric"),
         (SuiteEntry, "as_dict"),
@@ -365,6 +367,28 @@ def test_record_scan_sees_a_planted_call():
     tree = ast.parse("def _row(k):\n    return SuiteEntry(k)\n\n"
                      "def run(rows):\n    return [reports.SuiteReport(SuiteEntry(k)) for k in rows]\n")
     assert _record_builds(tree) == [5, 5]
+
+
+def _bound_decisions(tree: ast.Module) -> list:
+    """Line of each module-level ``*_TOL`` constant and of each ``abs2()`` call."""
+    constants = [node.lineno for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+                 for target in getattr(node, "targets", [getattr(node, "target", None)])
+                 if isinstance(target, ast.Name) and target.id.endswith("_TOL")]
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "abs2"]
+    return constants + calls
+
+
+@pytest.mark.parametrize("name", ["harness.py", "sweeps.py"])
+def test_bound_decisions_live_in_bounds(name):
+    # harness and sweeps lay out rows; whether |a_k| meets its bound is `bounds.bound_gap`'s to say
+    assert _bound_decisions(ast.parse((PACKAGE_DIR / name).read_text())) == []
+
+
+def test_bound_decision_scan_sees_a_planted_rule():
+    tree = ast.parse("HIT_TOL = 1e-9\nSLACK_TOL: float = 0.1\nLIMIT = 2\n\n"
+                     "def f(a, b):\n    return a.abs2() == b * b or abs(a) <= HIT_TOL\n")
+    assert _bound_decisions(tree) == [1, 2, 6]
 
 
 def test_sweeps_leave_numpy_random_unimported():
@@ -598,6 +622,7 @@ _MAY_STAY_UNENTERED = {
     "_rational._comparison": "runs at import time, when the Ratio comparisons are built",
     "_rational.Ratio.__neg__": "keeps a negated Ratio a Ratio; no command negates an exact value",
     "caratheodory.HerglotzAtoms.from_rational": "the public constructor of exact atom systems",
+    "harness.GridSpec.points": "the public walk of a grid's points; the suites walk (n, alpha) groups",
 }
 
 

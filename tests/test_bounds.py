@@ -23,7 +23,8 @@ from coeffbounds import (
     sharp_bound_rows,
     small_alpha_bound_rows,
 )
-from coeffbounds.bounds import NORMALIZATION_TOL, round_trip_tolerances
+from coeffbounds._rational import Ratio
+from coeffbounds.bounds import NORMALIZATION_TOL, SHARP_REL_TOL, bound_gap, nehari_bound_rows, round_trip_tolerances
 from coeffbounds.harness import DEFAULT_ALPHA_TOKENS, DEFAULT_BETA_TOKENS, DEFAULT_N
 from oracles import (
     a_k_direct,
@@ -586,7 +587,7 @@ class TestApplicableBoundRow:
         params = ClassParams(1, Fraction(2), Fraction(0))
         f = f_from_p(extremal_p(2, backend=RATIONAL), params, 2)
         ((source, bound, region),) = applicable_bound_row(1, Fraction(2), Fraction(0), 2)
-        assert (source, region) == ("sharp", Region.OMEGA1)
+        assert (source, region) == ("sharp", None)  # the sharp bound has no omega region
         assert f.coefficient(2).abs2() == bound * bound  # a sharp hit
         assert float(bound) - abs(complex(f.coefficient(2))) == 0
 
@@ -598,3 +599,41 @@ class TestApplicableBoundRow:
     def test_open_window_not_applicable(self):
         # k = 5, alpha between 1/2 and 1: no statement applies
         assert applicable_bound_row(1, 0.75, 0.0, 5)[3] == (None, None, Region.OUT_OF_RANGE)
+
+
+class TestBoundGap:
+    def test_exact_bound_is_met_by_equality_alone(self):
+        a_k = RATIONAL.coeff(Fraction(3, 5), Fraction(4, 5))  # |a_k| = 1
+        assert bound_gap(a_k, Ratio(1)) == (True, 0.0)
+        met, gap = bound_gap(a_k, Ratio(2))
+        assert not met and gap == 0.5
+        # an exact bound one part in 10^20 above |a_k| is not met, though a float rule would call it met
+        assert bound_gap(a_k, Ratio(10**20 + 1, 10**20))[0] is False
+
+    def test_float_bound_is_met_within_the_relative_tolerance(self):
+        bound = 0.25
+        inside = complex(bound * (1 - SHARP_REL_TOL / 2), 0.0)
+        outside = complex(bound * (1 - 2 * SHARP_REL_TOL), 0.0)
+        met, gap = bound_gap(inside, bound)
+        assert met and 0 < gap <= SHARP_REL_TOL
+        met, gap = bound_gap(outside, bound)
+        assert not met and gap > SHARP_REL_TOL
+        # the rule scales with the bound: an absolute gap of 1e-12 is a miss on a bound of 1e-9
+        assert bound_gap(complex(1e-9 - 1e-12), 1e-9)[0] is False
+
+    def test_a_bound_that_underflowed_to_zero_returns_without_raising(self):
+        assert bound_gap(0j, 0.0) == (True, 0.0)
+        assert bound_gap(complex(1e-300, 0.0), 0.0) == (False, math.inf)
+
+
+class TestNehariBoundRows:
+    def test_exact_rows_are_the_formula(self):
+        alpha, betas = Ratio(3, 2), (Ratio(0), Ratio(1, 4))
+        rows = nehari_bound_rows(2, alpha, betas, 5)
+        assert rows == [[2 * (1 - beta) * alpha**2 / (alpha + k) ** 2 for k in range(1, 6)] for beta in betas]
+        assert all(type(value) is Ratio for row in rows for value in row)
+
+    def test_float_rows_round_as_the_head_over_each_denominator(self):
+        for n, alpha, beta in ((0, 2.0, 0.0), (3, 1.1, 0.25), (2, 10.0, 0.9)):
+            head = 2.0 * (1.0 - beta) * alpha**n
+            assert nehari_bound_rows(n, alpha, [beta], 12) == [[head / (alpha + k) ** n for k in range(1, 13)]]

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coeffbounds import TruncatedSeries, cli, extremal_p, harness, run_expand
+from coeffbounds import TruncatedSeries, applicable_bound_row, cli, extremal_p, harness, run_expand
 from coeffbounds.harness import BOUNDS_COLUMNS, UsageError
 from coeffbounds.reports import SUITE_COLUMNS, fmt_float, suite_json
 from report_rows import ROUND_TRIP, bound_case, bound_rows, expand_rows, the_row
@@ -579,6 +579,18 @@ class TestExpandCommand:
         return ["expand", "--pspec", pspec, "--n", "1", "--alpha", "2", "--beta", "0",
                 "--order", "12", "--kmax", "5"]
 
+    def test_a_bound_that_underflows_to_zero_keeps_the_usage_error(self, tmp_path, capsys):
+        # at alpha = 1e-300 and n = 3 every small-alpha bound is 0.0: the sharp-hit rule must not
+        # divide by it, so the run still reaches the overflow that ends it as a usage error
+        assert {bound for _, bound, _ in applicable_bound_row(3, 1e-300, 0.0, 6)} == {0.0}
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"backend": "float", "atoms": [{"weight": 1.0, "angle_radians": 0.0}]}))
+        code, out, err = run(["expand", "--pspec", str(path), "--n", "3", "--alpha", "1e-300", "--beta", "0",
+                              "--order", "16", "--kmax", "6"], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("usage error: ((alpha + 1) / alpha)^3 overflows: the float expansion overflowed; "
+                       "lower --order or expand exactly\n")
+
     def test_from_file(self, tmp_path, capsys):
         code, out, err = run(self.expand_args(str(self.doc_path(tmp_path))), capsys)
         assert code == 0
@@ -652,7 +664,8 @@ class TestExpandCommand:
     @pytest.mark.parametrize("alpha", ["1/10", "1/3", "3/4", "1", "3/2"])
     def test_bound_rows_are_the_bounds_table(self, backend, alpha, capsys, monkeypatch):
         # expand's bound is the table's sharp_bound for alpha > 1 and its small_alpha_bound otherwise,
-        # blank in the open window; by k = 8, 1/3 and 1 reach omega1, omega2, omega3 and the window
+        # blank in the open window; by k = 8, 1/3 and 1 reach omega1, omega2, omega3 and the window,
+        # and a sharp row names no region
         point = ["--n", "1", "--alpha", alpha, "--beta", "1/4", "--kmax", "8"]
         code, out, _ = run(["bounds", *point, "--backend", backend, "--format", "json"], capsys)
         assert code == 0
@@ -663,7 +676,7 @@ class TestExpandCommand:
         column, source = ("sharp_bound", "sharp") if Fraction(alpha) > 1 else ("small_alpha_bound", "small_alpha")
         for row, cell in zip(rows, table, strict=True):
             row_source, region, _ = bound_case(row)
-            assert (row["k"], region) == (cell["k"], cell["region"])
+            assert (row["k"], region) == (cell["k"], cell["region"] if Fraction(alpha) <= 1 else None)
             want = cell[column] and fmt_float(float(Fraction(cell[column])))
             assert (row["reference"], row_source, row["status"] != "info") == (
                 want, source if want else "none", bool(want)
@@ -1042,13 +1055,13 @@ _REGION_EDGES = ["--alpha", "1/10", "--alpha", "1/3", "--alpha", "2/3", "--alpha
         (["verify", "extremal", "--backend", "rational"], None,
          "f0fe53ec7ef477d980602c22f297a8d22000ad9b6ebd0b50dbf36b1e3388604d"),
         (["expand", *_GOLDEN_EXPAND], _GOLDEN_FLOAT_DOC,
-         "2bb889a39dab2354f553246602720cec8146d57bc5e7bbe1d6e5a042fc99edef"),
+         "281d761561e4a9c32ddaa2af128c660c0489b558201588325f2143620cafd6cc"),
         (["expand", *_GOLDEN_EXPAND], _GOLDEN_RATIONAL_DOC,
-         "f679b08de5f01b02fb8cb50fe50bdc61e95bc2072582c9d6e0ea01d4fb577b4b"),
+         "a73d9a47d0bc9948297d76ed89f42e4f08bcd0707b8fd3efac73051bad162775"),
         (["expand", *_EXPAND_WIDE], _GOLDEN_FLOAT_DOC,
-         "36b2cee2853b9ba9f1984a49549d429288cc0bcbd078f4a4dc8d29f7fbcea103"),
+         "0d2bf345df9e832cb39515fecac0790256d945e149ae244f0e18b18c53eab290"),
         (["expand", *_EXPAND_WIDE], _GOLDEN_RATIONAL_DOC,
-         "49ffe072ef782e518c078423012c3afffa486991253729fa8e3a7709fc9398c1"),
+         "f66e8c001047bc5bc1dd2140797b2c700a5a9770a06db8f8f2fe633effa82828"),
         (["bounds"], None, "d208a0c417d338a26f017579ad72ec70d9e076a651331c36fb8949ccd1bc631b"),
         (["bounds", "--backend", "rational"], None,
          "822b40bd5eee27134b23e4769af592ad6dd63008455876a51eab0b235dc579ff"),

@@ -34,7 +34,7 @@ from coeffbounds import (
     sweeps,
 )
 from coeffbounds._rational import Ratio
-from coeffbounds.bounds import SLACK, ClassParams, f_from_p, sharp_bound_rows
+from coeffbounds.bounds import SHARP_REL_TOL, SLACK, ClassParams, f_from_p, sharp_bound_rows
 from coeffbounds.harness import DEFAULT_K_MAX
 from coeffbounds.reports import fmt_float
 from oracles import dominance_margins_scalar, gamma_ladder, gamma_target, nehari_margins_scalar
@@ -188,7 +188,7 @@ class TestExtremalSuite:
             for k, bound in zip(ks, sharp_bound_rows(n, alpha, (beta,), grid.k_max)[0]):
                 rels.append(abs(bound - abs(f_from_p(series[k], params, k).coefficient(k))) / bound)
         assert len(rels) == 96 * 11
-        assert max(rels) <= harness.EXTREMAL_REL_TOL
+        assert max(rels) <= SHARP_REL_TOL
 
     @pytest.mark.parametrize("backend", [FLOAT, RATIONAL], ids=lambda b: b.name)
     def test_builds_no_series_object_and_no_f(self, backend, monkeypatch):
@@ -222,7 +222,7 @@ class TestExtremalSuite:
         out = capsys.readouterr().out
         assert code == 0
         # the witness hits the true sharp bound at its k
-        assert ',2,"bound (sharp, omega1, sharp hit)",' in out
+        assert ',2,"bound (sharp, sharp hit)",' in out
 
 
 class TestRandomSuite:
@@ -539,6 +539,14 @@ class TestExpand:
         rows = {r["k"]: r for r in bound_rows(rows)}
         assert bound_case(rows["3"])[2] is True
         assert rows["3"]["status"] == "pass"
+
+    def test_a_tiny_bound_is_hit_only_within_the_relative_tolerance(self):
+        # at alpha = 1/10000 the bounds of k >= 3 are 2.5e-9 and below, so an absolute band of 1e-9
+        # called every |a_k| under them a hit: |a_4| = 1.4e-25 on a bound of 7.4e-10 among them
+        rows = {int(row["k"]): row for row in bound_rows(expand_rows(
+            run_expand(extremal_p(3).to_document(), 3, "1/10000", "0", 24, 12)))}
+        assert float(rows[4]["observed"]) < 1e-20 and float(rows[4]["reference"]) < 1e-9
+        assert [k for k, row in rows.items() if k >= 3 and bound_case(row)[2]] == []
 
     def test_rational_document_wins_backend(self):
         doc = extremal_p(2, backend=RATIONAL).to_document()

@@ -17,7 +17,7 @@ from fractions import Fraction
 from coeffbounds import FLOAT, RATIONAL, harness, schemes
 from coeffbounds.caratheodory import atom_coefficients
 from coeffbounds.harness import run_hk_audit
-from coeffbounds.schemes import gamma_value, nehari_coefficients
+from coeffbounds.schemes import gamma_value, hk_schemes, nehari_coefficients
 from coeffbounds.series import cauchy_coefficients
 from oracles import gamma_ladder
 
@@ -103,6 +103,22 @@ def test_gamma_ladder_forms_no_term_for_a_structural_zero():
         assert len(terms) == sum(map(len, live)), zeros
         # each sum starts from its first term; then + 1 at every m
         assert sum(got[name] for name in _ADD) == sum(max(len(mus) - 1, 0) for mus in live) + m_max + 1
+
+
+def test_gamma_value_forms_one_product_per_distinct_d():
+    # h(z)_217's d holds d_1, the one even coefficient sigma at every even index and zero at the odd
+    # ones: one product for d_1 and one for sigma's binomials summed, where a term per copy formed 108
+    k = 217
+    *_, scheme = hk_schemes(k, Fraction(2**64 - 1, 2**64 - 2))
+    tallied, zero = {}, Tally(0)
+    ds = [zero if d is scheme.d[2] else tallied.setdefault(id(d), Tally(d)) for d in scheme.d]
+    assert len(tallied) == 2 and sum(d is zero for d in ds) == (k - 3) // 2
+    Tally.log = []
+    gamma = gamma_value(ds, k - 2, Tally(1, 2), zero)
+    live = tallied.values()
+    products = [entry for entry in Tally.log if entry[0] in _MUL and any(x is d for x in entry[1:3] for d in live)]
+    assert len(products) == 2
+    assert gamma == scheme.gamma == scheme.target
 
 
 def test_nehari_sum_counts():

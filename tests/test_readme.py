@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from coeffbounds import cli, run_expand
+from coeffbounds import Region, cli, run_expand
+from report_rows import bound_case, bound_rows, expand_rows
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -58,6 +59,15 @@ def test_expand_prints_the_example_rows(in_a_folder_with_atoms, capsys):
     printed = capsys.readouterr().out.splitlines()
     (example,) = _blocks("text")
     assert set(example.splitlines()) <= set(printed)
+
+
+def test_expand_names_no_omega_region_on_a_sharp_row():
+    # above alpha = 1 the sharp bound applies at every k; the omega regions belong to the small-alpha bound
+    (document,) = _blocks("json")
+    rows = bound_rows(expand_rows(run_expand(json.loads(document), 1, "2", "0")))
+    assert len(rows) == 11
+    assert all(bound_case(row)[:2] == ("sharp", None) for row in rows)
+    assert [row["case"] for row in rows for region in Region if region.value in row["case"]] == []
 
 
 def test_generator_document_parses_and_expands():

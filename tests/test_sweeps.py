@@ -24,7 +24,7 @@ from coeffbounds import (
     sweeps,
 )
 from coeffbounds._rational import RationalComplex
-from coeffbounds.bounds import SLACK
+from coeffbounds.bounds import SLACK, nehari_bound_rows
 from coeffbounds.caratheodory import (
     MAX_ATOMS,
     HerglotzAtoms,
@@ -46,7 +46,6 @@ from coeffbounds.sweeps import (
     _sweeps,
     dominance_magnitudes,
     dominance_sweeps,
-    nehari_bounds,
     nehari_magnitudes,
     nehari_sweeps,
     stream_key,
@@ -379,7 +378,7 @@ class TestChunking:
         seed, n, alpha, beta, k_max = 31, 1, 2.0, 0.0, 12
         out = nehari_sweep(seed, n, alpha, beta, self.trials, k_max)
         atoms = [reference_atoms(seed, role, n, alpha, beta, self.trials) for role in NEHARI_ROLES]
-        margins = nehari_margins(*atoms, n, alpha, beta, nehari_bounds(n, alpha, beta, k_max))
+        margins = nehari_margins(*atoms, n, alpha, beta, nehari_bound_rows(n, alpha, [beta], k_max)[0])
         assert summary(out) == reference_summary(margins, range(1, k_max + 1))
         assert out.violation_count > CHUNK_TRIALS  # violations span several chunks
         assert len(out.violations) <= 5
@@ -723,7 +722,7 @@ class TestNehari:
         # dyadic weights and exactly unimodular points) sit on the bound
         seed, trial, k = 2288874184, 398, 16
         drawn = [rows(seed, role, 0, 2.0, 0.0, trial, trial + 1) for role in NEHARI_ROLES]
-        assert nehari_margins(*drawn, 0, 2.0, 0.0, nehari_bounds(0, 2.0, 0.0, k))[0, k - 1] < -SLACK
+        assert nehari_margins(*drawn, 0, 2.0, 0.0, nehari_bound_rows(0, 2.0, [0.0], k)[0])[0, k - 1] < -SLACK
         keys = [(stream_key(seed, role, 0, 2.0, 0.0), trial) for role in NEHARI_ROLES]
         A = exact_nehari(keys, 0, Fraction(2), Fraction(0), k)
         # |A_16| = 2 = 2 (1 - beta) alpha^0 / (alpha + 16)^0: exact margin 0
