@@ -26,6 +26,11 @@ operand, and one three-way gcd for a product or quotient of two complex
 values. The real and imaginary parts share the denominator, so no
 rational is normalised on the way. ``re`` and ``im`` build the ``Ratio``
 parts on demand. Only this module reads the triple.
+
+Like ``Ratio``, it binds its operators from one factory: ``+ - * /`` and
+``==`` read the operand once, another RationalComplex as its triple and an
+int or any Fraction as (numerator, 0, denominator), then run one rule on the
+two triples. A float operand, and a real minus or over a complex, are refused.
 """
 
 from __future__ import annotations
@@ -223,141 +228,7 @@ def exact_text(x: int | Fraction) -> str:
         ) from None
 
 
-class RationalComplex:
-    """Complex number with exact rational real and imaginary parts.
-
-    The value is (a + b i) / d with d > 0 and gcd(a, b, d) = 1. The
-    arithmetic forms only the products whose operands are not zero: a real
-    operand (an ``int``, any ``Fraction``, or a value with b = 0) skips the
-    terms with its zero imaginary part. Every term it skips is an exact
-    zero, and the triple is canonical, so each result equals the one the
-    full complex formula gives.
-    """
-
-    __slots__ = ("_a", "_b", "_d")
-
-    def __init__(self, re=0, im=0):
-        re, im = _as_ratio(re), _as_ratio(im)
-        q, s = re._denominator, im._denominator
-        # over the least common denominator of two parts in lowest terms, gcd(a, b, d) = 1
-        d = q if q == s else q // gcd(q, s) * s
-        _set_a(self, re._numerator * (d // q))
-        _set_b(self, im._numerator * (d // s))
-        _set_d(self, d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalComplex is immutable")
-
-    @property
-    def re(self) -> Ratio:
-        return Ratio(self._a, self._d)
-
-    @property
-    def im(self) -> Ratio:
-        return Ratio(self._b, self._d)
-
-    # -- arithmetic -----------------------------------------------------
-    #
-    # Each operator reads its operand as a triple (c, e, f), an int or a
-    # Fraction as (numerator, 0, denominator); a Ratio's are read from its slots.
-
-    def __add__(self, other):
-        a, b, d = self._a, self._b, self._d
-        if isinstance(other, RationalComplex):
-            c, e, f = other._a, other._b, other._d
-        elif type(other) is Ratio:
-            c, e, f = other._numerator, 0, other._denominator
-        elif isinstance(other, (int, Fraction)):
-            c, e, f = other.numerator, 0, other.denominator
-        else:
-            return NotImplemented
-        return _sum(a, b, d, c, e, f)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        a, b, d = self._a, self._b, self._d
-        if isinstance(other, RationalComplex):
-            c, e, f = other._a, other._b, other._d
-        elif type(other) is Ratio:
-            c, e, f = other._numerator, 0, other._denominator
-        elif isinstance(other, (int, Fraction)):
-            c, e, f = other.numerator, 0, other.denominator
-        else:
-            return NotImplemented
-        return _sum(a, b, d, -c, -e, f)
-
-    def __mul__(self, other):
-        a, b, d = self._a, self._b, self._d
-        if isinstance(other, RationalComplex):
-            c, e, f = other._a, other._b, other._d
-        elif type(other) is Ratio:
-            c, e, f = other._numerator, 0, other._denominator
-        elif isinstance(other, (int, Fraction)):
-            c, e, f = other.numerator, 0, other.denominator
-        else:
-            return NotImplemented
-        if not e:
-            return _scaled(a, b, d, c, f)
-        if not b:
-            return _scaled(c, e, f, a, d)
-        return _reduced(a * c - b * e, a * e + b * c, d * f)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        a, b, d = self._a, self._b, self._d
-        if isinstance(other, RationalComplex):
-            c, e, f = other._a, other._b, other._d
-        elif type(other) is Ratio:
-            c, e, f = other._numerator, 0, other._denominator
-        elif isinstance(other, (int, Fraction)):
-            c, e, f = other.numerator, 0, other.denominator
-        else:
-            return NotImplemented
-        if e:
-            # times f (c - e i) / (c^2 + e^2), whose denominator is positive
-            return _reduced((a * c + b * e) * f, (b * c - a * e) * f, d * (c * c + e * e))
-        if not c:
-            raise ZeroDivisionError("division by zero RationalComplex")
-        if c < 0:
-            c, f = -c, -f
-        return _scaled(a, b, d, f, c)
-
-    # -- structure ------------------------------------------------------
-
-    def abs2(self) -> Ratio:
-        """|z|^2 as an exact Ratio."""
-        a, b, d = self._a, self._b, self._d
-        return Ratio(a * a + b * b, d * d)
-
-    def __complex__(self) -> complex:
-        # int true division rounds a / d correctly, as float(Ratio(a, d)) does
-        return complex(self._a / self._d, self._b / self._d)
-
-    def __eq__(self, other):
-        if isinstance(other, RationalComplex):
-            return self._a == other._a and self._b == other._b and self._d == other._d
-        if isinstance(other, (int, Fraction)):
-            return not self._b and self._a == other.numerator and self._d == other.denominator
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self._a, self._b, self._d))
-
-    def __repr__(self):
-        return f"RationalComplex({self.re!s}, {self.im!s})"
-
-    def __str__(self):
-        if not self._b:
-            return exact_text(self.re)
-        sign = "+" if self._b > 0 else "-"
-        return f"{exact_text(self.re)}{sign}{exact_text(abs(self.im))}i"
-
-
-_set_a = RationalComplex._a.__set__
-_set_b = RationalComplex._b.__set__
-_set_d = RationalComplex._d.__set__
+# -- exact complex numbers: canonical triples and the rules on them -----------
 
 
 def _triple(a: int, b: int, d: int) -> RationalComplex:
@@ -399,6 +270,10 @@ def _sum(a: int, b: int, d: int, c: int, e: int, f: int) -> RationalComplex:
     return _triple(re, im, s * f)
 
 
+def _difference(a: int, b: int, d: int, c: int, e: int, f: int) -> RationalComplex:
+    return _sum(a, b, d, -c, -e, f)
+
+
 def _scaled(a: int, b: int, d: int, p: int, q: int) -> RationalComplex:
     """(a + b i) / d times the real p / q, for a canonical triple and q > 0, gcd(p, q) = 1.
 
@@ -415,6 +290,126 @@ def _scaled(a: int, b: int, d: int, p: int, q: int) -> RationalComplex:
         b //= g
         q //= g
     return _triple(a * p, b * p if b else 0, d * q)
+
+
+def _product(a: int, b: int, d: int, c: int, e: int, f: int) -> RationalComplex:
+    """(a + b i) / d times (c + e i) / f; a real factor (e = 0 or b = 0) goes to `_scaled`."""
+    if not e:
+        return _scaled(a, b, d, c, f)
+    if not b:
+        return _scaled(c, e, f, a, d)
+    return _reduced(a * c - b * e, a * e + b * c, d * f)
+
+
+def _quotient(a: int, b: int, d: int, c: int, e: int, f: int) -> RationalComplex:
+    """(a + b i) / d over (c + e i) / f; a real divisor scales by its inverse."""
+    if e:
+        # times f (c - e i) / (c^2 + e^2), whose denominator is positive
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, d * (c * c + e * e))
+    if not c:
+        raise ZeroDivisionError("division by zero RationalComplex")
+    if c < 0:
+        c, f = -c, -f
+    return _scaled(a, b, d, f, c)
+
+
+def _same(a: int, b: int, d: int, c: int, e: int, f: int) -> bool:
+    # canonical triples: equal values have equal triples
+    return a == c and b == e and d == f
+
+
+def _complex_arithmetic(rule):
+    """The operator z op w, running ``rule`` on the triples of z and w.
+
+    The operand w is read once: a `RationalComplex` as its triple, a `Ratio`
+    from its slots and any other int or Fraction as (numerator, 0,
+    denominator). Any other operand, such as a float, gets NotImplemented.
+    """
+
+    def operate(z, w):
+        if isinstance(w, RationalComplex):
+            return rule(z._a, z._b, z._d, w._a, w._b, w._d)
+        if type(w) is Ratio:
+            return rule(z._a, z._b, z._d, w._numerator, 0, w._denominator)
+        if isinstance(w, (int, Fraction)):
+            return rule(z._a, z._b, z._d, w.numerator, 0, w.denominator)
+        return NotImplemented
+
+    return operate
+
+
+class RationalComplex:
+    """Complex number with exact rational real and imaginary parts.
+
+    The value is (a + b i) / d with d > 0 and gcd(a, b, d) = 1. The
+    arithmetic forms only the products whose operands are not zero: a real
+    operand (an ``int``, any ``Fraction``, or a value with b = 0) skips the
+    terms with its zero imaginary part. Every term it skips is an exact
+    zero, and the triple is canonical, so each result equals the one the
+    full complex formula gives.
+    """
+
+    __slots__ = ("_a", "_b", "_d")
+
+    def __init__(self, re=0, im=0):
+        re, im = _as_ratio(re), _as_ratio(im)
+        q, s = re._denominator, im._denominator
+        # over the least common denominator of two parts in lowest terms, gcd(a, b, d) = 1
+        d = q if q == s else q // gcd(q, s) * s
+        _set_a(self, re._numerator * (d // q))
+        _set_b(self, im._numerator * (d // s))
+        _set_d(self, d)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RationalComplex is immutable")
+
+    @property
+    def re(self) -> Ratio:
+        return Ratio(self._a, self._d)
+
+    @property
+    def im(self) -> Ratio:
+        return Ratio(self._b, self._d)
+
+    # -- arithmetic -----------------------------------------------------
+    #
+    # Each operator, == included, is `_complex_arithmetic` of one rule on two
+    # canonical triples; no computation subtracts from or divides a real by a
+    # complex, so those two have no reflection.
+
+    __add__ = __radd__ = _complex_arithmetic(_sum)
+    __sub__ = _complex_arithmetic(_difference)
+    __mul__ = __rmul__ = _complex_arithmetic(_product)
+    __truediv__ = _complex_arithmetic(_quotient)
+    __eq__ = _complex_arithmetic(_same)
+
+    # -- structure ------------------------------------------------------
+
+    def abs2(self) -> Ratio:
+        """|z|^2 as an exact Ratio."""
+        a, b, d = self._a, self._b, self._d
+        return Ratio(a * a + b * b, d * d)
+
+    def __complex__(self) -> complex:
+        # int true division rounds a / d correctly, as float(Ratio(a, d)) does
+        return complex(self._a / self._d, self._b / self._d)
+
+    def __hash__(self):
+        return hash((self._a, self._b, self._d))
+
+    def __repr__(self):
+        return f"RationalComplex({self.re!s}, {self.im!s})"
+
+    def __str__(self):
+        if not self._b:
+            return exact_text(self.re)
+        sign = "+" if self._b > 0 else "-"
+        return f"{exact_text(self.re)}{sign}{exact_text(abs(self.im))}i"
+
+
+_set_a = RationalComplex._a.__set__
+_set_b = RationalComplex._b.__set__
+_set_d = RationalComplex._d.__set__
 
 
 def unimodular_from_t(t) -> RationalComplex:

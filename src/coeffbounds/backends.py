@@ -87,5 +87,5 @@ _BY_NAME = {"float": FLOAT, "rational": RATIONAL}
 def get_backend(name: str) -> Backend:
     try:
         return _BY_NAME[name]
-    except KeyError:
+    except (KeyError, TypeError):  # an unhashable name, such as a JSON list, is unknown too
         raise ValueError(f"unknown backend {name!r} (expected 'float' or 'rational')") from None

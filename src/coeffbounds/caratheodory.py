@@ -241,10 +241,11 @@ class HerglotzAtoms:
         unknown = sorted(set(doc) - {"backend", "atoms"})
         if unknown:
             raise ValueError(f"unknown document fields {unknown}")
-        backend = _doc_backend(doc)
         raw = doc["atoms"]
+        # before _doc_backend, which may read the first atom
         if not isinstance(raw, list) or not raw:
             raise ValueError("'atoms' must be a non-empty list")
+        backend = _doc_backend(doc)
         weights, points, angles = [], [], []
         fields = _ATOM_FIELDS[backend.name]
         for entry in raw:

@@ -581,6 +581,51 @@ def test_unread_parameter_scan_sees_a_planted_parameter():
     ]
 
 
+def _repeated_blocks(sources: dict) -> list:
+    """``file:line`` where each stretch of code lines that occurs twice begins.
+
+    Blank lines, comments, docstrings and import statements are skipped and
+    the rest stripped. A window of 4 consecutive lines, each at least 9
+    characters long, that occurs twice is a repeat (3 lines would flag the
+    sign flip `_div` and `Ratio.__pow__` share); overlapping repeated windows
+    in one file form one stretch, reported at its first line.
+    """
+    windows = {}
+    for name, text in sources.items():
+        skipped = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                skipped.update(range(node.lineno, node.end_lineno + 1))
+            elif isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and ast.get_docstring(node) is not None:
+                skipped.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        kept = [(number, line.strip()) for number, line in enumerate(text.splitlines(), 1)
+                if number not in skipped and line.strip() and not line.strip().startswith("#")]
+        for i in range(len(kept) - 3):
+            window = tuple(line for _, line in kept[i:i + 4])
+            if min(map(len, window)) >= 9:
+                windows.setdefault(window, []).append((name, i, kept[i][0]))
+    repeats = {(name, i): line for seen in windows.values() if len(seen) > 1 for name, i, line in seen}
+    return sorted(f"{name}:{line}" for (name, i), line in repeats.items() if (name, i - 1) not in repeats)
+
+
+def test_no_code_block_is_repeated():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert _repeated_blocks(sources) == []
+
+
+def test_repeated_block_scan_sees_a_planted_repeat():
+    imports = "from x import (\n    alpha_name,\n    beta_name,\n    gamma_name,\n    delta_name,\n)\n"
+    doc = '    """The mean of the items.\n\n    Both copies carry this docstring.\n    Its lines repeat too.\n    """\n'
+    body = "    total = sum(items)\n    count = len(items)\n    # a comment between\n\n" \
+           "    mean = total / count\n    return mean\n"
+    sources = {"a.py": imports + "def f(items):\n" + doc + body,
+               "b.py": imports + "def g(items):\n" + doc + "    items = list(items)\n" + body
+                       + "if items:\n    pass\nelse:\n    pass\nif items:\n    pass\nelse:\n    pass\n"}
+    # the import list, the docstring and the short-lined if/else repeat but are no repeated block
+    assert _repeated_blocks(sources) == ["a.py:13", "b.py:14"]
+
+
 def _functions_in(tree: ast.Module, file_name: str, prefix: str) -> dict:
     """Qualified name of every def in a module, keyed by (file name, first line of its code).
 
@@ -620,6 +665,7 @@ _MAY_STAY_UNENTERED = {
     "_rational.t_from_unimodular": "writes rational witnesses, which only a failing rational run reaches",
     "_rational._arithmetic": "runs at import time, when the Ratio operators are built",
     "_rational._comparison": "runs at import time, when the Ratio comparisons are built",
+    "_rational._complex_arithmetic": "runs at import time, when the RationalComplex operators are built",
     "_rational.Ratio.__neg__": "keeps a negated Ratio a Ratio; no command negates an exact value",
     "caratheodory.HerglotzAtoms.from_rational": "the public constructor of exact atom systems",
     "harness.GridSpec.points": "the public walk of a grid's points; the suites walk (n, alpha) groups",

@@ -657,7 +657,22 @@ class TestExpandCommand:
         assert (code, out) == (2, "")
         assert err.startswith(f"usage error: {message}")
 
-    ONE_ATOM = {"float": extremal_p(2).to_document(),
+    @pytest.mark.parametrize(
+        "text, message",
+        [('{"atoms": 5}', "'atoms' must be a non-empty list"),
+         ('{"atoms": {"a": 1}}', "'atoms' must be a non-empty list"),
+         ('{"backend": ["float"], "atoms": [{"weight": 1, "angle_radians": 0}]}',
+          "unknown backend ['float'] (expected 'float' or 'rational')")],
+        ids=["atoms-a-number", "atoms-an-object", "backend-a-list"],
+    )
+    def test_malformed_document_names_what_is_wrong(self, text, message, capsys, monkeypatch):
+        # the atoms list is checked before the backend is inferred from its first entry,
+        # and an unhashable backend name is an unknown one, not a Python internal
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, out, err = run(["expand", "--pspec", "-", "--n", "1", "--alpha", "2", "--beta", "0"], capsys)
+        assert (code, out, err) == (2, "", f"usage error: invalid generator document: {message}\n")
+
+    ONE_ATOM ={"float": extremal_p(2).to_document(),
                 "rational": {"backend": "rational", "atoms": [{"weight": "1", "t": "0"}]}}
 
     @pytest.mark.parametrize("backend", ["float", "rational"])

@@ -182,7 +182,10 @@ class TestRealOperandPaths:
     @pytest.mark.parametrize("op", sorted(OPS))
     @zero_patterns(3)
     @settings(max_examples=5)
-    @given(values=st.tuples(nonzero, nonzero, st.one_of(st.integers(-50, 50).filter(bool), nonzero)))
+    @given(values=st.tuples(nonzero, nonzero, st.one_of(st.integers(-50, 50).filter(bool), nonzero,
+                                                        nonzero.map(Ratio))))
+    # a Ratio is read from its slots, a path of its own, so every op and zero pattern runs one
+    @example(values=(Fraction(1, 2), Fraction(-3, 4), Ratio(-5, 7)))
     def test_real_operand_on_either_side(self, op, zeros, values):
         a, b, r = zeroed(values, zeros)
         x, real = (a, b), (Fraction(r), Fraction(0))
@@ -194,9 +197,11 @@ class TestRealOperandPaths:
             with pytest.raises(TypeError):
                 OPS[op](r, rc(a, b))
 
-    @given(parts, parts, st.one_of(st.integers(-50, 50), parts))
+    @given(parts, parts, st.one_of(st.integers(-50, 50), parts, parts.map(Ratio)))
+    @example(Fraction(2, 3), Fraction(0), Ratio(2, 3))
+    @example(Fraction(2, 3), Fraction(1), Ratio(2, 3))
     def test_equality_with_a_real(self, a, b, r):
-        assert (rc(a, b) == r) == (a == r and b == 0)
+        assert (rc(a, b) == r) == (r == rc(a, b)) == (a == r and b == 0)
         assert (rc(a, b) != r) == (a != r or b != 0)
 
     @pytest.mark.parametrize("op", sorted(OPS))
