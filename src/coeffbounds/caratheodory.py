@@ -283,9 +283,8 @@ class HerglotzAtoms:
 def _doc_backend(doc: dict) -> Backend:
     if not isinstance(doc, dict):
         raise ValueError(f"atom document must be an object, got {type(doc).__name__}")
-    name = doc.get("backend")
-    if name is not None:
-        return get_backend(name)
+    if "backend" in doc:
+        return get_backend(doc["backend"])
     # infer from the first atom's fields
     atoms = doc.get("atoms") or [{}]
     first = atoms[0] if isinstance(atoms[0], dict) else {}

@@ -89,11 +89,14 @@ def real_power_coefficients(g, c, one, zero) -> list:
     multiplied by the float 1/k.
     The terms of an entry g_j that is the caller's ``zero`` object are never
     formed, so a series with one other entry past g_0 costs O(len(g)) terms.
+    Below the first other entry no term forms at all, and u_k is the
+    ``zero`` object itself, the exact +0 that dividing an empty sum gave.
     """
     terms = [j for j in range(1, len(g)) if g[j] is not zero]
     exact = isinstance(c, Fraction)  # an ABC check, so once per call
-    u = [one]
-    for k in range(1, len(g)):
+    first = terms[0] if terms else len(g)
+    u = [one, *[zero] * (first - 1)]
+    for k in range(first, len(g)):
         acc = zero
         for j in terms:
             if j > k:

@@ -30,6 +30,24 @@ and NaN margins, which never pass) and only the first five of them in
 (trial, k) order. A point's outcome is the one it has swept alone, bit for
 bit.
 
+A large sweep splits across CPU cores. Its rows, walked point by point and
+trial by trial as the blocks walk them, are cut into W contiguous shares of
+equal size, W = min(CPUs of ``os.sched_getaffinity``, rows, 2 * rows *
+roles // break-even): each share holds at least half the kernel's
+break-even (`DOMINANCE_BREAK_EVEN`, `NEHARI_BREAK_EVEN`, in rows x roles).
+The process folds share 0 through the blocks above; each other share runs
+in an ``os.fork`` child, which folds its own blocks into per-point
+summaries and pickles them back over a pipe. The shares' summaries merge
+in order (`_Summary.merge`: `fold`'s first-occurrence and NaN rule, summed
+counts, the first five violations), so every outcome, and every report
+byte, is the serial one. The split runs only on Linux, only with no other
+Python thread alive, and only past the break-even, which no stock group of
+`verify random` or `verify nehari` reaches; everywhere else the sweep runs
+in one process. Each process holds one block at a time, so memory stays
+at one block per process whatever the trial count. A child leaves through
+``os._exit``; the parent reaps every child, kills it first if the parent
+side raised, and re-raises a child's exception with its type and message.
+
 Importing this module pins glibc's malloc thresholds for the process, once,
 through ``mallopt`` (`TRIM_THRESHOLD`, `MMAP_THRESHOLD`). By default glibc
 sizes its trim threshold from the largest block it has freed, which for a
@@ -68,7 +86,12 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import os
+import pickle
+import signal
+import threading
 from collections import namedtuple
+from contextlib import ExitStack, contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -124,6 +147,13 @@ def _stream_keys(seed: int, roles, n: int, alpha, beta) -> dict:
 
 CHUNK_TRIALS = 4096
 _MAX_LISTED_VIOLATIONS = 5
+#: Rows x roles above which a sweep splits across processes, per kernel: where
+#: a two-way split began to beat the serial sweep on a 2-vCPU host at k_max
+#: 12, paired runs in process (see CHANGES.md). A fork and its copy-on-write
+#: faults cost a few milliseconds; a dominance row costs about 0.5 us, and a
+#: nehari row about 0.5 us per role.
+DOMINANCE_BREAK_EVEN = 30000
+NEHARI_BREAK_EVEN = 40000
 
 
 def _columns(atoms) -> tuple:
@@ -179,13 +209,15 @@ class _Summary:
         self.violations = []
         self.count = 0
 
+    def _offer(self, margin, trial: int, k: int):
+        """Take a later worst candidate: the first occurrence wins, and so does the first NaN, as in np.argmin."""
+        if self.worst is None or (not np.isnan(self.worst) and (np.isnan(margin) or margin < self.worst)):
+            self.worst, self.worst_trial, self.worst_k = margin, trial, k
+
     def fold(self, margins: np.ndarray, start: int, k_values: np.ndarray):
         """Add the margins of trials start, start + 1, ..., one row each."""
         t, i = divmod(int(np.argmin(margins)), margins.shape[1])
-        m = margins[t, i]
-        # first occurrence wins, and so does the first NaN, as in np.argmin
-        if self.worst is None or (not np.isnan(self.worst) and (np.isnan(m) or m < self.worst)):
-            self.worst, self.worst_trial, self.worst_k = m, start + t, int(k_values[i])
+        self._offer(margins[t, i], start + t, int(k_values[i]))
         bad = ~(margins >= -SLACK)  # a NaN margin is a violation too
         self.count += int(np.count_nonzero(bad))
         room = _MAX_LISTED_VIOLATIONS - len(self.violations)
@@ -193,6 +225,13 @@ class _Summary:
             for flat in np.flatnonzero(bad)[:room]:
                 bt, bi = divmod(int(flat), margins.shape[1])
                 self.violations.append((start + bt, int(k_values[bi]), float(margins[bt, bi])))
+
+    def merge(self, later: _Summary):
+        """Add the summary of the trials that follow this one's: as if this one had folded them."""
+        if later.worst is not None:
+            self._offer(later.worst, later.worst_trial, later.worst_k)
+        self.count += later.count
+        self.violations += later.violations[: _MAX_LISTED_VIOLATIONS - len(self.violations)]
 
     def outcome(self, stream_keys: dict) -> SweepOutcome:
         return SweepOutcome(
@@ -205,33 +244,98 @@ class _Summary:
         )
 
 
-def _blocks(points: int, trials: int):
-    """The trials of ``points`` points, point by point, cut into blocks of at most CHUNK_TRIALS.
+def _blocks(trials: int, first: int, last: int):
+    """Rows first..last-1 of a sweep, point by point, in blocks of at most CHUNK_TRIALS rows.
 
-    Yields each block as its segments ``(point, start, stop)``: trials
-    start..stop-1 of one point, in order.
+    Row r is trial r % trials of point r // trials. Yields each block as its
+    segments ``(point, start, stop)``: trials start..stop-1 of one point, in
+    order.
     """
-    segments, room = [], CHUNK_TRIALS
-    for point in range(points):
-        start = 0
-        while start < trials:
-            stop = min(trials, start + room)
+    for block in range(first, last, CHUNK_TRIALS):
+        row, end, segments = block, min(last, block + CHUNK_TRIALS), []
+        while row < end:
+            point, start = divmod(row, trials)
+            stop = min(trials, start + end - row)
             segments.append((point, start, stop))
-            room -= stop - start
-            start = stop
-            if not room:
-                yield segments
-                segments, room = [], CHUNK_TRIALS
-    if segments:
+            row += stop - start
         yield segments
 
 
-def _sweeps(seed: int, roles: tuple, magnitudes, n: int, alpha, betas, trials: int, first_k: int, bounds) -> tuple:
+def _share_count(rows: int, work: int, break_even: int) -> int:
+    """How many processes share a sweep of ``rows`` rows and rows x roles ``work``.
+
+    One, unless the work is above the kernel's break-even, the host is
+    Linux and no other Python thread runs (a forked child holds only the
+    thread that forked it). Then each share keeps at least half the
+    break-even, one row and one CPU.
+    """
+    if work <= break_even or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return min(len(os.sched_getaffinity(0)), rows, 2 * work // break_even)
+
+
+@contextmanager
+def _child(fold, share):
+    """Fork a child that folds ``share``; yield the read end of the pipe it answers on.
+
+    The child pickles (result, None), or (None, (type, message)) of the
+    exception its fold raised, and leaves through ``os._exit``, never
+    through the parent's cleanup, buffers or atexit hooks. On leaving, the
+    parent reaps the child, and kills it first if the parent side raised.
+    """
+    read, write = os.pipe()
+    with open(read, "rb") as pipe, open(write, "wb") as sink:
+        pid = os.fork()
+        if not pid:
+            code = 1
+            try:
+                try:
+                    reply = (fold(share), None)
+                except Exception as error:  # the parent re-raises it
+                    reply = (None, (type(error), str(error)))
+                sink.write(pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
+                sink.close()
+                code = 0
+            finally:
+                os._exit(code)
+        sink.close()  # the child holds the only write end, so its exit ends the pipe
+        try:
+            yield pipe
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            os.waitpid(pid, 0)
+
+
+def _reply(pipe):
+    """The result a child pickled to ``pipe``; its exception, re-raised here; or ChildProcessError."""
+    try:
+        result, error = pickle.loads(pipe.read())  # bytes of our own child
+    except (EOFError, pickle.UnpicklingError):
+        raise ChildProcessError("a sweep share's process ended without a result") from None
+    if error:
+        kind, message = error
+        raise kind(message)
+    return result
+
+
+def _fold_shares(fold, shares: list) -> list:
+    """fold(share) for each share, in order: the first in this process, each other in a forked child."""
+    with ExitStack() as children:
+        pipes = [children.enter_context(_child(fold, share)) for share in shares[1:]]
+        return [fold(shares[0]), *map(_reply, pipes)]
+
+
+def _sweeps(seed: int, roles: tuple, magnitudes, n: int, alpha, betas, trials: int, first_k: int, bounds,
+            break_even: int) -> tuple:
     """One sweep over the points (n, alpha, beta) for beta in betas, in shared blocks: one outcome each.
 
     ``bounds`` holds each point's bounds on |c_k| for k = first_k, ..., and
     ``magnitudes(*atoms, n, alpha, beta, count)`` the block's |c_k| from its
-    (weights, points) rows of each role and one beta per row.
+    (weights, points) rows of each role and one beta per row. Past rows x
+    roles ``break_even`` the rows split into contiguous shares, one per
+    process (`_share_count`), and the shares' summaries merge in order.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials!r}")
@@ -244,22 +348,32 @@ def _sweeps(seed: int, roles: tuple, magnitudes, n: int, alpha, betas, trials: i
     betas = np.array(betas, dtype=np.float64)
     count = bounds.shape[1]
     k_values = np.arange(first_k, first_k + count)
-    summaries = [_Summary() for _ in keys]
-    for segments in _blocks(len(keys), trials):
-        points = [point for point, _, _ in segments]
-        sizes = [stop - start for _, start, stop in segments]
-        # the last block's rows stay alive until this block's exist
-        rows = magnitudes(
-            *[draw_atoms([(keys[point][role], start, stop) for point, start, stop in segments])[:2]
-              for role in roles],
-            n, alpha, np.repeat(betas[points], sizes), count,
-        )
-        row = 0
-        for point, start, stop in segments:
-            margins = rows[row : row + stop - start]
-            np.subtract(bounds[point], margins, out=margins)
-            summaries[point].fold(margins, start, k_values)
-            row += stop - start
+
+    def fold(share):
+        summaries = [_Summary() for _ in keys]
+        for segments in _blocks(trials, *share):
+            points = [point for point, _, _ in segments]
+            sizes = [stop - start for _, start, stop in segments]
+            # the last block's rows stay alive until this block's exist
+            rows = magnitudes(
+                *[draw_atoms([(keys[point][role], start, stop) for point, start, stop in segments])[:2]
+                  for role in roles],
+                n, alpha, np.repeat(betas[points], sizes), count,
+            )
+            row = 0
+            for point, start, stop in segments:
+                margins = rows[row : row + stop - start]
+                np.subtract(bounds[point], margins, out=margins)
+                summaries[point].fold(margins, start, k_values)
+                row += stop - start
+        return summaries
+
+    total = len(keys) * trials
+    shares = _share_count(total, total * len(roles), break_even)
+    summaries, *later = _fold_shares(fold, [(total * s // shares, total * (s + 1) // shares) for s in range(shares)])
+    for share in later:
+        for summary, part in zip(summaries, share):
+            summary.merge(part)
     return tuple(s.outcome(point_keys) for s, point_keys in zip(summaries, keys))
 
 
@@ -271,7 +385,8 @@ def dominance_sweeps(seed: int, n: int, alpha: float, betas, trials: int, k_max:
     runs at that reduced order.
     """
     bounds = sharp_bound_rows(n, FLOAT.scalar(alpha), [FLOAT.scalar(beta) for beta in betas], k_max)
-    return _sweeps(seed, ("random",), dominance_magnitudes, n, alpha, betas, trials, 2, bounds)
+    return _sweeps(seed, ("random",), dominance_magnitudes, n, alpha, betas, trials, 2, bounds,
+                   DOMINANCE_BREAK_EVEN)
 
 
 def dominance_magnitudes(atoms, n: int, alpha: float, beta, count: int) -> np.ndarray:
@@ -297,7 +412,8 @@ def nehari_sweeps(seed: int, n: int, alpha: float, betas, trials: int, k_max: in
     for n >= 1 — see the audit notes in the verification harness).
     """
     bounds = nehari_bound_rows(n, FLOAT.scalar(alpha), [FLOAT.scalar(beta) for beta in betas], k_max)
-    return _sweeps(seed, ("h", "p", "q"), nehari_magnitudes, n, alpha, betas, trials, 1, bounds)
+    return _sweeps(seed, ("h", "p", "q"), nehari_magnitudes, n, alpha, betas, trials, 1, bounds,
+                   NEHARI_BREAK_EVEN)
 
 
 def _ladder(atoms, m_max: int) -> list:

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -34,3 +36,15 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.write_sep("-", "acceptance criteria")
     for _, line in sorted(_CRITERION_LINES, key=lambda item: item[0]):
         terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_unreaped():
+    """Fail a test that leaves a child process unreaped, running or exited."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    state = "still running" if pid == 0 else f"pid {pid} exited unreaped with status {status}"
+    pytest.fail(f"the test left a child process: {state}")

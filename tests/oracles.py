@@ -67,6 +67,10 @@ Horner loop).
 - ``draw_atoms_exact`` rebuilds each drawn row's atom system in exact
   arithmetic from its uniforms: dyadic weights and exactly unimodular
   points, which the float rows must equal (weights) or round (points).
+- ``real_power_coefficients_dividing`` is the library's real power as it
+  stood before indices below the first term became the ``zero`` object:
+  it divides each of their empty sums by k. The two must agree in value
+  and type, bit for bit on floats.
 - ``nehari_coefficients_full`` and ``small_alpha_bound_full`` build every
   power of a series that vanishes at 0 as a full-length Cauchy product,
   leading zeros included. The library sums the same non-zero products in
@@ -452,6 +456,29 @@ def real_power_coefficients_parent(g, c, one, zero) -> list:
             u.append(acc * Fraction(1, k))
         else:
             u.append(acc * (1.0 / k))
+    return u
+
+
+def real_power_coefficients_dividing(g, c, one, zero) -> list:
+    """The library's real power as it stood before it appended the ``zero`` object below g's first term.
+
+    It skips the terms of structural zeros as the library does, but divides
+    the empty sum at each index below the first other entry by k.
+    """
+    terms = [j for j in range(1, len(g)) if g[j] is not zero]
+    exact = isinstance(c, Fraction)
+    u = [one]
+    for k in range(1, len(g)):
+        acc = zero
+        for j in terms:
+            if j > k:
+                break
+            acc += (c * j - (k - j)) * g[j] * u[k - j]
+        if exact:
+            u.append(acc / k)
+        else:
+            acc *= 1.0 / k
+            u.append(acc)
     return u
 
 

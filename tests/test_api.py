@@ -680,8 +680,10 @@ def _one_point_commands(tmp_path) -> list:
         flag = ["--backend", backend]
         commands += [["bounds", *point, *flag], ["verify", "extremal", *point, *flag],
                      ["verify", "hk", "--alpha", "2", *flag]]
-    # the nehari point fails at n = 1, so its witness atoms are rebuilt too
-    commands += [["verify", "random", *point], ["verify", "nehari", *point]]
+    # the nehari point fails at n = 1, so its witness atoms are rebuilt too; at 20000 trials
+    # it is past the break-even, and its trials split across processes
+    commands += [["verify", "random", *point], ["verify", "nehari", *point],
+                 ["verify", "nehari", *point, "--trials", "20000"]]
     docs = {
         "float": {"backend": "float", "atoms": [{"weight": 0.5, "angle_radians": 0.7},
                                                  {"weight": 0.5, "angle_radians": -1.3}]},
@@ -696,8 +698,10 @@ def _one_point_commands(tmp_path) -> list:
     return [[*argv, "--format", fmt] for argv in commands for fmt in ("csv", "json")]
 
 
-def test_commands_enter_every_package_function(tmp_path, capsys):
-    # what no command enters is test-only or dead code, unless it is allowed above
+def test_commands_enter_every_package_function(tmp_path, capsys, monkeypatch):
+    # what no command enters is test-only or dead code, unless it is allowed above; two CPUs,
+    # whatever the host has, so the split sweep runs
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     package = str(PACKAGE_DIR)
     entered = set()
 

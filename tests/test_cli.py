@@ -662,12 +662,15 @@ class TestExpandCommand:
         [('{"atoms": 5}', "'atoms' must be a non-empty list"),
          ('{"atoms": {"a": 1}}', "'atoms' must be a non-empty list"),
          ('{"backend": ["float"], "atoms": [{"weight": 1, "angle_radians": 0}]}',
-          "unknown backend ['float'] (expected 'float' or 'rational')")],
-        ids=["atoms-a-number", "atoms-an-object", "backend-a-list"],
+          "unknown backend ['float'] (expected 'float' or 'rational')"),
+         ('{"backend": null, "atoms": [{"weight": "1", "t": "0"}]}',
+          "unknown backend None (expected 'float' or 'rational')")],
+        ids=["atoms-a-number", "atoms-an-object", "backend-a-list", "backend-null"],
     )
     def test_malformed_document_names_what_is_wrong(self, text, message, capsys, monkeypatch):
         # the atoms list is checked before the backend is inferred from its first entry,
-        # and an unhashable backend name is an unknown one, not a Python internal
+        # an unhashable backend name is an unknown one, not a Python internal, and a
+        # null backend is a malformed field, not an absent one
         monkeypatch.setattr("sys.stdin", io.StringIO(text))
         code, out, err = run(["expand", "--pspec", "-", "--n", "1", "--alpha", "2", "--beta", "0"], capsys)
         assert (code, out, err) == (2, "", f"usage error: invalid generator document: {message}\n")

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from coeffbounds import Region, cli, run_expand
+from coeffbounds import Region, cli, run_expand, sweeps
 from report_rows import bound_case, bound_rows, expand_rows
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -75,3 +75,10 @@ def test_generator_document_parses_and_expands():
     (report,) = run_expand(json.loads(document), 1, "2", "0")
     assert report.passed
     assert report.point["backend"] == "rational"
+
+
+def test_break_evens_are_the_library_constants():
+    text = README.read_text(encoding="utf-8")
+    for name in ("DOMINANCE_BREAK_EVEN", "NEHARI_BREAK_EVEN"):
+        (value,) = re.findall(rf"`sweeps\.{name}`\s+=\s+(\d+)", text)
+        assert int(value) == getattr(sweeps, name)

@@ -21,7 +21,13 @@ from coeffbounds._rational import RationalComplex
 from coeffbounds.bounds import f_quotient_coefficients
 from coeffbounds.caratheodory import shift_coefficients, transform_coefficients
 from coeffbounds.series import real_power_coefficients
-from oracles import random_herglotz, real_power_coefficients_parent, shift_list, transform_list
+from oracles import (
+    random_herglotz,
+    real_power_coefficients_dividing,
+    real_power_coefficients_parent,
+    shift_list,
+    transform_list,
+)
 from test_inplace import CASES, IDS, same_bits
 
 
@@ -95,6 +101,22 @@ def test_columns_keep_their_bits(label, weights, points, zero, one):
         got = f_quotient_coefficients(coeffs, 2, 1.5, beta, one, zero)
         want = dense(coeffs, 2, 1.5, beta, one, zero)
     same_bits(got, want)
+
+
+@pytest.mark.parametrize("backend", [FLOAT, RATIONAL], ids=["float", "rational"])
+def test_sparse_extremal_series_keep_their_values_and_types(backend):
+    # below the one term of 1 + 2 z^(k-1), u_k is the zero object where an empty sum was divided by k
+    one, zero = backend.one, backend.zero
+    for k in range(2, 13):
+        g = [one, *[zero] * (k - 2), backend.coeff(2)]
+        for alpha in (Fraction(1, 3), Fraction(1), Fraction(3, 2), Fraction(7, 2)):
+            c = backend.scalar(1 / alpha)
+            got = real_power_coefficients(g, c, one, zero)
+            want = real_power_coefficients_dividing(g, c, one, zero)
+            assert [type(x) for x in got] == [type(x) for x in want]
+            assert got == want and all(x is zero for x in got[1 : k - 1])
+            if backend is FLOAT:
+                assert float_bits(got) == float_bits(want)
 
 
 class Tally(complex):

@@ -5,6 +5,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -19,6 +21,7 @@ from coeffbounds import (
     ClassParams,
     bounds,
     caratheodory,
+    cli,
     f_from_p,
     sharp_bound_rows,
     sweeps,
@@ -94,14 +97,31 @@ def nehari_margins(h, p, q, n, alpha, beta, bound):
     return bound - nehari_magnitudes(h, p, q, n, alpha, beta, len(bound))
 
 
-def sweep_margins(margins, first_k):
-    """`_sweeps` of one point over given (trials, k) margins, against a zero bound.
+def planted_sweeps(margins, first_k=2, break_even=math.inf, before_block=lambda: None):
+    """`_sweeps` over given (points, trials, k) margins, against a zero bound: one outcome per point.
 
-    The stub kernel hands the loop -margins block by block, and 0 - (-m) is m exactly.
+    A stub draw hands the stub kernel each row's (point, trial) pair for
+    atoms, and the kernel returns -margins there, so every block and every
+    share reads its own rows; 0 - (-m) is m exactly. The kernel calls
+    ``before_block()`` first.
     """
-    blocks = (-margins[start:stop] for [(_, start, stop)] in _blocks(1, len(margins)))
-    (out,) = _sweeps(0, (), lambda *args: next(blocks), 1, 2.0, (0.0,), len(margins), first_k,
-                     [np.zeros(margins.shape[1])])
+    points, trials, count = margins.shape
+    betas = [point / 8 for point in range(points)]
+    where = {stream_key(0, "random", 1, 2.0, beta): point for point, beta in enumerate(betas)}
+
+    def draw(segments):
+        return (np.concatenate([np.full(stop - start, where[key]) for key, start, stop in segments]),
+                np.concatenate([np.arange(start, stop) for _, start, stop in segments]))
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sweeps, "draw_atoms", draw)
+        return _sweeps(0, ("random",), lambda atoms, *args: before_block() or -margins[atoms], 1, 2.0, betas,
+                       trials, first_k, np.zeros((points, count)), break_even)
+
+
+def sweep_margins(margins, first_k):
+    """`_sweeps` of one point over given (trials, k) margins, against a zero bound, in one process."""
+    (out,) = planted_sweeps(margins[None], first_k)
     return out
 
 
@@ -455,7 +475,8 @@ class TestBlocks:
     @pytest.mark.parametrize("trials", [1, 999, 1000, 3000, 4097, 9000])
     def test_blocks_walk_the_points_in_order(self, trials):
         for points in range(1, 6):
-            blocks = list(_blocks(points, trials))
+            rows = points * trials
+            blocks = list(_blocks(trials, 0, rows))
             assert all(sum(stop - start for _, start, stop in b) <= CHUNK_TRIALS for b in blocks)
             # every block but the last is full, and the segments tile each point's trials in order
             assert all(sum(stop - start for _, start, stop in b) == CHUNK_TRIALS for b in blocks[:-1])
@@ -465,6 +486,12 @@ class TestBlocks:
                 spans = [(start, stop) for p, start, stop in flat if p == point]
                 assert spans[0][0] == 0 and spans[-1][1] == trials
                 assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+            # contiguous shares, one after another, walk the same (point, trial) rows
+            walk = [(p, t) for p, start, stop in flat for t in range(start, stop)]
+            for shares in (2, 3):
+                cuts = [rows * s // shares for s in range(shares + 1)]
+                assert [(p, t) for first, last in zip(cuts, cuts[1:]) for b in _blocks(trials, first, last)
+                        for p, start, stop in b for t in range(start, stop)] == walk
 
     @pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("trials", [1, 999, 1000, 3000, 4097, 9000])
@@ -525,7 +552,161 @@ class TestBlocks:
         with pytest.raises(ValueError, match=message):
             nehari_sweeps(1, 1, 2.0, [0.0], 10, 0)
         with pytest.raises(ValueError, match=message):
-            _sweeps(0, ("random",), dominance_magnitudes, 1, 2.0, (0.0,), 10, 2, [np.ones(0)])
+            _sweeps(0, ("random",), dominance_magnitudes, 1, 2.0, (0.0,), 10, 2, [np.ones(0)], math.inf)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="sweeps split across processes on Linux only")
+class TestShares:
+    """Past the break-even the rows split into contiguous shares; children fold all but the first."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """Three CPUs, whatever the host has, and the pid of each child forked."""
+        pids, fork = [], os.fork
+
+        def counting():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counting)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        return pids
+
+    @staticmethod
+    def break_even(monkeypatch, value):
+        for name in ("DOMINANCE_BREAK_EVEN", "NEHARI_BREAK_EVEN"):
+            monkeypatch.setattr(sweeps, name, value)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("trials", [1, 4097, 3 * CHUNK_TRIALS + 5])
+    @pytest.mark.parametrize("group", [dominance_sweeps, nehari_sweeps], ids=["dominance", "nehari"])
+    def test_shares_equal_the_serial_sweep(self, group, trials, count, forks, monkeypatch):
+        # n = 1 puts nehari violations in every share, so their lists merge too
+        betas = BETAS[:count]
+        self.break_even(monkeypatch, math.inf)
+        serial = group(41, 1, 1.5, betas, trials, 6)
+        assert forks == []
+        self.break_even(monkeypatch, 1)
+        assert group(41, 1, 1.5, betas, trials, 6) == serial
+        assert len(forks) == min(3, count * trials) - 1
+
+    @pytest.mark.parametrize("plant", ["violations", "ties", "nan-first-row", "nan-both-sides"])
+    @pytest.mark.parametrize("points, trials", [(1, 4097), (3, 4097), (5, 3 * CHUNK_TRIALS + 5)])
+    def test_plants_at_share_boundaries_merge_as_serial(self, points, trials, plant, forks):
+        # three shares; (3, 4097) cuts at point boundaries, the others inside a point
+        rows = points * trials
+        margins = np.random.default_rng(rows).uniform(0.0, 1.0, size=(rows, 3))
+        for cut in (rows // 3, 2 * rows // 3):
+            if plant == "violations":  # on both sides of the cut, more than five per point in all
+                for row in range(cut - 3, cut + 3):
+                    margins[row, row % 3] = -0.5
+            elif plant == "ties":  # the first of equal worst margins wins, across the cut
+                margins[cut - 1, 1] = margins[cut, 1] = margins[cut, 0] = -9.0
+            elif plant == "nan-first-row":  # a NaN in a later share's first row beats an earlier violation
+                margins[cut - 1, 0] = -5.0
+                margins[cut, 2] = np.nan
+            else:  # the first NaN wins
+                margins[cut - 1, 1] = margins[cut + 1, 0] = np.nan
+        margins = margins.reshape(points, trials, 3)
+        serial = planted_sweeps(margins)
+        assert forks == []
+        forked = planted_sweeps(margins, break_even=1)
+        assert len(forks) == 2
+        assert [repr(o) for o in forked] == [repr(o) for o in serial]  # repr: NaN equals NaN
+        if "nan" not in plant:
+            assert [summary(o) for o in forked] == [reference_summary(m, range(2, 5)) for m in margins]
+
+    def test_an_error_in_a_child_is_raised_here(self, forks):
+        parent = os.getpid()
+
+        def block():
+            if os.getpid() != parent:
+                raise FloatingPointError("planted in a later share")
+
+        with pytest.raises(FloatingPointError, match="^planted in a later share$"):
+            planted_sweeps(np.ones((2, 5000, 3)), break_even=1, before_block=block)
+        assert len(forks) == 2
+
+    def test_an_error_here_kills_and_reaps_the_children(self, forks):
+        parent = os.getpid()
+
+        def block():
+            if os.getpid() == parent:
+                raise RuntimeError("planted in the first share")
+            time.sleep(60)  # a child left alive would hold the parent's wait for a minute
+
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="planted in the first share"):
+            planted_sweeps(np.ones((2, 5000, 3)), break_even=1, before_block=block)
+        assert time.monotonic() - start < 30
+        assert len(forks) == 2
+        for pid in forks:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_a_child_without_a_reply_is_an_error(self, forks):
+        parent = os.getpid()
+
+        def block():
+            if os.getpid() != parent:
+                os._exit(3)
+
+        with pytest.raises(ChildProcessError, match="ended without a result"):
+            planted_sweeps(np.ones((2, 5000, 3)), break_even=1, before_block=block)
+
+    def test_no_split_below_the_break_even_or_beside_another_thread(self, forks):
+        assert sweeps._share_count(10, 30, 30) == 1
+        assert sweeps._share_count(10, 31, 30) == 2  # each share keeps half the break-even
+        assert sweeps._share_count(2, 1000, 30) == 2  # and one row
+        assert sweeps._share_count(1000, 1000, 30) == 3  # and one CPU
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            assert sweeps._share_count(1000, 1000, 30) == 1
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    @pytest.mark.parametrize("suite, code", [("random", 0), ("nehari", 1)])
+    def test_stock_commands_stay_in_one_process(self, suite, code, monkeypatch, capsys):
+        # below the break-even on any host: every stock group, and every dominance-wide command
+        def refuse():
+            raise AssertionError("a stock sweep forked")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+        assert cli.main(["verify", suite]) == code
+        assert "points passed" in capsys.readouterr().err
+
+
+_PINNED_RUN = """
+import os, sys
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
+if sys.argv[1] == "one":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from coeffbounds import cli
+code = cli.main(sys.argv[2:])
+print("forks", len(forks), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs a Linux host with two CPUs or more")
+def test_one_cpu_and_every_cpu_print_the_same_bytes():
+    # a fresh interpreter, as a user runs it: pinned to one CPU it folds every share itself
+    env = dict(os.environ, PYTHONPATH=str(Path(sweeps.__file__).parents[1]))
+    argv = ["verify", "nehari", "--n", "1", "--alpha", "2", "--beta", "0", "--trials", "20000"]
+    one, every = (subprocess.run([sys.executable, "-c", _PINNED_RUN, cpus, *argv], env=env, capture_output=True,
+                                 timeout=120) for cpus in ("one", "every"))
+    assert (one.returncode, every.returncode) == (1, 1), one.stderr + every.stderr
+    assert one.stderr.splitlines()[-1] == b"forks 0" and every.stderr.splitlines()[-1] == b"forks 1"
+    assert one.stdout == every.stdout
 
 
 def columns(rows):
