@@ -42,10 +42,10 @@ class _FloatBackend(Backend):
             return float(Ratio(x))
         raise TypeError(f"cannot use {type(x).__name__} as a float-backend scalar")
 
-    def coeff(self, re, im=0) -> complex:
-        if isinstance(re, complex) and im == 0:
-            return re
-        return complex(self.scalar(re), self.scalar(im))
+    def coeff(self, x) -> complex:
+        if isinstance(x, complex):
+            return x
+        return complex(self.scalar(x))
 
     zero = 0j
     one = 1 + 0j
@@ -62,10 +62,10 @@ class _RationalBackend(Backend):
             return Ratio(x)
         raise TypeError(f"cannot use {type(x).__name__} as an exact scalar")
 
-    def coeff(self, re, im=0) -> RationalComplex:
-        if isinstance(re, RationalComplex) and im == 0:
-            return re
-        return RationalComplex(self.scalar(re), self.scalar(im))
+    def coeff(self, x) -> RationalComplex:
+        if isinstance(x, RationalComplex):
+            return x
+        return RationalComplex(self.scalar(x))
 
     zero = RationalComplex(0, 0)
     one = RationalComplex(1, 0)

@@ -127,19 +127,24 @@ def sharp_bound_rows(n: int, alpha, betas, k_max: int) -> list:
 
     The formula evaluates for every alpha > 0; it is the sharp bound for
     alpha > 1 (reports mark it inapplicable otherwise). Exact in rational
-    inputs. alpha^(n-1) and the denominators (alpha + k - 1)^n are formed
-    once for the group; each row is the head 2 (1 - beta) alpha^(n-1)
-    divided by them.
+    inputs; formed by `_power_ratio_rows` with p = n - 1 and j = k - 1.
     """
-    ks = _group_indices(n, alpha, betas, k_max)
-    power = alpha ** (n - 1)
-    # one rounding: (alpha + k) - 1 can be an ulp off (alpha = 1.1)
-    dens = [(alpha + (k - 1)) ** n for k in ks]
-    rows = []
-    for beta in betas:
-        head = 2 * (1 - beta) * power
-        rows.append([head / den for den in dens])
-    return rows
+    _group_indices(n, alpha, betas, k_max)
+    # j = k - 1 is added to alpha in one rounding: (alpha + k) - 1 can be an ulp off (alpha = 1.1)
+    return _power_ratio_rows(n - 1, n, alpha, betas, range(1, k_max))
+
+
+def _power_ratio_rows(p: int, n: int, alpha, betas, js) -> list:
+    """2 (1 - beta) alpha^p / (alpha + j)^n for each j of ``js``, one row for each beta of ``betas``.
+
+    alpha^p and each (alpha + j)^n are formed once for the group, in Python
+    scalars (numpy's ``power`` rounds differently with and without
+    AVX-512); each row is the head 2 (1 - beta) alpha^p divided by them.
+    """
+    power = alpha**p
+    dens = [(alpha + j) ** n for j in js]
+    heads = [2 * (1 - beta) * power for beta in betas]
+    return [[head / den for den in dens] for head in heads]
 
 
 class SmallAlphaBound(namedtuple("SmallAlphaBound", "value region")):
@@ -205,16 +210,12 @@ def small_alpha_bound_rows(n: int, alpha, betas, k_max: int) -> list:
 def nehari_bound_rows(n: int, alpha, betas, k_max: int) -> list:
     """The claimed bounds 2 (1 - beta) alpha^n / (alpha + k)^n for k = 1..k_max, one row for each beta.
 
-    Exact in rational inputs; alpha^n and each (alpha + k)^n are formed once
-    for the group, in Python scalars (numpy's ``power`` rounds differently
-    with and without AVX-512). A k_max below 1 gives empty rows.
+    Exact in rational inputs; formed by `_power_ratio_rows` with p = n and
+    j = k. A k_max below 1 gives empty rows.
     """
     for beta in betas:
         ClassParams(n, alpha, beta)
-    power = alpha**n
-    dens = [(alpha + k) ** n for k in range(1, k_max + 1)]
-    heads = [2 * (1 - beta) * power for beta in betas]
-    return [[head / den for den in dens] for head in heads]
+    return _power_ratio_rows(n, n, alpha, betas, range(1, k_max + 1))
 
 
 def growth_estimate(alpha, k: int) -> float:

@@ -17,9 +17,11 @@ defaults to the stock grid. ``expand`` takes exactly one of each. Only
 ``expand`` truncates a series, so only it reads --order; its membership
 rows hold by construction and by an exact (rational) or toleranced (float)
 round trip, and ``verify hk`` certifies its constructions exactly, by their
-convex weights. A numeric flag that is left out takes the library's default
-from :mod:`~coeffbounds.harness`, so a command and the library call it
-makes agree.
+convex weights. The CLI reads no parameter token itself: it passes the
+flags it was given to the library, where `harness.default_grid` reads
+--alpha and --beta on the backend and `harness.GridSpec` checks every value.
+A flag that is left out takes the library's default, so a command and the
+library call it makes agree.
 
 Reports (CSV or JSON) go to stdout or ``--out`` and are byte-identical
 across reruns with the same flags; the human-readable summary and timings
@@ -50,7 +52,6 @@ from .harness import (
     DEFAULT_ALPHA_TOKENS,
     DEFAULT_BETA_TOKENS,
     DEFAULT_N,
-    GridSpec,
     UsageError,
     default_grid,
     run_bounds_table,
@@ -172,34 +173,19 @@ def _shared_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _parse_tokens(backend, tokens, what: str) -> tuple:
-    out = []
-    for tok in tokens:
-        try:
-            out.append(backend.scalar(tok))
-        except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
-            raise UsageError(f"bad {what} token {tok!r}: {exc}") from exc
-    return tuple(out)
-
-
-#: The library keyword each numeric flag sets; a flag left out keeps the library default.
-_KEYWORDS = {"kmax": "k_max", "trials": "trials", "seed": "seed", "order": "order"}
+#: The library keyword each flag sets; a flag left out keeps the library default.
+_KEYWORDS = {"n": "n_values", "alpha": "alpha_values", "beta": "beta_values",
+             "kmax": "k_max", "trials": "trials", "seed": "seed", "order": "order"}
 
 
 def _given(args) -> dict:
-    return {key: getattr(args, flag) for flag, key in _KEYWORDS.items() if flag in args}
-
-
-def _grid_from_args(args, backend) -> GridSpec:
-    """The stock grid with the flags that were given laid over it."""
-    given = _given(args)
-    if args.n:
-        given["n_values"] = tuple(args.n)
-    if args.alpha:
-        given["alpha_values"] = _parse_tokens(backend, args.alpha, "alpha")
-    if args.beta:
-        given["beta_values"] = _parse_tokens(backend, args.beta, "beta")
-    return default_grid(backend, **given)
+    """The library keywords of the flags given, as given: --n, --alpha and --beta as tuples."""
+    given = {}
+    for flag, key in _KEYWORDS.items():
+        value = getattr(args, flag, None)
+        if value is not None:
+            given[key] = tuple(value) if isinstance(value, list) else value
+    return given
 
 
 def _emit(text: str, out: str | None):
@@ -266,9 +252,10 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         backend = get_backend(getattr(args, "backend", "float"))
+        given = _given(args)
         start = time.perf_counter()
         if args.command == "bounds":
-            grid = _grid_from_args(args, backend)
+            grid = default_grid(backend, **given)
             columns, rows = run_bounds_table(grid, backend)
             text = json_text({"rows": rows}) if args.format == "json" else csv_text(columns, rows)
             _emit(text, args.out)
@@ -280,17 +267,12 @@ def main(argv=None) -> int:
             return 0
         if args.command == "expand":
             doc = _read_pspec(args.pspec)
-            reports = run_expand(doc, _single(args.n, "n"), _single(args.alpha, "alpha"),
-                                 _single(args.beta, "beta"), **_given(args))
+            point = [_single(given.pop(f"{flag}_values", ()), flag) for flag in ("n", "alpha", "beta")]
+            reports = run_expand(doc, *point, **given)
         elif args.suite == "hk":
-            alphas = (
-                _parse_tokens(backend, args.alpha, "alpha")
-                if args.alpha
-                else default_grid(backend).alpha_values
-            )
-            reports = run_hk_audit(alphas, backend=backend, **_given(args))
+            reports = run_hk_audit(backend=backend, **given)
         else:
-            grid = _grid_from_args(args, backend)
+            grid = default_grid(backend, **given)
             runner = _SUITE_RUNNERS[args.suite]
             reports = runner(grid, backend) if "backend" in args else runner(grid)
         text = suite_json(reports) if args.format == "json" else suite_csv(reports)

@@ -12,9 +12,11 @@ check, or ``info`` for a row that judges nothing, and a report passes when
 no row fails. `_row` builds every row and `_report` every report, so the
 rule lives in those two functions and `_STATUS`. Every bound, and every
 decision whether |a_k| meets one (`bounds.bound_gap`), comes from `bounds`;
-the constants here are defaults and input limits. Configuration problems raise
-:class:`UsageError`, which the CLI distinguishes (exit 2) from genuine
-assertion failures (exit 1).
+the constants here are defaults and input limits. Every run reads n,
+alpha, beta and k_max through `default_grid`, the one reader of alpha and
+beta tokens (`run_expand` on a one-point grid), and `GridSpec` checks them.
+Configuration problems raise :class:`UsageError`, which the CLI
+distinguishes (exit 2) from genuine assertion failures (exit 1).
 """
 
 from __future__ import annotations
@@ -75,20 +77,6 @@ MAX_ORDER = 256
 MAX_N = 64
 
 
-def _check_n(n):
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise UsageError(f"n must be a non-negative integer, got {n!r}")
-    if n > MAX_N:
-        raise UsageError(f"n must be at most {MAX_N}, got {n!r}")
-
-
-def _check_k_max(k_max):
-    if not isinstance(k_max, int) or k_max < 2:
-        raise UsageError(f"k_max must be an integer >= 2, got {k_max!r}")
-    if k_max > MAX_ORDER:
-        raise UsageError(f"k_max must be at most {MAX_ORDER}, got {k_max!r}")
-
-
 def _check_exact_size(values, what: str):
     """An exact value past `MAX_EXACT_BITS` is a usage error; floats pass."""
     for value in values:
@@ -132,7 +120,10 @@ class GridSpec(namedtuple("GridSpec", "n_values alpha_values beta_values k_max t
         if not beta_values:
             raise UsageError("empty beta list")
         for n in n_values:
-            _check_n(n)
+            if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+                raise UsageError(f"n must be a non-negative integer, got {n!r}")
+            if n > MAX_N:
+                raise UsageError(f"n must be at most {MAX_N}, got {n!r}")
         for a in alpha_values:
             if not a > 0:
                 raise UsageError(f"alpha must be positive, got {a!r}")
@@ -144,7 +135,10 @@ class GridSpec(namedtuple("GridSpec", "n_values alpha_values beta_values k_max t
         _reject_repeats(n_values, "n")
         _reject_repeats(alpha_values, "alpha")
         _reject_repeats(beta_values, "beta")
-        _check_k_max(k_max)
+        if not isinstance(k_max, int) or k_max < 2:
+            raise UsageError(f"k_max must be an integer >= 2, got {k_max!r}")
+        if k_max > MAX_ORDER:
+            raise UsageError(f"k_max must be at most {MAX_ORDER}, got {k_max!r}")
         if not isinstance(trials, int) or isinstance(trials, bool) or trials < 1:
             raise UsageError(f"trials must be a positive integer, got {trials!r}")
         if not isinstance(seed, int) or isinstance(seed, bool):
@@ -156,14 +150,25 @@ class GridSpec(namedtuple("GridSpec", "n_values alpha_values beta_values k_max t
 
 
 def default_grid(backend: Backend = FLOAT, **overrides) -> GridSpec:
-    """The stock grid: n 0..3, alpha 1.1..10, beta 0..0.9, k_max 12."""
-    values = dict(
-        n_values=DEFAULT_N,
-        alpha_values=tuple(backend.scalar(t) for t in DEFAULT_ALPHA_TOKENS),
-        beta_values=tuple(backend.scalar(t) for t in DEFAULT_BETA_TOKENS),
-    )
+    """The stock grid (n 0..3, alpha 1.1..10, beta 0..0.9, k_max 12) with `overrides` laid over it.
+
+    The one reader of command parameters: each alpha and beta, stock or
+    given, is a token or a number read on `backend`, and a value the backend
+    cannot read is a `UsageError` naming it. `GridSpec` checks the rest.
+    """
+    values = dict(n_values=DEFAULT_N, alpha_values=DEFAULT_ALPHA_TOKENS, beta_values=DEFAULT_BETA_TOKENS)
     values.update(overrides)
+    for what in ("alpha", "beta"):
+        key = f"{what}_values"
+        values[key] = tuple(_read_scalar(backend, token, what) for token in values[key])
     return GridSpec(**values)
+
+
+def _read_scalar(backend: Backend, token, what: str):
+    try:
+        return backend.scalar(token)
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
+        raise UsageError(f"bad {what} token {token!r}: {exc}") from exc
 
 
 def _require_alpha_gt1(alpha_values, suite: str):
@@ -358,8 +363,8 @@ def run_nehari_suite(grid: GridSpec):
 # -- h_k audit ---------------------------------------------------------------
 
 
-def run_hk_audit(alpha_values, k_max: int = DEFAULT_K_MAX, backend: Backend = FLOAT):
-    """Audit the per-index generator constructions.
+def run_hk_audit(alpha_values=DEFAULT_ALPHA_TOKENS, k_max: int = DEFAULT_K_MAX, backend: Backend = FLOAT):
+    """Audit the per-index generator constructions at each alpha, a token or a number (stock ones by default).
 
     Per alpha and k: the gamma-ladder identity at its defining order, the
     coefficient-magnitude bound |d_mu| <= 2, and the membership certificate
@@ -377,14 +382,10 @@ def run_hk_audit(alpha_values, k_max: int = DEFAULT_K_MAX, backend: Backend = FL
     closed form, which matches 2(1-beta)/k^n — not the (k+1)-indexed
     variant sometimes quoted.
     """
-    if not alpha_values:
-        raise UsageError("empty alpha list")
-    alpha_values = [backend.scalar(alpha) for alpha in alpha_values]
+    alpha_values = default_grid(backend, alpha_values=alpha_values, k_max=k_max).alpha_values
     _require_alpha_gt1(alpha_values, "hk")
     # a float alpha is built at its exact value, held to the size of an exact alpha
     _check_exact_size(map(Ratio, alpha_values), "alpha")
-    _reject_repeats(alpha_values, "alpha")
-    _check_k_max(k_max)
     reports = []
     for alpha in alpha_values:
         start = time.perf_counter()
@@ -529,17 +530,12 @@ def run_expand(
     check that `p_from_f` gives back the generator's coefficients (see
     `_round_trip`). The worst margin is the
     smallest bound margin, and there is no witness: the document is one.
-    The document names its backend, and alpha and beta are read on it; like
-    them, each value of a rational document is held to `MAX_EXACT_BITS`.
+    The document is read first and names its backend; n, alpha, beta and
+    k_max are then read on it as a one-point `default_grid`. Like alpha and
+    beta, each value of a rational document is held to `MAX_EXACT_BITS`.
     The defaults are the ones ``coeffbounds expand`` uses.
     """
     start = time.perf_counter()
-    _check_n(n)
-    _check_k_max(k_max)
-    if not isinstance(order, int) or order < k_max:
-        raise UsageError(f"order must be an integer >= k_max, got {order!r}")
-    if order > MAX_ORDER:
-        raise UsageError(f"order must be at most {MAX_ORDER}, got {order!r}")
     try:
         atoms = HerglotzAtoms.from_document(doc)
     except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:  # "1/0" is a ZeroDivisionError
@@ -549,12 +545,12 @@ def run_expand(
         for entry in doc["atoms"]:
             for field, value in entry.items():
                 _check_exact_size((Ratio(str(value)),), f"atom {field}")
-    try:
-        params = ClassParams(n, backend.scalar(alpha), backend.scalar(beta))
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise UsageError(str(exc)) from exc
-    _check_exact_size((params.alpha,), "alpha")
-    _check_exact_size((params.beta,), "beta")
+    grid = default_grid(backend, n_values=(n,), alpha_values=(alpha,), beta_values=(beta,), k_max=k_max)
+    if not isinstance(order, int) or order < k_max:
+        raise UsageError(f"order must be an integer >= k_max, got {order!r}")
+    if order > MAX_ORDER:
+        raise UsageError(f"order must be at most {MAX_ORDER}, got {order!r}")
+    params = ClassParams(*next(grid.points()))
     point = {**_point(backend, n, params.alpha, params.beta), "backend": backend.name, "order": str(order)}
     p = atoms.series(order - 1)
     f, f_coefficients = _expansion(p, params, order)

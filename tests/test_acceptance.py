@@ -26,6 +26,7 @@ from coeffbounds import (
     sharp_bound_rows,
     small_alpha_bound_rows,
 )
+from coeffbounds._rational import RationalComplex
 from coeffbounds.caratheodory import shift_coefficients, transform_coefficients
 from coeffbounds.series import power_tails, real_power_coefficients
 from oracles import (
@@ -98,7 +99,7 @@ def test_criterion_04_integer_power_oracle(criterion):
         order = rng.randint(1, 32)
         m = rng.randint(0, 8)
         s = [
-            RATIONAL.coeff(
+            RationalComplex(
                 Fraction(rng.randint(-5, 5), rng.randint(1, 5)),
                 Fraction(rng.randint(-5, 5), rng.randint(1, 5)),
             )

@@ -149,6 +149,8 @@ def test_removed_name_is_not_exported(name):
         (series, "geometric"),
         (SuiteEntry, "as_dict"),
         *((cli, name) for name in ("_EXPAND_COLUMNS", "_expand_csv", "_run_expand_command")),
+        *((cli, name) for name in ("_parse_tokens", "_grid_from_args")),
+        *((harness, name) for name in ("_check_n", "_check_k_max")),
         *(
             (TruncatedSeries, method)
             for method in (
@@ -389,6 +391,29 @@ def test_bound_decision_scan_sees_a_planted_rule():
     tree = ast.parse("HIT_TOL = 1e-9\nSLACK_TOL: float = 0.1\nLIMIT = 2\n\n"
                      "def f(a, b):\n    return a.abs2() == b * b or abs(a) <= HIT_TOL\n")
     assert _bound_decisions(tree) == [1, 2, 6]
+
+
+def _scalar_calls(tree: ast.Module) -> list:
+    """Line of each ``.scalar(...)`` call: a backend reading a value."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "scalar"]
+
+
+def test_cli_reads_no_parameter_token():
+    # command tokens are read in one place, `harness.default_grid`; the CLI passes its flags on
+    assert _scalar_calls(ast.parse((PACKAGE_DIR / "cli.py").read_text())) == []
+
+
+def test_scalar_call_scan_sees_a_planted_read():
+    tree = ast.parse("def read(backend, tokens):\n    scalar = backend.scalar\n"
+                     "    return [backend.scalar(t) for t in tokens], scalar(tokens[0])\n")
+    assert _scalar_calls(tree) == [3]
+
+
+@pytest.mark.parametrize("backend", [FLOAT, RATIONAL], ids=lambda b: b.name)
+def test_coeff_takes_one_real_value(backend):
+    # a complex coefficient is built as one; no caller passes an imaginary part
+    assert list(inspect.signature(backend.coeff).parameters) == ["x"]
 
 
 def test_sweeps_leave_numpy_random_unimported():
@@ -668,7 +693,6 @@ _MAY_STAY_UNENTERED = {
     "_rational._complex_arithmetic": "runs at import time, when the RationalComplex operators are built",
     "_rational.Ratio.__neg__": "keeps a negated Ratio a Ratio; no command negates an exact value",
     "caratheodory.HerglotzAtoms.from_rational": "the public constructor of exact atom systems",
-    "harness.GridSpec.points": "the public walk of a grid's points; the suites walk (n, alpha) groups",
 }
 
 

@@ -23,7 +23,7 @@ from coeffbounds import (
     sharp_bound_rows,
     small_alpha_bound_rows,
 )
-from coeffbounds._rational import Ratio
+from coeffbounds._rational import RationalComplex, Ratio
 from coeffbounds.bounds import NORMALIZATION_TOL, SHARP_REL_TOL, bound_gap, nehari_bound_rows, round_trip_tolerances
 from coeffbounds.harness import DEFAULT_ALPHA_TOKENS, DEFAULT_BETA_TOKENS, DEFAULT_N
 from oracles import (
@@ -404,7 +404,7 @@ def _generators(backend):
             extremal_p(3, backend=RATIONAL),
         ]
         series = TruncatedSeries(
-            [RATIONAL.coeff(1), RATIONAL.coeff(Fraction(3, 7), -2), RATIONAL.coeff(Fraction(-5, 3))],
+            [RATIONAL.coeff(1), RationalComplex(Fraction(3, 7), -2), RATIONAL.coeff(Fraction(-5, 3))],
             12,
             backend=RATIONAL,
         )
@@ -603,7 +603,7 @@ class TestApplicableBoundRow:
 
 class TestBoundGap:
     def test_exact_bound_is_met_by_equality_alone(self):
-        a_k = RATIONAL.coeff(Fraction(3, 5), Fraction(4, 5))  # |a_k| = 1
+        a_k = RationalComplex(Fraction(3, 5), Fraction(4, 5))  # |a_k| = 1
         assert bound_gap(a_k, Ratio(1)) == (True, 0.0)
         met, gap = bound_gap(a_k, Ratio(2))
         assert not met and gap == 0.5

@@ -14,7 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coeffbounds import TruncatedSeries, applicable_bound_row, cli, extremal_p, harness, run_expand
@@ -471,6 +471,11 @@ def _keeps_the_contract(argv, stdin: str = ""):
 class TestGeneratedArgvs:
     @settings(max_examples=400)
     @given(argv=_argvs(), pick=st.integers(0, 1))
+    # a zero denominator in --alpha or --beta, on the float (0) and the rational (1) document
+    @example(argv=["expand", "--n", "1", "--alpha", "1/0", "--beta", "0"], pick=0)
+    @example(argv=["expand", "--n", "1", "--alpha", "1/0", "--beta", "0"], pick=1)
+    @example(argv=["expand", "--n", "1", "--alpha", "2", "--beta", "1/0"], pick=0)
+    @example(argv=["expand", "--n", "1", "--alpha", "2", "--beta", "1/0"], pick=1)
     def test_exit_code_and_streams_keep_the_contract(self, pspec_paths, argv, pick):
         if argv[0] == "expand":
             argv = [*argv, "--pspec", pspec_paths[pick]]
@@ -677,6 +682,24 @@ class TestExpandCommand:
 
     ONE_ATOM ={"float": extremal_p(2).to_document(),
                 "rational": {"backend": "rational", "atoms": [{"weight": "1", "t": "0"}]}}
+
+    @pytest.mark.parametrize("backend", ["float", "rational"])
+    @pytest.mark.parametrize("what, point", [("alpha", ["--alpha", "1/0", "--beta", "0"]),
+                                             ("beta", ["--alpha", "2", "--beta", "1/0"]),
+                                             ("alpha", ["--alpha", "x", "--beta", "0"])])
+    def test_unreadable_token_names_the_flag(self, backend, what, point, capsys, monkeypatch):
+        # expand reads --alpha and --beta as every grid command does, on the document's backend
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(self.ONE_ATOM[backend])))
+        code, out, err = run(["expand", "--pspec", "-", "--n", "1", *point], capsys)
+        assert (code, out) == (2, "")
+        token = point[point.index(f"--{what}") + 1]
+        assert err.startswith(f"usage error: bad {what} token {token!r}: ")
+        assert len(err.splitlines()) == 1
+
+    def test_document_is_read_before_the_point(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"atoms": 5}'))
+        code, out, err = run(["expand", "--pspec", "-", "--n", "65", "--alpha", "1/0", "--beta", "0"], capsys)
+        assert (code, out, err) == (2, "", "usage error: invalid generator document: 'atoms' must be a non-empty list\n")
 
     @pytest.mark.parametrize("backend", ["float", "rational"])
     @pytest.mark.parametrize("alpha", ["1/10", "1/3", "3/4", "1", "3/2"])

@@ -35,7 +35,7 @@ from coeffbounds import (
 )
 from coeffbounds._rational import Ratio
 from coeffbounds.bounds import SHARP_REL_TOL, SLACK, ClassParams, f_from_p, sharp_bound_rows
-from coeffbounds.harness import DEFAULT_K_MAX
+from coeffbounds.harness import DEFAULT_ALPHA_TOKENS, DEFAULT_K_MAX
 from coeffbounds.reports import fmt_float
 from oracles import dominance_margins_scalar, gamma_ladder, gamma_target, nehari_margins_scalar
 from report_rows import MEMBERSHIP, ROUND_TRIP, bound_case, bound_rows, coefficients, expand_rows, the_row
@@ -97,6 +97,29 @@ class TestGridSpec:
             small_grid(**overrides)
         with pytest.raises(UsageError):
             small_grid()._replace(**overrides)
+
+    @pytest.mark.parametrize(
+        "backend, overrides",
+        [
+            (RATIONAL, dict(alpha_values=(1.5,))),  # a float is no exact scalar
+            (FLOAT, dict(alpha_values=("1/0",))),
+            (RATIONAL, dict(beta_values=("1/0",))),
+            (FLOAT, dict(alpha_values=("1e400",))),
+            (FLOAT, dict(beta_values=("0", "x"))),
+            (RATIONAL, dict(alpha_values=(True,))),
+        ],
+    )
+    def test_default_grid_names_an_unreadable_value(self, backend, overrides):
+        ((key, _),) = overrides.items()
+        with pytest.raises(UsageError, match=f"^bad {key.removesuffix('_values')} token "):
+            default_grid(backend, **overrides)
+
+    def test_default_grid_reads_tokens_and_numbers_alike(self):
+        grid = default_grid(RATIONAL, alpha_values=("3/2", Fraction(5, 2), 4), beta_values=("1/4",))
+        assert grid.alpha_values == (Ratio(3, 2), Ratio(5, 2), Ratio(4))
+        assert all(type(value) is Ratio for value in (*grid.alpha_values, *grid.beta_values))
+        assert default_grid(FLOAT, alpha_values=("3/2", 2.5), beta_values=(Fraction(1, 4),)) == default_grid(
+            FLOAT, alpha_values=(1.5, 2.5), beta_values=(0.25,))
 
     def test_points_order(self):
         grid = small_grid(n_values=(0, 1), alpha_values=(2.0, 3.0), beta_values=(0.5,))
@@ -372,6 +395,17 @@ class TestHkAudit:
     def test_needs_alpha_above_one(self):
         with pytest.raises(UsageError):
             run_hk_audit((1.0,), k_max=8)
+
+    @pytest.mark.parametrize("backend", [FLOAT, RATIONAL], ids=lambda b: b.name)
+    def test_unreadable_alpha_is_a_usage_error(self, backend):
+        with pytest.raises(UsageError, match="^bad alpha token '1/0': "):
+            run_hk_audit(("1/0",), backend=backend)
+
+    @pytest.mark.parametrize("backend", [FLOAT, RATIONAL], ids=lambda b: b.name)
+    def test_alphas_default_to_the_stock_tokens(self, backend):
+        reports = run_hk_audit(k_max=3, backend=backend)
+        construction = [report.point["alpha"] for report in reports if report.point.get("section") == "construction"]
+        assert construction == [backend.format_scalar(backend.scalar(token)) for token in DEFAULT_ALPHA_TOKENS]
 
     def test_rejects_a_repeated_alpha(self):
         with pytest.raises(UsageError, match="alpha value 3/2 is given more than once"):

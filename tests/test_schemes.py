@@ -20,7 +20,7 @@ from coeffbounds import (
     hk_weight_row,
     recipe_even_constant,
 )
-from coeffbounds._rational import Ratio
+from coeffbounds._rational import RationalComplex, Ratio
 from coeffbounds.caratheodory import (
     HerglotzAtoms,
     atom_coefficients,
@@ -94,7 +94,7 @@ class TestGammaLadder:
                 HerglotzAtoms.from_rational([Fraction(1, 3), Fraction(2, 3)], [Fraction(1, 2), Fraction(-3, 4)]),
                 HerglotzAtoms.from_rational([Fraction(1)], [Fraction(5, 7)]),
                 # x = -1, which no t reaches, contributes to gamma_0 alone
-                HerglotzAtoms([Fraction(1, 4), Fraction(3, 4)], [RATIONAL.coeff(-1), RATIONAL.coeff(0, 1)],
+                HerglotzAtoms([Fraction(1, 4), Fraction(3, 4)], [RATIONAL.coeff(-1), RationalComplex(0, 1)],
                               backend=RATIONAL),
             )
         ]
