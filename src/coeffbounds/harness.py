@@ -154,8 +154,13 @@ def default_grid(backend: Backend = FLOAT, **overrides) -> GridSpec:
 
     The one reader of command parameters: each alpha and beta, stock or
     given, is a token or a number read on `backend`, and a value the backend
-    cannot read is a `UsageError` naming it. `GridSpec` checks the rest.
+    cannot read is a `UsageError` naming it, and so is a string given for a
+    list of values, which would read as one value per character. `GridSpec`
+    checks the rest.
     """
+    for key, given in overrides.items():
+        if key.endswith("_values") and isinstance(given, str):
+            raise UsageError(f"{key} must be a sequence of values, got the string {given!r}")
     values = dict(n_values=DEFAULT_N, alpha_values=DEFAULT_ALPHA_TOKENS, beta_values=DEFAULT_BETA_TOKENS)
     values.update(overrides)
     for what in ("alpha", "beta"):

@@ -20,10 +20,13 @@ One sweep call covers the betas of one (n, alpha): it walks those points'
 trials point by point and cuts them into blocks of at most `CHUNK_TRIALS`
 rows, so the four stock betas at 1000 trials share one pass of the kernels,
 and memory stays flat in the trial count and in the number of betas. Each
-block draws each role's segments (a run of one point's trials, read from
-that point's stream) with one `draw_atoms` call, runs a kernel once with
-one beta per row, and turns each segment's rows into margins bound - |c_k|
-in place, folded into its point's summary. Each point keeps the worst
+block runs a kernel once with one beta per row and turns each segment's
+rows into margins bound - |c_k| in place, folded into its point's summary.
+The kernel draws each role's segments (a run of one point's trials, read
+from that point's stream) with one `draw_atoms` call when its stage runs,
+and each role's atoms die once its series exists: `nehari_magnitudes`
+builds h's gamma ladder before p and q are drawn, and no atoms are alive
+while the Nehari sum's power tails run. Each point keeps the worst
 margin (the first occurrence, as ``np.argmin`` over all its trials would
 give), the total number of violations (margins below ``-bounds.SLACK``,
 and NaN margins, which never pass) and only the first five of them in
@@ -44,18 +47,29 @@ byte, is the serial one. The split runs only on Linux, only with no other
 Python thread alive, and only past the break-even, which no stock group of
 `verify random` or `verify nehari` reaches; everywhere else the sweep runs
 in one process. Each process holds one block at a time, so memory stays
-at one block per process whatever the trial count. A child leaves through
-``os._exit``; the parent reaps every child, kills it first if the parent
-side raised, and re-raises a child's exception with its type and message.
+at one block per process whatever the trial count. Just before the first
+fork the process hands its free heap back to the system (glibc's
+``malloc_trim``): after a fork each process copies every shared heap page
+it writes, about 3.3 us a page on a 2-vCPU host, against about 1.6 us for
+a fresh zero page, so the processes fault fresh pages instead. The trim
+leaves the fault count as it was, about 8 000 in the parent per pass of
+the four commands `verify nehari --n 0..3 --alpha 2 --beta 0 --trials
+20000`, and makes each fault cheaper; drawing each role when its stage
+runs cuts the count to about 7 000. A serial sweep never trims, and keeps
+its warm heap. A child leaves through ``os._exit``; the parent reaps every
+child, kills it first if the parent side raised, and re-raises a child's
+exception with its type and message.
 
 Importing this module pins glibc's malloc thresholds for the process, once,
-through ``mallopt`` (`TRIM_THRESHOLD`, `MMAP_THRESHOLD`). By default glibc
-sizes its trim threshold from the largest block it has freed, which for a
+through ``mallopt`` (`TRIM_THRESHOLD`, `MMAP_THRESHOLD`), and binds its
+``malloc_trim`` for the split above. By default glibc sizes its trim
+threshold from the largest block it has freed, which for a
 sweep is far below a block's heap peak, so the heap went back to the system
 after every (n, alpha) group and the next group faulted it in again: about
 11 450 minor page faults per four-command stock `verify random` pass, against
 about 30 with the thresholds pinned. Where the C library has no ``mallopt``
-nothing is set; the thresholds change speed only, never a result.
+nothing is set, and where it has no ``malloc_trim`` a split does not trim;
+neither changes anything but speed.
 
 Seed contract: each role of a suite at a parameter point reads one
 counter-based atom stream whose 64-bit key is
@@ -115,14 +129,22 @@ MMAP_THRESHOLD = 4 << 20
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 
 
-try:
-    _mallopt = ctypes.CDLL(None).mallopt
-except (AttributeError, OSError, TypeError):  # a C library without mallopt: nothing to pin
-    pass
-else:
-    _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+def _libc(name: str, argtypes: tuple, restype):
+    """The C library's function ``name``, typed; None where the C library has none."""
+    try:
+        function = getattr(ctypes.CDLL(None), name)
+    except (AttributeError, OSError, TypeError):
+        return None
+    function.argtypes, function.restype = argtypes, restype
+    return function
+
+
+_mallopt = _libc("mallopt", (ctypes.c_int, ctypes.c_int), ctypes.c_int)
+if _mallopt is not None:
     _mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
     _mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+#: Hands the free heap back to the system before a sweep forks (`_fold_shares`).
+_malloc_trim = _libc("malloc_trim", (ctypes.c_size_t,), ctypes.c_int)
 
 
 def _scalar_token(x) -> str:
@@ -321,7 +343,13 @@ def _reply(pipe):
 
 
 def _fold_shares(fold, shares: list) -> list:
-    """fold(share) for each share, in order: the first in this process, each other in a forked child."""
+    """fold(share) for each share, in order: the first in this process, each other in a forked child.
+
+    Before the first fork the free heap goes back to the system, so each
+    process faults fresh zero pages rather than copy the shared ones.
+    """
+    if len(shares) > 1 and _malloc_trim is not None:
+        _malloc_trim(0)
     with ExitStack() as children:
         pipes = [children.enter_context(_child(fold, share)) for share in shares[1:]]
         return [fold(shares[0]), *map(_reply, pipes)]
@@ -332,10 +360,12 @@ def _sweeps(seed: int, roles: tuple, magnitudes, n: int, alpha, betas, trials: i
     """One sweep over the points (n, alpha, beta) for beta in betas, in shared blocks: one outcome each.
 
     ``bounds`` holds each point's bounds on |c_k| for k = first_k, ..., and
-    ``magnitudes(*atoms, n, alpha, beta, count)`` the block's |c_k| from its
-    (weights, points) rows of each role and one beta per row. Past rows x
-    roles ``break_even`` the rows split into contiguous shares, one per
-    process (`_share_count`), and the shares' summaries merge in order.
+    ``magnitudes(atoms, n, alpha, beta, count)`` the block's |c_k| from an
+    iterator that draws the block's (weights, points) rows of each role, in
+    the order of ``roles``, when the kernel asks for them, and one beta per
+    row. Past rows x roles ``break_even`` the rows split into contiguous
+    shares, one per process (`_share_count`), and the shares' summaries
+    merge in order.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials!r}")
@@ -354,10 +384,11 @@ def _sweeps(seed: int, roles: tuple, magnitudes, n: int, alpha, betas, trials: i
         for segments in _blocks(trials, *share):
             points = [point for point, _, _ in segments]
             sizes = [stop - start for _, start, stop in segments]
-            # the last block's rows stay alive until this block's exist
+            # each role is drawn when the kernel asks for it; the last block's
+            # rows stay alive until this block's exist
             rows = magnitudes(
-                *[draw_atoms([(keys[point][role], start, stop) for point, start, stop in segments])[:2]
-                  for role in roles],
+                (draw_atoms([(keys[point][role], start, stop) for point, start, stop in segments])[:2]
+                 for role in roles),
                 n, alpha, np.repeat(betas[points], sizes), count,
             )
             row = 0
@@ -390,14 +421,16 @@ def dominance_sweeps(seed: int, n: int, alpha: float, betas, trials: int, k_max:
 
 
 def dominance_magnitudes(atoms, n: int, alpha: float, beta, count: int) -> np.ndarray:
-    """|a_k| for k = 2..count + 1, one row per row of ``atoms``, a (weights, points) pair.
+    """|a_k| for k = 2..count + 1, one row per trial.
 
-    ``beta`` is one float or a float64 column with one per row.
+    ``atoms`` is an iterator over the one role's (weights, points) pair
+    (`_sweeps`). ``beta`` is one float or a float64 column with one per row.
     """
     alpha = FLOAT.scalar(alpha)
-    # the generator list is freed inside the pipeline: at 4000 trials a
-    # block's peak memory is mostly these coefficient lists
-    u = f_quotient_coefficients(_generator_coefficients(atoms, count), n, alpha, beta, FLOAT.one, FLOAT.zero)
+    # the atoms die once their series exists, and the series inside the
+    # pipeline: at 4000 trials a block's peak memory is mostly these lists
+    u = f_quotient_coefficients(_generator_coefficients(next(atoms), count), n, alpha, beta, FLOAT.one,
+                                FLOAT.zero)
     return _magnitudes(u[1:])
 
 
@@ -431,21 +464,23 @@ def _ladder(atoms, m_max: int) -> list:
     return atom_coefficients([w * 0.5 for w in weights], [(x + 1.0) * 0.5 for x in points], m_max, 1.0)
 
 
-def nehari_magnitudes(h, p, q, n: int, alpha: float, beta, k_max: int) -> np.ndarray:
+def nehari_magnitudes(atoms, n: int, alpha: float, beta, k_max: int) -> np.ndarray:
     """|A_k| for k = 1..k_max, one row per trial.
 
-    h, p and q are (weights, points) atom arrays with one row per trial.
-    ``beta`` is one float or a float64 column with one per row (a complex
-    column would turn the m = 1 weight's float divide into a complex one).
-    The gamma ladder comes from h's atoms (`_ladder`), before the series of
-    p and q exist: a 4096-row block at k_max 12 peaks at 58.6 complex
-    columns of traced heap.
+    ``atoms`` is an iterator over the (weights, points) pairs of h, p and q,
+    in that order, each drawn when it is asked for (`_sweeps`). ``beta`` is
+    one float or a float64 column with one per row (a complex column would
+    turn the m = 1 weight's float divide into a complex one). The gamma
+    ladder comes from h's atoms (`_ladder`) before p and q are drawn, and
+    each role's atoms die once its series exists: a sweep of 4096-row
+    blocks at k_max 12, draws included, peaks at 65.2 complex columns of
+    traced heap.
     """
     alpha = FLOAT.scalar(alpha)
     half = FLOAT.scalar(Ratio(1, 2))
-    gammas = _ladder(h, k_max - 1)
+    gammas = _ladder(next(atoms), k_max - 1)
     r = half_hadamard_coefficients(
-        _generator_coefficients(p, k_max), _generator_coefficients(q, k_max), FLOAT.one, half
+        _generator_coefficients(next(atoms), k_max), _generator_coefficients(next(atoms), k_max), FLOAT.one, half
     )
     A = nehari_coefficients(gammas, [FLOAT.zero, *r[1:]], n, alpha, beta, FLOAT.zero)
     return _magnitudes(A[1:])

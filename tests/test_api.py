@@ -233,17 +233,18 @@ def test_module_does_not_import_random(path):
     assert "random" not in imported
 
 
-def _import_time_modules(tree: ast.Module) -> set:
+def _import_time_modules(tree: ast.Module, in_functions: bool = False) -> set:
     """Top-level names of the modules an import statement outside any function names.
 
-    A package-relative import counts as the submodules it names:
+    With ``in_functions`` the imports inside function bodies count too. A
+    package-relative import counts as the submodules it names:
     ``from . import sweeps`` and ``from .sweeps import x`` both give ``sweeps``.
     """
     names = set()
     stack = list(tree.body)
     while stack:
         node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not in_functions:
             continue
         if isinstance(node, ast.Import):
             names.update(alias.name.split(".")[0] for alias in node.names)
@@ -261,6 +262,13 @@ def test_only_sweeps_loads_numpy_on_import(path):
     # numpy is about half of the CLI's start-up; the array code imports it in its functions
     loaded = _import_time_modules(ast.parse(path.read_text())) & {"numpy", "sweeps"}
     assert loaded == ({"numpy"} if path.name == "sweeps.py" else set())
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
+def test_only_sweeps_imports_ctypes(path):
+    # the process-wide malloc settings and the heap trim before a fork keep one home
+    imported = _import_time_modules(ast.parse(path.read_text()), in_functions=True)
+    assert ("ctypes" in imported) == (path.name == "sweeps.py")
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
@@ -300,6 +308,7 @@ def test_import_time_scan_skips_function_bodies():
     tree = ast.parse("import math\nfrom . import sweeps, bounds\nclass A:\n    import numpy as np\n"
                      "def f():\n    import random\n    from .series import x\n")
     assert _import_time_modules(tree) == {"math", "sweeps", "bounds", "numpy"}
+    assert _import_time_modules(tree, in_functions=True) == {"math", "sweeps", "bounds", "numpy", "random", "series"}
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE_DIR.glob("*.py")), ids=lambda p: p.name)
@@ -693,6 +702,7 @@ _MAY_STAY_UNENTERED = {
     "_rational._complex_arithmetic": "runs at import time, when the RationalComplex operators are built",
     "_rational.Ratio.__neg__": "keeps a negated Ratio a Ratio; no command negates an exact value",
     "caratheodory.HerglotzAtoms.from_rational": "the public constructor of exact atom systems",
+    "sweeps._libc": "runs at import time, when mallopt and malloc_trim are bound",
 }
 
 

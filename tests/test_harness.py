@@ -114,6 +114,14 @@ class TestGridSpec:
         with pytest.raises(UsageError, match=f"^bad {key.removesuffix('_values')} token "):
             default_grid(backend, **overrides)
 
+    @pytest.mark.parametrize("overrides", [dict(alpha_values="35"), dict(beta_values="0"), dict(n_values="12")])
+    @pytest.mark.parametrize("backend", [FLOAT, RATIONAL], ids=lambda b: b.name)
+    def test_default_grid_refuses_a_bare_string(self, backend, overrides):
+        # a string would read as one value per character: "35" as the alphas 3 and 5
+        ((key, given),) = overrides.items()
+        with pytest.raises(UsageError, match=f"^{key} must be a sequence of values, got the string '{given}'$"):
+            default_grid(backend, **overrides)
+
     def test_default_grid_reads_tokens_and_numbers_alike(self):
         grid = default_grid(RATIONAL, alpha_values=("3/2", Fraction(5, 2), 4), beta_values=("1/4",))
         assert grid.alpha_values == (Ratio(3, 2), Ratio(5, 2), Ratio(4))
@@ -266,8 +274,8 @@ class TestRandomSuite:
     def test_nan_margin_fails_the_point(self, monkeypatch):
         margins_of = sweeps.dominance_magnitudes
 
-        def one_nan(*args):
-            margins = margins_of(*args)
+        def one_nan(atoms, n, alpha, beta, count):
+            margins = margins_of(atoms, n, alpha, beta, count)
             margins[7, 2] = np.nan
             return margins
 
@@ -400,6 +408,12 @@ class TestHkAudit:
     def test_unreadable_alpha_is_a_usage_error(self, backend):
         with pytest.raises(UsageError, match="^bad alpha token '1/0': "):
             run_hk_audit(("1/0",), backend=backend)
+
+    @pytest.mark.parametrize("backend", [FLOAT, RATIONAL], ids=lambda b: b.name)
+    def test_a_bare_string_is_a_usage_error(self, backend):
+        # not the alphas 2 and 5, one per character
+        with pytest.raises(UsageError, match="^alpha_values must be a sequence of values, got the string '25'$"):
+            run_hk_audit("25", k_max=3, backend=backend)
 
     @pytest.mark.parametrize("backend", [FLOAT, RATIONAL], ids=lambda b: b.name)
     def test_alphas_default_to_the_stock_tokens(self, backend):

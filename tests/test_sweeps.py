@@ -89,21 +89,21 @@ def dominance_bound(n, alpha, beta, k_max):
 
 def dominance_margins(weights, points, n, alpha, beta, bound):
     """Margins bound - |a_k| for k = 2..k_max, one row per row of atoms."""
-    return bound - dominance_magnitudes((weights, points), n, alpha, beta, len(bound))
+    return bound - dominance_magnitudes(iter([(weights, points)]), n, alpha, beta, len(bound))
 
 
 def nehari_margins(h, p, q, n, alpha, beta, bound):
     """Margins bound - |A_k| for k = 1..k_max, one row per trial."""
-    return bound - nehari_magnitudes(h, p, q, n, alpha, beta, len(bound))
+    return bound - nehari_magnitudes(iter([h, p, q]), n, alpha, beta, len(bound))
 
 
 def planted_sweeps(margins, first_k=2, break_even=math.inf, before_block=lambda: None):
     """`_sweeps` over given (points, trials, k) margins, against a zero bound: one outcome per point.
 
     A stub draw hands the stub kernel each row's (point, trial) pair for
-    atoms, and the kernel returns -margins there, so every block and every
-    share reads its own rows; 0 - (-m) is m exactly. The kernel calls
-    ``before_block()`` first.
+    atoms, and the kernel draws them and returns -margins there, so every
+    block and every share reads its own rows; 0 - (-m) is m exactly. The
+    kernel calls ``before_block()`` first.
     """
     points, trials, count = margins.shape
     betas = [point / 8 for point in range(points)]
@@ -115,8 +115,8 @@ def planted_sweeps(margins, first_k=2, break_even=math.inf, before_block=lambda:
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sweeps, "draw_atoms", draw)
-        return _sweeps(0, ("random",), lambda atoms, *args: before_block() or -margins[atoms], 1, 2.0, betas,
-                       trials, first_k, np.zeros((points, count)), break_even)
+        return _sweeps(0, ("random",), lambda atoms, *args: before_block() or -margins[next(atoms)], 1, 2.0,
+                       betas, trials, first_k, np.zeros((points, count)), break_even)
 
 
 def sweep_margins(margins, first_k):
@@ -453,17 +453,30 @@ class TestChunking:
         assert four <= 1.1 * peak((0.0,), 2 * CHUNK_TRIALS)
 
     def test_nehari_block_heap_peak(self):
-        # of h only its ladder is alive when P and Q exist: a full block peaks below 60 complex columns
+        # the kernel alone, on atoms drawn beforehand and so outside the trace: of h only its
+        # ladder is alive when P and Q exist, and a full block peaks below 60 complex columns
         drawn = [rows(1729, role, 1, 2.0, 0.25, 0, CHUNK_TRIALS) for role in NEHARI_ROLES]
         betas = np.full(CHUNK_TRIALS, 0.25)
-        nehari_magnitudes(*drawn, 1, 2.0, betas, 12)  # first-call caches stay out of the peak
+        nehari_magnitudes(iter(drawn), 1, 2.0, betas, 12)  # first-call caches stay out of the peak
         tracemalloc.start()
         try:
-            nehari_magnitudes(*drawn, 1, 2.0, betas, 12)
+            nehari_magnitudes(iter(drawn), 1, 2.0, betas, 12)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 60 * CHUNK_TRIALS * np.dtype(np.complex128).itemsize
+
+    def test_nehari_sweep_heap_peak(self):
+        # a whole serial sweep, draws included: each role is drawn when its stage runs and its
+        # atoms die once its series exists, so three full blocks peak at 65.2 complex columns
+        nehari_sweep(1729, 1, 2.0, 0.25, 16, 12)  # first-call caches stay out of the peak
+        tracemalloc.start()
+        try:
+            nehari_sweep(1729, 1, 2.0, 0.25, 3 * CHUNK_TRIALS, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 70 * CHUNK_TRIALS * np.dtype(np.complex128).itemsize
 
 
 BETAS = (0.0, 0.25, 0.5, 0.9, 0.1)
@@ -515,8 +528,8 @@ class TestBlocks:
         # four points of 1000 trials share one block: row 2500 is trial 500 of the third point
         margins_of = sweeps.dominance_magnitudes
 
-        def one_nan(*args):
-            margins = margins_of(*args)
+        def one_nan(atoms, n, alpha, beta, count):
+            margins = margins_of(atoms, n, alpha, beta, count)
             margins[2500, 3] = np.nan
             return margins
 
@@ -655,6 +668,15 @@ class TestShares:
 
         with pytest.raises(ChildProcessError, match="ended without a result"):
             planted_sweeps(np.ones((2, 5000, 3)), break_even=1, before_block=block)
+
+    @pytest.mark.skipif(sweeps._malloc_trim is None, reason="the C library has no malloc_trim")
+    def test_a_split_trims_the_heap_once_before_it_forks(self, forks, monkeypatch):
+        trims = []
+        monkeypatch.setattr(sweeps, "_malloc_trim", lambda pad: trims.append((pad, len(forks))) or 1)
+        planted_sweeps(np.ones((1, 5000, 3)))
+        assert trims == [] and forks == []  # a serial sweep keeps its warm heap
+        planted_sweeps(np.ones((1, 5000, 3)), break_even=1)
+        assert trims == [(0, 0)] and len(forks) == 2  # one trim, before the first fork
 
     def test_no_split_below_the_break_even_or_beside_another_thread(self, forks):
         assert sweeps._share_count(10, 30, 30) == 1
