@@ -299,18 +299,14 @@ def _sweep_reports(grid, suite, sweep):
     """One report per grid point; a failing point's witness is its first violation.
 
     The sweeps sample float generators, so the grid holds float values. One
-    sweep call covers the betas of one (n, alpha), so each of its points
-    reports the group's time split evenly.
+    sweep call walks every point of the grid, so each point reports the
+    command's time split evenly.
     """
-    reports = []
-    for n, alpha in itertools.product(grid.n_values, grid.alpha_values):
-        start = time.perf_counter()
-        outcomes = sweep(grid.seed, n, alpha, grid.beta_values, grid.trials, grid.k_max)
-        group = [_sweep_report(suite, grid, _point(FLOAT, n, alpha, beta), outcome)
-                 for beta, outcome in zip(grid.beta_values, outcomes)]
-        elapsed = (time.perf_counter() - start) / len(group)
-        reports += [_report(*fields, elapsed=elapsed) for fields in group]
-    return reports
+    start = time.perf_counter()
+    fields = [_sweep_report(suite, grid, _point(FLOAT, *point), outcome)
+              for point, outcome in zip(grid.points(), sweep(grid))]
+    elapsed = (time.perf_counter() - start) / len(fields)
+    return [_report(*point_fields, elapsed=elapsed) for point_fields in fields]
 
 
 def _sweep_report(suite, grid, point, outcome) -> tuple:

@@ -16,49 +16,54 @@ each drawn row's weights sum to 1.0 exactly, the binomial sums of
 stream keys, the kernels, which return |c_k| as ``(trials, k)`` arrays,
 and one sweep loop with its blocks and summary.
 
-One sweep call covers the betas of one (n, alpha): it walks those points'
-trials point by point and cuts them into blocks of at most `CHUNK_TRIALS`
-rows, so the four stock betas at 1000 trials share one pass of the kernels,
-and memory stays flat in the trial count and in the number of betas. Each
-block runs a kernel once with one beta per row and turns each segment's
-rows into margins bound - |c_k| in place, folded into its point's summary.
-The kernel draws each role's segments (a run of one point's trials, read
-from that point's stream) with one `draw_atoms` call when its stage runs,
-and each role's atoms die once its series exists: `nehari_magnitudes`
-builds h's gamma ladder before p and q are drawn, and no atoms are alive
-while the Nehari sum's power tails run. Each point keeps the worst
-margin (the first occurrence, as ``np.argmin`` over all its trials would
-give), the total number of violations (margins below ``-bounds.SLACK``,
-and NaN margins, which never pass) and only the first five of them in
-(trial, k) order. A point's outcome is the one it has swept alone, bit for
-bit.
+One sweep call walks every point of a command's grid, its rows (n, alpha,
+beta, trial) in grid order, and cuts them into blocks of at most
+`CHUNK_TRIALS` rows. A kernel call takes one n and one alpha, so no block
+crosses an (n, alpha) group; the four stock betas at 1000 trials share one
+pass of the kernels, and memory stays flat in the trial count and in the
+number of points. Each block runs a kernel once with one beta per row, turns
+each segment's rows into margins bound - |c_k| in place, folded into its
+point's summary, and is freed before the next block's kernel runs. The
+kernel draws each role's segments (a run of one point's trials, read from
+that point's stream) with one `draw_atoms` call when its stage runs, and
+each role's atoms die once its series exists: `nehari_magnitudes` builds h's
+gamma ladder before p and q are drawn, and no atoms are alive while the
+Nehari sum's power tails run. Each point keeps the worst margin (the first
+occurrence, as ``np.argmin`` over all its trials would give), the total
+number of violations (margins below ``-bounds.SLACK``, and NaN margins,
+which never pass) and only the first five of them in (trial, k) order. A
+point's outcome is the one it has swept alone, bit for bit.
 
-A large sweep splits across CPU cores. Its rows, walked point by point and
-trial by trial as the blocks walk them, are cut into W contiguous shares of
+A large walk splits across CPU cores, decided once per command. Its rows,
+in the order the blocks walk them, are cut into W contiguous shares of
 equal size, W = min(CPUs of ``os.sched_getaffinity``, rows, 2 * rows *
 roles // break-even): each share holds at least half the kernel's
-break-even (`DOMINANCE_BREAK_EVEN`, `NEHARI_BREAK_EVEN`, in rows x roles).
-The process folds share 0 through the blocks above; each other share runs
-in an ``os.fork`` child, which folds its own blocks into per-point
-summaries and pickles them back over a pipe. The shares' summaries merge
-in order (`_Summary.merge`: `fold`'s first-occurrence and NaN rule, summed
-counts, the first five violations), so every outcome, and every report
-byte, is the serial one. The split runs only on Linux, only with no other
-Python thread alive, and only past the break-even, which no stock group of
-`verify random` or `verify nehari` reaches; everywhere else the sweep runs
-in one process. Each process holds one block at a time, so memory stays
-at one block per process whatever the trial count. Just before the first
-fork the process hands its free heap back to the system (glibc's
-``malloc_trim``): after a fork each process copies every shared heap page
-it writes, about 3.3 us a page on a 2-vCPU host, against about 1.6 us for
-a fresh zero page, so the processes fault fresh pages instead. The trim
-leaves the fault count as it was, about 8 000 in the parent per pass of
-the four commands `verify nehari --n 0..3 --alpha 2 --beta 0 --trials
-20000`, and makes each fault cheaper; drawing each role when its stage
-runs cuts the count to about 7 000. A serial sweep never trims, and keeps
-its warm heap. A child leaves through ``os._exit``; the parent reaps every
-child, kills it first if the parent side raised, and re-raises a child's
-exception with its type and message.
+break-even (`DOMINANCE_BREAK_EVEN`, `NEHARI_BREAK_EVEN`, in rows x roles),
+and may start or end inside a group or inside a point. The process folds
+share 0 through the blocks above; each other share runs in an ``os.fork``
+child, which folds its own blocks into per-point summaries and pickles them
+back over a pipe. The shares' summaries merge in order (`_Summary.merge`:
+`fold`'s first-occurrence and NaN rule, summed counts, the first five
+violations), so every outcome, and every report byte, is the serial one.
+The split runs only on Linux, only with no other Python thread alive, and
+only past the break-even. On a host with two CPUs or more, stock `verify
+random` (96 000 rows) and stock `verify nehari` (288 000 rows x roles)
+split, and so does a 20 000-trial `verify nehari` point, while one n of
+`verify random --trials 1000` (24 000 rows) does not; everywhere else the
+walk runs in one process. A child's CPU time shows in no figure of the
+parent process, such as its ``RUSAGE_SELF``. Each process holds one block
+at a time, so memory stays at one block per process whatever the trial
+count. Just before the first fork the process hands its free heap back to
+the system (glibc's ``malloc_trim``): after a fork each process copies
+every shared heap page it writes, about 3.3 us a page on a 2-vCPU host,
+against about 1.6 us for a fresh zero page, so the processes fault fresh
+pages instead. The trim leaves the fault count as it was, about 8 000 in
+the parent per pass of the four commands `verify nehari --n 0..3 --alpha 2
+--beta 0 --trials 20000`, and makes each fault cheaper; drawing each role
+when its stage runs cuts the count to about 7 000. A serial walk never
+trims, and keeps its warm heap. A child leaves through ``os._exit``; the
+parent reaps every child, kills it first if the parent side raised, and
+re-raises a child's exception with its type and message.
 
 Importing this module pins glibc's malloc thresholds for the process, once,
 through ``mallopt`` (`TRIM_THRESHOLD`, `MMAP_THRESHOLD`), and binds its
@@ -266,15 +271,17 @@ class _Summary:
         )
 
 
-def _blocks(trials: int, first: int, last: int):
-    """Rows first..last-1 of a sweep, point by point, in blocks of at most CHUNK_TRIALS rows.
+def _blocks(trials: int, group_rows: int, first: int, last: int):
+    """Rows first..last-1 of a walk, point by point, in blocks of at most CHUNK_TRIALS rows of one group.
 
-    Row r is trial r % trials of point r // trials. Yields each block as its
-    segments ``(point, start, stop)``: trials start..stop-1 of one point, in
-    order.
+    Row r is trial r % trials of point r // trials, and no block crosses a
+    multiple of ``group_rows``, the rows of one (n, alpha) group. Yields each
+    block as its segments ``(point, start, stop)``: trials start..stop-1 of
+    one point, in order.
     """
-    for block in range(first, last, CHUNK_TRIALS):
-        row, end, segments = block, min(last, block + CHUNK_TRIALS), []
+    row = first
+    while row < last:
+        end, segments = min(last, row + CHUNK_TRIALS, (row // group_rows + 1) * group_rows), []
         while row < end:
             point, start = divmod(row, trials)
             stop = min(trials, start + end - row)
@@ -355,41 +362,36 @@ def _fold_shares(fold, shares: list) -> list:
         return [fold(shares[0]), *map(_reply, pipes)]
 
 
-def _sweeps(seed: int, roles: tuple, magnitudes, n: int, alpha, betas, trials: int, first_k: int, bounds,
-            break_even: int) -> tuple:
-    """One sweep over the points (n, alpha, beta) for beta in betas, in shared blocks: one outcome each.
+def _sweeps(grid, roles: tuple, magnitudes, first_k: int, bound_rows, break_even: int) -> tuple:
+    """One walk over the points of ``grid``, in shared blocks: one outcome per point of ``grid.points()``.
 
-    ``bounds`` holds each point's bounds on |c_k| for k = first_k, ..., and
-    ``magnitudes(atoms, n, alpha, beta, count)`` the block's |c_k| from an
-    iterator that draws the block's (weights, points) rows of each role, in
-    the order of ``roles``, when the kernel asks for them, and one beta per
-    row. Past rows x roles ``break_even`` the rows split into contiguous
-    shares, one per process (`_share_count`), and the shares' summaries
-    merge in order.
+    ``bound_rows(n, alpha, betas, k_max)`` gives the betas' bounds on |c_k|
+    for k = first_k, ... at one (n, alpha), and ``magnitudes(atoms, n, alpha,
+    beta, count)`` a block's |c_k| from an iterator that draws the block's
+    (weights, points) rows of each role, in the order of ``roles``, when the
+    kernel asks for them, and one beta per row. Past rows x roles
+    ``break_even`` the walk splits into contiguous shares, one per process
+    (`_share_count`), and the shares' summaries merge in order.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials!r}")
-    if not len(betas):
-        raise ValueError("betas must hold at least one beta")
-    bounds = np.array(bounds, dtype=np.float64)
-    if not bounds.shape[1]:
-        raise ValueError("bounds must hold at least one k, got an empty row")
-    keys = [_stream_keys(seed, roles, n, alpha, beta) for beta in betas]
-    betas = np.array(betas, dtype=np.float64)
-    count = bounds.shape[1]
+    points = list(grid.points())
+    betas = [FLOAT.scalar(beta) for beta in grid.beta_values]
+    bounds = [row for n, alpha, _ in points[:: len(betas)]
+              for row in np.array(bound_rows(n, FLOAT.scalar(alpha), betas, grid.k_max), dtype=np.float64)]
+    keys = [_stream_keys(grid.seed, roles, *point) for point in points]
+    point_betas = np.array([beta for *_, beta in points], dtype=np.float64)
+    count = len(bounds[0])
     k_values = np.arange(first_k, first_k + count)
 
     def fold(share):
         summaries = [_Summary() for _ in keys]
-        for segments in _blocks(trials, *share):
-            points = [point for point, _, _ in segments]
+        for segments in _blocks(grid.trials, len(betas) * grid.trials, *share):
+            indices = [point for point, _, _ in segments]
             sizes = [stop - start for _, start, stop in segments]
-            # each role is drawn when the kernel asks for it; the last block's
-            # rows stay alive until this block's exist
+            n, alpha, _ = points[indices[0]]
             rows = magnitudes(
                 (draw_atoms([(keys[point][role], start, stop) for point, start, stop in segments])[:2]
                  for role in roles),
-                n, alpha, np.repeat(betas[points], sizes), count,
+                n, alpha, np.repeat(point_betas[indices], sizes), count,
             )
             row = 0
             for point, start, stop in segments:
@@ -397,9 +399,10 @@ def _sweeps(seed: int, roles: tuple, magnitudes, n: int, alpha, betas, trials: i
                 np.subtract(bounds[point], margins, out=margins)
                 summaries[point].fold(margins, start, k_values)
                 row += stop - start
+            del rows, margins  # else they hold this block while the next block's kernel runs
         return summaries
 
-    total = len(keys) * trials
+    total = len(keys) * grid.trials
     shares = _share_count(total, total * len(roles), break_even)
     summaries, *later = _fold_shares(fold, [(total * s // shares, total * (s + 1) // shares) for s in range(shares)])
     for share in later:
@@ -408,16 +411,14 @@ def _sweeps(seed: int, roles: tuple, magnitudes, n: int, alpha, betas, trials: i
     return tuple(s.outcome(point_keys) for s, point_keys in zip(summaries, keys))
 
 
-def dominance_sweeps(seed: int, n: int, alpha: float, betas, trials: int, k_max: int) -> tuple:
-    """Random generators against the sharp bound, margin = bound - |a_k|: one outcome per beta.
+def dominance_sweeps(grid) -> tuple:
+    """Random generators against the sharp bound, margin = bound - |a_k|: one outcome per point of ``grid``.
 
     Coefficients a_2..a_{k_max} only need the quotient series through order
     k_max - 1, and truncation is exact on leading coefficients, so the sweep
     runs at that reduced order.
     """
-    bounds = sharp_bound_rows(n, FLOAT.scalar(alpha), [FLOAT.scalar(beta) for beta in betas], k_max)
-    return _sweeps(seed, ("random",), dominance_magnitudes, n, alpha, betas, trials, 2, bounds,
-                   DOMINANCE_BREAK_EVEN)
+    return _sweeps(grid, ("random",), dominance_magnitudes, 2, sharp_bound_rows, DOMINANCE_BREAK_EVEN)
 
 
 def dominance_magnitudes(atoms, n: int, alpha: float, beta, count: int) -> np.ndarray:
@@ -434,8 +435,8 @@ def dominance_magnitudes(atoms, n: int, alpha: float, beta, count: int) -> np.nd
     return _magnitudes(u[1:])
 
 
-def nehari_sweeps(seed: int, n: int, alpha: float, betas, trials: int, k_max: int) -> tuple:
-    """Sampled alternating series against the claimed transform-weighted bound: one outcome per beta.
+def nehari_sweeps(grid) -> tuple:
+    """Sampled alternating series against the claimed transform-weighted bound: one outcome per point of ``grid``.
 
     Each trial draws three independent atom systems: h (whose coefficients
     feed the gamma ladder) and a generator pair (p, q) combined through the
@@ -444,9 +445,7 @@ def nehari_sweeps(seed: int, n: int, alpha: float, betas, trials: int, k_max: in
     negative rows are genuine counterexamples to the claimed bound (expected
     for n >= 1 — see the audit notes in the verification harness).
     """
-    bounds = nehari_bound_rows(n, FLOAT.scalar(alpha), [FLOAT.scalar(beta) for beta in betas], k_max)
-    return _sweeps(seed, ("h", "p", "q"), nehari_magnitudes, n, alpha, betas, trials, 1, bounds,
-                   NEHARI_BREAK_EVEN)
+    return _sweeps(grid, ("h", "p", "q"), nehari_magnitudes, 1, nehari_bound_rows, NEHARI_BREAK_EVEN)
 
 
 def _ladder(atoms, m_max: int) -> list:
@@ -472,8 +471,8 @@ def nehari_magnitudes(atoms, n: int, alpha: float, beta, k_max: int) -> np.ndarr
     one float or a float64 column with one per row (a complex column would
     turn the m = 1 weight's float divide into a complex one). The gamma
     ladder comes from h's atoms (`_ladder`) before p and q are drawn, and
-    each role's atoms die once its series exists: a sweep of 4096-row
-    blocks at k_max 12, draws included, peaks at 65.2 complex columns of
+    each role's atoms die once its series exists: a sweep of three 4096-row
+    blocks at k_max 12, draws included, peaks at 59.2 complex columns of
     traced heap.
     """
     alpha = FLOAT.scalar(alpha)

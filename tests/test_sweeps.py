@@ -1,6 +1,7 @@
 """Vectorized sweeps: stream keys, the atom stream, blocks, column kernels, witnesses, the heap."""
 
 import ctypes
+import itertools
 import math
 import os
 import subprocess
@@ -19,6 +20,8 @@ from coeffbounds import (
     FLOAT,
     RATIONAL,
     ClassParams,
+    GridSpec,
+    UsageError,
     bounds,
     caratheodory,
     cli,
@@ -67,14 +70,14 @@ NEHARI_ROLES = ("nehari:h", "nehari:p", "nehari:q")
 
 
 def dominance_sweep(seed, n, alpha, beta, trials, k_max):
-    """One point swept alone: the group of one beta."""
-    (out,) = dominance_sweeps(seed, n, alpha, (beta,), trials, k_max)
+    """One point swept alone: the grid of one point."""
+    (out,) = dominance_sweeps(GridSpec((n,), (alpha,), (beta,), k_max, trials, seed))
     return out
 
 
 def nehari_sweep(seed, n, alpha, beta, trials, k_max):
-    """One point swept alone: the group of one beta."""
-    (out,) = nehari_sweeps(seed, n, alpha, (beta,), trials, k_max)
+    """One point swept alone: the grid of one point."""
+    (out,) = nehari_sweeps(GridSpec((n,), (alpha,), (beta,), k_max, trials, seed))
     return out
 
 
@@ -98,7 +101,7 @@ def nehari_margins(h, p, q, n, alpha, beta, bound):
 
 
 def planted_sweeps(margins, first_k=2, break_even=math.inf, before_block=lambda: None):
-    """`_sweeps` over given (points, trials, k) margins, against a zero bound: one outcome per point.
+    """`_sweeps` over given (points, trials, k) margins at one (n, alpha), against a zero bound: one outcome per point.
 
     A stub draw hands the stub kernel each row's (point, trial) pair for
     atoms, and the kernel draws them and returns -margins there, so every
@@ -115,8 +118,9 @@ def planted_sweeps(margins, first_k=2, break_even=math.inf, before_block=lambda:
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sweeps, "draw_atoms", draw)
-        return _sweeps(0, ("random",), lambda atoms, *args: before_block() or -margins[next(atoms)], 1, 2.0,
-                       betas, trials, first_k, np.zeros((points, count)), break_even)
+        return _sweeps(GridSpec((1,), (2.0,), betas, trials=trials, seed=0), ("random",),
+                       lambda atoms, *args: before_block() or -margins[next(atoms)], first_k,
+                       lambda n, alpha, betas, k_max: np.zeros((len(betas), count)), break_even)
 
 
 def sweep_margins(margins, first_k):
@@ -440,7 +444,7 @@ class TestChunking:
         def peak(betas, trials):
             tracemalloc.start()
             try:
-                group(1729, 1, 2.0, betas, trials, 12)
+                group(GridSpec((1,), (2.0,), betas, 12, trials, 1729))
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -466,60 +470,95 @@ class TestChunking:
             tracemalloc.stop()
         assert peak <= 60 * CHUNK_TRIALS * np.dtype(np.complex128).itemsize
 
-    def test_nehari_sweep_heap_peak(self):
-        # a whole serial sweep, draws included: each role is drawn when its stage runs and its
-        # atoms die once its series exists, so three full blocks peak at 65.2 complex columns
-        nehari_sweep(1729, 1, 2.0, 0.25, 16, 12)  # first-call caches stay out of the peak
+    @staticmethod
+    def columns_at_peak(sweep, grid):
+        """The traced heap peak of ``sweep(grid)``, in complex columns of CHUNK_TRIALS rows."""
+        sweep(grid._replace(trials=16))  # first-call caches stay out of the peak
         tracemalloc.start()
         try:
-            nehari_sweep(1729, 1, 2.0, 0.25, 3 * CHUNK_TRIALS, 12)
+            sweep(grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 70 * CHUNK_TRIALS * np.dtype(np.complex128).itemsize
+        return peak / (CHUNK_TRIALS * np.dtype(np.complex128).itemsize)
+
+    def test_nehari_sweep_heap_peak(self):
+        # a whole serial sweep, draws included: each role is drawn when its stage runs, its atoms
+        # die once its series exists, and each block dies before the next block's kernel runs, so
+        # three full blocks peak at 59.2 complex columns (65.2 with the last block kept alive)
+        assert self.columns_at_peak(nehari_sweeps, GridSpec((1,), (2.0,), (0.25,), 12, 3 * CHUNK_TRIALS, 1729)) <= 62
+
+    def test_a_walk_across_groups_holds_one_block(self):
+        # six (n, alpha) groups of one 4000-row block each: a group's block dies before the next
+        # group's kernel runs, so the walk peaks as one group does (26.5 against 26.3 columns;
+        # 31.9 with the last block kept alive)
+        betas = (0.0, 0.25, 0.5, 0.9)
+        one = self.columns_at_peak(dominance_sweeps, GridSpec((1,), (2.0,), betas, 12, 1000, 1729))
+        six = self.columns_at_peak(dominance_sweeps, GridSpec((1,), (1.1, 1.5, 2.0, 3.0, 5.0, 10.0), betas, 12,
+                                                              1000, 1729))
+        assert six <= one + 1
 
 
 BETAS = (0.0, 0.25, 0.5, 0.9, 0.1)
+#: (n values, alpha values, betas) of a grid: one (n, alpha) with 1..5 betas, named by their count,
+#: then 2 n x 2 alpha x 2 betas, whose walk crosses (n, alpha) groups
+SHAPES = [*(pytest.param((1,), (1.5,), BETAS[:count], id=str(count)) for count in range(1, 6)),
+          pytest.param((1, 2), (1.5, 3.0), BETAS[:2], id="2n-2alpha-2beta")]
 
 
 class TestBlocks:
-    """The betas of one (n, alpha) share blocks; each point's outcome is the one it has alone."""
+    """The points of a grid share one walk; each point's outcome is the one it has alone."""
 
     @pytest.mark.parametrize("trials", [1, 999, 1000, 3000, 4097, 9000])
     def test_blocks_walk_the_points_in_order(self, trials):
-        for points in range(1, 6):
+        for points in range(1, 7):
             rows = points * trials
-            blocks = list(_blocks(trials, 0, rows))
-            assert all(sum(stop - start for _, start, stop in b) <= CHUNK_TRIALS for b in blocks)
-            # every block but the last is full, and the segments tile each point's trials in order
-            assert all(sum(stop - start for _, start, stop in b) == CHUNK_TRIALS for b in blocks[:-1])
-            flat = [segment for b in blocks for segment in b]
-            assert [p for p, _, _ in flat] == sorted(p for p, _, _ in flat)
-            for point in range(points):
-                spans = [(start, stop) for p, start, stop in flat if p == point]
-                assert spans[0][0] == 0 and spans[-1][1] == trials
-                assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
-            # contiguous shares, one after another, walk the same (point, trial) rows
-            walk = [(p, t) for p, start, stop in flat for t in range(start, stop)]
-            for shares in (2, 3):
-                cuts = [rows * s // shares for s in range(shares + 1)]
-                assert [(p, t) for first, last in zip(cuts, cuts[1:]) for b in _blocks(trials, first, last)
-                        for p, start, stop in b for t in range(start, stop)] == walk
+            for group_rows in (rows, *(betas * trials for betas in range(1, points) if points % betas == 0)):
+                blocks = list(_blocks(trials, group_rows, 0, rows))
+                sizes = [sum(stop - start for _, start, stop in b) for b in blocks]
+                assert all(size <= CHUNK_TRIALS for size in sizes)
+                # no block crosses a group, and every block but the last of its group is full
+                ends = list(itertools.accumulate(sizes))
+                assert all((end - size) // group_rows == (end - 1) // group_rows for end, size in zip(ends, sizes))
+                assert all(size == CHUNK_TRIALS for end, size in zip(ends, sizes) if end % group_rows)
+                # the segments tile each point's trials in order
+                flat = [segment for b in blocks for segment in b]
+                assert [p for p, _, _ in flat] == sorted(p for p, _, _ in flat)
+                for point in range(points):
+                    spans = [(start, stop) for p, start, stop in flat if p == point]
+                    assert spans[0][0] == 0 and spans[-1][1] == trials
+                    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+                # contiguous shares, one after another, walk the same (point, trial) rows
+                walk = [(p, t) for p, start, stop in flat for t in range(start, stop)]
+                for shares in (2, 3):
+                    cuts = [rows * s // shares for s in range(shares + 1)]
+                    assert [(p, t) for first, last in zip(cuts, cuts[1:])
+                            for b in _blocks(trials, group_rows, first, last)
+                            for p, start, stop in b for t in range(start, stop)] == walk
 
-    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n_values, alpha_values, betas", SHAPES)
     @pytest.mark.parametrize("trials", [1, 999, 1000, 3000, 4097, 9000])
     @pytest.mark.parametrize("group, alone", [(dominance_sweeps, dominance_sweep), (nehari_sweeps, nehari_sweep)],
                              ids=["dominance", "nehari"])
-    def test_each_point_equals_its_sweep_alone(self, group, alone, count, trials):
-        betas = BETAS[:count]
-        outcomes = group(41, 1, 1.5, betas, trials, 6)
-        assert len(outcomes) == count
-        for beta, outcome in zip(betas, outcomes):
-            assert outcome == alone(41, 1, 1.5, beta, trials, 6)
+    def test_each_point_equals_its_sweep_alone(self, group, alone, n_values, alpha_values, betas, trials):
+        grid = GridSpec(n_values, alpha_values, betas, 6, trials, 41)
+        outcomes = group(grid)
+        assert len(outcomes) == len(list(grid.points()))
+        for (n, alpha, beta), outcome in zip(grid.points(), outcomes):
+            assert outcome == alone(41, n, alpha, beta, trials, 6)
+
+    @pytest.mark.parametrize("group", [dominance_sweeps, nehari_sweeps], ids=["dominance", "nehari"])
+    def test_a_grid_equals_its_groups_joined(self, group):
+        # 3000 trials x 2 betas: groups of 6000 rows, so a walk that ignored the groups would mix
+        # two (n, alpha) in a block
+        grid = GridSpec((0, 2), (1.5, 3.0, 10.0), (0.0, 0.5), 8, 3000, 7)
+        joined = [outcome for n, alpha in itertools.product(grid.n_values, grid.alpha_values)
+                  for outcome in group(grid._replace(n_values=(n,), alpha_values=(alpha,)))]
+        assert list(group(grid)) == joined
 
     def test_nehari_group_lists_violations_per_point(self):
         # n = 1 violates the claimed bound at every point, in every block
-        outcomes = nehari_sweeps(9, 1, 2.0, BETAS[:4], 3000, 8)
+        outcomes = nehari_sweeps(GridSpec((1,), (2.0,), BETAS[:4], 8, 3000, 9))
         for beta, outcome in zip(BETAS, outcomes):
             assert outcome.violations and outcome == nehari_sweep(9, 1, 2.0, beta, 3000, 8)
             assert outcome.stream_keys == {role: stream_key(9, f"nehari:{role}", 1, 2.0, beta) for role in "hpq"}
@@ -534,7 +573,7 @@ class TestBlocks:
             return margins
 
         monkeypatch.setattr(sweeps, "dominance_magnitudes", one_nan)
-        outcomes = dominance_sweeps(1729, 1, 2.0, BETAS[:4], 1000, 8)
+        outcomes = dominance_sweeps(GridSpec((1,), (2.0,), BETAS[:4], 8, 1000, 1729))
         assert [o.violation_count for o in outcomes] == [0, 0, 1, 0]
         (trial, k, margin), = outcomes[2].violations
         assert (trial, k) == (500, 5) and np.isnan(margin)
@@ -543,9 +582,8 @@ class TestBlocks:
         for i in (0, 1, 3):
             assert outcomes[i] == dominance_sweep(1729, 1, 2.0, BETAS[i], 1000, 8)
 
-    def test_rejects_non_positive_trials(self):
-        with pytest.raises(ValueError, match="trials must be positive"):
-            dominance_sweeps(1, 1, 2.0, (0.0,), 0, 6)
+    # The sweeps check no argument: `GridSpec`, the one input gate, refuses a grid with no trial,
+    # no beta or no k before a sweep can draw.
 
     @pytest.fixture
     def no_draws(self, monkeypatch):
@@ -554,18 +592,21 @@ class TestBlocks:
 
         monkeypatch.setattr(sweeps, "draw_atoms", refuse)
 
+    def test_rejects_non_positive_trials(self, no_draws):
+        for trials in (0, -1):
+            with pytest.raises(UsageError, match="trials must be a positive integer"):
+                dominance_sweeps(GridSpec((1,), (2.0,), (0.0,), 6, trials, 1))
+
     @pytest.mark.parametrize("group", [dominance_sweeps, nehari_sweeps], ids=["dominance", "nehari"])
     def test_rejects_an_empty_beta_list(self, group, no_draws):
-        with pytest.raises(ValueError, match="betas must hold at least one beta"):
-            group(1, 1, 2.0, [], 10, 12)
+        with pytest.raises(UsageError, match="empty beta list"):
+            group(GridSpec((1,), (2.0,), (), 12, 10, 1))
 
     def test_rejects_a_bound_row_with_no_k(self, no_draws):
-        # dominance_sweeps refuses k_max < 2 in sharp_bound_rows already
-        message = "bounds must hold at least one k, got an empty row"
-        with pytest.raises(ValueError, match=message):
-            nehari_sweeps(1, 1, 2.0, [0.0], 10, 0)
-        with pytest.raises(ValueError, match=message):
-            _sweeps(0, ("random",), dominance_magnitudes, 1, 2.0, (0.0,), 10, 2, [np.ones(0)], math.inf)
+        # below k_max 2 a sweep has no k to check: nehari_bound_rows gives an empty row at k_max 0
+        for group, k_max in itertools.product((dominance_sweeps, nehari_sweeps), (1, 0)):
+            with pytest.raises(UsageError, match="k_max must be an integer >= 2"):
+                group(GridSpec((1,), (2.0,), (0.0,), k_max, 10, 1))
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="sweeps split across processes on Linux only")
@@ -592,18 +633,20 @@ class TestShares:
         for name in ("DOMINANCE_BREAK_EVEN", "NEHARI_BREAK_EVEN"):
             monkeypatch.setattr(sweeps, name, value)
 
-    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("n_values, alpha_values, betas", SHAPES)
     @pytest.mark.parametrize("trials", [1, 4097, 3 * CHUNK_TRIALS + 5])
     @pytest.mark.parametrize("group", [dominance_sweeps, nehari_sweeps], ids=["dominance", "nehari"])
-    def test_shares_equal_the_serial_sweep(self, group, trials, count, forks, monkeypatch):
-        # n = 1 puts nehari violations in every share, so their lists merge too
-        betas = BETAS[:count]
+    def test_shares_equal_the_serial_sweep(self, group, trials, n_values, alpha_values, betas, forks, monkeypatch):
+        # n = 1 puts nehari violations in every share, so their lists merge too. On the 2 x 2 x 2
+        # grid the three shares cut on a group boundary and inside a group (1 trial), or inside
+        # a point (4097 trials and more)
+        grid = GridSpec(n_values, alpha_values, betas, 6, trials, 41)
         self.break_even(monkeypatch, math.inf)
-        serial = group(41, 1, 1.5, betas, trials, 6)
+        serial = group(grid)
         assert forks == []
         self.break_even(monkeypatch, 1)
-        assert group(41, 1, 1.5, betas, trials, 6) == serial
-        assert len(forks) == min(3, count * trials) - 1
+        assert group(grid) == serial
+        assert len(forks) == min(3, len(serial) * trials) - 1
 
     @pytest.mark.parametrize("plant", ["violations", "ties", "nan-first-row", "nan-both-sides"])
     @pytest.mark.parametrize("points, trials", [(1, 4097), (3, 4097), (5, 3 * CHUNK_TRIALS + 5)])
@@ -693,16 +736,26 @@ class TestShares:
             thread.join(timeout=10)
         assert not thread.is_alive()
 
-    @pytest.mark.parametrize("suite, code", [("random", 0), ("nehari", 1)])
-    def test_stock_commands_stay_in_one_process(self, suite, code, monkeypatch, capsys):
-        # below the break-even on any host: every stock group, and every dominance-wide command
-        def refuse():
-            raise AssertionError("a stock sweep forked")
-
-        monkeypatch.setattr(os, "fork", refuse)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
-        assert cli.main(["verify", suite]) == code
+    @pytest.mark.parametrize("argv, code, children", [
+        *((["verify", "random", "--n", str(n), "--trials", "1000"], 0, 0) for n in range(4)),  # 24 000 rows
+        (["verify", "random"], 0, 1),  # 96 000 rows
+        (["verify", "nehari"], 1, 1),  # 288 000 rows x roles
+    ], ids=[*(f"random-n{n}" for n in range(4)), "random", "nehari"])
+    def test_a_command_forks_by_its_whole_walk(self, argv, code, children, forks, monkeypatch, capsys):
+        # one split decision per command, on two CPUs: the stock commands pass the break-even,
+        # one n of verify random does not
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert cli.main(argv) == code
         assert "points passed" in capsys.readouterr().err
+        assert len(forks) == children
+
+    @pytest.mark.parametrize("suite, code, name", [("random", 0, "dominance_sweeps"), ("nehari", 1, "nehari_sweeps")])
+    def test_a_command_calls_its_sweep_once(self, suite, code, name, monkeypatch, capsys):
+        calls, sweep = [], getattr(sweeps, name)
+        monkeypatch.setattr(sweeps, name, lambda grid: calls.append(grid) or sweep(grid))
+        assert cli.main(["verify", suite]) == code
+        capsys.readouterr()
+        assert len(calls) == 1
 
 
 _PINNED_RUN = """
@@ -721,14 +774,18 @@ sys.exit(code)
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
                     reason="needs a Linux host with two CPUs or more")
 def test_one_cpu_and_every_cpu_print_the_same_bytes():
-    # a fresh interpreter, as a user runs it: pinned to one CPU it folds every share itself
+    # a fresh interpreter, as a user runs it: pinned to one CPU it folds every share itself. Each
+    # command's shares are capped at 2 rows x roles // break-even: 3, 6 and 14
     env = dict(os.environ, PYTHONPATH=str(Path(sweeps.__file__).parents[1]))
-    argv = ["verify", "nehari", "--n", "1", "--alpha", "2", "--beta", "0", "--trials", "20000"]
-    one, every = (subprocess.run([sys.executable, "-c", _PINNED_RUN, cpus, *argv], env=env, capture_output=True,
-                                 timeout=120) for cpus in ("one", "every"))
-    assert (one.returncode, every.returncode) == (1, 1), one.stderr + every.stderr
-    assert one.stderr.splitlines()[-1] == b"forks 0" and every.stderr.splitlines()[-1] == b"forks 1"
-    assert one.stdout == every.stdout
+    cpus = len(os.sched_getaffinity(0))
+    for argv, code, cap in ((["verify", "nehari", "--n", "1", "--alpha", "2", "--beta", "0", "--trials", "20000"],
+                             1, 3), (["verify", "random"], 0, 6), (["verify", "nehari"], 1, 14)):
+        one, every = (subprocess.run([sys.executable, "-c", _PINNED_RUN, pinned, *argv], env=env,
+                                     capture_output=True, timeout=120) for pinned in ("one", "every"))
+        assert (one.returncode, every.returncode) == (code, code), one.stderr + every.stderr
+        assert one.stderr.splitlines()[-1] == b"forks 0"
+        assert every.stderr.splitlines()[-1] == f"forks {min(cpus, cap) - 1}".encode()
+        assert one.stdout == every.stdout
 
 
 def columns(rows):
@@ -794,7 +851,7 @@ class TestBatchKernels:
         for module in (bounds, sweeps):
             monkeypatch.setattr(module, "f_quotient_coefficients", counting)
         f_from_p(random_herglotz(3), ClassParams(1, 2.0, 0.25), 8)
-        dominance_sweeps(5, 1, 2.0, BETAS[:4], 1000, 8)  # one block of 4000 rows
+        dominance_sweeps(GridSpec((1,), (2.0,), BETAS[:4], 8, 1000, 5))  # one block of 4000 rows
         assert calls == [False, True]
 
     def test_batch_cauchy_matches_series_product(self):
